@@ -40,7 +40,6 @@ from .indestructible import (
     DestructorCertificate,
     destructor_witness,
     nilpotent2_tensor_conjugation,
-    product_conjugation,
     shift_coshift_truncation,
     shift_tensor_coshift_blocks,
     swap_conjugation,
@@ -49,7 +48,6 @@ from .modelspace import (
     BlaschkeProduct,
     ModelSpace,
     Symbol,
-    blaschke_eval,
     blaschke_symbol,
     block_structure_check,
     cancel_common_inner_factor,
@@ -63,7 +61,6 @@ from .modelspace import (
 )
 from .synthesis import (
     ModulusRealization,
-    OptConfig,
     SynthesisResult,
     canonical_nilpotent_parts,
     realize_modulus,
@@ -86,13 +83,11 @@ __all__ = [
     "ModelSpace",
     "ModulusRealization",
     "Nilpotent2Form",
-    "OptConfig",
     "PreconditionError",
     "RunConfig",
     "Symbol",
     "SynthesisResult",
     "ToolkitError",
-    "blaschke_eval",
     "blaschke_symbol",
     "block_structure_check",
     "cancel_common_inner_factor",
@@ -117,7 +112,6 @@ __all__ = [
     "operator_norm",
     "polar_decompose",
     "polynomial_obstruction_search",
-    "product_conjugation",
     "realize_modulus",
     "run_suite",
     "run_suite_with_determinism",

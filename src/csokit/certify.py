@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_TOL,
     Conjugation,
     as_matrix,
+    column_phases,
     conjugate_by,
     operator_norm,
     unitary_in_subspace,
@@ -88,17 +89,6 @@ def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, f
     return residual <= tol, residual
 
 
-def _fix_phases(cols: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = cols.copy()
-    for i in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, i])))
-        pivot = out[k, i]
-        if abs(pivot) > 0:
-            out[:, i] *= np.conj(pivot) / abs(pivot)
-    return out
-
-
 def nilpotent2_splitting(T, tol: float = DEFAULT_TOL):
     """Range/kernel splitting of T with T^2 = 0 (shared by the synthesis path).
 
@@ -117,14 +107,11 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL):
     r = int(np.sum(s > RANK_CUT * s[0])) if n and s[0] > 0 else 0
 
     V = Vh.conj().T
-    right = V[:, :r]  # orthonormal basis of (ker T)-perp
-    left = U[:, :r]  # orthonormal basis of ran T
-    # Coupled phase fix: T right_i = s_i left_i must keep holding.
-    for i in range(r):
-        k = int(np.argmax(np.abs(right[:, i])))
-        phase = right[k, i] / abs(right[k, i])
-        right[:, i] *= np.conj(phase)
-        left[:, i] *= np.conj(phase)
+    # Orthonormal bases of (ker T)-perp and ran T; the phase of each right
+    # vector is applied to its left partner so T right_i = s_i left_i holds.
+    phases = column_phases(V[:, :r])
+    right = V[:, :r] * phases
+    left = U[:, :r] * phases
 
     # Orthonormal basis of ker T minus ran T (ran T sits inside ker T).
     kernel = V[:, r:]
@@ -132,7 +119,7 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL):
     extra = n - 2 * r
     if extra > 0:
         Ue, _, _ = np.linalg.svd(residual_kernel)
-        rest = _fix_phases(Ue[:, :extra])
+        rest = Ue[:, :extra] * column_phases(Ue[:, :extra])
     else:
         rest = np.zeros((n, 0), dtype=complex)
     return right, left, rest, s[:r].copy()

@@ -26,7 +26,7 @@ from .errors import InputError, ToolkitError
 from .indestructible import destructor_witness
 from .linalg import direct_sum
 from .modelspace import tto_matrix
-from .synthesis import OptConfig, synthesize_tto_for_nilpotent2
+from .synthesis import synthesize_tto_for_nilpotent2
 from .verify import RunConfig, run_suite_with_determinism
 
 EXIT_MALFORMED = 64
@@ -57,11 +57,14 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--quad", type=int, default=1024)
-    parser.add_argument("--budget", type=int, default=500)
+# Shared numeric flags: type and default.  Each subcommand takes the ones it reads.
+_FLAGS = {"seed": (int, 2026), "tol": (float, 1e-9), "quad": (int, 1024), "budget": (int, 500)}
+
+
+def _common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for name in flags:
+        kind, default = _FLAGS[name]
+        parser.add_argument(f"--{name}", type=kind, default=default)
     parser.add_argument("--out", default=None)
 
 
@@ -75,25 +78,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="decide complex symmetry of a matrix")
     p.add_argument("--matrix", required=True)
-    _common(p)
+    _common(p, "seed", "tol", "budget")
 
     p = sub.add_parser("destructor", help="pair a matrix against the 3x3 witness")
     p.add_argument("--matrix", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=2.0)
-    _common(p)
+    _common(p, "seed", "tol", "quad", "budget")
 
     p = sub.add_parser("tto", help="matrix of a truncated Toeplitz operator")
     p.add_argument("--u", required=True, help="Blaschke product JSON")
     p.add_argument("--phi", required=True, help="symbol JSON")
-    _common(p)
+    _common(p, "quad")
 
     p = sub.add_parser("synthesize", help="analytic TTO unitarily equivalent to N")
     p.add_argument("--matrix", required=True)
-    _common(p)
+    _common(p, "seed", "quad")
 
     p = sub.add_parser("verify-paper", help="replay the whole certified suite")
-    _common(p)
+    _common(p, "seed", "tol", "quad")
 
     p = sub.add_parser(
         "question1-search",
@@ -102,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--max-len", type=int, default=5)
-    _common(p)
+    _common(p, "seed", "tol")
 
     p = sub.add_parser(
         "question2-compare",
         help="synthesize for N and N (+) 0 and compare residuals (experimental)",
     )
     p.add_argument("--matrix", required=True)
-    _common(p)
+    _common(p, "seed", "quad")
 
     return parser
 
@@ -137,14 +140,13 @@ def cmd_tto(args) -> int:
 
 def cmd_synthesize(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
-    cfg = OptConfig(quad=args.quad)
-    res = synthesize_tto_for_nilpotent2(N, cfg, seed=args.seed)
+    res = synthesize_tto_for_nilpotent2(N, seed=args.seed, quad=args.quad)
     _emit(serialize.synthesis_to_json(res), args.out)
     return 0
 
 
 def cmd_verify_paper(args) -> int:
-    cfg = RunConfig(seed=args.seed, tol=args.tol, quad=args.quad, budget=args.budget)
+    cfg = RunConfig(seed=args.seed, tol=args.tol, quad=args.quad)
     report = run_suite_with_determinism(cfg)
     for entry in report["entries"]:
         tag = "PASS" if entry["status"] == "pass" else entry["status"].upper()
@@ -181,10 +183,9 @@ def cmd_question1(args) -> int:
 
 def cmd_question2(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
-    cfg = OptConfig(quad=args.quad)
-    base = synthesize_tto_for_nilpotent2(N, cfg, seed=args.seed)
+    base = synthesize_tto_for_nilpotent2(N, seed=args.seed, quad=args.quad)
     padded = synthesize_tto_for_nilpotent2(
-        direct_sum(N, np.zeros((1, 1))), cfg, seed=args.seed
+        direct_sum(N, np.zeros((1, 1))), seed=args.seed, quad=args.quad
     )
     out = {
         "base": serialize.synthesis_to_json(base),

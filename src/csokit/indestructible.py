@@ -101,11 +101,6 @@ def nilpotent2_tensor_conjugation(A, B, tol: float = 1e-9) -> Conjugation:
     return C
 
 
-def product_conjugation(CA: Conjugation, CB: Conjugation) -> Conjugation:
-    """Tensor of two conjugations: G = G_A (x) G_B, again symmetric unitary."""
-    return Conjugation(tensor(CA.matrix, CB.matrix))
-
-
 def factor_swap(n: int) -> np.ndarray:
     """Permutation on C^n (x) C^n exchanging the tensor factors."""
     S = np.zeros((n * n, n * n))

@@ -74,6 +74,20 @@ def direct_sum(*blocks) -> np.ndarray:
     return scipy.linalg.block_diag(*mats).astype(complex)
 
 
+def column_phases(cols: np.ndarray) -> np.ndarray:
+    """Unit factors that make each column's largest-magnitude entry real positive.
+
+    ``cols * column_phases(cols)`` is the canonical phase choice used wherever
+    a basis or frame must be deterministic; a zero column gets factor 1.
+    """
+    phases = np.ones(cols.shape[1], dtype=complex)
+    for i in range(cols.shape[1]):
+        pivot = cols[int(np.argmax(np.abs(cols[:, i]))), i]
+        if abs(pivot) > 0:
+            phases[i] = np.conj(pivot) / abs(pivot)
+    return phases
+
+
 def polar_decompose(M) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition M = V @ P with V unitary and P = |M| psd.
 

@@ -87,11 +87,6 @@ class BlaschkeProduct:
         return out if pts.shape else complex(out)
 
 
-def blaschke_eval(u: BlaschkeProduct, z):
-    """u(z); unimodular on |z| = 1, vectorized over arrays of points."""
-    return u.eval(z)
-
-
 @dataclass(frozen=True, eq=False)
 class Symbol:
     """Analytic symbol: polynomial in z, or rational with poles off the

@@ -1,17 +1,17 @@
 """Synthesis of analytic truncated Toeplitz operators for order-two nilpotents.
 
 Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
-the singular values of B as the modulus of an operator on a degree-r model
-space by optimization, pad the leftover kernel with an inner factor v = z^m,
-and assemble the operator with symbol u v phi on the model space of u^2 v,
-whose three-way frame K_u + u K_v + u v K_u makes the matrix reproduce the
-canonical shape exactly.  A unitary W conjugating the built operator onto N
-is returned with a recomputable equivalence residual.
+the r singular values of B as the modulus of the operator with a polynomial
+symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix,
+fit by least squares; closed forms at r <= 2), pad the leftover kernel with an
+inner factor v = z^m, and assemble the operator with symbol u v phi on the
+model space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the
+matrix reproduce the canonical shape exactly.  A unitary W conjugating the
+built operator onto N is returned with a recomputable equivalence residual.
 
 unitary_equivalence_check is the generic verification backend: an invariant
 screen on singular values, then a search for an exact intertwiner.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from .errors import InputError
 from .certify import nilpotent2_splitting
 from .linalg import (
     as_matrix,
+    column_phases,
     direct_sum,
     operator_norm,
     polar_decompose,
@@ -39,17 +40,15 @@ from .modelspace import (
     tto_matrix,
 )
 
-
-@dataclass
-class OptConfig:
-    """Knobs for the modulus-matching optimizer."""
-
-    starts: int = 16
-    simplex_evals: int = 4000
-    opt_quad: int = 256
-    quad: int = DEFAULT_QUAD
-    success_factor: float = 1e-6
-    full_search: bool = True  # allow moving the zeros of u off the origin
+# realize_modulus: multi-start budget, and the relative residual that counts
+# as converged.
+_MODULUS_STARTS = 16
+_CONVERGED_REL = 1e-6
+# unitary_equivalence_check: alternating-projection starts and iterations, and
+# the relative residual below which the intertwiner is returned.
+_EQUIV_STARTS = 24
+_EQUIV_ITERS = 400
+_EQUIV_SUCCESS = 1e-7
 
 
 @dataclass
@@ -94,152 +93,80 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return scipy.linalg.toeplitz(c, np.zeros_like(c))
 
 
-def _sv_gap(A: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return singular_values(A) - targets
-
-
-def _zeros_from_params(p: np.ndarray) -> list[complex]:
-    xy = p.reshape(-1, 2)
-    r = np.sqrt(1.0 + np.sum(xy**2, axis=1))
-    vals = 0.95 * (xy[:, 0] + 1j * xy[:, 1]) / r
-    return list(vals)
-
-
 def _complex_from_params(p: np.ndarray) -> np.ndarray:
     return p[0::2] + 1j * p[1::2]
 
 
-def realize_modulus(
-    targets,
-    degree_budget: int,
-    opt_config: OptConfig | None = None,
-    seed: int = 0,
-) -> ModulusRealization:
-    """Search for (u, phi) whose operator has the given singular values.
+def realize_modulus(targets, seed: int = 0, quad: int = DEFAULT_QUAD) -> ModulusRealization:
+    """Analytic operator on the model space of u = z^r with the r given singular values.
 
-    Targets are matched in sorted order, padded with zeros up to the degree
-    budget.  Equal targets are realized exactly on u = z^n; otherwise the
-    symbol coefficients on u = z^n (a lower-triangular Toeplitz matrix whose
-    singular values are being prescribed) are fit by multi-start nonlinear
-    least squares, and only if that stalls does a simplex search move the
-    zeros of u into the disk.  A result above the success threshold is
-    returned flagged unconverged, never raised.
+    On that space the operator with symbol phi is the lower-triangular
+    Toeplitz matrix of phi's coefficients.  Equal targets t give phi = t
+    exactly and two targets have a closed form; otherwise the coefficients
+    are fit by nonlinear least squares, from a fixed start and then seeded
+    random ones, stopping at the first start whose singular values match to
+    1e-12 of the largest target.  The result is flagged converged when the
+    matrix rebuilt at ``quad`` points matches to 1e-6 of the largest target;
+    an unconverged fit is returned flagged, never raised.
     """
-    cfg = opt_config or OptConfig()
     t = np.sort(np.asarray(targets, dtype=float))[::-1]
     if t.size < 1:
         raise InputError("need at least one target singular value")
     if np.any(t <= 0) or not np.all(np.isfinite(t)):
         raise InputError("targets must be positive finite reals")
     r = t.size
-    n = int(degree_budget)
-    if n < r:
-        raise InputError(f"degree budget {n} below target count {r}")
-    padded = np.concatenate([t, np.zeros(n - r)])
     tmax = float(t[0])
-    threshold = cfg.success_factor * tmax
+    u = BlaschkeProduct([0.0] * r)
 
-    def finish(u: BlaschkeProduct, phi: Symbol) -> ModulusRealization:
-        achieved = singular_values(tto_matrix(u, phi, cfg.quad))
-        residual = float(np.linalg.norm(achieved - padded))
+    def finish(phi: Symbol) -> ModulusRealization:
+        achieved = singular_values(tto_matrix(u, phi, quad))
+        residual = float(np.linalg.norm(achieved - t))
         return ModulusRealization(
             u=u,
             phi=phi,
-            target_singular_values=padded.copy(),
+            target_singular_values=t.copy(),
             achieved_singular_values=achieved,
             residual=residual,
-            converged=residual <= threshold,
+            converged=residual <= _CONVERGED_REL * tmax,
         )
 
-    monomial = BlaschkeProduct([0.0] * n)
     if np.all(t == tmax):
-        # t * (shift^(n-r)) has singular value t with multiplicity r, rest 0.
-        coeffs = np.zeros(n - r + 1, dtype=complex)
-        coeffs[-1] = tmax
-        return finish(monomial, Symbol(poly=coeffs))
-    if r == 2 and n == 2:
+        return finish(Symbol(poly=[tmax]))
+    if r == 2:
         # closed form: [[c0,0],[c1,c0]] has |A|^2 with trace 2c0^2 + c1^2 and
         # determinant c0^4, so c0 = sqrt(t0 t1), c1 = t0 - t1 hits (t0, t1)
-        exact = np.array([np.sqrt(t[0] * t[1]), t[0] - t[1]], dtype=complex)
-        return finish(monomial, Symbol(poly=exact))
+        return finish(Symbol(poly=[np.sqrt(t[0] * t[1]), t[0] - t[1]]))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
 
-    def toeplitz_gap(x: np.ndarray) -> np.ndarray:
-        return _sv_gap(_lower_toeplitz(_complex_from_params(x)), padded)
+    def gap(x: np.ndarray) -> np.ndarray:
+        return singular_values(_lower_toeplitz(_complex_from_params(x))) - t
 
-    start0 = np.zeros(2 * n)
-    start0[0] = np.mean(t)
-    start0[2 * (n - r) if n > r else 0] = tmax  # crude mass placement
+    start0 = np.zeros(2 * r)
+    start0[0] = tmax
     best = None
-    for idx in range(cfg.starts):
-        x0 = start0 if idx == 0 else rng.standard_normal(2 * n) * tmax
-        sol = scipy.optimize.least_squares(toeplitz_gap, x0, method="trf", xtol=1e-15)
+    for idx in range(_MODULUS_STARTS):
+        x0 = start0 if idx == 0 else rng.standard_normal(2 * r) * tmax
+        sol = scipy.optimize.least_squares(
+            gap, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
         res = float(np.linalg.norm(sol.fun))
         if best is None or res < best[0]:
             best = (res, sol.x)
         if res <= 1e-12 * tmax:
             break
-    u_best, phi_best = monomial, Symbol(poly=_complex_from_params(best[1]))
-
-    if best[0] > threshold and cfg.full_search:
-        found = _full_search(padded, n, cfg, rng, np.concatenate([np.zeros(2 * n), best[1]]))
-        if found is not None:
-            u_best, phi_best = found
-
-    return finish(u_best, phi_best)
-
-
-def _full_search(padded, n, cfg, rng, bridge):
-    """Simplex-then-least-squares over both the zeros of u and the symbol."""
-    tmax = padded[0]
-
-    def build(x):
-        u = BlaschkeProduct(_zeros_from_params(x[: 2 * n]))
-        phi = Symbol(poly=_complex_from_params(x[2 * n :]))
-        return u, phi
-
-    def gap(x):
-        u, phi = build(x)
-        return _sv_gap(tto_matrix(u, phi, cfg.opt_quad), padded)
-
-    def objective(x):
-        return float(np.sum(gap(x) ** 2))
-
-    best = None
-    for idx in range(cfg.starts):
-        x0 = bridge if idx == 0 else np.concatenate(
-            [rng.standard_normal(2 * n) * 0.5, rng.standard_normal(2 * n) * tmax]
-        )
-        nm = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead", options={"maxfev": cfg.simplex_evals}
-        )
-        sol = scipy.optimize.least_squares(gap, nm.x, method="trf", xtol=1e-15)
-        res = float(np.linalg.norm(sol.fun))
-        if best is None or res < best[0]:
-            best = (res, sol.x)
-        if res <= 1e-10 * tmax:
-            break
-    return build(best[1]) if best is not None else None
+    return finish(Symbol(poly=_complex_from_params(best[1])))
 
 
 def _descending_eig_frame(P: np.ndarray) -> np.ndarray:
     """Unitary Omega with Omega P Omega* diagonal descending, phases fixed."""
-    mu, vecs = np.linalg.eigh(P)
+    _, vecs = np.linalg.eigh(P)
     vecs = vecs[:, ::-1]
-    for i in range(vecs.shape[1]):
-        k = int(np.argmax(np.abs(vecs[:, i])))
-        pivot = vecs[k, i]
-        if abs(pivot) > 0:
-            vecs[:, i] *= np.conj(pivot) / abs(pivot)
-    return vecs.conj().T
+    return (vecs * column_phases(vecs)).conj().T
 
 
-def synthesize_tto_for_nilpotent2(
-    N, opt_config: OptConfig | None = None, seed: int = 0
-) -> SynthesisResult:
+def synthesize_tto_for_nilpotent2(N, seed: int = 0, quad: int = DEFAULT_QUAD) -> SynthesisResult:
     """Analytic model-space operator unitarily equivalent to N (N^2 = 0)."""
-    cfg = opt_config or OptConfig()
     A = as_matrix(N, square=True)
     dim = A.shape[0]
     B, extra, W0 = canonical_nilpotent_parts(A)
@@ -260,18 +187,18 @@ def synthesize_tto_for_nilpotent2(
             modulus=None,
         )
 
-    realization = realize_modulus(np.diag(B).real, r, cfg, seed)
+    realization = realize_modulus(np.diag(B).real, seed, quad)
     u, phi = realization.u, realization.phi
 
-    A_small = tto_matrix(u, phi, cfg.quad)
+    A_small = tto_matrix(u, phi, quad)
     V, P = polar_decompose(A_small)
     Omega = _descending_eig_frame(P)
 
     v = BlaschkeProduct([0.0] * extra)
     u_total = u * u * v
     symbol_total = blaschke_symbol(u) * blaschke_symbol(v) * phi
-    T = tto_matrix(u_total, symbol_total, cfg.quad)
-    Q, _ = modelspace_decompose(u, v, u, cfg.quad)
+    T = tto_matrix(u_total, symbol_total, quad)
+    Q, _ = modelspace_decompose(u, v, u, quad)
 
     blocks = direct_sum(Omega, np.eye(extra), Omega @ V.conj().T)
     W = W0.conj().T @ blocks @ Q.conj().T
@@ -303,7 +230,7 @@ def _order_key(M: np.ndarray):
     return (s.tobytes(), flat.real.tobytes(), flat.imag.tobytes())
 
 
-def _intertwiner_candidates(X, Y, n, starts, iters, rng, search=True):
+def _intertwiner_candidates(X, Y, n, rng, search=True):
     """Candidate unitaries W aiming at W X = Y W."""
     Ux, _, Vhx = np.linalg.svd(X)
     Uy, _, Vhy = np.linalg.svd(Y)
@@ -327,18 +254,17 @@ def _intertwiner_candidates(X, Y, n, starts, iters, rng, search=True):
     basis = scipy.linalg.null_space(sylv)
     if basis.size:
         yield from unitary_in_subspace(
-            basis, n, symmetric=False, initial=frames, starts=starts, iters=iters, rng=rng
+            basis,
+            n,
+            symmetric=False,
+            initial=frames,
+            starts=_EQUIV_STARTS,
+            iters=_EQUIV_ITERS,
+            rng=rng,
         )
 
 
-def unitary_equivalence_check(
-    X,
-    Y,
-    seed: int = 0,
-    starts: int = 24,
-    iters: int = 400,
-    success_tol: float = 1e-7,
-):
+def unitary_equivalence_check(X, Y, seed: int = 0):
     """(residual, W or None): best found value of ||W X - Y W|| over unitaries.
 
     A singular-value screen gives a certified lower bound first; if it already
@@ -365,18 +291,18 @@ def unitary_equivalence_check(
 
     best_res, best_W = np.inf, None
     for direction, (S, T) in enumerate(((A, Bm), (Bm, A))):
-        for W in _intertwiner_candidates(S, T, n, starts, iters, rng, search=not hopeless):
+        for W in _intertwiner_candidates(S, T, n, rng, search=not hopeless):
             U, _, Vh = np.linalg.svd(W)
             W = U @ Vh
             res = operator_norm(W @ S - T @ W)
             if res < best_res:
                 best_res, best_W = res, (W if direction == 0 else W.conj().T)
-            if best_res <= success_tol * scale * 1e-3:
+            if best_res <= _EQUIV_SUCCESS * scale * 1e-3:
                 break
-        if best_res <= success_tol * scale * 1e-3:
+        if best_res <= _EQUIV_SUCCESS * scale * 1e-3:
             break
 
     if swapped and best_W is not None:
         best_W = best_W.conj().T
-    W_out = best_W if best_res <= success_tol * scale else None
+    W_out = best_W if best_res <= _EQUIV_SUCCESS * scale else None
     return float(best_res), W_out

@@ -43,7 +43,7 @@ from .modelspace import (
     tto_matrix,
     verify_hankel_factorization,
 )
-from .synthesis import OptConfig, synthesize_tto_for_nilpotent2, unitary_equivalence_check
+from .synthesis import synthesize_tto_for_nilpotent2, unitary_equivalence_check
 from .words import eval_word, words_of_length
 
 
@@ -52,7 +52,6 @@ class RunConfig:
     seed: int = 2026
     tol: float = 1e-9
     quad: int = 1024
-    budget: int = 500
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -259,7 +258,6 @@ def entry_tto_suite(cfg: RunConfig) -> dict:
 
 def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 107)
-    opt = OptConfig(quad=cfg.quad)
     successes = 0
     false_success = False
     worst_success = 0.0
@@ -267,7 +265,7 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
         dim = int(rng.integers(2, 9))
         rank = int(rng.integers(1, min(3, dim // 2) + 1))
         N = random_nilpotent2(rng, dim, rank)
-        res = synthesize_tto_for_nilpotent2(N, opt, seed=cfg.seed)
+        res = synthesize_tto_for_nilpotent2(N, seed=cfg.seed, quad=cfg.quad)
         good = res.equivalence_residual <= 1e-6 * operator_norm(N)
         if good:
             successes += 1
@@ -276,7 +274,7 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
             false_success = True
 
     s = 0.5 + 2.5 * rng.random()
-    exact = synthesize_tto_for_nilpotent2(np.array([[0, 0], [s, 0]]), opt, seed=cfg.seed)
+    exact = synthesize_tto_for_nilpotent2(np.array([[0, 0], [s, 0]]), seed=cfg.seed, quad=cfg.quad)
     exact_ok = (
         exact.equivalence_residual <= 1e-10
         and exact.u_total.zeros == (0j, 0j)
@@ -339,7 +337,7 @@ def run_suite(cfg: RunConfig | None = None) -> dict:
     cfg = cfg or RunConfig()
     entries = [fn(cfg) for fn in ENTRIES]
     return {
-        "config": {"seed": cfg.seed, "tol": cfg.tol, "quad": cfg.quad, "budget": cfg.budget},
+        "config": {"seed": cfg.seed, "tol": cfg.tol, "quad": cfg.quad},
         "entries": entries,
         "all_pass": all(e["status"] == "pass" for e in entries),
     }

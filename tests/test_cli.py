@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from csokit import serialize
+from csokit.cli import build_parser
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
 
@@ -180,6 +181,22 @@ def test_question2_compare_runs_both_syntheses():
     assert out["base"]["converged"] is True
     assert out["padded"]["converged"] is True
     assert len(out["padded"]["W"]["data"]) == 9  # padded problem is 3x3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "--matrix", "N.json", "--tol", "1e-6"],
+        ["synthesize", "--matrix", "N.json", "--budget", "10"],
+        ["question2-compare", "--matrix", "N.json", "--budget", "10"],
+        ["verify-paper", "--budget", "10"],
+        ["tto", "--u", "u.json", "--phi", "phi.json", "--seed", "1"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_paper_passes_and_prints_entry_lines():

@@ -7,7 +7,6 @@ from csokit.ensembles import random_nilpotent2, stream
 from csokit.errors import PreconditionError
 from csokit.linalg import operator_norm, singular_values
 from csokit.synthesis import (
-    OptConfig,
     canonical_nilpotent_parts,
     realize_modulus,
     synthesize_tto_for_nilpotent2,
@@ -51,18 +50,25 @@ def test_realize_modulus_rank_two_closed_form():
 
 
 def test_realize_modulus_rank_three_search():
-    m = realize_modulus([2.5, 1.3, 0.4], 3, OptConfig(full_search=False), seed=1)
+    m = realize_modulus([2.5, 1.3, 0.4], seed=1)
     assert m.converged
     got = np.sort(m.achieved_singular_values)[::-1]
     assert np.max(np.abs(got - [2.5, 1.3, 0.4])) <= 1e-6 * 2.5
 
 
-def test_realize_modulus_with_degree_headroom():
-    # budget above the rank pads the targets with zeros
-    m = realize_modulus([1.0], 2, OptConfig(full_search=False), seed=1)
-    assert m.converged
-    got = np.sort(m.achieved_singular_values)[::-1]
-    assert np.max(np.abs(got - [1.0, 0.0])) <= 1e-6
+def test_realize_modulus_wide_spread_reaches_machine_precision():
+    # ranks 3-6 with largest/smallest target up to ~3000: the least-squares
+    # fit must reach the 1e-12 relative stopping threshold, not just converge
+    rng = stream(19, 3)
+    for case in range(24):
+        rank = 3 + case % 4
+        spread = 3000.0 ** rng.random() if case % 3 else 3000.0
+        t = np.exp(rng.uniform(0.0, np.log(spread), rank))
+        t[:2] = 1.0, spread  # pin both ends of the spread
+        m = realize_modulus(t, seed=case)
+        got = np.sort(m.achieved_singular_values)[::-1]
+        assert m.converged
+        assert np.max(np.abs(got - np.sort(t)[::-1])) <= 1e-12 * spread, (rank, spread)
 
 
 def test_synthesize_exact_rank_one():
