@@ -26,8 +26,6 @@ from .linalg import (
 )
 from .words import eval_poly, eval_word, conjugate_coefficients, iter_words, random_word
 
-RANK_CUT = 1e-10
-
 
 @dataclass
 class Nilpotent2Form:
@@ -95,7 +93,9 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL):
     Returns (right, left, rest, s): orthonormal bases of (ker T)-perp, ran T,
     and the leftover kernel, plus the positive singular values; T right_i =
     s_i left_i holds by construction.  Phases are canonicalized (largest entry
-    of each right vector made real positive) for determinism.
+    of each right vector made real positive) for determinism.  The same
+    relative tol decides nilpotency and the numerical rank (singular values
+    above tol * ||T||); a rank above n / 2 contradicts T^2 = 0 and is refused.
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
@@ -104,7 +104,11 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL):
         raise PreconditionError(f"matrix is not nilpotent of order <= 2 (order: {order})")
 
     U, s, Vh = np.linalg.svd(A) if n else (np.eye(0), np.zeros(0), np.eye(0))
-    r = int(np.sum(s > RANK_CUT * s[0])) if n and s[0] > 0 else 0
+    r = int(np.sum(s > tol * s[0])) if n and s[0] > 0 else 0
+    if 2 * r > n:
+        raise PreconditionError(
+            f"numerical rank {r} exceeds half the dimension {n} at tol {tol:.1e}"
+        )
 
     V = Vh.conj().T
     # Orthonormal bases of (ker T)-perp and ran T; the phase of each right
@@ -184,7 +188,9 @@ def find_conjugation(
 ) -> CsoCertificate:
     """Best-effort complex-symmetry decision.
 
-    Order-two nilpotents take the constructive route.  Otherwise a symmetric
+    Order-two nilpotents take the constructive route, whose conjugation is
+    reported only when its residual meets tol; otherwise the result is
+    "inconclusive" with that residual.  Otherwise a symmetric
     unitary is sought in the intertwiner space by alternating projection with
     multiple deterministic-then-seeded starts; every candidate is re-verified
     before being reported.  If no conjugation is found, a word-norm
@@ -196,7 +202,12 @@ def find_conjugation(
 
     order = nilpotency_order(A, tol)
     if order is not None and order <= 2:
-        C, _, residual = conjugation_for_nilpotent2(A, tol)
+        try:
+            C, _, residual = conjugation_for_nilpotent2(A, tol)
+        except PreconditionError:
+            return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
+        if residual > tol:
+            return CsoCertificate("inconclusive", residual=residual, seed=seed)
         return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
     if nrm > 0 and operator_norm(A - A.T) <= tol * nrm:

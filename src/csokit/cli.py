@@ -84,16 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=2.0)
-    _common(p, "seed", "tol", "quad", "budget")
+    _common(p)
 
     p = sub.add_parser("tto", help="matrix of a truncated Toeplitz operator")
     p.add_argument("--u", required=True, help="Blaschke product JSON")
     p.add_argument("--phi", required=True, help="symbol JSON")
-    _common(p, "quad")
+    _common(p)
 
     p = sub.add_parser("synthesize", help="analytic TTO unitarily equivalent to N")
     p.add_argument("--matrix", required=True)
-    _common(p, "seed", "quad")
+    _common(p, "seed")
 
     p = sub.add_parser("verify-paper", help="replay the whole certified suite")
     _common(p, "seed", "tol", "quad")
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthesize for N and N (+) 0 and compare residuals (experimental)",
     )
     p.add_argument("--matrix", required=True)
-    _common(p, "seed", "quad")
+    _common(p, "seed")
 
     return parser
 
@@ -134,13 +134,13 @@ def cmd_destructor(args) -> int:
 def cmd_tto(args) -> int:
     u = serialize.blaschke_from_json(_load_json(args.u))
     phi = serialize.symbol_from_json(_load_json(args.phi))
-    _emit(serialize.matrix_to_json(tto_matrix(u, phi, args.quad)), args.out)
+    _emit(serialize.matrix_to_json(tto_matrix(u, phi)), args.out)
     return 0
 
 
 def cmd_synthesize(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
-    res = synthesize_tto_for_nilpotent2(N, seed=args.seed, quad=args.quad)
+    res = synthesize_tto_for_nilpotent2(N, seed=args.seed)
     _emit(serialize.synthesis_to_json(res), args.out)
     return 0
 
@@ -183,10 +183,8 @@ def cmd_question1(args) -> int:
 
 def cmd_question2(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
-    base = synthesize_tto_for_nilpotent2(N, seed=args.seed, quad=args.quad)
-    padded = synthesize_tto_for_nilpotent2(
-        direct_sum(N, np.zeros((1, 1))), seed=args.seed, quad=args.quad
-    )
+    base = synthesize_tto_for_nilpotent2(N, seed=args.seed)
+    padded = synthesize_tto_for_nilpotent2(direct_sum(N, np.zeros((1, 1))), seed=args.seed)
     out = {
         "base": serialize.synthesis_to_json(base),
         "padded": serialize.synthesis_to_json(padded),

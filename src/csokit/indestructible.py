@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .certify import conjugation_for_nilpotent2
-from .linalg import Conjugation, as_matrix, conjugate_by, operator_norm, tensor
+from .certify import conjugation_for_nilpotent2, nilpotency_order
+from .linalg import DEFAULT_TOL, Conjugation, as_matrix, conjugate_by, operator_norm, tensor
 from .words import eval_word
 
 DESTRUCTOR_WORD = "yxx"
-NILPOTENT2_CUT = 1e-10
 
 
 @dataclass
@@ -36,13 +35,10 @@ class DestructorCertificate:
     conclusion: str  # "destroyed" | "indestructible_sampled"
 
 
-def is_nilpotent2(A, tol: float = NILPOTENT2_CUT) -> bool:
-    """Scale-invariant test ||A^2|| <= tol * ||A||^2 (zero matrix passes)."""
-    M = as_matrix(A, square=True)
-    nrm = operator_norm(M)
-    if nrm == 0.0:
-        return True
-    return operator_norm(M @ M) <= tol * nrm**2
+def is_nilpotent2(A, tol: float = DEFAULT_TOL) -> bool:
+    """A^2 = 0 at tol, decided by certify.nilpotency_order (zero matrix passes)."""
+    order = nilpotency_order(A, tol)
+    return order is not None and order <= 2
 
 
 def witness_matrix(alpha: float, beta: float) -> np.ndarray:
@@ -58,7 +54,7 @@ def witness_matrix(alpha: float, beta: float) -> np.ndarray:
 
 
 def destructor_witness(
-    A, alpha: float = 1.0, beta: float = 2.0, tol: float = NILPOTENT2_CUT
+    A, alpha: float = 1.0, beta: float = 2.0, tol: float = DEFAULT_TOL
 ) -> DestructorCertificate:
     """Norm-identity violation certificate for A (x) B(alpha, beta).
 
@@ -87,14 +83,14 @@ def destructor_witness(
     )
 
 
-def nilpotent2_tensor_conjugation(A, B, tol: float = 1e-9) -> Conjugation:
+def nilpotent2_tensor_conjugation(A, B, tol: float = DEFAULT_TOL) -> Conjugation:
     """Explicit conjugation for A (x) B when A^2 = 0.
 
     (A (x) B)^2 = A^2 (x) B^2 = 0, so the order-two construction applies to
     the product directly.
     """
     M = as_matrix(A, square=True)
-    if not is_nilpotent2(M):
+    if not is_nilpotent2(M, tol):
         raise PreconditionError("A^2 != 0: tensor product need not be complex symmetric")
     T = tensor(M, as_matrix(B, square=True))
     C, _, _ = conjugation_for_nilpotent2(T, tol)

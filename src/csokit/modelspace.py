@@ -5,19 +5,22 @@ rational basis
 
     e_k(z) = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) * prod_{j<k} b_{a_j}(z)
 
-which reduces to the monomials when every zero is 0.  All inner products are
-uniform trapezoid sums over the unit circle; that rule is exact for
-trigonometric polynomials below the node count and spectrally accurate for
-the rational integrands appearing here, and every construction monitors the
-basis Gram residual so underresolution surfaces as an error instead of wrong
-numbers.
+which reduces to the monomials when every zero is 0.  In this basis the
+compression A_u of multiplication by z has a closed form, and every analytic
+truncated Toeplitz operator (the compression f -> P(phi f)) is phi(A_u), so
+tto_matrix involves no quadrature.
 
-A truncated Toeplitz operator is the compression f -> P(phi f) of
-multiplication to the model space; with the conjugation
-(C f)(z) = u(z) conj(z f(z)) every analytic one is complex symmetric, and
-the Hankel identity (compress phi f through the negative Fourier modes of
-conj(u) phi f, then multiply back by u) gives an independent route to the
-same matrix.
+The quadrature routes (model conjugation, frame identification, and the
+independent cross-checks) use uniform trapezoid sums over the unit circle;
+that rule is exact for trigonometric polynomials below the node count and
+spectrally accurate for the rational integrands appearing here, and they
+monitor the basis Gram residual so underresolution surfaces as an error
+instead of wrong numbers.
+
+With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
+Toeplitz operator is complex symmetric, and the Hankel identity (compress
+phi f through the negative Fourier modes of conj(u) phi f, then multiply back
+by u) gives an independent route to the same matrix.
 """
 
 from __future__ import annotations
@@ -161,18 +164,45 @@ def blaschke_symbol(u: BlaschkeProduct) -> Symbol:
 
 
 class ModelSpace:
-    """Orthonormal rational basis of H^2 minus u H^2, sampled on the circle."""
+    """Orthonormal rational basis of H^2 minus u H^2.
+
+    Exact operators come from the compressed shift; the circle nodes and the
+    boundary samples of u and of the basis, used only by the quadrature
+    routes, are computed on first use.
+    """
 
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
         if quad_points < 64:
             raise InputError("need at least 64 quadrature nodes")
         self.u = u
         self.quad_points = int(quad_points)
-        self.nodes = np.exp(2j * np.pi * np.arange(self.quad_points) / self.quad_points)
-        self.u_samples = u.eval(self.nodes)
-        E = np.empty((u.degree, self.quad_points), dtype=complex)
+
+    @property
+    def dim(self) -> int:
+        return self.u.degree
+
+    def tto(self, phi: Symbol) -> np.ndarray:
+        """phi(A_u) = num(A_u) den(A_u)^{-1}, exactly.
+
+        den(A_u) is invertible: its eigenvalues are den at the zeros of u,
+        and the poles of phi lie outside the closed disk.
+        """
+        A = compressed_shift(self.u)
+        return np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.exp(2j * np.pi * np.arange(self.quad_points) / self.quad_points)
+
+    @cached_property
+    def u_samples(self) -> np.ndarray:
+        return self.u.eval(self.nodes)
+
+    @cached_property
+    def basis_samples(self) -> np.ndarray:
+        E = np.empty((self.dim, self.quad_points), dtype=complex)
         prefix = np.ones(self.quad_points, dtype=complex)
-        for k, a in enumerate(u.zeros):
+        for k, a in enumerate(self.u.zeros):
             if a == 0:
                 E[k] = prefix
                 prefix = prefix * self.nodes
@@ -180,11 +210,7 @@ class ModelSpace:
                 den = 1.0 - np.conj(a) * self.nodes
                 E[k] = np.sqrt(1.0 - abs(a) ** 2) / den * prefix
                 prefix = prefix * (a - self.nodes) / den
-        self.basis_samples = E
-
-    @property
-    def dim(self) -> int:
-        return self.u.degree
+        return E
 
     @cached_property
     def gram_residual(self) -> float:
@@ -209,32 +235,60 @@ class ModelSpace:
         return (E.conj() * multiplier_samples) @ E.T / self.quad_points
 
 
+def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] A^k."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    P = np.zeros_like(eye)
+    for c in coeffs[::-1]:
+        P = P @ A + c * eye
+    return P
+
+
+def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
+    """The compression A_u of multiplication by z, in closed form.
+
+    A_u is a contraction generating all analytic truncated Toeplitz operators
+    on the space.  In the basis above it is lower triangular with diagonal
+    a_i and, for i > j,
+
+        A_ij = c_i c_j eps_j prod_{j<k<i} (-conj(a_k) eps_k),
+
+    where c = sqrt(1 - |a|^2) and eps_k = +1 when a_k = 0 (factor z), else -1
+    (factor (a - z) / (1 - conj(a) z)).  Built one sub-diagonal at a time.
+    """
+    a = np.asarray(u.zeros, dtype=complex)
+    n = a.size
+    c = np.sqrt(1.0 - np.abs(a) ** 2)
+    eps = np.where(a == 0, 1.0, -1.0)
+    step = -np.conj(a) * eps
+    A = np.diag(a)
+    run = (c * eps)[:-1]  # run[j] = c_j eps_j prod_{j<k<j+d} step_k on sub-diagonal d
+    for d in range(1, n):
+        rows = np.arange(d, n)
+        A[rows, rows - d] = c[d:] * run
+        run = run[:-1] * step[d:-1]
+    return A
+
+
 def tto_matrix(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAULT_QUAD) -> np.ndarray:
-    """Matrix of f -> P(phi f) on the orthonormal basis of the model space."""
-    if quad_points < 8 * (u.degree + phi.degree):
-        raise InputError(
-            f"quad_points {quad_points} < 8 * (deg u + deg phi) = {8 * (u.degree + phi.degree)}"
-        )
-    ms = ModelSpace(u, quad_points).require_resolved()
-    return ms.compress(phi.eval(ms.nodes))
+    """Matrix of f -> P(phi f) on the orthonormal basis of the model space.
 
-
-def compressed_shift(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> np.ndarray:
-    """The compression of multiplication by z; a contraction generating all
-    analytic truncated Toeplitz operators on the space."""
-    return tto_matrix(u, Symbol.shift(), quad_points)
+    Computed exactly as phi(A_u) (see ModelSpace.tto); the result does not
+    depend on quad_points, which sizes only the space's quadrature grid.
+    """
+    return ModelSpace(u, quad_points).tto(phi)
 
 
 def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAULT_QUAD) -> float:
-    """|| phi(compressed shift) - tto_matrix(u, phi) || for polynomial phi."""
+    """|| phi(A_u) - quadrature compression of phi || for polynomial phi.
+
+    Compares the exact functional calculus of tto_matrix against the
+    independent circle-quadrature route at quad_points nodes.
+    """
     if not phi.is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
-    Az = compressed_shift(u, quad_points)
-    direct = tto_matrix(u, phi, quad_points)
-    P = np.zeros_like(Az)
-    for c in phi.poly[::-1]:
-        P = P @ Az + c * np.eye(Az.shape[0])
-    return operator_norm(P - direct)
+    ms = ModelSpace(u, quad_points).require_resolved()
+    return operator_norm(ms.tto(phi) - ms.compress(phi.eval(ms.nodes)))
 
 
 def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Conjugation:
@@ -254,13 +308,13 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
 
 
 def _fourier_coefficients(samples: np.ndarray) -> np.ndarray:
-    """f_hat(k) for k = 0..Q-1 with negative modes aliased to Q + k."""
-    return np.fft.fft(samples) / samples.size
+    """f_hat(k) for k = 0..Q-1 along the last axis, negative modes aliased to Q + k."""
+    return np.fft.fft(samples) / samples.shape[-1]
 
 
-def _fine_nodes(M: int, quad_points: int) -> np.ndarray:
-    Q = max(4 * M, quad_points, DEFAULT_QUAD)
-    return np.exp(2j * np.pi * np.arange(Q) / Q)
+def _fine_space(u: BlaschkeProduct, M: int, quad_points: int) -> ModelSpace:
+    """The space of u on a grid fine enough for M Fourier modes."""
+    return ModelSpace(u, max(4 * M, quad_points, DEFAULT_QUAD))
 
 
 def hankel_truncation(
@@ -275,9 +329,8 @@ def hankel_truncation(
     """
     if M < 64:
         raise InputError("Hankel truncation needs M >= 64")
-    nodes = _fine_nodes(M, quad_points)
-    psi = np.conj(u.eval(nodes)) * phi.eval(nodes)
-    coeffs = _fourier_coefficients(psi)
+    fine = _fine_space(u, M, quad_points)
+    coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
     v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
     return scipy.linalg.hankel(v[:M], v[M - 1 :])
 
@@ -311,41 +364,18 @@ def verify_hankel_factorization(
 
 def _hankel_route_residual(u, phi, M, quad_points, direct) -> float:
     ms = ModelSpace(u, quad_points).require_resolved()
-    fine = _fine_nodes(M, quad_points)
-    taylor = np.empty((ms.dim, M), dtype=complex)
-    for j in range(ms.dim):
-        taylor[j] = _fourier_coefficients(_samples(ms.u, j, fine))[:M]
+    taylor = _fourier_coefficients(_fine_space(u, M, quad_points).basis_samples)[:, :M]
     H = hankel_truncation(u, phi, M, quad_points)
     negative = taylor @ H.T  # row j: modes -(r+1) of the Hankel image of e_j
     w = np.conj(ms.nodes)
-    images = np.empty((ms.dim, ms.quad_points), dtype=complex)
-    for j in range(ms.dim):
-        images[j] = ms.u_samples * w * npoly.polyval(w, negative[j])
-    B = ms.basis_samples.conj() @ images.T / ms.quad_points
-    return operator_norm(B - direct)
+    images = ms.u_samples * w * npoly.polyval(w, negative.T)
+    return operator_norm(ms.project(images) - direct)
 
 
-def _samples(u: BlaschkeProduct, k: int, nodes: np.ndarray) -> np.ndarray:
-    """Samples of the k-th basis function of the model space of u."""
-    prefix = np.ones_like(nodes)
-    for j, a in enumerate(u.zeros):
-        if j == k:
-            if a == 0:
-                return prefix
-            return np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * nodes) * prefix
-        if a == 0:
-            prefix = prefix * nodes
-        else:
-            prefix = prefix * (a - nodes) / (1.0 - np.conj(a) * nodes)
-    raise InputError(f"basis index {k} out of range for degree {u.degree}")
-
-
-def _frame(parts, quad_points: int) -> np.ndarray:
-    """Stack row-sample matrices (multiplier * basis of each part space)."""
-    rows = []
-    for multiplier_samples, space in parts:
-        rows.append(multiplier_samples * space.basis_samples)
-    return np.vstack(rows) if rows else np.zeros((0, quad_points), dtype=complex)
+def _frame_coordinates(big: ModelSpace, parts) -> np.ndarray:
+    """Coordinates in big's basis of m * e, for each (m, space) in parts and
+    each basis function e of that space, in order: one column per function."""
+    return big.project(np.vstack([m * space.basis_samples for m, space in parts]))
 
 
 def modelspace_decompose(
@@ -363,16 +393,14 @@ def modelspace_decompose(
     """
     total = u * v if w is None else u * v * w
     big = ModelSpace(total, quad_points).require_resolved()
-    ones = np.ones(quad_points, dtype=complex)
     ms_u = ModelSpace(u, quad_points)
     ms_v = ModelSpace(v, quad_points)
-    parts = [(ones, ms_u), (ms_u.u_samples, ms_v)]
+    parts = [(1.0, ms_u), (ms_u.u_samples, ms_v)]
     blocks = [("K_u", u.degree), ("u*K_v", v.degree)]
     if w is not None:
         parts.append((ms_u.u_samples * ms_v.u_samples, ModelSpace(w, quad_points)))
         blocks.append(("u*v*K_w", w.degree))
-    F = _frame(parts, quad_points)
-    Q = big.basis_samples.conj() @ F.T / quad_points
+    Q = _frame_coordinates(big, parts)
     if operator_norm(Q.conj().T @ Q - np.eye(total.degree)) > GRAM_TOL:
         raise AccuracyError("frame identification is not unitary; raise quad_points")
     return Q, blocks
@@ -394,11 +422,8 @@ def block_structure_check(
     big = ModelSpace(total, quad_points)
     ms_u = ModelSpace(u, quad_points)
     ms_v = ModelSpace(v, quad_points)
-    ones = np.ones(quad_points, dtype=complex)
-    F1 = _frame([(ones, ms_u), (ms_u.u_samples, ms_v)], quad_points)
-    F2 = _frame([(ms_v.u_samples, ms_u), (ones, ms_v)], quad_points)
-    Q1 = big.basis_samples.conj() @ F1.T / quad_points
-    Q2 = big.basis_samples.conj() @ F2.T / quad_points
+    Q1 = _frame_coordinates(big, [(1.0, ms_u), (ms_u.u_samples, ms_v)])
+    Q2 = _frame_coordinates(big, [(ms_v.u_samples, ms_u), (1.0, ms_v)])
     M = Q2.conj().T @ A_big @ Q1
     du = u.degree
     live = M[:du, :du]

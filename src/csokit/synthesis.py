@@ -6,8 +6,10 @@ symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix,
 fit by least squares; closed forms at r <= 2), pad the leftover kernel with an
 inner factor v = z^m, and assemble the operator with symbol u v phi on the
 model space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the
-matrix reproduce the canonical shape exactly.  A unitary W conjugating the
-built operator onto N is returned with a recomputable equivalence residual.
+matrix reproduce the canonical shape exactly.  Every inner function is a
+power of z, so that frame is the monomial basis of the big space in order and
+every matrix is exact.  A unitary W conjugating the built operator onto N is
+returned with a recomputable equivalence residual.
 
 unitary_equivalence_check is the generic verification backend: an invariant
 screen on singular values, then a search for an exact intertwiner.
@@ -31,14 +33,7 @@ from .linalg import (
     singular_values,
     unitary_in_subspace,
 )
-from .modelspace import (
-    DEFAULT_QUAD,
-    BlaschkeProduct,
-    Symbol,
-    blaschke_symbol,
-    modelspace_decompose,
-    tto_matrix,
-)
+from .modelspace import BlaschkeProduct, Symbol, blaschke_symbol, tto_matrix
 
 # realize_modulus: multi-start budget, and the relative residual that counts
 # as converged.
@@ -97,7 +92,7 @@ def _complex_from_params(p: np.ndarray) -> np.ndarray:
     return p[0::2] + 1j * p[1::2]
 
 
-def realize_modulus(targets, seed: int = 0, quad: int = DEFAULT_QUAD) -> ModulusRealization:
+def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     """Analytic operator on the model space of u = z^r with the r given singular values.
 
     On that space the operator with symbol phi is the lower-triangular
@@ -106,8 +101,8 @@ def realize_modulus(targets, seed: int = 0, quad: int = DEFAULT_QUAD) -> Modulus
     are fit by nonlinear least squares, from a fixed start and then seeded
     random ones, stopping at the first start whose singular values match to
     1e-12 of the largest target.  The result is flagged converged when the
-    matrix rebuilt at ``quad`` points matches to 1e-6 of the largest target;
-    an unconverged fit is returned flagged, never raised.
+    rebuilt matrix matches to 1e-6 of the largest target; an unconverged fit
+    is returned flagged, never raised.
     """
     t = np.sort(np.asarray(targets, dtype=float))[::-1]
     if t.size < 1:
@@ -119,7 +114,7 @@ def realize_modulus(targets, seed: int = 0, quad: int = DEFAULT_QUAD) -> Modulus
     u = BlaschkeProduct([0.0] * r)
 
     def finish(phi: Symbol) -> ModulusRealization:
-        achieved = singular_values(tto_matrix(u, phi, quad))
+        achieved = singular_values(tto_matrix(u, phi))
         residual = float(np.linalg.norm(achieved - t))
         return ModulusRealization(
             u=u,
@@ -165,7 +160,7 @@ def _descending_eig_frame(P: np.ndarray) -> np.ndarray:
     return (vecs * column_phases(vecs)).conj().T
 
 
-def synthesize_tto_for_nilpotent2(N, seed: int = 0, quad: int = DEFAULT_QUAD) -> SynthesisResult:
+def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
     """Analytic model-space operator unitarily equivalent to N (N^2 = 0)."""
     A = as_matrix(N, square=True)
     dim = A.shape[0]
@@ -187,21 +182,20 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0, quad: int = DEFAULT_QUAD) ->
             modulus=None,
         )
 
-    realization = realize_modulus(np.diag(B).real, seed, quad)
+    realization = realize_modulus(np.diag(B).real, seed)
     u, phi = realization.u, realization.phi
 
-    A_small = tto_matrix(u, phi, quad)
+    A_small = tto_matrix(u, phi)
     V, P = polar_decompose(A_small)
     Omega = _descending_eig_frame(P)
 
     v = BlaschkeProduct([0.0] * extra)
     u_total = u * u * v
     symbol_total = blaschke_symbol(u) * blaschke_symbol(v) * phi
-    T = tto_matrix(u_total, symbol_total, quad)
-    Q, _ = modelspace_decompose(u, v, u, quad)
+    T = tto_matrix(u_total, symbol_total)
 
     blocks = direct_sum(Omega, np.eye(extra), Omega @ V.conj().T)
-    W = W0.conj().T @ blocks @ Q.conj().T
+    W = W0.conj().T @ blocks
     residual = operator_norm(W @ T @ W.conj().T - A)
     return SynthesisResult(
         u_total=u_total,

@@ -222,7 +222,7 @@ def entry_tto_suite(cfg: RunConfig) -> dict:
         deg = int(rng.integers(1, 9))
         u = random_blaschke(rng, deg, max_modulus=0.8)
         phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
-        A = tto_matrix(u, phi, cfg.quad)
+        A = tto_matrix(u, phi)
         C = model_conjugation(u, cfg.quad)
         _, sym = is_c_symmetric(A, C, tol=1e-8)
         worst_sym = max(worst_sym, sym)
@@ -265,7 +265,7 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
         dim = int(rng.integers(2, 9))
         rank = int(rng.integers(1, min(3, dim // 2) + 1))
         N = random_nilpotent2(rng, dim, rank)
-        res = synthesize_tto_for_nilpotent2(N, seed=cfg.seed, quad=cfg.quad)
+        res = synthesize_tto_for_nilpotent2(N, seed=cfg.seed)
         good = res.equivalence_residual <= 1e-6 * operator_norm(N)
         if good:
             successes += 1
@@ -274,7 +274,7 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
             false_success = True
 
     s = 0.5 + 2.5 * rng.random()
-    exact = synthesize_tto_for_nilpotent2(np.array([[0, 0], [s, 0]]), seed=cfg.seed, quad=cfg.quad)
+    exact = synthesize_tto_for_nilpotent2(np.array([[0, 0], [s, 0]]), seed=cfg.seed)
     exact_ok = (
         exact.equivalence_residual <= 1e-10
         and exact.u_total.zeros == (0j, 0j)

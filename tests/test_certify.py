@@ -10,6 +10,7 @@ Hand oracles used below:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit.certify import (
     canonical_block_decomposition,
@@ -24,10 +25,11 @@ from csokit.certify import (
     word_norm_gap,
     word_obstruction_search,
 )
-from csokit.ensembles import random_cso, random_nilpotent2, stream
+from csokit.ensembles import random_complex, random_cso, random_nilpotent2, stream
 from csokit.errors import PreconditionError
-from csokit.indestructible import witness_matrix
-from csokit.linalg import Conjugation, conjugate_by, direct_sum, operator_norm
+from csokit.indestructible import destructor_witness, is_nilpotent2, witness_matrix
+from csokit.linalg import DEFAULT_TOL, Conjugation, conjugate_by, direct_sum, operator_norm
+from csokit.synthesis import synthesize_tto_for_nilpotent2
 
 
 def jordan(n):
@@ -66,6 +68,71 @@ def test_splitting_couples_left_and_right_vectors():
 def test_splitting_rejects_higher_order():
     with pytest.raises(PreconditionError):
         nilpotent2_splitting(jordan(3))
+
+
+def test_splitting_refuses_a_rank_above_half_the_dimension():
+    # ||T^2|| = 1e-10 ||T||^2 passes the nilpotency test, but the 1e-5
+    # singular value counts toward the rank at the same tol: rank 2 in C^3
+    T = direct_sum(jordan(2), 1e-5)
+    assert nilpotency_order(T) == 2
+    with pytest.raises(PreconditionError):
+        nilpotent2_splitting(T)
+    cert = find_conjugation(T)
+    assert cert.verdict == "inconclusive" and cert.conjugation is None
+
+
+def near_nilpotent(seed, dim, rel, rank=None):
+    """Random T with T^2 = 0 plus a perturbation of relative norm rel."""
+    rng = stream(seed, 0)
+    N = random_nilpotent2(rng, dim, rank)
+    E = random_complex(rng, dim, dim)
+    return N + E * (rel * operator_norm(N) / operator_norm(E))
+
+
+def test_near_nilpotent_rank_two_certify_destructor_synthesize():
+    # the perturbation's singular values (~3e-10 ||T||) fall below the tol
+    # that decides nilpotency, so the numerical rank is 2 and the splitting
+    # of C^6 is square
+    for seed in range(4):
+        T = near_nilpotent(seed, 6, 3e-10, rank=2)
+        cert = find_conjugation(T)
+        assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+        assert destructor_witness(T).conclusion == "indestructible_sampled"
+        res = synthesize_tto_for_nilpotent2(T)
+        assert res.W.shape == (6, 6) and res.converged
+        assert res.equivalence_residual <= 1e-8 * operator_norm(T)
+
+
+def test_certify_destructor_and_synthesize_share_one_nilpotency_decision():
+    # perturbations from 1e-11 to 1e-7 straddle the tol, so both sides occur
+    sides = set()
+    for case in range(40):
+        rng = stream(23, case)
+        T = near_nilpotent(case, int(rng.integers(2, 9)), 10.0 ** rng.uniform(-11.0, -7.0))
+        nil = is_nilpotent2(T)
+        sides.add(nil)
+        assert (destructor_witness(T).conclusion == "indestructible_sampled") == nil
+        if nil:
+            cert = find_conjugation(T)
+            assert cert.verdict in ("c_symmetric", "inconclusive") and np.isfinite(cert.residual)
+            assert synthesize_tto_for_nilpotent2(T).W.shape == T.shape
+        else:
+            with pytest.raises(PreconditionError):
+                conjugation_for_nilpotent2(T)
+            with pytest.raises(PreconditionError):
+                synthesize_tto_for_nilpotent2(T)
+    assert sides == {True, False}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 10),
+    log_rel=st.floats(-11.0, -9.0),
+)
+def test_near_nilpotent_symmetric_verdicts_meet_tol(seed, dim, log_rel):
+    cert = find_conjugation(near_nilpotent(seed, dim, 10.0**log_rel))
+    assert cert.verdict != "c_symmetric" or cert.residual <= DEFAULT_TOL
 
 
 def test_conjugation_for_j2_is_the_swap():

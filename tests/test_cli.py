@@ -93,16 +93,8 @@ def test_invalid_symbol_and_quadrature_exit_64():
         '{"rational": {"num": [1.0], "den": [1.0, -1.0]}}',
     )
     assert p.returncode == 64  # boundary pole is rejected as input
-    p = run_cli(
-        "tto",
-        "--u",
-        serialize.dumps({"zeros": [[0.0, 0.0]] * 4}),
-        "--phi",
-        serialize.dumps({"poly": [[0.0, 0.0]] * 12 + [[1.0, 0.0]]}),
-        "--quad",
-        "64",
-    )
-    assert p.returncode == 64  # quadrature floor violation
+    p = run_cli("verify-paper", "--quad", "32")
+    assert p.returncode == 64  # below the 64-node quadrature floor
 
 
 def test_precondition_failure_exit_65():
@@ -191,6 +183,10 @@ def test_question2_compare_runs_both_syntheses():
         ["question2-compare", "--matrix", "N.json", "--budget", "10"],
         ["verify-paper", "--budget", "10"],
         ["tto", "--u", "u.json", "--phi", "phi.json", "--seed", "1"],
+        ["tto", "--u", "u.json", "--phi", "phi.json", "--quad", "256"],
+        ["synthesize", "--matrix", "N.json", "--quad", "256"],
+        ["question2-compare", "--matrix", "N.json", "--quad", "256"],
+        ["destructor", "--matrix", "A.json", "--budget", "10"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):

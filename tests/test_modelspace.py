@@ -9,6 +9,7 @@ Monomial oracles (u = z^n makes everything exact):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit.certify import is_c_symmetric
 from csokit.ensembles import random_blaschke, random_poly_symbol, stream
@@ -104,14 +105,73 @@ def test_tto_matrix_monomial_oracle():
     assert np.allclose(B, want, atol=1e-12)
 
 
-def test_tto_matrix_quad_floor():
-    with pytest.raises(InputError):
-        tto_matrix(BlaschkeProduct((0.0,) * 4), Symbol(poly=[0.0] * 12 + [1.0]), 64)
+def test_tto_matrix_is_exact_for_any_symbol_degree():
+    # z^12 maps K_{z^4} into z^4 H^2, so its compression is exactly zero, at
+    # any quad_points and without sampling the circle
+    ms = ModelSpace(BlaschkeProduct((0.0,) * 4), 64)
+    A = ms.tto(Symbol(poly=[0.0] * 12 + [1.0]))
+    assert np.array_equal(A, np.zeros((4, 4)))
+    assert "basis_samples" not in vars(ms)
+    assert np.array_equal(
+        tto_matrix(BlaschkeProduct((0.0,) * 4), Symbol(poly=[0.0] * 12 + [1.0]), 64), A
+    )
 
 
 def test_compressed_shift_is_the_z_operator():
     u = BlaschkeProduct((0.3, -0.5j))
     assert np.allclose(compressed_shift(u), tto_matrix(u, Symbol.shift()), atol=1e-13)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def seeded_zeros(seed, degree, radius, at_origin=0.2):
+    """Seeded zeros with moduli below radius, a share of them at 0."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.random(degree))
+    r[rng.random(degree) < at_origin] = 0.0
+    return r * np.exp(2j * np.pi * rng.random(degree))
+
+
+def max_entry(M):
+    return float(np.max(np.abs(M), initial=0.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=SEEDS, degree=st.integers(0, 32))
+def test_compressed_shift_closed_form_matches_quadrature(seed, degree):
+    u = BlaschkeProduct(seeded_zeros(seed, degree, 0.9))
+    A = compressed_shift(u)
+    assert np.array_equal(A, np.tril(A))
+    assert np.array_equal(np.diag(A), np.asarray(u.zeros, dtype=complex).reshape(-1))
+    assert operator_norm(A) <= 1.0 + 1e-12
+    ms = ModelSpace(u, 4096)
+    assert max_entry(A - ms.compress(ms.nodes)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(seed=SEEDS, degree=st.integers(1, 4))
+def test_compressed_shift_with_zeros_near_the_circle(seed, degree):
+    rng = np.random.default_rng(seed)
+    zeros = 0.999 * np.exp(2j * np.pi * rng.random(degree))
+    zeros[rng.random(degree) < 0.2] = 0.0
+    u = BlaschkeProduct(zeros)
+    A = tto_matrix(u, Symbol.shift())  # default quad_points, far too few to resolve u
+    assert operator_norm(A) <= 1.0 + 1e-12
+    ms = ModelSpace(u, 2**17)
+    assert max_entry(A - ms.compress(ms.nodes)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=SEEDS, degree=st.integers(1, 16), pole_modulus=st.floats(1.2, 3.0))
+def test_rational_symbol_tto_matches_quadrature(seed, degree, pole_modulus):
+    rng = np.random.default_rng(seed)
+    pole = pole_modulus * np.exp(2j * np.pi * rng.random())
+    phi = Symbol(num=rng.standard_normal(3) + 1j * rng.standard_normal(3), den=[1.0, -1.0 / pole])
+    u = BlaschkeProduct(seeded_zeros(seed, degree, 0.8))
+    A = tto_matrix(u, phi)
+    ms = ModelSpace(u, 4096)
+    assert max_entry(A - ms.compress(phi.eval(ms.nodes))) <= 1e-12 * max(1.0, operator_norm(A))
 
 
 def test_tto_is_c_symmetric_under_model_conjugation():
