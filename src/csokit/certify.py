@@ -1,10 +1,19 @@
 """Complex-symmetry certification.
 
 An operator T is complex symmetric when T = C T* C for some conjugation C;
-equivalently T G = G T^t for a symmetric unitary G.  For nilpotents of order
-two an explicit G is constructed from the singular value decomposition; for
-general matrices a best-effort search runs over the intertwiner space
-{X : T X = X T^t}, falling back to a word-norm obstruction search.
+equivalently T G = G T^t for a symmetric unitary G.  ``find_conjugation``
+decides it in this order, and every verdict it returns rests on a check
+anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
+
+1. Nilpotents of order two: an explicit G from the singular value
+   decomposition.
+2. Transpose-symmetric matrices: G = I.
+3. The Hermitian-part phase test (``hermitian_phase_conjugation``): an exact
+   O(n^3) candidate G, built from the eigenvectors of Re(e^{i theta} T).
+4. If that G is not verified, the word-norm obstruction search.
+5. The alternating-projection search over the intertwiner space
+   {X : T X = X T^t}, started from the verified phase G when there is one.
+   Otherwise the answer is "inconclusive".
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .linalg import (
     DEFAULT_TOL,
     Conjugation,
     as_matrix,
+    check_tol,
     column_phases,
     conjugate_by,
     operator_norm,
@@ -65,16 +75,22 @@ class CsoCertificate:
 
 
 def nilpotency_order(T, tol: float = DEFAULT_TOL) -> int | None:
-    """Smallest n with ||T^n|| <= tol * ||T||^n, or None (zero matrix gives 1)."""
+    """Smallest n with ||T^n|| <= tol * ||T||^n, or None (zero matrix gives 1).
+
+    Powers are taken of T / ||T||, so ||T||^n can neither underflow nor
+    overflow; the division is by parts, since complex division by a
+    subnormal norm overflows.
+    """
     A = as_matrix(T, square=True)
     n = A.shape[0]
-    if n == 0:
-        return 1
     nrm = operator_norm(A)
+    if nrm == 0:
+        return 1
+    A = A.real / nrm + 1j * (A.imag / nrm)
     P = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
         P = P @ A
-        if operator_norm(P) <= tol * nrm**k:
+        if operator_norm(P) <= tol:
             return k
     return None
 
@@ -178,6 +194,60 @@ def intertwiner_basis(T) -> np.ndarray:
     return scipy.linalg.null_space(L)
 
 
+def hermitian_phase_conjugation(T) -> Conjugation:
+    """Candidate conjugation from the eigenvectors of a Hermitian part of T.
+
+    If T = C T* C, then C commutes with H = Re(e^{i theta} T) and with
+    K = Im(e^{i theta} T) for every theta.  Of theta = k pi / 8 (k = 0..7)
+    the one whose H has the largest minimum eigengap is used.  On a simple
+    spectrum C u_k = alpha_k u_k for the eigenvectors u_k of H, so
+    G = U diag(alpha) U^t, and C K C = K asks alpha_k conj(K'_kj) =
+    K'_kj alpha_j with K' = U* K U, i.e. arg K'_kj = beta_k - beta_j (mod pi)
+    for alpha = e^{2 i beta}.  The phases are carried along a maximum-|K'|
+    spanning forest, alpha = 1 at the root of each component.
+
+    The result is a candidate only: a degenerate spectrum, or a T with no
+    conjugation, gives a G that ``is_c_symmetric`` rejects.
+    """
+    A = as_matrix(T, square=True)
+    n = A.shape[0]
+    best_gap = -np.inf
+    for k in range(8):
+        Zk = np.exp(1j * np.pi * k / 8) * A
+        w, Uk = np.linalg.eigh(0.5 * (Zk + Zk.conj().T))
+        gap = np.min(np.diff(w), initial=np.inf)
+        if gap > best_gap:
+            best_gap, Z, U = gap, Zk, Uk
+    U = U * column_phases(U)
+    K = U.conj().T @ ((Z - Z.conj().T) / 2j) @ U
+    weight = np.abs(K)
+
+    # Prim's algorithm on weight; a vertex reached only by weight 0 is a new root.
+    alpha = np.ones(n, dtype=complex)
+    done = np.zeros(n, dtype=bool)
+    link = np.zeros(n)
+    parent = np.zeros(n, dtype=int)
+    for _ in range(n):
+        k = int(np.argmax(np.where(done, -1.0, link)))
+        if link[k] > 0:
+            j = parent[k]
+            alpha[k] = alpha[j] * (K[k, j] / weight[k, j]) ** 2
+        done[k] = True
+        closer = ~done & (weight[:, k] > link)
+        link[closer] = weight[closer, k]
+        parent[closer] = k
+    G = (U * alpha) @ U.T
+    return Conjugation(0.5 * (G + G.T))
+
+
+def _verified_residual(A: np.ndarray, C: Conjugation, tol: float) -> float | None:
+    """The residual of C on A if C is a symmetric unitary with A = C A* C at tol."""
+    if C.unitarity_residual() > tol or C.symmetry_residual() > tol:
+        return None
+    ok, residual = is_c_symmetric(A, C, tol)
+    return residual if ok else None
+
+
 def find_conjugation(
     T,
     budget: int = 500,
@@ -186,16 +256,20 @@ def find_conjugation(
     tol: float = DEFAULT_TOL,
     word_max_len: int = 5,
 ) -> CsoCertificate:
-    """Best-effort complex-symmetry decision.
+    """Complex-symmetry decision: a verified conjugation, a word, or neither.
 
     Order-two nilpotents take the constructive route, whose conjugation is
     reported only when its residual meets tol; otherwise the result is
-    "inconclusive" with that residual.  Otherwise a symmetric
-    unitary is sought in the intertwiner space by alternating projection with
-    multiple deterministic-then-seeded starts; every candidate is re-verified
-    before being reported.  If no conjugation is found, a word-norm
-    obstruction search runs; "inconclusive" is a valid outcome.
+    "inconclusive" with that residual.  A transpose-symmetric T gets G = I.
+    Otherwise the Hermitian-part phase conjugation is tried.  If it is not
+    verified at tol, the word-norm obstruction search runs first and a
+    violating word gives "obstructed".  Then a symmetric unitary is sought in
+    the intertwiner space by alternating projection, started from the
+    verified phase G (if any), the identity and the flip, then from seeded
+    random starts; every candidate is re-verified before being reported.
+    "inconclusive" is a valid outcome.
     """
+    tol = check_tol(tol)
     A = as_matrix(T, square=True)
     n = A.shape[0]
     nrm = operator_norm(A)
@@ -215,33 +289,30 @@ def find_conjugation(
         _, residual = is_c_symmetric(A, C, tol)
         return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
+    phase = hermitian_phase_conjugation(A)
+    initial = (np.eye(n, dtype=complex), np.eye(n, dtype=complex)[::-1])
+    if _verified_residual(A, phase, tol) is not None:
+        initial = (phase.matrix, *initial)
+    else:
+        found = word_obstruction_search(A, max_len=word_max_len, tol=tol)
+        if found is not None:
+            word, gap = found
+            return CsoCertificate(
+                "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap, seed=seed
+            )
+
     basis = intertwiner_basis(A)
     if basis.size:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        flip = np.eye(n, dtype=complex)[::-1]
         candidates = unitary_in_subspace(
-            basis,
-            n,
-            symmetric=True,
-            initial=(np.eye(n, dtype=complex), flip),
-            starts=starts,
-            iters=budget,
-            rng=rng,
+            basis, n, symmetric=True, initial=initial, starts=starts, iters=budget, rng=rng
         )
         for W in candidates:
             C = Conjugation(W)
-            if C.unitarity_residual() > tol or C.symmetry_residual() > tol:
-                continue
-            ok, residual = is_c_symmetric(A, C, tol)
-            if ok:
+            residual = _verified_residual(A, C, tol)
+            if residual is not None:
                 return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
-    found = word_obstruction_search(A, max_len=word_max_len, tol=tol)
-    if found is not None:
-        word, gap = found
-        return CsoCertificate(
-            "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap, seed=seed
-        )
     return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
 
 
@@ -276,6 +347,7 @@ def word_obstruction_search(
     sampled mode draws random words from the seed.  Such a word certifies
     that T admits no conjugation; absence of one proves nothing.
     """
+    tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
     if mode == "exhaustive":
@@ -308,6 +380,7 @@ def polynomial_obstruction_search(
     """
     from .words import random_polynomial
 
+    tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm = max(operator_norm(A), np.finfo(float).eps)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))

@@ -36,6 +36,18 @@ def as_matrix(M, square: bool = False) -> np.ndarray:
     return A
 
 
+def check_tol(tol) -> float:
+    """The tolerance as a float; a non-positive or non-finite one is an InputError.
+
+    A tolerance of zero or below turns every exact identity into a violation
+    and a NaN one accepts nothing, so neither can give a meaningful verdict.
+    """
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def operator_norm(M) -> float:
     """Largest singular value (computed by full SVD; sizes here are small)."""
     A = as_matrix(M)

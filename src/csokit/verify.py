@@ -36,7 +36,7 @@ from .indestructible import (
     swap_conjugation,
     shift_coshift_product,
 )
-from .linalg import Conjugation, direct_sum, operator_norm, singular_values, tensor
+from .linalg import Conjugation, check_tol, direct_sum, operator_norm, singular_values, tensor
 from .modelspace import (
     fn_calculus_check,
     model_conjugation,
@@ -54,8 +54,7 @@ class RunConfig:
     quad: int = 1024
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        check_tol(self.tol)
         if self.quad < 64:
             raise InputError("quad must be at least 64")
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csokit import certify
 from csokit.certify import (
     canonical_block_decomposition,
     conjugation_for_nilpotent2,
     find_conjugation,
+    hermitian_phase_conjugation,
     intertwiner_basis,
     is_c_symmetric,
     nilpotency_order,
@@ -25,8 +27,8 @@ from csokit.certify import (
     word_norm_gap,
     word_obstruction_search,
 )
-from csokit.ensembles import random_complex, random_cso, random_nilpotent2, stream
-from csokit.errors import PreconditionError
+from csokit.ensembles import random_complex, random_cso, random_nilpotent2, random_unitary, stream
+from csokit.errors import InputError, PreconditionError
 from csokit.indestructible import destructor_witness, is_nilpotent2, witness_matrix
 from csokit.linalg import DEFAULT_TOL, Conjugation, conjugate_by, direct_sum, operator_norm
 from csokit.synthesis import synthesize_tto_for_nilpotent2
@@ -227,6 +229,91 @@ def test_find_conjugation_inconclusive_when_masked():
     assert cert.verdict == "inconclusive"
     assert np.isnan(cert.residual)
     assert cert.obstruction_word is None
+
+
+def phase_accepted(T):
+    return is_c_symmetric(T, hermitian_phase_conjugation(T))[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 64))
+def test_phase_conjugation_certifies_random_cso(seed, dim):
+    T, _ = random_cso(stream(seed, 0), dim)
+    C = hermitian_phase_conjugation(T)
+    ok, residual = is_c_symmetric(T, C)
+    assert ok and residual <= DEFAULT_TOL
+    assert C.unitarity_residual() <= DEFAULT_TOL and C.symmetry_residual() <= DEFAULT_TOL
+    if dim <= 16:  # the intertwiner search that follows costs O(dim^6)
+        cert = find_conjugation(T)
+        assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_every_2x2_matrix_is_certified(entries, log_scale):
+    T = 10.0**log_scale * (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    cert.conjugation.validate()
+
+
+def test_2x2_cso_that_the_projection_search_missed():
+    # a 2x2 CSO request of the benchmark's fixed CSO stream on which the
+    # alternating-projection search alone ended inconclusive
+    T = np.array(
+        [
+            [0.3573524837229171 - 1.5498479324036807j, -0.6204536338391257 + 0.7447355031390956j],
+            [0.536895811958332 - 0.5524872561000909j, 2.947179071117767 + 0.15160292145762358j],
+        ]
+    )
+    assert phase_accepted(T)
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 32))
+def test_generic_matrix_is_obstructed_without_the_projection_search(seed, dim):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the projection search ran on a matrix with an obstruction word")
+
+    T = random_complex(stream(seed, 0), dim, dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "intertwiner_basis", forbidden)
+        mp.setattr(certify, "unitary_in_subspace", forbidden)
+        cert = find_conjugation(T)
+    assert cert.verdict == "obstructed" and cert.obstruction_word
+    assert cert.obstruction_gap == pytest.approx(word_norm_gap(T, cert.obstruction_word))
+
+
+def test_degenerate_spectra_are_certified():
+    # J3 (+) J3 in a rotated basis: every H = Re(e^{i theta} T) has only double
+    # eigenvalues, the phase G fails, and the projection search certifies it
+    Q = random_unitary(stream(11, 7), 6)
+    T = Q @ direct_sum(jordan(3), jordan(3)) @ Q.conj().T
+    assert not phase_accepted(T)
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    # 2 I_3 (+) J2 also has a triple eigenvalue for every theta, but K is
+    # scalar on that eigenspace, so its phases are free and the phase G holds
+    T = direct_sum(2.0 * np.eye(3), jordan(2))
+    assert phase_accepted(T)
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_non_positive_or_non_finite_tol_is_rejected(tol):
+    S = np.array([[1.0, 2j], [2j, 3.0]])
+    with pytest.raises(InputError):
+        find_conjugation(S, tol=tol)
+    with pytest.raises(InputError):
+        word_obstruction_search(S, tol=tol)
+    with pytest.raises(InputError):
+        polynomial_obstruction_search(S, samples=4, tol=tol)
 
 
 def test_word_norm_gap_vanishes_on_cso():

@@ -5,15 +5,18 @@ The certify exit code encodes the verdict (0 symmetric, 2 obstructed,
 and verify-paper signals any failed suite entry with exit 1.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit import serialize
-from csokit.cli import build_parser
+from csokit.cli import build_parser, main
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
 
@@ -31,6 +34,15 @@ def run_cli(*args, timeout=600):
 
 def matrix_arg(M):
     return serialize.dumps(serialize.matrix_to_json(np.asarray(M, dtype=complex)))
+
+
+def run_main(*args):
+    """Exit code of the CLI run in this process (argparse usage errors give 2)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(args))
+        except SystemExit as exc:
+            return exc.code
 
 
 def test_serialize_matrix_roundtrip():
@@ -82,6 +94,61 @@ def test_malformed_input_exit_64():
     assert p.returncode == 64
     p = run_cli("certify", "--matrix", '{"rows": 2, "cols": 3, "data": []}')
     assert p.returncode == 64
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["certify", "question1-search"])
+def test_non_positive_or_non_finite_tol_exit_64(command, tol):
+    # a tol <= 0 used to turn the symmetric matrix's "x" into an obstruction
+    S = matrix_arg([[1.0, 2j], [2j, 3.0]])
+    assert run_main(command, "--matrix", S, "--tol", tol) == 64
+
+
+def fuzzed_matrix(kind, seed, n, log_scale):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "empty":
+        M = np.zeros((0, 0))
+    elif kind == "scalar":
+        M = Z[:1, :1]
+    elif kind == "zero":
+        M = np.zeros((n, n))
+    elif kind == "non_square":
+        M = Z[:, : n - 1]
+    elif kind == "repeated_eigenvalue":
+        Q, _ = np.linalg.qr(Z)
+        M = Q @ (np.eye(n) + np.diag(rng.integers(0, 2, n - 1).astype(float), -1)) @ Q.conj().T
+    elif kind == "near_nilpotent":
+        N = np.zeros((n, n), dtype=complex)
+        N[n - n // 2 :, : n // 2] = Z[: n // 2, : n // 2]
+        M = N + 10.0 ** rng.uniform(-12, -6) * Z
+    else:
+        M = Z
+    M = 10.0**log_scale * np.asarray(M, dtype=complex)
+    data = [[z.real, z.imag] for z in M.ravel()]
+    if kind == "non_finite":
+        data[int(rng.integers(len(data)))][int(rng.integers(2))] = float(rng.choice([np.nan, np.inf]))
+    return json.dumps({"rows": M.shape[0], "cols": M.shape[1], "data": data})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    kind=st.sampled_from(
+        ["empty", "scalar", "zero", "non_square", "non_finite", "repeated_eigenvalue",
+         "near_nilpotent", "generic"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    log_scale=st.floats(-8.0, 8.0),
+    sign=st.sampled_from([1.0, 1.0, 1.0, -1.0, 0.0]),
+    log_tol=st.floats(-15.0, -1.0),
+)
+def test_certify_exit_code_contract(kind, seed, n, log_scale, sign, log_tol):
+    tol = sign * 10.0**log_tol
+    code = run_main("certify", "--matrix", fuzzed_matrix(kind, seed, n, log_scale), f"--tol={tol!r}")
+    assert code in (0, 2, 3, 64, 65)
+    if tol <= 0 or kind in ("non_square", "non_finite"):
+        assert code == 64
 
 
 def test_invalid_symbol_and_quadrature_exit_64():
