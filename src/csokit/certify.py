@@ -19,6 +19,7 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -32,9 +33,18 @@ from .linalg import (
     column_phases,
     conjugate_by,
     operator_norm,
+    operator_norms,
+    polar_decompose,
     unitary_in_subspace,
 )
-from .words import eval_poly, eval_word, conjugate_coefficients, iter_words, random_word
+from .words import (
+    normalize_poly,
+    random_polynomial,
+    random_word,
+    swap_letters,
+    word_products,
+    words_of_length,
+)
 
 
 @dataclass
@@ -154,7 +164,10 @@ def conjugation_for_nilpotent2(
     SVD, where T becomes [[0,0],[D,0]] (+) 0 with D positive diagonal.  In that
     basis entrywise conjugation commutes with D, so the block swap
     [[0,I],[I,0]] (+) I is a valid G; it is pulled back to the original
-    coordinates.
+    coordinates through the polar factor of the basis [right, left, rest].
+    That basis is orthonormal only up to rounding (ran T lies in ker T only
+    approximately when T is near-nilpotent), and its polar factor is the
+    nearest unitary, so G stays unitary to working precision.
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
@@ -168,7 +181,8 @@ def conjugation_for_nilpotent2(
     swap[r : 2 * r, :r] = np.eye(r)
     swap[2 * r :, 2 * r :] = np.eye(extra)
 
-    G = cols @ swap @ cols.T
+    W, _ = polar_decompose(cols)
+    G = W @ swap @ W.T
     G = 0.5 * (G + G.T)
     C = Conjugation(G)
     _, residual = is_c_symmetric(A, C, tol)
@@ -280,7 +294,7 @@ def find_conjugation(
             C, _, residual = conjugation_for_nilpotent2(A, tol)
         except PreconditionError:
             return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
-        if residual > tol:
+        if _verified_residual(A, C, tol) is None:
             return CsoCertificate("inconclusive", residual=residual, seed=seed)
         return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
@@ -316,21 +330,61 @@ def find_conjugation(
     return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
 
 
+#: Matrix entries per batch (4 MB of complex128): the searches take words
+#: and polynomials in batches whose n x n products hold at most this many
+#: entries, so a long max_len or many samples cost time, not memory.
+BATCH_ENTRIES = 1 << 18
+
+
+def _batches(items, n: int):
+    """Consecutive lists of items, each with at most BATCH_ENTRIES entries of n x n products."""
+    size = max(1, BATCH_ENTRIES // max(n * n, 1))
+    it = iter(items)
+    while batch := list(islice(it, size)):
+        yield batch
+
+
+def word_norm_gaps(T, words) -> np.ndarray:
+    """| ||w(T,T*)|| - ||w(T*,T)|| | for each word.
+
+    w(T*,T) is the letter-swapped word at (T, T*), so both norms come from
+    one table of the words and their swaps, each multiplied out once by
+    ``word_products`` and normed once by one batched SVD.
+    """
+    A = as_matrix(T, square=True)
+    swapped = [swap_letters(w) for w in words]
+    table = list(dict.fromkeys([*words, *swapped]))
+    norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().T))))
+    return np.array([abs(norms[w] - norms[s]) for w, s in zip(words, swapped)])
+
+
 def word_norm_gap(T, word: str) -> float:
     """| ||w(T,T*)|| - ||w(T*,T)|| | for a single word."""
-    A = as_matrix(T, square=True)
-    return abs(
-        operator_norm(eval_word(word, A, A.conj().T))
-        - operator_norm(eval_word(word, A.conj().T, A))
-    )
+    return float(word_norm_gaps(T, [word])[0])
+
+
+def _polynomial_norm_gaps(A: np.ndarray, polys) -> np.ndarray:
+    """polynomial_norm_gap of each polynomial, from one word table and one batched SVD.
+
+    The sums run term by term in eval_poly's order, so each gap equals the
+    one from eval_poly and operator_norm bit for bit.
+    """
+    polys = [normalize_poly(p) for p in polys]
+    words = [w for p in polys for w in p]
+    table = list(dict.fromkeys([*words, *map(swap_letters, words)]))
+    products = dict(zip(table, word_products(table, A, A.conj().T)))
+    sums = np.zeros((len(polys), 2, *A.shape), dtype=complex)
+    for pair, p in zip(sums, polys):
+        for word, coeff in p.items():
+            pair[0] = pair[0] + coeff * products[word]
+            pair[1] = pair[1] + coeff.conjugate() * products[swap_letters(word)]
+    norms = operator_norms(sums.reshape(-1, *A.shape)).reshape(-1, 2)
+    return np.abs(norms[:, 0] - norms[:, 1])
 
 
 def polynomial_norm_gap(p: dict[str, complex], T) -> float:
     """| ||p(T,T*)|| - ||ptilde(T*,T)|| | with ptilde the coefficientwise conjugate."""
-    A = as_matrix(T, square=True)
-    a = operator_norm(eval_poly(p, A, A.conj().T))
-    b = operator_norm(eval_poly(conjugate_coefficients(p), A.conj().T, A))
-    return abs(a - b)
+    return float(_polynomial_norm_gaps(as_matrix(T, square=True), [p])[0])
 
 
 def word_obstruction_search(
@@ -345,22 +399,28 @@ def word_obstruction_search(
 
     Exhaustive mode enumerates words length-lexicographically with x < y;
     sampled mode draws random words from the seed.  Such a word certifies
-    that T admits no conjugation; absence of one proves nothing.
+    that T admits no conjugation; absence of one proves nothing.  The gaps
+    come from ``word_norm_gaps`` one length at a time in exhaustive mode (so
+    an early hit such as xxy costs only the words up to its length) and in
+    batches of samples in sampled mode.
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
+    n = A.shape[0]
     if mode == "exhaustive":
-        wordstream = iter_words(max_len)
+        lengths = range(1, max_len + 1)
+        batches = (b for length in lengths for b in _batches(words_of_length(length), n))
     elif mode == "sampled":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-        wordstream = (random_word(rng, max_len) for _ in range(samples))
+        batches = _batches((random_word(rng, max_len) for _ in range(samples)), n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for word in wordstream:
-        gap = word_norm_gap(A, word)
-        if gap > tol * nrm ** len(word):
-            return word, gap
+    for batch in batches:
+        gaps = word_norm_gaps(A, batch)
+        hits = np.flatnonzero(gaps > np.array([tol * nrm ** len(w) for w in batch]))
+        if hits.size:
+            return batch[hits[0]], float(gaps[hits[0]])
     return None
 
 
@@ -376,25 +436,24 @@ def polynomial_obstruction_search(
 
     Returns search statistics and the best candidate found.  A gap above
     threshold certifies that T is not complex symmetric; finding none says
-    nothing either way, and the result never claims more.
+    nothing either way, and the result never claims more.  The samples'
+    gaps are computed a batch at a time from one word table per batch.
     """
-    from .words import random_polynomial
-
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm = max(operator_norm(A), np.finfo(float).eps)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    draws = (random_polynomial(rng, max_len, max_terms=max_terms) for _ in range(samples))
     best_gap = 0.0
     best_poly: dict[str, complex] | None = None
     hits = 0
-    for _ in range(samples):
-        p = random_polynomial(rng, max_len, max_terms=max_terms)
-        scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
-        gap = polynomial_norm_gap(p, A)
-        if gap > tol * scale:
-            hits += 1
-        if gap > best_gap:
-            best_gap, best_poly = gap, p
+    for batch in _batches(draws, A.shape[0]):
+        for p, gap in zip(batch, _polynomial_norm_gaps(A, batch).tolist()):
+            scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
+            if gap > tol * scale:
+                hits += 1
+            if gap > best_gap:
+                best_gap, best_poly = gap, p
     return {
         "samples": samples,
         "violations": hits,

@@ -205,8 +205,32 @@ COMMANDS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--flag -1e-9" as "--flag=-1e-9".
+
+    argparse takes a dash-led token for an option unless it looks like a
+    plain negative number, so a negative value in exponent form would end in
+    a usage error (exit 2, the code of "obstructed") instead of reaching the
+    flag's own check.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and prev != "--help" and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return COMMANDS[args.command](args)
     except InputError as exc:

@@ -56,6 +56,22 @@ def operator_norm(M) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
+def operator_norms(Ms) -> np.ndarray:
+    """operator_norm of each matrix in a (k, m, n) stack, from one batched SVD.
+
+    The batched SVD runs the same LAPACK routine on each matrix, so every
+    value equals operator_norm of that matrix bit for bit.
+    """
+    A = np.asarray(Ms, dtype=complex)
+    if A.ndim != 3:
+        raise InputError(f"expected a stack of matrices, got array of ndim {A.ndim}")
+    if not np.all(np.isfinite(A)):
+        raise InputError("matrix has non-finite entries")
+    if A.size == 0:
+        return np.zeros(A.shape[0])
+    return np.linalg.svd(A, compute_uv=False)[:, 0]
+
+
 def singular_values(M) -> np.ndarray:
     """Singular values in descending order; empty for empty matrices."""
     A = as_matrix(M)

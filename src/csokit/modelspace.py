@@ -344,10 +344,12 @@ def verify_hankel_factorization(
 ) -> float:
     """Residual of the factorization (TTO) = (multiply by u) o (Hankel section).
 
-    Each basis function is expanded in its first M Taylor coefficients, pushed
-    through the finite Hankel section of conj(u) phi into negative modes,
-    multiplied back by u on the boundary, and compressed to the model space;
-    the result is compared against tto_matrix.  If the residual exceeds
+    Each basis function is expanded in its first M Taylor coefficients (one
+    FFT of its samples on the fine grid), pushed through the finite Hankel
+    section of conj(u) phi into negative modes, evaluated on the
+    quad_points nodes by one FFT (see _hankel_route_residual), multiplied
+    back by u, and compressed to the model space by the trapezoid rule; the
+    result is compared against tto_matrix.  If the residual exceeds
     residual_cap and does not decrease when M doubles, the truncation is not
     converging and an accuracy error is raised.
     """
@@ -363,12 +365,23 @@ def verify_hankel_factorization(
 
 
 def _hankel_route_residual(u, phi, M, quad_points, direct) -> float:
+    """Residual of the Hankel route against direct, at truncation M.
+
+    Row j of ``negative`` holds the modes -(r+1), r = 0..M-1, of the Hankel
+    image of e_j, so on the Q = quad_points nodes z_q the image is
+    u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
+    conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
+    evaluated by one FFT of length Q.
+    """
     ms = ModelSpace(u, quad_points).require_resolved()
+    Q = ms.quad_points
     taylor = _fourier_coefficients(_fine_space(u, M, quad_points).basis_samples)[:, :M]
     H = hankel_truncation(u, phi, M, quad_points)
-    negative = taylor @ H.T  # row j: modes -(r+1) of the Hankel image of e_j
-    w = np.conj(ms.nodes)
-    images = ms.u_samples * w * npoly.polyval(w, negative.T)
+    negative = taylor @ H.T
+    padded = np.zeros((len(negative), -(-M // Q) * Q), dtype=complex)
+    padded[:, :M] = negative
+    folded = padded.reshape(len(negative), -1, Q).sum(axis=1)
+    images = ms.u_samples * np.conj(ms.nodes) * np.fft.fft(folded)
     return operator_norm(ms.project(images) - direct)
 
 

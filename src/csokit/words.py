@@ -3,11 +3,18 @@
 A word is a plain string over the alphabet ``{"x", "y"}`` (the empty string
 denotes the identity); a polynomial is a dict mapping words to complex
 coefficients with no zero coefficients stored.
+
+``eval_word`` multiplies one word out letter by letter.  ``word_products``
+evaluates many words at once: each word's product is its prefix's product
+times one letter, the same left-to-right 2-D matmul that ``eval_word`` does,
+so a word whose prefix is already multiplied out costs one matmul and every
+product equals ``eval_word``'s bit for bit.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from os.path import commonprefix
 
 import numpy as np
 
@@ -15,25 +22,57 @@ from .errors import InputError
 from .linalg import as_matrix
 
 ALPHABET = "xy"
+_SWAP = str.maketrans("xy", "yx")
 
 
 def validate_word(word: str) -> str:
-    if any(c not in ALPHABET for c in word):
+    if set(word) - set(ALPHABET):
         raise InputError(f"word {word!r} contains letters outside {{x, y}}")
     return word
+
+
+def _letter_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    X = as_matrix(X, square=True)
+    Y = as_matrix(Y, square=True)
+    if X.shape != Y.shape:
+        raise InputError(f"size mismatch: X is {X.shape}, Y is {Y.shape}")
+    return X, Y
 
 
 def eval_word(word: str, X, Y) -> np.ndarray:
     """Substitute x -> X, y -> Y; the empty word gives the identity."""
     validate_word(word)
-    X = as_matrix(X, square=True)
-    Y = as_matrix(Y, square=True)
-    if X.shape != Y.shape:
-        raise InputError(f"size mismatch: X is {X.shape}, Y is {Y.shape}")
+    X, Y = _letter_matrices(X, Y)
     M = np.eye(X.shape[0], dtype=complex)
     for letter in word:
         M = M @ (X if letter == "x" else Y)
     return M
+
+
+def swap_letters(word: str) -> str:
+    """The word with x and y exchanged: w(Y, X) is swap_letters(w)(X, Y)."""
+    return word.translate(_SWAP)
+
+
+def word_products(words, X, Y) -> np.ndarray:
+    """Stacked products w(X, Y) of the given words, in their order.
+
+    The words are visited in sorted order, where words that share a prefix
+    are adjacent, so each distinct prefix is multiplied out once and only the
+    current word's prefix products are held.
+    """
+    X, Y = _letter_matrices(X, Y)
+    out = np.empty((len(words), *X.shape), dtype=complex)
+    path = [np.eye(X.shape[0], dtype=complex)]  # path[k]: product of prev[:k]
+    prev = ""
+    for i in sorted(range(len(words)), key=words.__getitem__):
+        word = validate_word(words[i])
+        del path[len(commonprefix((prev, word))) + 1 :]
+        for letter in word[len(path) - 1 :]:
+            path.append(path[-1] @ (X if letter == "x" else Y))
+        out[i] = path[-1]
+        prev = word
+    return out
 
 
 def normalize_poly(p: dict[str, complex]) -> dict[str, complex]:
@@ -48,10 +87,7 @@ def normalize_poly(p: dict[str, complex]) -> dict[str, complex]:
 
 
 def eval_poly(p: dict[str, complex], X, Y) -> np.ndarray:
-    X = as_matrix(X, square=True)
-    Y = as_matrix(Y, square=True)
-    if X.shape != Y.shape:
-        raise InputError(f"size mismatch: X is {X.shape}, Y is {Y.shape}")
+    X, Y = _letter_matrices(X, Y)
     M = np.zeros_like(X)
     for word, coeff in normalize_poly(p).items():
         M = M + coeff * eval_word(word, X, Y)

@@ -32,6 +32,14 @@ from csokit.errors import InputError, PreconditionError
 from csokit.indestructible import destructor_witness, is_nilpotent2, witness_matrix
 from csokit.linalg import DEFAULT_TOL, Conjugation, conjugate_by, direct_sum, operator_norm
 from csokit.synthesis import synthesize_tto_for_nilpotent2
+from csokit.words import (
+    conjugate_coefficients,
+    eval_poly,
+    eval_word,
+    iter_words,
+    random_polynomial,
+    random_word,
+)
 
 
 def jordan(n):
@@ -135,6 +143,17 @@ def test_certify_destructor_and_synthesize_share_one_nilpotency_decision():
 def test_near_nilpotent_symmetric_verdicts_meet_tol(seed, dim, log_rel):
     cert = find_conjugation(near_nilpotent(seed, dim, 10.0**log_rel))
     assert cert.verdict != "c_symmetric" or cert.residual <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("seed, dim", [(0, 8), (0, 9), (3, 6), (3, 12)])
+def test_near_nilpotent_conjugation_is_unitary_to_tol(seed, dim):
+    # the basis [right, left, rest] of a near-nilpotent T is orthonormal only
+    # to about ||T^2|| / ||T||^2; G built from it directly was 1.2e-9 to
+    # 1.8e-9 from unitary on these, and G from its polar factor is not
+    cert = find_conjugation(near_nilpotent(seed, dim, 3e-10))
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    assert cert.conjugation.unitarity_residual() <= DEFAULT_TOL
+    assert cert.conjugation.symmetry_residual() <= DEFAULT_TOL
 
 
 def test_conjugation_for_j2_is_the_swap():
@@ -353,3 +372,94 @@ def test_polynomial_search_reports_witness_violation():
     assert report["violations"] > 0
     assert report["best_gap"] > 0.1
     assert report["best_polynomial"] is not None
+
+
+def per_word_gap(T, word):
+    """The norm gap of one word, multiplied out and normed on its own."""
+    H = T.conj().T
+    return abs(operator_norm(eval_word(word, T, H)) - operator_norm(eval_word(word, H, T)))
+
+
+def per_word_search(T, words, tol=DEFAULT_TOL):
+    nrm = operator_norm(T)
+    for w in words:
+        gap = per_word_gap(T, w)
+        if gap > tol * nrm ** len(w):
+            return w, gap
+    return None
+
+
+def search_matrix(kind, seed, n):
+    rng = stream(seed, 7)
+    if kind == "cso":
+        return random_cso(rng, n)[0]
+    if kind == "witness":
+        # the small CSO block leaves the witness's word norms in charge
+        S = random_cso(rng, n)[0]
+        return direct_sum(witness_matrix(1.0, 2.0), 0.1 * S / operator_norm(S))
+    return random_complex(rng, n, n)
+
+
+def test_word_norm_gap_is_the_per_word_gap_bit_for_bit():
+    T = search_matrix("generic", 1, 4)
+    for w in iter_words(5):
+        assert word_norm_gap(T, w) == per_word_gap(T, w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["generic", "cso", "witness"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    mode=st.sampled_from(["exhaustive", "sampled"]),
+    batch_words=st.sampled_from([1, 3, 1000]),
+)
+def test_word_search_equals_the_per_word_loop(kind, seed, n, mode, batch_words):
+    T = search_matrix(kind, seed, n)
+    if mode == "exhaustive":
+        words = list(iter_words(5))
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+        words = [random_word(rng, 5) for _ in range(64)]
+    with pytest.MonkeyPatch.context() as mp:
+        # small batches split the levels and the samples across several tables
+        mp.setattr(certify, "BATCH_ENTRIES", batch_words * len(T) ** 2)
+        got = word_obstruction_search(T, max_len=5, mode=mode, seed=seed, samples=64)
+    assert got == per_word_search(T, words)
+    if kind == "witness":
+        assert got is not None
+
+
+def per_polynomial_search(T, samples, max_len, seed, tol=DEFAULT_TOL):
+    """polynomial_obstruction_search with each polynomial evaluated on its own."""
+    nrm = max(operator_norm(T), np.finfo(float).eps)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    best_gap, best_poly, hits = 0.0, None, 0
+    for _ in range(samples):
+        p = random_polynomial(rng, max_len, max_terms=4)
+        scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
+        a = operator_norm(eval_poly(p, T, T.conj().T))
+        gap = abs(a - operator_norm(eval_poly(conjugate_coefficients(p), T.conj().T, T)))
+        hits += gap > tol * scale
+        if gap > best_gap:
+            best_gap, best_poly = gap, p
+    return hits, best_gap, best_poly
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    kind=st.sampled_from(["generic", "cso", "witness"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    batch_polys=st.sampled_from([1, 7, 1000]),
+)
+def test_polynomial_search_report_is_unchanged(kind, seed, n, batch_polys):
+    T = search_matrix(kind, seed, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "BATCH_ENTRIES", batch_polys * len(T) ** 2)
+        report = polynomial_obstruction_search(T, samples=30, max_len=4, seed=seed)
+    hits, best_gap, best_poly = per_polynomial_search(T, 30, 4, seed)
+    assert (report["violations"], report["best_gap"], report["best_polynomial"]) == (hits, best_gap, best_poly)
+    p = {"xy": 1.0 + 1j, "yxx": -0.5}
+    a = operator_norm(eval_poly(p, T, T.conj().T))
+    assert polynomial_norm_gap(p, T) == abs(a - operator_norm(eval_poly(conjugate_coefficients(p), T.conj().T, T)))

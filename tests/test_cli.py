@@ -96,10 +96,11 @@ def test_malformed_input_exit_64():
     assert p.returncode == 64
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "-1e-9", "-inf"])
 @pytest.mark.parametrize("command", ["certify", "question1-search"])
 def test_non_positive_or_non_finite_tol_exit_64(command, tol):
-    # a tol <= 0 used to turn the symmetric matrix's "x" into an obstruction
+    # a tol <= 0 used to turn the symmetric matrix's "x" into an obstruction;
+    # "-1e-9" and "-inf" are separate arguments that argparse alone reads as options
     S = matrix_arg([[1.0, 2j], [2j, 3.0]])
     assert run_main(command, "--matrix", S, "--tol", tol) == 64
 

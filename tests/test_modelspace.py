@@ -10,6 +10,9 @@ Monomial oracles (u = z^n makes everything exact):
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
+
+from csokit import modelspace
 
 from csokit.certify import is_c_symmetric
 from csokit.ensembles import random_blaschke, random_poly_symbol, stream
@@ -224,6 +227,50 @@ def test_hankel_residual_collapses_when_truncation_doubles():
     r128 = _hankel_route_residual(u, phi, 128, 1024, direct)
     assert r64 > 1e-8
     assert r128 <= 1e-3 * r64
+
+
+def polyval_hankel_route(u, phi, M, quad_points):
+    """The Hankel route's model-space matrix, with the image evaluated by polyval."""
+    ms = ModelSpace(u, quad_points)
+    fine = ModelSpace(u, max(4 * M, quad_points, 1024))
+    taylor = (np.fft.fft(fine.basis_samples) / fine.quad_points)[:, :M]
+    negative = taylor @ hankel_truncation(u, phi, M, quad_points).T
+    w = np.conj(ms.nodes)
+    return ms.project(ms.u_samples * w * npoly.polyval(w, negative.T))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=16)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(1, 8),
+    case=st.sampled_from(
+        [(64, 1024, 0.9), (256, 256, 0.9), (512, 256, 0.9), (1024, 128, 0.85), (300, 128, 0.85)]
+    ),
+)
+def test_hankel_fft_route_matches_the_polyval_oracle(seed, degree, case):
+    # (M, Q): fewer modes than nodes, as many, and more (folded modulo Q).
+    # At Q = 128, zeros up to 0.85 keep the basis resolved while the modes
+    # beyond Q (about 0.85^128 ~ 1e-9) are far above the tolerance.
+    M, Q, max_modulus = case
+    rng = stream(seed, 5)
+    u = random_blaschke(rng, degree, max_modulus=max_modulus)
+    phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
+    oracle = polyval_hankel_route(u, phi, M, Q)
+    # the residual against the oracle is the distance between the two routes
+    assert _hankel_route_residual(u, phi, M, Q, oracle) <= 1e-13 * operator_norm(oracle)
+
+
+def test_hankel_check_retries_at_doubled_truncation():
+    u = BlaschkeProduct((0.9, -0.9, 0.9j))
+    phi = Symbol(poly=[1.0, 0.5])
+    direct = tto_matrix(u, phi)
+    r64 = _hankel_route_residual(u, phi, 64, 1024, direct)
+    # above the cap at M = 64, lower at M = 128: the M = 64 residual stands
+    assert verify_hankel_factorization(u, phi, 64, residual_cap=1e-9) == r64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelspace, "_hankel_route_residual", lambda u, phi, M, quad, direct: 1e-3)
+        with pytest.raises(AccuracyError):
+            verify_hankel_factorization(u, phi, 64)
 
 
 def test_modelspace_decompose_blocks_and_unitarity():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit.errors import InputError
+from csokit.linalg import operator_norm, operator_norms
 from csokit.words import (
     conjugate_coefficients,
     eval_poly,
@@ -12,7 +14,9 @@ from csokit.words import (
     normalize_poly,
     random_polynomial,
     random_word,
+    swap_letters,
     validate_word,
+    word_products,
     words_of_length,
 )
 
@@ -68,3 +72,36 @@ def test_random_word_and_polynomial_are_seed_deterministic():
     p2 = random_polynomial(np.random.default_rng(4), 4, 3)
     assert p1 == p2
     assert all(set(w) <= {"x", "y"} for w in p1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), log_scale=st.floats(-3.0, 3.0))
+def test_word_products_and_norms_equal_eval_word_bit_for_bit(seed, n, log_scale):
+    rng = np.random.default_rng(seed)
+    T = 10.0**log_scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    words = ["", *iter_words(5)]
+    for X, Y in ((T, T.conj().T), (T.conj().T, T)):
+        products = word_products(words, X, Y)
+        want = np.stack([eval_word(w, X, Y) for w in words])
+        assert np.array_equal(products, want)
+        assert np.array_equal(operator_norms(products), [operator_norm(M) for M in want])
+    # any order, repeats, and words whose prefixes were not asked for
+    some = ["yxy", "x", "yxy", "xxxxy", ""]
+    assert np.array_equal(word_products(some, T, 2 * T), [eval_word(w, T, 2 * T) for w in some])
+
+
+def test_word_products_validate_their_input():
+    with pytest.raises(InputError):
+        word_products(["xz"], X, Y)
+    with pytest.raises(InputError):
+        word_products(["x"], X, np.eye(3))
+    assert word_products([], X, Y).shape == (0, 2, 2)
+    assert swap_letters("xxy") == "yyx" and swap_letters("") == ""
+
+
+def test_operator_norms_validate_their_input():
+    assert np.array_equal(operator_norms(np.zeros((3, 0, 0))), np.zeros(3))
+    with pytest.raises(InputError):
+        operator_norms(X)
+    with pytest.raises(InputError):
+        operator_norms(np.full((1, 2, 2), np.inf))
