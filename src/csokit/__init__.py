@@ -65,7 +65,6 @@ from .synthesis import (
     canonical_nilpotent_parts,
     realize_modulus,
     synthesize_tto_for_nilpotent2,
-    unitary_equivalence_check,
 )
 from .verify import RunConfig, run_suite, run_suite_with_determinism
 
@@ -122,7 +121,6 @@ __all__ = [
     "synthesize_tto_for_nilpotent2",
     "tensor",
     "tto_matrix",
-    "unitary_equivalence_check",
     "verify_hankel_factorization",
     "word_obstruction_search",
     "words_of_length",

@@ -29,9 +29,11 @@ from .linalg import (
     DEFAULT_TOL,
     Conjugation,
     as_matrix,
+    check_seed,
     check_tol,
     column_phases,
     conjugate_by,
+    direct_sum,
     operator_norm,
     operator_norms,
     polar_decompose,
@@ -190,14 +192,29 @@ def conjugation_for_nilpotent2(
     return C, form, residual
 
 
-def canonical_block_decomposition(T, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """2x2 self-transpose blocks (s/2) [[1,i],[i,-1]] per singular value s of the
-    positive part, plus one 1x1 zero block per leftover kernel dimension."""
-    _, form, _ = conjugation_for_nilpotent2(T, tol)
+def canonical_block_decomposition(
+    T, tol: float = DEFAULT_TOL
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(blocks, W) with W unitary and W T W* = direct_sum(*blocks), for T^2 = 0.
+
+    The blocks are one self-transpose (s/2) [[1,i],[i,-1]] per singular value
+    s of T, then one 1x1 zero per leftover kernel dimension.  In the columns
+    (right_1, left_1, right_2, left_2, ..., rest) of ``nilpotent2_splitting``
+    each pair carries s e_2 e_1*, and Q = [[1,1],[-i,i]] / sqrt(2) takes
+    that to Q (s e_2 e_1*) Q* = (s/2) [[1,i],[i,-1]]; W is that basis change
+    followed by Q on every pair.  It is unitary to rounding, except that on a
+    T nilpotent only at tol, ran T lies in ker T only up to that tol.
+    """
+    A = as_matrix(T, square=True)
+    right, left, rest, s = nilpotent2_splitting(A, tol)
+    n, r, extra = A.shape[0], len(s), rest.shape[1]
+    pairs = np.stack([right, left], axis=2).reshape(n, 2 * r)
+    Q = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
+    W = direct_sum(np.kron(np.eye(r), Q), np.eye(extra)) @ np.hstack([pairs, rest]).conj().T
     cell = np.array([[1.0, 1.0j], [1.0j, -1.0]], dtype=complex)
-    blocks = [0.5 * s * cell for s in form.singular_values]
-    blocks.extend(np.zeros((1, 1), dtype=complex) for _ in range(form.extra_kernel_dim))
-    return blocks
+    blocks = [0.5 * sv * cell for sv in s]
+    blocks.extend(np.zeros((1, 1), dtype=complex) for _ in range(extra))
+    return blocks, W
 
 
 def intertwiner_basis(T) -> np.ndarray:
@@ -265,7 +282,6 @@ def _verified_residual(A: np.ndarray, C: Conjugation, tol: float) -> float | Non
 def find_conjugation(
     T,
     budget: int = 500,
-    starts: int = 64,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     word_max_len: int = 5,
@@ -283,6 +299,7 @@ def find_conjugation(
     random starts; every candidate is re-verified before being reported.
     "inconclusive" is a valid outcome.
     """
+    seed = check_seed(seed)
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     n = A.shape[0]
@@ -318,10 +335,7 @@ def find_conjugation(
     basis = intertwiner_basis(A)
     if basis.size:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        candidates = unitary_in_subspace(
-            basis, n, symmetric=True, initial=initial, starts=starts, iters=budget, rng=rng
-        )
-        for W in candidates:
+        for W in unitary_in_subspace(basis, n, initial=initial, iters=budget, rng=rng):
             C = Conjugation(W)
             residual = _verified_residual(A, C, tol)
             if residual is not None:
@@ -378,7 +392,7 @@ def _polynomial_norm_gaps(A: np.ndarray, polys) -> np.ndarray:
         for word, coeff in p.items():
             pair[0] = pair[0] + coeff * products[word]
             pair[1] = pair[1] + coeff.conjugate() * products[swap_letters(word)]
-    norms = operator_norms(sums.reshape(-1, *A.shape)).reshape(-1, 2)
+    norms = operator_norms(sums.reshape(2 * len(polys), *A.shape)).reshape(-1, 2)
     return np.abs(norms[:, 0] - norms[:, 1])
 
 
@@ -404,6 +418,7 @@ def word_obstruction_search(
     an early hit such as xxy costs only the words up to its length) and in
     batches of samples in sampled mode.
     """
+    seed = check_seed(seed)
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
@@ -439,6 +454,7 @@ def polynomial_obstruction_search(
     nothing either way, and the result never claims more.  The samples'
     gaps are computed a batch at a time from one word table per batch.
     """
+    seed = check_seed(seed)
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm = max(operator_norm(A), np.finfo(float).eps)

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, "seed")
 
     p = sub.add_parser("verify-paper", help="replay the whole certified suite")
-    _common(p, "seed", "tol", "quad")
+    _common(p, "seed", "quad")
 
     p = sub.add_parser(
         "question1-search",
@@ -146,7 +146,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    cfg = RunConfig(seed=args.seed, tol=args.tol, quad=args.quad)
+    cfg = RunConfig(seed=args.seed, quad=args.quad)
     report = run_suite_with_determinism(cfg)
     for entry in report["entries"]:
         tag = "PASS" if entry["status"] == "pass" else entry["status"].upper()

@@ -4,7 +4,9 @@ A is indestructible (A (x) B stays complex symmetric for every B) exactly when
 A^2 = 0.  The forward direction is constructive: A (x) B is then itself
 nilpotent of order two and gets an explicit conjugation.  The reverse
 direction is certified by a fixed 3x3 witness B(alpha, beta) and the word
-w = y x^2, whose evaluations at (B, B*) and (B*, B) have different norms.
+w = y x^2, whose evaluations at (B, B*) and (B*, B) have different norms,
+provided beta / alpha avoids the one ratio at which the norms on A (x) B
+cancel.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class DestructorCertificate:
     beta: float
     word: str
     norm_wA: float
+    norm_wA_rev: float
     norm_wB: float
     norm_wB_rev: float
     conclusion: str  # "destroyed" | "indestructible_sampled"
@@ -58,29 +61,41 @@ def destructor_witness(
 ) -> DestructorCertificate:
     """Norm-identity violation certificate for A (x) B(alpha, beta).
 
-    With w = yx^2: ||w(B,B*)|| = alpha^2 beta and ||w(B*,B)|| = alpha beta^2
-    differ, while word norms factor over tensor products, so whenever
-    ||w(A,A*)|| > 0 (which holds iff A^2 != 0) the product A (x) B violates
-    the norm identity every complex symmetric operator satisfies.  When
-    A^2 = 0 the conclusion is indestructible_sampled: the pairing is harmless
-    and the constructive route applies instead.
+    With w = yx^2: ||w(B,B*)|| = alpha^2 beta and ||w(B*,B)|| = alpha beta^2,
+    and word norms factor over tensor products, so the gap of A (x) B is
+    alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  When A^2 = 0 the
+    conclusion is indestructible_sampled: the pairing is harmless and the
+    constructive route applies instead.  Otherwise the conclusion is
+    destroyed when that gap exceeds tol * ||A (x) B||^3, the threshold of
+    ``word_obstruction_search``; a gap at or below it (beta / alpha at the
+    ratio ||A*A^2|| / ||A^2 A*||, where the two norms cancel) certifies
+    nothing and raises PreconditionError.
     """
     M = as_matrix(A, square=True)
     B = witness_matrix(alpha, beta)
-    norm_wA = operator_norm(eval_word(DESTRUCTOR_WORD, M, M.conj().T))
-    norm_wB = operator_norm(eval_word(DESTRUCTOR_WORD, B, B.conj().T))
-    norm_wB_rev = operator_norm(eval_word(DESTRUCTOR_WORD, B.conj().T, B))
-    conclusion = "indestructible_sampled" if is_nilpotent2(M, tol) else "destroyed"
-    return DestructorCertificate(
+    cert = DestructorCertificate(
         witness_B=B,
         alpha=float(alpha),
         beta=float(beta),
         word=DESTRUCTOR_WORD,
-        norm_wA=norm_wA,
-        norm_wB=norm_wB,
-        norm_wB_rev=norm_wB_rev,
-        conclusion=conclusion,
+        norm_wA=operator_norm(eval_word(DESTRUCTOR_WORD, M, M.conj().T)),
+        norm_wA_rev=operator_norm(eval_word(DESTRUCTOR_WORD, M.conj().T, M)),
+        norm_wB=operator_norm(eval_word(DESTRUCTOR_WORD, B, B.conj().T)),
+        norm_wB_rev=operator_norm(eval_word(DESTRUCTOR_WORD, B.conj().T, B)),
+        conclusion="indestructible_sampled",
     )
+    if is_nilpotent2(M, tol):
+        return cert
+    gap = abs(cert.norm_wA * cert.norm_wB - cert.norm_wA_rev * cert.norm_wB_rev)
+    threshold = tol * (operator_norm(M) * max(alpha, beta)) ** 3
+    if gap <= threshold:
+        raise PreconditionError(
+            f"beta/alpha = {beta / alpha:.6g} cancels ||A*A^2|| / ||A^2 A*|| = "
+            f"{cert.norm_wA:.6g} / {cert.norm_wA_rev:.6g}: the {DESTRUCTOR_WORD} gap of "
+            f"A (x) B is {gap:.3e}, not above {threshold:.3e}; choose another ratio"
+        )
+    cert.conclusion = "destroyed"
+    return cert
 
 
 def nilpotent2_tensor_conjugation(A, B, tol: float = DEFAULT_TOL) -> Conjugation:

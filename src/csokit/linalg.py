@@ -11,6 +11,7 @@ all operations accept an explicit override.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ DEFAULT_TOL = 1e-9
 
 #: Hard cap on any dimension produced by :func:`tensor`.
 TENSOR_DIM_CAP = 4096
+
+#: unitary_in_subspace: seeded random starts after the initial ones, and the
+#: step below which a start counts as converged.
+SUBSPACE_STARTS = 64
+SUBSPACE_XTOL = 1e-12
 
 
 def as_matrix(M, square: bool = False) -> np.ndarray:
@@ -46,6 +52,21 @@ def check_tol(tol) -> float:
     if not (np.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
     return tol
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; a negative or non-integer one is an InputError.
+
+    numpy's SeedSequence takes only non-negative integers, and would raise a
+    bare ValueError or TypeError deep inside a search instead.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def operator_norm(M) -> float:
@@ -183,27 +204,23 @@ def unitary_in_subspace(
     basis: np.ndarray,
     n: int,
     *,
-    symmetric: bool = False,
     initial: tuple[np.ndarray, ...] = (),
-    starts: int = 32,
     iters: int = 500,
-    rng: np.random.Generator | None = None,
-    xtol: float = 1e-12,
+    rng: np.random.Generator,
 ):
-    """Search a linear matrix subspace for a (symmetric) unitary element.
+    """Search a linear matrix subspace for a symmetric unitary element.
 
     ``basis`` holds an orthonormal column basis of the subspace in
-    column-major vectorization.  Alternates projection onto the subspace
-    with projection onto the unitary group (polar factor), optionally
-    symmetrizing each round.  Yields converged candidates in deterministic
-    order: the supplied initial matrices first, then seeded random starts.
+    column-major vectorization.  Alternates symmetrization, projection onto
+    the unitary group (polar factor) and projection onto the subspace, until
+    a round moves the iterate by less than SUBSPACE_XTOL.  Yields candidates
+    in deterministic order: the supplied initial matrices first, then
+    SUBSPACE_STARTS seeded random starts.
 
     This is a heuristic; callers must verify every candidate independently.
     """
     if basis.size == 0:
         return
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     def project(X):
         v = X.reshape(-1, order="F")
@@ -215,29 +232,25 @@ def unitary_in_subspace(
 
     k = basis.shape[1]
     start_mats = [project(X0) for X0 in initial]
-    while len(start_mats) < starts + len(initial):
+    while len(start_mats) < SUBSPACE_STARTS + len(initial):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         start_mats.append((basis @ coeff).reshape((n, n), order="F"))
 
     for X in start_mats:
         prev = None
         for _ in range(iters):
-            if symmetric:
-                X = 0.5 * (X + X.T)
+            X = 0.5 * (X + X.T)
             nrm = np.linalg.norm(X)
             if nrm < 1e-14:
                 break
             X = polar_unitary(X)
             X = project(X)
-            if prev is not None and np.linalg.norm(X - prev) < xtol:
+            if prev is not None and np.linalg.norm(X - prev) < SUBSPACE_XTOL:
                 break
             prev = X
-        if symmetric:
-            X = 0.5 * (X + X.T)
+        X = 0.5 * (X + X.T)
         nrm = np.linalg.norm(X)
         if nrm < 1e-14:
             continue
         W = polar_unitary(X)
-        if symmetric:
-            W = 0.5 * (W + W.T)
-        yield W
+        yield 0.5 * (W + W.T)

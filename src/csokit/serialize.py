@@ -112,6 +112,7 @@ def destructor_to_json(cert: DestructorCertificate) -> dict:
         "beta": cert.beta,
         "word": cert.word,
         "norm_wA": cert.norm_wA,
+        "norm_wA_rev": cert.norm_wA_rev,
         "norm_wB": cert.norm_wB,
         "norm_wB_rev": cert.norm_wB_rev,
         "conclusion": cert.conclusion,

@@ -10,9 +10,6 @@ matrix reproduce the canonical shape exactly.  Every inner function is a
 power of z, so that frame is the monomial basis of the big space in order and
 every matrix is exact.  A unitary W conjugating the built operator onto N is
 returned with a recomputable equivalence residual.
-
-unitary_equivalence_check is the generic verification backend: an invariant
-screen on singular values, then a search for an exact intertwiner.
 """
 from __future__ import annotations
 
@@ -26,12 +23,12 @@ from .errors import InputError
 from .certify import nilpotent2_splitting
 from .linalg import (
     as_matrix,
+    check_seed,
     column_phases,
     direct_sum,
     operator_norm,
     polar_decompose,
     singular_values,
-    unitary_in_subspace,
 )
 from .modelspace import BlaschkeProduct, Symbol, blaschke_symbol, tto_matrix
 
@@ -39,11 +36,6 @@ from .modelspace import BlaschkeProduct, Symbol, blaschke_symbol, tto_matrix
 # as converged.
 _MODULUS_STARTS = 16
 _CONVERGED_REL = 1e-6
-# unitary_equivalence_check: alternating-projection starts and iterations, and
-# the relative residual below which the intertwiner is returned.
-_EQUIV_STARTS = 24
-_EQUIV_ITERS = 400
-_EQUIV_SUCCESS = 1e-7
 
 
 @dataclass
@@ -104,6 +96,7 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     rebuilt matrix matches to 1e-6 of the largest target; an unconverged fit
     is returned flagged, never raised.
     """
+    seed = check_seed(seed)
     t = np.sort(np.asarray(targets, dtype=float))[::-1]
     if t.size < 1:
         raise InputError("need at least one target singular value")
@@ -162,6 +155,7 @@ def _descending_eig_frame(P: np.ndarray) -> np.ndarray:
 
 def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
     """Analytic model-space operator unitarily equivalent to N (N^2 = 0)."""
+    seed = check_seed(seed)
     A = as_matrix(N, square=True)
     dim = A.shape[0]
     B, extra, W0 = canonical_nilpotent_parts(A)
@@ -206,97 +200,3 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
         tto=T,
         modulus=realization,
     )
-
-
-def _screen_gap(X: np.ndarray, Y: np.ndarray) -> float:
-    """Lower bound on min_W ||W X W* - Y|| from unitary invariants."""
-    sX, sY = singular_values(X), singular_values(Y)
-    gap1 = float(np.max(np.abs(sX - sY))) if sX.size else 0.0
-    s2X, s2Y = singular_values(X @ X), singular_values(Y @ Y)
-    denom = operator_norm(X) + operator_norm(Y) + np.finfo(float).eps
-    gap2 = float(np.max(np.abs(s2X - s2Y))) / denom if s2X.size else 0.0
-    return max(gap1, gap2)
-
-
-def _order_key(M: np.ndarray):
-    s = np.round(singular_values(M), 9)
-    flat = np.round(M, 9).reshape(-1)
-    return (s.tobytes(), flat.real.tobytes(), flat.imag.tobytes())
-
-
-def _intertwiner_candidates(X, Y, n, rng, search=True):
-    """Candidate unitaries W aiming at W X = Y W."""
-    Ux, _, Vhx = np.linalg.svd(X)
-    Uy, _, Vhy = np.linalg.svd(Y)
-    frames = (Uy @ Ux.conj().T, Vhy.conj().T @ Vhx, np.eye(n, dtype=complex))
-    yield from frames
-    if not search:
-        return
-    eye = np.eye(n)
-    sylv = np.kron(X.T, eye) - np.kron(eye, Y)
-    # Unitary intertwiners also satisfy W X* = Y* W, and the polar factor of
-    # any invertible element of the joint nullspace intertwines exactly
-    # (W*W commutes with the algebra generated by X), so these candidates
-    # need no iteration.
-    adj = np.kron(X.conj(), eye) - np.kron(eye, Y.conj().T)
-    joint = scipy.linalg.null_space(np.vstack([sylv, adj]))
-    for j in range(joint.shape[1]):
-        yield joint[:, j].reshape((n, n), order="F")
-    for _ in range(4 if joint.size else 0):
-        coeff = rng.standard_normal(joint.shape[1]) + 1j * rng.standard_normal(joint.shape[1])
-        yield (joint @ coeff).reshape((n, n), order="F")
-    basis = scipy.linalg.null_space(sylv)
-    if basis.size:
-        yield from unitary_in_subspace(
-            basis,
-            n,
-            symmetric=False,
-            initial=frames,
-            starts=_EQUIV_STARTS,
-            iters=_EQUIV_ITERS,
-            rng=rng,
-        )
-
-
-def unitary_equivalence_check(X, Y, seed: int = 0):
-    """(residual, W or None): best found value of ||W X - Y W|| over unitaries.
-
-    A singular-value screen gives a certified lower bound first; if it already
-    rules the pair far apart, only the cheap frame-matching candidates are
-    scored.  Otherwise candidates from alternating projection onto the
-    intertwiner space are scored.  The computation is symmetrized by
-    canonicalizing the argument order, so residual(X, Y) = residual(Y, X).
-    """
-    X = as_matrix(X, square=True)
-    Y = as_matrix(Y, square=True)
-    if X.shape != Y.shape:
-        raise InputError(f"shape mismatch {X.shape} vs {Y.shape}")
-    n = X.shape[0]
-    if n == 0:
-        return 0.0, np.zeros((0, 0), dtype=complex)
-    scale = max(operator_norm(X), operator_norm(Y), np.finfo(float).eps)
-
-    swapped = _order_key(Y) < _order_key(X)
-    A, Bm = (Y, X) if swapped else (X, Y)
-
-    lb = _screen_gap(A, Bm)
-    hopeless = lb > 1e-3 * scale
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
-
-    best_res, best_W = np.inf, None
-    for direction, (S, T) in enumerate(((A, Bm), (Bm, A))):
-        for W in _intertwiner_candidates(S, T, n, rng, search=not hopeless):
-            U, _, Vh = np.linalg.svd(W)
-            W = U @ Vh
-            res = operator_norm(W @ S - T @ W)
-            if res < best_res:
-                best_res, best_W = res, (W if direction == 0 else W.conj().T)
-            if best_res <= _EQUIV_SUCCESS * scale * 1e-3:
-                break
-        if best_res <= _EQUIV_SUCCESS * scale * 1e-3:
-            break
-
-    if swapped and best_W is not None:
-        best_W = best_W.conj().T
-    W_out = best_W if best_res <= _EQUIV_SUCCESS * scale else None
-    return float(best_res), W_out

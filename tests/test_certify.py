@@ -121,7 +121,12 @@ def test_certify_destructor_and_synthesize_share_one_nilpotency_decision():
         T = near_nilpotent(case, int(rng.integers(2, 9)), 10.0 ** rng.uniform(-11.0, -7.0))
         nil = is_nilpotent2(T)
         sides.add(nil)
-        assert (destructor_witness(T).conclusion == "indestructible_sampled") == nil
+        try:
+            said = destructor_witness(T).conclusion
+        except PreconditionError:
+            # A^2 != 0 at tol, but the yxx gap of A (x) B is too small to certify
+            said = None
+        assert (said == "indestructible_sampled") == nil
         if nil:
             cert = find_conjugation(T)
             assert cert.verdict in ("c_symmetric", "inconclusive") and np.isfinite(cert.residual)
@@ -175,22 +180,26 @@ def test_conjugation_for_random_nilpotents():
 
 
 def test_canonical_block_for_rank_one():
-    blocks = canonical_block_decomposition(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    blocks, W = canonical_block_decomposition(np.array([[0.0, 0.0], [2.0, 0.0]]))
     assert len(blocks) == 1
     assert np.allclose(blocks[0], np.array([[1.0, 1j], [1j, -1.0]]), atol=1e-12)
+    # right = e1, left = e2, so W is Q = [[1, 1], [-i, i]] / sqrt(2) itself
+    assert np.allclose(W, np.array([[1.0, 1.0], [-1j, 1j]]) / np.sqrt(2.0), atol=1e-15)
 
 
 def test_canonical_blocks_reach_the_operator():
-    # 2x2 blocks plus 1x1 kernel blocks are unitarily equivalent to T, so
-    # the singular values must match up to float noise
+    # the closed-form W is unitary and maps T exactly onto the 2x2 blocks
+    # plus 1x1 kernel blocks, for ranks 1-3 with and without leftover kernel
     rng = stream(11, 2)
-    T = random_nilpotent2(rng, 6, rank=2)
-    blocks = canonical_block_decomposition(T)
-    assert sorted(b.shape[0] for b in blocks) == [1, 1, 2, 2]
-    Y = direct_sum(*blocks)
-    sT = np.linalg.svd(T, compute_uv=False)
-    sY = np.linalg.svd(Y, compute_uv=False)
-    assert np.max(np.abs(sT - sY)) <= 1e-10 * max(sT[0], 1.0)
+    for rank in (1, 2, 3):
+        for extra in (0, 2):
+            dim = 2 * rank + extra
+            T = random_nilpotent2(rng, dim, rank=rank)
+            blocks, W = canonical_block_decomposition(T)
+            assert sorted(b.shape[0] for b in blocks) == [1] * extra + [2] * rank
+            Y = direct_sum(*blocks)
+            assert operator_norm(W @ W.conj().T - np.eye(dim)) <= 1e-12
+            assert operator_norm(W @ T @ W.conj().T - Y) <= 1e-12 * operator_norm(T)
 
 
 def test_intertwiner_basis_members_intertwine():

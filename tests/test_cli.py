@@ -105,6 +105,24 @@ def test_non_positive_or_non_finite_tol_exit_64(command, tol):
     assert run_main(command, "--matrix", S, "--tol", tol) == 64
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify", "--matrix", "J2"],
+        ["synthesize", "--matrix", "J2"],
+        ["question1-search", "--matrix", "J2", "--samples", "4"],
+        ["question2-compare", "--matrix", "J2"],
+        ["verify-paper"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_negative_seed_exit_64(command):
+    # numpy's SeedSequence used to raise a bare ValueError here (exit 1, the
+    # code of a failed verify-paper entry)
+    argv = [json.dumps(J2) if arg == "J2" else arg for arg in command]
+    assert run_main(*argv, "--seed", "-1") == 64
+
+
 def fuzzed_matrix(kind, seed, n, log_scale):
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -132,8 +150,7 @@ def fuzzed_matrix(kind, seed, n, log_scale):
     return json.dumps({"rows": M.shape[0], "cols": M.shape[1], "data": data})
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
-@given(
+FUZZED_MATRICES = dict(
     kind=st.sampled_from(
         ["empty", "scalar", "zero", "non_square", "non_finite", "repeated_eigenvalue",
          "near_nilpotent", "generic"]
@@ -141,6 +158,12 @@ def fuzzed_matrix(kind, seed, n, log_scale):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 6),
     log_scale=st.floats(-8.0, 8.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    **FUZZED_MATRICES,
     sign=st.sampled_from([1.0, 1.0, 1.0, -1.0, 0.0]),
     log_tol=st.floats(-15.0, -1.0),
 )
@@ -149,6 +172,27 @@ def test_certify_exit_code_contract(kind, seed, n, log_scale, sign, log_tol):
     code = run_main("certify", "--matrix", fuzzed_matrix(kind, seed, n, log_scale), f"--tol={tol!r}")
     assert code in (0, 2, 3, 64, 65)
     if tol <= 0 or kind in ("non_square", "non_finite"):
+        assert code == 64
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["destructor"],
+        ["synthesize"],
+        ["question1-search", "--samples", "16"],
+        ["question2-compare"],
+    ],
+    ids=lambda command: command[0],
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(**FUZZED_MATRICES)
+def test_matrix_subcommands_exit_code_contract(command, kind, seed, n, log_scale):
+    # every --matrix subcommand returns a verdict or a toolkit error code;
+    # a raw exception escaping main fails the test
+    code = run_main(*command, "--matrix", fuzzed_matrix(kind, seed, n, log_scale))
+    assert code in (0, 2, 3, 64, 65)
+    if kind in ("non_square", "non_finite"):
         assert code == 64
 
 
@@ -197,6 +241,7 @@ def test_destructor_subcommand():
     assert out["conclusion"] == "destroyed"
     assert out["norm_wB"] == pytest.approx(2.0)
     assert out["norm_wB_rev"] == pytest.approx(4.0)
+    assert out["norm_wA"] == out["norm_wA_rev"] == pytest.approx(1.0)
     p = run_cli("destructor", "--matrix", matrix_arg(J2_mat()))
     assert json.loads(p.stdout)["conclusion"] == "indestructible_sampled"
 
@@ -250,6 +295,7 @@ def test_question2_compare_runs_both_syntheses():
         ["synthesize", "--matrix", "N.json", "--budget", "10"],
         ["question2-compare", "--matrix", "N.json", "--budget", "10"],
         ["verify-paper", "--budget", "10"],
+        ["verify-paper", "--tol", "1e-6"],
         ["tto", "--u", "u.json", "--phi", "phi.json", "--seed", "1"],
         ["tto", "--u", "u.json", "--phi", "phi.json", "--quad", "256"],
         ["synthesize", "--matrix", "N.json", "--quad", "256"],

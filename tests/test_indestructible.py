@@ -9,7 +9,7 @@ swapping the roles gives B B* B* with single entry alpha beta^2 = 4.
 import numpy as np
 import pytest
 
-from csokit.certify import is_c_symmetric
+from csokit.certify import find_conjugation, is_c_symmetric, word_norm_gap
 from csokit.ensembles import random_complex, random_nilpotent2, stream
 from csokit.errors import InputError, PreconditionError
 from csokit.indestructible import (
@@ -65,6 +65,23 @@ def test_destructor_destroys_higher_order_nilpotent():
     assert cert.norm_wB == pytest.approx(2.0, abs=1e-10)
     assert cert.norm_wB_rev == pytest.approx(4.0, abs=1e-10)
     assert cert.norm_wA == pytest.approx(1.0, abs=1e-10)
+
+
+def test_destructor_refuses_a_ratio_whose_tensor_gap_cancels():
+    # A = B(2, 1) has ||A*A^2|| = 4 and ||A^2 A*|| = 2, so against B(1, 2) the
+    # yxx norms of A (x) B are 4 * 2 and 2 * 4: no gap, and A (x) B is in fact
+    # complex symmetric.  B(1, 3) leaves a gap of |4 * 3 - 2 * 9| = 6.
+    A = witness_matrix(2.0, 1.0)
+    with pytest.raises(PreconditionError, match="cancels"):
+        destructor_witness(A, 1.0, 2.0)
+    assert word_norm_gap(np.kron(A, witness_matrix(1.0, 2.0)), "yxx") == 0.0
+    assert find_conjugation(np.kron(A, witness_matrix(1.0, 2.0))).verdict == "c_symmetric"
+    cert = destructor_witness(A, 1.0, 3.0)
+    assert cert.conclusion == "destroyed"
+    assert (cert.norm_wA, cert.norm_wA_rev) == pytest.approx((4.0, 2.0), abs=1e-12)
+    kron_gap = word_norm_gap(np.kron(A, witness_matrix(1.0, 3.0)), "yxx")
+    gap = abs(cert.norm_wA * cert.norm_wB - cert.norm_wA_rev * cert.norm_wB_rev)
+    assert gap == pytest.approx(kron_gap, rel=1e-12) and kron_gap == pytest.approx(6.0)
 
 
 def test_destructor_spares_order_two_nilpotent():

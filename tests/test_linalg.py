@@ -8,6 +8,7 @@ from csokit.errors import CapacityError, InputError
 from csokit.linalg import (
     Conjugation,
     as_matrix,
+    check_seed,
     conjugate_by,
     direct_sum,
     operator_norm,
@@ -16,6 +17,13 @@ from csokit.linalg import (
     tensor,
     unitary_in_subspace,
 )
+
+
+def test_check_seed_accepts_non_negative_integers_only():
+    assert check_seed(np.int64(7)) == 7 and check_seed(0) == 0
+    for bad in (-1, 1.5, "3", None):
+        with pytest.raises(InputError):
+            check_seed(bad)
 
 
 def test_operator_norm_matches_spectral_norm():
@@ -116,7 +124,7 @@ def test_unitary_in_subspace_finds_member():
     )
     basis = np.linalg.qr(vecs)[0]
     best = np.inf
-    for W in unitary_in_subspace(basis, n, starts=8, iters=200, rng=stream(1, 6)):
+    for W in unitary_in_subspace(basis, n, iters=200, rng=stream(1, 6)):
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-9
         v = W.reshape(-1, order="F")
         off = np.linalg.norm(v - basis @ (basis.conj().T @ v))
@@ -135,7 +143,7 @@ def test_unitary_in_subspace_symmetric_mode():
     )
     basis = np.linalg.qr(vecs)[0]
     got = list(
-        unitary_in_subspace(basis, n, symmetric=True, starts=6, iters=300, rng=stream(1, 7))
+        unitary_in_subspace(basis, n, iters=300, rng=stream(1, 7))
     )
     assert got
     sym = min(operator_norm(W - W.T) for W in got)

@@ -10,7 +10,6 @@ from csokit.synthesis import (
     canonical_nilpotent_parts,
     realize_modulus,
     synthesize_tto_for_nilpotent2,
-    unitary_equivalence_check,
 )
 
 
@@ -122,37 +121,3 @@ def test_synthesize_rejects_higher_order():
     with pytest.raises(PreconditionError):
         synthesize_tto_for_nilpotent2(jordan(3), seed=0)
 
-
-def test_equivalence_check_trivial_and_transpose():
-    J = jordan(2)
-    res, W = unitary_equivalence_check(J, J, seed=0)
-    assert res <= 1e-12 and W is not None
-    res, W = unitary_equivalence_check(J, J.T, seed=0)
-    assert res <= 1e-9
-    assert operator_norm(W @ J - J.T @ W) <= 1e-9
-
-
-def test_equivalence_check_is_symmetric_in_arguments():
-    rng = stream(19, 2)
-    X = random_nilpotent2(rng, 4, rank=2)
-    Y = random_nilpotent2(rng, 4, rank=2)
-    r1, _ = unitary_equivalence_check(X, Y, seed=0)
-    r2, _ = unitary_equivalence_check(Y, X, seed=0)
-    assert r1 == r2
-
-
-def test_equivalence_check_screens_distinct_invariants():
-    J = jordan(2)
-    res, W = unitary_equivalence_check(J, 2.0 * J, seed=0)
-    assert res > 0.5
-    assert W is None
-
-
-def test_equivalence_check_separates_similar_but_not_unitarily_equivalent():
-    # same Jordan type, different singular values: similar yet no unitary
-    # intertwiner exists, and the screen certifies the gap
-    X = np.array([[0.0, 1.0], [0.0, 0.0]])
-    Y = np.array([[0.0, 3.0], [0.0, 0.0]])
-    res, W = unitary_equivalence_check(X, Y, seed=0)
-    assert res >= 1.0
-    assert W is None
