@@ -108,10 +108,11 @@ def nilpotency_order(T, tol: float = DEFAULT_TOL) -> int | None:
 
 
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Relative residual ||T - C T* C|| / max(||T||, eps) and its tol verdict."""
+    """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict."""
     A = as_matrix(T, square=True)
     reflected = conjugate_by(C, A.conj().T)
-    residual = operator_norm(A - reflected) / max(operator_norm(A), np.finfo(float).eps)
+    nrm = operator_norm(A)
+    residual = operator_norm(A - reflected) / nrm if nrm > 0 else 0.0
     return residual <= tol, residual
 
 

@@ -69,7 +69,8 @@ def destructor_witness(
     destroyed when that gap exceeds tol * ||A (x) B||^3, the threshold of
     ``word_obstruction_search``; a gap at or below it (beta / alpha at the
     ratio ||A*A^2|| / ||A^2 A*||, where the two norms cancel) certifies
-    nothing and raises PreconditionError.
+    nothing and raises PreconditionError, as do word norms of A that
+    underflow to 0 (||A|| below about 1e-108).
     """
     M = as_matrix(A, square=True)
     B = witness_matrix(alpha, beta)
@@ -86,6 +87,13 @@ def destructor_witness(
     )
     if is_nilpotent2(M, tol):
         return cert
+    # A^2 != 0 makes both norms positive, so a zero is an underflow
+    if min(cert.norm_wA, cert.norm_wA_rev) == 0:
+        raise PreconditionError(
+            f"||A|| = {operator_norm(M):.3e} is too small for the {DESTRUCTOR_WORD} word "
+            f"norms of A: ||A*A^2|| = {cert.norm_wA:.3g} and ||A^2 A*|| = "
+            f"{cert.norm_wA_rev:.3g} underflow; rescale A"
+        )
     gap = abs(cert.norm_wA * cert.norm_wB - cert.norm_wA_rev * cert.norm_wB_rev)
     threshold = tol * (operator_norm(M) * max(alpha, beta)) ** 3
     if gap <= threshold:

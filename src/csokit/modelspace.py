@@ -312,9 +312,20 @@ def _fourier_coefficients(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / samples.shape[-1]
 
 
-def _fine_space(u: BlaschkeProduct, M: int, quad_points: int) -> ModelSpace:
-    """The space of u on a grid fine enough for M Fourier modes."""
-    return ModelSpace(u, max(4 * M, quad_points, DEFAULT_QUAD))
+def _fine_space(ms: ModelSpace, M: int) -> ModelSpace:
+    """The space of ms.u on a grid fine enough for M Fourier modes (ms itself
+    when its grid already is)."""
+    Q = max(4 * M, ms.quad_points, DEFAULT_QUAD)
+    return ms if Q == ms.quad_points else ModelSpace(ms.u, Q)
+
+
+def _hankel_section(fine: ModelSpace, phi: Symbol, M: int) -> np.ndarray:
+    """hankel_truncation on the fine grid ``fine`` (see there)."""
+    if M < 64:
+        raise InputError("Hankel truncation needs M >= 64")
+    coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
+    v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
+    return scipy.linalg.hankel(v[:M], v[M - 1 :])
 
 
 def hankel_truncation(
@@ -327,12 +338,7 @@ def hankel_truncation(
     symbol, computed by FFT on a grid fine enough that aliasing sits far
     below the truncation error.
     """
-    if M < 64:
-        raise InputError("Hankel truncation needs M >= 64")
-    fine = _fine_space(u, M, quad_points)
-    coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
-    v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
-    return scipy.linalg.hankel(v[:M], v[M - 1 :])
+    return _hankel_section(_fine_space(ModelSpace(u, quad_points), M), phi, M)
 
 
 def verify_hankel_factorization(
@@ -353,10 +359,11 @@ def verify_hankel_factorization(
     residual_cap and does not decrease when M doubles, the truncation is not
     converging and an accuracy error is raised.
     """
-    direct = tto_matrix(u, phi, quad_points)
-    residual = _hankel_route_residual(u, phi, M, quad_points, direct)
+    ms = ModelSpace(u, quad_points).require_resolved()
+    direct = ms.tto(phi)
+    residual = _hankel_route_residual(ms, phi, M, direct)
     if residual > residual_cap:
-        again = _hankel_route_residual(u, phi, 2 * M, quad_points, direct)
+        again = _hankel_route_residual(ms, phi, 2 * M, direct)
         if again >= residual:
             raise AccuracyError(
                 f"Hankel residual {residual:.3e} did not decrease at doubled truncation"
@@ -364,19 +371,19 @@ def verify_hankel_factorization(
     return residual
 
 
-def _hankel_route_residual(u, phi, M, quad_points, direct) -> float:
-    """Residual of the Hankel route against direct, at truncation M.
+def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct) -> float:
+    """Residual of the Hankel route on the space ms against direct, at truncation M.
 
     Row j of ``negative`` holds the modes -(r+1), r = 0..M-1, of the Hankel
-    image of e_j, so on the Q = quad_points nodes z_q the image is
+    image of e_j, so on the Q = ms.quad_points nodes z_q the image is
     u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
     conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
     evaluated by one FFT of length Q.
     """
-    ms = ModelSpace(u, quad_points).require_resolved()
     Q = ms.quad_points
-    taylor = _fourier_coefficients(_fine_space(u, M, quad_points).basis_samples)[:, :M]
-    H = hankel_truncation(u, phi, M, quad_points)
+    fine = _fine_space(ms, M)
+    taylor = _fourier_coefficients(fine.basis_samples)[:, :M]
+    H = _hankel_section(fine, phi, M)
     negative = taylor @ H.T
     padded = np.zeros((len(negative), -(-M // Q) * Q), dtype=complex)
     padded[:, :M] = negative

@@ -2,8 +2,9 @@
 
 Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
 the r singular values of B as the modulus of the operator with a polynomial
-symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix,
-fit by least squares; closed forms at r <= 2), pad the leftover kernel with an
+symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix;
+closed forms at r <= 2, otherwise a damped Newton fit on the analytic
+Jacobian of the singular values), pad the leftover kernel with an
 inner factor v = z^m, and assemble the operator with symbol u v phi on the
 model space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the
 matrix reproduce the canonical shape exactly.  Every inner function is a
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import InputError
 from .certify import nilpotent2_splitting
 from .linalg import (
+    DEFAULT_TOL,
     as_matrix,
     check_seed,
     column_phases,
@@ -32,9 +33,11 @@ from .linalg import (
 )
 from .modelspace import BlaschkeProduct, Symbol, blaschke_symbol, tto_matrix
 
-# realize_modulus: multi-start budget, and the relative residual that counts
-# as converged.
+# realize_modulus: multi-start budget, Newton steps per start and step
+# halvings per Newton step, and the relative residual that counts as converged.
 _MODULUS_STARTS = 16
+_NEWTON_STEPS = 100
+_NEWTON_HALVINGS = 40
 _CONVERGED_REL = 1e-6
 
 
@@ -63,7 +66,7 @@ class SynthesisResult:
     modulus: ModulusRealization | None
 
 
-def canonical_nilpotent_parts(N, tol: float = 1e-9):
+def canonical_nilpotent_parts(N, tol: float = DEFAULT_TOL):
     """(B, extra_kernel_dim, W0) with W0 N W0* = [[0,0,0],[0,0,0],[B,0,0]].
 
     The three blocks live on (ker N)-perp, the leftover kernel, and ran N;
@@ -80,21 +83,21 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return scipy.linalg.toeplitz(c, np.zeros_like(c))
 
 
-def _complex_from_params(p: np.ndarray) -> np.ndarray:
-    return p[0::2] + 1j * p[1::2]
-
-
 def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     """Analytic operator on the model space of u = z^r with the r given singular values.
 
     On that space the operator with symbol phi is the lower-triangular
     Toeplitz matrix of phi's coefficients.  Equal targets t give phi = t
     exactly and two targets have a closed form; otherwise the coefficients
-    are fit by nonlinear least squares, from a fixed start and then seeded
-    random ones, stopping at the first start whose singular values match to
-    1e-12 of the largest target.  The result is flagged converged when the
-    rebuilt matrix matches to 1e-6 of the largest target; an unconverged fit
-    is returned flagged, never raised.
+    are fit by damped minimum-norm Newton steps on the singular values,
+    whose Jacobian one SVD gives in closed form (_modulus_jacobian).  The
+    first start is tmax (1, 1/2, ..., 1/2): its singular values are
+    distinct, hence differentiable, whereas at a multiple of the identity
+    they all coincide and give no usable gradient.  Seeded random starts
+    follow only if a fit stalls; the search stops at the first start whose
+    singular values match to 1e-12 of the largest target.  The result is
+    flagged converged when the rebuilt matrix matches to 1e-6 of the largest
+    target; an unconverged fit is returned flagged, never raised.
     """
     seed = check_seed(seed)
     t = np.sort(np.asarray(targets, dtype=float))[::-1]
@@ -126,24 +129,62 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
         return finish(Symbol(poly=[np.sqrt(t[0] * t[1]), t[0] - t[1]]))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-
-    def gap(x: np.ndarray) -> np.ndarray:
-        return singular_values(_lower_toeplitz(_complex_from_params(x))) - t
-
-    start0 = np.zeros(2 * r)
+    start0 = np.full(r, 0.5 * tmax, dtype=complex)
     start0[0] = tmax
     best = None
     for idx in range(_MODULUS_STARTS):
-        x0 = start0 if idx == 0 else rng.standard_normal(2 * r) * tmax
-        sol = scipy.optimize.least_squares(
-            gap, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15
-        )
-        res = float(np.linalg.norm(sol.fun))
+        c = start0 if idx == 0 else (rng.standard_normal(2 * r) * tmax).view(complex)
+        c, res = _newton_fit(c, t)
         if best is None or res < best[0]:
-            best = (res, sol.x)
+            best = (res, c)
         if res <= 1e-12 * tmax:
             break
-    return finish(Symbol(poly=_complex_from_params(best[1])))
+    return finish(Symbol(poly=best[1]))
+
+
+def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of lower-Toeplitz(c), descending, and their r x 2r
+    Jacobian in (Re c, Im c).
+
+    With L = sum_j c_j S^j = U diag(s) V*, S the down shift, a simple
+    singular value moves by d s_k = Re(u_k* dL v_k), so
+    ds_k/dRe c_j = Re(u_k* S^j v_k) and ds_k/dIm c_j = -Im(u_k* S^j v_k).
+    """
+    r = c.size
+    U, s, Vh = np.linalg.svd(_lower_toeplitz(c))
+    Uc, V = U.conj(), Vh.conj().T
+    D = np.array([np.sum(Uc[j:] * V[: r - j], axis=0) for j in range(r)]).T
+    return s, np.hstack([D.real, -D.imag])
+
+
+def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Damped minimum-norm Newton for the singular values of lower-Toeplitz(c) = t.
+
+    Each step is the minimum-norm least-squares solution of J dc = t - s,
+    halved until the residual ||s - t|| decreases.  Once the residual is at
+    or below 1e-12 of the largest target, one more full step is kept if it
+    lowers the residual, and the fit stops.  Returns the best coefficients
+    and their residual.
+    """
+    r = t.size
+    s, J = _modulus_jacobian(c)
+    res = float(np.linalg.norm(s - t))
+    for _ in range(_NEWTON_STEPS):
+        step = np.linalg.lstsq(J, t - s, rcond=None)[0]
+        step = step[:r] + 1j * step[r:]
+        polish = res <= 1e-12 * t[0]
+        for _ in range(1 if polish else _NEWTON_HALVINGS):
+            s_new, J_new = _modulus_jacobian(c + step)
+            res_new = float(np.linalg.norm(s_new - t))
+            if res_new < res:
+                c, s, J, res = c + step, s_new, J_new, res_new
+                break
+            step = step / 2
+        else:
+            break
+        if polish:
+            break
+    return c, res
 
 
 def _descending_eig_frame(P: np.ndarray) -> np.ndarray:

@@ -246,6 +246,18 @@ def test_find_conjugation_obstructed_witness():
     assert cert.obstruction_gap == pytest.approx(2.0, abs=1e-12)
 
 
+def test_tiny_witness_is_not_called_c_symmetric():
+    # the residual is relative to ||T|| with no floor; a floor at machine eps
+    # let every T below about 1e-25 pass any symmetric G
+    B = witness_matrix(1.0, 2.0)
+    for scale in (1e-50, 1e-100):
+        assert not is_c_symmetric(scale * B, Conjugation.identity(3))[0]
+        assert find_conjugation(scale * B, seed=0).verdict == "obstructed"
+    # the word norms underflow at 1e-150, so no route concludes
+    assert find_conjugation(1e-150 * B, seed=0).verdict == "inconclusive"
+    assert is_c_symmetric(np.zeros((3, 3)), Conjugation.identity(3)) == (True, 0.0)
+
+
 def test_find_conjugation_inconclusive_when_masked():
     # balanced heavy chain hides the unbalanced one from every word norm of
     # length <= 5, and no conjugation exists, so neither route concludes

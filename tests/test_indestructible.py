@@ -84,6 +84,14 @@ def test_destructor_refuses_a_ratio_whose_tensor_gap_cancels():
     assert gap == pytest.approx(kron_gap, rel=1e-12) and kron_gap == pytest.approx(6.0)
 
 
+def test_destructor_names_an_underflow_not_a_cancellation():
+    # at 1e-110 the yxx norms of J3 are (1e-110)^3, below the smallest double
+    assert destructor_witness(1e-100 * jordan(3), 1.0, 2.0).conclusion == "destroyed"
+    with pytest.raises(PreconditionError, match="too small .* underflow") as info:
+        destructor_witness(1e-110 * jordan(3), 1.0, 2.0)
+    assert "cancels" not in str(info.value)
+
+
 def test_destructor_spares_order_two_nilpotent():
     rng = stream(13, 0)
     cert = destructor_witness(random_nilpotent2(rng, 4), 1.0, 2.0)

@@ -223,8 +223,9 @@ def test_hankel_residual_collapses_when_truncation_doubles():
     u = BlaschkeProduct((0.9, -0.9, 0.9j))
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
-    r64 = _hankel_route_residual(u, phi, 64, 1024, direct)
-    r128 = _hankel_route_residual(u, phi, 128, 1024, direct)
+    ms = ModelSpace(u, 1024)
+    r64 = _hankel_route_residual(ms, phi, 64, direct)
+    r128 = _hankel_route_residual(ms, phi, 128, direct)
     assert r64 > 1e-8
     assert r128 <= 1e-3 * r64
 
@@ -257,18 +258,18 @@ def test_hankel_fft_route_matches_the_polyval_oracle(seed, degree, case):
     phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
     oracle = polyval_hankel_route(u, phi, M, Q)
     # the residual against the oracle is the distance between the two routes
-    assert _hankel_route_residual(u, phi, M, Q, oracle) <= 1e-13 * operator_norm(oracle)
+    assert _hankel_route_residual(ModelSpace(u, Q), phi, M, oracle) <= 1e-13 * operator_norm(oracle)
 
 
 def test_hankel_check_retries_at_doubled_truncation():
     u = BlaschkeProduct((0.9, -0.9, 0.9j))
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
-    r64 = _hankel_route_residual(u, phi, 64, 1024, direct)
+    r64 = _hankel_route_residual(ModelSpace(u, 1024), phi, 64, direct)
     # above the cap at M = 64, lower at M = 128: the M = 64 residual stands
     assert verify_hankel_factorization(u, phi, 64, residual_cap=1e-9) == r64
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelspace, "_hankel_route_residual", lambda u, phi, M, quad, direct: 1e-3)
+        mp.setattr(modelspace, "_hankel_route_residual", lambda ms, phi, M, direct: 1e-3)
         with pytest.raises(AccuracyError):
             verify_hankel_factorization(u, phi, 64)
 
@@ -306,3 +307,23 @@ def test_cancel_common_inner_factor():
     A_old = tto_matrix(u, phi)
     A_new = tto_matrix(u, blaschke_symbol(b) * phi2)
     assert operator_norm(A_old - A_new) <= 1e-10
+
+
+def test_hankel_check_builds_each_grid_once(monkeypatch):
+    # the node space serves the direct matrix, both truncations and, when its
+    # grid is fine enough, the Taylor and Hankel FFTs
+    built = []
+
+    class CountingSpace(ModelSpace):
+        def __init__(self, u, quad_points=1024):
+            built.append(quad_points)
+            super().__init__(u, quad_points)
+
+    monkeypatch.setattr(modelspace, "ModelSpace", CountingSpace)
+    u = BlaschkeProduct((0.9, -0.9, 0.9j))
+    phi = Symbol(poly=[1.0, 0.5])
+    verify_hankel_factorization(u, phi, 64, residual_cap=1e-9)  # retries at M = 128
+    assert built == [1024]
+    built.clear()
+    verify_hankel_factorization(u, phi, 512)
+    assert built == [1024, 2048]

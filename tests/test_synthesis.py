@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit.ensembles import random_nilpotent2, stream
 from csokit.errors import PreconditionError
 from csokit.linalg import operator_norm, singular_values
 from csokit.synthesis import (
+    _lower_toeplitz,
+    _modulus_jacobian,
     canonical_nilpotent_parts,
     realize_modulus,
     synthesize_tto_for_nilpotent2,
@@ -56,8 +59,8 @@ def test_realize_modulus_rank_three_search():
 
 
 def test_realize_modulus_wide_spread_reaches_machine_precision():
-    # ranks 3-6 with largest/smallest target up to ~3000: the least-squares
-    # fit must reach the 1e-12 relative stopping threshold, not just converge
+    # ranks 3-6 with largest/smallest target up to ~3000: the Newton fit
+    # must reach the 1e-12 relative stopping threshold, not just converge
     rng = stream(19, 3)
     for case in range(24):
         rank = 3 + case % 4
@@ -68,6 +71,52 @@ def test_realize_modulus_wide_spread_reaches_machine_precision():
         got = np.sort(m.achieved_singular_values)[::-1]
         assert m.converged
         assert np.max(np.abs(got - np.sort(t)[::-1])) <= 1e-12 * spread, (rank, spread)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_modulus_jacobian_matches_central_differences(r):
+    rng = stream(23, r)
+    c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    s, J = _modulus_jacobian(c)
+    assert np.allclose(s, singular_values(_lower_toeplitz(c)), rtol=1e-14, atol=0)
+    h = 1e-6
+    fd = np.empty_like(J)
+    for j in range(2 * r):
+        dc = np.zeros(r, dtype=complex)
+        dc[j % r] = h if j < r else 1j * h
+        plus = singular_values(_lower_toeplitz(c + dc))
+        minus = singular_values(_lower_toeplitz(c - dc))
+        fd[:, j] = (plus - minus) / (2 * h)
+    assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+def test_realize_modulus_wide_rank_three_target():
+    # realizable, with c1/c0 = 14.17 and c2/c0 = 200.6 - 0.38i
+    m = realize_modulus([3000.0, 1.098, 1.0])
+    assert m.converged
+    assert m.residual <= 1e-12 * 3000.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=48)
+@given(
+    rank=st.integers(3, 8),
+    log_spread=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_realize_modulus_converges_to_rounding_level(rank, log_spread, seed):
+    spread = 10.0**log_spread
+    t = np.exp(stream(seed, 6).uniform(0.0, np.log(spread), rank))
+    t[:2] = 1.0, spread
+    m = realize_modulus(t, seed=seed)
+    assert m.converged
+    assert m.residual <= 1e-12 * spread, (rank, spread)
+
+
+def test_realize_modulus_is_deterministic():
+    # the first start stalls on this target, so the seeded starts decide phi
+    t = [872.765, 65.927, 22.63, 1.374, 1.086, 1.044, 1.0]
+    a, b = realize_modulus(t, seed=5), realize_modulus(t, seed=5)
+    assert np.array_equal(a.phi.poly, b.phi.poly)
 
 
 def test_synthesize_exact_rank_one():
