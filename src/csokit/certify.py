@@ -91,16 +91,17 @@ def nilpotency_order(T, tol: float = DEFAULT_TOL) -> int | None:
 
     Powers are taken of T / ||T||, so ||T||^n can neither underflow nor
     overflow; the division is by parts, since complex division by a
-    subnormal norm overflows.
+    subnormal norm overflows.  ||T / ||T|| || is 1 up to rounding, so the
+    n = 1 step is answered as tol >= 1 without a norm.
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
     nrm = operator_norm(A)
-    if nrm == 0:
+    if nrm == 0 or tol >= 1:
         return 1
     A = A.real / nrm + 1j * (A.imag / nrm)
-    P = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
+    P = A
+    for k in range(2, n + 1):
         P = P @ A
         if operator_norm(P) <= tol:
             return k
@@ -274,10 +275,14 @@ def hermitian_phase_conjugation(T) -> Conjugation:
 
 def _verified_residual(A: np.ndarray, C: Conjugation, tol: float) -> float | None:
     """The residual of C on A if C is a symmetric unitary with A = C A* C at tol."""
-    if C.unitarity_residual() > tol or C.symmetry_residual() > tol:
+    if not _is_symmetric_unitary(C, tol):
         return None
     ok, residual = is_c_symmetric(A, C, tol)
     return residual if ok else None
+
+
+def _is_symmetric_unitary(C: Conjugation, tol: float) -> bool:
+    return C.unitarity_residual() <= tol and C.symmetry_residual() <= tol
 
 
 def find_conjugation(
@@ -312,7 +317,8 @@ def find_conjugation(
             C, _, residual = conjugation_for_nilpotent2(A, tol)
         except PreconditionError:
             return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
-        if _verified_residual(A, C, tol) is None:
+        # conjugation_for_nilpotent2 has computed is_c_symmetric(A, C, tol) already
+        if not (residual <= tol and _is_symmetric_unitary(C, tol)):
             return CsoCertificate("inconclusive", residual=residual, seed=seed)
         return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
@@ -458,7 +464,7 @@ def polynomial_obstruction_search(
     seed = check_seed(seed)
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
-    nrm = max(operator_norm(A), np.finfo(float).eps)
+    nrm = operator_norm(A)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     draws = (random_polynomial(rng, max_len, max_terms=max_terms) for _ in range(samples))
     best_gap = 0.0

@@ -54,6 +54,26 @@ def test_nilpotency_order():
     assert nilpotency_order(jordan(2)) == 2
     assert nilpotency_order(jordan(4)) == 4
     assert nilpotency_order(np.eye(3)) is None
+    # ||T / ||T|| || is 1, so the first step is decided by tol alone
+    assert nilpotency_order(np.eye(3), tol=1.0) == 1
+    assert nilpotency_order(np.eye(1), tol=0.5) is None
+
+
+def test_nilpotent_route_takes_each_svd_once(monkeypatch):
+    # 8x8 of rank 3 with a leftover kernel: 16 SVDs while nilpotency_order
+    # also normed T / ||T|| and the route recomputed the conjugation's residual
+    T = random_nilpotent2(stream(1, 1), 8, 3)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric"
+    assert len(calls) == 12
 
 
 def test_is_c_symmetric_under_identity():
@@ -393,6 +413,17 @@ def test_polynomial_search_reports_witness_violation():
     assert report["violations"] > 0
     assert report["best_gap"] > 0.1
     assert report["best_polynomial"] is not None
+
+
+def test_polynomial_search_agrees_with_the_word_search_on_a_tiny_witness():
+    # the threshold is relative to ||T|| with no floor; a floor at machine eps
+    # hid every violation of 1e-20 * B while the word search found xxy
+    T = 1e-20 * witness_matrix(1.0, 2.0)
+    assert word_obstruction_search(T)[0] == "xxy"
+    report = polynomial_obstruction_search(T)
+    assert report["violations"] > 0
+    assert report["conclusion"] == "norm_identity_violated"
+    assert polynomial_obstruction_search(np.zeros((3, 3)))["violations"] == 0
 
 
 def per_word_gap(T, word):

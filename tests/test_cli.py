@@ -8,6 +8,9 @@ and verify-paper signals any failed suite entry with exit 1.
 import contextlib
 import io
 import json
+import multiprocessing
+import os
+import random
 import subprocess
 import sys
 
@@ -15,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csokit import serialize
+from csokit import serialize, verify
 from csokit.cli import build_parser, main
+from csokit.errors import AccuracyError
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
 
@@ -318,3 +322,76 @@ def test_verify_paper_passes_and_prints_entry_lines():
     assert "determinism" in names
     for name in names:
         assert f"[PASS] {name}" in p.stderr
+
+
+# With two usable CPUs the determinism rerun runs in a forked worker, which
+# inherits a patched verify.ENTRIES; these entries behave differently there.
+forked_worker = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker inherits the patched entries only when forked",
+)
+
+
+def verify_paper_with(monkeypatch, tmp_path, entry, cpus=None):
+    """(exit code, stderr, report or None) of verify-paper over ``entry`` alone.
+
+    ``cpus`` stands in for the usable CPU count when given.
+    """
+    monkeypatch.setattr(verify, "ENTRIES", (entry,))
+    if cpus is not None:
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify-paper", "--out", str(out)])
+    assert not multiprocessing.active_children()  # the pool is shut down
+    return code, err.getvalue(), json.loads(out.read_text()) if out.exists() else None
+
+
+@forked_worker
+@pytest.mark.parametrize("draw", [np.random.random, random.random])
+def test_a_pass_reading_a_global_rng_fails_determinism(monkeypatch, tmp_path, draw):
+    def global_rng_entry(cfg):
+        return verify._entry("global_rng", "reads a global RNG", True, {"draw": draw()})
+
+    code, _, report = verify_paper_with(monkeypatch, tmp_path, global_rng_entry)
+    assert code == 1
+    status = {e["name"]: e["status"] for e in report["entries"]}
+    assert status == {"global_rng": "pass", "determinism": "fail"}
+
+
+@forked_worker
+@pytest.mark.parametrize("cpus, exit_code", [(1, 0), (2, 65)])
+def test_a_toolkit_error_in_the_worker_exits_65(monkeypatch, tmp_path, cpus, exit_code):
+    parent = os.getpid()
+
+    def entry(cfg):
+        if os.getpid() != parent:
+            raise AccuracyError("guard failed in the worker")
+        return verify._entry("parent_only", "passes in the parent", True, {})
+
+    # on one CPU both passes run in this process, so no worker fails
+    code, err, report = verify_paper_with(monkeypatch, tmp_path, entry, cpus)
+    assert code == exit_code
+    assert ("guard failed in the worker" in err) == (exit_code == 65)
+
+
+@forked_worker
+def test_a_worker_that_dies_exits_65_without_a_traceback(monkeypatch, tmp_path):
+    parent = os.getpid()
+
+    def entry(cfg):
+        if os.getpid() != parent:
+            os._exit(3)
+        return verify._entry("parent_only", "passes in the parent", True, {})
+
+    code, err, report = verify_paper_with(monkeypatch, tmp_path, entry, cpus=2)
+    assert code == 65 and report is None
+    assert "determinism worker died" in err and "Traceback" not in err
+
+
+def test_import_does_not_load_multiprocessing():
+    probe = "import sys, csokit, csokit.cli; print('multiprocessing' in sys.modules)"
+    p = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
