@@ -20,8 +20,8 @@ from .certify import (
     CsoCertificate,
     Nilpotent2Form,
     canonical_block_decomposition,
-    conjugation_for_nilpotent2,
     find_conjugation,
+    nilpotent2_splitting,
     polynomial_obstruction_search,
     word_obstruction_search,
 )
@@ -60,12 +60,12 @@ __all__ = [
     "SynthesisResult",
     "ToolkitError",
     "canonical_block_decomposition",
-    "conjugation_for_nilpotent2",
     "destructor_witness",
     "find_conjugation",
     "fn_calculus_check",
     "model_conjugation",
     "modelspace_decompose",
+    "nilpotent2_splitting",
     "nilpotent2_tensor_conjugation",
     "polynomial_obstruction_search",
     "run_suite_with_determinism",

@@ -5,8 +5,10 @@ equivalently T G = G T^t for a symmetric unitary G.  ``find_conjugation``
 decides it in this order, and every verdict it returns rests on a check
 anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 
-1. Nilpotents of order two: an explicit G from the singular value
-   decomposition.
+1. Nilpotents of order two, as ``nilpotent2_splitting`` decides from one
+   SVD (||T^2|| <= tol ||T||^2 and a rank r with 2r <= n at the same tol):
+   an explicit G from that SVD.  A T that fails either margin goes on to
+   the routes below.
 2. Transpose-symmetric matrices: G = I.
 3. The Hermitian-part phase test (``hermitian_phase_conjugation``): an exact
    O(n^3) candidate G, built from the eigenvectors of Re(e^{i theta} T).
@@ -24,11 +26,12 @@ from itertools import islice
 import numpy as np
 import scipy.linalg
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
     as_matrix,
+    check_count,
     check_seed,
     check_tol,
     column_phases,
@@ -51,25 +54,25 @@ from .words import (
 
 @dataclass
 class Nilpotent2Form:
-    """Canonical data for T with T^2 = 0: W T W* = [[0,0],[A,0]] (+) 0.
+    """T with T^2 = 0 at tol in canonical coordinates: W T W* = [[0,0],[A,0]] (+) 0.
 
     ``W`` maps original coordinates to the canonical ones, ``singular_values``
-    are the diagonal of the positive block A in descending order, and
-    ``extra_kernel_dim`` counts the trailing zero summand.
+    are the diagonal of A in descending order, ``extra_kernel_dim`` counts the
+    trailing zero summand, and ``norm`` is ||T||.
     """
 
     W: np.ndarray
     singular_values: np.ndarray
     extra_kernel_dim: int
+    norm: float
 
     @property
     def rank(self) -> int:
         return len(self.singular_values)
 
     def canonical_matrix(self) -> np.ndarray:
-        r, e = self.rank, self.extra_kernel_dim
-        n = 2 * r + e
-        T = np.zeros((n, n), dtype=complex)
+        r = self.rank
+        T = np.zeros_like(self.W)
         T[r : 2 * r, :r] = np.diag(self.singular_values)
         return T
 
@@ -86,112 +89,75 @@ class CsoCertificate:
     seed: int | None = None
 
 
-def nilpotency_order(T, tol: float = DEFAULT_TOL) -> int | None:
-    """Smallest n with ||T^n|| <= tol * ||T||^n, or None (zero matrix gives 1).
-
-    Powers are taken of T / ||T||, so ||T||^n can neither underflow nor
-    overflow; the division is by parts, since complex division by a
-    subnormal norm overflows.  ||T / ||T|| || is 1 up to rounding, so the
-    n = 1 step is answered as tol >= 1 without a norm.
-    """
-    A = as_matrix(T, square=True)
-    n = A.shape[0]
-    nrm = operator_norm(A)
-    if nrm == 0 or tol >= 1:
-        return 1
-    A = A.real / nrm + 1j * (A.imag / nrm)
-    P = A
-    for k in range(2, n + 1):
-        P = P @ A
-        if operator_norm(P) <= tol:
-            return k
-    return None
-
-
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict."""
     A = as_matrix(T, square=True)
-    reflected = conjugate_by(C, A.conj().T)
-    nrm = operator_norm(A)
-    residual = operator_norm(A - reflected) / nrm if nrm > 0 else 0.0
+    residual = _c_residual(A, C, operator_norm(A))
     return residual <= tol, residual
 
 
-def nilpotent2_splitting(T, tol: float = DEFAULT_TOL):
-    """Range/kernel splitting of T with T^2 = 0 (shared by the synthesis path).
+def _c_residual(A: np.ndarray, C: Conjugation, nrm: float) -> float:
+    """||A - C A* C|| / nrm for nrm = ||A||, and 0 for A = 0."""
+    return operator_norm(A - conjugate_by(C, A.conj().T)) / nrm if nrm > 0 else 0.0
 
-    Returns (right, left, rest, s): orthonormal bases of (ker T)-perp, ran T,
-    and the leftover kernel, plus the positive singular values; T right_i =
-    s_i left_i holds by construction.  Phases are canonicalized (largest entry
-    of each right vector made real positive) for determinism.  The same
-    relative tol decides nilpotency and the numerical rank (singular values
-    above tol * ||T||); a rank above n / 2 contradicts T^2 = 0 and is refused.
+
+def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
+    """The order-two decision: the canonical form of T if T^2 = 0 at tol.
+
+    From one full SVD T = U diag(s) V*, with ||T|| = s_0, T has order at
+    most two when ||(T / s_0)^2|| <= tol (T / s_0 formed by parts: complex
+    division by a subnormal norm overflows) and its rank r = #{s_i > tol s_0}
+    has 2r <= n.  A T that fails either margin raises one PreconditionError
+    naming it; certify, the destructor and synthesis decide "order two" here
+    and nowhere else.  W* has the columns right (V's first r columns, each
+    with its largest entry made real positive), left (U's, with the same
+    phases, so T right_i = s_i left_i) and rest (ker T outside ran T).
     """
+    tol = check_tol(tol)
     A = as_matrix(T, square=True)
     n = A.shape[0]
-    order = nilpotency_order(A, tol)
-    if order is None or order > 2:
-        raise PreconditionError(f"matrix is not nilpotent of order <= 2 (order: {order})")
-
-    U, s, Vh = np.linalg.svd(A) if n else (np.eye(0), np.zeros(0), np.eye(0))
-    r = int(np.sum(s > tol * s[0])) if n and s[0] > 0 else 0
+    U, s, Vh = np.linalg.svd(A)
+    nrm = float(s[0]) if n else 0.0
+    if nrm > 0:
+        unit = A.real / nrm + 1j * (A.imag / nrm)
+        square = operator_norm(unit @ unit)
+        if square > tol:
+            raise PreconditionError(
+                f"not nilpotent of order two at tol {tol:.1e}: ||T^2|| / ||T||^2 = {square:.3e}"
+            )
+    r = int(np.count_nonzero(s > tol * nrm))
     if 2 * r > n:
         raise PreconditionError(
-            f"numerical rank {r} exceeds half the dimension {n} at tol {tol:.1e}"
+            f"not nilpotent of order two at tol {tol:.1e}: numerical rank {r} exceeds half "
+            f"the dimension {n} (s_{r - 1} / s_0 = {s[r - 1] / nrm:.3e})"
         )
 
     V = Vh.conj().T
-    # Orthonormal bases of (ker T)-perp and ran T; the phase of each right
-    # vector is applied to its left partner so T right_i = s_i left_i holds.
     phases = column_phases(V[:, :r])
     right = V[:, :r] * phases
     left = U[:, :r] * phases
 
     # Orthonormal basis of ker T minus ran T (ran T sits inside ker T).
     kernel = V[:, r:]
-    residual_kernel = kernel - left @ (left.conj().T @ kernel)
-    extra = n - 2 * r
-    if extra > 0:
-        Ue, _, _ = np.linalg.svd(residual_kernel)
-        rest = Ue[:, :extra] * column_phases(Ue[:, :extra])
-    else:
-        rest = np.zeros((n, 0), dtype=complex)
-    return right, left, rest, s[:r].copy()
+    rest = np.linalg.svd(kernel - left @ (left.conj().T @ kernel))[0][:, : n - 2 * r]
+    rest = rest * column_phases(rest)
+    return Nilpotent2Form(np.hstack([right, left, rest]).conj().T, s[:r].copy(), n - 2 * r, nrm)
 
 
-def conjugation_for_nilpotent2(
-    T, tol: float = DEFAULT_TOL
-) -> tuple[Conjugation, Nilpotent2Form, float]:
-    """Explicit conjugation for T with T^2 = 0.
+def conjugation_for_nilpotent2(form: Nilpotent2Form) -> Conjugation:
+    """Explicit conjugation for T with T^2 = 0, built from its order-two form.
 
-    Splits the space into (ker T)-perp, ran T, and the leftover kernel via the
-    SVD, where T becomes [[0,0],[D,0]] (+) 0 with D positive diagonal.  In that
-    basis entrywise conjugation commutes with D, so the block swap
-    [[0,I],[I,0]] (+) I is a valid G; it is pulled back to the original
-    coordinates through the polar factor of the basis [right, left, rest].
-    That basis is orthonormal only up to rounding (ran T lies in ker T only
-    approximately when T is near-nilpotent), and its polar factor is the
-    nearest unitary, so G stays unitary to working precision.
+    In the basis [right, left, rest] of ``form`` T is [[0,0],[D,0]] (+) 0
+    with D positive diagonal, so entrywise conjugation commutes with D and
+    the block swap [[0,I],[I,0]] (+) I is a valid G.  It is pulled back
+    through the polar factor of that basis, the nearest unitary to a basis
+    that is orthonormal only to rounding (or to tol, for T nilpotent only at
+    tol), so G is unitary to working precision.  The caller checks G on T.
     """
-    A = as_matrix(T, square=True)
-    n = A.shape[0]
-    right, left, rest, s = nilpotent2_splitting(A, tol)
-    r = len(s)
-    extra = n - 2 * r
-
-    cols = np.hstack([right, left, rest])
-    swap = np.zeros((n, n), dtype=complex)
-    swap[:r, r : 2 * r] = np.eye(r)
-    swap[r : 2 * r, :r] = np.eye(r)
-    swap[2 * r :, 2 * r :] = np.eye(extra)
-
-    W, _ = polar_decompose(cols)
-    G = W @ swap @ W.T
-    G = 0.5 * (G + G.T)
-    C = Conjugation(G)
-    _, residual = is_c_symmetric(A, C, tol)
-    form = Nilpotent2Form(W=cols.conj().T, singular_values=s, extra_kernel_dim=extra)
-    return C, form, residual
+    r = form.rank
+    W, _ = polar_decompose(form.W.conj().T)
+    G = np.hstack([W[:, r : 2 * r], W[:, :r], W[:, 2 * r :]]) @ W.T
+    return Conjugation(0.5 * (G + G.T))
 
 
 def canonical_block_decomposition(
@@ -207,14 +173,13 @@ def canonical_block_decomposition(
     followed by Q on every pair.  It is unitary to rounding, except that on a
     T nilpotent only at tol, ran T lies in ker T only up to that tol.
     """
-    A = as_matrix(T, square=True)
-    right, left, rest, s = nilpotent2_splitting(A, tol)
-    n, r, extra = A.shape[0], len(s), rest.shape[1]
-    pairs = np.stack([right, left], axis=2).reshape(n, 2 * r)
+    form = nilpotent2_splitting(T, tol)
+    r, extra = form.rank, form.extra_kernel_dim
+    rows = np.r_[np.arange(2 * r).reshape(2, r).T.ravel(), 2 * r : 2 * r + extra]
     Q = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
-    W = direct_sum(np.kron(np.eye(r), Q), np.eye(extra)) @ np.hstack([pairs, rest]).conj().T
+    W = direct_sum(np.kron(np.eye(r), Q), np.eye(extra)) @ form.W[rows]
     cell = np.array([[1.0, 1.0j], [1.0j, -1.0]], dtype=complex)
-    blocks = [0.5 * sv * cell for sv in s]
+    blocks = [0.5 * sv * cell for sv in form.singular_values]
     blocks.extend(np.zeros((1, 1), dtype=complex) for _ in range(extra))
     return blocks, W
 
@@ -294,38 +259,39 @@ def find_conjugation(
 ) -> CsoCertificate:
     """Complex-symmetry decision: a verified conjugation, a word, or neither.
 
-    Order-two nilpotents take the constructive route, whose conjugation is
-    reported only when its residual meets tol; otherwise the result is
-    "inconclusive" with that residual.  A transpose-symmetric T gets G = I.
-    Otherwise the Hermitian-part phase conjugation is tried.  If it is not
-    verified at tol, the word-norm obstruction search runs first and a
-    violating word gives "obstructed".  Then a symmetric unitary is sought in
-    the intertwiner space by alternating projection, started from the
-    verified phase G (if any), the identity and the flip, then from seeded
-    random starts; every candidate is re-verified before being reported.
-    "inconclusive" is a valid outcome.
+    A T of order two (``nilpotent2_splitting``) takes the constructive
+    route, whose conjugation is reported only when it is verified at tol;
+    otherwise the result is "inconclusive" with its residual.  Any other T
+    takes the general routes: G = I if T is transpose-symmetric, else the
+    Hermitian-part phase conjugation.  If that is not verified at tol, the
+    word-norm obstruction search runs first and a violating word gives
+    "obstructed".  Then a symmetric unitary is sought in the intertwiner
+    space by alternating projection, started from the verified phase G (if
+    any), the identity and the flip, then from seeded random starts; every
+    candidate is re-verified before being reported.  "inconclusive" is a
+    valid outcome.
     """
     seed = check_seed(seed)
     tol = check_tol(tol)
+    budget = check_count(budget, "budget")
     A = as_matrix(T, square=True)
     n = A.shape[0]
-    nrm = operator_norm(A)
 
-    order = nilpotency_order(A, tol)
-    if order is not None and order <= 2:
-        try:
-            C, _, residual = conjugation_for_nilpotent2(A, tol)
-        except PreconditionError:
-            return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
-        # conjugation_for_nilpotent2 has computed is_c_symmetric(A, C, tol) already
+    try:
+        form = nilpotent2_splitting(A, tol)
+    except PreconditionError:
+        pass  # not of order two: the general routes below decide
+    else:
+        C = conjugation_for_nilpotent2(form)
+        residual = _c_residual(A, C, form.norm)
         if not (residual <= tol and _is_symmetric_unitary(C, tol)):
             return CsoCertificate("inconclusive", residual=residual, seed=seed)
         return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
+    nrm = operator_norm(A)
     if nrm > 0 and operator_norm(A - A.T) <= tol * nrm:
         C = Conjugation.identity(n)
-        _, residual = is_c_symmetric(A, C, tol)
-        return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
+        return CsoCertificate("c_symmetric", _c_residual(A, C, nrm), conjugation=C, seed=seed)
 
     phase = hermitian_phase_conjugation(A)
     initial = (np.eye(n, dtype=complex), np.eye(n, dtype=complex)[::-1])
@@ -427,6 +393,8 @@ def word_obstruction_search(
     """
     seed = check_seed(seed)
     tol = check_tol(tol)
+    max_len = check_count(max_len, "max_len")
+    samples = check_count(samples, "samples")
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
     n = A.shape[0]
@@ -437,7 +405,7 @@ def word_obstruction_search(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
         batches = _batches((random_word(rng, max_len) for _ in range(samples)), n)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     for batch in batches:
         gaps = word_norm_gaps(A, batch)
         hits = np.flatnonzero(gaps > np.array([tol * nrm ** len(w) for w in batch]))
@@ -463,6 +431,8 @@ def polynomial_obstruction_search(
     """
     seed = check_seed(seed)
     tol = check_tol(tol)
+    samples = check_count(samples, "samples")
+    max_len = check_count(max_len, "max_len")
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))

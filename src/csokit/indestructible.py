@@ -15,8 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
-from .certify import conjugation_for_nilpotent2, nilpotency_order
+from .errors import AccuracyError, InputError, PreconditionError
+from .certify import (
+    _verified_residual,
+    conjugation_for_nilpotent2,
+    is_c_symmetric,
+    nilpotent2_splitting,
+)
 from .linalg import DEFAULT_TOL, Conjugation, as_matrix, conjugate_by, operator_norm, tensor
 from .words import eval_word
 
@@ -38,12 +43,6 @@ class DestructorCertificate:
     conclusion: str  # "destroyed" | "indestructible_sampled"
 
 
-def is_nilpotent2(A, tol: float = DEFAULT_TOL) -> bool:
-    """A^2 = 0 at tol, decided by certify.nilpotency_order (zero matrix passes)."""
-    order = nilpotency_order(A, tol)
-    return order is not None and order <= 2
-
-
 def witness_matrix(alpha: float, beta: float) -> np.ndarray:
     """The 3x3 destructor B with superdiagonal (alpha, beta)."""
     if alpha <= 0 or beta <= 0:
@@ -63,14 +62,15 @@ def destructor_witness(
 
     With w = yx^2: ||w(B,B*)|| = alpha^2 beta and ||w(B*,B)|| = alpha beta^2,
     and word norms factor over tensor products, so the gap of A (x) B is
-    alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  When A^2 = 0 the
-    conclusion is indestructible_sampled: the pairing is harmless and the
-    constructive route applies instead.  Otherwise the conclusion is
-    destroyed when that gap exceeds tol * ||A (x) B||^3, the threshold of
-    ``word_obstruction_search``; a gap at or below it (beta / alpha at the
-    ratio ||A*A^2|| / ||A^2 A*||, where the two norms cancel) certifies
-    nothing and raises PreconditionError, as do word norms of A that
-    underflow to 0 (||A|| below about 1e-108).
+    alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  A of order two
+    (``nilpotent2_splitting``) gives indestructible_sampled, since the
+    constructive route applies.  Otherwise the conclusion is destroyed when
+    the gap exceeds tol * ||A (x) B||^3, the threshold of
+    ``word_obstruction_search``.  A smaller gap raises PreconditionError
+    naming the cause: word norms of A that underflow (||A|| below about
+    1e-108), both yxx norms of A (x) B at or below the threshold (so when A
+    failed on its rank alone, as ||A^2|| <= tol ||A||^2 bounds them), or a
+    ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they cancel.
     """
     M = as_matrix(A, square=True)
     B = witness_matrix(alpha, beta)
@@ -85,7 +85,11 @@ def destructor_witness(
         norm_wB_rev=operator_norm(eval_word(DESTRUCTOR_WORD, B.conj().T, B)),
         conclusion="indestructible_sampled",
     )
-    if is_nilpotent2(M, tol):
+    try:
+        nilpotent2_splitting(M, tol)
+    except PreconditionError as exc:
+        not_order_two = exc
+    else:
         return cert
     # A^2 != 0 makes both norms positive, so a zero is an underflow
     if min(cert.norm_wA, cert.norm_wA_rev) == 0:
@@ -94,8 +98,15 @@ def destructor_witness(
             f"norms of A: ||A*A^2|| = {cert.norm_wA:.3g} and ||A^2 A*|| = "
             f"{cert.norm_wA_rev:.3g} underflow; rescale A"
         )
-    gap = abs(cert.norm_wA * cert.norm_wB - cert.norm_wA_rev * cert.norm_wB_rev)
+    norms = (cert.norm_wA * cert.norm_wB, cert.norm_wA_rev * cert.norm_wB_rev)
+    gap = abs(norms[0] - norms[1])
     threshold = tol * (operator_norm(M) * max(alpha, beta)) ** 3
+    if max(norms) <= threshold:
+        raise PreconditionError(
+            f"A is {not_order_two}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
+            f"{norms[0]:.3e} and {norms[1]:.3e}, are not above {threshold:.3e}, so no "
+            f"ratio beta/alpha gives a gap"
+        )
     if gap <= threshold:
         raise PreconditionError(
             f"beta/alpha = {beta / alpha:.6g} cancels ||A*A^2|| / ||A^2 A*|| = "
@@ -107,16 +118,20 @@ def destructor_witness(
 
 
 def nilpotent2_tensor_conjugation(A, B, tol: float = DEFAULT_TOL) -> Conjugation:
-    """Explicit conjugation for A (x) B when A^2 = 0.
+    """Verified conjugation for A (x) B when A^2 = 0.
 
     (A (x) B)^2 = A^2 (x) B^2 = 0, so the order-two construction applies to
-    the product directly.
+    the product directly.  A G that misses tol (A nilpotent only at tol)
+    raises AccuracyError.
     """
-    M = as_matrix(A, square=True)
-    if not is_nilpotent2(M, tol):
-        raise PreconditionError("A^2 != 0: tensor product need not be complex symmetric")
-    T = tensor(M, as_matrix(B, square=True))
-    C, _, _ = conjugation_for_nilpotent2(T, tol)
+    nilpotent2_splitting(A, tol)
+    T = tensor(A, B)
+    C = conjugation_for_nilpotent2(nilpotent2_splitting(T, tol))
+    if _verified_residual(T, C, tol) is None:
+        raise AccuracyError(
+            f"the conjugation of A (x) B misses tol {tol:.1e}: c-symmetry residual "
+            f"{is_c_symmetric(T, C)[1]:.3e}"
+        )
     return C
 
 

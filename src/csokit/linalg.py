@@ -69,6 +69,13 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_count(value, name: str) -> int:
+    """A budget, length or sample count as an int; one below 1 is an InputError."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def operator_norm(M) -> float:
     """Largest singular value (computed by full SVD; sizes here are small)."""
     A = as_matrix(M)

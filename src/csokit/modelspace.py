@@ -32,10 +32,11 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
-from .errors import AccuracyError, EvaluationError, InputError
+from .errors import AccuracyError, CapacityError, EvaluationError, InputError
 from .linalg import Conjugation, operator_norm, singular_values
 
 DEFAULT_QUAD = 1024
+QUAD_CAP = 1 << 20  # quadrature nodes; at least 64, at most this (16 MB per sampled row)
 ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
@@ -174,6 +175,8 @@ class ModelSpace:
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
         if quad_points < 64:
             raise InputError("need at least 64 quadrature nodes")
+        if quad_points > QUAD_CAP:
+            raise CapacityError(f"{quad_points} quadrature nodes exceed the cap {QUAD_CAP}")
         self.u = u
         self.quad_points = int(quad_points)
 

@@ -72,11 +72,10 @@ def canonical_nilpotent_parts(N, tol: float = DEFAULT_TOL):
     The three blocks live on (ker N)-perp, the leftover kernel, and ran N;
     B is the positive diagonal of singular values, size rank(N).
     """
-    A = as_matrix(N, square=True)
-    right, left, rest, s = nilpotent2_splitting(A, tol)
-    cols = np.hstack([right, rest, left])
-    W0 = cols.conj().T
-    return np.diag(s), rest.shape[1], W0
+    form = nilpotent2_splitting(N, tol)
+    r, W = form.rank, form.W
+    W0 = np.vstack([W[:r], W[2 * r :], W[r : 2 * r]])
+    return np.diag(form.singular_values), form.extra_kernel_dim, W0
 
 
 def _lower_toeplitz(c: np.ndarray) -> np.ndarray:

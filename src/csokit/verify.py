@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, InputError, ToolkitError
+from .errors import AccuracyError, CapacityError, InputError, ToolkitError
 from . import serialize
 from .certify import (
     canonical_block_decomposition,
     conjugation_for_nilpotent2,
     is_c_symmetric,
+    nilpotent2_splitting,
     word_norm_gaps,
 )
 from .ensembles import (
@@ -40,6 +41,7 @@ from .indestructible import (
 )
 from .linalg import Conjugation, check_seed, direct_sum, operator_norm, singular_values, tensor
 from .modelspace import (
+    QUAD_CAP,
     fn_calculus_check,
     model_conjugation,
     tto_matrix,
@@ -58,6 +60,8 @@ class RunConfig:
         self.seed = check_seed(self.seed)
         if self.quad < 64:
             raise InputError("quad must be at least 64")
+        if self.quad > QUAD_CAP:
+            raise CapacityError(f"quad {self.quad} exceeds the cap {QUAD_CAP}")
 
 
 def _native(v):
@@ -85,8 +89,9 @@ def entry_order2_conjugations(cfg: RunConfig) -> dict:
     for _ in range(200):
         dim = int(rng.integers(2, 13))
         T = random_nilpotent2(rng, dim)
-        C, form, residual = conjugation_for_nilpotent2(T)
-        worst_sym = max(worst_sym, residual)
+        form = nilpotent2_splitting(T)
+        C = conjugation_for_nilpotent2(form)
+        worst_sym = max(worst_sym, is_c_symmetric(T, C)[1])
         worst_inv = max(worst_inv, C.unitarity_residual(), C.symmetry_residual())
         canon = form.canonical_matrix()
         worst_inv = max(

@@ -20,7 +20,6 @@ from csokit.certify import (
     hermitian_phase_conjugation,
     intertwiner_basis,
     is_c_symmetric,
-    nilpotency_order,
     nilpotent2_splitting,
     polynomial_norm_gap,
     polynomial_obstruction_search,
@@ -28,8 +27,8 @@ from csokit.certify import (
     word_obstruction_search,
 )
 from csokit.ensembles import random_complex, random_cso, random_nilpotent2, random_unitary, stream
-from csokit.errors import InputError, PreconditionError
-from csokit.indestructible import destructor_witness, is_nilpotent2, witness_matrix
+from csokit.errors import AccuracyError, InputError, PreconditionError
+from csokit.indestructible import destructor_witness, nilpotent2_tensor_conjugation, witness_matrix
 from csokit.linalg import DEFAULT_TOL, Conjugation, conjugate_by, direct_sum, operator_norm
 from csokit.synthesis import synthesize_tto_for_nilpotent2
 from csokit.words import (
@@ -49,19 +48,42 @@ def jordan(n):
     return J
 
 
+def order_two(T, tol=DEFAULT_TOL):
+    """The order-two decision as a bool."""
+    try:
+        nilpotent2_splitting(T, tol)
+    except PreconditionError:
+        return False
+    return True
+
+
 def test_nilpotency_order():
-    assert nilpotency_order(np.zeros((3, 3))) == 1
-    assert nilpotency_order(jordan(2)) == 2
-    assert nilpotency_order(jordan(4)) == 4
-    assert nilpotency_order(np.eye(3)) is None
-    # ||T / ||T|| || is 1, so the first step is decided by tol alone
-    assert nilpotency_order(np.eye(3), tol=1.0) == 1
-    assert nilpotency_order(np.eye(1), tol=0.5) is None
+    for T in (np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((0, 0)), np.zeros((1, 1))):
+        form = nilpotent2_splitting(T)
+        assert form.rank == 0 and form.extra_kernel_dim == len(T) and form.norm == 0.0
+    assert nilpotent2_splitting(jordan(2)).rank == 1
+    for T in (jordan(3), jordan(4), np.eye(2), np.eye(3), np.eye(1), np.array([[2j]])):
+        with pytest.raises(PreconditionError, match=r"\|\|T\^2\|\| / \|\|T\|\|\^2 = 1\.000e\+00"):
+            nilpotent2_splitting(T)
+    # ||(T / ||T||)^2|| is at most 1, so at tol >= 1 every T passes, with no
+    # singular value above tol ||T||
+    for tol in (1.0, 2.0):
+        form = nilpotent2_splitting(np.eye(3), tol=tol)
+        assert form.rank == 0 and form.norm == 1.0
+    assert not order_two(np.eye(1), tol=0.5)
+    # the square is of T / ||T||, so ||T||^2 = 4e-404 cannot underflow to 0,
+    # and the division is by parts, since complex division by a subnormal
+    # norm such as 3e-310 overflows to NaN
+    for scale in (2e-202, 3e-310):
+        assert not order_two(np.diag([0.0, scale * 1j]))
+        assert order_two(np.array([[0.0, 0.0], [scale * 1j, 0.0]]))
 
 
 def test_nilpotent_route_takes_each_svd_once(monkeypatch):
-    # 8x8 of rank 3 with a leftover kernel: 16 SVDs while nilpotency_order
-    # also normed T / ||T|| and the route recomputed the conjugation's residual
+    # 8x8 of rank 3 with a leftover kernel: the decision's SVD (with ||T||),
+    # ||T^2||, the leftover kernel, the polar factor, the c-symmetry residual,
+    # unitarity and symmetry; 12 while the order was decided twice and ||T||
+    # normed four times
     T = random_nilpotent2(stream(1, 1), 8, 3)
     calls = []
     svd = np.linalg.svd
@@ -73,7 +95,7 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
-    assert len(calls) == 12
+    assert len(calls) == 7
 
 
 def test_is_c_symmetric_under_identity():
@@ -87,8 +109,10 @@ def test_is_c_symmetric_under_identity():
 def test_splitting_couples_left_and_right_vectors():
     rng = stream(11, 0)
     T = random_nilpotent2(rng, 7, rank=3)
-    right, left, rest, s = nilpotent2_splitting(T)
-    assert right.shape == (7, 3) and left.shape == (7, 3) and rest.shape == (7, 1)
+    form = nilpotent2_splitting(T)
+    assert form.rank == 3 and form.extra_kernel_dim == 1
+    right, left, rest = np.split(form.W.conj().T, [3, 6], axis=1)
+    s = form.singular_values
     # T right_i = s_i left_i is the coupling the conjugation relies on
     assert operator_norm(T @ right - left * s) <= 1e-9 * operator_norm(T)
     frame = np.hstack([right, rest, left])
@@ -96,19 +120,19 @@ def test_splitting_couples_left_and_right_vectors():
 
 
 def test_splitting_rejects_higher_order():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not nilpotent of order two"):
         nilpotent2_splitting(jordan(3))
 
 
 def test_splitting_refuses_a_rank_above_half_the_dimension():
-    # ||T^2|| = 1e-10 ||T||^2 passes the nilpotency test, but the 1e-5
-    # singular value counts toward the rank at the same tol: rank 2 in C^3
+    # ||T^2|| = 1e-10 ||T||^2 clears the order margin, but the 1e-5 singular
+    # value counts toward the rank at the same tol: rank 2 in C^3.  So T is
+    # not of order two, and certify's general routes find a verified G.
     T = direct_sum(jordan(2), 1e-5)
-    assert nilpotency_order(T) == 2
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"rank 2 exceeds half the dimension 3 \(s_1 / s_0 = 1\.000e-05\)"):
         nilpotent2_splitting(T)
     cert = find_conjugation(T)
-    assert cert.verdict == "inconclusive" and cert.conjugation is None
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
 
 
 def near_nilpotent(seed, dim, rel, rank=None):
@@ -134,29 +158,43 @@ def test_near_nilpotent_rank_two_certify_destructor_synthesize():
 
 
 def test_certify_destructor_and_synthesize_share_one_nilpotency_decision():
-    # perturbations from 1e-11 to 1e-7 straddle the tol, so both sides occur
-    sides = set()
+    # perturbations from 1e-11 to 1e-7 straddle the tol, so both sides occur;
+    # J2 (+) [eps] clears the order margin but fails the rank margin
+    cases = [direct_sum(jordan(2), eps) for eps in (1e-8, 1e-5, 3e-5)]
     for case in range(40):
         rng = stream(23, case)
-        T = near_nilpotent(case, int(rng.integers(2, 9)), 10.0 ** rng.uniform(-11.0, -7.0))
-        nil = is_nilpotent2(T)
+        cases.append(near_nilpotent(case, int(rng.integers(2, 9)), 10.0 ** rng.uniform(-11.0, -7.0)))
+    sides = set()
+    for T in cases:
+        nil = order_two(T)
         sides.add(nil)
         try:
             said = destructor_witness(T).conclusion
         except PreconditionError:
-            # A^2 != 0 at tol, but the yxx gap of A (x) B is too small to certify
+            # A is not of order two, but the yxx gap of A (x) B is too small to certify
             said = None
         assert (said == "indestructible_sampled") == nil
+        cert = find_conjugation(T)
         if nil:
-            cert = find_conjugation(T)
             assert cert.verdict in ("c_symmetric", "inconclusive") and np.isfinite(cert.residual)
             assert synthesize_tto_for_nilpotent2(T).W.shape == T.shape
         else:
+            assert cert.verdict != "inconclusive" or np.isnan(cert.residual)
             with pytest.raises(PreconditionError):
-                conjugation_for_nilpotent2(T)
+                nilpotent2_tensor_conjugation(T, np.eye(2))
             with pytest.raises(PreconditionError):
                 synthesize_tto_for_nilpotent2(T)
     assert sides == {True, False}
+
+
+def test_tensor_conjugation_refuses_a_residual_above_tol():
+    # A passes the order-two decision, but the conjugation of A (x) B(1, 2)
+    # built from it leaves a c-symmetry residual of 1.5e-9; it used to be
+    # returned all the same
+    A = near_nilpotent(8, 6, 1e-9)
+    assert order_two(A)
+    with pytest.raises(AccuracyError, match="c-symmetry residual 1.463e-09"):
+        nilpotent2_tensor_conjugation(A, witness_matrix(1.0, 2.0))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -182,9 +220,10 @@ def test_near_nilpotent_conjugation_is_unitary_to_tol(seed, dim):
 
 
 def test_conjugation_for_j2_is_the_swap():
-    C, form, res = conjugation_for_nilpotent2(jordan(2))
+    form = nilpotent2_splitting(jordan(2))
+    C = conjugation_for_nilpotent2(form)
     assert np.allclose(C.matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-    assert res <= 1e-12
+    assert is_c_symmetric(jordan(2), C)[1] <= 1e-12
     assert np.allclose(form.singular_values, [1.0])
     assert form.extra_kernel_dim == 0
 
@@ -193,9 +232,9 @@ def test_conjugation_for_random_nilpotents():
     rng = stream(11, 1)
     for dim in (2, 5, 9):
         T = random_nilpotent2(rng, dim)
-        C, form, res = conjugation_for_nilpotent2(T)
+        C = conjugation_for_nilpotent2(nilpotent2_splitting(T))
         C.validate()
-        assert res <= 1e-9
+        assert is_c_symmetric(T, C)[1] <= 1e-9
         assert operator_norm(conjugate_by(C, T.conj().T) - T) <= 1e-9 * operator_norm(T)
 
 
@@ -374,6 +413,26 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
         word_obstruction_search(S, tol=tol)
     with pytest.raises(InputError):
         polynomial_obstruction_search(S, samples=4, tol=tol)
+    with pytest.raises(InputError):
+        nilpotent2_splitting(S, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "search, kwargs",
+    [
+        (word_obstruction_search, {"max_len": 0}),
+        (word_obstruction_search, {"max_len": -2}),
+        (word_obstruction_search, {"mode": "sampled", "samples": 0}),
+        (word_obstruction_search, {"mode": "bogus"}),
+        (polynomial_obstruction_search, {"max_len": 0}),
+        (polynomial_obstruction_search, {"samples": -1}),
+        (find_conjugation, {"budget": -5}),
+        (find_conjugation, {"budget": 0}),
+    ],
+)
+def test_out_of_range_counts_and_modes_are_input_errors(search, kwargs):
+    with pytest.raises(InputError):
+        search(np.array([[1.0, 2j], [2j, 3.0]]), **kwargs)
 
 
 def test_word_norm_gap_vanishes_on_cso():

@@ -127,6 +127,49 @@ def test_negative_seed_exit_64(command):
     assert run_main(*argv, "--seed", "-1") == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["question1-search", "--matrix", "J2", "--max-len", "0"],
+        ["question1-search", "--matrix", "J2", "--max-len", "-2"],
+        ["question1-search", "--matrix", "J2", "--samples", "-1"],
+        ["certify", "--matrix", "J2", "--budget", "-5"],
+    ],
+)
+def test_out_of_range_counts_exit_64(argv):
+    # --max-len 0 used to exit 1 with a raw ValueError, --samples -1 was
+    # echoed back as "samples": -1, and --budget -5 exited 0
+    assert run_main(*[json.dumps(J2) if arg == "J2" else arg for arg in argv]) == 64
+
+
+def run_main_output(*args):
+    """(exit code, stdout, stderr) of the CLI run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-5])
+def test_one_order_two_decision_for_certify_destructor_and_synthesize(eps):
+    # J2 (+) [eps] has ||T^2|| = eps^2 ||T||^2 but rank 2 in C^3 at tol 1e-9,
+    # so it is not of order two.  certify used to exit 3, destructor 0
+    # (indestructible_sampled) and synthesize 65.
+    T = direct_sum(J2_mat(), eps)
+    code, out, _ = run_main_output("certify", "--matrix", matrix_arg(T))
+    assert code == 0
+    reply = json.loads(out)
+    G = serialize.matrix_from_json(reply["G"])
+    assert reply["verdict"] == "c_symmetric" and reply["residual"] <= 1e-9
+    assert np.linalg.norm(G @ G.conj().T - np.eye(3), 2) <= 1e-9
+    assert np.linalg.norm(G - G.T, 2) <= 1e-9
+    assert np.linalg.norm(T @ G - G @ T.T, 2) <= 1e-9 * np.linalg.norm(T, 2)
+    code, _, err = run_main_output("destructor", "--matrix", matrix_arg(T))
+    assert code == 65 and "rank 2 exceeds half the dimension 3" in err
+    code, _, err = run_main_output("synthesize", "--matrix", matrix_arg(T))
+    assert code == 65 and "not nilpotent of order two" in err
+
+
 def fuzzed_matrix(kind, seed, n, log_scale):
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -211,6 +254,9 @@ def test_invalid_symbol_and_quadrature_exit_64():
     assert p.returncode == 64  # boundary pole is rejected as input
     p = run_cli("verify-paper", "--quad", "32")
     assert p.returncode == 64  # below the 64-node quadrature floor
+    # far above the node cap: refused before any allocation or fork; it used
+    # to exit 1, the code of a failed entry, with numpy's memory error
+    assert run_main("verify-paper", "--quad", "100000000000") == 65
 
 
 def test_precondition_failure_exit_65():

@@ -9,14 +9,13 @@ swapping the roles gives B B* B* with single entry alpha beta^2 = 4.
 import numpy as np
 import pytest
 
-from csokit.certify import find_conjugation, is_c_symmetric, word_norm_gap
+from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gap
 from csokit.ensembles import random_complex, random_nilpotent2, stream
 from csokit.errors import InputError, PreconditionError
 from csokit.indestructible import (
     DESTRUCTOR_WORD,
     destructor_witness,
     factor_swap,
-    is_nilpotent2,
     nilpotent2_tensor_conjugation,
     shift_coshift_product,
     shift_coshift_truncation,
@@ -36,10 +35,12 @@ def jordan(n):
 
 
 def test_is_nilpotent2():
-    assert is_nilpotent2(np.zeros((2, 2)))
-    assert is_nilpotent2(jordan(2))
-    assert not is_nilpotent2(jordan(3))
-    assert not is_nilpotent2(np.eye(2))
+    # the destructor and the tensor conjugation read the certify decision
+    assert nilpotent2_splitting(np.zeros((2, 2))).rank == 0
+    assert nilpotent2_splitting(jordan(2)).rank == 1
+    for T in (jordan(3), np.eye(2)):
+        with pytest.raises(PreconditionError):
+            nilpotent2_splitting(T)
 
 
 def test_witness_matrix_layout_and_validation():
@@ -90,6 +91,18 @@ def test_destructor_names_an_underflow_not_a_cancellation():
     with pytest.raises(PreconditionError, match="too small .* underflow") as info:
         destructor_witness(1e-110 * jordan(3), 1.0, 2.0)
     assert "cancels" not in str(info.value)
+
+
+def test_destructor_names_the_rank_margin_not_a_ratio():
+    # J2 (+) [1e-5] fails the order-two decision on its rank alone, so
+    # ||A^2|| <= tol ||A||^2 keeps both yxx norms of A (x) B below the
+    # threshold at every ratio
+    A = np.zeros((3, 3), dtype=complex)
+    A[1, 0], A[2, 2] = 1.0, 1e-5
+    for alpha, beta in ((1.0, 2.0), (1.0, 3.0), (3.0, 1.0)):
+        with pytest.raises(PreconditionError, match="rank 2 exceeds half the dimension 3") as info:
+            destructor_witness(A, alpha, beta)
+        assert "cancels" not in str(info.value)
 
 
 def test_destructor_spares_order_two_nilpotent():

@@ -16,10 +16,11 @@ from csokit import modelspace
 
 from csokit.certify import is_c_symmetric
 from csokit.ensembles import random_blaschke, random_poly_symbol, stream
-from csokit.errors import AccuracyError, EvaluationError, InputError
+from csokit.errors import AccuracyError, CapacityError, EvaluationError, InputError
 from csokit.linalg import operator_norm
 from csokit.modelspace import (
     BlaschkeProduct,
+    QUAD_CAP,
     ModelSpace,
     Symbol,
     blaschke_symbol,
@@ -199,6 +200,17 @@ def test_fn_calculus_matches_polynomial_in_shift():
     assert fn_calculus_check(u, phi) <= 1e-8
     with pytest.raises(InputError):
         fn_calculus_check(u, Symbol(num=[1.0], den=[1.0, -0.5]))
+
+
+def test_quadrature_size_is_capped_before_any_sample():
+    # 1e11 nodes used to reach numpy's allocator and fail with a raw memory error
+    u = BlaschkeProduct((0.5,))
+    assert QUAD_CAP >= 2**17
+    for quad in (QUAD_CAP + 1, 10**11):
+        with pytest.raises(CapacityError, match="exceed the cap"):
+            ModelSpace(u, quad)
+    with pytest.raises(InputError):
+        ModelSpace(u, 63)
 
 
 def test_hankel_truncation_monomial_oracle():
