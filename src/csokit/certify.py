@@ -15,7 +15,11 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 4. If that G is not verified, the word-norm obstruction search.
 5. The alternating-projection search over the intertwiner space
    {X : T X = X T^t}, started from the verified phase G when there is one.
-   Otherwise the answer is "inconclusive".
+   Otherwise the answer is "inconclusive".  ``intertwiner_basis`` spans
+   that space by the v_k v_k^t of T's eigenvectors, in O(n^4), when T has a
+   simple spectrum whose eigenvalue gaps clear null_space's own rank cut,
+   and by the null space of the n^2 x n^2 Kronecker matrix, in O(n^6),
+   otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .linalg import (
     operator_norm,
     operator_norms,
     polar_decompose,
+    power_of_two_scaled,
+    times_power_of_two,
     unitary_in_subspace,
 )
 from .words import (
@@ -185,9 +191,32 @@ def canonical_block_decomposition(
 
 
 def intertwiner_basis(T) -> np.ndarray:
-    """Orthonormal basis (column-major vec) of {X : T X = X T^t}."""
+    """Orthonormal basis (column-major vec) of {X : T X = X T^t}.
+
+    The space is the null space of L = I (x) T - T (x) I.  On a simple
+    spectrum T = V diag(lambda) V^-1 it is span{v_k v_k^t}, as
+    T v v^t = lambda v v^t = v v^t T^t, and the basis is the QR factor of
+    those n vectors: one ``eig``, O(n^4) time and O(n^3) memory.  Any other
+    T (0x0, repeated or clustered eigenvalues, Jordan blocks) takes
+    ``scipy.linalg.null_space`` of the n^2 x n^2 matrix L, O(n^6).
+
+    The input picks the path.  L = (V (x) V) diag(lambda_i - lambda_j)
+    (V (x) V)^-1, so its n^2 - n nonzero singular values are at least
+    delta (s_min(V) / s_max(V))^2, delta the least eigenvalue gap.  The
+    eigenvector path runs only when that bound exceeds eps n^2 2 ||T||,
+    which is at least the cut eps n^2 ||L|| that ``null_space`` applies, so
+    both paths return a space of the same dimension n.
+    """
     A = as_matrix(T, square=True)
     n = A.shape[0]
+    if n:
+        lam, V = np.linalg.eig(A)
+        gaps = np.abs(lam[:, None] - lam)
+        gaps[np.diag_indices(n)] = np.inf
+        s = np.linalg.svd(V, compute_uv=False)
+        if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * operator_norm(A):
+            # column k is vec(v_k v_k^t) (symmetric, so either vec order)
+            return np.linalg.qr((V[:, None, :] * V).reshape(n * n, n))[0]
     L = np.kron(np.eye(n), A) - np.kron(A, np.eye(n))
     return scipy.linalg.null_space(L)
 
@@ -390,12 +419,17 @@ def word_obstruction_search(
     come from ``word_norm_gaps`` one length at a time in exhaustive mode (so
     an early hit such as xxy costs only the words up to its length) and in
     batches of samples in sampled mode.
+
+    The search runs on T scaled by a power of two to norm about 1, so its
+    word products neither overflow nor underflow, and the gap it returns is
+    taken back to T's units exactly.  A gap that overflows or underflows
+    there raises PreconditionError naming ||T||.
     """
     seed = check_seed(seed)
     tol = check_tol(tol)
     max_len = check_count(max_len, "max_len")
     samples = check_count(samples, "samples")
-    A = as_matrix(T, square=True)
+    A, e = power_of_two_scaled(as_matrix(T, square=True))
     nrm = operator_norm(A)
     n = A.shape[0]
     if mode == "exhaustive":
@@ -410,7 +444,15 @@ def word_obstruction_search(
         gaps = word_norm_gaps(A, batch)
         hits = np.flatnonzero(gaps > np.array([tol * nrm ** len(w) for w in batch]))
         if hits.size:
-            return batch[hits[0]], float(gaps[hits[0]])
+            word, unit_gap = batch[hits[0]], float(gaps[hits[0]])
+            gap = times_power_of_two(unit_gap, e * len(word))
+            if not 0 < gap < np.inf:
+                raise PreconditionError(
+                    f"||T|| = {times_power_of_two(nrm, e):.3e} is out of range for the word "
+                    f"norms: {word} separates T / 2^{e} by {unit_gap:.3e}, which is {gap:g} "
+                    f"in T's units; rescale T"
+                )
+            return word, gap
     return None
 
 

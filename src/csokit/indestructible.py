@@ -22,7 +22,16 @@ from .certify import (
     is_c_symmetric,
     nilpotent2_splitting,
 )
-from .linalg import DEFAULT_TOL, Conjugation, as_matrix, conjugate_by, operator_norm, tensor
+from .linalg import (
+    DEFAULT_TOL,
+    Conjugation,
+    as_matrix,
+    conjugate_by,
+    operator_norm,
+    power_of_two_scaled,
+    tensor,
+    times_power_of_two,
+)
 from .words import eval_word
 
 DESTRUCTOR_WORD = "yxx"
@@ -66,25 +75,40 @@ def destructor_witness(
     (``nilpotent2_splitting``) gives indestructible_sampled, since the
     constructive route applies.  Otherwise the conclusion is destroyed when
     the gap exceeds tol * ||A (x) B||^3, the threshold of
-    ``word_obstruction_search``.  A smaller gap raises PreconditionError
-    naming the cause: word norms of A that underflow (||A|| below about
-    1e-108), both yxx norms of A (x) B at or below the threshold (so when A
-    failed on its rank alone, as ||A^2|| <= tol ||A||^2 bounds them), or a
-    ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they cancel.
+    ``word_obstruction_search``.  The norms of A are taken on A scaled by a
+    power of two to norm about 1, which is exact, and the gap is decided in
+    those units.  A word norm of A that overflows in A's units raises
+    PreconditionError (||A|| above about 5e102), and so does a gap too small
+    to decide, naming the cause: word norms of A that underflow (||A|| below
+    about 1e-108), both yxx norms of A (x) B at or below the threshold (so
+    when A failed on its rank alone, as ||A^2|| <= tol ||A||^2 bounds them),
+    or a ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they cancel.
     """
     M = as_matrix(A, square=True)
+    U, e = power_of_two_scaled(M)
+    unit_nrm = operator_norm(U)
     B = witness_matrix(alpha, beta)
+    unit_norms = (
+        operator_norm(eval_word(DESTRUCTOR_WORD, U, U.conj().T)),
+        operator_norm(eval_word(DESTRUCTOR_WORD, U.conj().T, U)),
+    )
     cert = DestructorCertificate(
         witness_B=B,
         alpha=float(alpha),
         beta=float(beta),
         word=DESTRUCTOR_WORD,
-        norm_wA=operator_norm(eval_word(DESTRUCTOR_WORD, M, M.conj().T)),
-        norm_wA_rev=operator_norm(eval_word(DESTRUCTOR_WORD, M.conj().T, M)),
+        norm_wA=times_power_of_two(unit_norms[0], 3 * e),
+        norm_wA_rev=times_power_of_two(unit_norms[1], 3 * e),
         norm_wB=operator_norm(eval_word(DESTRUCTOR_WORD, B, B.conj().T)),
         norm_wB_rev=operator_norm(eval_word(DESTRUCTOR_WORD, B.conj().T, B)),
         conclusion="indestructible_sampled",
     )
+    scale = f"||A|| = {times_power_of_two(unit_nrm, e):.3e}"
+    if max(cert.norm_wA, cert.norm_wA_rev) == np.inf:
+        raise PreconditionError(
+            f"{scale} is too large for the {DESTRUCTOR_WORD} word norms of A: "
+            f"||A*A^2|| and ||A^2 A*|| overflow; rescale A"
+        )
     try:
         nilpotent2_splitting(M, tol)
     except PreconditionError as exc:
@@ -94,24 +118,26 @@ def destructor_witness(
     # A^2 != 0 makes both norms positive, so a zero is an underflow
     if min(cert.norm_wA, cert.norm_wA_rev) == 0:
         raise PreconditionError(
-            f"||A|| = {operator_norm(M):.3e} is too small for the {DESTRUCTOR_WORD} word "
+            f"{scale} is too small for the {DESTRUCTOR_WORD} word "
             f"norms of A: ||A*A^2|| = {cert.norm_wA:.3g} and ||A^2 A*|| = "
             f"{cert.norm_wA_rev:.3g} underflow; rescale A"
         )
-    norms = (cert.norm_wA * cert.norm_wB, cert.norm_wA_rev * cert.norm_wB_rev)
+    # decided in units of 2^(3e), where nothing over- or underflows
+    norms = (unit_norms[0] * cert.norm_wB, unit_norms[1] * cert.norm_wB_rev)
     gap = abs(norms[0] - norms[1])
-    threshold = tol * (operator_norm(M) * max(alpha, beta)) ** 3
+    threshold = tol * (unit_nrm * max(alpha, beta)) ** 3
+    shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
     if max(norms) <= threshold:
         raise PreconditionError(
             f"A is {not_order_two}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
-            f"{norms[0]:.3e} and {norms[1]:.3e}, are not above {threshold:.3e}, so no "
+            f"{shown[0]:.3e} and {shown[1]:.3e}, are not above {shown[3]:.3e}, so no "
             f"ratio beta/alpha gives a gap"
         )
     if gap <= threshold:
         raise PreconditionError(
             f"beta/alpha = {beta / alpha:.6g} cancels ||A*A^2|| / ||A^2 A*|| = "
             f"{cert.norm_wA:.6g} / {cert.norm_wA_rev:.6g}: the {DESTRUCTOR_WORD} gap of "
-            f"A (x) B is {gap:.3e}, not above {threshold:.3e}; choose another ratio"
+            f"A (x) B is {shown[2]:.3e}, not above {shown[3]:.3e}; choose another ratio"
         )
     cert.conclusion = "destroyed"
     return cert

@@ -11,6 +11,7 @@ all operations accept an explicit override.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -98,6 +99,27 @@ def operator_norms(Ms) -> np.ndarray:
     if A.size == 0:
         return np.zeros(A.shape[0])
     return np.linalg.svd(A, compute_uv=False)[:, 0]
+
+
+def power_of_two_scaled(M) -> tuple[np.ndarray, int]:
+    """(2^-e M, e) with 2^(e-1) <= ||M|| < 2^e, and e = 0 for M = 0.
+
+    Scaling by a power of two is exact (barring subnormal entries), so a
+    product of k factors of 2^-e M, and its norm, are 2^(-k e) times those
+    of M bit for bit, yet neither overflows nor underflows however large or
+    small M is.  ``times_power_of_two`` takes such a norm back to M's units.
+    """
+    A = as_matrix(M)
+    e = math.frexp(operator_norm(A))[1]
+    return np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e), e
+
+
+def times_power_of_two(x: float, e: int) -> float:
+    """x 2^e as a float: inf where that overflows, 0 where it underflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def singular_values(M) -> np.ndarray:
@@ -222,7 +244,9 @@ def unitary_in_subspace(
     the unitary group (polar factor) and projection onto the subspace, until
     a round moves the iterate by less than SUBSPACE_XTOL.  Yields candidates
     in deterministic order: the supplied initial matrices first, then
-    SUBSPACE_STARTS seeded random starts.
+    SUBSPACE_STARTS seeded random starts, each drawn from ``rng`` only when
+    the search reaches it (a caller that stops at an initial candidate
+    draws nothing).
 
     This is a heuristic; callers must verify every candidate independently.
     """
@@ -238,12 +262,14 @@ def unitary_in_subspace(
         return U @ Vh
 
     k = basis.shape[1]
-    start_mats = [project(X0) for X0 in initial]
-    while len(start_mats) < SUBSPACE_STARTS + len(initial):
-        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        start_mats.append((basis @ coeff).reshape((n, n), order="F"))
 
-    for X in start_mats:
+    def starts():
+        yield from map(project, initial)
+        for _ in range(SUBSPACE_STARTS):
+            coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            yield (basis @ coeff).reshape((n, n), order="F")
+
+    for X in starts():
         prev = None
         for _ in range(iters):
             X = 0.5 * (X + X.T)

@@ -262,12 +262,78 @@ def test_canonical_blocks_reach_the_operator():
 
 
 def test_intertwiner_basis_members_intertwine():
-    T = jordan(3)
-    basis = intertwiner_basis(T)
-    assert basis.size
-    for j in range(basis.shape[1]):
-        B = basis[:, j].reshape((3, 3), order="F")
-        assert operator_norm(T @ B - B @ T.T) <= 1e-12
+    # jordan(3) takes the Kronecker null space, diag(1, 2, 3) + a strictly
+    # upper part (a simple spectrum) the eigenvector basis
+    simple = np.diag([1.0, 2.0, 3.0]) + np.triu(np.full((3, 3), 0.5 + 0.5j), 1)
+    for T in (jordan(3), simple):
+        basis = intertwiner_basis(T)
+        assert basis.size
+        assert operator_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
+        for j in range(basis.shape[1]):
+            B = basis[:, j].reshape((3, 3), order="F")
+            assert operator_norm(T @ B - B @ T.T) <= 1e-12
+
+
+def kronecker_null_space(T):
+    """Reference basis of {X : T X = X T^t}, straight from the n^2 x n^2 matrix."""
+    n = T.shape[0]
+    return certify.scipy.linalg.null_space(np.kron(np.eye(n), T) - np.kron(T, np.eye(n)))
+
+
+def without_null_space(fn, *args):
+    """fn(*args) with scipy's null_space made to fail, so no Kronecker path runs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("null_space ran on a simple spectrum")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify.scipy.linalg, "null_space", forbidden)
+        return fn(*args)
+
+
+def test_intertwiner_basis_matches_the_kronecker_null_space():
+    # seeded CSO and generic matrices have simple spectra: the eigenvector
+    # basis spans the same space as the reference, column count and projector
+    for dim in range(1, 17):
+        rng = stream(23, dim)
+        for T in (random_cso(rng, dim)[0], random_complex(rng, dim, dim)):
+            basis, ref = without_null_space(intertwiner_basis, T), kronecker_null_space(T)
+            assert basis.shape == ref.shape == (dim * dim, dim)
+            P, R = basis @ basis.conj().T, ref @ ref.conj().T
+            assert np.abs(P - R).max() <= 1e-10
+
+
+def test_intertwiner_basis_takes_the_null_space_off_simple_spectra():
+    Q = random_unitary(stream(11, 7), 6)
+    cases = [
+        jordan(3),
+        Q @ direct_sum(jordan(3), jordan(3)) @ Q.conj().T,
+        direct_sum(2 * np.eye(3), jordan(2)),
+        np.diag([1.0, 1.0, 2.0]),
+        np.zeros((0, 0)),
+    ]
+    null_space = certify.scipy.linalg.null_space
+    calls = []
+
+    def spy(L, *args, **kwargs):
+        calls.append(L.shape)
+        return null_space(L, *args, **kwargs)
+
+    for T in cases:
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify.scipy.linalg, "null_space", spy)
+            basis = intertwiner_basis(T)
+        n = T.shape[0]
+        assert calls == [(n * n, n * n)]
+        assert basis.shape[1] == kronecker_null_space(T).shape[1]
+
+
+def test_find_conjugation_at_64_builds_no_kronecker_matrix():
+    T, _ = random_cso(stream(23, 64), 64)
+    cert = without_null_space(find_conjugation, T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    cert.conjugation.validate()
 
 
 def test_find_conjugation_order2_fast_path():
@@ -312,8 +378,10 @@ def test_tiny_witness_is_not_called_c_symmetric():
     for scale in (1e-50, 1e-100):
         assert not is_c_symmetric(scale * B, Conjugation.identity(3))[0]
         assert find_conjugation(scale * B, seed=0).verdict == "obstructed"
-    # the word norms underflow at 1e-150, so no route concludes
-    assert find_conjugation(1e-150 * B, seed=0).verdict == "inconclusive"
+    # the search finds xxy on T scaled to norm about 1, but its gap is 0 in
+    # T's units at 1e-150, so the search refuses rather than misreport it
+    with pytest.raises(PreconditionError, match="out of range"):
+        find_conjugation(1e-150 * B, seed=0)
     assert is_c_symmetric(np.zeros((3, 3)), Conjugation.identity(3)) == (True, 0.0)
 
 
@@ -342,9 +410,8 @@ def test_phase_conjugation_certifies_random_cso(seed, dim):
     ok, residual = is_c_symmetric(T, C)
     assert ok and residual <= DEFAULT_TOL
     assert C.unitarity_residual() <= DEFAULT_TOL and C.symmetry_residual() <= DEFAULT_TOL
-    if dim <= 16:  # the intertwiner search that follows costs O(dim^6)
-        cert = find_conjugation(T)
-        assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

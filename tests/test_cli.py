@@ -296,6 +296,26 @@ def test_destructor_subcommand():
     assert json.loads(p.stdout)["conclusion"] == "indestructible_sampled"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e120, 1e-120])
+def test_witness_at_extreme_scales_is_obstructed_or_refused(scale, tmp_path):
+    # the word products of 1e120 B overflow and those of 1e-120 B underflow;
+    # both subcommands then exit 65 naming ||B|| = 2 scale, where they used to
+    # call the finite input non-finite (exit 64) or end inconclusive (exit 3)
+    M = matrix_arg(scale * witness_matrix(1.0, 2.0))
+    expected = {"certify": ("word", "xxy", 2), "destructor": ("conclusion", "destroyed", 0)}
+    for command, (key, value, code) in expected.items():
+        out = tmp_path / f"{command}.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            exit_code = main([command, "--matrix", M, "--out", str(out)])
+        if scale == 1.0:
+            assert exit_code == code
+            assert json.loads(out.read_text())[key] == value
+        else:
+            assert exit_code == 65
+            assert f"{2 * scale:.3e}" in err.getvalue()
+
+
 def J2_mat():
     return np.array([[0.0, 0.0], [1.0, 0.0]])
 

@@ -132,6 +132,20 @@ def test_unitary_in_subspace_finds_member():
     assert best <= 1e-9
 
 
+def test_unitary_in_subspace_draws_a_start_only_when_it_reaches_it():
+    # a caller that takes only the initial candidate leaves the rng untouched
+    n = 3
+    basis = np.eye(n, dtype=complex).reshape(-1, 1, order="F") / np.sqrt(n)
+    rng = stream(1, 8)
+    before = rng.bit_generator.state
+    search = unitary_in_subspace(basis, n, initial=(np.eye(n, dtype=complex),), rng=rng)
+    W = next(search)
+    assert operator_norm(W - np.eye(n)) <= 1e-12
+    assert rng.bit_generator.state == before
+    next(search)
+    assert rng.bit_generator.state != before
+
+
 def test_unitary_in_subspace_symmetric_mode():
     n = 3
     vecs = np.stack(
