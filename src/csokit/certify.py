@@ -17,9 +17,9 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    {X : T X = X T^t}, started from the verified phase G when there is one.
    Otherwise the answer is "inconclusive".  ``intertwiner_basis`` spans
    that space by the v_k v_k^t of T's eigenvectors, in O(n^4), when T has a
-   simple spectrum whose eigenvalue gaps clear null_space's own rank cut,
-   and by the null space of the n^2 x n^2 Kronecker matrix, in O(n^6),
-   otherwise.
+   simple spectrum whose eigenvalue gaps clear the rank cut of
+   ``linalg.null_space``, and by the null space of the n^2 x n^2 Kronecker
+   matrix, in O(n^6), otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, PreconditionError
 from .linalg import (
@@ -41,6 +40,7 @@ from .linalg import (
     column_phases,
     conjugate_by,
     direct_sum,
+    null_space,
     operator_norm,
     operator_norms,
     polar_decompose,
@@ -198,14 +198,15 @@ def intertwiner_basis(T) -> np.ndarray:
     T v v^t = lambda v v^t = v v^t T^t, and the basis is the QR factor of
     those n vectors: one ``eig``, O(n^4) time and O(n^3) memory.  Any other
     T (0x0, repeated or clustered eigenvalues, Jordan blocks) takes
-    ``scipy.linalg.null_space`` of the n^2 x n^2 matrix L, O(n^6).
+    ``linalg.null_space`` of the n^2 x n^2 matrix L, O(n^6).
 
     The input picks the path.  L = (V (x) V) diag(lambda_i - lambda_j)
     (V (x) V)^-1, so its n^2 - n nonzero singular values are at least
     delta (s_min(V) / s_max(V))^2, delta the least eigenvalue gap.  The
     eigenvector path runs only when that bound exceeds eps n^2 2 ||T||,
-    which is at least the cut eps n^2 ||L|| that ``null_space`` applies, so
-    both paths return a space of the same dimension n.
+    which is at least the cut that ``null_space`` applies, eps max(rows,
+    cols) s_0 = eps n^2 ||L||, so both paths return a space of the same
+    dimension n.
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
@@ -218,7 +219,7 @@ def intertwiner_basis(T) -> np.ndarray:
             # column k is vec(v_k v_k^t) (symmetric, so either vec order)
             return np.linalg.qr((V[:, None, :] * V).reshape(n * n, n))[0]
     L = np.kron(np.eye(n), A) - np.kron(A, np.eye(n))
-    return scipy.linalg.null_space(L)
+    return null_space(L)
 
 
 def hermitian_phase_conjugation(T) -> Conjugation:

@@ -16,7 +16,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, InputError
 
@@ -147,9 +146,25 @@ def tensor(A, B, dim_cap: int = TENSOR_DIM_CAP) -> np.ndarray:
 def direct_sum(*blocks) -> np.ndarray:
     """Block-diagonal direct sum; accepts 1x1 blocks as scalars."""
     mats = [as_matrix(np.atleast_2d(b)) for b in blocks]
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
-    return scipy.linalg.block_diag(*mats).astype(complex)
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
+def null_space(A) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of the m x n matrix A.
+
+    From the full SVD of A: the rows of V* past the numerical rank r, where r
+    counts the singular values above eps max(m, n) s_0, the same cut as
+    ``scipy.linalg.null_space``.
+    """
+    A = as_matrix(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s.max(initial=0.0)))
+    return vh[rank:].conj().T
 
 
 def column_phases(cols: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
@@ -323,25 +322,18 @@ def _fine_space(ms: ModelSpace, M: int) -> ModelSpace:
 
 
 def _hankel_section(fine: ModelSpace, phi: Symbol, M: int) -> np.ndarray:
-    """hankel_truncation on the fine grid ``fine`` (see there)."""
-    if M < 64:
-        raise InputError("Hankel truncation needs M >= 64")
-    coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
-    v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
-    return scipy.linalg.hankel(v[:M], v[M - 1 :])
-
-
-def hankel_truncation(
-    u: BlaschkeProduct, phi: Symbol, M: int, quad_points: int = DEFAULT_QUAD
-) -> np.ndarray:
     """M x M finite section of the Hankel operator with symbol conj(u) phi.
 
     Columns are the monomials z^0..z^{M-1}, rows the conjugate monomials
     z^{-1}..z^{-M}; the (r, c) entry is Fourier coefficient -(r+c+1) of the
-    symbol, computed by FFT on a grid fine enough that aliasing sits far
-    below the truncation error.
+    symbol, computed by FFT on the grid of ``fine`` (see _fine_space), fine
+    enough that aliasing sits far below the truncation error.
     """
-    return _hankel_section(_fine_space(ModelSpace(u, quad_points), M), phi, M)
+    if M < 64:
+        raise InputError("Hankel truncation needs M >= 64")
+    coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
+    v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
+    return np.lib.stride_tricks.sliding_window_view(v, M).copy()  # row r is v[r : r + M]
 
 
 def verify_hankel_factorization(
@@ -460,32 +452,3 @@ def block_structure_check(
         operator_norm(M[du:, du:]),
         sv_gap,
     )
-
-
-def cancel_common_inner_factor(
-    u: BlaschkeProduct, phi: Symbol, tol: float = 1e-8
-) -> tuple[BlaschkeProduct, Symbol]:
-    """Divide shared disk zeros out of both u and a polynomial phi.
-
-    Each shared zero a is removed from u and the Blaschke factor with zero a
-    is divided out of phi (phi / b_a = -(1 - conj(a) z) * phi / (z - a),
-    again a polynomial).  The returned pair satisfies b_a ... * phi' = phi.
-    """
-    if not phi.is_polynomial:
-        raise InputError("cancellation applies to polynomial symbols")
-    poly = _trim(phi.poly)
-    remaining = list(u.zeros)
-    changed = True
-    while changed and poly.size > 1:
-        changed = False
-        roots = np.roots(poly[::-1])
-        for a in remaining:
-            if np.any(np.abs(roots - a) < tol):
-                quotient, rem = npoly.polydiv(poly, np.array([-a, 1.0], dtype=complex))
-                if np.max(np.abs(rem)) > tol * max(np.max(np.abs(poly)), 1.0):
-                    continue
-                poly = _trim(npoly.polymul(quotient, np.array([-1.0, np.conj(a)])))
-                remaining.remove(a)
-                changed = True
-                break
-    return BlaschkeProduct(remaining), Symbol(poly=poly)

@@ -10,6 +10,7 @@ Hand oracles used below:
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from csokit import certify
@@ -277,17 +278,17 @@ def test_intertwiner_basis_members_intertwine():
 def kronecker_null_space(T):
     """Reference basis of {X : T X = X T^t}, straight from the n^2 x n^2 matrix."""
     n = T.shape[0]
-    return certify.scipy.linalg.null_space(np.kron(np.eye(n), T) - np.kron(T, np.eye(n)))
+    return scipy.linalg.null_space(np.kron(np.eye(n), T) - np.kron(T, np.eye(n)))
 
 
 def without_null_space(fn, *args):
-    """fn(*args) with scipy's null_space made to fail, so no Kronecker path runs."""
+    """fn(*args) with certify's null_space made to fail, so no Kronecker path runs."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("null_space ran on a simple spectrum")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify.scipy.linalg, "null_space", forbidden)
+        mp.setattr(certify, "null_space", forbidden)
         return fn(*args)
 
 
@@ -312,7 +313,7 @@ def test_intertwiner_basis_takes_the_null_space_off_simple_spectra():
         np.diag([1.0, 1.0, 2.0]),
         np.zeros((0, 0)),
     ]
-    null_space = certify.scipy.linalg.null_space
+    null_space = certify.null_space
     calls = []
 
     def spy(L, *args, **kwargs):
@@ -322,7 +323,7 @@ def test_intertwiner_basis_takes_the_null_space_off_simple_spectra():
     for T in cases:
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(certify.scipy.linalg, "null_space", spy)
+            mp.setattr(certify, "null_space", spy)
             basis = intertwiner_basis(T)
         n = T.shape[0]
         assert calls == [(n * n, n * n)]

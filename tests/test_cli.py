@@ -461,3 +461,23 @@ def test_import_does_not_load_multiprocessing():
     p = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "False"
+
+
+def test_subcommands_load_no_scipy():
+    matrix = json.dumps(J2)
+    probe = f"""
+import contextlib, io, sys
+import csokit, csokit.cli
+calls = [
+    ["certify", "--matrix", {matrix!r}],
+    ["destructor", "--matrix", {matrix!r}],
+    ["synthesize", "--matrix", {matrix!r}],
+    ["tto", "--u", '{{"zeros": [[0.5, 0.0]]}}', "--phi", '{{"poly": [[0.0, 0.0], [1.0, 0.0]]}}'],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [csokit.cli.main(args) for args in calls]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    p = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[0, 0, 0, 0] []"

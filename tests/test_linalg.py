@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from csokit.ensembles import random_complex, random_unitary, stream
 from csokit.errors import CapacityError, InputError
@@ -11,6 +12,7 @@ from csokit.linalg import (
     check_seed,
     conjugate_by,
     direct_sum,
+    null_space,
     operator_norm,
     polar_decompose,
     singular_values,
@@ -63,6 +65,54 @@ def test_direct_sum_places_blocks():
     assert np.array_equal(np.diag(S), [1.0, 2.0, 3.0])
     assert np.count_nonzero(S) == 3
     assert direct_sum().shape == (0, 0)
+
+
+def test_direct_sum_equals_scipy_block_diag():
+    rng = stream(1, 9)
+    cases = [
+        (2.5, 1j, -3),
+        (np.array([[4.0]]), np.zeros((0, 0)), np.arange(6.0).reshape(2, 3)),
+        (random_complex(rng, 3, 1), np.eye(2, dtype=int), random_complex(rng, 1, 4)),
+        (np.zeros((0, 0)),),
+        (np.zeros((0, 3)), random_complex(rng, 2, 2), np.zeros((2, 0))),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1j]], np.float32(0.5)),
+    ]
+    for blocks in cases:
+        got = direct_sum(*blocks)
+        want = scipy.linalg.block_diag(*blocks).astype(complex)
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def rank_deficient(rng, m, n, r):
+    return random_complex(rng, m, r) @ random_complex(rng, r, n)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        rank_deficient(stream(1, 10), 6, 6, 3),
+        rank_deficient(stream(1, 11), 9, 9, 1),
+        np.zeros((4, 4)),
+        np.zeros((3, 5)),
+        np.zeros((0, 0)),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.array([[0.0]]),
+        np.array([[2.0 - 1j]]),
+        random_complex(stream(1, 12), 3, 7),
+        rank_deficient(stream(1, 13), 4, 8, 2),
+        random_complex(stream(1, 14), 7, 3),
+        rank_deficient(stream(1, 15), 8, 4, 2),
+        np.kron(np.eye(3), np.diag([1.0, 1.0, 2.0])) - np.kron(np.diag([1.0, 1.0, 2.0]), np.eye(3)),
+    ],
+)
+def test_null_space_matches_scipy_null_space(A):
+    got, want = null_space(A), scipy.linalg.null_space(A)
+    assert got.shape == want.shape
+    P, R = got @ got.conj().T, want @ want.conj().T
+    assert P.size == 0 or np.abs(P - R).max() <= 1e-12
+    assert operator_norm(A @ got) <= 1e-12 * max(1.0, operator_norm(A))
 
 
 def test_polar_decompose_properties():

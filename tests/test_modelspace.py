@@ -9,6 +9,7 @@ Monomial oracles (u = z^n makes everything exact):
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -25,15 +26,15 @@ from csokit.modelspace import (
     Symbol,
     blaschke_symbol,
     block_structure_check,
-    cancel_common_inner_factor,
     compressed_shift,
     fn_calculus_check,
-    hankel_truncation,
     model_conjugation,
     modelspace_decompose,
     tto_matrix,
     verify_hankel_factorization,
+    _fine_space,
     _hankel_route_residual,
+    _hankel_section,
 )
 
 
@@ -214,12 +215,25 @@ def test_quadrature_size_is_capped_before_any_sample():
 
 
 def test_hankel_truncation_monomial_oracle():
-    H = hankel_truncation(BlaschkeProduct((0.0, 0.0)), Symbol.shift(), 64)
+    H = _hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0, 0.0))), 64), Symbol.shift(), 64)
     want = np.zeros((64, 64))
     want[0, 0] = 1.0
     assert np.allclose(H, want, atol=1e-12)
     with pytest.raises(InputError):
-        hankel_truncation(BlaschkeProduct((0.0,)), Symbol.shift(), 32)
+        _hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0,))), 32), Symbol.shift(), 32)
+
+
+@pytest.mark.parametrize("M", [64, 100, 300])
+def test_hankel_section_equals_scipy_hankel(M):
+    rng = stream(17, 9)
+    u = random_blaschke(rng, 5, max_modulus=0.9)
+    phi = random_poly_symbol(rng, 3)
+    fine = _fine_space(ModelSpace(u, 256), M)
+    coeffs = np.fft.fft(np.conj(fine.u_samples) * phi.eval(fine.nodes)) / fine.quad_points
+    v = coeffs[-1 : -2 * M : -1]
+    H = _hankel_section(fine, phi, M)
+    assert H.flags.writeable
+    assert np.array_equal(H, scipy.linalg.hankel(v[:M], v[M - 1 :]))
 
 
 def test_hankel_route_reproduces_tto():
@@ -247,7 +261,7 @@ def polyval_hankel_route(u, phi, M, quad_points):
     ms = ModelSpace(u, quad_points)
     fine = ModelSpace(u, max(4 * M, quad_points, 1024))
     taylor = (np.fft.fft(fine.basis_samples) / fine.quad_points)[:, :M]
-    negative = taylor @ hankel_truncation(u, phi, M, quad_points).T
+    negative = taylor @ _hankel_section(_fine_space(ModelSpace(u, quad_points), M), phi, M).T
     w = np.conj(ms.nodes)
     return ms.project(ms.u_samples * w * npoly.polyval(w, negative.T))
 
@@ -301,24 +315,6 @@ def test_block_structure_of_inner_times_analytic():
     v = random_blaschke(rng, 2, max_modulus=0.6)
     phi = random_poly_symbol(rng, 2)
     assert block_structure_check(u, v, phi) <= 1e-7
-
-
-def test_cancel_common_inner_factor():
-    a = 0.5
-    u = BlaschkeProduct((a, -0.3))
-    # phi = (z - a)(2 + z) shares the zero a with u
-    phi = Symbol(poly=np.polynomial.polynomial.polymul([-a, 1.0], [2.0, 1.0]))
-    u2, phi2 = cancel_common_inner_factor(u, phi)
-    assert u2.zeros == (-0.3,)
-    assert phi2.degree == phi.degree
-    # removed Blaschke factor times the new symbol reproduces the old one
-    b = BlaschkeProduct((a,))
-    for z in (0.2, -0.4j, 0.7 + 0.1j):
-        assert b.eval(z) * phi2.eval(z) == pytest.approx(phi.eval(z), abs=1e-12)
-    # operators agree after moving the inner factor across
-    A_old = tto_matrix(u, phi)
-    A_new = tto_matrix(u, blaschke_symbol(b) * phi2)
-    assert operator_norm(A_old - A_new) <= 1e-10
 
 
 def test_hankel_check_builds_each_grid_once(monkeypatch):

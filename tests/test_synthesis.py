@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from csokit.ensembles import random_nilpotent2, stream
@@ -71,6 +72,18 @@ def test_realize_modulus_wide_spread_reaches_machine_precision():
         got = np.sort(m.achieved_singular_values)[::-1]
         assert m.converged
         assert np.max(np.abs(got - np.sort(t)[::-1])) <= 1e-12 * spread, (rank, spread)
+
+
+def test_lower_toeplitz_equals_scipy_toeplitz():
+    rng = stream(23, 9)
+    for c in (
+        np.zeros(0),
+        np.array([2.5]),
+        rng.standard_normal(4),
+        rng.standard_normal(7) + 1j * rng.standard_normal(7),
+    ):
+        got, want = _lower_toeplitz(c), scipy.linalg.toeplitz(c, np.zeros_like(c))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
