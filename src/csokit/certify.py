@@ -12,10 +12,12 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 2. Transpose-symmetric matrices: G = I.
 3. The Hermitian-part phase test (``hermitian_phase_conjugation``): an exact
    O(n^3) candidate G, built from the eigenvectors of Re(e^{i theta} T).
-4. If that G is not verified, the word-norm obstruction search.
+4. If that G is not verified, the word-norm obstruction search over all 62
+   words of length at most 5.
 5. The alternating-projection search over the intertwiner space
-   {X : T X = X T^t}, started from the verified phase G when there is one.
-   Otherwise the answer is "inconclusive".  ``intertwiner_basis`` spans
+   {X : T X = X T^t}, started from the verified phase G when there is one
+   (a verified phase G is reported through this search).  Otherwise the
+   answer is "inconclusive".  ``intertwiner_basis`` spans
    that space by the v_k v_k^t of T's eigenvectors, in O(n^4), when T has a
    simple spectrum whose eigenvalue gaps clear the rank cut of
    ``linalg.null_space``, and by the null space of the n^2 x n^2 Kronecker
@@ -24,12 +26,13 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import PreconditionError
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
@@ -51,7 +54,6 @@ from .linalg import (
 from .words import (
     normalize_poly,
     random_polynomial,
-    random_word,
     swap_letters,
     word_products,
     words_of_length,
@@ -166,9 +168,7 @@ def conjugation_for_nilpotent2(form: Nilpotent2Form) -> Conjugation:
     return Conjugation(0.5 * (G + G.T))
 
 
-def canonical_block_decomposition(
-    T, tol: float = DEFAULT_TOL
-) -> tuple[list[np.ndarray], np.ndarray]:
+def canonical_block_decomposition(T) -> tuple[list[np.ndarray], np.ndarray]:
     """(blocks, W) with W unitary and W T W* = direct_sum(*blocks), for T^2 = 0.
 
     The blocks are one self-transpose (s/2) [[1,i],[i,-1]] per singular value
@@ -177,9 +177,9 @@ def canonical_block_decomposition(
     each pair carries s e_2 e_1*, and Q = [[1,1],[-i,i]] / sqrt(2) takes
     that to Q (s e_2 e_1*) Q* = (s/2) [[1,i],[i,-1]]; W is that basis change
     followed by Q on every pair.  It is unitary to rounding, except that on a
-    T nilpotent only at tol, ran T lies in ker T only up to that tol.
+    T nilpotent only at DEFAULT_TOL, ran T lies in ker T only up to that tol.
     """
-    form = nilpotent2_splitting(T, tol)
+    form = nilpotent2_splitting(T)
     r, extra = form.rank, form.extra_kernel_dim
     rows = np.r_[np.arange(2 * r).reshape(2, r).T.ravel(), 2 * r : 2 * r + extra]
     Q = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
@@ -281,11 +281,7 @@ def _is_symmetric_unitary(C: Conjugation, tol: float) -> bool:
 
 
 def find_conjugation(
-    T,
-    budget: int = 500,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    word_max_len: int = 5,
+    T, budget: int = 500, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> CsoCertificate:
     """Complex-symmetry decision: a verified conjugation, a word, or neither.
 
@@ -294,10 +290,11 @@ def find_conjugation(
     otherwise the result is "inconclusive" with its residual.  Any other T
     takes the general routes: G = I if T is transpose-symmetric, else the
     Hermitian-part phase conjugation.  If that is not verified at tol, the
-    word-norm obstruction search runs first and a violating word gives
-    "obstructed".  Then a symmetric unitary is sought in the intertwiner
-    space by alternating projection, started from the verified phase G (if
-    any), the identity and the flip, then from seeded random starts; every
+    word-norm obstruction search runs over every word of length at most 5
+    and a violating word gives "obstructed".  Then a symmetric unitary is
+    sought in the intertwiner space by alternating projection, started from
+    the verified phase G (if any), the identity and the flip, then from
+    random starts drawn from seed, each for at most budget rounds; every
     candidate is re-verified before being reported.  "inconclusive" is a
     valid outcome.
     """
@@ -328,7 +325,7 @@ def find_conjugation(
     if _verified_residual(A, phase, tol) is not None:
         initial = (phase.matrix, *initial)
     else:
-        found = word_obstruction_search(A, max_len=word_max_len, tol=tol)
+        found = word_obstruction_search(A, tol=tol)
         if found is not None:
             word, gap = found
             return CsoCertificate(
@@ -405,65 +402,44 @@ def polynomial_norm_gap(p: dict[str, complex], T) -> float:
 
 
 def word_obstruction_search(
-    T,
-    max_len: int = 5,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    samples: int = 256,
-    tol: float = DEFAULT_TOL,
+    T, max_len: int = 5, tol: float = DEFAULT_TOL
 ) -> tuple[str, float] | None:
     """First word w with | ||w(T,T*)|| - ||w(T*,T)|| | > tol * ||T||^len.
 
-    Exhaustive mode enumerates words length-lexicographically with x < y;
-    sampled mode draws random words from the seed.  Such a word certifies
-    that T admits no conjugation; absence of one proves nothing.  The gaps
-    come from ``word_norm_gaps`` one length at a time in exhaustive mode (so
-    an early hit such as xxy costs only the words up to its length) and in
-    batches of samples in sampled mode.
+    Words are enumerated length-lexicographically with x < y.  Such a word
+    certifies that T admits no conjugation; absence of one proves nothing.
+    The gaps come from ``word_norm_gaps`` one length at a time, so an early
+    hit such as xxy costs only the words up to its length.
 
     The search runs on T scaled by a power of two to norm about 1, so its
     word products neither overflow nor underflow, and the gap it returns is
     taken back to T's units exactly.  A gap that overflows or underflows
     there raises PreconditionError naming ||T||.
     """
-    seed = check_seed(seed)
     tol = check_tol(tol)
     max_len = check_count(max_len, "max_len")
-    samples = check_count(samples, "samples")
     A, e = power_of_two_scaled(as_matrix(T, square=True))
     nrm = operator_norm(A)
     n = A.shape[0]
-    if mode == "exhaustive":
-        lengths = range(1, max_len + 1)
-        batches = (b for length in lengths for b in _batches(words_of_length(length), n))
-    elif mode == "sampled":
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-        batches = _batches((random_word(rng, max_len) for _ in range(samples)), n)
-    else:
-        raise InputError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    for batch in batches:
-        gaps = word_norm_gaps(A, batch)
-        hits = np.flatnonzero(gaps > np.array([tol * nrm ** len(w) for w in batch]))
-        if hits.size:
-            word, unit_gap = batch[hits[0]], float(gaps[hits[0]])
-            gap = times_power_of_two(unit_gap, e * len(word))
-            if not 0 < gap < np.inf:
-                raise PreconditionError(
-                    f"||T|| = {times_power_of_two(nrm, e):.3e} is out of range for the word "
-                    f"norms: {word} separates T / 2^{e} by {unit_gap:.3e}, which is {gap:g} "
-                    f"in T's units; rescale T"
-                )
-            return word, gap
+    for length in range(1, max_len + 1):
+        for batch in _batches(words_of_length(length), n):
+            gaps = word_norm_gaps(A, batch)
+            hits = np.flatnonzero(gaps > tol * nrm**length)
+            if hits.size:
+                word, unit_gap = batch[hits[0]], float(gaps[hits[0]])
+                gap = times_power_of_two(unit_gap, e * length)
+                if not 0 < gap < np.inf:
+                    raise PreconditionError(
+                        f"||T|| = {times_power_of_two(nrm, e):.3e} is out of range for the "
+                        f"word norms: {word} separates T / 2^{e} by {unit_gap:.3e}, which is "
+                        f"{gap:g} in T's units; rescale T"
+                    )
+                return word, gap
     return None
 
 
 def polynomial_obstruction_search(
-    T,
-    samples: int = 256,
-    max_len: int = 5,
-    max_terms: int = 4,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    T, samples: int = 256, max_len: int = 5, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> dict:
     """Sampled search for a polynomial norm-identity violation on T.
 
@@ -471,6 +447,11 @@ def polynomial_obstruction_search(
     threshold certifies that T is not complex symmetric; finding none says
     nothing either way, and the result never claims more.  The samples'
     gaps are computed a batch at a time from one word table per batch.
+
+    A polynomial mixes word lengths, so T cannot be rescaled as in the word
+    search.  A T with ||T||^max_len outside the normal doubles, whose word
+    products would overflow or lose their digits, raises PreconditionError
+    naming ||T||.
     """
     seed = check_seed(seed)
     tol = check_tol(tol)
@@ -478,8 +459,14 @@ def polynomial_obstruction_search(
     max_len = check_count(max_len, "max_len")
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
+    limits = np.finfo(float)
+    if nrm > 0 and not limits.minexp <= max_len * math.log2(nrm) < limits.maxexp:
+        raise PreconditionError(
+            f"||T|| = {nrm:.3e} is out of range for the polynomial search: "
+            f"||T||^{max_len} is not a normal double; rescale T"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    draws = (random_polynomial(rng, max_len, max_terms=max_terms) for _ in range(samples))
+    draws = (random_polynomial(rng, max_len) for _ in range(samples))
     best_gap = 0.0
     best_poly: dict[str, complex] | None = None
     hits = 0

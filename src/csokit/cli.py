@@ -7,9 +7,9 @@ JSON (sorted keys, compact separators), so identical inputs and seeds give
 byte-identical bytes.
 
 Exit codes: certify maps its verdict to 0 (symmetric), 2 (obstructed), or
-3 (inconclusive); malformed input is 64 everywhere; other toolkit errors
-(precondition, capacity, accuracy) are 65; verify-paper exits 1 when any
-entry fails.
+3 (inconclusive); malformed input, usage errors included, is 64 everywhere;
+other toolkit errors (precondition, capacity, accuracy) are 65; verify-paper
+exits 1 when any entry fails.
 """
 
 from __future__ import annotations
@@ -68,8 +68,17 @@ def _common(parser: argparse.ArgumentParser, *flags: str) -> None:
     parser.add_argument("--out", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 64, as malformed input does, not
+    argparse's 2, which is certify's "obstructed"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csokit",
         description="complex-symmetry certificates, destructor witnesses, and "
         "truncated Toeplitz synthesis for nilpotent operators of order two",
@@ -205,32 +214,9 @@ COMMANDS = {
 }
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write "--flag -1e-9" as "--flag=-1e-9".
-
-    argparse takes a dash-led token for an option unless it looks like a
-    plain negative number, so a negative value in exponent form would end in
-    a usage error (exit 2, the code of "obstructed") instead of reaching the
-    flag's own check.
-    """
-    out: list[str] = []
-    for arg in argv:
-        prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and prev != "--help" and arg.startswith("-"):
-            try:
-                float(arg)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{prev}={arg}"
-                continue
-        out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except InputError as exc:

@@ -64,9 +64,7 @@ def witness_matrix(alpha: float, beta: float) -> np.ndarray:
     return B
 
 
-def destructor_witness(
-    A, alpha: float = 1.0, beta: float = 2.0, tol: float = DEFAULT_TOL
-) -> DestructorCertificate:
+def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCertificate:
     """Norm-identity violation certificate for A (x) B(alpha, beta).
 
     With w = yx^2: ||w(B,B*)|| = alpha^2 beta and ||w(B*,B)|| = alpha beta^2,
@@ -74,15 +72,16 @@ def destructor_witness(
     alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  A of order two
     (``nilpotent2_splitting``) gives indestructible_sampled, since the
     constructive route applies.  Otherwise the conclusion is destroyed when
-    the gap exceeds tol * ||A (x) B||^3, the threshold of
+    the gap exceeds DEFAULT_TOL * ||A (x) B||^3, the threshold of
     ``word_obstruction_search``.  The norms of A are taken on A scaled by a
     power of two to norm about 1, which is exact, and the gap is decided in
     those units.  A word norm of A that overflows in A's units raises
     PreconditionError (||A|| above about 5e102), and so does a gap too small
     to decide, naming the cause: word norms of A that underflow (||A|| below
     about 1e-108), both yxx norms of A (x) B at or below the threshold (so
-    when A failed on its rank alone, as ||A^2|| <= tol ||A||^2 bounds them),
-    or a ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they cancel.
+    when A failed on its rank alone, as ||A^2|| <= DEFAULT_TOL ||A||^2 bounds
+    them), or a ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they
+    cancel.
     """
     M = as_matrix(A, square=True)
     U, e = power_of_two_scaled(M)
@@ -110,7 +109,7 @@ def destructor_witness(
             f"||A*A^2|| and ||A^2 A*|| overflow; rescale A"
         )
     try:
-        nilpotent2_splitting(M, tol)
+        nilpotent2_splitting(M)
     except PreconditionError as exc:
         not_order_two = exc
     else:
@@ -125,7 +124,7 @@ def destructor_witness(
     # decided in units of 2^(3e), where nothing over- or underflows
     norms = (unit_norms[0] * cert.norm_wB, unit_norms[1] * cert.norm_wB_rev)
     gap = abs(norms[0] - norms[1])
-    threshold = tol * (unit_nrm * max(alpha, beta)) ** 3
+    threshold = DEFAULT_TOL * (unit_nrm * max(alpha, beta)) ** 3
     shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
     if max(norms) <= threshold:
         raise PreconditionError(
@@ -143,19 +142,19 @@ def destructor_witness(
     return cert
 
 
-def nilpotent2_tensor_conjugation(A, B, tol: float = DEFAULT_TOL) -> Conjugation:
-    """Verified conjugation for A (x) B when A^2 = 0.
+def nilpotent2_tensor_conjugation(A, B) -> Conjugation:
+    """Verified conjugation for A (x) B when A^2 = 0 at DEFAULT_TOL.
 
     (A (x) B)^2 = A^2 (x) B^2 = 0, so the order-two construction applies to
-    the product directly.  A G that misses tol (A nilpotent only at tol)
+    the product directly.  A G that misses the tol (A nilpotent only at tol)
     raises AccuracyError.
     """
-    nilpotent2_splitting(A, tol)
+    nilpotent2_splitting(A)
     T = tensor(A, B)
-    C = conjugation_for_nilpotent2(nilpotent2_splitting(T, tol))
-    if _verified_residual(T, C, tol) is None:
+    C = conjugation_for_nilpotent2(nilpotent2_splitting(T))
+    if _verified_residual(T, C, DEFAULT_TOL) is None:
         raise AccuracyError(
-            f"the conjugation of A (x) B misses tol {tol:.1e}: c-symmetry residual "
+            f"the conjugation of A (x) B misses tol {DEFAULT_TOL:.1e}: c-symmetry residual "
             f"{is_c_symmetric(T, C)[1]:.3e}"
         )
     return C

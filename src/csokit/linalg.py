@@ -5,8 +5,10 @@ validates shape and finiteness on entry.  Conjugations (conjugate-linear
 isometric involutions) are stored through their symmetric unitary matrix G,
 acting as ``x -> G @ conj(x)``.
 
-Tolerances are relative to the norm of the input with default factor 1e-9;
-all operations accept an explicit override.
+Tolerances are relative to the norm of the input with factor DEFAULT_TOL =
+1e-9.  The decisions that the CLI's --tol reaches (``find_conjugation``, the
+obstruction searches, ``nilpotent2_splitting``, ``is_c_symmetric``) accept
+an explicit override; everything else uses DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -129,16 +131,16 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
-def tensor(A, B, dim_cap: int = TENSOR_DIM_CAP) -> np.ndarray:
-    """Kronecker product, capped so row and column counts stay <= dim_cap."""
+def tensor(A, B) -> np.ndarray:
+    """Kronecker product, capped so row and column counts stay <= TENSOR_DIM_CAP."""
     A = as_matrix(A)
     B = as_matrix(B)
     rows = A.shape[0] * B.shape[0]
     cols = A.shape[1] * B.shape[1]
-    if max(rows, cols) > dim_cap:
+    if max(rows, cols) > TENSOR_DIM_CAP:
         raise CapacityError(
             f"tensor product of shapes {A.shape} x {B.shape} exceeds the "
-            f"dimension cap {dim_cap}"
+            f"dimension cap {TENSOR_DIM_CAP}"
         )
     return np.kron(A, B)
 
@@ -225,13 +227,13 @@ class Conjugation:
         G = self.matrix
         return operator_norm(G - G.T)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         ru = self.unitarity_residual()
         rs = self.symmetry_residual()
-        if ru > tol or rs > tol:
+        if ru > DEFAULT_TOL or rs > DEFAULT_TOL:
             raise InputError(
                 f"matrix is not a valid conjugation: unitarity residual {ru:.3e}, "
-                f"symmetry residual {rs:.3e} (tol {tol:.1e})"
+                f"symmetry residual {rs:.3e} (tol {DEFAULT_TOL:.1e})"
             )
 
 

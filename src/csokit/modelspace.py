@@ -10,12 +10,16 @@ compression A_u of multiplication by z has a closed form, and every analytic
 truncated Toeplitz operator (the compression f -> P(phi f)) is phi(A_u), so
 tto_matrix involves no quadrature.
 
-The quadrature routes (model conjugation, frame identification, and the
-independent cross-checks) use uniform trapezoid sums over the unit circle;
-that rule is exact for trigonometric polynomials below the node count and
-spectrally accurate for the rational integrands appearing here, and they
-monitor the basis Gram residual so underresolution surfaces as an error
-instead of wrong numbers.
+The basis of a product uv is the frame K_u + u K_v itself: element
+deg(u) + k of uv's basis is u times element k of v's, identically, so
+modelspace_decompose is the identity with its block labels.
+
+Quadrature is left to the model conjugation and the two independent
+cross-checks (functional calculus and Hankel factorization).  They use
+uniform trapezoid sums over the unit circle; that rule is exact for
+trigonometric polynomials below the node count and spectrally accurate for
+the rational integrands appearing here, and they monitor the basis Gram
+residual so underresolution surfaces as an error instead of wrong numbers.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -32,13 +36,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import Conjugation, operator_norm, singular_values
+from .linalg import Conjugation, operator_norm
 
 DEFAULT_QUAD = 1024
 QUAD_CAP = 1 << 20  # quadrature nodes; at least 64, at most this (16 MB per sampled row)
 ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
+HANKEL_RESIDUAL_CAP = 1e-6  # a Hankel residual above this must fall when M doubles
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -146,9 +151,6 @@ class Symbol:
     def __mul__(self, other: "Symbol") -> "Symbol":
         return Symbol(num=npoly.polymul(self.num, other.num), den=npoly.polymul(self.den, other.den))
 
-    def scaled(self, c) -> "Symbol":
-        return Symbol(num=self.num * c, den=self.den)
-
 
 def blaschke_symbol(u: BlaschkeProduct) -> Symbol:
     """u as a rational Symbol, matching eval's convention factor for zero at 0."""
@@ -163,6 +165,14 @@ def blaschke_symbol(u: BlaschkeProduct) -> Symbol:
     return Symbol(num=num, den=den)
 
 
+def _check_quad_points(quad_points) -> int:
+    if quad_points < 64:
+        raise InputError("need at least 64 quadrature nodes")
+    if quad_points > QUAD_CAP:
+        raise CapacityError(f"{quad_points} quadrature nodes exceed the cap {QUAD_CAP}")
+    return int(quad_points)
+
+
 class ModelSpace:
     """Orthonormal rational basis of H^2 minus u H^2.
 
@@ -172,12 +182,8 @@ class ModelSpace:
     """
 
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
-        if quad_points < 64:
-            raise InputError("need at least 64 quadrature nodes")
-        if quad_points > QUAD_CAP:
-            raise CapacityError(f"{quad_points} quadrature nodes exceed the cap {QUAD_CAP}")
         self.u = u
-        self.quad_points = int(quad_points)
+        self.quad_points = _check_quad_points(quad_points)
 
     @property
     def dim(self) -> int:
@@ -219,10 +225,10 @@ class ModelSpace:
         G = self.basis_samples @ self.basis_samples.conj().T / self.quad_points
         return operator_norm(G - np.eye(self.dim))
 
-    def require_resolved(self, tol: float = GRAM_TOL) -> "ModelSpace":
-        if self.gram_residual > tol:
+    def require_resolved(self) -> "ModelSpace":
+        if self.gram_residual > GRAM_TOL:
             raise AccuracyError(
-                f"basis Gram residual {self.gram_residual:.3e} above {tol:.1e}; "
+                f"basis Gram residual {self.gram_residual:.3e} above {GRAM_TOL:.1e}; "
                 "raise quad_points"
             )
         return self
@@ -337,11 +343,7 @@ def _hankel_section(fine: ModelSpace, phi: Symbol, M: int) -> np.ndarray:
 
 
 def verify_hankel_factorization(
-    u: BlaschkeProduct,
-    phi: Symbol,
-    M: int,
-    quad_points: int = DEFAULT_QUAD,
-    residual_cap: float = 1e-6,
+    u: BlaschkeProduct, phi: Symbol, M: int, quad_points: int = DEFAULT_QUAD
 ) -> float:
     """Residual of the factorization (TTO) = (multiply by u) o (Hankel section).
 
@@ -351,13 +353,13 @@ def verify_hankel_factorization(
     quad_points nodes by one FFT (see _hankel_route_residual), multiplied
     back by u, and compressed to the model space by the trapezoid rule; the
     result is compared against tto_matrix.  If the residual exceeds
-    residual_cap and does not decrease when M doubles, the truncation is not
-    converging and an accuracy error is raised.
+    HANKEL_RESIDUAL_CAP and does not decrease when M doubles, the truncation
+    is not converging and an accuracy error is raised.
     """
     ms = ModelSpace(u, quad_points).require_resolved()
     direct = ms.tto(phi)
     residual = _hankel_route_residual(ms, phi, M, direct)
-    if residual > residual_cap:
+    if residual > HANKEL_RESIDUAL_CAP:
         again = _hankel_route_residual(ms, phi, 2 * M, direct)
         if again >= residual:
             raise AccuracyError(
@@ -387,12 +389,6 @@ def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct) -> float
     return operator_norm(ms.project(images) - direct)
 
 
-def _frame_coordinates(big: ModelSpace, parts) -> np.ndarray:
-    """Coordinates in big's basis of m * e, for each (m, space) in parts and
-    each basis function e of that space, in order: one column per function."""
-    return big.project(np.vstack([m * space.basis_samples for m, space in parts]))
-
-
 def modelspace_decompose(
     u: BlaschkeProduct,
     v: BlaschkeProduct,
@@ -404,51 +400,13 @@ def modelspace_decompose(
 
     Returns (Q, blocks): Q's columns are the frame functions in the
     coordinates of the big space's own basis, so Q maps frame coordinates to
-    basis coordinates; blocks lists (label, dimension) in frame order.
+    basis coordinates; blocks lists (label, dimension) in frame order.  The
+    basis of a product is that frame in that order (element deg(u) + k of
+    uv's basis is u times element k of v's), so Q is exactly the identity.
+    quad_points is range-checked as by the quadrature routes and not used.
     """
-    total = u * v if w is None else u * v * w
-    big = ModelSpace(total, quad_points).require_resolved()
-    ms_u = ModelSpace(u, quad_points)
-    ms_v = ModelSpace(v, quad_points)
-    parts = [(1.0, ms_u), (ms_u.u_samples, ms_v)]
+    _check_quad_points(quad_points)
     blocks = [("K_u", u.degree), ("u*K_v", v.degree)]
     if w is not None:
-        parts.append((ms_u.u_samples * ms_v.u_samples, ModelSpace(w, quad_points)))
         blocks.append(("u*v*K_w", w.degree))
-    Q = _frame_coordinates(big, parts)
-    if operator_norm(Q.conj().T @ Q - np.eye(total.degree)) > GRAM_TOL:
-        raise AccuracyError("frame identification is not unitary; raise quad_points")
-    return Q, blocks
-
-
-def block_structure_check(
-    u: BlaschkeProduct, v: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAULT_QUAD
-) -> float:
-    """Residual of the block form of the v phi operator on the uv space.
-
-    In the domain frame K_u + u K_v and codomain frame v K_u + K_v the matrix
-    must be [[A, 0], [0, 0]] where A is exactly the phi operator on K_u
-    (multiplication by inner v is isometric).  Returns the largest violation:
-    off-block norms, lower-right norm, and the singular value mismatch of the
-    live block against tto_matrix(u, phi).
-    """
-    total = u * v
-    A_big = tto_matrix(total, blaschke_symbol(v) * phi, quad_points)
-    big = ModelSpace(total, quad_points)
-    ms_u = ModelSpace(u, quad_points)
-    ms_v = ModelSpace(v, quad_points)
-    Q1 = _frame_coordinates(big, [(1.0, ms_u), (ms_u.u_samples, ms_v)])
-    Q2 = _frame_coordinates(big, [(ms_v.u_samples, ms_u), (1.0, ms_v)])
-    M = Q2.conj().T @ A_big @ Q1
-    du = u.degree
-    live = M[:du, :du]
-    small = tto_matrix(u, phi, quad_points)
-    sv_gap = 0.0
-    if du:
-        sv_gap = float(np.max(np.abs(singular_values(live) - singular_values(small))))
-    return max(
-        operator_norm(M[:du, du:]),
-        operator_norm(M[du:, :du]),
-        operator_norm(M[du:, du:]),
-        sv_gap,
-    )
+    return np.eye(sum(dim for _, dim in blocks), dtype=complex), blocks

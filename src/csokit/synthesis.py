@@ -21,7 +21,6 @@ import numpy as np
 from .errors import InputError
 from .certify import nilpotent2_splitting
 from .linalg import (
-    DEFAULT_TOL,
     as_matrix,
     check_seed,
     column_phases,
@@ -77,13 +76,13 @@ class SynthesisResult:
     modulus: ModulusRealization | None
 
 
-def canonical_nilpotent_parts(N, tol: float = DEFAULT_TOL):
+def canonical_nilpotent_parts(N):
     """(B, extra_kernel_dim, W0) with W0 N W0* = [[0,0,0],[0,0,0],[B,0,0]].
 
     The three blocks live on (ker N)-perp, the leftover kernel, and ran N;
     B is the positive diagonal of singular values, size rank(N).
     """
-    form = nilpotent2_splitting(N, tol)
+    form = nilpotent2_splitting(N)
     r, W = form.rank, form.W
     W0 = np.vstack([W[:r], W[2 * r :], W[r : 2 * r]])
     return np.diag(form.singular_values), form.extra_kernel_dim, W0

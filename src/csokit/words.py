@@ -105,27 +105,25 @@ def words_of_length(length: int):
         yield "".join(letters)
 
 
-def iter_words(max_len: int, min_len: int = 1):
-    """Length-lexicographic enumeration (x < y), lengths min_len..max_len."""
-    for length in range(min_len, max_len + 1):
+def iter_words(max_len: int):
+    """Length-lexicographic enumeration (x < y), lengths 1..max_len."""
+    for length in range(1, max_len + 1):
         yield from words_of_length(length)
 
 
-def random_word(rng: np.random.Generator, max_len: int, min_len: int = 1) -> str:
-    length = int(rng.integers(min_len, max_len + 1))
+def random_word(rng: np.random.Generator, max_len: int) -> str:
+    length = int(rng.integers(1, max_len + 1))
     return "".join(ALPHABET[i] for i in rng.integers(0, 2, size=length))
 
 
-def random_polynomial(
-    rng: np.random.Generator,
-    max_len: int,
-    max_terms: int = 4,
-    scale: float = 1.0,
-) -> dict[str, complex]:
-    """Random polynomial with distinct random words and Gaussian coefficients."""
-    n_terms = int(rng.integers(1, max_terms + 1))
+def random_polynomial(rng: np.random.Generator, max_len: int) -> dict[str, complex]:
+    """Random polynomial of one to four distinct random words with Gaussian coefficients.
+
+    The count is capped at the 2^(max_len + 1) - 2 words there are.
+    """
+    n_terms = min(int(rng.integers(1, 5)), 2 ** (max_len + 1) - 2)
     p: dict[str, complex] = {}
     while len(p) < n_terms:
         w = random_word(rng, max_len)
-        p[w] = scale * complex(rng.standard_normal(), rng.standard_normal())
+        p[w] = complex(rng.standard_normal(), rng.standard_normal())
     return p

@@ -8,6 +8,8 @@ Hand oracles used below:
     with gap |norm(B*BB) - norm(BB*B*)| = |4 - 2| = 2.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,7 +40,6 @@ from csokit.words import (
     eval_word,
     iter_words,
     random_polynomial,
-    random_word,
 )
 
 
@@ -490,8 +491,8 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
     [
         (word_obstruction_search, {"max_len": 0}),
         (word_obstruction_search, {"max_len": -2}),
-        (word_obstruction_search, {"mode": "sampled", "samples": 0}),
-        (word_obstruction_search, {"mode": "bogus"}),
+        (word_obstruction_search, {"max_len": 2.5}),
+        (word_obstruction_search, {"max_len": None}),
         (polynomial_obstruction_search, {"max_len": 0}),
         (polynomial_obstruction_search, {"samples": -1}),
         (find_conjugation, {"budget": -5}),
@@ -553,6 +554,22 @@ def test_polynomial_search_agrees_with_the_word_search_on_a_tiny_witness():
     assert polynomial_obstruction_search(np.zeros((3, 3)))["violations"] == 0
 
 
+@pytest.mark.parametrize("scale", [1e120, 1e-120])
+def test_polynomial_search_refuses_a_norm_out_of_range(scale):
+    # ||T||^5 overflows at 1e120 and is subnormal at 1e-120.  The search used
+    # to overflow into a non-finite matrix on the CSO matrix, and to count 4
+    # violations in 64 samples on the witness, against 40 at scale 1.
+    T, _ = random_cso(stream(11, 8), 4)
+    for M in (T, witness_matrix(1.0, 2.0)):
+        assert polynomial_obstruction_search(M, samples=64)["samples"] == 64
+        name = f"{scale * operator_norm(M):.3e}"
+        with pytest.raises(PreconditionError, match=re.escape(name) + " .*rescale T"):
+            polynomial_obstruction_search(scale * M, samples=64)
+    assert polynomial_obstruction_search(witness_matrix(1.0, 2.0), samples=64)["violations"] == 40
+    # the limit is on ||T||^max_len, so shorter polynomials still run
+    assert polynomial_obstruction_search(scale * T, samples=8, max_len=1)["violations"] == 0
+
+
 def per_word_gap(T, word):
     """The norm gap of one word, multiplied out and normed on its own."""
     H = T.conj().T
@@ -590,21 +607,15 @@ def test_word_norm_gap_is_the_per_word_gap_bit_for_bit():
     kind=st.sampled_from(["generic", "cso", "witness"]),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
-    mode=st.sampled_from(["exhaustive", "sampled"]),
     batch_words=st.sampled_from([1, 3, 1000]),
 )
-def test_word_search_equals_the_per_word_loop(kind, seed, n, mode, batch_words):
+def test_word_search_equals_the_per_word_loop(kind, seed, n, batch_words):
     T = search_matrix(kind, seed, n)
-    if mode == "exhaustive":
-        words = list(iter_words(5))
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-        words = [random_word(rng, 5) for _ in range(64)]
     with pytest.MonkeyPatch.context() as mp:
-        # small batches split the levels and the samples across several tables
+        # small batches split the levels across several tables
         mp.setattr(certify, "BATCH_ENTRIES", batch_words * len(T) ** 2)
-        got = word_obstruction_search(T, max_len=5, mode=mode, seed=seed, samples=64)
-    assert got == per_word_search(T, words)
+        got = word_obstruction_search(T, max_len=5)
+    assert got == per_word_search(T, iter_words(5))
     if kind == "witness":
         assert got is not None
 
@@ -615,7 +626,7 @@ def per_polynomial_search(T, samples, max_len, seed, tol=DEFAULT_TOL):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     best_gap, best_poly, hits = 0.0, None, 0
     for _ in range(samples):
-        p = random_polynomial(rng, max_len, max_terms=4)
+        p = random_polynomial(rng, max_len)
         scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
         a = operator_norm(eval_poly(p, T, T.conj().T))
         gap = abs(a - operator_norm(eval_poly(conjugate_coefficients(p), T.conj().T, T)))

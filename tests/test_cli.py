@@ -41,7 +41,7 @@ def matrix_arg(M):
 
 
 def run_main(*args):
-    """Exit code of the CLI run in this process (argparse usage errors give 2)."""
+    """Exit code of the CLI run in this process (usage errors exit 64 through SystemExit)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return main(list(args))
@@ -316,6 +316,16 @@ def test_witness_at_extreme_scales_is_obstructed_or_refused(scale, tmp_path):
             assert f"{2 * scale:.3e}" in err.getvalue()
 
 
+@pytest.mark.parametrize("scale", [1e120, 1e-120])
+def test_question1_search_refuses_a_norm_out_of_range(scale):
+    # the word search finds nothing on a symmetric matrix, so the polynomial
+    # search decides; at 1e120 it used to exit 64 ("non-finite entries")
+    S = scale * np.array([[1.0, 2j, 0.5], [2j, 3.0, 1.0], [0.5, 1.0, -1.0]])
+    code, out, err = run_main_output("question1-search", "--matrix", matrix_arg(S))
+    assert (code, out) == (65, "")
+    assert "out of range for the polynomial search" in err and "rescale T" in err
+
+
 def J2_mat():
     return np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -376,7 +386,27 @@ def test_question2_compare_runs_both_syntheses():
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify"],
+        ["certify", "--matrix", "J2", "--bogus", "1"],
+        ["certify", "--matrix", "J2", "--tol", "-1e-9"],
+        ["certify", "--matrix", "J2", "--seed", "two"],
+        [],
+    ],
+    ids=["missing-matrix", "unknown-flag", "dash-led-value", "non-integer", "no-subcommand"],
+)
+def test_usage_errors_exit_64(argv):
+    # argparse exits 2 on a usage error, which is certify's "obstructed"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([json.dumps(J2) if arg == "J2" else arg for arg in argv])
+    assert exc.value.code == 64
+    assert "error:" in err.getvalue()
 
 
 def test_verify_paper_passes_and_prints_entry_lines():

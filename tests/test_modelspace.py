@@ -25,7 +25,6 @@ from csokit.modelspace import (
     ModelSpace,
     Symbol,
     blaschke_symbol,
-    block_structure_check,
     compressed_shift,
     fn_calculus_check,
     model_conjugation,
@@ -292,8 +291,10 @@ def test_hankel_check_retries_at_doubled_truncation():
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
     r64 = _hankel_route_residual(ModelSpace(u, 1024), phi, 64, direct)
-    # above the cap at M = 64, lower at M = 128: the M = 64 residual stands
-    assert verify_hankel_factorization(u, phi, 64, residual_cap=1e-9) == r64
+    with pytest.MonkeyPatch.context() as mp:
+        # above the cap at M = 64, lower at M = 128: the M = 64 residual stands
+        mp.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 1e-9)
+        assert verify_hankel_factorization(u, phi, 64) == r64
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modelspace, "_hankel_route_residual", lambda ms, phi, M, direct: 1e-3)
         with pytest.raises(AccuracyError):
@@ -305,16 +306,31 @@ def test_modelspace_decompose_blocks_and_unitarity():
     v = BlaschkeProduct((0.1j,))
     Q, blocks = modelspace_decompose(u, v, u)
     assert blocks == [("K_u", 2), ("u*K_v", 1), ("u*v*K_w", 2)]
-    assert Q.shape == (5, 5)
-    assert operator_norm(Q.conj().T @ Q - np.eye(5)) <= 1e-8
+    assert np.array_equal(Q, np.eye(5))
+    Q, blocks = modelspace_decompose(u, v)
+    assert blocks == [("K_u", 2), ("u*K_v", 1)] and np.array_equal(Q, np.eye(3))
+    for quad in (63, QUAD_CAP + 1):  # range-checked as by the quadrature routes
+        with pytest.raises((InputError, CapacityError)):
+            modelspace_decompose(u, v, quad_points=quad)
 
 
-def test_block_structure_of_inner_times_analytic():
-    rng = stream(17, 3)
-    u = random_blaschke(rng, 3, max_modulus=0.6)
-    v = random_blaschke(rng, 2, max_modulus=0.6)
-    phi = random_poly_symbol(rng, 2)
-    assert block_structure_check(u, v, phi) <= 1e-7
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=SEEDS, degrees=st.tuples(*[st.integers(0, 8)] * 3))
+def test_frame_of_a_product_is_its_basis_by_quadrature(seed, degrees):
+    # the oracle: project sampled K_u, u K_v and u v K_w onto the basis of
+    # uvw at 1024 nodes; the frame coordinates are the identity
+    u, v, w = (BlaschkeProduct(seeded_zeros(seed + k, d, 0.8)) for k, d in enumerate(degrees))
+    big = ModelSpace(u * v * w, 1024)
+    ms_u, ms_v, ms_w = (ModelSpace(f, 1024) for f in (u, v, w))
+    frame = np.vstack(
+        [
+            ms_u.basis_samples,
+            ms_u.u_samples * ms_v.basis_samples,
+            ms_u.u_samples * ms_v.u_samples * ms_w.basis_samples,
+        ]
+    )
+    Q, _ = modelspace_decompose(u, v, w)
+    assert operator_norm(big.project(frame) - Q) <= 1e-12
 
 
 def test_hankel_check_builds_each_grid_once(monkeypatch):
@@ -328,9 +344,10 @@ def test_hankel_check_builds_each_grid_once(monkeypatch):
             super().__init__(u, quad_points)
 
     monkeypatch.setattr(modelspace, "ModelSpace", CountingSpace)
+    monkeypatch.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 1e-9)
     u = BlaschkeProduct((0.9, -0.9, 0.9j))
     phi = Symbol(poly=[1.0, 0.5])
-    verify_hankel_factorization(u, phi, 64, residual_cap=1e-9)  # retries at M = 128
+    verify_hankel_factorization(u, phi, 64)  # retries at M = 128
     assert built == [1024]
     built.clear()
     verify_hankel_factorization(u, phi, 512)

@@ -68,10 +68,13 @@ def test_random_word_and_polynomial_are_seed_deterministic():
     w1 = random_word(np.random.default_rng(3), 5)
     w2 = random_word(np.random.default_rng(3), 5)
     assert w1 == w2 and 1 <= len(w1) <= 5
-    p1 = random_polynomial(np.random.default_rng(4), 4, 3)
-    p2 = random_polynomial(np.random.default_rng(4), 4, 3)
+    p1 = random_polynomial(np.random.default_rng(4), 4)
+    p2 = random_polynomial(np.random.default_rng(4), 4)
     assert p1 == p2
     assert all(set(w) <= {"x", "y"} for w in p1)
+    # up to four terms from the two words of length 1: this used to loop forever
+    rng = np.random.default_rng(5)
+    assert all(set(random_polynomial(rng, 1)) <= {"x", "y"} for _ in range(20))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
