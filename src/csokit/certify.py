@@ -287,7 +287,10 @@ def find_conjugation(
 
     A T of order two (``nilpotent2_splitting``) takes the constructive
     route, whose conjugation is reported only when it is verified at tol;
-    otherwise the result is "inconclusive" with its residual.  Any other T
+    otherwise the Hermitian-part phase conjugation is tried, and if that is
+    not verified either the result is "inconclusive" with the constructive
+    residual.  Such a T never reaches the word search, so it is never
+    "obstructed" (the destructor calls it indestructible).  Any other T
     takes the general routes: G = I if T is transpose-symmetric, else the
     Hermitian-part phase conjugation.  If that is not verified at tol, the
     word-norm obstruction search runs over every word of length at most 5
@@ -311,9 +314,13 @@ def find_conjugation(
     else:
         C = conjugation_for_nilpotent2(form)
         residual = _c_residual(A, C, form.norm)
-        if not (residual <= tol and _is_symmetric_unitary(C, tol)):
-            return CsoCertificate("inconclusive", residual=residual, seed=seed)
-        return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
+        if residual <= tol and _is_symmetric_unitary(C, tol):
+            return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
+        phase = hermitian_phase_conjugation(A)
+        phase_residual = _verified_residual(A, phase, tol)
+        if phase_residual is not None:
+            return CsoCertificate("c_symmetric", phase_residual, conjugation=phase, seed=seed)
+        return CsoCertificate("inconclusive", residual=residual, seed=seed)
 
     nrm = operator_norm(A)
     if nrm > 0 and operator_norm(A - A.T) <= tol * nrm:

@@ -20,6 +20,8 @@ uniform trapezoid sums over the unit circle; that rule is exact for
 trigonometric polynomials below the node count and spectrally accurate for
 the rational integrands appearing here, and they monitor the basis Gram
 residual so underresolution surfaces as an error instead of wrong numbers.
+One pass of the basis recursion over the nodes samples both the basis and
+u: its final prefix, prod_j b_{a_j}, is u itself.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -30,7 +32,7 @@ by u) gives an independent route to the same matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -166,19 +168,30 @@ def blaschke_symbol(u: BlaschkeProduct) -> Symbol:
 
 
 def _check_quad_points(quad_points) -> int:
+    """The node count as an int; a non-integer or one below 64 is an InputError."""
+    if not isinstance(quad_points, (int, np.integer)):
+        raise InputError(f"quad_points must be an integer, got {quad_points!r}")
     if quad_points < 64:
-        raise InputError("need at least 64 quadrature nodes")
+        raise InputError(f"need at least 64 quadrature nodes, got {quad_points}")
     if quad_points > QUAD_CAP:
         raise CapacityError(f"{quad_points} quadrature nodes exceed the cap {QUAD_CAP}")
     return int(quad_points)
 
 
+@lru_cache(maxsize=4)
+def _roots_of_unity(Q: int) -> np.ndarray:
+    """The Q-th roots of unity, read-only: every space on Q nodes shares them."""
+    nodes = np.exp(2j * np.pi * np.arange(Q) / Q)
+    nodes.flags.writeable = False
+    return nodes
+
+
 class ModelSpace:
     """Orthonormal rational basis of H^2 minus u H^2.
 
-    Exact operators come from the compressed shift; the circle nodes and the
-    boundary samples of u and of the basis, used only by the quadrature
-    routes, are computed on first use.
+    Exact operators come from the compressed shift.  The boundary samples
+    of the basis and of u, used only by the quadrature routes, come from one
+    pass on first use, on circle nodes shared by every space of that size.
     """
 
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
@@ -198,31 +211,47 @@ class ModelSpace:
         A = compressed_shift(self.u)
         return np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
 
-    @cached_property
+    @property
     def nodes(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.quad_points) / self.quad_points)
+        return _roots_of_unity(self.quad_points)
 
     @cached_property
-    def u_samples(self) -> np.ndarray:
-        return self.u.eval(self.nodes)
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(basis, u) on the nodes, from one pass of the basis recursion.
 
-    @cached_property
-    def basis_samples(self) -> np.ndarray:
+        Each factor's 1 / (1 - conj(a) z) is one reciprocal, which serves
+        both the basis element and the prefix; after the last zero the
+        prefix is u itself.
+        """
+        z = self.nodes
         E = np.empty((self.dim, self.quad_points), dtype=complex)
         prefix = np.ones(self.quad_points, dtype=complex)
         for k, a in enumerate(self.u.zeros):
             if a == 0:
                 E[k] = prefix
-                prefix = prefix * self.nodes
+                prefix *= z
             else:
-                den = 1.0 - np.conj(a) * self.nodes
-                E[k] = np.sqrt(1.0 - abs(a) ** 2) / den * prefix
-                prefix = prefix * (a - self.nodes) / den
-        return E
+                prefix *= np.reciprocal(1.0 - np.conj(a) * z)
+                np.multiply(prefix, np.sqrt(1.0 - abs(a) ** 2), out=E[k])
+                prefix *= a - z
+        return E, prefix
+
+    @property
+    def basis_samples(self) -> np.ndarray:
+        return self._samples[0]
+
+    @property
+    def u_samples(self) -> np.ndarray:
+        return self._samples[1]
+
+    @cached_property
+    def _conj_basis(self) -> np.ndarray:
+        """conj(basis_samples), shared by the Gram check, projections and G."""
+        return self.basis_samples.conj()
 
     @cached_property
     def gram_residual(self) -> float:
-        G = self.basis_samples @ self.basis_samples.conj().T / self.quad_points
+        G = self.basis_samples @ self._conj_basis.T / self.quad_points
         return operator_norm(G - np.eye(self.dim))
 
     def require_resolved(self) -> "ModelSpace":
@@ -235,12 +264,11 @@ class ModelSpace:
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of boundary samples onto the basis."""
-        return self.basis_samples.conj() @ np.asarray(samples, dtype=complex).T / self.quad_points
+        return self._conj_basis @ np.asarray(samples, dtype=complex).T / self.quad_points
 
     def compress(self, multiplier_samples: np.ndarray) -> np.ndarray:
         """Matrix of f -> P(m f) on the basis, for boundary samples of m."""
-        E = self.basis_samples
-        return (E.conj() * multiplier_samples) @ E.T / self.quad_points
+        return (self._conj_basis * multiplier_samples) @ self.basis_samples.T / self.quad_points
 
 
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -306,8 +334,8 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     symmetric under it.  For u = z^n it is the basis flip z^k -> z^{n-1-k}.
     """
     ms = ModelSpace(u, quad_points).require_resolved()
-    CE = ms.u_samples * np.conj(ms.nodes * ms.basis_samples)
-    G = ms.basis_samples.conj() @ CE.T / ms.quad_points
+    X = ms._conj_basis  # C e_k = u conj(z) conj(e_k) on the circle
+    G = X @ ((ms.u_samples * np.conj(ms.nodes)) * X).T / ms.quad_points
     G = 0.5 * (G + G.T)
     C = Conjugation(G)
     if C.unitarity_residual() > GRAM_TOL or C.symmetry_residual() > GRAM_TOL:

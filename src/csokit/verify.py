@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, CapacityError, InputError, ToolkitError
+from .errors import AccuracyError, ToolkitError
 from . import serialize
 from .certify import (
     canonical_block_decomposition,
@@ -41,7 +41,7 @@ from .indestructible import (
 )
 from .linalg import Conjugation, check_seed, direct_sum, operator_norm, singular_values, tensor
 from .modelspace import (
-    QUAD_CAP,
+    _check_quad_points,
     fn_calculus_check,
     model_conjugation,
     tto_matrix,
@@ -58,10 +58,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.seed = check_seed(self.seed)
-        if self.quad < 64:
-            raise InputError("quad must be at least 64")
-        if self.quad > QUAD_CAP:
-            raise CapacityError(f"quad {self.quad} exceeds the cap {QUAD_CAP}")
+        self.quad = _check_quad_points(self.quad)
 
 
 def _native(v):

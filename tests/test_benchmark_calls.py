@@ -39,3 +39,27 @@ def test_benchmark_requests_raise_nothing_raw_and_answer_nothing_wrong(workload,
             continue
         cause = workloads.judge(req, reply)
         assert not workloads.is_wrong(req, cause), (req.cls, req.rid, cause)
+
+
+def test_model_conjugation_refuses_the_same_near_circle_requests():
+    # the refusals set the model-space workload's ok_frac; the thresholds are
+    # close (the largest accepted Gram residual is 4.4e-9, and some refusals
+    # come from G's unitarity check), so a change to the sampling arithmetic
+    # must leave exactly these 45 of the first 60 refused (by request id)
+    stream = inputs.request_stream("model-space", 1)
+    near_circle = []
+    while len(near_circle) < 60:
+        req = next(stream)
+        if req.cls == "near_circle":
+            near_circle.append(req)
+    refused = []
+    for req in near_circle:
+        try:
+            csokit.model_conjugation(csokit.BlaschkeProduct(req.data["zeros"]), 1024)
+        except csokit.AccuracyError:
+            refused.append(req.rid)
+    assert refused == [
+        5, 11, 17, 30, 41, 47, 54, 70, 84, 90, 98, 104, 110, 117, 120,
+        127, 134, 144, 157, 162, 168, 183, 190, 197, 203, 210, 216, 221, 234, 251,
+        258, 271, 277, 290, 297, 301, 315, 320, 327, 334, 365, 371, 379, 384, 390,
+    ]  # fmt: skip

@@ -189,6 +189,20 @@ def test_certify_destructor_and_synthesize_share_one_nilpotency_decision():
     assert sides == {True, False}
 
 
+@pytest.mark.parametrize("seed, dim", [(0, 6), (10, 4)])
+def test_order_two_route_falls_back_to_the_phase_conjugation(seed, dim):
+    # the constructive G misses tol (residual 1.30e-9 and 1.25e-9) while the
+    # phase G verifies; these used to end inconclusive
+    T = near_nilpotent(seed, dim, 1e-9)
+    form = nilpotent2_splitting(T)  # T passes the order-two decision
+    assert is_c_symmetric(T, conjugation_for_nilpotent2(form))[1] > DEFAULT_TOL
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    assert np.array_equal(cert.conjugation.matrix, hermitian_phase_conjugation(T).matrix)
+    assert cert.conjugation.unitarity_residual() <= DEFAULT_TOL
+    assert cert.conjugation.symmetry_residual() <= DEFAULT_TOL
+
+
 def test_tensor_conjugation_refuses_a_residual_above_tol():
     # A passes the order-two decision, but the conjugation of A (x) B(1, 2)
     # built from it leaves a c-symmetry residual of 1.5e-9; it used to be

@@ -35,6 +35,7 @@ from csokit.modelspace import (
     _hankel_route_residual,
     _hankel_section,
 )
+from csokit.verify import RunConfig
 
 
 def test_blaschke_eval_and_degree():
@@ -115,7 +116,7 @@ def test_tto_matrix_is_exact_for_any_symbol_degree():
     ms = ModelSpace(BlaschkeProduct((0.0,) * 4), 64)
     A = ms.tto(Symbol(poly=[0.0] * 12 + [1.0]))
     assert np.array_equal(A, np.zeros((4, 4)))
-    assert "basis_samples" not in vars(ms)
+    assert "_samples" not in vars(ms)
     assert np.array_equal(
         tto_matrix(BlaschkeProduct((0.0,) * 4), Symbol(poly=[0.0] * 12 + [1.0]), 64), A
     )
@@ -178,6 +179,52 @@ def test_rational_symbol_tto_matches_quadrature(seed, degree, pole_modulus):
     assert max_entry(A - ms.compress(phi.eval(ms.nodes))) <= 1e-12 * max(1.0, operator_norm(A))
 
 
+def reference_samples(u, Q):
+    """Basis samples by the plain per-zero recursion with two complex
+    divisions per zero, and u samples by BlaschkeProduct.eval."""
+    nodes = np.exp(2j * np.pi * np.arange(Q) / Q)
+    E = np.empty((u.degree, Q), dtype=complex)
+    prefix = np.ones(Q, dtype=complex)
+    for k, a in enumerate(u.zeros):
+        if a == 0:
+            E[k] = prefix
+            prefix = prefix * nodes
+        else:
+            den = 1.0 - np.conj(a) * nodes
+            E[k] = np.sqrt(1.0 - abs(a) ** 2) / den * prefix
+            prefix = prefix * (a - nodes) / den
+    return nodes, E, u.eval(nodes)
+
+
+def reference_conjugation(u, Q):
+    """The model conjugation's matrix by the plain quadrature, symmetrized."""
+    nodes, E, us = reference_samples(u, Q)
+    G = E.conj() @ (us * np.conj(nodes * E)).T / Q
+    return 0.5 * (G + G.T)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=SEEDS,
+    degree=st.integers(0, 24),
+    radius=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+    quad=st.integers(64, 4096),
+)
+def test_one_pass_samples_match_the_plain_recursion(seed, degree, radius, quad):
+    # zeros up to the given modulus, a share of them exactly at 0
+    u = BlaschkeProduct(seeded_zeros(seed, degree, radius, at_origin=0.3))
+    nodes, E, us = reference_samples(u, quad)
+    ms = ModelSpace(u, quad)
+    assert np.array_equal(ms.nodes, nodes) and not ms.nodes.flags.writeable
+    assert max_entry(ms.basis_samples - E) <= 1e-13 * max(1.0, max_entry(E))
+    assert max_entry(ms.u_samples - us) <= 1e-13
+    try:
+        C = model_conjugation(u, quad)
+    except AccuracyError:
+        return
+    assert max_entry(C.matrix - reference_conjugation(u, quad)) <= 1e-13
+
+
 def test_tto_is_c_symmetric_under_model_conjugation():
     rng = stream(17, 0)
     u = random_blaschke(rng, 5, max_modulus=0.8)
@@ -211,6 +258,32 @@ def test_quadrature_size_is_capped_before_any_sample():
             ModelSpace(u, quad)
     with pytest.raises(InputError):
         ModelSpace(u, 63)
+    assert ModelSpace(u, np.int64(64)).quad_points == 64
+
+
+QUAD_CHECKED = {
+    "ModelSpace": lambda quad: ModelSpace(BlaschkeProduct((0.5,)), quad),
+    "model_conjugation": lambda quad: model_conjugation(BlaschkeProduct((0.5,)), quad),
+    "RunConfig": lambda quad: RunConfig(quad=quad),
+}
+
+
+@pytest.mark.parametrize("caller", list(QUAD_CHECKED))
+@pytest.mark.parametrize(
+    "quad, error",
+    [
+        (float("nan"), InputError),  # was a bare ValueError
+        ("1024", InputError),  # was a bare TypeError
+        (None, InputError),
+        (100.7, InputError),  # was truncated to 100
+        (1024.0, InputError),
+        (63, InputError),
+        (QUAD_CAP + 1, CapacityError),
+    ],
+)
+def test_quad_points_must_be_an_integer_in_range(caller, quad, error):
+    with pytest.raises(error):
+        QUAD_CHECKED[caller](quad)
 
 
 def test_hankel_truncation_monomial_oracle():
