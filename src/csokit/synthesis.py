@@ -2,15 +2,17 @@
 
 Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
 the r singular values of B as the modulus of the operator with a polynomial
-symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix;
-closed forms at r <= 2, otherwise a damped Newton fit on the analytic
+symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix
+L; closed forms at r <= 2, otherwise a damped Newton fit on the analytic
 Jacobian of the singular values), pad the leftover kernel with an
 inner factor v = z^m, and assemble the operator with symbol u v phi on the
 model space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the
 matrix reproduce the canonical shape exactly.  Every inner function is a
-power of z, so that frame is the monomial basis of the big space in order and
-every matrix is exact.  A unitary W conjugating the built operator onto N is
-returned with a recomputable equivalence residual.
+power of z, so that frame is the monomial basis of the big space in order,
+and the operator is the lower-triangular Toeplitz matrix of u v phi's
+coefficients, built by index with L as its corner block.  One SVD of L gives
+both frame blocks of the unitary W conjugating the built operator onto N,
+which is returned with a recomputable equivalence residual.
 """
 from __future__ import annotations
 
@@ -20,16 +22,8 @@ import numpy as np
 
 from .errors import InputError
 from .certify import nilpotent2_splitting
-from .linalg import (
-    as_matrix,
-    check_seed,
-    column_phases,
-    direct_sum,
-    operator_norm,
-    polar_decompose,
-    singular_values,
-)
-from .modelspace import BlaschkeProduct, Symbol, blaschke_symbol, tto_matrix
+from .linalg import as_matrix, check_seed, column_phases, direct_sum, operator_norm, singular_values
+from .modelspace import BlaschkeProduct, Symbol
 
 # realize_modulus: multi-start budget, Newton steps per start and step
 # halvings per Newton step, and the relative residual that counts as converged.
@@ -106,8 +100,13 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     they all coincide and give no usable gradient.  Seeded random starts
     follow only if a fit stalls; the search stops at the first start whose
     singular values match to 1e-12 of the largest target.  The result is
-    flagged converged when the rebuilt matrix matches to 1e-6 of the largest
-    target; an unconverged fit is returned flagged, never raised.
+    flagged converged when the achieved singular values match to 1e-6 of the
+    largest target; an unconverged fit is returned flagged, never raised.
+
+    The fit runs on the targets scaled by the power of two 2^-e that puts
+    tmax in [1/2, 1), so that no square over- or underflows; the
+    coefficients, achieved values and residual are scaled back by 2^e, which
+    is exact.
     """
     seed = check_seed(seed)
     t = np.sort(np.asarray(targets, dtype=float))[::-1]
@@ -116,40 +115,42 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     if np.any(t <= 0) or not np.all(np.isfinite(t)):
         raise InputError("targets must be positive finite reals")
     r = t.size
-    tmax = float(t[0])
-    u = BlaschkeProduct([0.0] * r)
+    e = int(np.frexp(t[0])[1])
+    ts = np.ldexp(t, -e)
 
-    def finish(phi: Symbol) -> ModulusRealization:
-        achieved = singular_values(tto_matrix(u, phi))
-        residual = float(np.linalg.norm(achieved - t))
+    def finish(c: np.ndarray, achieved: np.ndarray) -> ModulusRealization:
+        residual = float(np.linalg.norm(achieved - ts))
         return ModulusRealization(
-            u=u,
-            phi=phi,
+            u=BlaschkeProduct([0.0] * r),
+            phi=Symbol(poly=np.ldexp(c.view(float), e).view(complex)),
             target_singular_values=t.copy(),
-            achieved_singular_values=achieved,
-            residual=residual,
-            converged=residual <= _CONVERGED_REL * tmax,
+            achieved_singular_values=np.ldexp(achieved, e),
+            residual=float(np.ldexp(residual, e)),
+            converged=residual <= _CONVERGED_REL * ts[0],
         )
 
-    if np.all(t == tmax):
-        return finish(Symbol(poly=[tmax]))
+    if np.all(ts == ts[0]):
+        c = np.zeros(r, dtype=complex)
+        c[0] = ts[0]
+        return finish(c, singular_values(_lower_toeplitz(c)))
     if r == 2:
         # closed form: [[c0,0],[c1,c0]] has |A|^2 with trace 2c0^2 + c1^2 and
         # determinant c0^4, so c0 = sqrt(t0 t1), c1 = t0 - t1 hits (t0, t1)
-        return finish(Symbol(poly=[np.sqrt(t[0] * t[1]), t[0] - t[1]]))
+        c = np.array([np.sqrt(ts[0] * ts[1]), ts[0] - ts[1]], dtype=complex)
+        return finish(c, singular_values(_lower_toeplitz(c)))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-    start0 = np.full(r, 0.5 * tmax, dtype=complex)
-    start0[0] = tmax
+    start0 = np.full(r, 0.5 * ts[0], dtype=complex)
+    start0[0] = ts[0]
     best = None
     for idx in range(_MODULUS_STARTS):
-        c = start0 if idx == 0 else (rng.standard_normal(2 * r) * tmax).view(complex)
-        c, res = _newton_fit(c, t)
+        c = start0 if idx == 0 else (rng.standard_normal(2 * r) * ts[0]).view(complex)
+        c, s, res = _newton_fit(c, ts)
         if best is None or res < best[0]:
-            best = (res, c)
-        if res <= 1e-12 * tmax:
+            best = (res, c, s)
+        if res <= 1e-12 * ts[0]:
             break
-    return finish(Symbol(poly=best[1]))
+    return finish(best[1], best[2])
 
 
 def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +168,14 @@ def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.hstack([D.real, -D.imag])
 
 
-def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
+def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Damped minimum-norm Newton for the singular values of lower-Toeplitz(c) = t.
 
     Each step is the minimum-norm least-squares solution of J dc = t - s,
     halved until the residual ||s - t|| decreases.  Once the residual is at
     or below 1e-12 of the largest target, one more full step is kept if it
-    lowers the residual, and the fit stops.  Returns the best coefficients
-    and their residual.
+    lowers the residual, and the fit stops.  Returns the best coefficients,
+    their singular values and their residual.
     """
     r = t.size
     s, J = _modulus_jacobian(c)
@@ -194,14 +195,7 @@ def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
             break
         if polish:
             break
-    return c, res
-
-
-def _descending_eig_frame(P: np.ndarray) -> np.ndarray:
-    """Unitary Omega with Omega P Omega* diagonal descending, phases fixed."""
-    _, vecs = np.linalg.eigh(P)
-    vecs = vecs[:, ::-1]
-    return (vecs * column_phases(vecs)).conj().T
+    return c, s, res
 
 
 def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
@@ -228,26 +222,29 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
         )
 
     realization = realize_modulus(np.diag(B).real, seed)
-    u, phi = realization.u, realization.phi
+    phi = realization.phi.poly
 
-    A_small = tto_matrix(u, phi)
-    V, P = polar_decompose(A_small)
-    Omega = _descending_eig_frame(P)
+    # Symbol u v phi = z^(r+m) phi on the model space of z^(2r+m): T is the
+    # lower-triangular Toeplitz matrix of its coefficients, and its block
+    # from K_u into u v K_u is L = phi(A_u), the realized r x r operator.
+    coeffs = np.zeros(2 * r + extra, dtype=complex)
+    coeffs[r + extra : r + extra + phi.size] = phi
+    T = _lower_toeplitz(coeffs)
 
-    v = BlaschkeProduct([0.0] * extra)
-    u_total = u * u * v
-    symbol_total = blaschke_symbol(u) * blaschke_symbol(v) * phi
-    T = tto_matrix(u_total, symbol_total)
-
-    blocks = direct_sum(Omega, np.eye(extra), Omega @ V.conj().T)
+    # With L = U S V*, Omega = D V* takes L*L to S^2 (descending, each row's
+    # phase fixed by D) and Omega times the polar factor U V* of L is D U*.
+    U, _, Vh = np.linalg.svd(T[r + extra :, :r])
+    D = column_phases(Vh.conj().T).conj()[:, None]
+    blocks = direct_sum(D * Vh, np.eye(extra), D * U.conj().T)
     W = W0.conj().T @ blocks
     residual = operator_norm(W @ T @ W.conj().T - A)
     return SynthesisResult(
-        u_total=u_total,
-        symbol_total=symbol_total,
+        u_total=BlaschkeProduct([0.0] * (2 * r + extra)),
+        symbol_total=Symbol(poly=coeffs),
         W=W,
         equivalence_residual=float(residual),
-        converged=bool(realization.converged and residual <= max(1e-6 * operator_norm(A), 1e-12)),
+        # B[0, 0] is ||N|| (the splitting's Nilpotent2Form.norm), positive as r >= 1
+        converged=bool(realization.converged and residual <= 1e-6 * B[0, 0]),
         tto=T,
         modulus=realization,
     )

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from csokit.ensembles import random_nilpotent2, stream
+from csokit import modelspace
+from csokit.ensembles import random_nilpotent2, random_unitary, stream
 from csokit.errors import PreconditionError
 from csokit.linalg import operator_norm, singular_values
+from csokit.modelspace import tto_matrix
 from csokit.synthesis import (
     _lower_toeplitz,
     _modulus_jacobian,
@@ -183,3 +185,76 @@ def test_synthesize_rejects_higher_order():
     with pytest.raises(PreconditionError):
         synthesize_tto_for_nilpotent2(jordan(3), seed=0)
 
+
+
+def coupled(targets, extra=0, scale=1.0):
+    """[[0,0],[B,0]] (+) 0 with B = scale diag(targets), the leftover kernel last."""
+    r = len(targets)
+    N = np.zeros((2 * r + extra, 2 * r + extra), dtype=complex)
+    N[r : 2 * r, :r] = np.diag(targets) * scale
+    return N
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_synthesize_is_scale_invariant(rank, scale):
+    # the fit runs at unit scale, so neither tiny nor huge singular values
+    # over- or underflow or pass on an absolute residual floor
+    N = coupled([3.0, 1.7, 1.1, 0.2][:rank], scale=scale)
+    res = synthesize_tto_for_nilpotent2(N, seed=0)
+    W, nrm = res.W, operator_norm(N)
+    assert res.converged
+    assert operator_norm(W @ res.tto @ W.conj().T - N) <= 1e-12 * nrm
+    assert res.equivalence_residual <= 1e-12 * nrm
+    assert res.modulus.residual <= 1e-12 * nrm
+
+
+@pytest.mark.parametrize("rank, extra", [(1, 0), (2, 2)])
+def test_synthesis_lapack_work(monkeypatch, rank, extra):
+    # the splitting's SVD, ||T^2|| and leftover kernel, the closed form's
+    # achieved singular values, the frame's one SVD and the residual; no
+    # eigh, no solve and no model space (7 SVDs, 1 eigh, 3 solves and 3
+    # model spaces while T was built through tto_matrix)
+    N = random_nilpotent2(stream(29, rank), 2 * rank + extra, rank)
+    calls = {"svd": 0, "eigh": 0, "solve": 0, "ModelSpace": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("svd", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    init = modelspace.ModelSpace.__init__
+    monkeypatch.setattr(modelspace.ModelSpace, "__init__", counting("ModelSpace", init))
+    assert synthesize_tto_for_nilpotent2(N, seed=0).converged
+    assert calls["svd"] <= 6
+    assert calls["eigh"] == calls["solve"] == calls["ModelSpace"] == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    rank=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    equal=st.sampled_from(["all", "two", "none"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_svd_frame_on_degenerate_spectra(rank, extra, equal, seed):
+    # repeated singular values leave the SVD's frame free within each
+    # eigenspace; any choice must still conjugate T onto N
+    rng = stream(seed, 31)
+    t = rng.uniform(0.5, 3.0, rank)
+    if equal == "all":
+        t[:] = t[0]
+    elif equal == "two" and rank >= 2:
+        t[1] = t[0]
+    Q = random_unitary(rng, 2 * rank + extra)
+    N = Q @ coupled(t, extra) @ Q.conj().T
+    res = synthesize_tto_for_nilpotent2(N, seed=seed)
+    W = res.W
+    assert res.converged
+    assert operator_norm(W @ W.conj().T - np.eye(len(N))) <= 1e-12
+    assert operator_norm(W @ res.tto @ W.conj().T - N) <= 1e-12 * operator_norm(N)
+    assert np.array_equal(res.tto, tto_matrix(res.u_total, res.symbol_total))
