@@ -23,6 +23,15 @@ residual so underresolution surfaces as an error instead of wrong numbers.
 One pass of the basis recursion over the nodes samples both the basis and
 u: its final prefix, prod_j b_{a_j}, is u itself.
 
+The Q-node rule adds to each integral the integrand's Fourier modes at the
+nonzero multiples of Q, and on the model space those modes are entries of
+A_u^{mQ} and their adjoints.  This aliasing identity gives the Q-node Gram
+matrix and conjugation sums in closed form from A_u^Q, so the model
+conjugation samples only a coarse grid of 64 2^k nodes and moves its sums
+to the Q nodes exactly (see model_conjugation); its Gram check is the
+closed form.  The cross-checks still sample on their own grids and check
+their sampled Gram matrix, so they stay independent of A_u.
+
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
 phi f through the negative Fourier modes of conj(u) phi f, then multiply back
@@ -41,7 +50,8 @@ from .errors import AccuracyError, CapacityError, EvaluationError, InputError
 from .linalg import Conjugation, operator_norm
 
 DEFAULT_QUAD = 1024
-QUAD_CAP = 1 << 20  # quadrature nodes; at least 64, at most this (16 MB per sampled row)
+QUAD_FLOOR = 64  # quadrature nodes: at least this many,
+QUAD_CAP = 1 << 20  # and at most this (16 MB per sampled row)
 ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
@@ -49,7 +59,12 @@ HANKEL_RESIDUAL_CAP = 1e-6  # a Hankel residual above this must fall when M doub
 
 
 def _trim(coeffs) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    try:
+        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"symbol coefficients must be complex numbers: {exc}") from None
+    if not np.all(np.isfinite(c)):  # before trimming, which would drop a trailing NaN
+        raise InputError("symbol coefficients must be finite")
     if c.size == 0:
         return np.zeros(1, dtype=complex)
     nz = np.nonzero(np.abs(c) > 0)[0]
@@ -68,7 +83,10 @@ class BlaschkeProduct:
     zeros: tuple
 
     def __init__(self, zeros=()):
-        zs = tuple(complex(a) for a in zeros)
+        try:
+            zs = tuple(complex(a) for a in zeros)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"Blaschke zeros must be complex numbers: {exc}") from None
         for a in zs:
             if not np.isfinite(a):
                 raise InputError("Blaschke zero must be finite")
@@ -113,8 +131,12 @@ class Symbol:
         if np.all(d == 0):
             raise InputError("symbol denominator is identically zero")
         if d.size > 1:
-            poles = np.roots(d[::-1])
-            if np.any(np.abs(poles) < 1.0 + POLE_MARGIN):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    poles = np.roots(d[::-1])
+            except np.linalg.LinAlgError:  # its companion matrix overflowed to inf or NaN
+                raise InputError("symbol denominator too badly scaled to locate its poles") from None
+            if not np.all(np.abs(poles) >= 1.0 + POLE_MARGIN):  # a NaN pole fails too
                 raise InputError("symbol has a pole on or too close to the closed unit disk")
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
@@ -158,8 +180,8 @@ def _check_quad_points(quad_points) -> int:
     """The node count as an int; a non-integer or one below 64 is an InputError."""
     if not isinstance(quad_points, (int, np.integer)):
         raise InputError(f"quad_points must be an integer, got {quad_points!r}")
-    if quad_points < 64:
-        raise InputError(f"need at least 64 quadrature nodes, got {quad_points}")
+    if quad_points < QUAD_FLOOR:
+        raise InputError(f"need at least {QUAD_FLOOR} quadrature nodes, got {quad_points}")
     if quad_points > QUAD_CAP:
         raise CapacityError(f"{quad_points} quadrature nodes exceed the cap {QUAD_CAP}")
     return int(quad_points)
@@ -196,7 +218,11 @@ class ModelSpace:
         and the poles of phi lie outside the closed disk.
         """
         A = compressed_shift(self.u)
-        return np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
+        if not np.all(np.isfinite(T)):
+            raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
+        return T
 
     @property
     def nodes(self) -> np.ndarray:
@@ -242,11 +268,7 @@ class ModelSpace:
         return operator_norm(G - np.eye(self.dim))
 
     def require_resolved(self) -> "ModelSpace":
-        if self.gram_residual > GRAM_TOL:
-            raise AccuracyError(
-                f"basis Gram residual {self.gram_residual:.3e} above {GRAM_TOL:.1e}; "
-                "raise quad_points"
-            )
+        _require_gram_residual(self.gram_residual)
         return self
 
     def project(self, samples: np.ndarray) -> np.ndarray:
@@ -256,6 +278,13 @@ class ModelSpace:
     def compress(self, multiplier_samples: np.ndarray) -> np.ndarray:
         """Matrix of f -> P(m f) on the basis, for boundary samples of m."""
         return (self._conj_basis * multiplier_samples) @ self.basis_samples.T / self.quad_points
+
+
+def _require_gram_residual(residual: float) -> None:
+    if residual > GRAM_TOL:
+        raise AccuracyError(
+            f"basis Gram residual {residual:.3e} above {GRAM_TOL:.1e}; raise quad_points"
+        )
 
 
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -285,10 +314,10 @@ def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
     eps = np.where(a == 0, 1.0, -1.0)
     step = -np.conj(a) * eps
     A = np.diag(a)
+    flat = A.reshape(-1)  # sub-diagonal d is the strided slice flat[d n :: n + 1]
     run = (c * eps)[:-1]  # run[j] = c_j eps_j prod_{j<k<j+d} step_k on sub-diagonal d
     for d in range(1, n):
-        rows = np.arange(d, n)
-        A[rows, rows - d] = c[d:] * run
+        flat[d * n :: n + 1] = c[d:] * run
         run = run[:-1] * step[d:-1]
     return A
 
@@ -314,15 +343,62 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     return operator_norm(ms.tto(phi) - ms.compress(phi.eval(ms.nodes)))
 
 
+def _aliasing(powers: np.ndarray) -> np.ndarray:
+    """D = P + P^H with P = A^k (I - A^k)^{-1}, for each A_u^k in a stack.
+
+    The k-node trapezoid rule adds to each integral over the circle the
+    integrand's Fourier modes at the nonzero multiples of k.  On K_u those
+    modes are the entries of A_u^{mk} (m > 0) and of their adjoints (m < 0),
+    and the two geometric series sum to P and P^H.  So the k-node Gram
+    matrix is I + D^T, and the k-node conjugation matrix is (I + D) G with G
+    the exact one.  I - A^k is invertible: A_u's eigenvalues are the zeros.
+    """
+    P = np.linalg.solve(np.eye(powers.shape[-1]) - powers, powers)
+    return P + np.swapaxes(P, -1, -2).conj()
+
+
+def _sampled_conjugation(u: BlaschkeProduct, quad_points: int) -> np.ndarray:
+    """The trapezoid sums of <C e_k, e_j> on quad_points nodes."""
+    ms = ModelSpace(u, quad_points)
+    X = ms._conj_basis  # C e_k = u conj(z) conj(e_k) on the circle
+    return X @ ((ms.u_samples * np.conj(ms.nodes)) * X).T / ms.quad_points
+
+
 def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Conjugation:
     """The conjugation (C f)(z) = u(z) conj(z f(z)) of the model space.
 
     Every truncated Toeplitz operator on the space, analytic or not, is
     symmetric under it.  For u = z^n it is the basis flip z^k -> z^{n-1-k}.
+
+    The matrix is the Q = quad_points node trapezoid rule's, computed
+    through the aliasing identity of _aliasing rather than on all Q nodes.
+    The space is refused as unresolved when ||D_Q||, the Q-node Gram
+    residual, exceeds GRAM_TOL.  Otherwise the sums are sampled on the
+    coarsest grid Qs = 64 2^k < Q whose ||D_Qs||_F <= 1/2, which bounds
+    cond(I + D_Qs) by 3, and moved to Q nodes as (I + D_Q)(I + D_Qs)^{-1} G_Qs;
+    they are sampled on Q itself when no such grid exists.  The powers
+    A_u^64, A_u^128, ... come from one squaring chain.
     """
-    ms = ModelSpace(u, quad_points).require_resolved()
-    X = ms._conj_basis  # C e_k = u conj(z) conj(e_k) on the circle
-    G = X @ ((ms.u_samples * np.conj(ms.nodes)) * X).T / ms.quad_points
+    Q = _check_quad_points(quad_points)
+    A = compressed_shift(u)
+    grids, powers, Ak = [], [], A
+    for i in range(1, Q.bit_length()):  # Ak = A^(2^i) for 2^i <= Q; the grids are 2^i >= 64
+        Ak = Ak @ Ak
+        if 2**i >= QUAD_FLOOR:
+            grids.append(2**i)
+            powers.append(Ak)
+    if grids[-1] < Q:
+        grids.append(Q)
+        powers.append(np.linalg.matrix_power(A, Q))
+    D = _aliasing(np.array(powers))
+    if np.linalg.norm(D[-1]) > GRAM_TOL:  # else ||D_Q|| <= ||D_Q||_F passes without an SVD
+        _require_gram_residual(operator_norm(D[-1]))
+    coarse = np.flatnonzero(np.linalg.norm(D[:-1], axis=(1, 2)) <= 0.5)
+    if coarse.size:
+        eye, k = np.eye(u.degree), coarse[0]
+        G = (eye + D[-1]) @ np.linalg.solve(eye + D[k], _sampled_conjugation(u, grids[k]))
+    else:
+        G = _sampled_conjugation(u, Q)
     G = 0.5 * (G + G.T)  # exactly symmetric: entries (i, j) and (j, i) are the same sum
     C = Conjugation(G)
     if C.unitarity_residual() > GRAM_TOL:
@@ -350,8 +426,6 @@ def _hankel_section(fine: ModelSpace, phi: Symbol, M: int) -> np.ndarray:
     symbol, computed by FFT on the grid of ``fine`` (see _fine_space), fine
     enough that aliasing sits far below the truncation error.
     """
-    if M < 64:
-        raise InputError("Hankel truncation needs M >= 64")
     coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
     v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
     return np.lib.stride_tricks.sliding_window_view(v, M).copy()  # row r is v[r : r + M]
@@ -367,10 +441,12 @@ def verify_hankel_factorization(
     section of conj(u) phi into negative modes, evaluated on the
     quad_points nodes by one FFT (see _hankel_route_residual), multiplied
     back by u, and compressed to the model space by the trapezoid rule; the
-    result is compared against tto_matrix.  If the residual exceeds
-    HANKEL_RESIDUAL_CAP and does not decrease when M doubles, the truncation
-    is not converging and an accuracy error is raised.
+    result is compared against tto_matrix.  M is an integer >= 64.  If the
+    residual exceeds HANKEL_RESIDUAL_CAP and does not decrease when M
+    doubles, the truncation is not converging and an accuracy error is raised.
     """
+    if not isinstance(M, (int, np.integer)) or M < 64:
+        raise InputError(f"Hankel truncation M must be an integer >= 64, got {M!r}")
     ms = ModelSpace(u, quad_points).require_resolved()
     direct = ms.tto(phi)
     residual = _hankel_route_residual(ms, phi, M, direct)

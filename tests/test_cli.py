@@ -259,6 +259,21 @@ def test_invalid_symbol_and_quadrature_exit_64():
     assert run_main("verify-paper", "--quad", "100000000000") == 65
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        '{"poly": [[NaN, 0], [1, 0]]}',
+        '{"rational": {"num": [[1, 0]], "den": [[1, 0], [1e-320, 0]]}}',
+        '{"rational": {"num": [[1e300, 0]], "den": [[1e-300, 0], [1e-301, 0]]}}',
+    ],
+    ids=["nan", "subnormal-lead", "overflow"],
+)
+def test_non_finite_or_badly_scaled_symbol_exit_64(phi):
+    # these exited 1 with a raw ValueError (NaN is out of JSON's range, and
+    # so is the overflowed matrix) or a LinAlgError from np.roots
+    assert run_main("tto", "--u", '{"zeros": [[0.5, 0], [0.1, 0.2]]}', "--phi", phi) == 64
+
+
 def test_precondition_failure_exit_65():
     J3 = np.zeros((3, 3))
     J3[1, 0] = 1.0

@@ -7,6 +7,8 @@ Monomial oracles (u = z^n makes everything exact):
     Fourier mode -1, so the Hankel section is 1 at (0,0) and 0 elsewhere.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from csokit.errors import AccuracyError, CapacityError, EvaluationError, InputEr
 from csokit.linalg import operator_norm
 from csokit.modelspace import (
     BlaschkeProduct,
+    GRAM_TOL,
     QUAD_CAP,
     ModelSpace,
     Symbol,
@@ -30,6 +33,7 @@ from csokit.modelspace import (
     modelspace_decompose,
     tto_matrix,
     verify_hankel_factorization,
+    _aliasing,
     _fine_space,
     _hankel_route_residual,
     _hankel_section,
@@ -210,11 +214,98 @@ def test_one_pass_samples_match_the_plain_recursion(seed, degree, radius, quad):
     assert np.array_equal(ms.nodes, nodes) and not ms.nodes.flags.writeable
     assert max_entry(ms.basis_samples - E) <= 1e-13 * max(1.0, max_entry(E))
     assert max_entry(ms.u_samples - us) <= 1e-13
+    assert_same_reply_as_the_plain_sums(u, quad, 1e-13)
+
+
+def assert_same_reply_as_the_plain_sums(u, quad, tol):
+    """model_conjugation, which reaches the quad-node sums through the
+    aliasing identity, refuses exactly where the plain sums would (their Gram
+    residual or G's unitarity residual above GRAM_TOL) and otherwise gives
+    their G to tol."""
+    _, E, _ = reference_samples(u, quad)
+    eye = np.eye(u.degree)
+    G = reference_conjugation(u, quad)
+    refused = (
+        operator_norm(E @ E.conj().T / quad - eye) > GRAM_TOL
+        or operator_norm(G @ G.conj().T - eye) > GRAM_TOL
+    )
     try:
         C = model_conjugation(u, quad)
     except AccuracyError:
+        assert refused
         return
-    assert max_entry(C.matrix - reference_conjugation(u, quad)) <= 1e-13
+    assert not refused
+    assert max_entry(C.matrix - G) <= tol
+
+
+@pytest.mark.parametrize(
+    "zeros, quad",
+    [
+        ((), 64),
+        ((), 1024),
+        ((0.0,) * 40, 64),
+        (seeded_zeros(5, 8, 0.8), 64),
+        (seeded_zeros(6, 8, 0.8), 100),
+        (seeded_zeros(7, 12, 0.9), 1000),
+        (seeded_zeros(8, 12, 0.9), 5000),
+        (seeded_zeros(9, 3, 0.9), 65536),
+        ((0.95, -0.97j, 0.99), 4096),
+        ((0.999, 0.999j), 65536),
+    ],
+)
+def test_model_conjugation_edge_inputs_match_the_plain_sums(zeros, quad):
+    # grids below, between and above the powers 64 2^k, and spaces refused
+    # or resolved only on fine grids.  Near the circle both the coarse
+    # sample and the plain sums err in proportion to the largest basis
+    # sample: at |a| = 0.999 on 65536 nodes they differ by up to 2.3e-13
+    u = BlaschkeProduct(zeros)
+    largest = max_entry(reference_samples(u, quad)[1])
+    assert_same_reply_as_the_plain_sums(u, quad, 1e-13 * max(1.0, largest))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    seed=SEEDS,
+    degree=st.integers(0, 24),
+    radius=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+    quad=st.one_of(st.sampled_from([64, 128, 1024, 4096]), st.integers(64, 4096)),
+)
+def test_aliasing_identity_gives_the_sampled_gram_matrix(seed, degree, radius, quad):
+    # the Q-node Gram matrix is I + D_Q^T.  The bound scales with the largest
+    # basis sample: at radius 0.999 the plain sums themselves err by up to
+    # 8e-14 (an extended-precision sum puts D_Q within 4e-15 of the truth)
+    u = BlaschkeProduct(seeded_zeros(seed, degree, radius, at_origin=0.3))
+    _, E, _ = reference_samples(u, quad)
+    gram = E @ E.conj().T / quad
+    D = _aliasing(np.linalg.matrix_power(compressed_shift(u), quad)[None])[0]
+    assert max_entry(D.T - (gram - np.eye(degree))) <= 1e-14 * max(1.0, max_entry(E))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_model_conjugation_samples_only_a_coarse_grid(monkeypatch, seed):
+    # at zeros of modulus <= 0.9 the 4096-node sums come from 64 or 128 nodes
+    grids = []
+    init = ModelSpace.__init__
+
+    def recording(self, u, quad_points=1024):
+        grids.append(quad_points)
+        init(self, u, quad_points)
+
+    monkeypatch.setattr(ModelSpace, "__init__", recording)
+    model_conjugation(BlaschkeProduct(seeded_zeros(seed, 24, 0.9)), 4096)
+    assert grids and max(grids) <= 128
+
+
+def test_model_conjugation_memory_does_not_grow_with_the_grid():
+    # the plain sums on 2^18 nodes held 8 basis rows of 4 MB each
+    u = BlaschkeProduct(seeded_zeros(11, 8, 0.9))
+    tracemalloc.start()
+    try:
+        model_conjugation(u, 1 << 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tto_is_c_symmetric_under_model_conjugation():
@@ -269,6 +360,10 @@ def test_quadrature_size_is_capped_before_any_sample():
 QUAD_CHECKED = {
     "ModelSpace": lambda quad: ModelSpace(BlaschkeProduct((0.5,)), quad),
     "model_conjugation": lambda quad: model_conjugation(BlaschkeProduct((0.5,)), quad),
+    # the Hankel truncation M is checked as a node count is (it was a bare TypeError)
+    "verify_hankel_factorization": lambda M: verify_hankel_factorization(
+        BlaschkeProduct((0.5,)), Symbol.shift(), M
+    ),
     "RunConfig": lambda quad: RunConfig(quad=quad),
 }
 
@@ -291,13 +386,41 @@ def test_quad_points_must_be_an_integer_in_range(caller, quad, error):
         QUAD_CHECKED[caller](quad)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BlaschkeProduct(["a"]),  # was a bare ValueError
+        lambda: BlaschkeProduct(None),  # was a bare TypeError
+        lambda: Symbol(poly=[float("nan"), 1.0]),  # was accepted, with a NaN TTO
+        lambda: Symbol(poly=[1.0, float("nan")]),  # was trimmed to the constant 1
+        lambda: Symbol(poly=["a"]),  # was a bare ValueError
+        lambda: Symbol(num=[1.0], den=[1.0, float("inf")]),
+        lambda: Symbol(num=[1.0], den=[1.0, 1e-320]),  # np.roots raised LinAlgError
+        lambda: tto_matrix(BlaschkeProduct((0.5,)), Symbol(num=[1e300], den=[1e-300, 1e-301])),
+    ],
+    ids=[
+        "string-zero",
+        "no-zeros",
+        "nan-coefficient",
+        "nan-leading-coefficient",
+        "string-coefficient",
+        "inf-coefficient",
+        "subnormal-lead",
+        "overflow",
+    ],
+)
+def test_malformed_model_space_input_is_an_input_error(build):
+    with pytest.raises(InputError):
+        build()
+
+
 def test_hankel_truncation_monomial_oracle():
     H = _hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0, 0.0))), 64), Symbol.shift(), 64)
     want = np.zeros((64, 64))
     want[0, 0] = 1.0
     assert np.allclose(H, want, atol=1e-12)
     with pytest.raises(InputError):
-        _hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0,))), 32), Symbol.shift(), 32)
+        verify_hankel_factorization(BlaschkeProduct((0.0,)), Symbol.shift(), 32)
 
 
 @pytest.mark.parametrize("M", [64, 100, 300])
