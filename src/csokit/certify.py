@@ -21,7 +21,9 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    that space by the v_k v_k^t of T's eigenvectors, in O(n^4), when T has a
    simple spectrum whose eigenvalue gaps clear the rank cut of
    ``linalg.null_space``, and by the null space of the n^2 x n^2 Kronecker
-   matrix, in O(n^6), otherwise.
+   matrix, in O(n^6), otherwise.  That matrix is built by ``linalg.tensor``,
+   so past n = 64 it is a CapacityError; a verified phase G is then the
+   answer, and without one the error stands.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
@@ -48,6 +50,7 @@ from .linalg import (
     operator_norms,
     polar_decompose,
     power_of_two_scaled,
+    tensor,
     times_power_of_two,
     unitary_in_subspace,
 )
@@ -198,7 +201,8 @@ def intertwiner_basis(T) -> np.ndarray:
     T v v^t = lambda v v^t = v v^t T^t, and the basis is the QR factor of
     those n vectors: one ``eig``, O(n^4) time and O(n^3) memory.  Any other
     T (0x0, repeated or clustered eigenvalues, Jordan blocks) takes
-    ``linalg.null_space`` of the n^2 x n^2 matrix L, O(n^6).
+    ``linalg.null_space`` of the n^2 x n^2 matrix L, O(n^6), built by
+    ``linalg.tensor``: n^2 above TENSOR_DIM_CAP is a CapacityError.
 
     The input picks the path.  L = (V (x) V) diag(lambda_i - lambda_j)
     (V (x) V)^-1, so its n^2 - n nonzero singular values are at least
@@ -218,7 +222,7 @@ def intertwiner_basis(T) -> np.ndarray:
         if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * operator_norm(A):
             # column k is vec(v_k v_k^t) (symmetric, so either vec order)
             return np.linalg.qr((V[:, None, :] * V).reshape(n * n, n))[0]
-    L = np.kron(np.eye(n), A) - np.kron(A, np.eye(n))
+    L = tensor(np.eye(n), A) - tensor(A, np.eye(n))
     return null_space(L)
 
 
@@ -299,7 +303,9 @@ def find_conjugation(
     the verified phase G (if any), the identity and the flip, then from
     random starts drawn from seed, each for at most budget rounds; every
     candidate is re-verified before being reported.  "inconclusive" is a
-    valid outcome.
+    valid outcome.  When the intertwiner space needs a Kronecker matrix
+    past the tensor cap (n > 64 off a simple spectrum), a verified phase G
+    is reported as it is, and without one the CapacityError is raised.
     """
     seed = check_seed(seed)
     tol = check_tol(tol)
@@ -329,7 +335,8 @@ def find_conjugation(
 
     phase = hermitian_phase_conjugation(A)
     initial = (np.eye(n, dtype=complex), np.eye(n, dtype=complex)[::-1])
-    if _verified_residual(A, phase, tol) is not None:
+    phase_residual = _verified_residual(A, phase, tol)
+    if phase_residual is not None:
         initial = (phase.matrix, *initial)
     else:
         found = word_obstruction_search(A, tol=tol)
@@ -339,7 +346,13 @@ def find_conjugation(
                 "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap, seed=seed
             )
 
-    basis = intertwiner_basis(A)
+    try:
+        basis = intertwiner_basis(A)
+    except CapacityError:
+        # the Kronecker matrix is past the cap; the search would start from the phase G anyway
+        if phase_residual is None:
+            raise
+        return CsoCertificate("c_symmetric", phase_residual, conjugation=phase, seed=seed)
     if basis.size:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         for W in unitary_in_subspace(basis, n, initial=initial, iters=budget, rng=rng):

@@ -8,7 +8,9 @@ rational basis
 which reduces to the monomials when every zero is 0.  In this basis the
 compression A_u of multiplication by z has a closed form, and every analytic
 truncated Toeplitz operator (the compression f -> P(phi f)) is phi(A_u), so
-tto_matrix involves no quadrature.
+tto_matrix involves no quadrature.  Each BlaschkeProduct builds its A_u once,
+read-only, so tto_matrix, the model conjugation and the cross-checks of one
+u share it.
 
 The basis of a product uv is the frame K_u + u K_v itself: element
 deg(u) + k of uv's basis is u times element k of v's, identically, so
@@ -21,7 +23,9 @@ trigonometric polynomials below the node count and spectrally accurate for
 the rational integrands appearing here, and they monitor the basis Gram
 residual so underresolution surfaces as an error instead of wrong numbers.
 One pass of the basis recursion over the nodes samples both the basis and
-u: its final prefix, prod_j b_{a_j}, is u itself.
+u: its final prefix, prod_j b_{a_j}, is u itself.  The reciprocals and
+factors of all zeros come from one broadcast each, so only the running
+prefix loops over the zeros.
 
 The Q-node rule adds to each integral the integrand's Fourier modes at the
 nonzero multiples of Q, and on the model space those modes are entries of
@@ -31,6 +35,10 @@ conjugation samples only a coarse grid of 64 2^k nodes and moves its sums
 to the Q nodes exactly (see model_conjugation); its Gram check is the
 closed form.  The cross-checks still sample on their own grids and check
 their sampled Gram matrix, so they stay independent of A_u.
+
+Sizes are capped before anything is allocated: a degree above
+TENSOR_DIM_CAP (the n x n shift) and a sampling pass of more than
+SAMPLE_CAP basis samples (degree times nodes) are CapacityErrors.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -47,11 +55,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import Conjugation, operator_norm
+from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm
 
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
 QUAD_CAP = 1 << 20  # and at most this (16 MB per sampled row)
+SAMPLE_CAP = 1 << 24  # degree x nodes of one sampling pass (256 MB per n x Q array)
 ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
@@ -87,11 +96,12 @@ class BlaschkeProduct:
             zs = tuple(complex(a) for a in zeros)
         except (TypeError, ValueError) as exc:
             raise InputError(f"Blaschke zeros must be complex numbers: {exc}") from None
-        for a in zs:
+        bad = [a for a in zs if not abs(a) <= 1.0 - ZERO_MARGIN]  # NaN and inf fail too
+        if bad:
+            a = bad[0]
             if not np.isfinite(a):
                 raise InputError("Blaschke zero must be finite")
-            if abs(a) > 1.0 - ZERO_MARGIN:
-                raise InputError(f"Blaschke zero {a} too close to the unit circle")
+            raise InputError(f"Blaschke zero {a} too close to the unit circle")
         object.__setattr__(self, "zeros", zs)
 
     @property
@@ -100,6 +110,13 @@ class BlaschkeProduct:
 
     def __mul__(self, other: "BlaschkeProduct") -> "BlaschkeProduct":
         return BlaschkeProduct(self.zeros + other.zeros)
+
+    @cached_property
+    def _compressed_shift(self) -> np.ndarray:
+        """A_u, built once per product and read-only (see compressed_shift)."""
+        A = _shift_matrix(self.zeros)
+        A.flags.writeable = False
+        return A
 
     def eval(self, z):
         pts = np.asarray(z, dtype=complex)
@@ -215,11 +232,15 @@ class ModelSpace:
         """phi(A_u) = num(A_u) den(A_u)^{-1}, exactly.
 
         den(A_u) is invertible: its eigenvalues are den at the zeros of u,
-        and the poles of phi lie outside the closed disk.
+        and the poles of phi lie outside the closed disk.  A polynomial
+        symbol needs no solve: phi(A_u) is Horner's rule on num / den[0].
         """
         A = compressed_shift(self.u)
         with np.errstate(over="ignore", invalid="ignore"):
-            T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
+            if phi.is_polynomial:
+                T = _horner(phi.poly, A)
+            else:
+                T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
         if not np.all(np.isfinite(T)):
             raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
         return T
@@ -232,22 +253,30 @@ class ModelSpace:
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(basis, u) on the nodes, from one pass of the basis recursion.
 
-        Each factor's 1 / (1 - conj(a) z) is one reciprocal, which serves
-        both the basis element and the prefix; after the last zero the
-        prefix is u itself.
+        The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all
+        zeros come from one broadcast each (a zero at 0 has reciprocal 1 and
+        factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
+        product per zero, in the factors' rows; the basis is prefix times
+        reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
         """
+        n, Q = self.dim, self.quad_points
+        if n * Q > SAMPLE_CAP:
+            raise CapacityError(
+                f"degree {n} on {Q} nodes exceeds the sampling cap of {SAMPLE_CAP} basis samples"
+            )
+        a = np.asarray(self.u.zeros, dtype=complex).reshape(n, 1)
         z = self.nodes
-        E = np.empty((self.dim, self.quad_points), dtype=complex)
-        prefix = np.ones(self.quad_points, dtype=complex)
-        for k, a in enumerate(self.u.zeros):
-            if a == 0:
-                E[k] = prefix
-                prefix *= z
-            else:
-                prefix *= np.reciprocal(1.0 - np.conj(a) * z)
-                np.multiply(prefix, np.sqrt(1.0 - abs(a) ** 2), out=E[k])
-                prefix *= a - z
-        return E, prefix
+        E = np.multiply(a.conj(), z)
+        np.subtract(1.0, E, out=E)
+        np.reciprocal(E, out=E)
+        F = np.subtract(a, z)
+        F *= E
+        F[a[:, 0] == 0] = z
+        for k in range(1, n):
+            np.multiply(F[k - 1], F[k], out=F[k])
+        E *= np.sqrt(1.0 - np.abs(a) ** 2)
+        E[1:] *= F[:-1]
+        return E, F[-1].copy() if n else np.ones(Q, dtype=complex)
 
     @property
     def basis_samples(self) -> np.ndarray:
@@ -287,6 +316,13 @@ def _require_gram_residual(residual: float) -> None:
         )
 
 
+def _gram_norm(M: np.ndarray) -> float:
+    """||M||, or ||M||_F when that is at most GRAM_TOL: ||M|| <= ||M||_F, so a
+    check against GRAM_TOL decides the same without an SVD."""
+    frobenius = float(np.linalg.norm(M))
+    return frobenius if frobenius <= GRAM_TOL else operator_norm(M)
+
+
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] A^k."""
     eye = np.eye(A.shape[0], dtype=complex)
@@ -306,9 +342,20 @@ def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
         A_ij = c_i c_j eps_j prod_{j<k<i} (-conj(a_k) eps_k),
 
     where c = sqrt(1 - |a|^2) and eps_k = +1 when a_k = 0 (factor z), else -1
-    (factor (a - z) / (1 - conj(a) z)).  Built one sub-diagonal at a time.
+    (factor (a - z) / (1 - conj(a) z)).  The product builds it once, so
+    every route on one u shares the same read-only array.  A degree above
+    TENSOR_DIM_CAP is a CapacityError, raised before any allocation.
     """
-    a = np.asarray(u.zeros, dtype=complex)
+    return u._compressed_shift
+
+
+def _shift_matrix(zeros: tuple) -> np.ndarray:
+    """A_u for the zeros, built one sub-diagonal at a time."""
+    if len(zeros) > TENSOR_DIM_CAP:
+        raise CapacityError(
+            f"Blaschke degree {len(zeros)} exceeds the dimension cap {TENSOR_DIM_CAP}"
+        )
+    a = np.asarray(zeros, dtype=complex)
     n = a.size
     c = np.sqrt(1.0 - np.abs(a) ** 2)
     eps = np.where(a == 0, 1.0, -1.0)
@@ -343,8 +390,8 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     return operator_norm(ms.tto(phi) - ms.compress(phi.eval(ms.nodes)))
 
 
-def _aliasing(powers: np.ndarray) -> np.ndarray:
-    """D = P + P^H with P = A^k (I - A^k)^{-1}, for each A_u^k in a stack.
+def _aliasing(power: np.ndarray) -> np.ndarray:
+    """D = P + P^H with P = A^k (I - A^k)^{-1}, for A^k = A_u^k.
 
     The k-node trapezoid rule adds to each integral over the circle the
     integrand's Fourier modes at the nonzero multiples of k.  On K_u those
@@ -353,8 +400,8 @@ def _aliasing(powers: np.ndarray) -> np.ndarray:
     matrix is I + D^T, and the k-node conjugation matrix is (I + D) G with G
     the exact one.  I - A^k is invertible: A_u's eigenvalues are the zeros.
     """
-    P = np.linalg.solve(np.eye(powers.shape[-1]) - powers, powers)
-    return P + np.swapaxes(P, -1, -2).conj()
+    P = np.linalg.solve(np.eye(power.shape[0]) - power, power)
+    return P + P.conj().T
 
 
 def _sampled_conjugation(u: BlaschkeProduct, quad_points: int) -> np.ndarray:
@@ -377,7 +424,10 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     coarsest grid Qs = 64 2^k < Q whose ||D_Qs||_F <= 1/2, which bounds
     cond(I + D_Qs) by 3, and moved to Q nodes as (I + D_Q)(I + D_Qs)^{-1} G_Qs;
     they are sampled on Q itself when no such grid exists.  The powers
-    A_u^64, A_u^128, ... come from one squaring chain.
+    A_u^64, A_u^128, ... come from one squaring chain, and D_Qs is formed
+    only for the grids up to the one used.  Each residual is the Frobenius
+    norm first, which bounds the operator norm, and an SVD only when that
+    exceeds GRAM_TOL.
     """
     Q = _check_quad_points(quad_points)
     A = compressed_shift(u)
@@ -387,21 +437,24 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
         if 2**i >= QUAD_FLOOR:
             grids.append(2**i)
             powers.append(Ak)
-    if grids[-1] < Q:
-        grids.append(Q)
-        powers.append(np.linalg.matrix_power(A, Q))
-    D = _aliasing(np.array(powers))
-    if np.linalg.norm(D[-1]) > GRAM_TOL:  # else ||D_Q|| <= ||D_Q||_F passes without an SVD
-        _require_gram_residual(operator_norm(D[-1]))
-    coarse = np.flatnonzero(np.linalg.norm(D[:-1], axis=(1, 2)) <= 0.5)
-    if coarse.size:
-        eye, k = np.eye(u.degree), coarse[0]
-        G = (eye + D[-1]) @ np.linalg.solve(eye + D[k], _sampled_conjugation(u, grids[k]))
+    if grids[-1] == Q:
+        grids.pop()
+        AQ = powers.pop()
+    else:
+        AQ = np.linalg.matrix_power(A, Q)
+    eye = np.eye(u.degree)
+    DQ = _aliasing(AQ)
+    _require_gram_residual(_gram_norm(DQ))
+    for grid, power in zip(grids, powers):
+        Dk = _aliasing(power)
+        if np.linalg.norm(Dk) <= 0.5:
+            G = (eye + DQ) @ np.linalg.solve(eye + Dk, _sampled_conjugation(u, grid))
+            break
     else:
         G = _sampled_conjugation(u, Q)
     G = 0.5 * (G + G.T)  # exactly symmetric: entries (i, j) and (j, i) are the same sum
     C = Conjugation(G)
-    if C.unitarity_residual() > GRAM_TOL:
+    if _gram_norm(G @ G.conj().T - eye) > GRAM_TOL:
         raise AccuracyError("conjugation matrix failed its unitarity check; raise quad_points")
     return C
 

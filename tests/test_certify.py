@@ -30,7 +30,7 @@ from csokit.certify import (
     word_obstruction_search,
 )
 from csokit.ensembles import random_complex, random_cso, random_nilpotent2, random_unitary, stream
-from csokit.errors import AccuracyError, InputError, PreconditionError
+from csokit.errors import AccuracyError, CapacityError, InputError, PreconditionError
 from csokit.indestructible import destructor_witness, nilpotent2_tensor_conjugation, witness_matrix
 from csokit.linalg import DEFAULT_TOL, Conjugation, conjugate_by, direct_sum, operator_norm
 from csokit.synthesis import synthesize_tto_for_nilpotent2
@@ -350,6 +350,31 @@ def test_find_conjugation_at_64_builds_no_kronecker_matrix():
     cert = without_null_space(find_conjugation, T)
     assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
     cert.conjugation.validate()
+
+
+def test_find_conjugation_past_the_tensor_cap_reports_the_phase_conjugation():
+    # a rotated Jordan block has one repeated eigenvalue, so its intertwiner
+    # space needs the Kronecker matrix: at n = 65 that is 4225^2 entries, past
+    # the tensor cap, and the verified phase G is the answer (the Kronecker
+    # null space took 0.26 s at n = 24, and grows as n^6)
+    Q = random_unitary(stream(11, 65), 65)
+    T = Q @ jordan(65) @ Q.conj().T
+    cert = without_null_space(find_conjugation, T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    cert.conjugation.validate()
+    assert is_c_symmetric(T, cert.conjugation)[0]
+
+
+def test_find_conjugation_past_the_tensor_cap_without_a_phase_conjugation_raises():
+    # A (+) A^T is complex symmetric, but its doubled spectrum defeats the
+    # phase test and the eigenvector basis; at n = 66 the Kronecker matrix is
+    # past the cap, so the search cannot run and the CapacityError stands
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    Q = random_unitary(stream(11, 66), 66)
+    T = Q @ direct_sum(A, A.T) @ Q.conj().T
+    with pytest.raises(CapacityError, match="dimension cap"):
+        without_null_space(find_conjugation, T)
 
 
 def test_find_conjugation_order2_fast_path():

@@ -283,6 +283,18 @@ def test_precondition_failure_exit_65():
     assert "error" in p.stderr
 
 
+def test_past_the_capacity_caps_exit_65():
+    # 4097 zeros would have built a 4097 x 4097 compressed shift (1e5 zeros,
+    # 160 GB), and a 66-dim A (+) A^T a 4356^2 Kronecker matrix
+    u = json.dumps({"zeros": [[0.0, 0.0]] * 4097})
+    code, _, err = run_main_output("tto", "--u", u, "--phi", '{"poly": [[0.0, 0.0], [1.0, 0.0]]}')
+    assert code == 65 and "exceeds the dimension cap" in err
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    code, _, err = run_main_output("certify", "--matrix", matrix_arg(direct_sum(A, A.T)))
+    assert code == 65 and "exceeds the dimension cap" in err
+
+
 def test_tto_subcommand_monomial_oracle(tmp_path):
     out_file = tmp_path / "tto.json"
     p = run_cli(

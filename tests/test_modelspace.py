@@ -59,6 +59,21 @@ def test_blaschke_zero_bound_and_pole_guard():
         u.eval(2.0)  # pole of the factor at 1/conj(a)
 
 
+@pytest.mark.parametrize(
+    "zeros, message",
+    [
+        ((0.5, float("nan"), 1.0), "must be finite"),
+        ((0.5, 1.0, float("nan")), r"zero \(1\+0j\) too close"),
+        ((complex(0.0, float("inf")),), "must be finite"),
+        ((0.3, -(1.0 - 1e-9)), r"zero \(-0\.999999999\+0j\) too close"),
+    ],
+)
+def test_blaschke_zero_checks_name_the_first_bad_zero(zeros, message):
+    with pytest.raises(InputError, match=message):
+        BlaschkeProduct(zeros)
+    assert BlaschkeProduct((0.3, 1.0 - 2e-8)).degree == 2
+
+
 def test_blaschke_product_concatenates():
     u = BlaschkeProduct((0.5,)) * BlaschkeProduct((0.0, -0.2j))
     assert u.zeros == (0.5, 0.0, -0.2j)
@@ -277,7 +292,7 @@ def test_aliasing_identity_gives_the_sampled_gram_matrix(seed, degree, radius, q
     u = BlaschkeProduct(seeded_zeros(seed, degree, radius, at_origin=0.3))
     _, E, _ = reference_samples(u, quad)
     gram = E @ E.conj().T / quad
-    D = _aliasing(np.linalg.matrix_power(compressed_shift(u), quad)[None])[0]
+    D = _aliasing(np.linalg.matrix_power(compressed_shift(u), quad))
     assert max_entry(D.T - (gram - np.eye(degree))) <= 1e-14 * max(1.0, max_entry(E))
 
 
@@ -306,6 +321,84 @@ def test_model_conjugation_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def test_model_space_lapack_work(monkeypatch):
+    # tto_matrix and model_conjugation of one u share one A_u (each built
+    # its own); a polynomial symbol takes no solve; at zeros of modulus
+    # <= 0.9 the Gram and unitarity checks are settled by Frobenius norms
+    # and the aliasing stops at the first small coarse term (1 SVD and 5 to
+    # 7 aliasing solves per conjugation before)
+    calls = {"svd": 0, "solve": 0, "shift": 0}
+    for name in ("svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(calls, name, getattr(np.linalg, name)))
+    monkeypatch.setattr(modelspace, "_shift_matrix", counting(calls, "shift", modelspace._shift_matrix))
+    for seed, quad in [(0, 1024), (1, 1024), (2, 4096), (3, 4096)]:
+        u = BlaschkeProduct(seeded_zeros(seed, 24, 0.9))
+        tto_matrix(u, Symbol(poly=[1.0, 2.0, 0.5j]), quad)
+        assert calls["solve"] == 0
+        model_conjugation(u, quad)
+        assert calls == {"svd": 0, "solve": 3, "shift": 1}, (seed, quad, calls)
+        calls.update(svd=0, solve=0, shift=0)
+
+
+def test_compressed_shift_is_built_once_and_read_only():
+    u = BlaschkeProduct(seeded_zeros(4, 6, 0.9))
+    A = compressed_shift(u)
+    assert compressed_shift(u) is A and not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+    assert np.array_equal(A, compressed_shift(BlaschkeProduct(u.zeros)))
+
+
+def test_degree_past_the_cap_is_refused_before_the_shift_is_built():
+    # 4097 zeros would allocate a 268 MB compressed shift (1e5 zeros, 160 GB)
+    u = BlaschkeProduct((0.0,) * 4097)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="dimension cap"):
+            tto_matrix(u, Symbol.shift())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sampling_past_the_cap_is_refused_before_any_sample():
+    # degree 32 on 2^20 nodes is 2^25 basis samples, several 512 MB arrays
+    u = BlaschkeProduct(seeded_zeros(12, 32, 0.9))
+    ms = ModelSpace(u, 1 << 20)  # a space that is never sampled costs nothing
+    assert ms.tto(Symbol.shift()).shape == (32, 32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="sampling cap"):
+            fn_calculus_check(u, Symbol.shift(), 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sampling_memory_is_bounded_by_a_few_basis_arrays():
+    # 8 x 2^16 samples are 8 MB per array.  The per-zero recursion peaked at
+    # 27 MB; the broadcast holds one more such array (the factors), but
+    # frees it before the compression's peak
+    u = BlaschkeProduct(seeded_zeros(13, 8, 0.9))
+    tracemalloc.start()
+    try:
+        fn_calculus_check(u, Symbol(poly=[1.0, 0.5, 0.25]), 1 << 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
 
 
 def test_tto_is_c_symmetric_under_model_conjugation():
