@@ -51,8 +51,11 @@ def _load_json(arg: str):
 def _emit(obj, out: str | None) -> None:
     text = serialize.dumps(obj) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -16,25 +16,26 @@ The basis of a product uv is the frame K_u + u K_v itself: element
 deg(u) + k of uv's basis is u times element k of v's, identically, so
 modelspace_decompose is the identity with its block labels.
 
-Quadrature is left to the model conjugation and the two independent
-cross-checks (functional calculus and Hankel factorization).  They use
-uniform trapezoid sums over the unit circle; that rule is exact for
-trigonometric polynomials below the node count and spectrally accurate for
-the rational integrands appearing here, and they monitor the basis Gram
-residual so underresolution surfaces as an error instead of wrong numbers.
-One pass of the basis recursion over the nodes samples both the basis and
-u: its final prefix, prod_j b_{a_j}, is u itself.  The reciprocals and
-factors of all zeros come from one broadcast each, so only the running
-prefix loops over the zeros.
+Quadrature is left to the two independent cross-checks (functional
+calculus and Hankel factorization).  They use uniform trapezoid sums over
+the unit circle; that rule is exact for trigonometric polynomials below the
+node count and spectrally accurate for the rational integrands appearing
+here, and they monitor the basis Gram residual so underresolution surfaces
+as an error instead of wrong numbers.  One pass of the basis recursion over
+the nodes samples both the basis and u: its final prefix, prod_j b_{a_j},
+is u itself.  The reciprocals and factors of all zeros come from one
+broadcast each, so only the running prefix loops over the zeros.
 
-The Q-node rule adds to each integral the integrand's Fourier modes at the
-nonzero multiples of Q, and on the model space those modes are entries of
-A_u^{mQ} and their adjoints.  This aliasing identity gives the Q-node Gram
-matrix and conjugation sums in closed form from A_u^Q, so the model
-conjugation samples only a coarse grid of 64 2^k nodes and moves its sums
-to the Q nodes exactly (see model_conjugation); its Gram check is the
-closed form.  The cross-checks still sample on their own grids and check
-their sampled Gram matrix, so they stay independent of A_u.
+The model conjugation samples nothing.  Its matrix solves a Stein equation
+in A_u whose right-hand side is the closed-form rank-one term w d^T, and a
+doubling sum over powers of A_u gives it exactly (see model_conjugation).
+It still replies with the Q-node trapezoid matrix and refuses an
+unresolved space, through the aliasing identity: the Q-node rule adds to
+each integral the integrand's Fourier modes at the nonzero multiples of
+Q, and on the model space those modes are entries of A_u^{mQ} and their
+adjoints, so the Q-node Gram matrix and conjugation sums follow in closed
+form from A_u^Q.  The cross-checks still sample on their own grids and
+check their sampled Gram matrix, so they stay independent of A_u.
 
 Sizes are capped before anything is allocated: a degree above
 TENSOR_DIM_CAP (the n x n shift) and a sampling pass of more than
@@ -49,7 +50,7 @@ by u) gives an independent route to the same matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -65,18 +66,17 @@ ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
 HANKEL_RESIDUAL_CAP = 1e-6  # a Hankel residual above this must fall when M doubles
+STEIN_TAIL = 1e-8  # the model conjugation's sum stops once ||A^K||_F is this small
 
 
 def _trim(coeffs) -> np.ndarray:
     try:
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+        c = np.asarray(coeffs, dtype=complex).ravel()
     except (TypeError, ValueError) as exc:
         raise InputError(f"symbol coefficients must be complex numbers: {exc}") from None
-    if not np.all(np.isfinite(c)):  # before trimming, which would drop a trailing NaN
+    if not np.isfinite(c).all():  # before trimming, which would drop a trailing NaN
         raise InputError("symbol coefficients must be finite")
-    if c.size == 0:
-        return np.zeros(1, dtype=complex)
-    nz = np.nonzero(np.abs(c) > 0)[0]
+    nz = c.nonzero()[0]
     return c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
 
 
@@ -142,10 +142,10 @@ class Symbol:
 
     def __init__(self, poly=None, *, num=None, den=None):
         if poly is not None:
-            num, den = poly, (1.0,)
+            num, den = poly, None
         n = _trim(num)
-        d = _trim(den if den is not None else (1.0,))
-        if np.all(d == 0):
+        d = np.ones(1, dtype=complex) if den is None else _trim(den)
+        if not d.any():
             raise InputError("symbol denominator is identically zero")
         if d.size > 1:
             try:
@@ -324,11 +324,17 @@ def _gram_norm(M: np.ndarray) -> float:
 
 
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] A^k."""
-    eye = np.eye(A.shape[0], dtype=complex)
-    P = np.zeros_like(eye)
+    """sum_k coeffs[k] A^k, adding each coefficient to the diagonal in place.
+
+    The final + 0.0 turns the negative zeros that P @ A leaves off the
+    diagonal into +0, so an entry that is exactly zero prints as 0.0.
+    """
+    n = A.shape[0]
+    P = np.zeros((n, n), dtype=complex)
     for c in coeffs[::-1]:
-        P = P @ A + c * eye
+        P = P @ A
+        P.reshape(-1)[:: n + 1] += c
+    P += 0.0
     return P
 
 
@@ -350,7 +356,7 @@ def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
 
 
 def _shift_matrix(zeros: tuple) -> np.ndarray:
-    """A_u for the zeros, built one sub-diagonal at a time."""
+    """A_u for the zeros, from one cumprod down the columns of an array of steps."""
     if len(zeros) > TENSOR_DIM_CAP:
         raise CapacityError(
             f"Blaschke degree {len(zeros)} exceeds the dimension cap {TENSOR_DIM_CAP}"
@@ -359,13 +365,17 @@ def _shift_matrix(zeros: tuple) -> np.ndarray:
     n = a.size
     c = np.sqrt(1.0 - np.abs(a) ** 2)
     eps = np.where(a == 0, 1.0, -1.0)
-    step = -np.conj(a) * eps
-    A = np.diag(a)
-    flat = A.reshape(-1)  # sub-diagonal d is the strided slice flat[d n :: n + 1]
-    run = (c * eps)[:-1]  # run[j] = c_j eps_j prod_{j<k<j+d} step_k on sub-diagonal d
-    for d in range(1, n):
-        flat[d * n :: n + 1] = c[d:] * run
-        run = run[:-1] * step[d:-1]
+    # column j of S is 1 above row j, c_j eps_j at row j and step_i at each
+    # row i > j, so the cumprod R has R[i-1, j] = A_ij / c_i for i > j,
+    # multiplied in the closed form's order
+    i = np.arange(n)
+    lower = i[:, None] > i
+    S = np.where(lower, (-np.conj(a) * eps)[:, None], 1.0 + 0j)
+    S.reshape(-1)[:: n + 1] = c * eps
+    R = S.cumprod(axis=0)
+    A = np.zeros((n, n), dtype=complex)
+    np.multiply(R[:-1], c[1:, None], out=A[1:], where=lower[1:])
+    A.reshape(-1)[:: n + 1] = a
     return A
 
 
@@ -404,55 +414,57 @@ def _aliasing(power: np.ndarray) -> np.ndarray:
     return P + P.conj().T
 
 
-def _sampled_conjugation(u: BlaschkeProduct, quad_points: int) -> np.ndarray:
-    """The trapezoid sums of <C e_k, e_j> on quad_points nodes."""
-    ms = ModelSpace(u, quad_points)
-    X = ms._conj_basis  # C e_k = u conj(z) conj(e_k) on the circle
-    return X @ ((ms.u_samples * np.conj(ms.nodes)) * X).T / ms.quad_points
-
-
 def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Conjugation:
     """The conjugation (C f)(z) = u(z) conj(z f(z)) of the model space.
 
     Every truncated Toeplitz operator on the space, analytic or not, is
     symmetric under it.  For u = z^n it is the basis flip z^k -> z^{n-1-k}.
 
-    The matrix is the Q = quad_points node trapezoid rule's, computed
-    through the aliasing identity of _aliasing rather than on all Q nodes.
-    The space is refused as unresolved when ||D_Q||, the Q-node Gram
-    residual, exceeds GRAM_TOL.  Otherwise the sums are sampled on the
-    coarsest grid Qs = 64 2^k < Q whose ||D_Qs||_F <= 1/2, which bounds
-    cond(I + D_Qs) by 3, and moved to Q nodes as (I + D_Q)(I + D_Qs)^{-1} G_Qs;
-    they are sampled on Q itself when no such grid exists.  The powers
-    A_u^64, A_u^128, ... come from one squaring chain, and D_Qs is formed
-    only for the grids up to the one used.  Each residual is the Frobenius
-    norm first, which bounds the operator norm, and an SVD only when that
-    exceeds GRAM_TOL.
+    Its matrix G_jk = <C e_k, e_j> solves a Stein equation in closed form.
+    The kernel at 0 is k_0 = P_u 1, with coordinates d_j = conj(e_j(0)) =
+    c_j prod_{i<j} conj(a_i), and I - A A^H = d d^H.  Its image C k_0 = S^* u
+    has coordinates w_j = eps_j c_j prod_{i>j} a_i (c and eps as in
+    compressed_shift).  C A C = A^H gives G conj(A) = A^H G, hence
+
+        G - A^H G A^T = w d^T,   G = sum_{m>=0} (A^H)^m w d^T (A^T)^m,
+
+    a convergent sum since A's eigenvalues are the zeros.  Its corner is
+    G_{n-1,0} = eps_{n-1} c_0 c_{n-1} / (1 - a_0 conj(a_{n-1})).  The sum is
+    taken by doubling, G += P^H G P^T for P = A, A^2, A^4, ..., after which
+    it holds the terms m < 2K for P = A^K.  Nothing is sampled.
+
+    The matrix returned is the Q = quad_points node trapezoid rule's,
+    (I + D_Q) G with D_Q from _aliasing.  The doubling stops at the first
+    K with ||A^K||_F <= STEIN_TAIL = 1e-8.  The terms left are then at most
+    ||A^K||^4, and when 2K <= Q, ||A^Q|| <= ||A^K||^2 <= 1e-16, so D_Q is
+    below rounding and is not formed.  Otherwise D_Q is formed once the
+    chain reaches Q/2 < K <= Q, and the space is refused as unresolved
+    when ||D_Q||, the Q-node Gram residual, exceeds GRAM_TOL.  Each
+    residual is the Frobenius norm first, which bounds the operator norm,
+    and an SVD only when that exceeds GRAM_TOL.
     """
     Q = _check_quad_points(quad_points)
     A = compressed_shift(u)
-    grids, powers, Ak = [], [], A
-    for i in range(1, Q.bit_length()):  # Ak = A^(2^i) for 2^i <= Q; the grids are 2^i >= 64
-        Ak = Ak @ Ak
-        if 2**i >= QUAD_FLOOR:
-            grids.append(2**i)
-            powers.append(Ak)
-    if grids[-1] == Q:
-        grids.pop()
-        AQ = powers.pop()
-    else:
-        AQ = np.linalg.matrix_power(A, Q)
-    eye = np.eye(u.degree)
-    DQ = _aliasing(AQ)
-    _require_gram_residual(_gram_norm(DQ))
-    for grid, power in zip(grids, powers):
-        Dk = _aliasing(power)
-        if np.linalg.norm(Dk) <= 0.5:
-            G = (eye + DQ) @ np.linalg.solve(eye + Dk, _sampled_conjugation(u, grid))
+    powers, DQ = [A], None  # powers[i] = A^K with K = 2^i
+    while True:
+        P, K = powers[-1], 1 << (len(powers) - 1)
+        if DQ is None and 2 * K > Q:  # A^Q from the chain, as matrix_power(A, Q) multiplies it
+            DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
+            _require_gram_residual(_gram_norm(DQ))
+        if np.vdot(P, P).real <= STEIN_TAIL**2:  # ||P||_F^2
             break
-    else:
-        G = _sampled_conjugation(u, Q)
-    G = 0.5 * (G + G.T)  # exactly symmetric: entries (i, j) and (j, i) are the same sum
+        powers.append(P @ P)
+    a = np.asarray(u.zeros, dtype=complex)
+    c = np.sqrt(1.0 - np.abs(a) ** 2)
+    d = c * np.cumprod(np.append(1.0, a.conj()))[:-1]
+    w = np.where(a == 0, c, -c) * np.cumprod(np.append(1.0, a[::-1]))[-2::-1]
+    G = np.outer(w, d)
+    for P in powers:
+        G += P.conj().T @ G @ P.T
+    eye = np.eye(u.degree)
+    if DQ is not None:
+        G = (eye + DQ) @ G
+    G = 0.5 * (G + G.T)  # G is symmetric; this makes it so bit for bit
     C = Conjugation(G)
     if _gram_norm(G @ G.conj().T - eye) > GRAM_TOL:
         raise AccuracyError("conjugation matrix failed its unitarity check; raise quad_points")

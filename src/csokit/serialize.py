@@ -47,6 +47,8 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix object: {exc}") from None
+    if rows < 0 or cols < 0:
+        raise InputError(f"matrix dimensions must be non-negative, got {rows} x {cols}")
     flat = _complexes(data)
     if flat.size != rows * cols:
         raise InputError(f"matrix data length {flat.size} != rows*cols {rows * cols}")

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import serialize, verify
 from csokit.cli import build_parser, main
-from csokit.errors import AccuracyError
+from csokit.errors import AccuracyError, InputError
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
 
@@ -98,6 +98,32 @@ def test_malformed_input_exit_64():
     assert p.returncode == 64
     p = run_cli("certify", "--matrix", '{"rows": 2, "cols": 3, "data": []}')
     assert p.returncode == 64
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (-2, -3), (-1, 0), (0, -4)])
+@pytest.mark.parametrize("command", ["certify", "destructor", "synthesize"])
+def test_negative_matrix_dimensions_exit_64(command, rows, cols):
+    # rows = cols = -1 with one entry passed the length check (-1 * -1 = 1)
+    # and exited 1, the code of a failed verify-paper entry, with a raw
+    # reshape ValueError
+    data = [[1.0, 0.0]] * (rows * cols)
+    M = json.dumps({"rows": rows, "cols": cols, "data": data})
+    code, _, err = run_main_output(command, "--matrix", M)
+    assert code == 64 and "non-negative" in err
+    with pytest.raises(InputError, match="non-negative"):
+        serialize.matrix_from_json({"rows": rows, "cols": cols, "data": data})
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_exit_64(tmp_path, target):
+    # a missing directory or a directory as --out used to leak a raw
+    # FileNotFoundError or IsADirectoryError, exit 1
+    out = tmp_path / target
+    code, stdout, err = run_main_output(
+        "tto", "--u", '{"zeros": [[0.5, 0]]}', "--phi", '{"poly": [[1, 0]]}', "--out", str(out)
+    )
+    assert code == 64 and "cannot write" in err and stdout == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-1e-9", "-inf"])
