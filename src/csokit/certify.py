@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, InputError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
@@ -103,13 +103,31 @@ class CsoCertificate:
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict."""
     A = as_matrix(T, square=True)
-    residual = _c_residual(A, C, operator_norm(A))
+    nrm = operator_norm(A)
+    residual = operator_norm(A - conjugate_by(C, A.conj().T)) / nrm if nrm > 0 else 0.0
     return residual <= tol, residual
 
 
-def _c_residual(A: np.ndarray, C: Conjugation, nrm: float) -> float:
-    """||A - C A* C|| / nrm for nrm = ||A||, and 0 for A = 0."""
-    return operator_norm(A - conjugate_by(C, A.conj().T)) / nrm if nrm > 0 else 0.0
+def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) -> tuple[bool, float]:
+    """Whether C is a symmetric unitary with A = C A* C at tol, and that residual.
+
+    GG* - I, G - G^t and A - C A* C are normed by one batched SVD, so each
+    norm equals the one that ``Conjugation.unitarity_residual``,
+    ``symmetry_residual`` and ``is_c_symmetric`` take bit for bit.  The
+    residual is ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  A
+    difference that overflows (||A|| near the largest double) is an
+    InputError.
+    """
+    G = C.matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = [G @ G.conj().T - np.eye(len(G)), G - G.T, A - conjugate_by(C, A.conj().T)]
+    try:
+        unitarity, symmetry, c_norm = operator_norms(stack).tolist()
+    except InputError:
+        msg = f"||T|| = {nrm:.3e} is out of range: T - C T* C overflows; rescale T"
+        raise InputError(msg) from None
+    residual = c_norm / nrm if nrm > 0 else 0.0
+    return max(unitarity, symmetry, residual) <= tol, residual
 
 
 def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
@@ -120,15 +138,18 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
     division by a subnormal norm overflows) and its rank r = #{s_i > tol s_0}
     has 2r <= n.  A T that fails either margin raises one PreconditionError
     naming it; certify, the destructor and synthesis decide "order two" here
-    and nowhere else.  W* has the columns right (V's first r columns, each
-    with its largest entry made real positive), left (U's, with the same
-    phases, so T right_i = s_i left_i) and rest (ker T outside ran T).
+    and nowhere else.  A T whose norm overflows is an InputError.  W* has
+    the columns right (V's first r columns, each with its largest entry made
+    real positive), left (U's, with the same phases, so T right_i = s_i
+    left_i) and rest (ker T outside ran T).
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     n = A.shape[0]
     U, s, Vh = np.linalg.svd(A)
     nrm = float(s[0]) if n else 0.0
+    if nrm == np.inf:
+        raise InputError("||T|| overflows: it is past the largest double; rescale T")
     if nrm > 0:
         unit = A.real / nrm + 1j * (A.imag / nrm)
         square = operator_norm(unit @ unit)
@@ -193,7 +214,7 @@ def canonical_block_decomposition(T) -> tuple[list[np.ndarray], np.ndarray]:
     return blocks, W
 
 
-def intertwiner_basis(T) -> np.ndarray:
+def intertwiner_basis(T, *, _norm: float | None = None) -> np.ndarray:
     """Orthonormal basis (column-major vec) of {X : T X = X T^t}.
 
     The space is the null space of L = I (x) T - T (x) I.  On a simple
@@ -210,7 +231,8 @@ def intertwiner_basis(T) -> np.ndarray:
     eigenvector path runs only when that bound exceeds eps n^2 2 ||T||,
     which is at least the cut that ``null_space`` applies, eps max(rows,
     cols) s_0 = eps n^2 ||L||, so both paths return a space of the same
-    dimension n.
+    dimension n.  ``find_conjugation`` passes the ||T|| it has already
+    taken as ``_norm``.
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
@@ -219,11 +241,16 @@ def intertwiner_basis(T) -> np.ndarray:
         gaps = np.abs(lam[:, None] - lam)
         gaps[np.diag_indices(n)] = np.inf
         s = np.linalg.svd(V, compute_uv=False)
-        if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * operator_norm(A):
+        nrm = operator_norm(A) if _norm is None else _norm
+        if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * nrm:
             # column k is vec(v_k v_k^t) (symmetric, so either vec order)
             return np.linalg.qr((V[:, None, :] * V).reshape(n * n, n))[0]
     L = tensor(np.eye(n), A) - tensor(A, np.eye(n))
     return null_space(L)
+
+
+#: e^{i theta} for the eight angles theta = k pi / 8 of the phase test.
+_PHASES = np.array([np.exp(1j * np.pi * k / 8) for k in range(8)])
 
 
 def hermitian_phase_conjugation(T) -> Conjugation:
@@ -231,7 +258,9 @@ def hermitian_phase_conjugation(T) -> Conjugation:
 
     If T = C T* C, then C commutes with H = Re(e^{i theta} T) and with
     K = Im(e^{i theta} T) for every theta.  Of theta = k pi / 8 (k = 0..7)
-    the one whose H has the largest minimum eigengap is used.  On a simple
+    the one whose H has the largest minimum eigengap is used: one batched
+    ``eigvalsh`` gives the spectra of all eight H, and one ``eigh`` the
+    eigenvectors of the chosen one.  On a simple
     spectrum C u_k = alpha_k u_k for the eigenvectors u_k of H, so
     G = U diag(alpha) U^t, and C K C = K asks alpha_k conj(K'_kj) =
     K'_kj alpha_j with K' = U* K U, i.e. arg K'_kj = beta_k - beta_j (mod pi)
@@ -243,13 +272,12 @@ def hermitian_phase_conjugation(T) -> Conjugation:
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
-    best_gap = -np.inf
-    for k in range(8):
-        Zk = np.exp(1j * np.pi * k / 8) * A
-        w, Uk = np.linalg.eigh(0.5 * (Zk + Zk.conj().T))
-        gap = np.min(np.diff(w), initial=np.inf)
-        if gap > best_gap:
-            best_gap, Z, U = gap, Zk, Uk
+    Zs = _PHASES[:, None, None] * A
+    Hs = 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
+    gaps = np.diff(np.linalg.eigvalsh(Hs), axis=1).min(axis=1, initial=np.inf)
+    k = int(np.argmax(gaps))  # the first of equal gaps
+    Z = Zs[k]
+    U = np.linalg.eigh(Hs[k])[1]
     U = U * column_phases(U)
     K = U.conj().T @ ((Z - Z.conj().T) / 2j) @ U
     weight = np.abs(K)
@@ -270,18 +298,6 @@ def hermitian_phase_conjugation(T) -> Conjugation:
         parent[closer] = k
     G = (U * alpha) @ U.T
     return Conjugation(0.5 * (G + G.T))
-
-
-def _verified_residual(A: np.ndarray, C: Conjugation, tol: float) -> float | None:
-    """The residual of C on A if C is a symmetric unitary with A = C A* C at tol."""
-    if not _is_symmetric_unitary(C, tol):
-        return None
-    ok, residual = is_c_symmetric(A, C, tol)
-    return residual if ok else None
-
-
-def _is_symmetric_unitary(C: Conjugation, tol: float) -> bool:
-    return C.unitarity_residual() <= tol and C.symmetry_residual() <= tol
 
 
 def find_conjugation(
@@ -319,24 +335,27 @@ def find_conjugation(
         pass  # not of order two: the general routes below decide
     else:
         C = conjugation_for_nilpotent2(form)
-        residual = _c_residual(A, C, form.norm)
-        if residual <= tol and _is_symmetric_unitary(C, tol):
+        ok, residual = _verified_residual(A, C, tol, form.norm)
+        if ok:
             return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
+        # the norm without singular vectors, as on the general routes: the SVD
+        # with them can differ from it in the last bit
         phase = hermitian_phase_conjugation(A)
-        phase_residual = _verified_residual(A, phase, tol)
-        if phase_residual is not None:
+        phase_ok, phase_residual = _verified_residual(A, phase, tol, operator_norm(A))
+        if phase_ok:
             return CsoCertificate("c_symmetric", phase_residual, conjugation=phase, seed=seed)
         return CsoCertificate("inconclusive", residual=residual, seed=seed)
 
-    nrm = operator_norm(A)
-    if nrm > 0 and operator_norm(A - A.T) <= tol * nrm:
+    # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
+    nrm, skew = operator_norms([A, A - A.T]).tolist()
+    if nrm > 0 and skew <= tol * nrm:
         C = Conjugation.identity(n)
-        return CsoCertificate("c_symmetric", _c_residual(A, C, nrm), conjugation=C, seed=seed)
+        return CsoCertificate("c_symmetric", skew / nrm, conjugation=C, seed=seed)
 
     phase = hermitian_phase_conjugation(A)
     initial = (np.eye(n, dtype=complex), np.eye(n, dtype=complex)[::-1])
-    phase_residual = _verified_residual(A, phase, tol)
-    if phase_residual is not None:
+    phase_ok, phase_residual = _verified_residual(A, phase, tol, nrm)
+    if phase_ok:
         initial = (phase.matrix, *initial)
     else:
         found = word_obstruction_search(A, tol=tol)
@@ -347,18 +366,18 @@ def find_conjugation(
             )
 
     try:
-        basis = intertwiner_basis(A)
+        basis = intertwiner_basis(A, _norm=nrm)
     except CapacityError:
         # the Kronecker matrix is past the cap; the search would start from the phase G anyway
-        if phase_residual is None:
+        if not phase_ok:
             raise
         return CsoCertificate("c_symmetric", phase_residual, conjugation=phase, seed=seed)
     if basis.size:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         for W in unitary_in_subspace(basis, n, initial=initial, iters=budget, rng=rng):
             C = Conjugation(W)
-            residual = _verified_residual(A, C, tol)
-            if residual is not None:
+            ok, residual = _verified_residual(A, C, tol, nrm)
+            if ok:
                 return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
 
     return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)

@@ -16,18 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, InputError, PreconditionError
-from .certify import (
-    _verified_residual,
-    conjugation_for_nilpotent2,
-    is_c_symmetric,
-    nilpotent2_splitting,
-)
+from .certify import _verified_residual, conjugation_for_nilpotent2, nilpotent2_splitting
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
     as_matrix,
     conjugate_by,
     operator_norm,
+    operator_norms,
     power_of_two_scaled,
     tensor,
     times_power_of_two,
@@ -53,9 +49,26 @@ class DestructorCertificate:
 
 
 def witness_matrix(alpha: float, beta: float) -> np.ndarray:
-    """The 3x3 destructor B with superdiagonal (alpha, beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise InputError("witness parameters must be positive")
+    """The 3x3 destructor B with superdiagonal (alpha, beta).
+
+    alpha and beta must be finite and positive, and the yx^2 norms of B,
+    alpha^2 beta and alpha beta^2, and ||B||^3 = max(alpha, beta)^3 (the
+    scale of the destructor's threshold) finite and nonzero.
+    """
+    alpha, beta = float(alpha), float(beta)
+    top = max(alpha, beta)
+    for name, value in (
+        ("alpha", alpha),
+        ("beta", beta),
+        ("alpha^2 beta", alpha * alpha * beta),
+        ("alpha beta^2", alpha * beta * beta),
+        ("max(alpha, beta)^3", top * top * top),
+    ):
+        if not 0 < value < np.inf:
+            raise InputError(
+                f"witness parameter {name} = {value!r} is not finite and positive "
+                f"(alpha = {alpha!r}, beta = {beta!r})"
+            )
     if alpha == beta:
         raise InputError("witness degenerates when alpha = beta")
     B = np.zeros((3, 3), dtype=complex)
@@ -83,14 +96,15 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     them), or a ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they
     cancel.
     """
+    B = witness_matrix(alpha, beta)
     M = as_matrix(A, square=True)
     U, e = power_of_two_scaled(M)
-    unit_nrm = operator_norm(U)
-    B = witness_matrix(alpha, beta)
-    unit_norms = (
-        operator_norm(eval_word(DESTRUCTOR_WORD, U, U.conj().T)),
-        operator_norm(eval_word(DESTRUCTOR_WORD, U.conj().T, U)),
-    )
+    unit_nrm, *unit_norms = operator_norms(
+        [U, eval_word(DESTRUCTOR_WORD, U, U.conj().T), eval_word(DESTRUCTOR_WORD, U.conj().T, U)]
+    ).tolist()
+    norm_wB, norm_wB_rev = operator_norms(
+        [eval_word(DESTRUCTOR_WORD, B, B.conj().T), eval_word(DESTRUCTOR_WORD, B.conj().T, B)]
+    ).tolist()
     cert = DestructorCertificate(
         witness_B=B,
         alpha=float(alpha),
@@ -98,8 +112,8 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
         word=DESTRUCTOR_WORD,
         norm_wA=times_power_of_two(unit_norms[0], 3 * e),
         norm_wA_rev=times_power_of_two(unit_norms[1], 3 * e),
-        norm_wB=operator_norm(eval_word(DESTRUCTOR_WORD, B, B.conj().T)),
-        norm_wB_rev=operator_norm(eval_word(DESTRUCTOR_WORD, B.conj().T, B)),
+        norm_wB=norm_wB,
+        norm_wB_rev=norm_wB_rev,
         conclusion="indestructible_sampled",
     )
     scale = f"||A|| = {times_power_of_two(unit_nrm, e):.3e}"
@@ -146,16 +160,19 @@ def nilpotent2_tensor_conjugation(A, B) -> Conjugation:
     """Verified conjugation for A (x) B when A^2 = 0 at DEFAULT_TOL.
 
     (A (x) B)^2 = A^2 (x) B^2 = 0, so the order-two construction applies to
-    the product directly.  A G that misses the tol (A nilpotent only at tol)
-    raises AccuracyError.
+    the product directly.  B must be square.  A G that misses the tol (A
+    nilpotent only at tol) raises AccuracyError.
     """
+    B = as_matrix(B, square=True)
     nilpotent2_splitting(A)
     T = tensor(A, B)
-    C = conjugation_for_nilpotent2(nilpotent2_splitting(T))
-    if _verified_residual(T, C, DEFAULT_TOL) is None:
+    form = nilpotent2_splitting(T)
+    C = conjugation_for_nilpotent2(form)
+    ok, residual = _verified_residual(T, C, DEFAULT_TOL, form.norm)
+    if not ok:
         raise AccuracyError(
             f"the conjugation of A (x) B misses tol {DEFAULT_TOL:.1e}: c-symmetry residual "
-            f"{is_c_symmetric(T, C)[1]:.3e}"
+            f"{residual:.3e}"
         )
     return C
 

@@ -37,7 +37,7 @@ def as_matrix(M, square: bool = False) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {A.ndim}")
-    if A.size and not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InputError("matrix has non-finite entries")
     if square and A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
@@ -95,7 +95,7 @@ def operator_norms(Ms) -> np.ndarray:
     A = np.asarray(Ms, dtype=complex)
     if A.ndim != 3:
         raise InputError(f"expected a stack of matrices, got array of ndim {A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InputError("matrix has non-finite entries")
     if A.size == 0:
         return np.zeros(A.shape[0])

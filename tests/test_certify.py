@@ -81,23 +81,118 @@ def test_nilpotency_order():
         assert order_two(np.array([[0.0, 0.0], [scale * 1j, 0.0]]))
 
 
+def recording_shapes(monkeypatch, *names):
+    """{name: [shape of each call's matrix argument]} for the given np.linalg routines."""
+    shapes = {name: [] for name in names}
+
+    def recording(name, fn):
+        def wrapped(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    return shapes
+
+
 def test_nilpotent_route_takes_each_svd_once(monkeypatch):
     # 8x8 of rank 3 with a leftover kernel: the decision's SVD (with ||T||),
-    # ||T^2||, the leftover kernel, the polar factor, the c-symmetry residual,
-    # unitarity and symmetry; 12 while the order was decided twice and ||T||
+    # ||T^2||, the leftover kernel, the polar factor, and one batched SVD of
+    # the c-symmetry residual, unitarity and symmetry; 7 while those three
+    # were normed apart, 12 while the order was decided twice and ||T||
     # normed four times
     T = random_nilpotent2(stream(1, 1), 8, 3)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    shapes = recording_shapes(monkeypatch, "svd")
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
-    assert len(calls) == 7
+    assert len(shapes["svd"]) == 5
+    assert shapes["svd"][-1] == (3, 8, 8)
+
+
+def test_cso_route_batches_the_phase_test_and_each_verification(monkeypatch):
+    # the 8 Hermitian parts of the phase test go to one stacked eigvalsh and
+    # the chosen one to one eigh (8 eigh before); ||T|| and ||T - T^t|| share
+    # one SVD; every verification, of the phase G and of the search's
+    # candidates, is one SVD of a stack of three (three SVDs before)
+    T, _ = random_cso(stream(2, 1), 6)
+    shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
+    verifications = []
+    kernel = certify._verified_residual
+
+    def counting_kernel(*args):
+        verifications.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(certify, "_verified_residual", counting_kernel)
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric"
+    assert shapes["eigvalsh"] == [(8, 6, 6)] and shapes["eigh"] == [(6, 6)]
+    assert shapes["svd"].count((2, 6, 6)) == 1
+    # the verified phase G, then the search's first candidate
+    assert shapes["svd"].count((3, 6, 6)) == len(verifications) == 2
+    assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (3, 6, 6)}
+
+
+def kernel_input(kind, n, rng):
+    """(A, candidate conjugations) for the verification kernel tests."""
+    if kind == "cso":
+        A, C = random_cso(rng, n)
+        return A, [C, hermitian_phase_conjugation(A)]
+    if kind == "near_nilpotent":
+        N = random_nilpotent2(rng, n)
+        E = random_complex(rng, n, n)
+        A = N + 1e-10 * operator_norm(N) / max(operator_norm(E), 1e-300) * E
+        constructive = conjugation_for_nilpotent2(nilpotent2_splitting(N))
+        return A, [constructive, hermitian_phase_conjugation(A)]
+    if kind == "spread":
+        s = 10.0 ** np.linspace(0.0, -14.0, n)
+        A = (random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T
+    else:
+        A = random_complex(rng, n, n)
+    G = random_unitary(rng, n)
+    return A, [hermitian_phase_conjugation(A), Conjugation(G @ G.T), Conjugation(G)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["cso", "near_nilpotent", "spread", "generic"]),
+    n=st.integers(0, 7),
+    log_scale=st.sampled_from([-150, 0, 150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verification_kernel_matches_the_separate_checks_bit_for_bit(kind, n, log_scale, seed):
+    # 0x0 and 1x1 included; the stacked SVD runs the same LAPACK routine on
+    # each matrix, so its residual and verdict are those of the three checks
+    # made apart, at every tol
+    A, candidates = kernel_input(kind, n, stream(seed, n))
+    A = A * 10.0**log_scale
+    nrm = operator_norm(A)
+    for C in candidates:
+        _, residual = is_c_symmetric(A, C)
+        worst = max(C.unitarity_residual(), C.symmetry_residual(), residual)
+        for tol, verdict in ((worst, True), (float(np.nextafter(worst, -1.0)), False)):
+            ok, got = certify._verified_residual(A, C, tol, nrm)
+            assert type(got) is float and got == residual
+            assert ok is verdict
+
+
+def test_an_overflowing_residual_is_an_input_error():
+    # ||A|| = 1.5e308 is a double, but A - C A* C = 2A under the flip is not
+    A = np.diag([1.5e308, -1.5e308]).astype(complex)
+    flip = Conjugation(np.eye(2, dtype=complex)[::-1])
+    with pytest.raises(InputError, match=r"\|\|T\|\| = 1\.500e\+308 is out of range"):
+        certify._verified_residual(A, flip, DEFAULT_TOL, operator_norm(A))
+    # a norm that overflows is refused: it read as order two of rank 0, so
+    # a generic 4x4 came back c_symmetric with residual 0 (largest entry
+    # 1e308) or, as this one, inconclusive with residual nan
+    T = random_complex(stream(3, 0), 4, 4)
+    T *= 1.7e308 / np.abs(T).max()
+    with pytest.raises(InputError, match=r"\|\|T\|\| overflows"):
+        find_conjugation(T)
+    with pytest.raises(InputError, match=r"\|\|T\|\| overflows"):
+        nilpotent2_splitting(T)
 
 
 def test_is_c_symmetric_under_identity():

@@ -337,6 +337,16 @@ def test_tto_subcommand_monomial_oracle(tmp_path):
     assert np.allclose(M, [[0.0, 0.0], [1.0, 0.0]], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--alpha", "nan", "alpha"), ("--beta", "inf", "beta"), ("--alpha", "1e200", "alpha^2 beta")],
+)
+def test_destructor_witness_out_of_range_exits_64(flag, value, named):
+    code, out, err = run_main_output("destructor", "--matrix", matrix_arg(np.eye(2)), flag, value)
+    assert code == 64 and out == ""
+    assert f"witness parameter {named} = " in err and "non-finite entries" not in err
+
+
 def test_destructor_subcommand():
     p = run_cli("destructor", "--matrix", matrix_arg(np.eye(2)))
     assert p.returncode == 0

@@ -6,6 +6,8 @@ substituting x = B, y = B* gives B* B B with single entry alpha^2 beta = 2;
 swapping the roles gives B B* B* with single entry alpha beta^2 = 4.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,28 @@ def test_witness_matrix_layout_and_validation():
     for bad in ((0.0, 1.0), (1.0, -2.0), (1.5, 1.5)):
         with pytest.raises(InputError):
             witness_matrix(*bad)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, named",
+    [
+        (float("nan"), 2.0, "alpha"),
+        (1.0, float("inf"), "beta"),
+        (-float("inf"), 1.0, "alpha"),
+        (1e200, 2.0, "alpha^2 beta"),
+        (1.0, 1e160, "alpha beta^2"),
+        (1e-200, 1e-100, "alpha^2 beta"),
+        (1e103, 1.0, "max(alpha, beta)^3"),
+    ],
+)
+def test_witness_parameters_out_of_range_are_named(alpha, beta, named):
+    # NaN and inf passed "alpha <= 0" and failed later on non-finite
+    # entries; alpha = 1e200 warned of overflow in the word products first
+    named = f"witness parameter {re.escape(named)} = "
+    with pytest.raises(InputError, match=named):
+        witness_matrix(alpha, beta)
+    with pytest.raises(InputError, match=named):
+        destructor_witness(jordan(3), alpha, beta)
 
 
 def test_destructor_word_norms_exact():
@@ -124,6 +148,12 @@ def test_tensor_conjugation_for_order_two_factor():
 def test_tensor_conjugation_requires_square_zero():
     with pytest.raises(PreconditionError):
         nilpotent2_tensor_conjugation(jordan(3), np.eye(2))
+
+
+def test_tensor_conjugation_names_a_non_square_partner():
+    # the error used to name the shape (4, 6) of A (x) B
+    with pytest.raises(InputError, match=re.escape("got shape (2, 3)")):
+        nilpotent2_tensor_conjugation(jordan(2), np.ones((2, 3)))
 
 
 def test_factor_swap_exchanges_kron_order():
