@@ -214,7 +214,7 @@ def canonical_block_decomposition(T) -> tuple[list[np.ndarray], np.ndarray]:
     return blocks, W
 
 
-def intertwiner_basis(T, *, _norm: float | None = None) -> np.ndarray:
+def intertwiner_basis(T) -> np.ndarray:
     """Orthonormal basis (column-major vec) of {X : T X = X T^t}.
 
     The space is the null space of L = I (x) T - T (x) I.  On a simple
@@ -231,8 +231,7 @@ def intertwiner_basis(T, *, _norm: float | None = None) -> np.ndarray:
     eigenvector path runs only when that bound exceeds eps n^2 2 ||T||,
     which is at least the cut that ``null_space`` applies, eps max(rows,
     cols) s_0 = eps n^2 ||L||, so both paths return a space of the same
-    dimension n.  ``find_conjugation`` passes the ||T|| it has already
-    taken as ``_norm``.
+    dimension n.
     """
     A = as_matrix(T, square=True)
     n = A.shape[0]
@@ -241,8 +240,7 @@ def intertwiner_basis(T, *, _norm: float | None = None) -> np.ndarray:
         gaps = np.abs(lam[:, None] - lam)
         gaps[np.diag_indices(n)] = np.inf
         s = np.linalg.svd(V, compute_uv=False)
-        nrm = operator_norm(A) if _norm is None else _norm
-        if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * nrm:
+        if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * operator_norm(A):
             # column k is vec(v_k v_k^t) (symmetric, so either vec order)
             return np.linalg.qr((V[:, None, :] * V).reshape(n * n, n))[0]
     L = tensor(np.eye(n), A) - tensor(A, np.eye(n))
@@ -258,13 +256,15 @@ def hermitian_phase_conjugation(T) -> Conjugation:
 
     If T = C T* C, then C commutes with H = Re(e^{i theta} T) and with
     K = Im(e^{i theta} T) for every theta.  Of theta = k pi / 8 (k = 0..7)
-    the one whose H has the largest minimum eigengap is used: one batched
-    ``eigvalsh`` gives the spectra of all eight H, and one ``eigh`` the
-    eigenvectors of the chosen one.  On a simple
-    spectrum C u_k = alpha_k u_k for the eigenvectors u_k of H, so
+    the one whose H has the largest minimum eigengap is used, the first of
+    equal gaps.  One batched ``eigh`` gives the spectra and eigenvectors of
+    all eight H, each as ``eigh`` of that H alone gives them: for a real T,
+    H_{8-k} = -conj(H_k) has the gaps of H_k in exact arithmetic, so the
+    last bits of the eigenvalues pick k.  On a simple spectrum
+    C u_k = alpha_k u_k for the eigenvectors u_k of H, so
     G = U diag(alpha) U^t, and C K C = K asks alpha_k conj(K'_kj) =
-    K'_kj alpha_j with K' = U* K U, i.e. arg K'_kj = beta_k - beta_j (mod pi)
-    for alpha = e^{2 i beta}.  The phases are carried along a maximum-|K'|
+    K'_kj alpha_j with K' = U* K U, i.e. arg K'_kj = beta_k - beta_j
+    (mod pi) for alpha = e^{2 i beta}.  The phases are carried along a maximum-|K'|
     spanning forest, alpha = 1 at the root of each component.
 
     The result is a candidate only: a degenerate spectrum, or a T with no
@@ -274,10 +274,9 @@ def hermitian_phase_conjugation(T) -> Conjugation:
     n = A.shape[0]
     Zs = _PHASES[:, None, None] * A
     Hs = 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
-    gaps = np.diff(np.linalg.eigvalsh(Hs), axis=1).min(axis=1, initial=np.inf)
-    k = int(np.argmax(gaps))  # the first of equal gaps
-    Z = Zs[k]
-    U = np.linalg.eigh(Hs[k])[1]
+    w, Us = np.linalg.eigh(Hs)
+    k = int(np.argmax(np.diff(w, axis=1).min(axis=1, initial=np.inf)))
+    Z, U = Zs[k], Us[k]
     U = U * column_phases(U)
     K = U.conj().T @ ((Z - Z.conj().T) / 2j) @ U
     weight = np.abs(K)
@@ -366,7 +365,7 @@ def find_conjugation(
             )
 
     try:
-        basis = intertwiner_basis(A, _norm=nrm)
+        basis = intertwiner_basis(A)
     except CapacityError:
         # the Kronecker matrix is past the cap; the search would start from the phase G anyway
         if not phase_ok:

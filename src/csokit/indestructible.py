@@ -52,22 +52,16 @@ def witness_matrix(alpha: float, beta: float) -> np.ndarray:
     """The 3x3 destructor B with superdiagonal (alpha, beta).
 
     alpha and beta must be finite and positive, and the yx^2 norms of B,
-    alpha^2 beta and alpha beta^2, and ||B||^3 = max(alpha, beta)^3 (the
-    scale of the destructor's threshold) finite and nonzero.
+    alpha^2 beta and alpha beta^2, finite.
     """
     alpha, beta = float(alpha), float(beta)
-    top = max(alpha, beta)
-    for name, value in (
-        ("alpha", alpha),
-        ("beta", beta),
-        ("alpha^2 beta", alpha * alpha * beta),
-        ("alpha beta^2", alpha * beta * beta),
-        ("max(alpha, beta)^3", top * top * top),
-    ):
+    for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0 < value < np.inf:
+            raise InputError(f"witness parameter {name} = {value!r} is not finite and positive")
+    for name, value in (("alpha^2 beta", alpha * alpha * beta), ("alpha beta^2", alpha * beta * beta)):
+        if value == np.inf:
             raise InputError(
-                f"witness parameter {name} = {value!r} is not finite and positive "
-                f"(alpha = {alpha!r}, beta = {beta!r})"
+                f"witness parameter {name} = {value!r} overflows (alpha = {alpha!r}, beta = {beta!r})"
             )
     if alpha == beta:
         raise InputError("witness degenerates when alpha = beta")
@@ -94,7 +88,9 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     about 1e-108), both yxx norms of A (x) B at or below the threshold (so
     when A failed on its rank alone, as ||A^2|| <= DEFAULT_TOL ||A||^2 bounds
     them), or a ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they
-    cancel.
+    cancel.  alpha and beta are checked by ``witness_matrix``; a threshold
+    that overflows (max(alpha, beta) above about 1e103, A not of order two)
+    is an InputError.
     """
     B = witness_matrix(alpha, beta)
     M = as_matrix(A, square=True)
@@ -138,7 +134,13 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     # decided in units of 2^(3e), where nothing over- or underflows
     norms = (unit_norms[0] * cert.norm_wB, unit_norms[1] * cert.norm_wB_rev)
     gap = abs(norms[0] - norms[1])
-    threshold = DEFAULT_TOL * (unit_nrm * max(alpha, beta)) ** 3
+    try:
+        threshold = DEFAULT_TOL * float(unit_nrm * max(alpha, beta)) ** 3
+    except OverflowError:
+        raise InputError(
+            f"witness parameter max(alpha, beta) = {max(alpha, beta)!r} is too large: the "
+            f"threshold ||A (x) B||^3 overflows for A not of order two"
+        ) from None
     shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
     if max(norms) <= threshold:
         raise PreconditionError(

@@ -100,9 +100,7 @@ def recording_shapes(monkeypatch, *names):
 def test_nilpotent_route_takes_each_svd_once(monkeypatch):
     # 8x8 of rank 3 with a leftover kernel: the decision's SVD (with ||T||),
     # ||T^2||, the leftover kernel, the polar factor, and one batched SVD of
-    # the c-symmetry residual, unitarity and symmetry; 7 while those three
-    # were normed apart, 12 while the order was decided twice and ||T||
-    # normed four times
+    # the c-symmetry residual, unitarity and symmetry
     T = random_nilpotent2(stream(1, 1), 8, 3)
     shapes = recording_shapes(monkeypatch, "svd")
     cert = find_conjugation(T)
@@ -112,10 +110,9 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
 
 
 def test_cso_route_batches_the_phase_test_and_each_verification(monkeypatch):
-    # the 8 Hermitian parts of the phase test go to one stacked eigvalsh and
-    # the chosen one to one eigh (8 eigh before); ||T|| and ||T - T^t|| share
-    # one SVD; every verification, of the phase G and of the search's
-    # candidates, is one SVD of a stack of three (three SVDs before)
+    # the 8 Hermitian parts of the phase test go to one stacked eigh; ||T||
+    # and ||T - T^t|| share one SVD; every verification, of the phase G and
+    # of the search's candidates, is one SVD of a stack of three
     T, _ = random_cso(stream(2, 1), 6)
     shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
     verifications = []
@@ -128,11 +125,32 @@ def test_cso_route_batches_the_phase_test_and_each_verification(monkeypatch):
     monkeypatch.setattr(certify, "_verified_residual", counting_kernel)
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
-    assert shapes["eigvalsh"] == [(8, 6, 6)] and shapes["eigh"] == [(6, 6)]
+    assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(8, 6, 6)]
     assert shapes["svd"].count((2, 6, 6)) == 1
     # the verified phase G, then the search's first candidate
     assert shapes["svd"].count((3, 6, 6)) == len(verifications) == 2
     assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (3, 6, 6)}
+
+
+def test_phase_test_on_real_input_matches_eigh_part_by_part(monkeypatch):
+    # for a real T, H_{8-k} = -conj(H_k) ties H_k's gaps in exact arithmetic,
+    # so the last bits of the eigenvalues pick k: the G must be the one that
+    # eigh of each part alone gives, eigenvalues and eigenvectors both (the
+    # eigenvalues of eigvalsh can differ from them in the last bit)
+    eigh = np.linalg.eigh
+
+    def part_by_part(a, *args, **kwargs):
+        parts = [eigh(h, *args, **kwargs) for h in np.reshape(a, (-1, *np.shape(a)[-2:]))]
+        w = np.stack([p[0] for p in parts]).reshape(np.shape(a)[:-1])
+        return w, np.stack([p[1] for p in parts]).reshape(np.shape(a))
+
+    rng = stream(4, 0)
+    Ts = [rng.standard_normal((n, n)) for n in range(1, 13) for _ in range(4)]
+    batched = [hermitian_phase_conjugation(T).matrix for T in Ts]
+    monkeypatch.setattr(np.linalg, "eigh", part_by_part)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: part_by_part(a)[0])
+    for T, G in zip(Ts, batched):
+        assert hermitian_phase_conjugation(T).matrix.tobytes() == G.tobytes()
 
 
 def kernel_input(kind, n, rng):
@@ -184,9 +202,8 @@ def test_an_overflowing_residual_is_an_input_error():
     flip = Conjugation(np.eye(2, dtype=complex)[::-1])
     with pytest.raises(InputError, match=r"\|\|T\|\| = 1\.500e\+308 is out of range"):
         certify._verified_residual(A, flip, DEFAULT_TOL, operator_norm(A))
-    # a norm that overflows is refused: it read as order two of rank 0, so
-    # a generic 4x4 came back c_symmetric with residual 0 (largest entry
-    # 1e308) or, as this one, inconclusive with residual nan
+    # a T whose norm overflows has no decidable order: refused, not read as
+    # order two of rank 0
     T = random_complex(stream(3, 0), 4, 4)
     T *= 1.7e308 / np.abs(T).max()
     with pytest.raises(InputError, match=r"\|\|T\|\| overflows"):

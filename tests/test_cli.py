@@ -339,7 +339,12 @@ def test_tto_subcommand_monomial_oracle(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, named",
-    [("--alpha", "nan", "alpha"), ("--beta", "inf", "beta"), ("--alpha", "1e200", "alpha^2 beta")],
+    [
+        ("--alpha", "nan", "alpha"),
+        ("--beta", "inf", "beta"),
+        ("--alpha", "1e200", "alpha^2 beta"),
+        ("--alpha", "1e104", "max(alpha, beta)"),
+    ],
 )
 def test_destructor_witness_out_of_range_exits_64(flag, value, named):
     code, out, err = run_main_output("destructor", "--matrix", matrix_arg(np.eye(2)), flag, value)

@@ -62,18 +62,25 @@ def test_witness_matrix_layout_and_validation():
         (-float("inf"), 1.0, "alpha"),
         (1e200, 2.0, "alpha^2 beta"),
         (1.0, 1e160, "alpha beta^2"),
-        (1e-200, 1e-100, "alpha^2 beta"),
-        (1e103, 1.0, "max(alpha, beta)^3"),
     ],
 )
 def test_witness_parameters_out_of_range_are_named(alpha, beta, named):
-    # NaN and inf passed "alpha <= 0" and failed later on non-finite
-    # entries; alpha = 1e200 warned of overflow in the word products first
     named = f"witness parameter {re.escape(named)} = "
     with pytest.raises(InputError, match=named):
         witness_matrix(alpha, beta)
     with pytest.raises(InputError, match=named):
         destructor_witness(jordan(3), alpha, beta)
+
+
+def test_a_huge_witness_parameter_fails_only_where_its_cube_is_used():
+    # max(alpha, beta)^3 scales the threshold, which an order-two A never
+    # reaches; products that underflow to 0 are finite
+    huge = destructor_witness(jordan(2), 1e104, 1.0)
+    tiny = destructor_witness(jordan(2), 1e-200, 1e-100)
+    assert huge.conclusion == tiny.conclusion == "indestructible_sampled"
+    assert tiny.norm_wB == 0.0
+    with pytest.raises(InputError, match=re.escape("witness parameter max(alpha, beta) = 1e+104")):
+        destructor_witness(jordan(3), 1e104, 1.0)
 
 
 def test_destructor_word_norms_exact():
@@ -151,7 +158,7 @@ def test_tensor_conjugation_requires_square_zero():
 
 
 def test_tensor_conjugation_names_a_non_square_partner():
-    # the error used to name the shape (4, 6) of A (x) B
+    # the shape in the error is B's, not that of A (x) B
     with pytest.raises(InputError, match=re.escape("got shape (2, 3)")):
         nilpotent2_tensor_conjugation(jordan(2), np.ones((2, 3)))
 
