@@ -14,16 +14,17 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    O(n^3) candidate G, built from the eigenvectors of Re(e^{i theta} T).
 4. If that G is not verified, the word-norm obstruction search over all 62
    words of length at most 5.
-5. The alternating-projection search over the intertwiner space
-   {X : T X = X T^t}, started from the verified phase G when there is one
-   (a verified phase G is reported through this search).  Otherwise the
-   answer is "inconclusive".  ``intertwiner_basis`` spans
-   that space by the v_k v_k^t of T's eigenvectors, in O(n^4), when T has a
-   simple spectrum whose eigenvalue gaps clear the rank cut of
-   ``linalg.null_space``, and by the null space of the n^2 x n^2 Kronecker
-   matrix, in O(n^6), otherwise.  That matrix is built by ``linalg.tensor``,
-   so past n = 64 it is a CapacityError; a verified phase G is then the
-   answer, and without one the error stands.
+5. The alternating-projection search over the joint intertwiner space
+   J(T) = {X : T X = X T^t, T* X = X conj(T)}, which holds every symmetric
+   unitary G with T G = G T^t, started from the verified phase G when there
+   is one (a verified phase G is reported through this search), then from
+   the identity and the flip.  If no candidate verifies, a verified phase G
+   is the answer, and otherwise "inconclusive".  ``intertwiner_basis`` spans
+   J(T) by one reduced solve over the eigenvalue clusters of a Hermitian
+   part of T, a 2 n^2 x sum m_i^2 system for clusters of sizes m_i: O(n^4)
+   time and 2 n^3 entries on a simple spectrum.  A system past the tensor
+   cap is a CapacityError; a verified phase G is then the answer, and
+   without one the error stands.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import CapacityError, InputError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
+    TENSOR_DIM_CAP,
     Conjugation,
     as_matrix,
     check_count,
@@ -45,12 +47,10 @@ from .linalg import (
     column_phases,
     conjugate_by,
     direct_sum,
-    null_space,
     operator_norm,
     operator_norms,
     polar_decompose,
     power_of_two_scaled,
-    tensor,
     times_power_of_two,
     unitary_in_subspace,
 )
@@ -97,7 +97,6 @@ class CsoCertificate:
     conjugation: Conjugation | None = None
     obstruction_word: str | None = None
     obstruction_gap: float | None = None
-    seed: int | None = None
 
 
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -214,41 +213,70 @@ def canonical_block_decomposition(T) -> tuple[list[np.ndarray], np.ndarray]:
     return blocks, W
 
 
-def intertwiner_basis(T) -> np.ndarray:
-    """Orthonormal basis (column-major vec) of {X : T X = X T^t}.
-
-    The space is the null space of L = I (x) T - T (x) I.  On a simple
-    spectrum T = V diag(lambda) V^-1 it is span{v_k v_k^t}, as
-    T v v^t = lambda v v^t = v v^t T^t, and the basis is the QR factor of
-    those n vectors: one ``eig``, O(n^4) time and O(n^3) memory.  Any other
-    T (0x0, repeated or clustered eigenvalues, Jordan blocks) takes
-    ``linalg.null_space`` of the n^2 x n^2 matrix L, O(n^6), built by
-    ``linalg.tensor``: n^2 above TENSOR_DIM_CAP is a CapacityError.
-
-    The input picks the path.  L = (V (x) V) diag(lambda_i - lambda_j)
-    (V (x) V)^-1, so its n^2 - n nonzero singular values are at least
-    delta (s_min(V) / s_max(V))^2, delta the least eigenvalue gap.  The
-    eigenvector path runs only when that bound exceeds eps n^2 2 ||T||,
-    which is at least the cut that ``null_space`` applies, eps max(rows,
-    cols) s_0 = eps n^2 ||L||, so both paths return a space of the same
-    dimension n.
-    """
-    A = as_matrix(T, square=True)
-    n = A.shape[0]
-    if n:
-        lam, V = np.linalg.eig(A)
-        gaps = np.abs(lam[:, None] - lam)
-        gaps[np.diag_indices(n)] = np.inf
-        s = np.linalg.svd(V, compute_uv=False)
-        if gaps.min() * (s[-1] / s[0]) ** 2 > np.finfo(float).eps * n**2 * 2 * operator_norm(A):
-            # column k is vec(v_k v_k^t) (symmetric, so either vec order)
-            return np.linalg.qr((V[:, None, :] * V).reshape(n * n, n))[0]
-    L = tensor(np.eye(n), A) - tensor(A, np.eye(n))
-    return null_space(L)
-
-
-#: e^{i theta} for the eight angles theta = k pi / 8 of the phase test.
+#: e^{i theta} for the eight angles theta = k pi / 8 of the Hermitian parts.
 _PHASES = np.array([np.exp(1j * np.pi * k / 8) for k in range(8)])
+
+
+def intertwiner_basis(T) -> np.ndarray:
+    """Orthonormal basis (column-major vec) of J(T) = {X : T X = X T^t, T* X = X conj(T)}.
+
+    J(T) holds every symmetric unitary G with T G = G T^t (for a unitary G
+    that gives T* G = G conj(T)), and is 1-dimensional for an irreducible
+    complex symmetric T.  One reduced solve, on T scaled by a power of two
+    and shifted by (tr T / n) I (neither changes J(T)): each X in J(T) has
+    H X = X conj(H) for H = Re(e^{i theta} T) = U diag(w) U*, so
+    Y = U* X conj(U) is block diagonal over the clusters of w, and solves
+    T'Y = Y T'^t, T'* Y = Y conj(T') with T' = U* T U: a 2 n^2 x sum m_i^2
+    system (m_i the cluster sizes), whose null space comes from one QR and
+    one SVD of its R factor; X = U Y U^t.  theta = 0 unless its w has a
+    cluster, else the first of theta = k pi / 8 with the fewest unknowns.
+
+    The null cut is DEFAULT_TOL ||T||_F, relative to T (unshifted), where
+    the rounding lives, not to the system's largest singular value.
+    Clusters split only at gaps above 1e-6 ||T'||_F (T' shifted): a gap in
+    doubt merges, which only adds unknowns.  Across a gap d an X of J(T) has
+    entries of about eps ||T|| / d (the rounding of U), so dropping them
+    moves its residual by under 3e-10 ||T||, below the null cut.  A system
+    of more entries than the largest Kronecker matrix ``linalg.tensor``
+    builds, TENSOR_DIM_CAP^2, is a CapacityError raised before allocation.
+    """
+    A, _ = power_of_two_scaled(as_matrix(T, square=True))
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    null_cut = DEFAULT_TOL * np.linalg.norm(A)
+    A = A - np.trace(A) / n * np.eye(n)
+    Zs = _PHASES[:, None, None] * A
+    Hs = 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
+    gap_cut = 1e-6 * np.linalg.norm(A)
+
+    def same_cluster(w):  # which pairs of the ascending eigenvalues w share a cluster
+        labels = np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > gap_cut, axis=-1)
+        return labels[..., :, None] == labels[..., None, :]
+
+    w, U = np.linalg.eigh(Hs[0])
+    if np.any(np.diff(w) <= gap_cut):
+        k = int(np.argmin(same_cluster(np.linalg.eigvalsh(Hs)).sum(axis=(1, 2))))
+        w, U = np.linalg.eigh(Hs[k])
+    rows, cols = np.nonzero(same_cluster(w))
+    m = len(rows)
+    if 2 * n * n * m > TENSOR_DIM_CAP**2:
+        raise CapacityError(
+            f"the {2 * n * n} x {m} system for the intertwiner space exceeds the dimension "
+            f"cap: more than {TENSOR_DIM_CAP}^2 entries"
+        )
+    Tp = U.conj().T @ A @ U
+    # column j is P E_j - E_j P^t for the unit E_j at (rows[j], cols[j]), P = T' and T'*
+    system = np.zeros((m, 2, n, n), dtype=complex)
+    j = np.arange(m)
+    for p, P in enumerate((Tp, Tp.conj().T)):
+        system[j, p, :, cols] += P[:, rows].T
+        system[j, p, rows, :] -= P[:, cols].T
+    _, s, vh = np.linalg.svd(np.linalg.qr(system.reshape(m, -1).T, mode="r"))
+    null = vh[s <= null_cut].conj()
+    Y = np.zeros((len(null), n, n), dtype=complex)
+    Y[:, rows, cols] = null
+    return (U @ Y @ U.T).transpose(0, 2, 1).reshape(len(null), n * n).T
 
 
 def hermitian_phase_conjugation(T) -> Conjugation:
@@ -267,14 +295,16 @@ def hermitian_phase_conjugation(T) -> Conjugation:
     (mod pi) for alpha = e^{2 i beta}.  The phases are carried along a maximum-|K'|
     spanning forest, alpha = 1 at the root of each component.
 
+    The parts are taken of T scaled by a power of two, which is exact and
+    leaves G as it is, so that Z + Z* and Z - Z* cannot overflow.
+
     The result is a candidate only: a degenerate spectrum, or a T with no
     conjugation, gives a G that ``is_c_symmetric`` rejects.
     """
-    A = as_matrix(T, square=True)
+    A, _ = power_of_two_scaled(as_matrix(T, square=True))
     n = A.shape[0]
     Zs = _PHASES[:, None, None] * A
-    Hs = 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
-    w, Us = np.linalg.eigh(Hs)
+    w, Us = np.linalg.eigh(0.5 * (Zs + Zs.conj().transpose(0, 2, 1)))
     k = int(np.argmax(np.diff(w, axis=1).min(axis=1, initial=np.inf)))
     Z, U = Zs[k], Us[k]
     U = U * column_phases(U)
@@ -299,9 +329,7 @@ def hermitian_phase_conjugation(T) -> Conjugation:
     return Conjugation(0.5 * (G + G.T))
 
 
-def find_conjugation(
-    T, budget: int = 500, seed: int = 0, tol: float = DEFAULT_TOL
-) -> CsoCertificate:
+def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     """Complex-symmetry decision: a verified conjugation, a word, or neither.
 
     A T of order two (``nilpotent2_splitting``) takes the constructive
@@ -314,17 +342,14 @@ def find_conjugation(
     Hermitian-part phase conjugation.  If that is not verified at tol, the
     word-norm obstruction search runs over every word of length at most 5
     and a violating word gives "obstructed".  Then a symmetric unitary is
-    sought in the intertwiner space by alternating projection, started from
-    the verified phase G (if any), the identity and the flip, then from
-    random starts drawn from seed, each for at most budget rounds; every
-    candidate is re-verified before being reported.  "inconclusive" is a
-    valid outcome.  When the intertwiner space needs a Kronecker matrix
-    past the tensor cap (n > 64 off a simple spectrum), a verified phase G
-    is reported as it is, and without one the CapacityError is raised.
+    sought in the joint intertwiner space J(T) (``intertwiner_basis``) by
+    alternating projection, started from the verified phase G (if any), the
+    identity and the flip; every candidate is re-verified before being
+    reported.  When no candidate verifies, or the system for J(T) is past
+    the tensor cap, a verified phase G is reported as it is; without one the
+    result is "inconclusive", a valid outcome, or the CapacityError stands.
     """
-    seed = check_seed(seed)
     tol = check_tol(tol)
-    budget = check_count(budget, "budget")
     A = as_matrix(T, square=True)
     n = A.shape[0]
 
@@ -336,20 +361,20 @@ def find_conjugation(
         C = conjugation_for_nilpotent2(form)
         ok, residual = _verified_residual(A, C, tol, form.norm)
         if ok:
-            return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
+            return CsoCertificate("c_symmetric", residual, conjugation=C)
         # the norm without singular vectors, as on the general routes: the SVD
         # with them can differ from it in the last bit
         phase = hermitian_phase_conjugation(A)
         phase_ok, phase_residual = _verified_residual(A, phase, tol, operator_norm(A))
         if phase_ok:
-            return CsoCertificate("c_symmetric", phase_residual, conjugation=phase, seed=seed)
-        return CsoCertificate("inconclusive", residual=residual, seed=seed)
+            return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
+        return CsoCertificate("inconclusive", residual=residual)
 
     # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
     nrm, skew = operator_norms([A, A - A.T]).tolist()
     if nrm > 0 and skew <= tol * nrm:
         C = Conjugation.identity(n)
-        return CsoCertificate("c_symmetric", skew / nrm, conjugation=C, seed=seed)
+        return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
     phase = hermitian_phase_conjugation(A)
     initial = (np.eye(n, dtype=complex), np.eye(n, dtype=complex)[::-1])
@@ -361,25 +386,24 @@ def find_conjugation(
         if found is not None:
             word, gap = found
             return CsoCertificate(
-                "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap, seed=seed
+                "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
             )
 
     try:
         basis = intertwiner_basis(A)
     except CapacityError:
-        # the Kronecker matrix is past the cap; the search would start from the phase G anyway
         if not phase_ok:
             raise
-        return CsoCertificate("c_symmetric", phase_residual, conjugation=phase, seed=seed)
-    if basis.size:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        for W in unitary_in_subspace(basis, n, initial=initial, iters=budget, rng=rng):
-            C = Conjugation(W)
-            ok, residual = _verified_residual(A, C, tol, nrm)
-            if ok:
-                return CsoCertificate("c_symmetric", residual, conjugation=C, seed=seed)
-
-    return CsoCertificate("inconclusive", residual=float("nan"), seed=seed)
+        basis = np.zeros((n * n, 0))  # no search: the phase G below is the answer
+    for W in unitary_in_subspace(basis, n, initial):
+        C = Conjugation(W)
+        ok, residual = _verified_residual(A, C, tol, nrm)
+        if ok:
+            return CsoCertificate("c_symmetric", residual, conjugation=C)
+    if phase_ok:
+        # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
+        return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
+    return CsoCertificate("inconclusive", residual=float("nan"))
 
 
 #: Matrix entries per batch (4 MB of complex128): the searches take words

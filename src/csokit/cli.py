@@ -61,7 +61,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 # Shared numeric flags: type and default.  Each subcommand takes the ones it reads.
-_FLAGS = {"seed": (int, 2026), "tol": (float, 1e-9), "quad": (int, 1024), "budget": (int, 500)}
+_FLAGS = {"seed": (int, 2026), "tol": (float, 1e-9), "quad": (int, 1024)}
 
 
 def _common(parser: argparse.ArgumentParser, *flags: str) -> None:
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="decide complex symmetry of a matrix")
     p.add_argument("--matrix", required=True)
-    _common(p, "seed", "tol", "budget")
+    _common(p, "tol")
 
     p = sub.add_parser("destructor", help="pair a matrix against the 3x3 witness")
     p.add_argument("--matrix", required=True)
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_certify(args) -> int:
     T = serialize.matrix_from_json(_load_json(args.matrix))
-    cert = find_conjugation(T, budget=args.budget, seed=args.seed, tol=args.tol)
+    cert = find_conjugation(T, tol=args.tol)
     _emit(serialize.cso_certificate_to_json(cert), args.out)
     return VERDICT_EXIT[cert.verdict]
 

@@ -23,12 +23,13 @@ from .errors import CapacityError, InputError
 
 DEFAULT_TOL = 1e-9
 
-#: Hard cap on any dimension produced by :func:`tensor`.
+#: Hard cap on any dimension produced by :func:`tensor`; ``intertwiner_basis``
+#: holds its system to the entries of the largest such product.
 TENSOR_DIM_CAP = 4096
 
-#: unitary_in_subspace: seeded random starts after the initial ones, and the
-#: step below which a start counts as converged.
-SUBSPACE_STARTS = 64
+#: unitary_in_subspace: rounds per start, and the step below which a start
+#: counts as converged.
+SUBSPACE_ITERS = 500
 SUBSPACE_XTOL = 1e-12
 
 
@@ -72,7 +73,7 @@ def check_seed(seed) -> int:
 
 
 def check_count(value, name: str) -> int:
-    """A budget, length or sample count as an int; one below 1 is an InputError."""
+    """A length or sample count as an int; one below 1 is an InputError."""
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise InputError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
@@ -156,19 +157,6 @@ def direct_sum(*blocks) -> np.ndarray:
     return out
 
 
-def null_space(A) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of the m x n matrix A.
-
-    From the full SVD of A: the rows of V* past the numerical rank r, where r
-    counts the singular values above eps max(m, n) s_0, the same cut as
-    ``scipy.linalg.null_space``.
-    """
-    A = as_matrix(A)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * s.max(initial=0.0)))
-    return vh[rank:].conj().T
-
-
 def column_phases(cols: np.ndarray) -> np.ndarray:
     """Unit factors that make each column's largest-magnitude entry real positive.
 
@@ -246,24 +234,15 @@ def conjugate_by(C: Conjugation, M) -> np.ndarray:
     return G @ A.conj() @ G.conj()
 
 
-def unitary_in_subspace(
-    basis: np.ndarray,
-    n: int,
-    *,
-    initial: tuple[np.ndarray, ...] = (),
-    iters: int = 500,
-    rng: np.random.Generator,
-):
+def unitary_in_subspace(basis: np.ndarray, n: int, initial: tuple[np.ndarray, ...]):
     """Search a linear matrix subspace for a symmetric unitary element.
 
     ``basis`` holds an orthonormal column basis of the subspace in
-    column-major vectorization.  Alternates symmetrization, projection onto
-    the unitary group (polar factor) and projection onto the subspace, until
-    a round moves the iterate by less than SUBSPACE_XTOL.  Yields candidates
-    in deterministic order: the supplied initial matrices first, then
-    SUBSPACE_STARTS seeded random starts, each drawn from ``rng`` only when
-    the search reaches it (a caller that stops at an initial candidate
-    draws nothing).
+    column-major vectorization.  From each initial matrix in turn, alternates
+    symmetrization, projection onto the unitary group (polar factor) and
+    projection onto the subspace, for at most SUBSPACE_ITERS rounds or until
+    a round moves the iterate by less than SUBSPACE_XTOL, and yields the
+    result.  A start is taken only when the caller asks for its candidate.
 
     This is a heuristic; callers must verify every candidate independently.
     """
@@ -278,17 +257,9 @@ def unitary_in_subspace(
         U, _, Vh = np.linalg.svd(X)
         return U @ Vh
 
-    k = basis.shape[1]
-
-    def starts():
-        yield from map(project, initial)
-        for _ in range(SUBSPACE_STARTS):
-            coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            yield (basis @ coeff).reshape((n, n), order="F")
-
-    for X in starts():
+    for X in map(project, initial):
         prev = None
-        for _ in range(iters):
+        for _ in range(SUBSPACE_ITERS):
             X = 0.5 * (X + X.T)
             nrm = np.linalg.norm(X)
             if nrm < 1e-14:

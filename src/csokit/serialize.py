@@ -97,7 +97,6 @@ def cso_certificate_to_json(cert: CsoCertificate) -> dict:
     out = {
         "verdict": cert.verdict,
         "residual": _finite_or_none(cert.residual),
-        "seed": cert.seed,
     }
     if cert.conjugation is not None:
         out["G"] = matrix_to_json(cert.conjugation.matrix)

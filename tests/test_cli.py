@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import serialize, verify
 from csokit.cli import build_parser, main
+from csokit.ensembles import random_unitary, stream
 from csokit.errors import AccuracyError, InputError
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
@@ -64,6 +65,7 @@ def test_certify_symmetric_exit_0():
     p = run_cli("certify", "--matrix", matrix_arg([[0.0, 0.0], [1.0, 0.0]]))
     assert p.returncode == 0, p.stderr
     out = json.loads(p.stdout)
+    assert sorted(out) == ["G", "residual", "verdict"]
     assert out["verdict"] == "c_symmetric"
     assert out["residual"] <= 1e-9
     G = serialize.matrix_from_json(out["G"])
@@ -138,7 +140,6 @@ def test_non_positive_or_non_finite_tol_exit_64(command, tol):
 @pytest.mark.parametrize(
     "command",
     [
-        ["certify", "--matrix", "J2"],
         ["synthesize", "--matrix", "J2"],
         ["question1-search", "--matrix", "J2", "--samples", "4"],
         ["question2-compare", "--matrix", "J2"],
@@ -159,12 +160,12 @@ def test_negative_seed_exit_64(command):
         ["question1-search", "--matrix", "J2", "--max-len", "0"],
         ["question1-search", "--matrix", "J2", "--max-len", "-2"],
         ["question1-search", "--matrix", "J2", "--samples", "-1"],
-        ["certify", "--matrix", "J2", "--budget", "-5"],
+        ["question1-search", "--matrix", "J2", "--samples", "0"],
     ],
 )
 def test_out_of_range_counts_exit_64(argv):
-    # --max-len 0 used to exit 1 with a raw ValueError, --samples -1 was
-    # echoed back as "samples": -1, and --budget -5 exited 0
+    # --max-len 0 used to exit 1 with a raw ValueError, and --samples -1 was
+    # echoed back as "samples": -1
     assert run_main(*[json.dumps(J2) if arg == "J2" else arg for arg in argv]) == 64
 
 
@@ -311,13 +312,16 @@ def test_precondition_failure_exit_65():
 
 def test_past_the_capacity_caps_exit_65():
     # 4097 zeros would have built a 4097 x 4097 compressed shift (1e5 zeros,
-    # 160 GB), and a 66-dim A (+) A^T a 4356^2 Kronecker matrix
+    # 160 GB), and a rotated 2 I_60 (+) A (+) A^T, whose phase conjugation
+    # fails, an 8712 x 3612 system for its intertwiner space
     u = json.dumps({"zeros": [[0.0, 0.0]] * 4097})
     code, _, err = run_main_output("tto", "--u", u, "--phi", '{"poly": [[0.0, 0.0], [1.0, 0.0]]}')
     assert code == 65 and "exceeds the dimension cap" in err
     rng = np.random.default_rng(5)
-    A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    code, _, err = run_main_output("certify", "--matrix", matrix_arg(direct_sum(A, A.T)))
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    Q = random_unitary(stream(11, 66), 66)
+    T = Q @ direct_sum(2 * np.eye(60), A, A.T) @ Q.conj().T
+    code, _, err = run_main_output("certify", "--matrix", matrix_arg(T))
     assert code == 65 and "exceeds the dimension cap" in err
 
 
@@ -449,6 +453,8 @@ def test_question2_compare_runs_both_syntheses():
         ["synthesize", "--matrix", "N.json", "--quad", "256"],
         ["question2-compare", "--matrix", "N.json", "--quad", "256"],
         ["destructor", "--matrix", "A.json", "--budget", "10"],
+        ["certify", "--matrix", "T.json", "--seed", "1"],
+        ["certify", "--matrix", "T.json", "--budget", "10"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
@@ -463,7 +469,7 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
         ["certify"],
         ["certify", "--matrix", "J2", "--bogus", "1"],
         ["certify", "--matrix", "J2", "--tol", "-1e-9"],
-        ["certify", "--matrix", "J2", "--seed", "two"],
+        ["synthesize", "--matrix", "J2", "--seed", "two"],
         [],
     ],
     ids=["missing-matrix", "unknown-flag", "dash-led-value", "non-integer", "no-subcommand"],

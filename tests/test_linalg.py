@@ -12,7 +12,6 @@ from csokit.linalg import (
     check_seed,
     conjugate_by,
     direct_sum,
-    null_space,
     operator_norm,
     polar_decompose,
     singular_values,
@@ -84,37 +83,6 @@ def test_direct_sum_equals_scipy_block_diag():
         assert np.array_equal(got, want)
 
 
-def rank_deficient(rng, m, n, r):
-    return random_complex(rng, m, r) @ random_complex(rng, r, n)
-
-
-@pytest.mark.parametrize(
-    "A",
-    [
-        rank_deficient(stream(1, 10), 6, 6, 3),
-        rank_deficient(stream(1, 11), 9, 9, 1),
-        np.zeros((4, 4)),
-        np.zeros((3, 5)),
-        np.zeros((0, 0)),
-        np.zeros((0, 3)),
-        np.zeros((3, 0)),
-        np.array([[0.0]]),
-        np.array([[2.0 - 1j]]),
-        random_complex(stream(1, 12), 3, 7),
-        rank_deficient(stream(1, 13), 4, 8, 2),
-        random_complex(stream(1, 14), 7, 3),
-        rank_deficient(stream(1, 15), 8, 4, 2),
-        np.kron(np.eye(3), np.diag([1.0, 1.0, 2.0])) - np.kron(np.diag([1.0, 1.0, 2.0]), np.eye(3)),
-    ],
-)
-def test_null_space_matches_scipy_null_space(A):
-    got, want = null_space(A), scipy.linalg.null_space(A)
-    assert got.shape == want.shape
-    P, R = got @ got.conj().T, want @ want.conj().T
-    assert P.size == 0 or np.abs(P - R).max() <= 1e-12
-    assert operator_norm(A @ got) <= 1e-12 * max(1.0, operator_norm(A))
-
-
 def test_polar_decompose_properties():
     A = random_complex(stream(1, 3), 4, 4)
     V, P = polar_decompose(A)
@@ -161,20 +129,21 @@ def test_conjugate_by_definition():
         conjugate_by(Conjugation(G), np.eye(4))
 
 
+def flip_basis(n):
+    """Orthonormal basis (column-major vec) of span{I, flip}, which holds symmetric unitaries."""
+    I = np.eye(n, dtype=complex)
+    vecs = np.stack([I.reshape(-1, order="F"), I[::-1].reshape(-1, order="F")], axis=1)
+    return np.linalg.qr(vecs)[0]
+
+
 def test_unitary_in_subspace_finds_member():
-    # span{I, flip} contains unitaries; every yielded candidate must be
-    # unitary and the best one must lie in the subspace as well
+    # every yielded candidate must be unitary, and one from a start inside
+    # the subspace must lie in it as well
     n = 4
-    vecs = np.stack(
-        [
-            np.eye(n, dtype=complex).reshape(-1, order="F"),
-            np.eye(n, dtype=complex)[::-1].reshape(-1, order="F"),
-        ],
-        axis=1,
-    )
-    basis = np.linalg.qr(vecs)[0]
+    basis = flip_basis(n)
+    starts = (random_complex(stream(1, 6), n, n), np.eye(n, dtype=complex) + 0.5 * np.eye(n)[::-1])
     best = np.inf
-    for W in unitary_in_subspace(basis, n, iters=200, rng=stream(1, 6)):
+    for W in unitary_in_subspace(basis, n, starts):
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-9
         v = W.reshape(-1, order="F")
         off = np.linalg.norm(v - basis @ (basis.conj().T @ v))
@@ -183,32 +152,32 @@ def test_unitary_in_subspace_finds_member():
 
 
 def test_unitary_in_subspace_draws_a_start_only_when_it_reaches_it():
-    # a caller that takes only the initial candidate leaves the rng untouched
+    # a caller that takes only the first candidate never touches the second start
     n = 3
     basis = np.eye(n, dtype=complex).reshape(-1, 1, order="F") / np.sqrt(n)
-    rng = stream(1, 8)
-    before = rng.bit_generator.state
-    search = unitary_in_subspace(basis, n, initial=(np.eye(n, dtype=complex),), rng=rng)
+    drawn = []
+
+    def starts():
+        for X in (np.eye(n, dtype=complex), 2 * np.eye(n, dtype=complex)):
+            drawn.append(X)
+            yield X
+
+    search = unitary_in_subspace(basis, n, starts())
     W = next(search)
     assert operator_norm(W - np.eye(n)) <= 1e-12
-    assert rng.bit_generator.state == before
+    assert len(drawn) == 1
     next(search)
-    assert rng.bit_generator.state != before
+    assert len(drawn) == 2
 
 
 def test_unitary_in_subspace_symmetric_mode():
+    # one candidate per start that does not vanish in the subspace; a start
+    # orthogonal to it (here i (E_12 - E_21)) yields none
     n = 3
-    vecs = np.stack(
-        [
-            np.eye(n, dtype=complex).reshape(-1, order="F"),
-            np.eye(n, dtype=complex)[::-1].reshape(-1, order="F"),
-        ],
-        axis=1,
-    )
-    basis = np.linalg.qr(vecs)[0]
-    got = list(
-        unitary_in_subspace(basis, n, iters=300, rng=stream(1, 7))
-    )
-    assert got
-    sym = min(operator_norm(W - W.T) for W in got)
+    skew = np.zeros((n, n), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1j, -1j
+    starts = (random_complex(stream(1, 7), n, n), skew, np.eye(n, dtype=complex)[::-1])
+    got = list(unitary_in_subspace(flip_basis(n), n, starts))
+    assert len(got) == 2
+    sym = max(operator_norm(W - W.T) for W in got)
     assert sym <= 1e-9
