@@ -10,21 +10,27 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    an explicit G from that SVD.  A T that fails either margin goes on to
    the routes below.
 2. Transpose-symmetric matrices: G = I.
-3. The Hermitian-part phase test (``hermitian_phase_conjugation``): an exact
-   O(n^3) candidate G, built from the eigenvectors of Re(e^{i theta} T).
-4. If that G is not verified, the word-norm obstruction search over all 62
-   words of length at most 5.
-5. The alternating-projection search over the joint intertwiner space
-   J(T) = {X : T X = X T^t, T* X = X conj(T)}, which holds every symmetric
-   unitary G with T G = G T^t, started from the verified phase G when there
-   is one (a verified phase G is reported through this search), then from
-   the identity and the flip.  If no candidate verifies, a verified phase G
-   is the answer, and otherwise "inconclusive".  ``intertwiner_basis`` spans
-   J(T) by one reduced solve over the eigenvalue clusters of a Hermitian
-   part of T, a 2 n^2 x sum m_i^2 system for clusters of sizes m_i: O(n^4)
-   time and 2 n^3 entries on a simple spectrum.  A system past the tensor
-   cap is a CapacityError; a verified phase G is then the answer, and
-   without one the error stands.
+3. The polar factor of a symmetric intertwiner.  The joint intertwiner
+   space J(T) = {X : T X = X T^t, T* X = X conj(T)} holds every symmetric
+   unitary G with T G = G T^t.  For X in J(T), X* X commutes with T^t and
+   conj(T), so an invertible X has its polar factor in J(T), and a
+   symmetric one a symmetric factor: T is complex symmetric exactly when
+   the symmetric half S(T) of J(T) holds an invertible element, and then a
+   generic element of S(T) is (Garcia-Putinar 2006, Garcia-Tener 2012).
+   ``unitary_in_subspace`` yields the polar factor of a fixed combination
+   of an orthonormal basis of S(T), then of a second one.
+   ``intertwiner_basis`` spans J(T) by one reduced solve over the
+   eigenvalue clusters of a Hermitian part of T, a 2 n^2 x sum m_i^2
+   system for clusters of sizes m_i: O(n^4) time and 2 n^3 entries on a
+   simple spectrum.  A system past the tensor cap is a CapacityError, held
+   until the fallback below has been tried.
+4. If no candidate is verified, the word-norm obstruction search over all
+   62 words of length at most 5.
+5. The fallback, the Hermitian-part phase test
+   (``hermitian_phase_conjugation``): an O(n^3) candidate G, built from the
+   eigenvectors of Re(e^{i theta} T), for a T complex symmetric only at a
+   tol looser than the cut of J(T).  If it is not verified, a held
+   CapacityError stands, and otherwise the answer is "inconclusive".
 """
 
 from __future__ import annotations
@@ -339,15 +345,14 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     residual.  Such a T never reaches the word search, so it is never
     "obstructed" (the destructor calls it indestructible).  Any other T
     takes the general routes: G = I if T is transpose-symmetric, else the
-    Hermitian-part phase conjugation.  If that is not verified at tol, the
-    word-norm obstruction search runs over every word of length at most 5
-    and a violating word gives "obstructed".  Then a symmetric unitary is
-    sought in the joint intertwiner space J(T) (``intertwiner_basis``) by
-    alternating projection, started from the verified phase G (if any), the
-    identity and the flip; every candidate is re-verified before being
-    reported.  When no candidate verifies, or the system for J(T) is past
-    the tensor cap, a verified phase G is reported as it is; without one the
-    result is "inconclusive", a valid outcome, or the CapacityError stands.
+    polar factors that ``unitary_in_subspace`` takes of the symmetric half
+    of the joint intertwiner space J(T) (``intertwiner_basis``), each
+    re-verified before it is reported.  If none verifies, the word-norm
+    obstruction search runs over every word of length at most 5 and a
+    violating word gives "obstructed".  Last, the Hermitian-part phase
+    conjugation is reported if it is verified at tol.  Without it, a system
+    for J(T) past the tensor cap is a CapacityError, and otherwise the
+    result is "inconclusive", a valid outcome.
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
@@ -376,33 +381,31 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
         C = Conjugation.identity(n)
         return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
-    phase = hermitian_phase_conjugation(A)
-    initial = (np.eye(n, dtype=complex), np.eye(n, dtype=complex)[::-1])
-    phase_ok, phase_residual = _verified_residual(A, phase, tol, nrm)
-    if phase_ok:
-        initial = (phase.matrix, *initial)
-    else:
-        found = word_obstruction_search(A, tol=tol)
-        if found is not None:
-            word, gap = found
-            return CsoCertificate(
-                "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
-            )
-
+    held = None
     try:
-        basis = intertwiner_basis(A)
-    except CapacityError:
-        if not phase_ok:
-            raise
-        basis = np.zeros((n * n, 0))  # no search: the phase G below is the answer
-    for W in unitary_in_subspace(basis, n, initial):
+        candidates = unitary_in_subspace(intertwiner_basis(A), n)
+    except CapacityError as exc:
+        held, candidates = exc, ()
+    for W in candidates:
         C = Conjugation(W)
         ok, residual = _verified_residual(A, C, tol, nrm)
         if ok:
             return CsoCertificate("c_symmetric", residual, conjugation=C)
+
+    found = word_obstruction_search(A, tol=tol)
+    if found is not None:
+        word, gap = found
+        return CsoCertificate(
+            "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
+        )
+
+    # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
+    phase = hermitian_phase_conjugation(A)
+    phase_ok, phase_residual = _verified_residual(A, phase, tol, nrm)
     if phase_ok:
-        # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
         return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
+    if held is not None:
+        raise held
     return CsoCertificate("inconclusive", residual=float("nan"))
 
 

@@ -27,10 +27,9 @@ DEFAULT_TOL = 1e-9
 #: holds its system to the entries of the largest such product.
 TENSOR_DIM_CAP = 4096
 
-#: unitary_in_subspace: rounds per start, and the step below which a start
-#: counts as converged.
-SUBSPACE_ITERS = 500
-SUBSPACE_XTOL = 1e-12
+#: The golden-ratio conjugate, whose multiples mod 1 never repeat: the phases
+#: of ``unitary_in_subspace``'s fixed combinations.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def as_matrix(M, square: bool = False) -> np.ndarray:
@@ -234,44 +233,30 @@ def conjugate_by(C: Conjugation, M) -> np.ndarray:
     return G @ A.conj() @ G.conj()
 
 
-def unitary_in_subspace(basis: np.ndarray, n: int, initial: tuple[np.ndarray, ...]):
-    """Search a linear matrix subspace for a symmetric unitary element.
+def unitary_in_subspace(basis: np.ndarray, n: int):
+    """Symmetric unitaries from the symmetric half of a linear matrix subspace.
 
     ``basis`` holds an orthonormal column basis of the subspace in
-    column-major vectorization.  From each initial matrix in turn, alternates
-    symmetrization, projection onto the unitary group (polar factor) and
-    projection onto the subspace, for at most SUBSPACE_ITERS rounds or until
-    a round moves the iterate by less than SUBSPACE_XTOL, and yields the
-    result.  A start is taken only when the caller asks for its candidate.
+    column-major vectorization.  One SVD of the symmetric halves of its
+    members gives an orthonormal basis S_1, ..., S_k of their span, cut at
+    singular value 1e-8 (each half has norm at most 1); for a subspace
+    closed under transpose, such as J(T), that span is its symmetric part.
+    If it holds an invertible element, a generic element is invertible, so
+    the polar factor of the fixed combination sum_j e^{2 pi i j phi} / j S_j
+    (phi the golden-ratio conjugate) is yielded, symmetrized, from one more
+    SVD.  For k >= 2 a caller that asks for another gets that of
+    sum_j e^{4 pi i j phi} / j S_j; for k = 0 nothing is yielded.
 
-    This is a heuristic; callers must verify every candidate independently.
+    A candidate need not lie in the subspace; callers must verify each one.
     """
-    if basis.size == 0:
-        return
-
-    def project(X):
-        v = X.reshape(-1, order="F")
-        return (basis @ (basis.conj().T @ v)).reshape((n, n), order="F")
-
-    def polar_unitary(X):
-        U, _, Vh = np.linalg.svd(X)
-        return U @ Vh
-
-    for X in map(project, initial):
-        prev = None
-        for _ in range(SUBSPACE_ITERS):
-            X = 0.5 * (X + X.T)
-            nrm = np.linalg.norm(X)
-            if nrm < 1e-14:
-                break
-            X = polar_unitary(X)
-            X = project(X)
-            if prev is not None and np.linalg.norm(X - prev) < SUBSPACE_XTOL:
-                break
-            prev = X
-        X = 0.5 * (X + X.T)
-        nrm = np.linalg.norm(X)
-        if nrm < 1e-14:
-            continue
-        W = polar_unitary(X)
+    k = basis.shape[1]
+    members = basis.T.reshape(k, n, n)  # transposed members: the same halves
+    halves = 0.5 * (members + members.transpose(0, 2, 1))
+    _, s, vh = np.linalg.svd(halves.reshape(k, n * n), full_matrices=False)
+    S = vh[s > 1e-8]
+    j = np.arange(1, len(S) + 1)
+    for turn in range(1, min(len(S), 2) + 1):
+        X = (np.exp(2j * np.pi * turn * _GOLDEN * j) / j) @ S
+        U, _, Vh = np.linalg.svd(X.reshape(n, n))
+        W = U @ Vh
         yield 0.5 * (W + W.T)

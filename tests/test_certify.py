@@ -41,6 +41,7 @@ from csokit.linalg import (
     direct_sum,
     operator_norm,
     power_of_two_scaled,
+    unitary_in_subspace,
 )
 from csokit.synthesis import synthesize_tto_for_nilpotent2
 from csokit.words import (
@@ -118,11 +119,11 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
     assert shapes["svd"][-1] == (3, 8, 8)
 
 
-def test_cso_route_batches_the_phase_test_and_each_verification(monkeypatch):
-    # the 8 Hermitian parts of the phase test go to one stacked eigh, and the
-    # intertwiner space takes one eigh of Re(T), whose spectrum is simple
-    # here; ||T|| and ||T - T^t|| share one SVD; every verification, of the
-    # phase G and of the search's candidates, is one SVD of a stack of three
+def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
+    # the intertwiner space takes one eigh of Re(T), whose spectrum is simple
+    # here; ||T|| and ||T - T^t|| share one SVD; the polar factor of the
+    # symmetric intertwiner verifies at once, by one SVD of a stack of three,
+    # so the phase test's stacked eigh never runs
     T, _ = random_cso(stream(2, 1), 6)
     shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
     verifications = []
@@ -135,10 +136,9 @@ def test_cso_route_batches_the_phase_test_and_each_verification(monkeypatch):
     monkeypatch.setattr(certify, "_verified_residual", counting_kernel)
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
-    assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(8, 6, 6), (6, 6)]
+    assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(6, 6)]
     assert shapes["svd"].count((2, 6, 6)) == 1
-    # the verified phase G, then the search's first candidate
-    assert shapes["svd"].count((3, 6, 6)) == len(verifications) == 2
+    assert shapes["svd"].count((3, 6, 6)) == len(verifications) == 1
     assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (3, 6, 6)}
 
 
@@ -565,9 +565,30 @@ def test_intertwiner_basis_refuses_a_system_past_the_cap_before_building_it():
 @given(kind=st.sampled_from(REDUCIBLE), dim=st.integers(4, 32), seed=st.integers(0, 2**32 - 1))
 def test_reducible_cso_matrices_are_certified(kind, dim, seed):
     # every Re(e^{i theta} T) is degenerate, so the phase G fails; J(T) has
-    # dimension 2-9 and the search certifies from the identity or the flip
+    # dimension 2-9 and the polar factor of its symmetric half certifies
     T = reducible(kind, dim, stream(seed, dim))
     cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    cert.conjugation.validate()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["cso", *REDUCIBLE]),
+    dim=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cso_matrices_are_certified_without_the_phase_test(kind, dim, seed):
+    # random CSO matrices of dimension 2-64 and the reducible classes at
+    # 4-32: the polar factor of the symmetric intertwiner alone certifies them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the phase test ran")
+
+    rng = stream(seed, dim)
+    T = random_cso(rng, dim)[0] if kind == "cso" else reducible(kind, max(dim // 2, 4), rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "hermitian_phase_conjugation", forbidden)
+        cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
     cert.conjugation.validate()
 
@@ -760,21 +781,31 @@ def test_2x2_cso_that_the_projection_search_missed():
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 32))
 def test_generic_matrix_is_obstructed_without_the_projection_search(seed, dim):
+    # the symmetric half of J(T) is 0 (d = 0), so no candidate is tried, and
+    # the word search decides before the phase test could run
     def forbidden(*args, **kwargs):
-        raise AssertionError("the projection search ran on a matrix with an obstruction word")
+        raise AssertionError("the phase test ran on a matrix with an obstruction word")
+
+    candidates = []
+
+    def recording(*args):
+        for W in unitary_in_subspace(*args):
+            candidates.append(W)
+            yield W
 
     T = random_complex(stream(seed, 0), dim, dim)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "intertwiner_basis", forbidden)
-        mp.setattr(certify, "unitary_in_subspace", forbidden)
+        mp.setattr(certify, "hermitian_phase_conjugation", forbidden)
+        mp.setattr(certify, "unitary_in_subspace", recording)
         cert = find_conjugation(T)
+    assert candidates == []
     assert cert.verdict == "obstructed" and cert.obstruction_word
     assert cert.obstruction_gap == pytest.approx(word_norm_gap(T, cert.obstruction_word))
 
 
 def test_degenerate_spectra_are_certified():
     # J3 (+) J3 in a rotated basis: every H = Re(e^{i theta} T) has only double
-    # eigenvalues, the phase G fails, and the projection search certifies it
+    # eigenvalues, the phase G fails, and the polar factor certifies it
     Q = random_unitary(stream(11, 7), 6)
     T = Q @ direct_sum(jordan(3), jordan(3)) @ Q.conj().T
     assert not phase_accepted(T)

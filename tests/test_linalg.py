@@ -136,48 +136,52 @@ def flip_basis(n):
     return np.linalg.qr(vecs)[0]
 
 
-def test_unitary_in_subspace_finds_member():
-    # every yielded candidate must be unitary, and one from a start inside
-    # the subspace must lie in it as well
-    n = 4
-    basis = flip_basis(n)
-    starts = (random_complex(stream(1, 6), n, n), np.eye(n, dtype=complex) + 0.5 * np.eye(n)[::-1])
-    best = np.inf
-    for W in unitary_in_subspace(basis, n, starts):
-        assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-9
-        v = W.reshape(-1, order="F")
-        off = np.linalg.norm(v - basis @ (basis.conj().T @ v))
-        best = min(best, off)
-    assert best <= 1e-9
+def in_span(basis, W):
+    """Distance of W from the span of a column-major basis."""
+    v = W.reshape(-1, order="F")
+    return np.linalg.norm(v - basis @ (basis.conj().T @ v))
 
 
-def test_unitary_in_subspace_draws_a_start_only_when_it_reaches_it():
-    # a caller that takes only the first candidate never touches the second start
-    n = 3
-    basis = np.eye(n, dtype=complex).reshape(-1, 1, order="F") / np.sqrt(n)
-    drawn = []
-
-    def starts():
-        for X in (np.eye(n, dtype=complex), 2 * np.eye(n, dtype=complex)):
-            drawn.append(X)
-            yield X
-
-    search = unitary_in_subspace(basis, n, starts())
-    W = next(search)
-    assert operator_norm(W - np.eye(n)) <= 1e-12
-    assert len(drawn) == 1
-    next(search)
-    assert len(drawn) == 2
+def test_unitary_in_subspace_yields_a_symmetric_unitary_in_the_span():
+    # the polar factor of a fixed combination of I and the flip is itself a
+    # combination of them: a symmetric unitary that lies in the span
+    for n in (2, 3, 4):
+        basis = flip_basis(n)
+        W = next(unitary_in_subspace(basis, n))
+        assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12
+        assert operator_norm(W - W.T) <= 1e-12
+        assert in_span(basis, W) <= 1e-12
 
 
-def test_unitary_in_subspace_symmetric_mode():
-    # one candidate per start that does not vanish in the subspace; a start
-    # orthogonal to it (here i (E_12 - E_21)) yields none
+def test_unitary_in_subspace_yields_nothing_from_a_skew_subspace():
+    # span{i (E_12 - E_21)} has symmetric half 0
     n = 3
     skew = np.zeros((n, n), dtype=complex)
     skew[0, 1], skew[1, 0] = 1j, -1j
-    starts = (random_complex(stream(1, 7), n, n), skew, np.eye(n, dtype=complex)[::-1])
-    got = list(unitary_in_subspace(flip_basis(n), n, starts))
-    assert len(got) == 2
-    sym = max(operator_norm(W - W.T) for W in got)
-    assert sym <= 1e-9
+    basis = skew.reshape(-1, 1, order="F") / np.sqrt(2)
+    assert list(unitary_in_subspace(basis, n)) == []
+    assert list(unitary_in_subspace(np.zeros((n * n, 0), dtype=complex), n)) == []
+
+
+def test_unitary_in_subspace_yields_a_second_candidate_only_when_asked(monkeypatch):
+    # the symmetric half of span{I, flip, skew} is 2-dimensional: one SVD for
+    # its basis and one per candidate, the second only on a second request;
+    # a 1-dimensional half yields one candidate
+    n = 4
+    skew = np.zeros((n, n), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    I = np.eye(n, dtype=complex)
+    vecs = np.stack([M.reshape(-1, order="F") for M in (I, I[::-1], skew)], axis=1)
+    basis = np.linalg.qr(vecs)[0]
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    search = unitary_in_subspace(basis, n)
+    first = next(search)
+    assert len(calls) == 2
+    second = next(search)
+    assert len(calls) == 3
+    assert next(search, None) is None
+    for W in (first, second):
+        assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12 and in_span(basis, W) <= 1e-12
+    assert len(list(unitary_in_subspace(I.reshape(-1, 1, order="F") / np.sqrt(n), n))) == 1
