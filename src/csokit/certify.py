@@ -140,13 +140,14 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
 
     From one full SVD T = U diag(s) V*, with ||T|| = s_0, T has order at
     most two when ||(T / s_0)^2|| <= tol (T / s_0 formed by parts: complex
-    division by a subnormal norm overflows) and its rank r = #{s_i > tol s_0}
-    has 2r <= n.  A T that fails either margin raises one PreconditionError
-    naming it; certify, the destructor and synthesis decide "order two" here
-    and nowhere else.  A T whose norm overflows is an InputError.  W* has
+    division by a subnormal norm overflows; that norm takes an SVD only when
+    its bound, the Frobenius norm, exceeds tol) and its rank
+    r = #{s_i > tol s_0} has 2r <= n.  A T that fails either margin raises
+    one PreconditionError naming it; certify, the destructor and synthesis
+    decide "order two" here and nowhere else.  A T whose norm overflows is an InputError.  W* has
     the columns right (V's first r columns, each with its largest entry made
     real positive), left (U's, with the same phases, so T right_i = s_i
-    left_i) and rest (ker T outside ran T).
+    left_i) and rest (ker T outside ran T, from one more SVD when n > 2r).
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
@@ -157,11 +158,14 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
         raise InputError("||T|| overflows: it is past the largest double; rescale T")
     if nrm > 0:
         unit = A.real / nrm + 1j * (A.imag / nrm)
-        square = operator_norm(unit @ unit)
-        if square > tol:
-            raise PreconditionError(
-                f"not nilpotent of order two at tol {tol:.1e}: ||T^2|| / ||T||^2 = {square:.3e}"
-            )
+        square = unit @ unit
+        if np.linalg.norm(square) > tol:  # ||.|| <= ||.||_F: else no SVD is needed
+            square_norm = operator_norm(square)
+            if square_norm > tol:
+                raise PreconditionError(
+                    f"not nilpotent of order two at tol {tol:.1e}: "
+                    f"||T^2|| / ||T||^2 = {square_norm:.3e}"
+                )
     r = int(np.count_nonzero(s > tol * nrm))
     if 2 * r > n:
         raise PreconditionError(
@@ -175,9 +179,11 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
     left = U[:, :r] * phases
 
     # Orthonormal basis of ker T minus ran T (ran T sits inside ker T).
-    kernel = V[:, r:]
-    rest = np.linalg.svd(kernel - left @ (left.conj().T @ kernel))[0][:, : n - 2 * r]
-    rest = rest * column_phases(rest)
+    rest = np.zeros((n, 0), dtype=complex)
+    if n > 2 * r:
+        kernel = V[:, r:]
+        rest = np.linalg.svd(kernel - left @ (left.conj().T @ kernel))[0][:, : n - 2 * r]
+        rest = rest * column_phases(rest)
     return Nilpotent2Form(np.hstack([right, left, rest]).conj().T, s[:r].copy(), n - 2 * r, nrm)
 
 
@@ -476,9 +482,9 @@ def word_obstruction_search(
     The gaps come from ``word_norm_gaps`` one length at a time, so an early
     hit such as xxy costs only the words up to its length.
 
-    The search runs on T scaled by a power of two to norm about 1, so its
-    word products neither overflow nor underflow, and the gap it returns is
-    taken back to T's units exactly.  A gap that overflows or underflows
+    The search runs on T scaled by a power of two to norm in
+    [1/2, sqrt(2) n), so its word products neither overflow nor underflow,
+    and the gap it returns is taken back to T's units exactly.  A gap that overflows or underflows
     there raises PreconditionError naming ||T||.
     """
     tol = check_tol(tol)

@@ -81,16 +81,17 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     constructive route applies.  Otherwise the conclusion is destroyed when
     the gap exceeds DEFAULT_TOL * ||A (x) B||^3, the threshold of
     ``word_obstruction_search``.  The norms of A are taken on A scaled by a
-    power of two to norm about 1, which is exact, and the gap is decided in
-    those units.  A word norm of A that overflows in A's units raises
-    PreconditionError (||A|| above about 5e102), and so does a gap too small
-    to decide, naming the cause: word norms of A that underflow (||A|| below
-    about 1e-108), both yxx norms of A (x) B at or below the threshold (so
-    when A failed on its rank alone, as ||A^2|| <= DEFAULT_TOL ||A||^2 bounds
-    them), or a ratio beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they
-    cancel.  alpha and beta are checked by ``witness_matrix``; a threshold
-    that overflows (max(alpha, beta) above about 1e103, A not of order two)
-    is an InputError.
+    power of two to norm in [1/2, sqrt(2) n), which is exact, and the gap is
+    decided in those units.  A word norm of A that overflows in A's units
+    raises PreconditionError (||A|| above about 5e102), and so does a gap too
+    small to decide, naming the cause: word norms of A that underflow
+    (||A|| below about 1e-108), both yxx norms of A (x) B at or below the
+    threshold (so when A failed on its rank alone, as
+    ||A^2|| <= DEFAULT_TOL ||A||^2 bounds them), or a ratio
+    beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they cancel.  alpha and
+    beta are checked by ``witness_matrix``; a threshold that overflows
+    (max(alpha, beta) above about 1e103, A not of order two) is an
+    InputError.
     """
     B = witness_matrix(alpha, beta)
     M = as_matrix(A, square=True)

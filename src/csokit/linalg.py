@@ -103,15 +103,20 @@ def operator_norms(Ms) -> np.ndarray:
 
 
 def power_of_two_scaled(M) -> tuple[np.ndarray, int]:
-    """(2^-e M, e) with 2^(e-1) <= ||M|| < 2^e, and e = 0 for M = 0.
+    """(2^-e M, e) with 2^(e-1) <= max |Re M_ij|, |Im M_ij| < 2^e, and e = 0
+    for M = 0 or empty.
 
-    Scaling by a power of two is exact (barring subnormal entries), so a
-    product of k factors of 2^-e M, and its norm, are 2^(-k e) times those
-    of M bit for bit, yet neither overflows nor underflows however large or
-    small M is.  ``times_power_of_two`` takes such a norm back to M's units.
+    The exponent comes from the largest part of an entry, with no SVD.  The
+    scaled m x n matrix has every part in (-1, 1) and one of magnitude at
+    least 1/2, so its norm lies in [1/2, sqrt(2) max(m, n)).  Scaling by a
+    power of two is exact (barring subnormal entries), so a product of k
+    factors of 2^-e M, and its norm, are 2^(-k e) times those of M bit for
+    bit, yet neither overflows nor underflows however large or small M is.
+    ``times_power_of_two`` takes such a norm back to M's units.
     """
     A = as_matrix(M)
-    e = math.frexp(operator_norm(A))[1]
+    top = max(np.abs(A.real).max(initial=0.0), np.abs(A.imag).max(initial=0.0))
+    e = math.frexp(top)[1]
     return np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e), e
 
 
@@ -160,13 +165,18 @@ def column_phases(cols: np.ndarray) -> np.ndarray:
     """Unit factors that make each column's largest-magnitude entry real positive.
 
     ``cols * column_phases(cols)`` is the canonical phase choice used wherever
-    a basis or frame must be deterministic; a zero column gets factor 1.
+    a basis or frame must be deterministic; a zero column gets factor 1, and
+    of tied magnitudes the first entry is the pivot.  The pivot's magnitude is
+    taken by ``np.hypot`` of its parts, which equals scalar ``abs`` bit for
+    bit, whereas ``np.abs`` of an array may differ from it in the last bit.
     """
     phases = np.ones(cols.shape[1], dtype=complex)
-    for i in range(cols.shape[1]):
-        pivot = cols[int(np.argmax(np.abs(cols[:, i]))), i]
-        if abs(pivot) > 0:
-            phases[i] = np.conj(pivot) / abs(pivot)
+    if cols.size == 0:
+        return phases
+    pivots = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    size = np.hypot(pivots.real, pivots.imag)
+    nonzero = size > 0
+    phases[nonzero] = pivots[nonzero].conj() / size[nonzero]
     return phases
 
 

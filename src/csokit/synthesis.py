@@ -16,13 +16,14 @@ which is returned with a recomputable equivalence residual.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .certify import nilpotent2_splitting
-from .linalg import as_matrix, check_seed, column_phases, direct_sum, operator_norm, singular_values
+from .linalg import as_matrix, check_seed, column_phases, operator_norm, singular_values
 from .modelspace import BlaschkeProduct, Symbol
 
 # realize_modulus: multi-start budget, Newton steps per start and step
@@ -82,9 +83,17 @@ def canonical_nilpotent_parts(N):
     return np.diag(form.singular_values), form.extra_kernel_dim, W0
 
 
+@functools.lru_cache(maxsize=None)
+def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    k = np.subtract.outer(np.arange(n), np.arange(n))  # entry (i, j) is c[i - j]
+    mask = k >= 0
+    k.flags.writeable = mask.flags.writeable = False
+    return k, mask
+
+
 def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    k = np.subtract.outer(np.arange(c.size), np.arange(c.size))  # entry (i, j) is c[i - j]
-    return np.where(k >= 0, c[k], 0)
+    k, mask = _toeplitz_index(c.size)
+    return np.where(mask, c[k], 0)
 
 
 def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
@@ -94,11 +103,13 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     Toeplitz matrix of phi's coefficients.  Equal targets t give phi = t
     exactly and two targets have a closed form; otherwise the coefficients
     are fit by damped minimum-norm Newton steps on the singular values,
-    whose Jacobian one SVD gives in closed form (_modulus_jacobian).  The
-    first start is tmax (1, 1/2, ..., 1/2): its singular values are
-    distinct, hence differentiable, whereas at a multiple of the identity
-    they all coincide and give no usable gradient.  Seeded random starts
-    follow only if a fit stalls; the search stops at the first start whose
+    whose Jacobian is read in closed form off the factors of the SVD that
+    gives them (_jacobian_from_svd).  The first start is
+    tmax (1, 1/2, ..., 1/2): its singular values are distinct, hence
+    differentiable, whereas at a multiple of the identity they all coincide
+    and give no usable gradient.  Seeded random starts follow only if a fit
+    stalls, drawn from default_rng(SeedSequence(seed, spawn_key=(4,))),
+    which is made only then; the search stops at the first start whose
     singular values match to 1e-12 of the largest target.  The result is
     flagged converged when the achieved singular values match to 1e-6 of the
     largest target; an unconverged fit is returned flagged, never raised.
@@ -139,12 +150,14 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
         c = np.array([np.sqrt(ts[0] * ts[1]), ts[0] - ts[1]], dtype=complex)
         return finish(c, singular_values(_lower_toeplitz(c)))
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-    start0 = np.full(r, 0.5 * ts[0], dtype=complex)
-    start0[0] = ts[0]
+    c = np.full(r, 0.5 * ts[0], dtype=complex)
+    c[0] = ts[0]
     best = None
     for idx in range(_MODULUS_STARTS):
-        c = start0 if idx == 0 else (rng.standard_normal(2 * r) * ts[0]).view(complex)
+        if idx == 1:  # the first restart: only now is the seeded stream needed
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+        if idx:
+            c = (rng.standard_normal(2 * r) * ts[0]).view(complex)
         c, s, res = _newton_fit(c, ts)
         if best is None or res < best[0]:
             best = (res, c, s)
@@ -155,17 +168,26 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
 
 def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of lower-Toeplitz(c), descending, and their r x 2r
-    Jacobian in (Re c, Im c).
-
-    With L = sum_j c_j S^j = U diag(s) V*, S the down shift, a simple
-    singular value moves by d s_k = Re(u_k* dL v_k), so
-    ds_k/dRe c_j = Re(u_k* S^j v_k) and ds_k/dIm c_j = -Im(u_k* S^j v_k).
-    """
-    r = c.size
+    Jacobian in (Re c, Im c)."""
     U, s, Vh = np.linalg.svd(_lower_toeplitz(c))
-    Uc, V = U.conj(), Vh.conj().T
-    D = np.array([np.sum(Uc[j:] * V[: r - j], axis=0) for j in range(r)]).T
-    return s, np.hstack([D.real, -D.imag])
+    return s, _jacobian_from_svd(U, Vh)
+
+
+def _jacobian_from_svd(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    """The r x 2r Jacobian of the singular values of L = U diag(s) V* =
+    sum_j c_j S^j (S the down shift) in (Re c, Im c).
+
+    A simple singular value moves by d s_k = Re(u_k* dL v_k), so
+    ds_k/dRe c_j = Re D[k, j] and ds_k/dIm c_j = -Im D[k, j] with
+    D[k, j] = u_k* S^j v_k = sum_{l >= j} conj(U[l, k]) V[l - j, k].  All r
+    shifts S^j V are gathered at once by L's own Toeplitz index, and the
+    products are summed over l in order, so each entry is bit for bit the
+    sum over its r - j terms alone (the leading zero terms change nothing).
+    """
+    index, mask = _toeplitz_index(U.shape[0])
+    shifted = np.where(mask[:, :, None], Vh.conj().T[index], 0)  # entry (l, j) is row l of S^j V
+    D = (U.conj()[:, None, :] * shifted).sum(axis=0).T
+    return np.hstack([D.real, -D.imag])
 
 
 def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -176,6 +198,10 @@ def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
     or below 1e-12 of the largest target, one more full step is kept if it
     lowers the residual, and the fit stops.  Returns the best coefficients,
     their singular values and their residual.
+
+    Every trial point costs one SVD, which gives its singular values; the
+    Jacobian is formed from that SVD's factors only where the next step
+    reads it: at the start and after each accepted step but the polish step.
     """
     r = t.size
     s, J = _modulus_jacobian(c)
@@ -185,16 +211,17 @@ def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
         step = step[:r] + 1j * step[r:]
         polish = res <= 1e-12 * t[0]
         for _ in range(1 if polish else _NEWTON_HALVINGS):
-            s_new, J_new = _modulus_jacobian(c + step)
+            U, s_new, Vh = np.linalg.svd(_lower_toeplitz(c + step))
             res_new = float(np.linalg.norm(s_new - t))
             if res_new < res:
-                c, s, J, res = c + step, s_new, J_new, res_new
+                c, s, res = c + step, s_new, res_new
                 break
             step = step / 2
         else:
             break
         if polish:
             break
+        J = _jacobian_from_svd(U, Vh)
     return c, s, res
 
 
@@ -235,7 +262,10 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
     # phase fixed by D) and Omega times the polar factor U V* of L is D U*.
     U, _, Vh = np.linalg.svd(T[r + extra :, :r])
     D = column_phases(Vh.conj().T).conj()[:, None]
-    blocks = direct_sum(D * Vh, np.eye(extra), D * U.conj().T)
+    blocks = np.zeros((dim, dim), dtype=complex)
+    blocks[:r, :r] = D * Vh
+    blocks[r : r + extra, r : r + extra] = np.eye(extra)
+    blocks[r + extra :, r + extra :] = D * U.conj().T
     W = W0.conj().T @ blocks
     residual = operator_norm(W @ T @ W.conj().T - A)
     return SynthesisResult(

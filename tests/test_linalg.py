@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from csokit.ensembles import random_complex, random_unitary, stream
 from csokit.errors import CapacityError, InputError
@@ -10,10 +11,12 @@ from csokit.linalg import (
     Conjugation,
     as_matrix,
     check_seed,
+    column_phases,
     conjugate_by,
     direct_sum,
     operator_norm,
     polar_decompose,
+    power_of_two_scaled,
     singular_values,
     tensor,
     unitary_in_subspace,
@@ -81,6 +84,63 @@ def test_direct_sum_equals_scipy_block_diag():
         want = scipy.linalg.block_diag(*blocks).astype(complex)
         assert got.dtype == complex and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def column_phases_reference(cols):
+    """The scalar loop: one argmax, one pivot and one scalar abs per column."""
+    phases = np.ones(cols.shape[1], dtype=complex)
+    for i in range(cols.shape[1]):
+        pivot = cols[int(np.argmax(np.abs(cols[:, i]))), i]
+        if abs(pivot) > 0:
+            phases[i] = np.conj(pivot) / abs(pivot)
+    return phases
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    kind=st.sampled_from(["gauss", "unitary", "zero_column", "tied"]),
+    scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_phases_matches_the_scalar_loop_bit_for_bit(rows, cols, kind, scale, seed):
+    rng = stream(seed, 41)
+    X = random_complex(rng, rows, cols)
+    if kind == "unitary":
+        X = random_unitary(rng, rows)[:, : min(rows, cols)]
+    elif kind == "zero_column":
+        X[:, rng.integers(cols)] = 0
+    elif kind == "tied":  # a, -a, i a, conj(a), ... have one magnitude, bit for bit
+        a = X[0, 0]
+        X[:, 0] = np.resize([a, -a, 1j * a, np.conj(a)], rows)
+    X = X * scale
+    got = column_phases(X)
+    assert got.tobytes() == column_phases_reference(X).tobytes()
+    if kind == "tied":
+        assert got[0] == np.conj(X[0, 0]) / abs(X[0, 0])
+
+
+def test_column_phases_of_no_columns():
+    for shape in ((0, 0), (5, 0)):
+        phases = column_phases(np.zeros(shape, dtype=complex))
+        assert phases.shape == (0,) and phases.dtype == complex
+
+
+@pytest.mark.parametrize("scale", [1e-300, 0.75, 1.0, 1e300])
+def test_power_of_two_scaled_takes_its_exponent_from_the_largest_part(scale):
+    M = random_complex(stream(43, 1), 6, 4) * scale
+    A, e = power_of_two_scaled(M)
+    top = max(np.abs(M.real).max(), np.abs(M.imag).max())
+    assert 2.0 ** (e - 1) <= top < 2.0**e
+    assert np.array_equal(np.ldexp(A.real, e), M.real) and np.array_equal(np.ldexp(A.imag, e), M.imag)
+    assert 0.5 <= operator_norm(A) < np.sqrt(2) * 6
+
+
+def test_power_of_two_scaled_keeps_zero_and_empty_at_exponent_zero():
+    for M in (np.zeros((3, 3)), np.zeros((0, 0)), np.zeros((4, 0))):
+        A, e = power_of_two_scaled(M)
+        assert e == 0 and A.shape == M.shape and not A.any()
 
 
 def test_polar_decompose_properties():
