@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="analytic TTO unitarily equivalent to N")
     p.add_argument("--matrix", required=True)
-    _common(p, "seed")
+    _common(p)
 
     p = sub.add_parser("verify-paper", help="replay the whole certified suite")
     _common(p, "seed", "quad")
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthesize for N and N (+) 0 and compare residuals (experimental)",
     )
     p.add_argument("--matrix", required=True)
-    _common(p, "seed")
+    _common(p)
 
     return parser
 
@@ -152,7 +152,7 @@ def cmd_tto(args) -> int:
 
 def cmd_synthesize(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
-    res = synthesize_tto_for_nilpotent2(N, seed=args.seed)
+    res = synthesize_tto_for_nilpotent2(N)
     _emit(serialize.synthesis_to_json(res), args.out)
     return 0
 
@@ -195,8 +195,8 @@ def cmd_question1(args) -> int:
 
 def cmd_question2(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
-    base = synthesize_tto_for_nilpotent2(N, seed=args.seed)
-    padded = synthesize_tto_for_nilpotent2(direct_sum(N, np.zeros((1, 1))), seed=args.seed)
+    base = synthesize_tto_for_nilpotent2(N)
+    padded = synthesize_tto_for_nilpotent2(direct_sum(N, np.zeros((1, 1))))
     out = {
         "base": serialize.synthesis_to_json(base),
         "padded": serialize.synthesis_to_json(padded),

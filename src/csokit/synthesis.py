@@ -4,7 +4,8 @@ Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
 the r singular values of B as the modulus of the operator with a polynomial
 symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix
 L; closed forms at r <= 2, otherwise a damped Newton fit on the analytic
-Jacobian of the singular values), pad the leftover kernel with an
+Jacobian of the singular values, continued from one fixed start when the
+direct fit stalls, so no step is random), pad the leftover kernel with an
 inner factor v = z^m, and assemble the operator with symbol u v phi on the
 model space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the
 matrix reproduce the canonical shape exactly.  Every inner function is a
@@ -26,9 +27,8 @@ from .certify import nilpotent2_splitting
 from .linalg import as_matrix, check_seed, column_phases, operator_norm, singular_values
 from .modelspace import BlaschkeProduct, Symbol
 
-# realize_modulus: multi-start budget, Newton steps per start and step
-# halvings per Newton step, and the relative residual that counts as converged.
-_MODULUS_STARTS = 16
+# realize_modulus: Newton steps per fit, step halvings per Newton step (and
+# per continuation step), and the relative residual that counts as converged.
 _NEWTON_STEPS = 100
 _NEWTON_HALVINGS = 40
 _CONVERGED_REL = 1e-6
@@ -96,7 +96,7 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return np.where(mask, c[k], 0)
 
 
-def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
+def realize_modulus(targets) -> ModulusRealization:
     """Analytic operator on the model space of u = z^r with the r given singular values.
 
     On that space the operator with symbol phi is the lower-triangular
@@ -104,22 +104,29 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
     exactly and two targets have a closed form; otherwise the coefficients
     are fit by damped minimum-norm Newton steps on the singular values,
     whose Jacobian is read in closed form off the factors of the SVD that
-    gives them (_jacobian_from_svd).  The first start is
-    tmax (1, 1/2, ..., 1/2): its singular values are distinct, hence
+    gives them (_jacobian_from_svd).  The one start c0 is
+    tmax (1, 1/2, ..., 1/2): its singular values s0 are distinct, hence
     differentiable, whereas at a multiple of the identity they all coincide
-    and give no usable gradient.  Seeded random starts follow only if a fit
-    stalls, drawn from default_rng(SeedSequence(seed, spawn_key=(4,))),
-    which is made only then; the search stops at the first start whose
-    singular values match to 1e-12 of the largest target.  The result is
-    flagged converged when the achieved singular values match to 1e-6 of the
-    largest target; an unconverged fit is returned flagged, never raised.
+    and give no usable gradient.
+
+    The fit is a homotopy continuation from c0 along the targets
+    log t(lam) = (1 - lam) log s0 + lam log t, lam from 0 to 1, with the
+    Newton fit as its corrector from the last accepted point.  Its first
+    step is lam = 1 with the goal exactly t, a direct fit from c0, and s0 is
+    computed only if that fails.  A corrector that matches its goal to 1e-12
+    of the goal's largest value accepts its step and doubles the next one,
+    capped at 1 - lam; any other corrector halves the step, and
+    _NEWTON_HALVINGS halvings in a row end the continuation at the point of
+    lowest residual against t.  Two distinct targets keep the path strictly
+    decreasing, so its singular values stay simple.  The result is flagged
+    converged when the achieved singular values match to 1e-6 of the largest
+    target; an unconverged fit is returned flagged, never raised.
 
     The fit runs on the targets scaled by the power of two 2^-e that puts
     tmax in [1/2, 1), so that no square over- or underflows; the
     coefficients, achieved values and residual are scaled back by 2^e, which
     is exact.
     """
-    seed = check_seed(seed)
     t = np.sort(np.asarray(targets, dtype=float))[::-1]
     if t.size < 1:
         raise InputError("need at least one target singular value")
@@ -150,19 +157,29 @@ def realize_modulus(targets, seed: int = 0) -> ModulusRealization:
         c = np.array([np.sqrt(ts[0] * ts[1]), ts[0] - ts[1]], dtype=complex)
         return finish(c, singular_values(_lower_toeplitz(c)))
 
-    c = np.full(r, 0.5 * ts[0], dtype=complex)
-    c[0] = ts[0]
-    best = None
-    for idx in range(_MODULUS_STARTS):
-        if idx == 1:  # the first restart: only now is the seeded stream needed
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-        if idx:
-            c = (rng.standard_normal(2 * r) * ts[0]).view(complex)
-        c, s, res = _newton_fit(c, ts)
-        if best is None or res < best[0]:
-            best = (res, c, s)
-        if res <= 1e-12 * ts[0]:
-            break
+    c0 = np.full(r, 0.5 * ts[0], dtype=complex)
+    c0[0] = ts[0]
+    c, s, res = _newton_fit(c0, ts)
+    if res <= 1e-12 * ts[0]:
+        return finish(c, s)
+    # continuation from (c0, s0) along log t(lam) = (1 - lam) log s0 + lam log ts;
+    # the fit above was its first step, lam = 1, and it failed
+    best = (res, c, s)
+    log_s0, log_ts = np.log(singular_values(_lower_toeplitz(c0))), np.log(ts)
+    c, lam, step, halvings = c0, 0.0, 0.5, 1
+    while halvings < _NEWTON_HALVINGS:
+        goal_lam = min(lam + step, 1.0)
+        goal = ts if goal_lam == 1.0 else np.exp((1 - goal_lam) * log_s0 + goal_lam * log_ts)
+        c_new, s, res = _newton_fit(c, goal)
+        res_t = float(np.linalg.norm(s - ts))
+        if res_t < best[0]:
+            best = (res_t, c_new, s)
+        if res <= 1e-12 * goal[0]:
+            if goal is ts:
+                return finish(c_new, s)
+            c, lam, step, halvings = c_new, goal_lam, min(2 * step, 1 - goal_lam), 0
+        else:
+            step, halvings = step / 2, halvings + 1
     return finish(best[1], best[2])
 
 
@@ -226,8 +243,13 @@ def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
 
 
 def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
-    """Analytic model-space operator unitarily equivalent to N (N^2 = 0)."""
-    seed = check_seed(seed)
+    """Analytic model-space operator unitarily equivalent to N (N^2 = 0).
+
+    No step is random: seed is range-checked and not used.  It stays while
+    the benchmark passes it, and goes with the benchmark refresh (ROADMAP
+    item 1).
+    """
+    check_seed(seed)
     A = as_matrix(N, square=True)
     dim = A.shape[0]
     B, extra, W0 = canonical_nilpotent_parts(A)
@@ -248,7 +270,7 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
             modulus=None,
         )
 
-    realization = realize_modulus(np.diag(B).real, seed)
+    realization = realize_modulus(np.diag(B).real)
     phi = realization.phi.poly
 
     # Symbol u v phi = z^(r+m) phi on the model space of z^(2r+m): T is the

@@ -140,7 +140,7 @@ def test_criterion_7_synthesis_roundtrip_within_5min():
     ok = (
         e["status"] == "pass"
         and r["cases"] == 50
-        and r["successes"] >= 45
+        and r["successes"] == 50
         and not r["false_success"]
         and r["rank1_exact_residual"] <= 1e-10
         and dt <= 300.0
@@ -148,7 +148,7 @@ def test_criterion_7_synthesis_roundtrip_within_5min():
     report(
         7,
         ok,
-        f"synthesis round trip: {r['successes']}/50 converged (>= 45), no false "
+        f"synthesis round trip: {r['successes']}/50 converged (all 50), no false "
         f"successes, exact rank-one residual {r['rank1_exact_residual']:.3e} <= 1e-10, "
         f"runtime {dt:.1f}s <= 300s",
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import modelspace, synthesis
 from csokit.ensembles import random_nilpotent2, random_unitary, stream
-from csokit.errors import PreconditionError
+from csokit.errors import InputError, PreconditionError
 from csokit.linalg import operator_norm, singular_values
 from csokit.modelspace import tto_matrix
 from csokit.synthesis import (
@@ -40,14 +40,14 @@ def test_canonical_parts_shape():
 
 
 def test_realize_modulus_monomial_shortcut():
-    m = realize_modulus([1.5, 1.5, 1.5], 3)
+    m = realize_modulus([1.5, 1.5, 1.5])
     assert m.converged and m.residual <= 1e-10
     assert m.u.zeros == (0j, 0j, 0j)
     assert np.allclose(m.phi.poly, [1.5])
 
 
 def test_realize_modulus_rank_two_closed_form():
-    m = realize_modulus([2.0, 1.0], 2)
+    m = realize_modulus([2.0, 1.0])
     assert m.converged and m.residual <= 1e-10
     assert m.u.zeros == (0j, 0j)
     assert np.allclose(m.phi.poly, [np.sqrt(2.0), 1.0], atol=1e-12)
@@ -55,7 +55,7 @@ def test_realize_modulus_rank_two_closed_form():
 
 
 def test_realize_modulus_rank_three_search():
-    m = realize_modulus([2.5, 1.3, 0.4], seed=1)
+    m = realize_modulus([2.5, 1.3, 0.4])
     assert m.converged
     got = np.sort(m.achieved_singular_values)[::-1]
     assert np.max(np.abs(got - [2.5, 1.3, 0.4])) <= 1e-6 * 2.5
@@ -70,7 +70,7 @@ def test_realize_modulus_wide_spread_reaches_machine_precision():
         spread = 3000.0 ** rng.random() if case % 3 else 3000.0
         t = np.exp(rng.uniform(0.0, np.log(spread), rank))
         t[:2] = 1.0, spread  # pin both ends of the spread
-        m = realize_modulus(t, seed=case)
+        m = realize_modulus(t)
         got = np.sort(m.achieved_singular_values)[::-1]
         assert m.converged
         assert np.max(np.abs(got - np.sort(t)[::-1])) <= 1e-12 * spread, (rank, spread)
@@ -126,10 +126,10 @@ def test_modulus_jacobian_matches_the_r_term_loop_bit_for_bit(r, seed):
 
 
 def test_newton_fit_forms_a_jacobian_only_where_a_step_reads_it(monkeypatch):
-    # tmax in [1/2, 1), so the fit runs on t itself; one start converges, so
-    # no seeded stream is made
+    # tmax in [1/2, 1), so the fit runs on t itself; the direct fit
+    # converges, so the continuation takes no step
     t = np.array([0.9, 0.6, 0.35, 0.1])
-    residuals, toeplitz, jacobians, seed_sequences = [], [], [], []
+    residuals, toeplitz, jacobians = [], [], []
     svd, lower_toeplitz, jacobian = np.linalg.svd, synthesis._lower_toeplitz, synthesis._jacobian_from_svd
 
     def recording_svd(a, *args, **kwargs):
@@ -140,10 +140,8 @@ def test_newton_fit_forms_a_jacobian_only_where_a_step_reads_it(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(synthesis, "_lower_toeplitz", lambda c: toeplitz.append(1) or lower_toeplitz(c))
     monkeypatch.setattr(synthesis, "_jacobian_from_svd", lambda U, Vh: jacobians.append(1) or jacobian(U, Vh))
-    monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **k: seed_sequences.append(1))
     m = realize_modulus(t)
     assert m.converged and m.residual <= 1e-12
-    assert seed_sequences == []
     # one SVD per trial point; the first is the start, every later one a trial
     assert len(residuals) == len(toeplitz)
     current, reads = residuals[0], 1
@@ -155,20 +153,48 @@ def test_newton_fit_forms_a_jacobian_only_where_a_step_reads_it(monkeypatch):
     assert len(jacobians) == reads < len(residuals)
 
 
-def test_a_seeded_restart_draws_from_the_spawned_stream(monkeypatch):
-    # four close targets on which the first start stalls: the second start
-    # is the first draw of default_rng(SeedSequence(seed, spawn_key=(4,)))
-    t = np.array([1.0, 0.995, 0.992, 0.935])
-    starts = []
+def no_generator(*args, **kwargs):
+    raise AssertionError("realize_modulus made a random generator")
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        [1.0, 0.995, 0.992, 0.935],
+        [729945.2367, 519634.2726, 49835.1642, 47.8184, 29.6265, 27.5378, 12.8885, 7.9328, 1.0],
+    ],
+    ids=["close", "rank-9-wide"],
+)
+def test_stalling_targets_converge_by_continuation(monkeypatch, t):
+    # the direct fit from the fixed start stalls on both; the continuation
+    # fits them to rounding level and draws no random number
+    monkeypatch.setattr(np.random, "SeedSequence", no_generator)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    fits = []
     fit = synthesis._newton_fit
-    monkeypatch.setattr(synthesis, "_newton_fit", lambda c, ts: starts.append(c.copy()) or fit(c, ts))
-    for seed in (0, 3):
-        starts.clear()
-        realize_modulus(t, seed=seed)
-        assert len(starts) >= 2
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-        want = (rng.standard_normal(8) * 0.5).view(complex)  # t scaled by 2^-1
-        assert starts[1].tobytes() == want.tobytes()
+    monkeypatch.setattr(synthesis, "_newton_fit", lambda c, ts: fits.append(1) or fit(c, ts))
+    m = realize_modulus(t)
+    assert len(fits) >= 2
+    assert m.converged
+    assert m.residual <= 1e-12 * max(t)
+
+
+@pytest.mark.parametrize(
+    "t", [[0.9, 0.6, 0.35, 0.1], [2.5, 1.3, 0.4], [3000.0, 1.098, 1.0], [7.0, 5.0, 2.0, 1.5, 0.25]]
+)
+def test_a_direct_fit_is_the_reply_bit_for_bit(t):
+    # a target whose first fit reaches 1e-12 gets the phi of one Newton fit
+    # from tmax (1, 1/2, ..., 1/2), on the targets scaled by 2^-e
+    t = np.array(t)
+    e = int(np.frexp(t[0])[1])
+    ts = np.ldexp(t, -e)
+    c0 = np.full(t.size, 0.5 * ts[0], dtype=complex)
+    c0[0] = ts[0]
+    c, s, res = synthesis._newton_fit(c0, ts)
+    assert res <= 1e-12 * ts[0]
+    m = realize_modulus(t)
+    assert m.phi.poly.tobytes() == np.ldexp(c.view(float), e).view(complex).tobytes()
+    assert m.achieved_singular_values.tobytes() == np.ldexp(s, e).tobytes()
 
 
 def test_realize_modulus_wide_rank_three_target():
@@ -180,29 +206,29 @@ def test_realize_modulus_wide_rank_three_target():
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=48)
 @given(
-    rank=st.integers(3, 8),
-    log_spread=st.floats(0.0, 4.0),
+    rank=st.integers(3, 12),
+    log_spread=st.floats(0.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_realize_modulus_converges_to_rounding_level(rank, log_spread, seed):
     spread = 10.0**log_spread
     t = np.exp(stream(seed, 6).uniform(0.0, np.log(spread), rank))
     t[:2] = 1.0, spread
-    m = realize_modulus(t, seed=seed)
+    m = realize_modulus(t)
     assert m.converged
     assert m.residual <= 1e-12 * spread, (rank, spread)
 
 
 def test_realize_modulus_is_deterministic():
-    # the first start stalls on this target, so the seeded starts decide phi
+    # the direct fit stalls on this target, so the continuation decides phi
     t = [872.765, 65.927, 22.63, 1.374, 1.086, 1.044, 1.0]
-    a, b = realize_modulus(t, seed=5), realize_modulus(t, seed=5)
+    a, b = realize_modulus(t), realize_modulus(t)
     assert np.array_equal(a.phi.poly, b.phi.poly)
 
 
 def test_synthesize_exact_rank_one():
     N = np.array([[0.0, 0.0], [2.0, 0.0]])
-    res = synthesize_tto_for_nilpotent2(N, seed=0)
+    res = synthesize_tto_for_nilpotent2(N)
     assert res.converged
     assert res.equivalence_residual <= 1e-10
     assert res.u_total.zeros == (0j, 0j)
@@ -214,7 +240,7 @@ def test_synthesize_exact_rank_one():
 
 
 def test_synthesize_zero_operator():
-    res = synthesize_tto_for_nilpotent2(np.zeros((3, 3)), seed=0)
+    res = synthesize_tto_for_nilpotent2(np.zeros((3, 3)))
     assert res.converged
     assert res.equivalence_residual <= 1e-12
     assert operator_norm(res.tto) <= 1e-12
@@ -224,7 +250,7 @@ def test_synthesize_zero_operator():
 def test_synthesize_jordan_block_with_kernel_padding():
     N = np.zeros((3, 3), dtype=complex)
     N[2, 0] = 1.0
-    res = synthesize_tto_for_nilpotent2(N, seed=0)
+    res = synthesize_tto_for_nilpotent2(N)
     assert res.converged
     assert res.equivalence_residual <= 1e-8
     assert res.u_total.degree == 3
@@ -235,7 +261,7 @@ def test_synthesize_jordan_block_with_kernel_padding():
 def test_synthesize_random_rank_three():
     rng = stream(19, 1)
     N = random_nilpotent2(rng, 7, rank=3)
-    res = synthesize_tto_for_nilpotent2(N, seed=3)
+    res = synthesize_tto_for_nilpotent2(N)
     assert res.converged
     nrm = operator_norm(N)
     assert res.equivalence_residual <= 1e-6 * nrm
@@ -247,9 +273,17 @@ def test_synthesize_random_rank_three():
     assert res.symbol_total.is_polynomial
 
 
+def test_synthesize_seed_is_range_checked_and_read_by_nothing():
+    N = coupled([1.0, 0.995, 0.992, 0.935])  # a target the continuation fits
+    a, b = synthesize_tto_for_nilpotent2(N), synthesize_tto_for_nilpotent2(N, seed=7)
+    assert a.W.tobytes() == b.W.tobytes() and a.tto.tobytes() == b.tto.tobytes()
+    with pytest.raises(InputError):
+        synthesize_tto_for_nilpotent2(N, seed=-1)
+
+
 def test_synthesize_rejects_higher_order():
     with pytest.raises(PreconditionError):
-        synthesize_tto_for_nilpotent2(jordan(3), seed=0)
+        synthesize_tto_for_nilpotent2(jordan(3))
 
 
 
@@ -267,7 +301,7 @@ def test_synthesize_is_scale_invariant(rank, scale):
     # the fit runs at unit scale, so neither tiny nor huge singular values
     # over- or underflow or pass on an absolute residual floor
     N = coupled([3.0, 1.7, 1.1, 0.2][:rank], scale=scale)
-    res = synthesize_tto_for_nilpotent2(N, seed=0)
+    res = synthesize_tto_for_nilpotent2(N)
     W, nrm = res.W, operator_norm(N)
     assert res.converged
     assert operator_norm(W @ res.tto @ W.conj().T - N) <= 1e-12 * nrm
@@ -296,7 +330,7 @@ def test_synthesis_lapack_work(monkeypatch, rank, extra):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     init = modelspace.ModelSpace.__init__
     monkeypatch.setattr(modelspace.ModelSpace, "__init__", counting("ModelSpace", init))
-    assert synthesize_tto_for_nilpotent2(N, seed=0).converged
+    assert synthesize_tto_for_nilpotent2(N).converged
     assert calls["svd"] == 4 + (extra > 0)
     assert calls["eigh"] == calls["solve"] == calls["ModelSpace"] == 0
 
@@ -319,7 +353,7 @@ def test_one_svd_frame_on_degenerate_spectra(rank, extra, equal, seed):
         t[1] = t[0]
     Q = random_unitary(rng, 2 * rank + extra)
     N = Q @ coupled(t, extra) @ Q.conj().T
-    res = synthesize_tto_for_nilpotent2(N, seed=seed)
+    res = synthesize_tto_for_nilpotent2(N)
     W = res.W
     assert res.converged
     assert operator_norm(W @ W.conj().T - np.eye(len(N))) <= 1e-12
