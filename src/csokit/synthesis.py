@@ -3,17 +3,18 @@
 Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
 the r singular values of B as the modulus of the operator with a polynomial
 symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix
-L; closed forms at r <= 2, otherwise a damped Newton fit on the analytic
-Jacobian of the singular values, continued from one fixed start when the
-direct fit stalls, so no step is random), pad the leftover kernel with an
-inner factor v = z^m, and assemble the operator with symbol u v phi on the
-model space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the
-matrix reproduce the canonical shape exactly.  Every inner function is a
-power of z, so that frame is the monomial basis of the big space in order,
-and the operator is the lower-triangular Toeplitz matrix of u v phi's
-coefficients, built by index with L as its corner block.  One SVD of L gives
-both frame blocks of the unitary W conjugating the built operator onto N,
-which is returned with a recomputable equivalence residual.
+L with real coefficients; closed forms at r <= 2, otherwise a damped Newton
+fit whose every step is one square solve with the real r x r Jacobian of the
+singular values, continued from one fixed start when the direct fit stalls,
+so no step is random), pad the leftover kernel with an inner factor v = z^m,
+and assemble the operator with symbol u v phi on the model space of u^2 v,
+whose three-way frame K_u + u K_v + u v K_u makes the matrix reproduce the
+canonical shape exactly.  Every inner function is a power of z, so that
+frame is the monomial basis of the big space in order, and the operator is
+the lower-triangular Toeplitz matrix of u v phi's coefficients, built by
+index with L as its corner block.  One SVD of L gives both frame blocks of
+the unitary W conjugating the built operator onto N, which is returned with
+a recomputable equivalence residual.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .certify import nilpotent2_splitting
-from .linalg import as_matrix, check_seed, column_phases, operator_norm, singular_values
+from .linalg import as_matrix, check_seed, column_phases, operator_norm
 from .modelspace import BlaschkeProduct, Symbol
 
 # realize_modulus: Newton steps per fit, step halvings per Newton step (and
@@ -83,7 +84,9 @@ def canonical_nilpotent_parts(N):
     return np.diag(form.singular_values), form.extra_kernel_dim, W0
 
 
-@functools.lru_cache(maxsize=None)
+# few sizes recur (the fit's r and the operator's 2r + m), and each entry
+# holds 9 n^2 bytes, so only the 16 most recently used sizes are kept
+@functools.lru_cache(maxsize=16)
 def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.subtract.outer(np.arange(n), np.arange(n))  # entry (i, j) is c[i - j]
     mask = k >= 0
@@ -100,14 +103,17 @@ def realize_modulus(targets) -> ModulusRealization:
     """Analytic operator on the model space of u = z^r with the r given singular values.
 
     On that space the operator with symbol phi is the lower-triangular
-    Toeplitz matrix of phi's coefficients.  Equal targets t give phi = t
-    exactly and two targets have a closed form; otherwise the coefficients
-    are fit by damped minimum-norm Newton steps on the singular values,
-    whose Jacobian is read in closed form off the factors of the SVD that
-    gives them (_jacobian_from_svd).  The one start c0 is
-    tmax (1, 1/2, ..., 1/2): its singular values s0 are distinct, hence
-    differentiable, whereas at a multiple of the identity they all coincide
-    and give no usable gradient.
+    Toeplitz matrix of phi's coefficients, and real coefficients suffice.
+    Equal targets t give phi = t exactly and two targets have a closed form;
+    otherwise the coefficients are fit by damped Newton steps on the singular
+    values, each the solution of the square real r x r system whose matrix is
+    their Jacobian, read in closed form off the factors of the SVD that gives
+    them (_jacobian_from_svd).  The one start c0 is tmax (1, 1/2, ..., 1/2):
+    its singular values s0 are distinct, hence differentiable, whereas at a
+    multiple of the identity they all coincide and give no usable gradient.
+    At a real c the Jacobian in Im c is 0, so over complex c the
+    minimum-norm Newton step is real; the fit therefore has r real unknowns,
+    and phi is complex only in the returned Symbol.
 
     The fit is a homotopy continuation from c0 along the targets
     log t(lam) = (1 - lam) log s0 + lam log t, lam from 0 to 1, with the
@@ -136,11 +142,13 @@ def realize_modulus(targets) -> ModulusRealization:
     e = int(np.frexp(t[0])[1])
     ts = np.ldexp(t, -e)
 
-    def finish(c: np.ndarray, achieved: np.ndarray) -> ModulusRealization:
+    def finish(c: np.ndarray, achieved: np.ndarray | None = None) -> ModulusRealization:
+        if achieved is None:
+            achieved = np.linalg.svd(_lower_toeplitz(c), compute_uv=False)
         residual = float(np.linalg.norm(achieved - ts))
         return ModulusRealization(
             u=BlaschkeProduct([0.0] * r),
-            phi=Symbol(poly=np.ldexp(c.view(float), e).view(complex)),
+            phi=Symbol(poly=np.ldexp(c, e)),
             target_singular_values=t.copy(),
             achieved_singular_values=np.ldexp(achieved, e),
             residual=float(np.ldexp(residual, e)),
@@ -148,16 +156,15 @@ def realize_modulus(targets) -> ModulusRealization:
         )
 
     if np.all(ts == ts[0]):
-        c = np.zeros(r, dtype=complex)
+        c = np.zeros(r)
         c[0] = ts[0]
-        return finish(c, singular_values(_lower_toeplitz(c)))
+        return finish(c)
     if r == 2:
         # closed form: [[c0,0],[c1,c0]] has |A|^2 with trace 2c0^2 + c1^2 and
         # determinant c0^4, so c0 = sqrt(t0 t1), c1 = t0 - t1 hits (t0, t1)
-        c = np.array([np.sqrt(ts[0] * ts[1]), ts[0] - ts[1]], dtype=complex)
-        return finish(c, singular_values(_lower_toeplitz(c)))
+        return finish(np.array([np.sqrt(ts[0] * ts[1]), ts[0] - ts[1]]))
 
-    c0 = np.full(r, 0.5 * ts[0], dtype=complex)
+    c0 = np.full(r, 0.5 * ts[0])
     c0[0] = ts[0]
     c, s, res = _newton_fit(c0, ts)
     if res <= 1e-12 * ts[0]:
@@ -165,7 +172,7 @@ def realize_modulus(targets) -> ModulusRealization:
     # continuation from (c0, s0) along log t(lam) = (1 - lam) log s0 + lam log ts;
     # the fit above was its first step, lam = 1, and it failed
     best = (res, c, s)
-    log_s0, log_ts = np.log(singular_values(_lower_toeplitz(c0))), np.log(ts)
+    log_s0, log_ts = np.log(np.linalg.svd(_lower_toeplitz(c0), compute_uv=False)), np.log(ts)
     c, lam, step, halvings = c0, 0.0, 0.5, 1
     while halvings < _NEWTON_HALVINGS:
         goal_lam = min(lam + step, 1.0)
@@ -184,48 +191,48 @@ def realize_modulus(targets) -> ModulusRealization:
 
 
 def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of lower-Toeplitz(c), descending, and their r x 2r
-    Jacobian in (Re c, Im c)."""
+    """Singular values of lower-Toeplitz(c) for real c, descending, and their
+    real r x r Jacobian in c."""
     U, s, Vh = np.linalg.svd(_lower_toeplitz(c))
     return s, _jacobian_from_svd(U, Vh)
 
 
 def _jacobian_from_svd(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
-    """The r x 2r Jacobian of the singular values of L = U diag(s) V* =
-    sum_j c_j S^j (S the down shift) in (Re c, Im c).
+    """The real r x r Jacobian D of the singular values of the real
+    L = U diag(s) V^T = sum_j c_j S^j (S the down shift) in c.
 
-    A simple singular value moves by d s_k = Re(u_k* dL v_k), so
-    ds_k/dRe c_j = Re D[k, j] and ds_k/dIm c_j = -Im D[k, j] with
-    D[k, j] = u_k* S^j v_k = sum_{l >= j} conj(U[l, k]) V[l - j, k].  All r
+    A simple singular value moves by d s_k = u_k^T dL v_k, so
+    D[k, j] = u_k^T S^j v_k = sum_{l >= j} U[l, k] V[l - j, k].  All r
     shifts S^j V are gathered at once by L's own Toeplitz index, and the
     products are summed over l in order, so each entry is bit for bit the
     sum over its r - j terms alone (the leading zero terms change nothing).
     """
     index, mask = _toeplitz_index(U.shape[0])
-    shifted = np.where(mask[:, :, None], Vh.conj().T[index], 0)  # entry (l, j) is row l of S^j V
-    D = (U.conj()[:, None, :] * shifted).sum(axis=0).T
-    return np.hstack([D.real, -D.imag])
+    shifted = np.where(mask[:, :, None], Vh.T[index], 0)  # entry (l, j) is row l of S^j V
+    return (U[:, None, :] * shifted).sum(axis=0).T
 
 
 def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Damped minimum-norm Newton for the singular values of lower-Toeplitz(c) = t.
+    """Damped Newton for the singular values of lower-Toeplitz(c) = t, c real.
 
-    Each step is the minimum-norm least-squares solution of J dc = t - s,
-    halved until the residual ||s - t|| decreases.  Once the residual is at
-    or below 1e-12 of the largest target, one more full step is kept if it
-    lowers the residual, and the fit stops.  Returns the best coefficients,
-    their singular values and their residual.
+    Each step solves the square system D dc = t - s with the real r x r
+    Jacobian D, and is halved until the residual ||s - t|| decreases.  Once
+    the residual is at or below 1e-12 of the largest target, one more full
+    step is kept if it lowers the residual, and the fit stops.  A step that
+    fails every halving, or an exactly singular D, ends the fit.  Returns the
+    best coefficients, their singular values and their residual.
 
-    Every trial point costs one SVD, which gives its singular values; the
-    Jacobian is formed from that SVD's factors only where the next step
+    Every trial point costs one real SVD, which gives its singular values;
+    the Jacobian is formed from that SVD's factors only where the next step
     reads it: at the start and after each accepted step but the polish step.
     """
-    r = t.size
     s, J = _modulus_jacobian(c)
     res = float(np.linalg.norm(s - t))
     for _ in range(_NEWTON_STEPS):
-        step = np.linalg.lstsq(J, t - s, rcond=None)[0]
-        step = step[:r] + 1j * step[r:]
+        try:
+            step = np.linalg.solve(J, t - s)
+        except np.linalg.LinAlgError:  # exactly singular: no Newton step exists
+            break
         polish = res <= 1e-12 * t[0]
         for _ in range(1 if polish else _NEWTON_HALVINGS):
             U, s_new, Vh = np.linalg.svd(_lower_toeplitz(c + step))

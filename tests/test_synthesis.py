@@ -91,14 +91,16 @@ def test_lower_toeplitz_equals_scipy_toeplitz():
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_modulus_jacobian_matches_central_differences(r):
     rng = stream(23, r)
-    c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    c = rng.standard_normal(r)
     s, J = _modulus_jacobian(c)
-    assert np.allclose(s, singular_values(_lower_toeplitz(c)), rtol=1e-14, atol=0)
+    assert J.shape == (r, r) and J.dtype == np.float64
+    # the complex SVD of the same real matrix agrees to rounding in ||L||
+    assert np.allclose(s, singular_values(_lower_toeplitz(c)), rtol=0, atol=1e-14 * s[0])
     h = 1e-6
     fd = np.empty_like(J)
-    for j in range(2 * r):
-        dc = np.zeros(r, dtype=complex)
-        dc[j % r] = h if j < r else 1j * h
+    for j in range(r):
+        dc = np.zeros(r)
+        dc[j] = h
         plus = singular_values(_lower_toeplitz(c + dc))
         minus = singular_values(_lower_toeplitz(c - dc))
         fd[:, j] = (plus - minus) / (2 * h)
@@ -106,22 +108,21 @@ def test_modulus_jacobian_matches_central_differences(r):
 
 
 def modulus_jacobian_reference(c):
-    """The r-term loop: column j of D sums conj(U[j:]) * V[:r - j] over rows."""
+    """The r-term loop: column j of D sums U[j:] * V[:r - j] over rows."""
     r = c.size
     U, s, Vh = np.linalg.svd(_lower_toeplitz(c))
-    Uc, V = U.conj(), Vh.conj().T
-    D = np.array([np.sum(Uc[j:] * V[: r - j], axis=0) for j in range(r)]).T
-    return s, np.hstack([D.real, -D.imag])
+    V = Vh.T
+    D = np.array([np.sum(U[j:] * V[: r - j], axis=0) for j in range(r)]).T
+    return s, D
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_modulus_jacobian_matches_the_r_term_loop_bit_for_bit(r, seed):
-    rng = stream(seed, 37)
-    c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    c = stream(seed, 37).standard_normal(r)
     s, J = _modulus_jacobian(c)
     s_ref, J_ref = modulus_jacobian_reference(c)
-    assert J.shape == (r, 2 * r)
+    assert J.shape == (r, r) and J.dtype == np.float64
     assert s.tobytes() == s_ref.tobytes() and J.tobytes() == J_ref.tobytes()
 
 
@@ -188,17 +189,17 @@ def test_a_direct_fit_is_the_reply_bit_for_bit(t):
     t = np.array(t)
     e = int(np.frexp(t[0])[1])
     ts = np.ldexp(t, -e)
-    c0 = np.full(t.size, 0.5 * ts[0], dtype=complex)
+    c0 = np.full(t.size, 0.5 * ts[0])
     c0[0] = ts[0]
     c, s, res = synthesis._newton_fit(c0, ts)
     assert res <= 1e-12 * ts[0]
     m = realize_modulus(t)
-    assert m.phi.poly.tobytes() == np.ldexp(c.view(float), e).view(complex).tobytes()
+    assert m.phi.poly.tobytes() == np.ldexp(c, e).astype(complex).tobytes()
     assert m.achieved_singular_values.tobytes() == np.ldexp(s, e).tobytes()
 
 
 def test_realize_modulus_wide_rank_three_target():
-    # realizable, with c1/c0 = 14.17 and c2/c0 = 200.6 - 0.38i
+    # realizable by real coefficients, with c1/c0 = 14.18 and c2/c0 = 200.62
     m = realize_modulus([3000.0, 1.098, 1.0])
     assert m.converged
     assert m.residual <= 1e-12 * 3000.0
@@ -217,6 +218,64 @@ def test_realize_modulus_converges_to_rounding_level(rank, log_spread, seed):
     m = realize_modulus(t)
     assert m.converged
     assert m.residual <= 1e-12 * spread, (rank, spread)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=48)
+@given(
+    rank=st.integers(3, 12),
+    log_spread=st.floats(0.0, 6.0),
+    repeats=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_fit_runs_in_real_arithmetic(rank, log_spread, repeats, seed):
+    # repeated targets bring the Jacobian closest to singular; every SVD the
+    # fit takes is of a float64 matrix, no least-squares solve is made, and
+    # phi comes back with imaginary part exactly 0
+    rng = stream(seed, 61)
+    spread = 10.0**log_spread
+    t = np.exp(rng.uniform(0.0, np.log(spread), rank))
+    t[:2] = 1.0, spread
+    k = min(repeats, rank - 1)
+    t[rng.integers(rank, size=k)] = t[rng.integers(rank, size=k)]
+    dtypes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("realize_modulus called lstsq")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", recording_svd)
+        mp.setattr(np.linalg, "lstsq", no_lstsq)
+        m = realize_modulus(t)
+    assert dtypes and all(d == np.float64 for d in dtypes)
+    assert not np.any(m.phi.poly.imag)
+    assert m.converged
+    assert m.residual <= 1e-12 * spread, (rank, spread)
+
+
+def test_a_singular_jacobian_ends_the_fit_and_the_continuation_recovers(monkeypatch):
+    # an exactly singular Jacobian makes np.linalg.solve raise; that fit ends
+    # at its best point, as a step that fails every halving does, and the
+    # continuation still fits the targets
+    t = [0.9, 0.6, 0.35, 0.1]
+    calls = []
+    solve = np.linalg.solve
+
+    def singular_once(a, b):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    m = realize_modulus(t)
+    assert len(calls) > 1
+    assert m.converged
+    assert m.residual <= 1e-12 * max(t)
 
 
 def test_realize_modulus_is_deterministic():
