@@ -8,9 +8,15 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 1. Nilpotents of order two, as ``nilpotent2_splitting`` decides from one
    SVD (||T^2|| <= tol ||T||^2 and a rank r with 2r <= n at the same tol):
    an explicit G from that SVD.  A T that fails either margin goes on to
-   the routes below.
+   the routes below.  A T whose Frobenius bound on ||T^2|| / ||T||^2
+   already exceeds twice tol (and the rounding floor) skips that SVD,
+   which could only refuse it.
 2. Transpose-symmetric matrices: G = I.
-3. The polar factor of a symmetric intertwiner.  The joint intertwiner
+3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above 16 tol
+   ||T||^3 rules out every G that could verify at tol, so the certificate
+   the word search (5) would return is returned before J(T) is built.
+   This decides a generic matrix at O(n^3).
+4. The polar factor of a symmetric intertwiner.  The joint intertwiner
    space J(T) = {X : T X = X T^t, T* X = X conj(T)} holds every symmetric
    unitary G with T G = G T^t.  For X in J(T), X* X commutes with T^t and
    conj(T), so an invertible X has its polar factor in J(T), and a
@@ -24,9 +30,10 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    system for clusters of sizes m_i: O(n^4) time and 2 n^3 entries on a
    simple spectrum.  A system past the tensor cap is a CapacityError, held
    until the fallback below has been tried.
-4. If no candidate is verified, the word-norm obstruction search over all
-   62 words of length at most 5.
-5. The fallback, the Hermitian-part phase test
+5. If no candidate is verified, the word-norm obstruction search over all
+   62 words of length at most 5.  A gap counts only above
+   max(tol, GAP_FLOOR L n) ||T||^L, so rounding is never an obstruction.
+6. The fallback, the Hermitian-part phase test
    (``hermitian_phase_conjugation``): an O(n^3) candidate G, built from the
    eigenvectors of Re(e^{i theta} T), for a T complex symmetric only at a
    tol looser than the cut of J(T).  If it is not verified, a held
@@ -67,6 +74,22 @@ from .words import (
     word_products,
     words_of_length,
 )
+
+#: Rounding floor of a word-norm gap, per letter and per dimension.  A word of
+#: length L multiplied out at n x n and normed by an SVD errs by well under
+#: L n eps ||T||^L: over 600 rotated CSO matrices of n = 2-32, half with
+#: singular values spread to 1e6, the largest gap of the 62 words of length
+#: at most 5 was 6.3 eps ||T||^L, and 0.67 L n eps ||T||^L.  So a gap counts
+#: only above max(tol, GAP_FLOOR L n) ||T||^L.  At the default tol the floor
+#: stays below tol up to n = 4096.
+GAP_FLOOR = 16 * np.finfo(float).eps
+
+_NORM_OVERFLOWS = "||T|| overflows: it is past the largest double; rescale T"
+
+
+def _gap_cut(tol: float, length: int, n: int) -> float:
+    """The relative cut a gap of a length-L word must pass: max(tol, GAP_FLOOR L n)."""
+    return max(tol, GAP_FLOOR * length * max(n, 1))
 
 
 @dataclass
@@ -144,7 +167,9 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
     its bound, the Frobenius norm, exceeds tol) and its rank
     r = #{s_i > tol s_0} has 2r <= n.  A T that fails either margin raises
     one PreconditionError naming it; certify, the destructor and synthesis
-    decide "order two" here and nowhere else.  A T whose norm overflows is an InputError.  W* has
+    decide "order two" here and nowhere else (certify skips the call only
+    for a T that ``_order_two_ruled_out`` shows it would refuse).  A T
+    whose norm overflows is an InputError.  W* has
     the columns right (V's first r columns, each with its largest entry made
     real positive), left (U's, with the same phases, so T right_i = s_i
     left_i) and rest (ker T outside ran T, from one more SVD when n > 2r).
@@ -155,7 +180,7 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
     U, s, Vh = np.linalg.svd(A)
     nrm = float(s[0]) if n else 0.0
     if nrm == np.inf:
-        raise InputError("||T|| overflows: it is past the largest double; rescale T")
+        raise InputError(_NORM_OVERFLOWS)
     if nrm > 0:
         unit = A.real / nrm + 1j * (A.imag / nrm)
         square = unit @ unit
@@ -341,6 +366,51 @@ def hermitian_phase_conjugation(T) -> Conjugation:
     return Conjugation(0.5 * (G + G.T))
 
 
+def _order_two_ruled_out(B: np.ndarray, tol: float) -> bool:
+    """Whether ``nilpotent2_splitting`` at tol must refuse B, decided with no SVD.
+
+    ||B^2|| >= ||B^2||_F / sqrt(n) and ||B|| <= ||B||_F, so
+    ||B^2|| / ||B||^2 >= ||B^2||_F / (sqrt(n) ||B||_F^2).  The rounding of
+    that bound, and of the ratio the splitting computes, is at most about
+    n^2 eps (a product of two n x n matrices errs by n eps |B| |B|, and
+    || |B| |B| || <= n ||B||^2), so a bound above 2 max(tol, GAP_FLOOR n^2),
+    which is at least tol + GAP_FLOOR n^2, puts the splitting's ratio
+    above tol.  B = 0 is not ruled out.
+    """
+    n = B.shape[0]
+    frob = float(np.linalg.norm(B))
+    if frob == 0:
+        return False
+    bound = np.linalg.norm(B @ B) / (math.sqrt(n) * frob * frob)
+    return bound > 2 * max(tol, GAP_FLOOR * n * n)
+
+
+def _xxy_obstruction(
+    B: np.ndarray, e: int, unit_nrm: float, tol: float
+) -> tuple[str, float] | None:
+    """The word search's certificate ("xxy", gap), if the xxy gap alone rules out every G.
+
+    B = T / 2^e with ``unit_nrm`` = ||B||, as ``word_obstruction_search``
+    takes them, and the gap is taken as it takes it, so a hit here is its
+    certificate bit for bit: no word of length 1 or 2 has a gap beyond
+    rounding (||T|| = ||T*||, ||T^2|| = ||T*^2||, ||T T*|| = ||T* T||), and
+    xxy comes first of length 3.  The hit needs a gap above
+    16 max(tol, GAP_FLOOR 3 n) ||B||^3, and no G that ``_verified_residual``
+    accepts at tol <= 1/32 leaves one: its polar factor U is within about
+    tol of G, so ||T - S|| <= d = (4 tol + tol^2) ||T|| for S = U T^t U*,
+    and ||xxy(S)|| = ||T* T T|| = ||yyx(T)||, so the gap is at most
+    ((1 + d / ||T||)^3 - 1) ||T||^3 <= 13.7 tol ||T||^3, plus rounding
+    below the floor.  So where this returns a word, the polar factors of
+    J(T) could not have verified.  A larger tol is never screened.
+    """
+    if tol > 1 / 32:
+        return None
+    gap = float(word_norm_gaps(B, ["xxy"])[0])
+    if gap > 16 * _gap_cut(tol, 3, B.shape[0]) * unit_nrm**3:
+        return "xxy", _gap_in_units("xxy", gap, unit_nrm, e)
+    return None
+
+
 def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     """Complex-symmetry decision: a verified conjugation, a word, or neither.
 
@@ -349,26 +419,32 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     otherwise the Hermitian-part phase conjugation is tried, and if that is
     not verified either the result is "inconclusive" with the constructive
     residual.  Such a T never reaches the word search, so it is never
-    "obstructed" (the destructor calls it indestructible).  Any other T
-    takes the general routes: G = I if T is transpose-symmetric, else the
-    polar factors that ``unitary_in_subspace`` takes of the symmetric half
-    of the joint intertwiner space J(T) (``intertwiner_basis``), each
-    re-verified before it is reported.  If none verifies, the word-norm
-    obstruction search runs over every word of length at most 5 and a
-    violating word gives "obstructed".  Last, the Hermitian-part phase
-    conjugation is reported if it is verified at tol.  Without it, a system
-    for J(T) past the tensor cap is a CapacityError, and otherwise the
-    result is "inconclusive", a valid outcome.
+    "obstructed" (the destructor calls it indestructible).  A T whose
+    Frobenius bound rules order two out (``_order_two_ruled_out``) skips
+    the splitting's SVD.  Any other T takes the general routes: G = I if T
+    is transpose-symmetric; else "obstructed" by xxy if its gap rules out
+    every G at tol (``_xxy_obstruction``, the word search's own
+    certificate, taken before J(T) is built); else the polar factors that
+    ``unitary_in_subspace`` takes of the symmetric half of the joint
+    intertwiner space J(T) (``intertwiner_basis``), each re-verified before
+    it is reported.  If none verifies, the word-norm obstruction search
+    runs over every word of length at most 5 and a violating word gives
+    "obstructed".  Last, the Hermitian-part phase conjugation is reported
+    if it is verified at tol.  Without it, a system for J(T) past the
+    tensor cap is a CapacityError, and otherwise the result is
+    "inconclusive", a valid outcome.  A T whose norm overflows is an
+    InputError.
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     n = A.shape[0]
+    B, e = power_of_two_scaled(A)
 
     try:
-        form = nilpotent2_splitting(A, tol)
+        form = None if _order_two_ruled_out(B, tol) else nilpotent2_splitting(A, tol)
     except PreconditionError:
-        pass  # not of order two: the general routes below decide
-    else:
+        form = None  # not of order two: the general routes below decide
+    if form is not None:
         C = conjugation_for_nilpotent2(form)
         ok, residual = _verified_residual(A, C, tol, form.norm)
         if ok:
@@ -381,6 +457,10 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
             return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
         return CsoCertificate("inconclusive", residual=residual)
 
+    unit_nrm = operator_norm(B)
+    if times_power_of_two(unit_nrm, e) == np.inf:
+        raise InputError(_NORM_OVERFLOWS)
+
     # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
     nrm, skew = operator_norms([A, A - A.T]).tolist()
     if nrm > 0 and skew <= tol * nrm:
@@ -388,17 +468,18 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
         return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
     held = None
-    try:
-        candidates = unitary_in_subspace(intertwiner_basis(A), n)
-    except CapacityError as exc:
-        held, candidates = exc, ()
-    for W in candidates:
-        C = Conjugation(W)
-        ok, residual = _verified_residual(A, C, tol, nrm)
-        if ok:
-            return CsoCertificate("c_symmetric", residual, conjugation=C)
-
-    found = word_obstruction_search(A, tol=tol)
+    found = _xxy_obstruction(B, e, unit_nrm, tol)
+    if found is None:
+        try:
+            candidates = unitary_in_subspace(intertwiner_basis(A), n)
+        except CapacityError as exc:
+            held, candidates = exc, ()
+        for W in candidates:
+            C = Conjugation(W)
+            ok, residual = _verified_residual(A, C, tol, nrm)
+            if ok:
+                return CsoCertificate("c_symmetric", residual, conjugation=C)
+        found = word_obstruction_search(A, tol=tol)
     if found is not None:
         word, gap = found
         return CsoCertificate(
@@ -475,12 +556,13 @@ def polynomial_norm_gap(p: dict[str, complex], T) -> float:
 def word_obstruction_search(
     T, max_len: int = 5, tol: float = DEFAULT_TOL
 ) -> tuple[str, float] | None:
-    """First word w with | ||w(T,T*)|| - ||w(T*,T)|| | > tol * ||T||^len.
+    """First word w with | ||w(T,T*)|| - ||w(T*,T)|| | > max(tol, GAP_FLOOR L n) ||T||^L.
 
-    Words are enumerated length-lexicographically with x < y.  Such a word
-    certifies that T admits no conjugation; absence of one proves nothing.
-    The gaps come from ``word_norm_gaps`` one length at a time, so an early
-    hit such as xxy costs only the words up to its length.
+    Words are enumerated length-lexicographically with x < y, L = len(w).
+    Such a word certifies that T admits no conjugation; absence of one
+    proves nothing.  The floor keeps a rounding gap from counting at a tol
+    below it.  The gaps come from ``word_norm_gaps`` one length at a time,
+    so an early hit such as xxy costs only the words up to its length.
 
     The search runs on T scaled by a power of two to norm in
     [1/2, sqrt(2) n), so its word products neither overflow nor underflow,
@@ -495,18 +577,23 @@ def word_obstruction_search(
     for length in range(1, max_len + 1):
         for batch in _batches(words_of_length(length), n):
             gaps = word_norm_gaps(A, batch)
-            hits = np.flatnonzero(gaps > tol * nrm**length)
+            hits = np.flatnonzero(gaps > _gap_cut(tol, length, n) * nrm**length)
             if hits.size:
-                word, unit_gap = batch[hits[0]], float(gaps[hits[0]])
-                gap = times_power_of_two(unit_gap, e * length)
-                if not 0 < gap < np.inf:
-                    raise PreconditionError(
-                        f"||T|| = {times_power_of_two(nrm, e):.3e} is out of range for the "
-                        f"word norms: {word} separates T / 2^{e} by {unit_gap:.3e}, which is "
-                        f"{gap:g} in T's units; rescale T"
-                    )
-                return word, gap
+                word = batch[hits[0]]
+                return word, _gap_in_units(word, float(gaps[hits[0]]), nrm, e)
     return None
+
+
+def _gap_in_units(word: str, unit_gap: float, unit_nrm: float, e: int) -> float:
+    """A gap of ``word`` at T / 2^e taken back to T's units; out of range is a PreconditionError."""
+    gap = times_power_of_two(unit_gap, e * len(word))
+    if not 0 < gap < np.inf:
+        raise PreconditionError(
+            f"||T|| = {times_power_of_two(unit_nrm, e):.3e} is out of range for the "
+            f"word norms: {word} separates T / 2^{e} by {unit_gap:.3e}, which is "
+            f"{gap:g} in T's units; rescale T"
+        )
+    return gap
 
 
 def polynomial_obstruction_search(
@@ -515,7 +602,8 @@ def polynomial_obstruction_search(
     """Sampled search for a polynomial norm-identity violation on T.
 
     Returns search statistics and the best candidate found.  A gap above
-    threshold certifies that T is not complex symmetric; finding none says
+    max(tol, GAP_FLOOR L n) sum |c_w| ||T||^len(w), L the longest word of the
+    polynomial, certifies that T is not complex symmetric; finding none says
     nothing either way, and the result never claims more.  The samples'
     gaps are computed a batch at a time from one word table per batch.
 
@@ -541,10 +629,11 @@ def polynomial_obstruction_search(
     best_gap = 0.0
     best_poly: dict[str, complex] | None = None
     hits = 0
-    for batch in _batches(draws, A.shape[0]):
+    n = A.shape[0]
+    for batch in _batches(draws, n):
         for p, gap in zip(batch, _polynomial_norm_gaps(A, batch).tolist()):
             scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
-            if gap > tol * scale:
+            if gap > _gap_cut(tol, max(map(len, p)), n) * scale:
                 hits += 1
             if gap > best_gap:
                 best_gap, best_poly = gap, p

@@ -41,7 +41,6 @@ from csokit.linalg import (
     direct_sum,
     operator_norm,
     power_of_two_scaled,
-    unitary_in_subspace,
 )
 from csokit.synthesis import synthesize_tto_for_nilpotent2
 from csokit.words import (
@@ -121,10 +120,12 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
 
 
 def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
-    # the intertwiner space takes one eigh of Re(T), whose spectrum is simple
-    # here; ||T|| and ||T - T^t|| share one SVD; the polar factor of the
-    # symmetric intertwiner verifies at once, by one SVD of a stack of three,
-    # so the phase test's stacked eigh never runs
+    # the Frobenius bound rules order two out, so the splitting takes no SVD;
+    # ||T|| and ||T - T^t|| share one SVD, ||T / 2^e|| takes one and the xxy
+    # pair one of a stack of two; the intertwiner space takes one eigh of
+    # Re(T), whose spectrum is simple here, and one SVD of its R factor; the
+    # polar factor of the symmetric intertwiner verifies at once, by one SVD
+    # of a stack of three, so the phase test's stacked eigh never runs
     T, _ = random_cso(stream(2, 1), 6)
     shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
     verifications = []
@@ -138,7 +139,8 @@ def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(6, 6)]
-    assert shapes["svd"].count((2, 6, 6)) == 1
+    assert shapes["svd"].count((6, 6)) == 3
+    assert shapes["svd"].count((2, 6, 6)) == 2
     assert shapes["svd"].count((3, 6, 6)) == len(verifications) == 1
     assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (3, 6, 6)}
 
@@ -779,29 +781,128 @@ def test_2x2_cso_that_the_projection_search_missed():
     assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=15)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 32))
-def test_generic_matrix_is_obstructed_without_the_projection_search(seed, dim):
-    # the symmetric half of J(T) is 0 (d = 0), so no candidate is tried, and
-    # the word search decides before the phase test could run
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the phase test ran on a matrix with an obstruction word")
+def must_not_run(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
 
-    candidates = []
+    return fail
 
-    def recording(*args):
-        for W in unitary_in_subspace(*args):
-            candidates.append(W)
-            yield W
 
-    T = random_complex(stream(seed, 0), dim, dim)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 64),
+    log_scale=st.sampled_from([-100, 0, 100]),
+    tol=st.sampled_from([1e-20, 1e-12, DEFAULT_TOL, 1e-4]),
+)
+def test_generic_matrix_is_obstructed_without_the_projection_search(seed, dim, log_scale, tol):
+    # the Frobenius bound rules order two out and the xxy screen returns the
+    # word search's certificate bit for bit, so neither the order-two SVD,
+    # nor J(T) and its candidates, nor the phase test is taken
+    T = 10.0**log_scale * random_complex(stream(seed, 0), dim, dim)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "hermitian_phase_conjugation", forbidden)
-        mp.setattr(certify, "unitary_in_subspace", recording)
-        cert = find_conjugation(T)
-    assert candidates == []
-    assert cert.verdict == "obstructed" and cert.obstruction_word
-    assert cert.obstruction_gap == pytest.approx(word_norm_gap(T, cert.obstruction_word))
+        mp.setattr(certify, "intertwiner_basis", must_not_run("intertwiner_basis"))
+        mp.setattr(certify, "nilpotent2_splitting", must_not_run("the order-two split"))
+        mp.setattr(certify, "hermitian_phase_conjugation", must_not_run("the phase test"))
+        cert = find_conjugation(T, tol)
+    word, gap = word_obstruction_search(T, tol=tol)
+    assert cert.verdict == "obstructed"
+    assert (cert.obstruction_word, cert.obstruction_gap, cert.residual) == ("xxy", gap, gap)
+    assert word == "xxy"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["nilpotent", "near_nilpotent", "cso", "generic", "jordan3"]),
+    dim=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    log_noise=st.floats(-16.0, -1.0),
+    tol=st.sampled_from([1e-20, 1e-12, DEFAULT_TOL, 1e-6, 0.1]),
+)
+def test_the_order_two_screen_skips_only_what_the_split_refuses(kind, dim, seed, log_noise, tol):
+    rng = stream(seed, dim)
+    if kind in ("nilpotent", "near_nilpotent"):
+        T = random_nilpotent2(rng, dim)
+    elif kind == "cso":
+        T = random_cso(rng, dim)[0]
+    elif kind == "jordan3":
+        Q = random_unitary(rng, dim + 2)
+        T = Q @ direct_sum(jordan(3), np.zeros((dim - 1, dim - 1))) @ Q.conj().T
+    else:
+        T = random_complex(rng, dim, dim)
+    if kind == "near_nilpotent":
+        E = random_complex(rng, dim, dim)
+        T = T + 10.0**log_noise * max(operator_norm(T), 1.0) / operator_norm(E) * E
+    B, _ = power_of_two_scaled(T)
+    if certify._order_two_ruled_out(B, tol):
+        assert not order_two(T, tol)
+
+
+def test_the_order_two_screen_passes_order_two_inputs_to_the_split():
+    for T in (np.zeros((3, 3)), jordan(2), random_nilpotent2(stream(5, 1), 9)):
+        assert not certify._order_two_ruled_out(power_of_two_scaled(T)[0], DEFAULT_TOL)
+    # a near-nilpotent T goes on to the split; J3 is ruled out
+    near = jordan(2) + 1e-12 * np.eye(2)
+    assert not certify._order_two_ruled_out(power_of_two_scaled(near)[0], DEFAULT_TOL)
+    assert certify._order_two_ruled_out(power_of_two_scaled(jordan(3))[0], DEFAULT_TOL)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 24),
+    log_noise=st.floats(-13.0, -3.0),
+    perturb_g=st.booleans(),
+)
+def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
+    seed, dim, log_noise, perturb_g
+):
+    # a CSO matrix plus noise, and its G (made slightly non-unitary and
+    # non-symmetric at will), at the tol at which that G just verifies: the
+    # screen must leave the decision to J(T)
+    rng = stream(seed, dim)
+    T, C = random_cso(rng, dim)
+    E = random_complex(rng, dim, dim)
+    T = T + 10.0**log_noise * operator_norm(T) / operator_norm(E) * E
+    if perturb_g:
+        C = Conjugation(C.matrix + 10.0**log_noise * random_complex(rng, dim, dim))
+    _, residual = is_c_symmetric(T, C)
+    tol = max(residual, C.unitarity_residual(), C.symmetry_residual())
+    assert certify._verified_residual(T, C, tol, operator_norm(T))[0]
+    B, e = power_of_two_scaled(T)
+    assert certify._xxy_obstruction(B, e, operator_norm(B), tol) is None
+
+
+def rotated_cso_2026():
+    """The rotated 6 x 6 Q (Z + Z^t) Q* of default_rng(2026)."""
+    rng = np.random.default_rng(2026)
+    Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    return Q @ (Z + Z.T) @ Q.conj().T
+
+
+def test_a_rounding_gap_is_no_obstruction_at_any_tol():
+    # ||T^2|| = ||T*^2|| for every T: the xx gap of 2.1e-14 that tol 1e-20
+    # once reported is rounding, below the floor GAP_FLOOR L n ||T||^L
+    T = rotated_cso_2026()
+    for tol in (1e-16, 1e-20, 1e-300):
+        assert word_obstruction_search(T, tol=tol) is None
+        assert find_conjugation(T, tol).verdict != "obstructed"
+        report = polynomial_obstruction_search(T, samples=64, tol=tol)
+        assert report["violations"] == 0
+    for seed in range(20):
+        S, _ = random_cso(stream(seed, 31), 2 + seed)
+        assert word_obstruction_search(S, tol=1e-20) is None
+        assert find_conjugation(S, 1e-16).verdict != "obstructed"
+    # a gap above the floor still counts at a tol below it
+    B = witness_matrix(1.0, 2.0)
+    assert word_obstruction_search(B, tol=1e-20) == ("xxy", 2.0)
+    assert find_conjugation(B, 1e-20).obstruction_word == "xxy"
+
+
+def test_the_gap_floor_stays_below_the_default_tol():
+    assert certify._gap_cut(DEFAULT_TOL, 5, 4096) == DEFAULT_TOL
+    assert certify._gap_cut(1e-20, 3, 6) == 3 * 6 * certify.GAP_FLOOR
 
 
 def test_degenerate_spectra_are_certified():
