@@ -28,7 +28,11 @@ broadcast each, so only the running prefix loops over the zeros.
 
 The model conjugation samples nothing.  Its matrix solves a Stein equation
 in A_u whose right-hand side is the closed-form rank-one term w d^T, and a
-doubling sum over powers of A_u gives it exactly (see model_conjugation).
+doubling sum over the squaring chain of A_u gives it exactly (see
+model_conjugation).  The partial sum is kept as X Y^T, with Krylov blocks
+X of w and Y of d that each power extends by two n x k products, until
+they have n columns; and the chain stops once the tail it leaves, at most
+||A_u^K||^4, is below rounding.
 It still replies with the Q-node trapezoid matrix and refuses an
 unresolved space, through the aliasing identity: the Q-node rule adds to
 each integral the integrand's Fourier modes at the nonzero multiples of
@@ -49,6 +53,8 @@ by u) gives an independent route to the same matrix.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -66,7 +72,7 @@ ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
 HANKEL_RESIDUAL_CAP = 1e-6  # a Hankel residual above this must fall when M doubles
-STEIN_TAIL = 1e-8  # the model conjugation's sum stops once ||A^K||_F is this small
+STEIN_TAIL = 1e-8  # the model conjugation's chain stops at ||A^K||_F or its square this small
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -78,6 +84,26 @@ def _trim(coeffs) -> np.ndarray:
         raise InputError("symbol coefficients must be finite")
     nz = c.nonzero()[0]
     return c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+
+
+def _pole_moduli(d: np.ndarray):
+    """The moduli of the zeros of the denominator sum_k d[k] z^k, degree >= 1.
+
+    A linear d0 + d1 z has the one pole -d0/d1, taken in closed form when the
+    quotient is finite: Python's complex division and math.hypot overflow to
+    inf without a warning.  Otherwise np.roots finds them; a companion matrix
+    that overflows to inf or NaN is an InputError.
+    """
+    if d.size == 2:
+        pole = complex(d[0]) / complex(d[1])
+        if cmath.isfinite(pole):
+            return [math.hypot(pole.real, pole.imag)]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            poles = np.roots(d[::-1])
+    except np.linalg.LinAlgError:
+        raise InputError("symbol denominator too badly scaled to locate its poles") from None
+    return np.abs(poles)
 
 
 @dataclass(frozen=True)
@@ -112,9 +138,19 @@ class BlaschkeProduct:
         return BlaschkeProduct(self.zeros + other.zeros)
 
     @cached_property
+    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, c, eps): the zeros, c = sqrt(1 - |a|^2) and eps = +1 at a zero
+        at 0 (factor z), else -1; read once per product, read-only."""
+        a = np.asarray(self.zeros, dtype=complex)
+        arrays = (a, np.sqrt(1.0 - np.abs(a) ** 2), np.where(a == 0, 1.0, -1.0))
+        for x in arrays:
+            x.flags.writeable = False
+        return arrays
+
+    @cached_property
     def _compressed_shift(self) -> np.ndarray:
         """A_u, built once per product and read-only (see compressed_shift)."""
-        A = _shift_matrix(self.zeros)
+        A = _shift_matrix(*self._zero_arrays)
         A.flags.writeable = False
         return A
 
@@ -147,14 +183,9 @@ class Symbol:
         d = np.ones(1, dtype=complex) if den is None else _trim(den)
         if not d.any():
             raise InputError("symbol denominator is identically zero")
-        if d.size > 1:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    poles = np.roots(d[::-1])
-            except np.linalg.LinAlgError:  # its companion matrix overflowed to inf or NaN
-                raise InputError("symbol denominator too badly scaled to locate its poles") from None
-            if not np.all(np.abs(poles) >= 1.0 + POLE_MARGIN):  # a NaN pole fails too
-                raise InputError("symbol has a pole on or too close to the closed unit disk")
+        # a NaN modulus fails the test too
+        if d.size > 1 and not all(m >= 1.0 + POLE_MARGIN for m in _pole_moduli(d)):
+            raise InputError("symbol has a pole on or too close to the closed unit disk")
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -264,17 +295,18 @@ class ModelSpace:
             raise CapacityError(
                 f"degree {n} on {Q} nodes exceeds the sampling cap of {SAMPLE_CAP} basis samples"
             )
-        a = np.asarray(self.u.zeros, dtype=complex).reshape(n, 1)
+        a, c, eps = self.u._zero_arrays
+        a = a.reshape(n, 1)
         z = self.nodes
         E = np.multiply(a.conj(), z)
         np.subtract(1.0, E, out=E)
         np.reciprocal(E, out=E)
         F = np.subtract(a, z)
         F *= E
-        F[a[:, 0] == 0] = z
+        F[eps > 0] = z
         for k in range(1, n):
             np.multiply(F[k - 1], F[k], out=F[k])
-        E *= np.sqrt(1.0 - np.abs(a) ** 2)
+        E *= c.reshape(n, 1)
         E[1:] *= F[:-1]
         return E, F[-1].copy() if n else np.ones(Q, dtype=complex)
 
@@ -292,12 +324,19 @@ class ModelSpace:
         return self.basis_samples.conj()
 
     @cached_property
-    def gram_residual(self) -> float:
+    def _gram_defect(self) -> np.ndarray:
+        """The sampled Gram matrix minus I."""
         G = self.basis_samples @ self._conj_basis.T / self.quad_points
-        return operator_norm(G - np.eye(self.dim))
+        return G - np.eye(self.dim)
+
+    @cached_property
+    def gram_residual(self) -> float:
+        return operator_norm(self._gram_defect)
 
     def require_resolved(self) -> "ModelSpace":
-        _require_gram_residual(self.gram_residual)
+        """self, or an AccuracyError when gram_residual exceeds GRAM_TOL,
+        decided by _gram_norm: an SVD only when the Frobenius norm exceeds it."""
+        _require_gram_residual(_gram_norm(self._gram_defect))
         return self
 
     def project(self, samples: np.ndarray) -> np.ndarray:
@@ -355,16 +394,12 @@ def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
     return u._compressed_shift
 
 
-def _shift_matrix(zeros: tuple) -> np.ndarray:
-    """A_u for the zeros, from one cumprod down the columns of an array of steps."""
-    if len(zeros) > TENSOR_DIM_CAP:
-        raise CapacityError(
-            f"Blaschke degree {len(zeros)} exceeds the dimension cap {TENSOR_DIM_CAP}"
-        )
-    a = np.asarray(zeros, dtype=complex)
+def _shift_matrix(a: np.ndarray, c: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """A_u for the zero arrays of BlaschkeProduct._zero_arrays, from one
+    cumprod down the columns of an array of steps."""
     n = a.size
-    c = np.sqrt(1.0 - np.abs(a) ** 2)
-    eps = np.where(a == 0, 1.0, -1.0)
+    if n > TENSOR_DIM_CAP:
+        raise CapacityError(f"Blaschke degree {n} exceeds the dimension cap {TENSOR_DIM_CAP}")
     # column j of S is 1 above row j, c_j eps_j at row j and step_i at each
     # row i > j, so the cumprod R has R[i-1, j] = A_ij / c_i for i > j,
     # multiplied in the closed form's order
@@ -429,19 +464,30 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
         G - A^H G A^T = w d^T,   G = sum_{m>=0} (A^H)^m w d^T (A^T)^m,
 
     a convergent sum since A's eigenvalues are the zeros.  Its corner is
-    G_{n-1,0} = eps_{n-1} c_0 c_{n-1} / (1 - a_0 conj(a_{n-1})).  The sum is
-    taken by doubling, G += P^H G P^T for P = A, A^2, A^4, ..., after which
-    it holds the terms m < 2K for P = A^K.  Nothing is sampled.
+    G_{n-1,0} = eps_{n-1} c_0 c_{n-1} / (1 - a_0 conj(a_{n-1})).  Nothing is
+    sampled.  The sum runs over the squaring chain P = A, A^2, A^4, ..., A^K.
+    After it, the partial sum holds the terms m < 2K, and the terms left are
+    exactly (A^H)^{2K} G (A^T)^{2K}, of norm at most ||A^{2K}||^2 <=
+    ||A^K||^4 since ||G|| = 1.
+
+    The right-hand side has rank one, so the partial sum over m < k is
+    exactly X Y^T with X = [w, A^H w, ..., (A^H)^{k-1} w] and
+    Y = [d, A d, ..., A^{k-1} d], and the power P = A^k doubles k: X gains
+    the columns P^H X and Y gains P Y, two n x k products.  While X has
+    fewer than n columns the chain's powers extend X and Y; then G = X Y^T
+    is formed once, and each remaining power takes G += P^H G P^T.
 
     The matrix returned is the Q = quad_points node trapezoid rule's,
-    (I + D_Q) G with D_Q from _aliasing.  The doubling stops at the first
-    K with ||A^K||_F <= STEIN_TAIL = 1e-8.  The terms left are then at most
-    ||A^K||^4, and when 2K <= Q, ||A^Q|| <= ||A^K||^2 <= 1e-16, so D_Q is
-    below rounding and is not formed.  Otherwise D_Q is formed once the
-    chain reaches Q/2 < K <= Q, and the space is refused as unresolved
-    when ||D_Q||, the Q-node Gram residual, exceeds GRAM_TOL.  Each
-    residual is the Frobenius norm first, which bounds the operator norm,
-    and an SVD only when that exceeds GRAM_TOL.
+    (I + D_Q) G with D_Q from _aliasing.  The chain stops at the first K
+    with ||A^K||_F^2 <= STEIN_TAIL = 1e-8 when 4K <= Q: the tail is then at
+    most 1e-16, and as A is a contraction ||A^Q|| <= ||A^K||^4 <= 1e-16, so
+    D_Q is below rounding and is not formed.  Otherwise it stops at the
+    first K with ||A^K||_F <= STEIN_TAIL, and D_Q is formed once the chain
+    reaches Q/2 < K <= Q; the space is refused as unresolved when ||D_Q||,
+    the Q-node Gram residual, exceeds GRAM_TOL.  The sum is taken only
+    after the chain, so a refused space spends nothing on it.  Each residual
+    is the Frobenius norm first, which bounds the operator norm, and an SVD
+    only when that exceeds GRAM_TOL.
     """
     Q = _check_quad_points(quad_points)
     A = compressed_shift(u)
@@ -451,17 +497,27 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
         if DQ is None and 2 * K > Q:  # A^Q from the chain, as matrix_power(A, Q) multiplies it
             DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
             _require_gram_residual(_gram_norm(DQ))
-        if np.vdot(P, P).real <= STEIN_TAIL**2:  # ||P||_F^2
+        tail = np.vdot(P, P).real  # ||P||_F^2
+        if tail <= STEIN_TAIL**2 or (tail <= STEIN_TAIL and 4 * K <= Q):
             break
         powers.append(P @ P)
-    a = np.asarray(u.zeros, dtype=complex)
-    c = np.sqrt(1.0 - np.abs(a) ** 2)
-    d = c * np.cumprod(np.append(1.0, a.conj()))[:-1]
-    w = np.where(a == 0, c, -c) * np.cumprod(np.append(1.0, a[::-1]))[-2::-1]
-    G = np.outer(w, d)
+    a, c, eps = u._zero_arrays
+    n = u.degree
+    X = np.empty((n, max(2 * n, 1)), dtype=complex)
+    Y = np.empty_like(X)
+    X[:, 0] = eps * c * np.cumprod(np.append(1.0, a[::-1]))[-2::-1]  # w
+    Y[:, 0] = c * np.cumprod(np.append(1.0, a.conj()))[:-1]  # d
+    k = 1
     for P in powers:
+        if k >= n:
+            break
+        np.matmul(P.conj().T, X[:, :k], out=X[:, k : 2 * k])
+        np.matmul(P, Y[:, :k], out=Y[:, k : 2 * k])
+        k *= 2
+    G = X[:, :k] @ Y[:, :k].T
+    for P in powers[k.bit_length() - 1 :]:  # the powers past A^{k/2}
         G += P.conj().T @ G @ P.T
-    eye = np.eye(u.degree)
+    eye = np.eye(n)
     if DQ is not None:
         G = (eye + DQ) @ G
     G = 0.5 * (G + G.T)  # G is symmetric; this makes it so bit for bit
@@ -481,19 +537,6 @@ def _fine_space(ms: ModelSpace, M: int) -> ModelSpace:
     when its grid already is)."""
     Q = max(4 * M, ms.quad_points, DEFAULT_QUAD)
     return ms if Q == ms.quad_points else ModelSpace(ms.u, Q)
-
-
-def _hankel_section(fine: ModelSpace, phi: Symbol, M: int) -> np.ndarray:
-    """M x M finite section of the Hankel operator with symbol conj(u) phi.
-
-    Columns are the monomials z^0..z^{M-1}, rows the conjugate monomials
-    z^{-1}..z^{-M}; the (r, c) entry is Fourier coefficient -(r+c+1) of the
-    symbol, computed by FFT on the grid of ``fine`` (see _fine_space), fine
-    enough that aliasing sits far below the truncation error.
-    """
-    coeffs = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
-    v = coeffs[-1 : -2 * M : -1]  # psi_hat(-(k+1)) for k = 0..2M-2
-    return np.lib.stride_tricks.sliding_window_view(v, M).copy()  # row r is v[r : r + M]
 
 
 def verify_hankel_factorization(
@@ -527,17 +570,29 @@ def verify_hankel_factorization(
 def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct) -> float:
     """Residual of the Hankel route on the space ms against direct, at truncation M.
 
-    Row j of ``negative`` holds the modes -(r+1), r = 0..M-1, of the Hankel
-    image of e_j, so on the Q = ms.quad_points nodes z_q the image is
+    The M x M section of the Hankel operator with symbol psi = conj(u) phi
+    takes the Taylor coefficients t_c, c = 0..M-1, of e_j to its modes
+    -(r+1), r = 0..M-1:
+
+        negative[j, r] = sum_c t_c psi_hat(-(r+c+1)) = sum_c t_c v[r+c],
+
+    where t and the coefficients v[k] = psi_hat(-(k+1)), k = 0..2M-2, come
+    from FFTs on the grid of _fine_space(ms, M), fine enough that aliasing
+    sits far below the truncation error.  That is a correlation, taken by one FFT of length 2M
+    of v and of the reversed Taylor rows: entry M-1+r of their circular
+    convolution is negative[j, r], and no wrap-around reaches it.  On the
+    Q = ms.quad_points nodes z_q the image is then
     u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
     conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
     evaluated by one FFT of length Q.
     """
     Q = ms.quad_points
     fine = _fine_space(ms, M)
-    taylor = _fourier_coefficients(fine.basis_samples)[:, :M]
-    H = _hankel_section(fine, phi, M)
-    negative = taylor @ H.T
+    reversed_taylor = _fourier_coefficients(fine.basis_samples)[:, M - 1 :: -1]
+    psi = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
+    v = psi[-1 : -2 * M : -1]
+    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)
+    negative = np.fft.ifft(spectrum)[:, M - 1 : 2 * M - 1]
     padded = np.zeros((len(negative), -(-M // Q) * Q), dtype=complex)
     padded[:, :M] = negative
     folded = padded.reshape(len(negative), -1, Q).sum(axis=1)

@@ -8,6 +8,7 @@ Monomial oracles (u = z^n makes everything exact):
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from csokit.modelspace import (
     BlaschkeProduct,
     GRAM_TOL,
     QUAD_CAP,
+    STEIN_TAIL,
     ModelSpace,
     Symbol,
     compressed_shift,
@@ -36,7 +38,6 @@ from csokit.modelspace import (
     _aliasing,
     _fine_space,
     _hankel_route_residual,
-    _hankel_section,
 )
 from csokit.verify import RunConfig
 
@@ -90,6 +91,45 @@ def test_symbol_polynomial_and_rational():
         Symbol(num=[1.0], den=[1.0, -1.0])  # pole on the boundary
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    scale=st.floats(-300, 300),
+    log_modulus=st.one_of(st.floats(-3, 3), st.floats(-1e-5, 1e-5)),
+    angles=st.tuples(st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi)),
+)
+def test_a_linear_denominator_is_decided_without_np_roots(scale, log_modulus, angles):
+    # the pole of d0 + d1 z is -d0/d1; np.roots (about 20 us) is left to the
+    # quotients that overflow and to higher degrees.  Away from the margin,
+    # where np.roots' own rounding decides, both refuse the same symbols
+    d1 = 10.0**scale * np.exp(1j * angles[0])
+    d0 = d1 * np.exp(log_modulus + 1j * angles[1])
+    den = np.array([d0, d1])
+    with np.errstate(all="ignore"):
+        modulus = np.abs(np.roots(den[::-1]))[0]
+    if abs(modulus / (1.0 + modelspace.POLE_MARGIN) - 1.0) <= 1e-12:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "roots", None)
+        try:
+            Symbol(num=[1.0], den=den)
+        except InputError:
+            assert not modulus >= 1.0 + modelspace.POLE_MARGIN
+        else:
+            assert modulus >= 1.0 + modelspace.POLE_MARGIN
+
+
+def test_a_linear_denominator_past_the_closed_form_still_raises_input_errors():
+    # a quotient d0/d1 that overflows goes to np.roots, as before; a finite
+    # pole whose modulus overflows is accepted without a warning
+    for den in ([1.0, 1e-320], [1e300 + 1e300j, 1e-300]):
+        with pytest.raises(InputError, match="too badly scaled"):
+            Symbol(num=[1.0], den=den)
+    for den in ([0.0, 1.0], [1.0, -1.0], [1.0, -1.0 / (1.0 + 0.5e-6)]):
+        with pytest.raises(InputError, match="pole on or too close"):
+            Symbol(num=[1.0], den=den)
+    assert not Symbol(num=[1.0], den=[1.5e308 + 1.5e308j, 1.0]).is_polynomial
+
+
 def test_symbol_product_and_shift():
     phi = Symbol.shift() * Symbol(poly=[3.0])
     assert np.allclose(phi.poly, [0.0, 3.0])
@@ -110,6 +150,22 @@ def test_modelspace_raises_when_unresolved():
         ModelSpace(BlaschkeProduct(zeros), 64).require_resolved()
     with pytest.raises(InputError):
         ModelSpace(BlaschkeProduct((0.5,)), 32)  # node floor is 64
+
+
+def test_a_resolved_space_takes_no_svd_for_its_gram_check(monkeypatch):
+    # require_resolved decides GRAM_TOL by the Frobenius norm first, as the
+    # model conjugation does: each check below takes only its residual's SVD
+    u = BlaschkeProduct((0.5, -0.3, 0.2j))
+    phi = Symbol(poly=[1.0, 0.5])
+    calls = {"svd": 0}
+    monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
+    for check in (fn_calculus_check, lambda u, phi: verify_hankel_factorization(u, phi, 64)):
+        assert check(u, phi) <= 1e-8
+        assert calls == {"svd": 1}
+        calls["svd"] = 0
+    ms = ModelSpace(u, 256)
+    assert ms.require_resolved() is ms and calls == {"svd": 0}
+    assert ms.gram_residual <= 1e-10 and calls == {"svd": 1}
 
 
 def test_tto_matrix_monomial_oracle():
@@ -473,6 +529,59 @@ def test_stein_conjugation_is_exact_and_matches_the_plain_sums(seed, degree, rad
         assert abs(G[-1, 0] - corner) <= 1e-13
 
 
+def doubling_conjugation(u, Q):
+    """The model conjugation by full doubling, G += P^H G P^T for every power
+    of the squaring chain up to ||A^K||_F <= STEIN_TAIL, or None where it
+    refuses the space."""
+    A = compressed_shift(u)
+    powers, DQ = [A], None
+    while True:
+        P, K = powers[-1], 1 << (len(powers) - 1)
+        if DQ is None and 2 * K > Q:
+            DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
+            if modelspace._gram_norm(DQ) > GRAM_TOL:
+                return None
+        if np.vdot(P, P).real <= STEIN_TAIL**2:
+            break
+        powers.append(P @ P)
+    a = np.asarray(u.zeros, dtype=complex)
+    c = np.sqrt(1.0 - np.abs(a) ** 2)
+    d = c * np.cumprod(np.append(1.0, a.conj()))[:-1]
+    w = np.where(a == 0, c, -c) * np.cumprod(np.append(1.0, a[::-1]))[-2::-1]
+    G = np.outer(w, d)
+    for P in powers:
+        G += P.conj().T @ G @ P.T
+    eye = np.eye(u.degree)
+    if DQ is not None:
+        G = (eye + DQ) @ G
+    G = 0.5 * (G + G.T)
+    return None if modelspace._gram_norm(G @ G.conj().T - eye) > GRAM_TOL else G
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=SEEDS,
+    degree=st.integers(0, 32),
+    radius=st.one_of(st.sampled_from([0.5, 0.9, 0.99, 0.999]), st.floats(0.5, 0.999)),
+    repeats=st.integers(1, 4),
+    quad=st.one_of(st.sampled_from([64, 100, 1024, 4096, 65536]), st.integers(64, 65536)),
+)
+def test_rank_one_start_and_fourth_power_stop_match_the_full_doubling(
+    seed, degree, radius, repeats, quad
+):
+    # zeros with a share at 0, each repeated up to `repeats` times
+    zeros = np.repeat(seeded_zeros(seed, -(-degree // repeats), radius, 0.3), repeats)[:degree]
+    u = BlaschkeProduct(zeros)
+    reference = doubling_conjugation(u, quad)
+    try:
+        G = model_conjugation(u, quad).matrix
+    except AccuracyError:
+        assert reference is None
+        return
+    assert reference is not None
+    assert max_entry(G - reference) <= 1e-14 * max(1.0, max_entry(reference))
+
+
 def test_fn_calculus_matches_polynomial_in_shift():
     rng = stream(17, 1)
     u = random_blaschke(rng, 4, max_modulus=0.7)
@@ -551,8 +660,18 @@ def test_malformed_model_space_input_is_an_input_error(build):
         build()
 
 
+def hankel_section(fine, phi, M):
+    """The dense M x M section of the Hankel operator with symbol conj(u) phi,
+    on the grid of ``fine``: columns are the monomials z^0..z^{M-1}, rows the
+    conjugate monomials z^{-1}..z^{-M}, and entry (r, c) is the symbol's
+    Fourier coefficient -(r+c+1)."""
+    coeffs = np.fft.fft(np.conj(fine.u_samples) * phi.eval(fine.nodes)) / fine.quad_points
+    v = coeffs[-1 : -2 * M : -1]
+    return scipy.linalg.hankel(v[:M], v[M - 1 :])
+
+
 def test_hankel_truncation_monomial_oracle():
-    H = _hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0, 0.0))), 64), Symbol.shift(), 64)
+    H = hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0, 0.0))), 64), Symbol.shift(), 64)
     want = np.zeros((64, 64))
     want[0, 0] = 1.0
     assert np.allclose(H, want, atol=1e-12)
@@ -562,15 +681,14 @@ def test_hankel_truncation_monomial_oracle():
 
 @pytest.mark.parametrize("M", [64, 100, 300])
 def test_hankel_section_equals_scipy_hankel(M):
+    # the oracle's section, entry by entry from the symbol's coefficients
     rng = stream(17, 9)
     u = random_blaschke(rng, 5, max_modulus=0.9)
     phi = random_poly_symbol(rng, 3)
     fine = _fine_space(ModelSpace(u, 256), M)
     coeffs = np.fft.fft(np.conj(fine.u_samples) * phi.eval(fine.nodes)) / fine.quad_points
-    v = coeffs[-1 : -2 * M : -1]
-    H = _hankel_section(fine, phi, M)
-    assert H.flags.writeable
-    assert np.array_equal(H, scipy.linalg.hankel(v[:M], v[M - 1 :]))
+    r, c = np.indices((M, M))
+    assert np.array_equal(hankel_section(fine, phi, M), coeffs[-(r + c + 1)])
 
 
 def test_hankel_route_reproduces_tto():
@@ -594,11 +712,12 @@ def test_hankel_residual_collapses_when_truncation_doubles():
 
 
 def polyval_hankel_route(u, phi, M, quad_points):
-    """The Hankel route's model-space matrix, with the image evaluated by polyval."""
+    """The Hankel route's model-space matrix, with the negative modes taken by
+    the dense Hankel section and the image evaluated by polyval."""
     ms = ModelSpace(u, quad_points)
     fine = ModelSpace(u, max(4 * M, quad_points, 1024))
     taylor = (np.fft.fft(fine.basis_samples) / fine.quad_points)[:, :M]
-    negative = taylor @ _hankel_section(_fine_space(ModelSpace(u, quad_points), M), phi, M).T
+    negative = taylor @ hankel_section(fine, phi, M).T
     w = np.conj(ms.nodes)
     return ms.project(ms.u_samples * w * npoly.polyval(w, negative.T))
 
