@@ -36,8 +36,8 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 6. The fallback, the Hermitian-part phase test
    (``hermitian_phase_conjugation``): an O(n^3) candidate G, built from the
    eigenvectors of Re(e^{i theta} T), for a T complex symmetric only at a
-   tol looser than the cut of J(T).  If it is not verified, a held
-   CapacityError stands, and otherwise the answer is "inconclusive".
+   tol looser than the cut of J(T), or of order two with a G (1) that misses
+   tol.  Unverified, it leaves a held CapacityError or "inconclusive".
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ _PHASES = np.array([np.exp(1j * np.pi * k / 8) for k in range(8)])
 
 
 def intertwiner_basis(T) -> np.ndarray:
-    """Orthonormal basis (column-major vec) of J(T) = {X : T X = X T^t, T* X = X conj(T)}.
+    """Orthonormal basis of J(T) = {X : T X = X T^t, T* X = X conj(T)}, a (k, n, n) stack.
 
     J(T) holds every symmetric unitary G with T G = G T^t (for a unitary G
     that gives T* G = G conj(T)), and is 1-dimensional for an irreducible
@@ -280,7 +280,7 @@ def intertwiner_basis(T) -> np.ndarray:
     A, _ = power_of_two_scaled(as_matrix(T, square=True))
     n = A.shape[0]
     if n == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0, 0), dtype=complex)
     null_cut = DEFAULT_TOL * np.linalg.norm(A)
     A = A - np.trace(A) / n * np.eye(n)
     Zs = _PHASES[:, None, None] * A
@@ -313,7 +313,7 @@ def intertwiner_basis(T) -> np.ndarray:
     null = vh[s <= null_cut].conj()
     Y = np.zeros((len(null), n, n), dtype=complex)
     Y[:, rows, cols] = null
-    return (U @ Y @ U.T).transpose(0, 2, 1).reshape(len(null), n * n).T
+    return U @ Y @ U.T
 
 
 def hermitian_phase_conjugation(T) -> Conjugation:
@@ -416,34 +416,34 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
 
     A T of order two (``nilpotent2_splitting``) takes the constructive
     route, whose conjugation is reported only when it is verified at tol;
-    otherwise the Hermitian-part phase conjugation is tried, and if that is
-    not verified either the result is "inconclusive" with the constructive
-    residual.  Such a T never reaches the word search, so it is never
-    "obstructed" (the destructor calls it indestructible).  A T whose
-    Frobenius bound rules order two out (``_order_two_ruled_out``) skips
-    the splitting's SVD.  Any other T takes the general routes: G = I if T
-    is transpose-symmetric; else "obstructed" by xxy if its gap rules out
-    every G at tol (``_xxy_obstruction``, the word search's own
-    certificate, taken before J(T) is built); else the polar factors that
-    ``unitary_in_subspace`` takes of the symmetric half of the joint
-    intertwiner space J(T) (``intertwiner_basis``), each re-verified before
-    it is reported.  If none verifies, the word-norm obstruction search
-    runs over every word of length at most 5 and a violating word gives
-    "obstructed".  Last, the Hermitian-part phase conjugation is reported
-    if it is verified at tol.  Without it, a system for J(T) past the
-    tensor cap is a CapacityError, and otherwise the result is
-    "inconclusive", a valid outcome.  A T whose norm overflows is an
+    otherwise it goes straight to the last step.  Such a T never reaches
+    the word search, so it is never "obstructed" (the destructor calls it
+    indestructible).  A T whose Frobenius bound rules order two out
+    (``_order_two_ruled_out``) skips the splitting's SVD.  Any other T
+    takes the general routes: G = I if T is transpose-symmetric; else
+    "obstructed" by xxy if its gap rules out every G at tol
+    (``_xxy_obstruction``, the word search's own certificate, taken before
+    J(T) is built); else the polar factors that ``unitary_in_subspace``
+    takes of the symmetric half of the joint intertwiner space J(T)
+    (``intertwiner_basis``), each re-verified before it is reported.  If
+    none verifies, the word-norm obstruction search runs over every word
+    of length at most 5 and a violating word gives "obstructed".  Last, on
+    either route, the Hermitian-part phase conjugation is reported if it
+    is verified at tol.  Without it, a system for J(T) past the tensor cap
+    is a CapacityError, and otherwise the result is "inconclusive", a
+    valid outcome, with the constructive residual on the order-two route
+    and NaN on the general ones.  A T whose norm overflows is an
     InputError.
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
-    n = A.shape[0]
     B, e = power_of_two_scaled(A)
 
     try:
         form = None if _order_two_ruled_out(B, tol) else nilpotent2_splitting(A, tol)
     except PreconditionError:
         form = None  # not of order two: the general routes below decide
+    held, residual = None, float("nan")
     if form is not None:
         C = conjugation_for_nilpotent2(form)
         ok, residual = _verified_residual(A, C, tol, form.norm)
@@ -451,40 +451,35 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
             return CsoCertificate("c_symmetric", residual, conjugation=C)
         # the norm without singular vectors, as on the general routes: the SVD
         # with them can differ from it in the last bit
-        phase = hermitian_phase_conjugation(A)
-        phase_ok, phase_residual = _verified_residual(A, phase, tol, operator_norm(A))
-        if phase_ok:
-            return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
-        return CsoCertificate("inconclusive", residual=residual)
+        nrm = operator_norm(A)
+    else:
+        unit_nrm = operator_norm(B)
+        if times_power_of_two(unit_nrm, e) == np.inf:
+            raise InputError(_NORM_OVERFLOWS)
 
-    unit_nrm = operator_norm(B)
-    if times_power_of_two(unit_nrm, e) == np.inf:
-        raise InputError(_NORM_OVERFLOWS)
+        # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
+        nrm, skew = operator_norms([A, A - A.T]).tolist()
+        if nrm > 0 and skew <= tol * nrm:
+            C = Conjugation.identity(len(A))
+            return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
-    # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
-    nrm, skew = operator_norms([A, A - A.T]).tolist()
-    if nrm > 0 and skew <= tol * nrm:
-        C = Conjugation.identity(n)
-        return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
-
-    held = None
-    found = _xxy_obstruction(B, e, unit_nrm, tol)
-    if found is None:
-        try:
-            candidates = unitary_in_subspace(intertwiner_basis(A), n)
-        except CapacityError as exc:
-            held, candidates = exc, ()
-        for W in candidates:
-            C = Conjugation(W)
-            ok, residual = _verified_residual(A, C, tol, nrm)
-            if ok:
-                return CsoCertificate("c_symmetric", residual, conjugation=C)
-        found = word_obstruction_search(A, tol=tol)
-    if found is not None:
-        word, gap = found
-        return CsoCertificate(
-            "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
-        )
+        found = _xxy_obstruction(B, e, unit_nrm, tol)
+        if found is None:
+            try:
+                candidates = unitary_in_subspace(intertwiner_basis(A))
+            except CapacityError as exc:
+                held, candidates = exc, ()
+            for W in candidates:
+                C = Conjugation(W)
+                ok, polar_residual = _verified_residual(A, C, tol, nrm)
+                if ok:
+                    return CsoCertificate("c_symmetric", polar_residual, conjugation=C)
+            found = word_obstruction_search(A, tol=tol)
+        if found is not None:
+            word, gap = found
+            return CsoCertificate(
+                "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
+            )
 
     # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
     phase = hermitian_phase_conjugation(A)
@@ -493,7 +488,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
         return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
     if held is not None:
         raise held
-    return CsoCertificate("inconclusive", residual=float("nan"))
+    return CsoCertificate("inconclusive", residual=residual)
 
 
 #: Matrix entries per batch (4 MB of complex128): the searches take words

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .linalg import Conjugation
 from .modelspace import BlaschkeProduct, Symbol
 
@@ -34,7 +35,7 @@ def random_nilpotent2(rng: np.random.Generator, dim: int, rank: int | None = Non
     if rank is None:
         rank = int(rng.integers(1, dim // 2 + 1)) if dim >= 2 else 0
     if 2 * rank > dim:
-        raise ValueError(f"rank {rank} too large for dimension {dim}")
+        raise InputError(f"rank {rank} too large for dimension {dim}")
     T = np.zeros((dim, dim), dtype=complex)
     T[rank : 2 * rank, :rank] = random_complex(rng, rank, rank)
     U = random_unitary(rng, dim)

@@ -230,7 +230,7 @@ def shift_tensor_coshift_blocks(N: int) -> list[tuple[int, np.ndarray]]:
     Each homogeneous degree-d slice (dimension d+1) is invariant under T and
     T*, and the restriction is a single nilpotent Jordan chain of full
     length.  Returns [(d+1, restriction)] for d = 0..N-1, verifying
-    invariance on the way.
+    invariance on the way: a slice that is not invariant is an AccuracyError.
     """
     T = shift_coshift_truncation(N)
     monomials = _bidegree_monomials(N)
@@ -243,6 +243,6 @@ def shift_tensor_coshift_blocks(N: int) -> list[tuple[int, np.ndarray]]:
         comp = [i for i in range(dim) if i not in idx]
         for op in (T, T.conj().T):
             if comp and operator_norm(op[np.ix_(comp, idx)]) > 1e-12:
-                raise AssertionError("homogeneous slice not invariant")
+                raise AccuracyError(f"homogeneous slice of degree {d} is not invariant")
         blocks.append((d + 1, T[np.ix_(idx, idx)]))
     return blocks

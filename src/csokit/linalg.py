@@ -243,24 +243,24 @@ def conjugate_by(C: Conjugation, M) -> np.ndarray:
     return G @ A.conj() @ G.conj()
 
 
-def unitary_in_subspace(basis: np.ndarray, n: int):
+def unitary_in_subspace(members: np.ndarray):
     """Symmetric unitaries from the symmetric half of a linear matrix subspace.
 
-    ``basis`` holds an orthonormal column basis of the subspace in
-    column-major vectorization.  One SVD of the symmetric halves of its
-    members gives an orthonormal basis S_1, ..., S_k of their span, cut at
-    singular value 1e-8 (each half has norm at most 1); for a subspace
-    closed under transpose, such as J(T), that span is its symmetric part.
-    If it holds an invertible element, a generic element is invertible, so
-    the polar factor of the fixed combination sum_j e^{2 pi i j phi} / j S_j
-    (phi the golden-ratio conjugate) is yielded, symmetrized, from one more
-    SVD.  For k >= 2 a caller that asks for another gets that of
-    sum_j e^{4 pi i j phi} / j S_j; for k = 0 nothing is yielded.
+    ``members`` is a (k, n, n) stack of an orthonormal basis of the
+    subspace.  One SVD of their symmetric halves gives an orthonormal basis
+    S_1, ..., S_m of the halves' span, cut at singular value 1e-8 (each half
+    has norm at most 1); for a subspace closed under transpose, such as
+    J(T), that span is its symmetric part.  If it holds an invertible
+    element, a generic element is invertible, so the polar factor of the
+    fixed combination sum_j e^{2 pi i j phi} / j S_j (phi the golden-ratio
+    conjugate) is yielded, symmetrized, from one more SVD.  For m >= 2 a
+    caller that asks for another gets that of sum_j e^{4 pi i j phi} / j S_j;
+    for m = 0 nothing is yielded.  On a T just past order two at tol the
+    first can miss tol where the second verifies.
 
     A candidate need not lie in the subspace; callers must verify each one.
     """
-    k = basis.shape[1]
-    members = basis.T.reshape(k, n, n)  # transposed members: the same halves
+    k, n, _ = members.shape
     halves = 0.5 * (members + members.transpose(0, 2, 1))
     _, s, vh = np.linalg.svd(halves.reshape(k, n * n), full_matrices=False)
     S = vh[s > 1e-8]

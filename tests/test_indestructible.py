@@ -11,9 +11,10 @@ import re
 import numpy as np
 import pytest
 
+from csokit import indestructible
 from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gap
 from csokit.ensembles import random_complex, random_nilpotent2, stream
-from csokit.errors import InputError, PreconditionError
+from csokit.errors import AccuracyError, InputError, PreconditionError
 from csokit.indestructible import (
     DESTRUCTOR_WORD,
     destructor_witness,
@@ -217,3 +218,24 @@ def test_shift_coshift_blocks_are_single_chains():
         if d > 1:
             assert operator_norm(P) > 1e-10
         assert operator_norm(P @ M) <= 1e-12
+
+
+def test_shift_tensor_coshift_blocks_report_a_slice_that_is_not_invariant(monkeypatch):
+    # one entry from the degree-0 monomial into the top degree breaks the
+    # invariance check: an AccuracyError, where it used to be an AssertionError
+    truncation = shift_coshift_truncation
+
+    def broken(N):
+        T = truncation(N)
+        T[-1, 0] = 1.0
+        return T
+
+    monkeypatch.setattr(indestructible, "shift_coshift_truncation", broken)
+    with pytest.raises(AccuracyError, match="degree 0 is not invariant"):
+        shift_tensor_coshift_blocks(3)
+
+
+def test_random_nilpotent2_refuses_a_rank_above_half_the_dimension():
+    # an InputError, which a caller catching ValueError still catches
+    with pytest.raises(InputError, match="rank 2 too large for dimension 3"):
+        random_nilpotent2(stream(13, 5), 3, rank=2)

@@ -189,28 +189,29 @@ def test_conjugate_by_definition():
         conjugate_by(Conjugation(G), np.eye(4))
 
 
-def flip_basis(n):
-    """Orthonormal basis (column-major vec) of span{I, flip}, which holds symmetric unitaries."""
-    I = np.eye(n, dtype=complex)
-    vecs = np.stack([I.reshape(-1, order="F"), I[::-1].reshape(-1, order="F")], axis=1)
-    return np.linalg.qr(vecs)[0]
+def orthonormal_stack(*Ms):
+    """A (k, n, n) stack of an orthonormal basis of span{Ms}."""
+    Q = np.linalg.qr(np.stack([M.ravel() for M in Ms], axis=1))[0]
+    return Q.T.reshape(len(Ms), *Ms[0].shape)
 
 
-def in_span(basis, W):
-    """Distance of W from the span of a column-major basis."""
-    v = W.reshape(-1, order="F")
-    return np.linalg.norm(v - basis @ (basis.conj().T @ v))
+def in_span(members, W):
+    """Distance of W from the span of an orthonormal (k, n, n) stack."""
+    V = members.reshape(len(members), -1)
+    w = W.ravel()
+    return np.linalg.norm(w - V.T @ (V.conj() @ w))
 
 
 def test_unitary_in_subspace_yields_a_symmetric_unitary_in_the_span():
     # the polar factor of a fixed combination of I and the flip is itself a
     # combination of them: a symmetric unitary that lies in the span
     for n in (2, 3, 4):
-        basis = flip_basis(n)
-        W = next(unitary_in_subspace(basis, n))
+        I = np.eye(n, dtype=complex)
+        members = orthonormal_stack(I, I[::-1])
+        W = next(unitary_in_subspace(members))
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12
         assert operator_norm(W - W.T) <= 1e-12
-        assert in_span(basis, W) <= 1e-12
+        assert in_span(members, W) <= 1e-12
 
 
 def test_unitary_in_subspace_yields_nothing_from_a_skew_subspace():
@@ -218,9 +219,8 @@ def test_unitary_in_subspace_yields_nothing_from_a_skew_subspace():
     n = 3
     skew = np.zeros((n, n), dtype=complex)
     skew[0, 1], skew[1, 0] = 1j, -1j
-    basis = skew.reshape(-1, 1, order="F") / np.sqrt(2)
-    assert list(unitary_in_subspace(basis, n)) == []
-    assert list(unitary_in_subspace(np.zeros((n * n, 0), dtype=complex), n)) == []
+    assert list(unitary_in_subspace(skew[None] / np.sqrt(2))) == []
+    assert list(unitary_in_subspace(np.zeros((0, n, n), dtype=complex))) == []
 
 
 def test_unitary_in_subspace_yields_a_second_candidate_only_when_asked(monkeypatch):
@@ -231,17 +231,16 @@ def test_unitary_in_subspace_yields_a_second_candidate_only_when_asked(monkeypat
     skew = np.zeros((n, n), dtype=complex)
     skew[0, 1], skew[1, 0] = 1.0, -1.0
     I = np.eye(n, dtype=complex)
-    vecs = np.stack([M.reshape(-1, order="F") for M in (I, I[::-1], skew)], axis=1)
-    basis = np.linalg.qr(vecs)[0]
+    members = orthonormal_stack(I, I[::-1], skew)
     svd = np.linalg.svd
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    search = unitary_in_subspace(basis, n)
+    search = unitary_in_subspace(members)
     first = next(search)
     assert len(calls) == 2
     second = next(search)
     assert len(calls) == 3
     assert next(search, None) is None
     for W in (first, second):
-        assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12 and in_span(basis, W) <= 1e-12
-    assert len(list(unitary_in_subspace(I.reshape(-1, 1, order="F") / np.sqrt(n), n))) == 1
+        assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12 and in_span(members, W) <= 1e-12
+    assert len(list(unitary_in_subspace(I[None] / np.sqrt(n)))) == 1

@@ -96,6 +96,10 @@ def test_word_products_and_norms_equal_eval_word_bit_for_bit(seed, n, log_scale)
 def test_word_products_validate_their_input():
     with pytest.raises(InputError):
         word_products(["xz"], X, Y)
+    # a word that is not a string used to leak a TypeError
+    for bad in (["x", 3], [None], [["x"]]):
+        with pytest.raises(InputError):
+            word_products(bad, X, Y)
     with pytest.raises(InputError):
         word_products(["x"], X, np.eye(3))
     assert word_products([], X, Y).shape == (0, 2, 2)
