@@ -4,12 +4,11 @@ A word is a plain string over the alphabet ``{"x", "y"}`` (the empty string
 denotes the identity); a polynomial is a dict mapping words to complex
 coefficients with no zero coefficients stored.
 
-``eval_word`` multiplies one word out letter by letter, starting from I.
-``word_products`` evaluates many words at once: each word's product is its
-prefix's product times one letter, the same left-to-right 2-D matmul that
-``eval_word`` does, so a prefix already multiplied out costs one matmul and
-every product equals ``eval_word``'s bit for bit (a one-letter word's is that
-letter, which ``eval_word``'s I times that letter equals exactly).
+``eval_word`` multiplies one word out letter by letter.  ``word_products``
+evaluates many words at once: each word's product is its prefix's product
+times one letter, the same left-to-right 2-D matmul that ``eval_word`` does,
+so a word whose prefix is already multiplied out costs one matmul and every
+product equals ``eval_word``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -63,21 +62,16 @@ def word_products(words, X, Y) -> np.ndarray:
     current word's prefix products are held.
     """
     X, Y = _letter_matrices(X, Y)
-    try:
-        validate_word("".join(words))
-    except (TypeError, InputError):
-        for word in words:  # the first bad word raises, by name
-            validate_word(word)
+    words = [validate_word(word) for word in words]
     out = np.empty((len(words), *X.shape), dtype=complex)
-    path = []  # path[k]: product of prev[: k + 1]
+    path = [np.eye(X.shape[0], dtype=complex)]  # path[k]: product of prev[:k]
     prev = ""
     for i in sorted(range(len(words)), key=words.__getitem__):
         word = words[i]
-        del path[len(commonprefix((prev, word))) :]
-        for letter in word[len(path) :]:
-            M = X if letter == "x" else Y
-            path.append(path[-1] @ M if path else M)
-        out[i] = path[-1] if word else np.eye(len(X))
+        del path[len(commonprefix((prev, word))) + 1 :]
+        for letter in word[len(path) - 1 :]:
+            path.append(path[-1] @ (X if letter == "x" else Y))
+        out[i] = path[-1]
         prev = word
     return out
 
