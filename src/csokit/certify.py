@@ -53,6 +53,7 @@ from .linalg import (
     DEFAULT_TOL,
     TENSOR_DIM_CAP,
     Conjugation,
+    _as_square_matrices,
     as_matrix,
     check_count,
     check_seed,
@@ -62,7 +63,6 @@ from .linalg import (
     direct_sum,
     operator_norm,
     operator_norms,
-    polar_decompose,
     power_of_two_scaled,
     times_power_of_two,
     unitary_in_subspace,
@@ -71,6 +71,7 @@ from .words import (
     normalize_poly,
     random_polynomial,
     swap_letters,
+    validate_word,
     word_products,
     words_of_length,
 )
@@ -129,33 +130,39 @@ class CsoCertificate:
 
 
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict."""
+    """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict.
+
+    Both norms come from one batched SVD.
+    """
     A = as_matrix(T, square=True)
-    nrm = operator_norm(A)
-    residual = operator_norm(A - conjugate_by(C, A.conj().T)) / nrm if nrm > 0 else 0.0
+    nrm, c_norm = operator_norms([A, A - conjugate_by(C, A.conj().T)]).tolist()
+    residual = c_norm / nrm if nrm > 0 else 0.0
     return residual <= tol, residual
 
 
 def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) -> tuple[bool, float]:
     """Whether C is a symmetric unitary with A = C A* C at tol, and that residual.
 
-    GG* - I, G - G^t and A - C A* C are normed by one batched SVD, so each
-    norm equals the one that ``Conjugation.unitarity_residual``,
-    ``symmetry_residual`` and ``is_c_symmetric`` take bit for bit.  The
-    residual is ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  A
-    difference that overflows (||A|| near the largest double) is an
-    InputError.
+    A - C A* C is normed by SVD, and so are GG* - I and G - G^t where their
+    Frobenius norm exceeds tol (||M|| <= ||M||_F, so one within tol passes
+    with no SVD), all in one batch, so each norm equals the one that
+    ``is_c_symmetric``, ``Conjugation.unitarity_residual`` and
+    ``symmetry_residual`` take bit for bit.  The residual is
+    ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  A difference
+    that overflows (||A|| near the largest double) is an InputError.
     """
     G = C.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = [G @ G.conj().T - np.eye(len(G)), G - G.T, A - conjugate_by(C, A.conj().T)]
+        defects = (G @ G.conj().T - np.eye(len(G)), G - G.T)
+        stack = [A - conjugate_by(C, A.conj().T)]
+        stack += [M for M in defects if not np.linalg.norm(M) <= tol]
     try:
-        unitarity, symmetry, c_norm = operator_norms(stack).tolist()
+        c_norm, *defect_norms = operator_norms(stack).tolist()
     except InputError:
         msg = f"||T|| = {nrm:.3e} is out of range: T - C T* C overflows; rescale T"
         raise InputError(msg) from None
     residual = c_norm / nrm if nrm > 0 else 0.0
-    return max(unitarity, symmetry, residual) <= tol, residual
+    return max([residual, *defect_norms]) <= tol, residual
 
 
 def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
@@ -223,7 +230,8 @@ def conjugation_for_nilpotent2(form: Nilpotent2Form) -> Conjugation:
     tol), so G is unitary to working precision.  The caller checks G on T.
     """
     r = form.rank
-    W, _ = polar_decompose(form.W.conj().T)
+    U, _, Vh = np.linalg.svd(form.W.conj().T)
+    W = U @ Vh  # the polar factor, without polar_decompose's unused |W*|
     G = np.hstack([W[:, r : 2 * r], W[:, :r], W[:, 2 * r :]]) @ W.T
     return Conjugation(0.5 * (G + G.T))
 
@@ -506,16 +514,18 @@ def _batches(items, n: int):
 
 
 def word_norm_gaps(T, words) -> np.ndarray:
-    """| ||w(T,T*)|| - ||w(T*,T)|| | for each word.
+    """| ||w(T,T*)|| - ||w(T*,T)|| | for each word, at T or at each T of a (k, n, n) stack.
 
     w(T*,T) is the letter-swapped word at (T, T*), so both norms come from
     one table of the words and their swaps, each multiplied out once by
-    ``word_products`` and normed once by one batched SVD.
+    ``word_products`` and normed once by one batched SVD.  A stack gives a
+    (len(words), k) array whose column j equals the gaps of T_j bit for bit.
     """
-    A = as_matrix(T, square=True)
+    A = _as_square_matrices(T)
+    words = [validate_word(w) for w in words]
     swapped = [swap_letters(w) for w in words]
     table = list(dict.fromkeys([*words, *swapped]))
-    norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().T))))
+    norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().swapaxes(-1, -2)))))
     return np.array([abs(norms[w] - norms[s]) for w, s in zip(words, swapped)])
 
 

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, InputError, PreconditionError
-from .certify import _verified_residual, conjugation_for_nilpotent2, nilpotent2_splitting
+from .certify import (
+    _order_two_ruled_out,
+    _verified_residual,
+    conjugation_for_nilpotent2,
+    nilpotent2_splitting,
+)
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
@@ -78,7 +83,9 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     and word norms factor over tensor products, so the gap of A (x) B is
     alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  A of order two
     (``nilpotent2_splitting``) gives indestructible_sampled, since the
-    constructive route applies.  Otherwise the conclusion is destroyed when
+    constructive route applies; an A whose Frobenius bound rules order two
+    out (``_order_two_ruled_out``) skips the splitting's SVD, as in
+    ``find_conjugation``.  Otherwise the conclusion is destroyed when
     the gap exceeds DEFAULT_TOL * ||A (x) B||^3, the threshold of
     ``word_obstruction_search``.  The norms of A are taken on A scaled by a
     power of two to norm in [1/2, sqrt(2) n), which is exact, and the gap is
@@ -119,11 +126,16 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
             f"{scale} is too large for the {DESTRUCTOR_WORD} word norms of A: "
             f"||A*A^2|| and ||A^2 A*|| overflow; rescale A"
         )
-    try:
-        nilpotent2_splitting(M)
-    except PreconditionError as exc:
-        not_order_two = exc
-    else:
+
+    def refusal() -> PreconditionError | None:
+        try:
+            nilpotent2_splitting(M)
+        except PreconditionError as exc:
+            return exc
+        return None
+
+    # as in find_conjugation, a Frobenius bound that rules order two out spares the splitting's SVD
+    if not _order_two_ruled_out(U, DEFAULT_TOL) and refusal() is None:
         return cert
     # A^2 != 0 makes both norms positive, so a zero is an underflow
     if min(cert.norm_wA, cert.norm_wA_rev) == 0:
@@ -145,7 +157,7 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
     if max(norms) <= threshold:
         raise PreconditionError(
-            f"A is {not_order_two}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
+            f"A is {refusal()}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
             f"{shown[0]:.3e} and {shown[1]:.3e}, are not above {shown[3]:.3e}, so no "
             f"ratio beta/alpha gives a gap"
         )

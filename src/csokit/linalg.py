@@ -44,6 +44,22 @@ def as_matrix(M, square: bool = False) -> np.ndarray:
     return A
 
 
+def _as_square_matrices(M) -> np.ndarray:
+    """A square matrix, or a (k, n, n) stack of them, validated as complex128.
+
+    A 2-d M is checked by ``as_matrix``.  A stack keeps its memory layout, so
+    a transposed view multiplies as the same view of one matrix does.
+    """
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 3:
+        return as_matrix(A, square=True)
+    if not np.isfinite(A).all():
+        raise InputError("matrix has non-finite entries")
+    if A.shape[1] != A.shape[2]:
+        raise InputError(f"expected a stack of square matrices, got shape {A.shape}")
+    return A
+
+
 def check_tol(tol) -> float:
     """The tolerance as a float; a non-positive or non-finite one is an InputError.
 
@@ -87,19 +103,20 @@ def operator_norm(M) -> float:
 
 
 def operator_norms(Ms) -> np.ndarray:
-    """operator_norm of each matrix in a (k, m, n) stack, from one batched SVD.
+    """operator_norm of each matrix in a (..., m, n) stack, from one batched SVD.
 
     The batched SVD runs the same LAPACK routine on each matrix, so every
-    value equals operator_norm of that matrix bit for bit.
+    value equals operator_norm of that matrix bit for bit.  The result has
+    the stack's leading shape, such as (k,) for a (k, m, n) stack.
     """
     A = np.asarray(Ms, dtype=complex)
-    if A.ndim != 3:
+    if A.ndim < 3:
         raise InputError(f"expected a stack of matrices, got array of ndim {A.ndim}")
     if not np.isfinite(A).all():
         raise InputError("matrix has non-finite entries")
     if A.size == 0:
-        return np.zeros(A.shape[0])
-    return np.linalg.svd(A, compute_uv=False)[:, 0]
+        return np.zeros(A.shape[:-2])
+    return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
 def power_of_two_scaled(M) -> tuple[np.ndarray, int]:

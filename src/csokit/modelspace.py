@@ -614,9 +614,13 @@ def modelspace_decompose(
     basis coordinates; blocks lists (label, dimension) in frame order.  The
     basis of a product is that frame in that order (element deg(u) + k of
     uv's basis is u times element k of v's), so Q is exactly the identity.
-    quad_points is range-checked as by the quadrature routes and not used.
+    quad_points is range-checked as by the quadrature routes and not used;
+    a u, v or w that is not a BlaschkeProduct is an InputError.
     """
     _check_quad_points(quad_points)
+    for name, b in (("u", u), ("v", v), ("w", w)):
+        if not (isinstance(b, BlaschkeProduct) or (name == "w" and b is None)):
+            raise InputError(f"{name} must be a BlaschkeProduct, got {type(b).__name__}")
     blocks = [("K_u", u.degree), ("u*K_v", v.degree)]
     if w is not None:
         blocks.append(("u*v*K_w", w.degree))

@@ -133,7 +133,10 @@ def realize_modulus(targets) -> ModulusRealization:
     coefficients, achieved values and residual are scaled back by 2^e, which
     is exact.
     """
-    t = np.sort(np.asarray(targets, dtype=float))[::-1]
+    t = np.asarray(targets, dtype=float)
+    if t.ndim != 1:
+        raise InputError(f"targets must be a 1-d list of singular values, got ndim {t.ndim}")
+    t = np.sort(t)[::-1]
     if t.size < 1:
         raise InputError("need at least one target singular value")
     if np.any(t <= 0) or not np.all(np.isfinite(t)):

@@ -6,9 +6,12 @@ coefficients with no zero coefficients stored.
 
 ``eval_word`` multiplies one word out letter by letter.  ``word_products``
 evaluates many words at once: each word's product is its prefix's product
-times one letter, the same left-to-right 2-D matmul that ``eval_word`` does,
-so a word whose prefix is already multiplied out costs one matmul and every
-product equals ``eval_word``'s bit for bit.
+times one letter, the same left-to-right matmul that ``eval_word`` does, so a
+word whose prefix is already multiplied out costs one matmul and every
+product equals ``eval_word``'s bit for bit.  It also takes X and Y as
+(k, n, n) stacks: each matmul then runs over the leading axis, matrix by
+matrix as for one pair, so a stack costs one pass of the word loop and each
+of its products equals that of its own pair bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from os.path import commonprefix
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix
+from .linalg import _as_square_matrices, as_matrix
 
 ALPHABET = "xy"
 _SWAP = str.maketrans("xy", "yx")
@@ -31,9 +34,12 @@ def validate_word(word: str) -> str:
     return word
 
 
-def _letter_matrices(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    X = as_matrix(X, square=True)
-    Y = as_matrix(Y, square=True)
+def _letter_matrices(X, Y, stacks: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as square matrices of one shape, or with ``stacks`` also as (k, n, n) stacks."""
+    if stacks:
+        X, Y = _as_square_matrices(X), _as_square_matrices(Y)
+    else:
+        X, Y = as_matrix(X, square=True), as_matrix(Y, square=True)
     if X.shape != Y.shape:
         raise InputError(f"size mismatch: X is {X.shape}, Y is {Y.shape}")
     return X, Y
@@ -57,14 +63,16 @@ def swap_letters(word: str) -> str:
 def word_products(words, X, Y) -> np.ndarray:
     """Stacked products w(X, Y) of the given words, in their order.
 
-    The words are visited in sorted order, where words that share a prefix
-    are adjacent, so each distinct prefix is multiplied out once and only the
-    current word's prefix products are held.
+    X and Y are n x n matrices, giving a (len(words), n, n) array, or
+    (k, n, n) stacks, giving a (len(words), k, n, n) one.  The words are
+    visited in sorted order, where words that share a prefix are adjacent,
+    so each distinct prefix is multiplied out once and only the current
+    word's prefix products are held.
     """
-    X, Y = _letter_matrices(X, Y)
+    X, Y = _letter_matrices(X, Y, stacks=True)
     words = [validate_word(word) for word in words]
     out = np.empty((len(words), *X.shape), dtype=complex)
-    path = [np.eye(X.shape[0], dtype=complex)]  # path[k]: product of prev[:k]
+    path = [np.eye(X.shape[-1], dtype=complex)]  # path[k]: product of prev[:k]
     prev = ""
     for i in sorted(range(len(words)), key=words.__getitem__):
         word = words[i]

@@ -109,15 +109,15 @@ def recording_shapes(monkeypatch, *names):
 
 def test_nilpotent_route_takes_each_svd_once(monkeypatch):
     # 8x8 of rank 3 with a leftover kernel: the decision's SVD (with ||T||),
-    # the leftover kernel, the polar factor, and one batched SVD of the
-    # c-symmetry residual, unitarity and symmetry; ||T^2|| is decided by its
-    # Frobenius norm, with no SVD
+    # the leftover kernel, the polar factor, and the c-symmetry residual in a
+    # stack of one; ||T^2||, unitarity and symmetry are decided by their
+    # Frobenius norms, with no SVD
     T = random_nilpotent2(stream(1, 1), 8, 3)
     shapes = recording_shapes(monkeypatch, "svd")
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
     assert len(shapes["svd"]) == 4
-    assert shapes["svd"][-1] == (3, 8, 8)
+    assert shapes["svd"][-1] == (1, 8, 8)
 
 
 def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
@@ -126,7 +126,8 @@ def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     # pair one of a stack of two; the intertwiner space takes one eigh of
     # Re(T), whose spectrum is simple here, and one SVD of its R factor; the
     # polar factor of the symmetric intertwiner verifies at once, by one SVD
-    # of a stack of three, so the phase test's stacked eigh never runs
+    # of a stack of one (unitarity and symmetry pass on their Frobenius
+    # norms), so the phase test's stacked eigh never runs
     T, _ = random_cso(stream(2, 1), 6)
     shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
     verifications = []
@@ -142,8 +143,35 @@ def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(6, 6)]
     assert shapes["svd"].count((6, 6)) == 3
     assert shapes["svd"].count((2, 6, 6)) == 2
-    assert shapes["svd"].count((3, 6, 6)) == len(verifications) == 1
-    assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (3, 6, 6)}
+    assert shapes["svd"].count((1, 6, 6)) == len(verifications) == 1
+    assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (1, 6, 6)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    log_size=st.floats(-12.0, -7.0),
+    symmetric=st.booleans(),
+)
+def test_verification_matches_svd_of_all_three_norms(seed, n, log_size, symmetric):
+    # G of a CSO T pushed off by 1e-12 to 1e-7, so that the Frobenius norms of
+    # GG* - I and G - G^t straddle tol; a symmetric push leaves G - G^t = 0.
+    # Deciding them by Frobenius norm first must give the verdict and the
+    # residual of an SVD of all three
+    rng = stream(seed, 12)
+    T, C = random_cso(rng, n)
+    E = random_complex(rng, n, n)
+    E = E + E.T if symmetric else E
+    G = C.matrix + 10.0**log_size * E / np.linalg.norm(E)
+    nrm = operator_norm(T)
+    C = Conjugation(G)
+    got = certify._verified_residual(T, C, DEFAULT_TOL, nrm)
+    unitarity, symmetry, c_norm = (
+        operator_norm(M)
+        for M in (G @ G.conj().T - np.eye(n), G - G.T, T - conjugate_by(C, T.conj().T))
+    )
+    assert got == (max(unitarity, symmetry, c_norm / nrm) <= DEFAULT_TOL, c_norm / nrm)
 
 
 def test_phase_test_on_real_input_matches_eigh_part_by_part(monkeypatch):

@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit import indestructible
 from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gap
@@ -239,3 +240,54 @@ def test_random_nilpotent2_refuses_a_rank_above_half_the_dimension():
     # an InputError, which a caller catching ValueError still catches
     with pytest.raises(InputError, match="rank 2 too large for dimension 3"):
         random_nilpotent2(stream(13, 5), 3, rank=2)
+
+
+def _destructor_outcome(A):
+    """The conclusion and the four norms of destructor_witness(A), or its PreconditionError."""
+    try:
+        cert = destructor_witness(A)
+    except PreconditionError as exc:
+        return str(exc)
+    return cert.conclusion, cert.norm_wA, cert.norm_wA_rev, cert.norm_wB, cert.norm_wB_rev
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    log_offset=st.one_of(st.none(), st.floats(-10.0, -7.0)),
+)
+def test_destructor_decides_as_the_splitting_first_route(seed, n, log_offset):
+    # generic A (no offset), or an order-two nilpotent pushed off order two so
+    # that ||A^2|| / ||A||^2 lies in 1e-10 to 1e-7, around the splitting's tol;
+    # the Frobenius screen may spare the splitting's SVD but must change
+    # neither the conclusion, nor a norm, nor an error message
+    rng = stream(seed, 11)
+    if log_offset is None:
+        A = random_complex(rng, n, n)
+    else:
+        N = random_nilpotent2(rng, n)
+        E = random_complex(rng, n, n)
+        A = N + 10.0**log_offset * operator_norm(N) * E / operator_norm(E)
+    screened = _destructor_outcome(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indestructible, "_order_two_ruled_out", lambda B, tol: False)
+        assert _destructor_outcome(A) == screened
+
+
+def test_destructor_takes_no_splitting_on_a_generic_matrix(monkeypatch):
+    calls = []
+    splitting = indestructible.nilpotent2_splitting
+    monkeypatch.setattr(indestructible, "nilpotent2_splitting", lambda M: calls.append(M) or splitting(M))
+    assert destructor_witness(random_complex(stream(3, 11), 5, 5)).conclusion == "destroyed"
+    assert calls == []
+    # A fails on its rank alone, so its yxx norms decide nothing, and the
+    # message embeds the splitting's own refusal
+    A = np.zeros((3, 3), dtype=complex)
+    A[1, 0], A[2, 2] = 1.0, 1e-6
+    with pytest.raises(PreconditionError) as refusal:
+        nilpotent2_splitting(A)
+    with pytest.raises(PreconditionError) as exc:
+        destructor_witness(A)
+    assert "numerical rank 2" in str(refusal.value)
+    assert str(exc.value).startswith(f"A is {refusal.value}, but the yxx norms")

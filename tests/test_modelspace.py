@@ -771,6 +771,14 @@ def test_modelspace_decompose_blocks_and_unitarity():
             modelspace_decompose(u, v, quad_points=quad)
 
 
+def test_modelspace_decompose_refuses_a_factor_that_is_not_a_blaschke_product():
+    # u.degree on None used to leak an AttributeError
+    u = BlaschkeProduct((0.3,))
+    for args in ((u, None), (None, u), (u, u, [0.5]), ((0.3,), u)):
+        with pytest.raises(InputError, match="BlaschkeProduct"):
+            modelspace_decompose(*args)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(seed=SEEDS, degrees=st.tuples(*[st.integers(0, 8)] * 3))
 def test_frame_of_a_product_is_its_basis_by_quadrature(seed, degrees):

@@ -46,6 +46,13 @@ def test_realize_modulus_monomial_shortcut():
     assert np.allclose(m.phi.poly, [1.5])
 
 
+def test_realize_modulus_refuses_targets_that_are_not_1d():
+    # np.frexp of a row used to leak a TypeError; np.sort of a scalar an AxisError
+    for targets in ([[1.0, 2.0], [3.0, 4.0]], 2.0):
+        with pytest.raises(InputError, match="1-d"):
+            realize_modulus(targets)
+
+
 def test_realize_modulus_rank_two_closed_form():
     m = realize_modulus([2.0, 1.0])
     assert m.converged and m.residual <= 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csokit.certify import word_norm_gap, word_norm_gaps
 from csokit.errors import InputError
 from csokit.linalg import operator_norm, operator_norms
 from csokit.words import (
@@ -93,6 +94,17 @@ def test_word_products_and_norms_equal_eval_word_bit_for_bit(seed, n, log_scale)
     # any order, repeats, and words whose prefixes were not asked for
     some = ["yxy", "x", "yxy", "xxxxy", ""]
     assert np.array_equal(word_products(some, T, 2 * T), [eval_word(w, T, 2 * T) for w in some])
+    # a (k, n, n) stack, its adjoints a transposed view as word_norm_gaps takes
+    # them: each product and gap is that of its own matrix, bytes and all
+    k = 1 + seed % 7
+    Ts = 10.0**log_scale * (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
+    for S in (Ts, Ts.real + 0j):
+        adjoints = S.conj().transpose(0, 2, 1)
+        products, gaps = word_products(words, S, adjoints), word_norm_gaps(S, words)
+        assert products.shape == (len(words), k, n, n) and gaps.shape == (len(words), k)
+        for j in range(k):
+            assert products[:, j].tobytes() == word_products(words, S[j], S[j].conj().T).tobytes()
+            assert gaps[:, j].tobytes() == word_norm_gaps(S[j], words).tobytes()
 
 
 def test_word_products_validate_their_input():
@@ -106,10 +118,26 @@ def test_word_products_validate_their_input():
         word_products(["x"], X, np.eye(3))
     assert word_products([], X, Y).shape == (0, 2, 2)
     assert swap_letters("xxy") == "yyx" and swap_letters("") == ""
+    # stacks: square, finite and of one shape
+    for bad in (np.zeros((2, 2, 3)), np.full((1, 2, 2), np.nan), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(InputError):
+            word_products(["x"], bad, bad)
+    with pytest.raises(InputError):
+        word_products(["x"], np.zeros((2, 2, 2)), X)
+
+
+def test_word_norm_gaps_validate_their_words():
+    # swap_letters ran before any check, so these leaked an AttributeError
+    for bad in ([1], [None], ["x", b"y"], ["xz"]):
+        with pytest.raises(InputError):
+            word_norm_gaps(X, bad)
+    with pytest.raises(InputError):
+        word_norm_gap(X, None)
 
 
 def test_operator_norms_validate_their_input():
     assert np.array_equal(operator_norms(np.zeros((3, 0, 0))), np.zeros(3))
+    assert np.array_equal(operator_norms(np.zeros((2, 3, 0, 0))), np.zeros((2, 3)))
     with pytest.raises(InputError):
         operator_norms(X)
     with pytest.raises(InputError):
