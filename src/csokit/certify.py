@@ -68,10 +68,10 @@ from .linalg import (
     unitary_in_subspace,
 )
 from .words import (
+    _validated_words,
     normalize_poly,
     random_polynomial,
     swap_letters,
-    validate_word,
     word_products,
     words_of_length,
 )
@@ -86,6 +86,7 @@ from .words import (
 GAP_FLOOR = 16 * np.finfo(float).eps
 
 _NORM_OVERFLOWS = "||T|| overflows: it is past the largest double; rescale T"
+_LEAST_DOUBLE = np.nextafter(0.0, 1.0)
 
 
 def _gap_cut(tol: float, length: int, n: int) -> float:
@@ -140,6 +141,40 @@ def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, f
     return residual <= tol, residual
 
 
+def _c_differences(A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """A - C A* C for each matrix of a (k, n, n) stack A and G of the conjugations' matrices.
+
+    C A* C = G conj(A*) conj(G), multiplied out as ``conjugate_by`` does,
+    so each difference equals ``A - conjugate_by(C, A.conj().T)`` bit for bit.
+    """
+    return A - G @ A.conj().swapaxes(-1, -2).conj() @ G.conj()
+
+
+def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms) -> list[tuple[bool, float]]:
+    """``_verified_residual`` of each matrix of a (k, n, n) stack A, for G and ||A|| the same way.
+
+    Every norm of the stack comes from one batched SVD.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = (G @ G.conj().swapaxes(-1, -2) - np.eye(A.shape[-1]), G - G.swapaxes(-1, -2))
+        differences = _c_differences(A, G)
+    # ||M|| <= ||M||_F: a defect within tol passes with no SVD
+    over = [(j, M) for D in defects for j, M in enumerate(D) if not np.linalg.norm(M) <= tol]
+    try:
+        norms = operator_norms(
+            np.concatenate([differences, [M for _, M in over]]) if over else differences
+        ).tolist()
+    except InputError:
+        j = int(np.argmin(np.isfinite(differences).all(axis=(1, 2))))
+        msg = f"||T|| = {nrms[j]:.3e} is out of range: T - C T* C overflows; rescale T"
+        raise InputError(msg) from None
+    worst = [c_norm / nrm if nrm > 0 else 0.0 for c_norm, nrm in zip(norms, nrms)]
+    residuals = worst.copy()
+    for (j, _), defect in zip(over, norms[len(A) :]):
+        worst[j] = max(worst[j], defect)
+    return [(w <= tol, r) for w, r in zip(worst, residuals)]
+
+
 def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) -> tuple[bool, float]:
     """Whether C is a symmetric unitary with A = C A* C at tol, and that residual.
 
@@ -149,20 +184,94 @@ def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) ->
     ``is_c_symmetric``, ``Conjugation.unitarity_residual`` and
     ``symmetry_residual`` take bit for bit.  The residual is
     ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  A difference
-    that overflows (||A|| near the largest double) is an InputError.
+    that overflows (||A|| near the largest double) is an InputError.  The
+    k = 1 call of ``_verified_residuals``.
     """
-    G = C.matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        defects = (G @ G.conj().T - np.eye(len(G)), G - G.T)
-        stack = [A - conjugate_by(C, A.conj().T)]
-        stack += [M for M in defects if not np.linalg.norm(M) <= tol]
-    try:
-        c_norm, *defect_norms = operator_norms(stack).tolist()
-    except InputError:
-        msg = f"||T|| = {nrm:.3e} is out of range: T - C T* C overflows; rescale T"
-        raise InputError(msg) from None
-    residual = c_norm / nrm if nrm > 0 else 0.0
-    return max([residual, *defect_norms]) <= tol, residual
+    return _verified_residuals(A[None], C.matrix[None], tol, [nrm])[0]
+
+
+def _order_two_decisions(A: np.ndarray, tol: float):
+    """The order-two decision for each matrix of a (k, n, n) stack: (U, s, Vh, norms, ranks).
+
+    ``nilpotent2_splitting`` states the decision.  U, s and Vh are the
+    stack's one batched SVD, and the squares T^2 / s_0^2 are formed for the
+    whole stack; then each matrix is decided in turn, as its own k = 1 call
+    decides it, so a stack raises the error of its first refused matrix.
+    """
+    k, n, _ = A.shape
+    U, s, Vh = np.linalg.svd(A)
+    norms = s[:, 0].tolist() if n else [0.0] * k
+    # T / ||T|| by parts; T = 0 is divided by the least subnormal instead, which leaves it 0
+    scale = s[:, :1, None] if all(norms) else np.maximum(s[:, :1, None], _LEAST_DOUBLE)
+    unit = A.real / scale + 1j * (A.imag / scale)
+    squares = unit @ unit
+    ranks = []
+    for square, row, nrm in zip(squares, s, norms):
+        if nrm == np.inf:
+            raise InputError(_NORM_OVERFLOWS)
+        if nrm > 0 and np.linalg.norm(square) > tol:  # ||.|| <= ||.||_F: else no SVD is needed
+            square_norm = operator_norm(square)
+            if square_norm > tol:
+                raise PreconditionError(
+                    f"not nilpotent of order two at tol {tol:.1e}: "
+                    f"||T^2|| / ||T||^2 = {square_norm:.3e}"
+                )
+        r = int(np.count_nonzero(row > tol * nrm))
+        if 2 * r > n:
+            raise PreconditionError(
+                f"not nilpotent of order two at tol {tol:.1e}: numerical rank {r} exceeds half "
+                f"the dimension {n} (s_{r - 1} / s_0 = {row[r - 1] / nrm:.3e})"
+            )
+        ranks.append(r)
+    return U, s, Vh, norms, ranks
+
+
+def _per_rank(ranks: list[int], part) -> np.ndarray:
+    """The stack whose matrices of rank r are ``part(r, members)``, one call per rank r.
+
+    ``members`` indexes the matrices of rank r in the stack (all of them,
+    as a slice, when the stack has one rank).
+    """
+    if len(set(ranks)) == 1:
+        return part(ranks[0], slice(None))
+    groups: dict[int, list[int]] = {}
+    for j, r in enumerate(ranks):
+        groups.setdefault(r, []).append(j)
+    parts = {r: part(r, members) for r, members in groups.items()}
+    out = np.empty((len(ranks), *parts[ranks[0]].shape[1:]), dtype=complex)
+    for r, members in groups.items():
+        out[members] = parts[r]
+    return out
+
+
+def _nilpotent2_forms(A: np.ndarray, tol: float) -> list[Nilpotent2Form]:
+    """``nilpotent2_splitting`` of each matrix of a (k, n, n) stack.
+
+    Each form equals the one of its own k = 1 call bit for bit.  The
+    matrices of one rank r share the stacked products, and one batched SVD
+    for their leftover kernels when n > 2r.
+    """
+    U, s, Vh, norms, ranks = _order_two_decisions(A, tol)
+    n = A.shape[-1]
+
+    def frame(r, members):  # the columns [right, left, rest] of W*
+        V = Vh[members].conj().swapaxes(-1, -2)
+        phases = column_phases(V[..., :r])[..., None, :]
+        right = V[..., :r] * phases
+        left = U[members, :, :r] * phases
+        if n == 2 * r:
+            return np.concatenate([right, left], axis=-1)
+        # Orthonormal basis of ker T minus ran T (ran T sits inside ker T).
+        kernel = V[..., r:]
+        rest = np.linalg.svd(kernel - left @ (left.conj().swapaxes(-1, -2) @ kernel))[0]
+        rest = rest[..., : n - 2 * r]
+        return np.concatenate([right, left, rest * column_phases(rest)[..., None, :]], axis=-1)
+
+    W = _per_rank(ranks, frame).conj().swapaxes(-1, -2)
+    return [
+        Nilpotent2Form(w, row[:r].copy(), n - 2 * r, nrm)
+        for w, row, r, nrm in zip(W, s, ranks, norms)
+    ]
 
 
 def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
@@ -180,43 +289,27 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
     the columns right (V's first r columns, each with its largest entry made
     real positive), left (U's, with the same phases, so T right_i = s_i
     left_i) and rest (ker T outside ran T, from one more SVD when n > 2r).
+    The k = 1 call of ``_nilpotent2_forms``.
     """
     tol = check_tol(tol)
-    A = as_matrix(T, square=True)
-    n = A.shape[0]
-    U, s, Vh = np.linalg.svd(A)
-    nrm = float(s[0]) if n else 0.0
-    if nrm == np.inf:
-        raise InputError(_NORM_OVERFLOWS)
-    if nrm > 0:
-        unit = A.real / nrm + 1j * (A.imag / nrm)
-        square = unit @ unit
-        if np.linalg.norm(square) > tol:  # ||.|| <= ||.||_F: else no SVD is needed
-            square_norm = operator_norm(square)
-            if square_norm > tol:
-                raise PreconditionError(
-                    f"not nilpotent of order two at tol {tol:.1e}: "
-                    f"||T^2|| / ||T||^2 = {square_norm:.3e}"
-                )
-    r = int(np.count_nonzero(s > tol * nrm))
-    if 2 * r > n:
-        raise PreconditionError(
-            f"not nilpotent of order two at tol {tol:.1e}: numerical rank {r} exceeds half "
-            f"the dimension {n} (s_{r - 1} / s_0 = {s[r - 1] / nrm:.3e})"
-        )
+    return _nilpotent2_forms(as_matrix(T, square=True)[None], tol)[0]
 
-    V = Vh.conj().T
-    phases = column_phases(V[:, :r])
-    right = V[:, :r] * phases
-    left = U[:, :r] * phases
 
-    # Orthonormal basis of ker T minus ran T (ran T sits inside ker T).
-    rest = np.zeros((n, 0), dtype=complex)
-    if n > 2 * r:
-        kernel = V[:, r:]
-        rest = np.linalg.svd(kernel - left @ (left.conj().T @ kernel))[0][:, : n - 2 * r]
-        rest = rest * column_phases(rest)
-    return Nilpotent2Form(np.hstack([right, left, rest]).conj().T, s[:r].copy(), n - 2 * r, nrm)
+def _nilpotent2_conjugations(W: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """The G of ``conjugation_for_nilpotent2`` for forms of one dimension, as a (k, n, n) stack.
+
+    W stacks the forms' W and ``ranks`` holds their ranks.  One batched SVD
+    gives every polar factor; each G equals its own bit for bit.
+    """
+    U, _, Vh = np.linalg.svd(W.conj().swapaxes(-1, -2))
+    P = U @ Vh
+
+    def swapped(r, members):  # the basis with right and left exchanged
+        M = P[members]
+        return np.concatenate([M[..., r : 2 * r], M[..., :r], M[..., 2 * r :]], axis=-1)
+
+    G = _per_rank(ranks, swapped) @ P.swapaxes(-1, -2)
+    return 0.5 * (G + G.swapaxes(-1, -2))
 
 
 def conjugation_for_nilpotent2(form: Nilpotent2Form) -> Conjugation:
@@ -228,12 +321,9 @@ def conjugation_for_nilpotent2(form: Nilpotent2Form) -> Conjugation:
     through the polar factor of that basis, the nearest unitary to a basis
     that is orthonormal only to rounding (or to tol, for T nilpotent only at
     tol), so G is unitary to working precision.  The caller checks G on T.
+    The k = 1 call of ``_nilpotent2_conjugations``.
     """
-    r = form.rank
-    U, _, Vh = np.linalg.svd(form.W.conj().T)
-    W = U @ Vh  # the polar factor, without polar_decompose's unused |W*|
-    G = np.hstack([W[:, r : 2 * r], W[:, :r], W[:, 2 * r :]]) @ W.T
-    return Conjugation(0.5 * (G + G.T))
+    return Conjugation(_nilpotent2_conjugations(form.W[None], [form.rank])[0])
 
 
 def canonical_block_decomposition(T) -> tuple[list[np.ndarray], np.ndarray]:
@@ -247,7 +337,11 @@ def canonical_block_decomposition(T) -> tuple[list[np.ndarray], np.ndarray]:
     followed by Q on every pair.  It is unitary to rounding, except that on a
     T nilpotent only at DEFAULT_TOL, ran T lies in ker T only up to that tol.
     """
-    form = nilpotent2_splitting(T)
+    return _block_decomposition(nilpotent2_splitting(T))
+
+
+def _block_decomposition(form: Nilpotent2Form) -> tuple[list[np.ndarray], np.ndarray]:
+    """``canonical_block_decomposition`` of the matrix whose order-two form is ``form``."""
     r, extra = form.rank, form.extra_kernel_dim
     rows = np.r_[np.arange(2 * r).reshape(2, r).T.ravel(), 2 * r : 2 * r + extra]
     Q = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
@@ -520,9 +614,10 @@ def word_norm_gaps(T, words) -> np.ndarray:
     one table of the words and their swaps, each multiplied out once by
     ``word_products`` and normed once by one batched SVD.  A stack gives a
     (len(words), k) array whose column j equals the gaps of T_j bit for bit.
+    A bare string or a non-iterable ``words`` is an InputError.
     """
     A = _as_square_matrices(T)
-    words = [validate_word(w) for w in words]
+    words = _validated_words(words)
     swapped = [swap_letters(w) for w in words]
     table = list(dict.fromkeys([*words, *swapped]))
     norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().swapaxes(-1, -2)))))

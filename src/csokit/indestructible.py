@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import AccuracyError, InputError, PreconditionError
 from .certify import (
+    _nilpotent2_conjugations,
+    _nilpotent2_forms,
+    _order_two_decisions,
     _order_two_ruled_out,
-    _verified_residual,
-    conjugation_for_nilpotent2,
+    _verified_residuals,
     nilpotent2_splitting,
 )
 from .linalg import (
@@ -171,25 +173,41 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     return cert
 
 
+def _nilpotent2_tensor_conjugations(As, Bs) -> tuple[np.ndarray, np.ndarray]:
+    """(T, G): the stack of T_j = A_j (x) B_j and the matrices G_j of their verified conjugations.
+
+    ``nilpotent2_tensor_conjugation`` of each pair, whose products must share
+    one size: one order-two decision per dimension of the A_j, then one
+    splitting, one set of polar factors and one verification of the whole
+    stack, so each G_j equals its own call's bit for bit.
+    """
+    Bs = [as_matrix(B, square=True) for B in Bs]
+    As = [as_matrix(A, square=True) for A in As]
+    for n in dict.fromkeys(len(A) for A in As):
+        _order_two_decisions(np.array([A for A in As if len(A) == n]), DEFAULT_TOL)
+    T = np.array([as_matrix(tensor(A, B)) for A, B in zip(As, Bs)])  # a product may overflow
+    forms = _nilpotent2_forms(T, DEFAULT_TOL)
+    W = np.array([form.W for form in forms])
+    G = _nilpotent2_conjugations(W, [form.rank for form in forms])
+    checks = _verified_residuals(T, G, DEFAULT_TOL, [form.norm for form in forms])
+    for ok, residual in checks:
+        if not ok:
+            raise AccuracyError(
+                f"the conjugation of A (x) B misses tol {DEFAULT_TOL:.1e}: c-symmetry residual "
+                f"{residual:.3e}"
+            )
+    return T, G
+
+
 def nilpotent2_tensor_conjugation(A, B) -> Conjugation:
     """Verified conjugation for A (x) B when A^2 = 0 at DEFAULT_TOL.
 
     (A (x) B)^2 = A^2 (x) B^2 = 0, so the order-two construction applies to
     the product directly.  B must be square.  A G that misses the tol (A
-    nilpotent only at tol) raises AccuracyError.
+    nilpotent only at tol) raises AccuracyError.  The k = 1 call of
+    ``_nilpotent2_tensor_conjugations``.
     """
-    B = as_matrix(B, square=True)
-    nilpotent2_splitting(A)
-    T = tensor(A, B)
-    form = nilpotent2_splitting(T)
-    C = conjugation_for_nilpotent2(form)
-    ok, residual = _verified_residual(T, C, DEFAULT_TOL, form.norm)
-    if not ok:
-        raise AccuracyError(
-            f"the conjugation of A (x) B misses tol {DEFAULT_TOL:.1e}: c-symmetry residual "
-            f"{residual:.3e}"
-        )
-    return C
+    return Conjugation(_nilpotent2_tensor_conjugations([A], [B])[1][0])
 
 
 def factor_swap(n: int) -> np.ndarray:

@@ -67,7 +67,7 @@ def check_tol(tol) -> float:
     and a NaN one accepts nothing, so neither can give a meaningful verdict.
     """
     tol = float(tol)
-    if not (np.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
     return tol
 
@@ -186,31 +186,19 @@ def column_phases(cols: np.ndarray) -> np.ndarray:
     of tied magnitudes the first entry is the pivot.  The pivot's magnitude is
     taken by ``np.hypot`` of its parts, which equals scalar ``abs`` bit for
     bit, whereas ``np.abs`` of an array may differ from it in the last bit.
+    A (k, n, c) stack gives a (k, c) array, row j that of matrix j.
     """
-    phases = np.ones(cols.shape[1], dtype=complex)
+    phases = np.ones(cols.shape[:-2] + cols.shape[-1:], dtype=complex)
     if cols.size == 0:
         return phases
-    pivots = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    rows = np.abs(cols).argmax(axis=-2)
+    columns = np.arange(cols.shape[-1])
+    if cols.ndim == 2:
+        pivots = cols[rows, columns]
+    else:
+        pivots = cols[np.arange(len(cols))[:, None], rows, columns]
     size = np.hypot(pivots.real, pivots.imag)
-    nonzero = size > 0
-    phases[nonzero] = pivots[nonzero].conj() / size[nonzero]
-    return phases
-
-
-def polar_decompose(M) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition M = V @ P with V unitary and P = |M| psd.
-
-    The unitary factor is completed deterministically on ker|M| by pairing
-    left and right singular vectors in SVD index order.
-    """
-    A = as_matrix(M, square=True)
-    if A.size == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
-    U, s, Vh = np.linalg.svd(A)
-    V = U @ Vh
-    P = Vh.conj().T @ (s[:, None] * Vh)
-    P = 0.5 * (P + P.conj().T)
-    return V, P
+    return np.divide(pivots.conj(), size, out=phases, where=size > 0)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ import numpy as np
 from .errors import AccuracyError, ToolkitError
 from . import serialize
 from .certify import (
-    canonical_block_decomposition,
-    conjugation_for_nilpotent2,
+    _block_decomposition,
+    _c_differences,
+    _nilpotent2_conjugations,
+    _nilpotent2_forms,
     is_c_symmetric,
-    nilpotent2_splitting,
     word_norm_gaps,
 )
 from .ensembles import (
@@ -32,22 +33,21 @@ from .ensembles import (
     stream,
 )
 from .indestructible import (
+    _nilpotent2_tensor_conjugations,
     destructor_witness,
-    nilpotent2_tensor_conjugation,
     shift_coshift_truncation,
     shift_tensor_coshift_blocks,
     swap_conjugation,
     shift_coshift_product,
 )
 from .linalg import (
+    DEFAULT_TOL,
     Conjugation,
     check_seed,
-    conjugate_by,
     direct_sum,
     operator_norm,
     operator_norms,
     singular_values,
-    tensor,
 )
 from .modelspace import (
     _check_quad_points,
@@ -89,27 +89,37 @@ def _entry(name: str, claim: str, ok: bool, residuals: dict) -> dict:
     }
 
 
+def _by_dimension(cases, dim) -> list[list]:
+    """The cases grouped by dim(case), in draw order within and across the groups."""
+    groups: dict[int, list] = {}
+    for case in cases:
+        groups.setdefault(dim(case), []).append(case)
+    return list(groups.values())
+
+
 def entry_order2_conjugations(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 101)
+    cases = [random_nilpotent2(rng, int(rng.integers(2, 13))) for _ in range(200)]
     worst_sym = worst_inv = 0.0
-    for _ in range(200):
-        dim = int(rng.integers(2, 13))
-        T = random_nilpotent2(rng, dim)
-        form = nilpotent2_splitting(T)
-        C = conjugation_for_nilpotent2(form)
-        G = C.matrix
-        # is_c_symmetric's two norms, unitarity, symmetry and the canonical form in one SVD batch
-        nrm, c_norm, unitarity, symmetry, canonical = operator_norms(
+    for group in _by_dimension(cases, len):  # one kernel pass and one norm batch per dimension
+        T = np.array(group)
+        forms = _nilpotent2_forms(T, DEFAULT_TOL)
+        W = np.array([form.W for form in forms])
+        G = _nilpotent2_conjugations(W, [form.rank for form in forms])
+        canonical = np.array([form.canonical_matrix() for form in forms])
+        # is_c_symmetric's two norms, unitarity, symmetry and the canonical form of each case
+        norms = operator_norms(
             [
                 T,
-                T - conjugate_by(C, T.conj().T),
-                G @ G.conj().T - np.eye(dim),
-                G - G.T,
-                form.W @ T @ form.W.conj().T - form.canonical_matrix(),
+                _c_differences(T, G),
+                G @ G.conj().swapaxes(-1, -2) - np.eye(T.shape[-1]),
+                G - G.swapaxes(-1, -2),
+                W @ T @ W.conj().swapaxes(-1, -2) - canonical,
             ]
-        ).tolist()
-        worst_sym = max(worst_sym, c_norm / nrm if nrm > 0 else 0.0)
-        worst_inv = max(worst_inv, unitarity, symmetry, canonical / max(nrm, 1e-300))
+        )
+        for nrm, c_norm, unitarity, symmetry, canon in norms.T.tolist():
+            worst_sym = max(worst_sym, c_norm / nrm if nrm > 0 else 0.0)
+            worst_inv = max(worst_inv, unitarity, symmetry, canon / max(nrm, 1e-300))
     ok = worst_sym <= 1e-9 and worst_inv <= 1e-9
     return _entry(
         "order2_conjugations",
@@ -121,17 +131,23 @@ def entry_order2_conjugations(cfg: RunConfig) -> dict:
 
 def entry_explicit_blocks(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 102)
-    worst = 0.0
+    cases = []
     for _ in range(50):
         k = int(rng.integers(1, 4))
         lam = np.sort(0.2 + 2.8 * rng.random(k))[::-1]
         T = np.zeros((2 * k, 2 * k), dtype=complex)
         T[k:, :k] = np.diag(lam)
-        blocks, W = canonical_block_decomposition(T)
-        mapped, nrm, unitarity = operator_norms(
-            [W @ T @ W.conj().T - direct_sum(*blocks), T, W @ W.conj().T - np.eye(2 * k)]
-        ).tolist()
-        worst = max(worst, mapped / nrm, unitarity)
+        cases.append(T)
+    worst = 0.0
+    for group in _by_dimension(cases, len):  # one kernel pass and one norm batch per dimension
+        T = np.array(group)
+        decompositions = [_block_decomposition(form) for form in _nilpotent2_forms(T, DEFAULT_TOL)]
+        W = np.array([unitary for _, unitary in decompositions])
+        blocks = np.array([direct_sum(*blocks) for blocks, _ in decompositions])
+        Wh = W.conj().swapaxes(-1, -2)
+        norms = operator_norms([W @ T @ Wh - blocks, T, W @ Wh - np.eye(T.shape[-1])])
+        for mapped, nrm, unitarity in norms.T.tolist():
+            worst = max(worst, mapped / nrm, unitarity)
     ok = worst <= 1e-7
     return _entry(
         "explicit_2x2_blocks",
@@ -143,15 +159,18 @@ def entry_explicit_blocks(cfg: RunConfig) -> dict:
 
 def entry_indestructibility(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 103)
-    worst_forward = 0.0
+    pairs = []
     for _ in range(100):
         da = int(rng.integers(2, 5))
         db = int(rng.integers(1, 5))
-        A = random_nilpotent2(rng, da)
-        B = random_complex(rng, db, db)
-        C = nilpotent2_tensor_conjugation(A, B)
-        _, residual = is_c_symmetric(tensor(A, B), C)
-        worst_forward = max(worst_forward, residual)
+        pairs.append((random_nilpotent2(rng, da), random_complex(rng, db, db)))
+    worst_forward = 0.0
+    # one kernel pass and one norm batch per size of A (x) B
+    for group in _by_dimension(pairs, lambda pair: len(pair[0]) * len(pair[1])):
+        T, G = _nilpotent2_tensor_conjugations(*zip(*group))
+        # is_c_symmetric's two norms of each case
+        for nrm, c_norm in operator_norms([T, _c_differences(T, G)]).T.tolist():
+            worst_forward = max(worst_forward, c_norm / nrm if nrm > 0 else 0.0)
 
     worst_exact = 0.0
     min_wA = np.inf
@@ -317,12 +336,9 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
 def entry_word_identities(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 108)
     words = [w for length in range(1, 6) for w in words_of_length(length)]
-    by_dim: dict[int, list[np.ndarray]] = {}
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        by_dim.setdefault(n, []).append(random_cso(rng, n)[0])
+    cases = [random_cso(rng, int(rng.integers(2, 7)))[0] for _ in range(100)]
     worst = 0.0
-    for Ts in by_dim.values():  # one word pass and one norm batch per dimension
+    for Ts in _by_dimension(cases, len):  # one word pass and one norm batch per dimension
         gaps = word_norm_gaps(np.array(Ts), words)
         for gap, nrm in zip(gaps.T, operator_norms(Ts).tolist()):
             worst = max(worst, float((gap / np.array([nrm ** len(w) for w in words])).max()))

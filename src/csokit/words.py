@@ -34,6 +34,21 @@ def validate_word(word: str) -> str:
     return word
 
 
+def _validated_words(words) -> list[str]:
+    """The words of an iterable, each validated; a bare string or a non-iterable is an InputError.
+
+    A string is iterable letter by letter, so it would pass as the words of
+    its letters; it is refused instead.
+    """
+    if isinstance(words, str):
+        raise InputError(f"expected an iterable of words, got the string {words!r}")
+    try:
+        items = iter(words)
+    except TypeError:
+        raise InputError(f"expected an iterable of words, got {words!r}") from None
+    return [validate_word(word) for word in items]
+
+
 def _letter_matrices(X, Y, stacks: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """X and Y as square matrices of one shape, or with ``stacks`` also as (k, n, n) stacks."""
     if stacks:
@@ -67,10 +82,11 @@ def word_products(words, X, Y) -> np.ndarray:
     (k, n, n) stacks, giving a (len(words), k, n, n) one.  The words are
     visited in sorted order, where words that share a prefix are adjacent,
     so each distinct prefix is multiplied out once and only the current
-    word's prefix products are held.
+    word's prefix products are held.  A bare string or a non-iterable
+    ``words`` is an InputError.
     """
     X, Y = _letter_matrices(X, Y, stacks=True)
-    words = [validate_word(word) for word in words]
+    words = _validated_words(words)
     out = np.empty((len(words), *X.shape), dtype=complex)
     path = [np.eye(X.shape[-1], dtype=complex)]  # path[k]: product of prev[:k]
     prev = ""

@@ -291,6 +291,52 @@ def test_splitting_refuses_a_rank_above_half_the_dimension():
     assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
 
 
+def stack_members(n, seed, size):
+    """Order-two matrices of dimension n and mixed rank: 0, random, n // 2, near order two."""
+    rng = stream(seed, 13)
+    members = [np.zeros((n, n), dtype=complex)]
+    members += [random_nilpotent2(rng, n) for _ in range(size)]
+    members.append(random_nilpotent2(rng, n, n // 2))  # n = 2r for even n
+    N = random_nilpotent2(rng, n)
+    E = random_complex(rng, n, n)
+    members.append(N + 1e-10 * operator_norm(N) / operator_norm(E) * E)  # order two only at tol
+    return members
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), size=st.integers(0, 5))
+def test_stacked_order_two_kernel_equals_its_one_matrix_calls_byte_for_byte(n, seed, size):
+    members = stack_members(n, seed, size)
+    T = np.array(members)
+    forms = certify._nilpotent2_forms(T, DEFAULT_TOL)
+    W = np.array([form.W for form in forms])
+    G = certify._nilpotent2_conjugations(W, [form.rank for form in forms])
+    checks = certify._verified_residuals(T, G, DEFAULT_TOL, [form.norm for form in forms])
+    assert len(forms) == len(G) == len(checks) == len(members)
+    for M, form, g, check in zip(members, forms, G, checks):
+        one = nilpotent2_splitting(M)
+        assert form.W.tobytes() == one.W.tobytes()
+        assert form.singular_values.tobytes() == one.singular_values.tobytes()
+        assert form.extra_kernel_dim == one.extra_kernel_dim
+        assert type(form.norm) is float and form.norm == one.norm
+        C = conjugation_for_nilpotent2(one)
+        assert g.tobytes() == C.matrix.tobytes()
+        assert check == certify._verified_residual(M, C, DEFAULT_TOL, one.norm)
+
+
+def test_a_stack_with_one_refused_member_raises_its_one_matrix_error():
+    good = [random_nilpotent2(stream(5, 13), 6) for _ in range(3)]
+    # past order two, and of order two at tol but of rank 5 in C^6
+    for bad in (jordan(6), direct_sum(jordan(2), 1e-5 * np.eye(4))):
+        with pytest.raises(PreconditionError) as one:
+            nilpotent2_splitting(bad)
+        for position in range(len(good) + 1):
+            stack = np.array(good[:position] + [bad] + good[position:])
+            with pytest.raises(PreconditionError) as many:
+                certify._nilpotent2_forms(stack, DEFAULT_TOL)
+            assert str(many.value) == str(one.value)
+
+
 def near_nilpotent(seed, dim, rel, rank=None):
     """Random T with T^2 = 0 plus a perturbation of relative norm rel."""
     rng = stream(seed, 0)

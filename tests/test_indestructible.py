@@ -291,3 +291,21 @@ def test_destructor_takes_no_splitting_on_a_generic_matrix(monkeypatch):
         destructor_witness(A)
     assert "numerical rank 2" in str(refusal.value)
     assert str(exc.value).startswith(f"A is {refusal.value}, but the yxx norms")
+
+
+def test_stacked_tensor_conjugations_equal_their_one_pair_calls_byte_for_byte():
+    # A (x) B of size 8 from A of dimension 2 and 4 (ranks 1 and 1-2), and of size 6
+    rng = stream(9, 11)
+    for shapes in (((2, 4), (4, 2), (2, 4), (4, 2)), ((3, 2), (2, 3))):
+        pairs = [(random_nilpotent2(rng, da), random_complex(rng, db, db)) for da, db in shapes]
+        T, G = indestructible._nilpotent2_tensor_conjugations(*zip(*pairs))
+        for (A, B), t, g in zip(pairs, T, G):
+            assert t.tobytes() == tensor(A, B).tobytes()
+            assert g.tobytes() == nilpotent2_tensor_conjugation(A, B).matrix.tobytes()
+    # an A past order two is refused with its own one-pair error
+    A, B = jordan(3), random_complex(rng, 2, 2)
+    with pytest.raises(PreconditionError) as one:
+        nilpotent2_tensor_conjugation(A, B)
+    with pytest.raises(PreconditionError) as many:
+        indestructible._nilpotent2_tensor_conjugations([random_nilpotent2(rng, 3), A], [B, B])
+    assert str(many.value) == str(one.value)

@@ -15,7 +15,6 @@ from csokit.linalg import (
     conjugate_by,
     direct_sum,
     operator_norm,
-    polar_decompose,
     power_of_two_scaled,
     singular_values,
     tensor,
@@ -141,15 +140,6 @@ def test_power_of_two_scaled_keeps_zero_and_empty_at_exponent_zero():
     for M in (np.zeros((3, 3)), np.zeros((0, 0)), np.zeros((4, 0))):
         A, e = power_of_two_scaled(M)
         assert e == 0 and A.shape == M.shape and not A.any()
-
-
-def test_polar_decompose_properties():
-    A = random_complex(stream(1, 3), 4, 4)
-    V, P = polar_decompose(A)
-    assert operator_norm(V @ V.conj().T - np.eye(4)) <= 1e-12
-    assert operator_norm(P - P.conj().T) <= 1e-12
-    assert np.min(np.linalg.eigvalsh(P)) >= -1e-12
-    assert operator_norm(V @ P - A) <= 1e-12 * operator_norm(A)
 
 
 def test_identity_conjugation_is_entrywise_conjugation():

@@ -2,10 +2,18 @@
 
 import numpy as np
 
-from csokit import verify
-from csokit.certify import word_norm_gaps
-from csokit.ensembles import random_cso, stream
-from csokit.linalg import operator_norm
+from csokit import indestructible, verify
+from csokit.certify import (
+    _nilpotent2_forms,
+    canonical_block_decomposition,
+    conjugation_for_nilpotent2,
+    is_c_symmetric,
+    nilpotent2_splitting,
+    word_norm_gaps,
+)
+from csokit.ensembles import random_complex, random_cso, random_nilpotent2, stream
+from csokit.indestructible import nilpotent2_tensor_conjugation
+from csokit.linalg import direct_sum, operator_norm, tensor
 from csokit.words import iter_words
 
 
@@ -33,3 +41,64 @@ def test_word_identities_take_one_word_pass_per_dimension(monkeypatch):
     assert [shape[1:] for shape in stacks] == [(n, n) for n in dict.fromkeys(dims)]
     assert sorted(shape[0] for shape in stacks) == sorted(dims.count(n) for n in set(dims))
     assert entry["residuals"]["worst_scaled_gap"] == worst
+
+
+def test_order_two_entries_take_one_splitting_pass_per_dimension(monkeypatch):
+    cfg = verify.RunConfig(seed=7)
+    stacks = []
+
+    def recording(T, tol):
+        stacks.append(np.shape(T))
+        return _nilpotent2_forms(T, tol)
+
+    monkeypatch.setattr(verify, "_nilpotent2_forms", recording)
+    monkeypatch.setattr(indestructible, "_nilpotent2_forms", recording)
+
+    def passes(entry):
+        stacks.clear()
+        return entry(cfg)["residuals"], list(stacks)
+
+    def one_pass_per_dimension(shapes, dims):
+        assert [shape[1:] for shape in shapes] == [(n, n) for n in dict.fromkeys(dims)]
+        assert [shape[0] for shape in shapes] == [dims.count(n) for n in dict.fromkeys(dims)]
+
+    # the same draws, one matrix at a time through the public k = 1 calls
+    residuals, shapes = passes(verify.entry_order2_conjugations)
+    rng = stream(cfg.seed, 101)
+    dims, worst_sym, worst_inv = [], 0.0, 0.0
+    for _ in range(200):
+        T = random_nilpotent2(rng, int(rng.integers(2, 13)))
+        form = nilpotent2_splitting(T)
+        C = conjugation_for_nilpotent2(form)
+        nrm = operator_norm(T)
+        canonical = operator_norm(form.W @ T @ form.W.conj().T - form.canonical_matrix())
+        dims.append(len(T))
+        worst_sym = max(worst_sym, is_c_symmetric(T, C)[1])
+        worst_inv = max(worst_inv, C.unitarity_residual(), C.symmetry_residual(), canonical / nrm)
+    one_pass_per_dimension(shapes, dims)
+    assert (residuals["symmetry"], residuals["invariants"]) == (worst_sym, worst_inv)
+
+    residuals, shapes = passes(verify.entry_explicit_blocks)
+    rng = stream(cfg.seed, 102)
+    dims, worst = [], 0.0
+    for _ in range(50):
+        k = int(rng.integers(1, 4))
+        T = np.zeros((2 * k, 2 * k), dtype=complex)
+        T[k:, :k] = np.diag(np.sort(0.2 + 2.8 * rng.random(k))[::-1])
+        blocks, W = canonical_block_decomposition(T)
+        dims.append(2 * k)
+        mapped = operator_norm(W @ T @ W.conj().T - direct_sum(*blocks)) / operator_norm(T)
+        worst = max(worst, mapped, operator_norm(W @ W.conj().T - np.eye(2 * k)))
+    one_pass_per_dimension(shapes, dims)
+    assert residuals["equivalence"] == worst
+
+    residuals, shapes = passes(verify.entry_indestructibility)
+    rng = stream(cfg.seed, 103)
+    dims, worst = [], 0.0
+    for _ in range(100):
+        da, db = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        A, B = random_nilpotent2(rng, da), random_complex(rng, db, db)
+        dims.append(da * db)
+        worst = max(worst, is_c_symmetric(tensor(A, B), nilpotent2_tensor_conjugation(A, B))[1])
+    one_pass_per_dimension(shapes, dims)
+    assert residuals["forward_conjugation"] == worst

@@ -126,6 +126,15 @@ def test_word_products_validate_their_input():
         word_products(["x"], np.zeros((2, 2, 2)), X)
 
 
+def test_word_products_refuse_a_bare_string_or_a_non_iterable():
+    # None leaked a TypeError, and "xy" was read as the words x and y
+    for bad in (None, 3, "xy", "", np.str_("x")):
+        with pytest.raises(InputError, match="expected an iterable of words"):
+            word_products(bad, X, Y)
+    assert word_products(("xy", "y"), X, Y).shape == (2, 2, 2)
+    assert word_products(iter(["x"]), X, Y).tobytes() == X.tobytes()
+
+
 def test_word_norm_gaps_validate_their_words():
     # swap_letters ran before any check, so these leaked an AttributeError
     for bad in ([1], [None], ["x", b"y"], ["xz"]):
@@ -133,6 +142,14 @@ def test_word_norm_gaps_validate_their_words():
             word_norm_gaps(X, bad)
     with pytest.raises(InputError):
         word_norm_gap(X, None)
+
+
+def test_word_norm_gaps_refuse_a_bare_string_or_a_non_iterable():
+    # None leaked a TypeError, and "xy" gave the gaps of the words x and y
+    for bad in (None, 3, "xy", np.str_("xy")):
+        with pytest.raises(InputError, match="expected an iterable of words"):
+            word_norm_gaps(np.eye(2), bad)
+    assert word_norm_gaps(X, ("xxy",)).tobytes() == word_norm_gaps(X, ["xxy"]).tobytes()
 
 
 def test_operator_norms_validate_their_input():
