@@ -150,8 +150,9 @@ def _c_differences(A: np.ndarray, G: np.ndarray) -> np.ndarray:
     return A - G @ A.conj().swapaxes(-1, -2).conj() @ G.conj()
 
 
-def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms) -> list[tuple[bool, float]]:
-    """``_verified_residual`` of each matrix of a (k, n, n) stack A, for G and ||A|| the same way.
+def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms):
+    """(checks, c_norms): ``_verified_residual`` of each matrix of a (k, n, n) stack A, for G
+    and ||A|| the same way, and the norms ||A_j - C_j A_j* C_j|| that the residuals divide.
 
     Every norm of the stack comes from one batched SVD.
     """
@@ -172,7 +173,7 @@ def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms) -> list[
     residuals = worst.copy()
     for (j, _), defect in zip(over, norms[len(A) :]):
         worst[j] = max(worst[j], defect)
-    return [(w <= tol, r) for w, r in zip(worst, residuals)]
+    return [(w <= tol, r) for w, r in zip(worst, residuals)], norms[: len(A)]
 
 
 def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) -> tuple[bool, float]:
@@ -187,7 +188,7 @@ def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) ->
     that overflows (||A|| near the largest double) is an InputError.  The
     k = 1 call of ``_verified_residuals``.
     """
-    return _verified_residuals(A[None], C.matrix[None], tol, [nrm])[0]
+    return _verified_residuals(A[None], C.matrix[None], tol, [nrm])[0][0]
 
 
 def _order_two_decisions(A: np.ndarray, tol: float):

@@ -22,11 +22,11 @@ from .certify import (
     _order_two_decisions,
     _order_two_ruled_out,
     _verified_residuals,
-    nilpotent2_splitting,
 )
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
+    _tensors,
     as_matrix,
     conjugate_by,
     operator_norm,
@@ -35,7 +35,7 @@ from .linalg import (
     tensor,
     times_power_of_two,
 )
-from .words import eval_word
+from .words import swap_letters, word_products
 
 DESTRUCTOR_WORD = "yxx"
 
@@ -78,18 +78,103 @@ def witness_matrix(alpha: float, beta: float) -> np.ndarray:
     return B
 
 
+def _order_two_refusal(M: np.ndarray) -> PreconditionError | None:
+    """The error with which ``nilpotent2_splitting`` refuses M, or None: its decision, no frame."""
+    try:
+        _order_two_decisions(M[None], DEFAULT_TOL)
+    except PreconditionError as exc:
+        return exc
+    return None
+
+
+def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCertificate]:
+    """``destructor_witness`` of each matrix A_j of a stack, against one witness B(alpha, beta).
+
+    The A_j are square matrices of one size.  Each is scaled by its own power
+    of two; the yxx and swapped words of the whole scaled stack come from one
+    ``word_products`` pass (each product equals ``eval_word``'s bit for bit)
+    and are normed with the scaled A_j in one batch, and B's two norms are
+    taken once.  Then each A_j is decided in turn, as its own k = 1 call
+    decides it, so each certificate equals that call's and a stack raises
+    the error of its first refused matrix.
+    """
+    B = witness_matrix(alpha, beta)
+    Ms = [as_matrix(A, square=True) for A in As]
+    scaled = [power_of_two_scaled(M) for M in Ms]
+    U = np.array([u for u, _ in scaled])
+    words = [DESTRUCTOR_WORD, swap_letters(DESTRUCTOR_WORD)]  # w(X*, X) is swap(w)(X, X*)
+    products = word_products(words, U, U.conj().swapaxes(-1, -2))
+    unit = operator_norms(np.concatenate([U[None], products]))
+    norm_wB, norm_wB_rev = operator_norms(word_products(words, B, B.conj().T)).tolist()
+    certs = []
+    for M, (u, e), (unit_nrm, *unit_norms) in zip(Ms, scaled, unit.T.tolist()):
+        cert = DestructorCertificate(
+            witness_B=B,
+            alpha=float(alpha),
+            beta=float(beta),
+            word=DESTRUCTOR_WORD,
+            norm_wA=times_power_of_two(unit_norms[0], 3 * e),
+            norm_wA_rev=times_power_of_two(unit_norms[1], 3 * e),
+            norm_wB=norm_wB,
+            norm_wB_rev=norm_wB_rev,
+            conclusion="indestructible_sampled",
+        )
+        certs.append(cert)
+        scale = f"||A|| = {times_power_of_two(unit_nrm, e):.3e}"
+        if max(cert.norm_wA, cert.norm_wA_rev) == np.inf:
+            raise PreconditionError(
+                f"{scale} is too large for the {DESTRUCTOR_WORD} word norms of A: "
+                f"||A*A^2|| and ||A^2 A*|| overflow; rescale A"
+            )
+        # as in find_conjugation, a Frobenius bound that rules order two out spares the SVD
+        if not _order_two_ruled_out(u, DEFAULT_TOL) and _order_two_refusal(M) is None:
+            continue
+        # A^2 != 0 makes both norms positive, so a zero is an underflow
+        if min(cert.norm_wA, cert.norm_wA_rev) == 0:
+            raise PreconditionError(
+                f"{scale} is too small for the {DESTRUCTOR_WORD} word "
+                f"norms of A: ||A*A^2|| = {cert.norm_wA:.3g} and ||A^2 A*|| = "
+                f"{cert.norm_wA_rev:.3g} underflow; rescale A"
+            )
+        # decided in units of 2^(3e), where nothing over- or underflows
+        norms = (unit_norms[0] * norm_wB, unit_norms[1] * norm_wB_rev)
+        gap = abs(norms[0] - norms[1])
+        try:
+            threshold = DEFAULT_TOL * float(unit_nrm * max(alpha, beta)) ** 3
+        except OverflowError:
+            raise InputError(
+                f"witness parameter max(alpha, beta) = {max(alpha, beta)!r} is too large: the "
+                f"threshold ||A (x) B||^3 overflows for A not of order two"
+            ) from None
+        shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
+        if max(norms) <= threshold:
+            raise PreconditionError(
+                f"A is {_order_two_refusal(M)}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
+                f"{shown[0]:.3e} and {shown[1]:.3e}, are not above {shown[3]:.3e}, so no "
+                f"ratio beta/alpha gives a gap"
+            )
+        if gap <= threshold:
+            raise PreconditionError(
+                f"beta/alpha = {beta / alpha:.6g} cancels ||A*A^2|| / ||A^2 A*|| = "
+                f"{cert.norm_wA:.6g} / {cert.norm_wA_rev:.6g}: the {DESTRUCTOR_WORD} gap of "
+                f"A (x) B is {shown[2]:.3e}, not above {shown[3]:.3e}; choose another ratio"
+            )
+        cert.conclusion = "destroyed"
+    return certs
+
+
 def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCertificate:
     """Norm-identity violation certificate for A (x) B(alpha, beta).
 
     With w = yx^2: ||w(B,B*)|| = alpha^2 beta and ||w(B*,B)|| = alpha beta^2,
     and word norms factor over tensor products, so the gap of A (x) B is
     alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  A of order two
-    (``nilpotent2_splitting``) gives indestructible_sampled, since the
-    constructive route applies; an A whose Frobenius bound rules order two
-    out (``_order_two_ruled_out``) skips the splitting's SVD, as in
-    ``find_conjugation``.  Otherwise the conclusion is destroyed when
-    the gap exceeds DEFAULT_TOL * ||A (x) B||^3, the threshold of
-    ``word_obstruction_search``.  The norms of A are taken on A scaled by a
+    (the decision of ``nilpotent2_splitting``, taken without its frame) gives
+    indestructible_sampled, since the constructive route applies; an A whose
+    Frobenius bound rules order two out (``_order_two_ruled_out``) skips the
+    decision's SVD, as in ``find_conjugation``.  Otherwise the conclusion is
+    destroyed when the gap exceeds DEFAULT_TOL * ||A (x) B||^3, the threshold
+    of ``word_obstruction_search``.  The norms of A are taken on A scaled by a
     power of two to norm in [1/2, sqrt(2) n), which is exact, and the gap is
     decided in those units.  A word norm of A that overflows in A's units
     raises PreconditionError (||A|| above about 5e102), and so does a gap too
@@ -100,81 +185,14 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     beta / alpha = ||A*A^2|| / ||A^2 A*|| at which they cancel.  alpha and
     beta are checked by ``witness_matrix``; a threshold that overflows
     (max(alpha, beta) above about 1e103, A not of order two) is an
-    InputError.
+    InputError.  The k = 1 call of ``_destructor_witnesses``.
     """
-    B = witness_matrix(alpha, beta)
-    M = as_matrix(A, square=True)
-    U, e = power_of_two_scaled(M)
-    unit_nrm, *unit_norms = operator_norms(
-        [U, eval_word(DESTRUCTOR_WORD, U, U.conj().T), eval_word(DESTRUCTOR_WORD, U.conj().T, U)]
-    ).tolist()
-    norm_wB, norm_wB_rev = operator_norms(
-        [eval_word(DESTRUCTOR_WORD, B, B.conj().T), eval_word(DESTRUCTOR_WORD, B.conj().T, B)]
-    ).tolist()
-    cert = DestructorCertificate(
-        witness_B=B,
-        alpha=float(alpha),
-        beta=float(beta),
-        word=DESTRUCTOR_WORD,
-        norm_wA=times_power_of_two(unit_norms[0], 3 * e),
-        norm_wA_rev=times_power_of_two(unit_norms[1], 3 * e),
-        norm_wB=norm_wB,
-        norm_wB_rev=norm_wB_rev,
-        conclusion="indestructible_sampled",
-    )
-    scale = f"||A|| = {times_power_of_two(unit_nrm, e):.3e}"
-    if max(cert.norm_wA, cert.norm_wA_rev) == np.inf:
-        raise PreconditionError(
-            f"{scale} is too large for the {DESTRUCTOR_WORD} word norms of A: "
-            f"||A*A^2|| and ||A^2 A*|| overflow; rescale A"
-        )
-
-    def refusal() -> PreconditionError | None:
-        try:
-            nilpotent2_splitting(M)
-        except PreconditionError as exc:
-            return exc
-        return None
-
-    # as in find_conjugation, a Frobenius bound that rules order two out spares the splitting's SVD
-    if not _order_two_ruled_out(U, DEFAULT_TOL) and refusal() is None:
-        return cert
-    # A^2 != 0 makes both norms positive, so a zero is an underflow
-    if min(cert.norm_wA, cert.norm_wA_rev) == 0:
-        raise PreconditionError(
-            f"{scale} is too small for the {DESTRUCTOR_WORD} word "
-            f"norms of A: ||A*A^2|| = {cert.norm_wA:.3g} and ||A^2 A*|| = "
-            f"{cert.norm_wA_rev:.3g} underflow; rescale A"
-        )
-    # decided in units of 2^(3e), where nothing over- or underflows
-    norms = (unit_norms[0] * cert.norm_wB, unit_norms[1] * cert.norm_wB_rev)
-    gap = abs(norms[0] - norms[1])
-    try:
-        threshold = DEFAULT_TOL * float(unit_nrm * max(alpha, beta)) ** 3
-    except OverflowError:
-        raise InputError(
-            f"witness parameter max(alpha, beta) = {max(alpha, beta)!r} is too large: the "
-            f"threshold ||A (x) B||^3 overflows for A not of order two"
-        ) from None
-    shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
-    if max(norms) <= threshold:
-        raise PreconditionError(
-            f"A is {refusal()}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
-            f"{shown[0]:.3e} and {shown[1]:.3e}, are not above {shown[3]:.3e}, so no "
-            f"ratio beta/alpha gives a gap"
-        )
-    if gap <= threshold:
-        raise PreconditionError(
-            f"beta/alpha = {beta / alpha:.6g} cancels ||A*A^2|| / ||A^2 A*|| = "
-            f"{cert.norm_wA:.6g} / {cert.norm_wA_rev:.6g}: the {DESTRUCTOR_WORD} gap of "
-            f"A (x) B is {shown[2]:.3e}, not above {shown[3]:.3e}; choose another ratio"
-        )
-    cert.conclusion = "destroyed"
-    return cert
+    return _destructor_witnesses([A], alpha, beta)[0]
 
 
-def _nilpotent2_tensor_conjugations(As, Bs) -> tuple[np.ndarray, np.ndarray]:
-    """(T, G): the stack of T_j = A_j (x) B_j and the matrices G_j of their verified conjugations.
+def _nilpotent2_tensor_conjugations(As, Bs) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(T, G, c_norms): the stack of T_j = A_j (x) B_j, the matrices G_j of their verified
+    conjugations, and the norms ||T_j - C_j T_j* C_j|| that verified them.
 
     ``nilpotent2_tensor_conjugation`` of each pair, whose products must share
     one size: one order-two decision per dimension of the A_j, then one
@@ -189,14 +207,14 @@ def _nilpotent2_tensor_conjugations(As, Bs) -> tuple[np.ndarray, np.ndarray]:
     forms = _nilpotent2_forms(T, DEFAULT_TOL)
     W = np.array([form.W for form in forms])
     G = _nilpotent2_conjugations(W, [form.rank for form in forms])
-    checks = _verified_residuals(T, G, DEFAULT_TOL, [form.norm for form in forms])
+    checks, c_norms = _verified_residuals(T, G, DEFAULT_TOL, [form.norm for form in forms])
     for ok, residual in checks:
         if not ok:
             raise AccuracyError(
                 f"the conjugation of A (x) B misses tol {DEFAULT_TOL:.1e}: c-symmetry residual "
                 f"{residual:.3e}"
             )
-    return T, G
+    return T, G, c_norms
 
 
 def nilpotent2_tensor_conjugation(A, B) -> Conjugation:
@@ -231,10 +249,17 @@ def swap_conjugation(J: Conjugation, n: int) -> Conjugation:
     return Conjugation(0.5 * (G + G.T))
 
 
+def _shift_coshift_products(J: Conjugation, A: np.ndarray) -> np.ndarray:
+    """``shift_coshift_product`` of each matrix of a (k, n, n) stack, in one stacked pass.
+
+    Each product equals its own k = 1 call bit for bit.
+    """
+    return _tensors(A, conjugate_by(J, A.conj().swapaxes(-1, -2)))
+
+
 def shift_coshift_product(J: Conjugation, A) -> np.ndarray:
-    """The matrix A (x) (J A* J)."""
-    M = as_matrix(A, square=True)
-    return tensor(M, conjugate_by(J, M.conj().T))
+    """The matrix A (x) (J A* J).  The k = 1 call of ``_shift_coshift_products``."""
+    return _shift_coshift_products(J, as_matrix(A, square=True)[None])[0]
 
 
 def _bidegree_monomials(N: int) -> list[tuple[int, int]]:

@@ -153,18 +153,28 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
-def tensor(A, B) -> np.ndarray:
-    """Kronecker product, capped so row and column counts stay <= TENSOR_DIM_CAP."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    rows = A.shape[0] * B.shape[0]
-    cols = A.shape[1] * B.shape[1]
-    if max(rows, cols) > TENSOR_DIM_CAP:
+def _tensors(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``tensor`` of each pair of two (k, ., .) stacks, capped the same way.
+
+    Each entry is the one product of an entry of A and an entry of B that
+    np.kron forms, so each matrix equals its own pair's ``tensor`` bit for
+    bit.
+    """
+    (k, m, n), (_, p, q) = A.shape, B.shape
+    if max(m * p, n * q) > TENSOR_DIM_CAP:
         raise CapacityError(
-            f"tensor product of shapes {A.shape} x {B.shape} exceeds the "
+            f"tensor product of shapes {A.shape[1:]} x {B.shape[1:]} exceeds the "
             f"dimension cap {TENSOR_DIM_CAP}"
         )
-    return np.kron(A, B)
+    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(k, m * p, n * q)
+
+
+def tensor(A, B) -> np.ndarray:
+    """Kronecker product, capped so row and column counts stay <= TENSOR_DIM_CAP.
+
+    The k = 1 call of ``_tensors``.
+    """
+    return _tensors(as_matrix(A)[None], as_matrix(B)[None])[0]
 
 
 def direct_sum(*blocks) -> np.ndarray:
@@ -240,11 +250,11 @@ class Conjugation:
 
 
 def conjugate_by(C: Conjugation, M) -> np.ndarray:
-    """The linear map C o M o C, i.e. ``G @ conj(M) @ conj(G)``."""
-    A = as_matrix(M, square=True)
+    """The linear map C o M o C, i.e. ``G @ conj(M) @ conj(G)``, of M or each M of a stack."""
+    A = _as_square_matrices(M)
     G = C.matrix
-    if A.shape[0] != G.shape[0]:
-        raise InputError(f"size mismatch: conjugation dim {G.shape[0]}, matrix dim {A.shape[0]}")
+    if A.shape[-1] != G.shape[0]:
+        raise InputError(f"size mismatch: conjugation dim {G.shape[0]}, matrix dim {A.shape[-1]}")
     return G @ A.conj() @ G.conj()
 
 

@@ -17,7 +17,6 @@ of its products equals that of its own pair bit for bit.
 from __future__ import annotations
 
 from itertools import product
-from os.path import commonprefix
 
 import numpy as np
 
@@ -92,8 +91,13 @@ def word_products(words, X, Y) -> np.ndarray:
     prev = ""
     for i in sorted(range(len(words)), key=words.__getitem__):
         word = words[i]
-        del path[len(commonprefix((prev, word))) + 1 :]
-        for letter in word[len(path) - 1 :]:
+        shared = 0  # the length of the prefix that word shares with prev
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            shared += 1
+        del path[shared + 1 :]
+        for letter in word[shared:]:
             path.append(path[-1] @ (X if letter == "x" else Y))
         out[i] = path[-1]
         prev = word

@@ -311,7 +311,7 @@ def test_stacked_order_two_kernel_equals_its_one_matrix_calls_byte_for_byte(n, s
     forms = certify._nilpotent2_forms(T, DEFAULT_TOL)
     W = np.array([form.W for form in forms])
     G = certify._nilpotent2_conjugations(W, [form.rank for form in forms])
-    checks = certify._verified_residuals(T, G, DEFAULT_TOL, [form.norm for form in forms])
+    checks, _ = certify._verified_residuals(T, G, DEFAULT_TOL, [form.norm for form in forms])
     assert len(forms) == len(G) == len(checks) == len(members)
     for M, form, g, check in zip(members, forms, G, checks):
         one = nilpotent2_splitting(M)

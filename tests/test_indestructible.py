@@ -27,7 +27,7 @@ from csokit.indestructible import (
     swap_conjugation,
     witness_matrix,
 )
-from csokit.linalg import Conjugation, operator_norm, singular_values, tensor
+from csokit.linalg import Conjugation, conjugate_by, operator_norm, singular_values, tensor
 from csokit.words import eval_word
 
 
@@ -276,11 +276,17 @@ def test_destructor_decides_as_the_splitting_first_route(seed, n, log_offset):
 
 
 def test_destructor_takes_no_splitting_on_a_generic_matrix(monkeypatch):
+    # the destructor takes the splitting's order-two decision, and never its frame
     calls = []
-    splitting = indestructible.nilpotent2_splitting
-    monkeypatch.setattr(indestructible, "nilpotent2_splitting", lambda M: calls.append(M) or splitting(M))
+    decisions = indestructible._order_two_decisions
+    monkeypatch.setattr(
+        indestructible, "_order_two_decisions", lambda A, tol: calls.append(A) or decisions(A, tol)
+    )
     assert destructor_witness(random_complex(stream(3, 11), 5, 5)).conclusion == "destroyed"
     assert calls == []
+    N = random_nilpotent2(stream(3, 12), 5)
+    assert destructor_witness(N).conclusion == "indestructible_sampled"
+    assert [A.tobytes() for A in calls] == [N[None].tobytes()]
     # A fails on its rank alone, so its yxx norms decide nothing, and the
     # message embeds the splitting's own refusal
     A = np.zeros((3, 3), dtype=complex)
@@ -298,10 +304,13 @@ def test_stacked_tensor_conjugations_equal_their_one_pair_calls_byte_for_byte():
     rng = stream(9, 11)
     for shapes in (((2, 4), (4, 2), (2, 4), (4, 2)), ((3, 2), (2, 3))):
         pairs = [(random_nilpotent2(rng, da), random_complex(rng, db, db)) for da, db in shapes]
-        T, G = indestructible._nilpotent2_tensor_conjugations(*zip(*pairs))
-        for (A, B), t, g in zip(pairs, T, G):
+        T, G, c_norms = indestructible._nilpotent2_tensor_conjugations(*zip(*pairs))
+        for (A, B), t, g, c_norm in zip(pairs, T, G, c_norms):
+            C = nilpotent2_tensor_conjugation(A, B)
             assert t.tobytes() == tensor(A, B).tobytes()
-            assert g.tobytes() == nilpotent2_tensor_conjugation(A, B).matrix.tobytes()
+            assert g.tobytes() == C.matrix.tobytes()
+            # the norm is_c_symmetric divides by ||T|| for its residual
+            assert c_norm == operator_norm(t - conjugate_by(C, t.conj().T))
     # an A past order two is refused with its own one-pair error
     A, B = jordan(3), random_complex(rng, 2, 2)
     with pytest.raises(PreconditionError) as one:
@@ -309,3 +318,48 @@ def test_stacked_tensor_conjugations_equal_their_one_pair_calls_byte_for_byte():
     with pytest.raises(PreconditionError) as many:
         indestructible._nilpotent2_tensor_conjugations([random_nilpotent2(rng, 3), A], [B, B])
     assert str(many.value) == str(one.value)
+
+
+def test_stacked_destructor_witnesses_equal_their_one_matrix_calls_field_for_field():
+    # generic (destroyed), order two (indestructible), order two only at tol, and 0,
+    # at one size and at scales far apart
+    rng = stream(9, 12)
+    for n in (2, 3, 5):
+        N = random_nilpotent2(rng, n)
+        E = random_complex(rng, n, n)
+        members = [
+            random_complex(rng, n, n),
+            N,
+            1e-40 * random_complex(rng, n, n),
+            N + 1e-11 * operator_norm(N) * E / operator_norm(E),
+            np.zeros((n, n)),
+            1e60 * random_nilpotent2(rng, n),
+        ]
+        for alpha, beta in ((1.0, 2.0), (2.5, 0.75)):
+            certs = indestructible._destructor_witnesses(np.array(members), alpha, beta)
+            assert len(certs) == len(members)
+            for A, cert in zip(members, certs):
+                one = destructor_witness(A, alpha, beta)
+                assert cert.witness_B.tobytes() == one.witness_B.tobytes()
+                assert (cert.alpha, cert.beta, cert.word, cert.conclusion) == (
+                    one.alpha,
+                    one.beta,
+                    one.word,
+                    one.conclusion,
+                )
+                norms = (cert.norm_wA, cert.norm_wA_rev, cert.norm_wB, cert.norm_wB_rev)
+                assert norms == (one.norm_wA, one.norm_wA_rev, one.norm_wB, one.norm_wB_rev)
+                assert all(type(x) is float for x in norms)
+
+
+def test_a_stack_with_a_refused_matrix_raises_that_matrix_own_error():
+    # a cancelling ratio, a rank-margin failure and an underflow, each behind good members
+    rank_margin = np.zeros((3, 3), dtype=complex)
+    rank_margin[1, 0], rank_margin[2, 2] = 1.0, 1e-5
+    good = [random_complex(stream(9, 13), 3, 3), random_nilpotent2(stream(9, 14), 3)]
+    for bad in (witness_matrix(2.0, 1.0), rank_margin, 1e-110 * jordan(3)):
+        with pytest.raises(PreconditionError) as one:
+            destructor_witness(bad, 1.0, 2.0)
+        with pytest.raises(PreconditionError) as many:
+            indestructible._destructor_witnesses([*good, bad, jordan(3)], 1.0, 2.0)
+        assert str(many.value) == str(one.value)

@@ -12,9 +12,21 @@ from csokit.certify import (
     word_norm_gaps,
 )
 from csokit.ensembles import random_complex, random_cso, random_nilpotent2, stream
-from csokit.indestructible import nilpotent2_tensor_conjugation
-from csokit.linalg import direct_sum, operator_norm, tensor
+from csokit.indestructible import (
+    _destructor_witnesses,
+    _shift_coshift_products,
+    destructor_witness,
+    nilpotent2_tensor_conjugation,
+    shift_coshift_product,
+    swap_conjugation,
+)
+from csokit.linalg import Conjugation, direct_sum, operator_norm, tensor
 from csokit.words import iter_words
+
+
+def one_pass_per_dimension(shapes, dims):
+    assert [shape[1:] for shape in shapes] == [(n, n) for n in dict.fromkeys(dims)]
+    assert [shape[0] for shape in shapes] == [dims.count(n) for n in dict.fromkeys(dims)]
 
 
 def test_word_identities_take_one_word_pass_per_dimension(monkeypatch):
@@ -58,10 +70,6 @@ def test_order_two_entries_take_one_splitting_pass_per_dimension(monkeypatch):
         stacks.clear()
         return entry(cfg)["residuals"], list(stacks)
 
-    def one_pass_per_dimension(shapes, dims):
-        assert [shape[1:] for shape in shapes] == [(n, n) for n in dict.fromkeys(dims)]
-        assert [shape[0] for shape in shapes] == [dims.count(n) for n in dict.fromkeys(dims)]
-
     # the same draws, one matrix at a time through the public k = 1 calls
     residuals, shapes = passes(verify.entry_order2_conjugations)
     rng = stream(cfg.seed, 101)
@@ -102,3 +110,55 @@ def test_order_two_entries_take_one_splitting_pass_per_dimension(monkeypatch):
         worst = max(worst, is_c_symmetric(tensor(A, B), nilpotent2_tensor_conjugation(A, B))[1])
     one_pass_per_dimension(shapes, dims)
     assert residuals["forward_conjugation"] == worst
+
+
+def test_destructor_and_reflected_adjoint_entries_take_one_pass_per_dimension(monkeypatch):
+    cfg = verify.RunConfig(seed=7)
+    stacks = []
+
+    def witnesses(As, alpha, beta):
+        stacks.append(np.shape(As))
+        return _destructor_witnesses(As, alpha, beta)
+
+    def products(J, A):
+        stacks.append(np.shape(A))
+        return _shift_coshift_products(J, A)
+
+    monkeypatch.setattr(verify, "_destructor_witnesses", witnesses)
+    monkeypatch.setattr(verify, "_shift_coshift_products", products)
+
+    # the converse half's draws, one matrix at a time through the public k = 1 call, with the
+    # redraw test decided by SVD alone
+    residuals = verify.entry_indestructibility(cfg)["residuals"]
+    rng = stream(cfg.seed, 103)
+    for _ in range(100):
+        da, db = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        random_nilpotent2(rng, da), random_complex(rng, db, db)
+    dims, worst, min_wA, destroyed = [], 0.0, np.inf, True
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        while True:
+            A = random_complex(rng, n, n)
+            if operator_norm(A @ A) > 0.1 * operator_norm(A) ** 2:
+                break
+        cert = destructor_witness(A, 1.0, 2.0)
+        dims.append(n)
+        worst = max(worst, abs(cert.norm_wB - 2.0), abs(cert.norm_wB_rev - 4.0))
+        min_wA = min(min_wA, cert.norm_wA)
+        destroyed = destroyed and cert.conclusion == "destroyed"
+    one_pass_per_dimension(stacks, dims)
+    assert (residuals["witness_norm_error"], residuals["min_norm_wA"]) == (worst, min_wA)
+    assert destroyed
+
+    stacks.clear()
+    residuals = verify.entry_tensor_reflected_adjoint(cfg)["residuals"]
+    rng = stream(cfg.seed, 104)
+    dims, worst = [], 0.0
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        J = Conjugation.identity(n)
+        T = shift_coshift_product(J, random_complex(rng, n, n))
+        dims.append(n)
+        worst = max(worst, is_c_symmetric(T, swap_conjugation(J, n))[1])
+    one_pass_per_dimension(stacks, dims)
+    assert residuals["symmetry"] == worst
