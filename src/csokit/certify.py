@@ -494,9 +494,11 @@ def _xxy_obstruction(
     """The word search's certificate ("xxy", gap), if the xxy gap alone rules out every G.
 
     B = T / 2^e with ``unit_nrm`` = ||B||, as ``word_obstruction_search``
-    takes them, and the gap is taken as it takes it, so a hit here is its
-    certificate bit for bit: no word of length 1 or 2 has a gap beyond
-    rounding (||T|| = ||T*||, ||T^2|| = ||T*^2||, ||T T*|| = ||T* T||), and
+    takes them, and the gap is taken as it takes it, | ||xxy|| - ||yxx|| |
+    from the canonical members of the two adjoint classes (see
+    ``word_norm_gaps``), so a hit here is its certificate bit for bit: no
+    word of length 1 or 2 has a gap beyond rounding (x, y, xx and yy are
+    palindromes, whose gaps are exactly 0, and ||T T*|| = ||T* T||), and
     xxy comes first of length 3.  The hit needs a gap above
     16 max(tol, GAP_FLOOR 3 n) ||B||^3, and no G that ``_verified_residual``
     accepts at tol <= 1/32 leaves one: its polar factor U is within about
@@ -508,7 +510,7 @@ def _xxy_obstruction(
     """
     if tol > 1 / 32:
         return None
-    gap = float(word_norm_gaps(B, ["xxy"])[0])
+    gap = float(_word_norm_gaps(B, ["xxy"])[0])
     if gap > 16 * _gap_cut(tol, 3, B.shape[0]) * unit_nrm**3:
         return "xxy", _gap_in_units("xxy", gap, unit_nrm, e)
     return None
@@ -611,18 +613,30 @@ def _batches(items, n: int):
 def word_norm_gaps(T, words) -> np.ndarray:
     """| ||w(T,T*)|| - ||w(T*,T)|| | for each word, at T or at each T of a (k, n, n) stack.
 
-    w(T*,T) is the letter-swapped word at (T, T*), so both norms come from
-    one table of the words and their swaps, each multiplied out once by
-    ``word_products`` and normed once by one batched SVD.  A stack gives a
-    (len(words), k) array whose column j equals the gaps of T_j bit for bit.
-    A bare string or a non-iterable ``words`` is an InputError.
+    w(T*,T) is swap(w)(T, T*), whose adjoint is rev(w)(T, T*), so the gap is
+    | ||w|| - ||rev w|| | at (T, T*).  v(T, T*)* is swap(rev v)(T, T*), so
+    ||v|| = ||swap(rev v)|| for every T: each norm is taken once per adjoint
+    class {v, swap(rev v)}, at its canonical member min(v, swap(rev v)),
+    and a palindrome's gap is exactly 0 and takes no norm.  The members are
+    multiplied out by ``word_products`` and normed by one batched SVD: the
+    62 words of length at most 5 take 24 norms.  As the member is
+    canonical, a word's gap has the same bits in every call, and a stack
+    gives a (len(words), k) array whose column j equals the gaps of T_j bit
+    for bit.  A bare string or a non-iterable ``words`` is an InputError.
     """
-    A = _as_square_matrices(T)
-    words = _validated_words(words)
-    swapped = [swap_letters(w) for w in words]
-    table = list(dict.fromkeys([*words, *swapped]))
+    return _word_norm_gaps(_as_square_matrices(T), _validated_words(words))
+
+
+def _word_norm_gaps(A: np.ndarray, words: list[str]) -> np.ndarray:
+    """``word_norm_gaps`` of a validated matrix or stack A and validated words."""
+    pairs = []  # the canonical members of the classes of w and rev w, or None for a palindrome
+    for w in words:
+        r, s = w[::-1], swap_letters(w)
+        pairs.append(None if r == w else (min(w, s[::-1]), min(r, s)))
+    table = list(dict.fromkeys([v for pair in pairs if pair for v in pair]))
     norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().swapaxes(-1, -2)))))
-    return np.array([abs(norms[w] - norms[s]) for w, s in zip(words, swapped)])
+    zero = np.zeros(len(A)) if A.ndim == 3 else 0.0
+    return np.array([abs(norms[pair[0]] - norms[pair[1]]) if pair else zero for pair in pairs])
 
 
 def word_norm_gap(T, word: str) -> float:
@@ -664,6 +678,10 @@ def word_obstruction_search(
     proves nothing.  The floor keeps a rounding gap from counting at a tol
     below it.  The gaps come from ``word_norm_gaps`` one length at a time,
     so an early hit such as xxy costs only the words up to its length.
+    w(T*,T) is adjoint to rev(w)(T,T*), so each gap is | ||w|| - ||rev w|| |,
+    both norms taken at the canonical member of the word's adjoint class
+    {v, swap(rev v)}: a palindrome never hits, and a gap does not depend on
+    the batch that holds its word.
 
     The search runs on T scaled by a power of two to norm in
     [1/2, sqrt(2) n), so its word products neither overflow nor underflow,
@@ -677,7 +695,7 @@ def word_obstruction_search(
     n = A.shape[0]
     for length in range(1, max_len + 1):
         for batch in _batches(words_of_length(length), n):
-            gaps = word_norm_gaps(A, batch)
+            gaps = _word_norm_gaps(A, batch)
             hits = np.flatnonzero(gaps > _gap_cut(tol, length, n) * nrm**length)
             if hits.size:
                 word = batch[hits[0]]

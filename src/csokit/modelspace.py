@@ -62,7 +62,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm
+from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm, operator_norms
 
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
@@ -272,13 +272,15 @@ class ModelSpace:
                 T = _horner(phi.poly, A)
             else:
                 T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
-        if not np.all(np.isfinite(T)):
-            raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
-        return T
+        return _finite_tto(T)
 
     @property
     def nodes(self) -> np.ndarray:
         return _roots_of_unity(self.quad_points)
+
+    @property
+    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.u._zero_arrays
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,14 +291,17 @@ class ModelSpace:
         factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
         product per zero, in the factors' rows; the basis is prefix times
         reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
+        The zero arrays may carry a leading stack axis (``_ModelSpaces``):
+        every step is elementwise, so each space's samples are its own bit
+        for bit.
         """
         n, Q = self.dim, self.quad_points
         if n * Q > SAMPLE_CAP:
             raise CapacityError(
                 f"degree {n} on {Q} nodes exceeds the sampling cap of {SAMPLE_CAP} basis samples"
             )
-        a, c, eps = self.u._zero_arrays
-        a = a.reshape(n, 1)
+        a, c, eps = self._zero_arrays
+        a = a[..., None]
         z = self.nodes
         E = np.multiply(a.conj(), z)
         np.subtract(1.0, E, out=E)
@@ -304,11 +309,12 @@ class ModelSpace:
         F = np.subtract(a, z)
         F *= E
         F[eps > 0] = z
+        prefixes = F.swapaxes(0, -2)  # F itself for one space
         for k in range(1, n):
-            np.multiply(F[k - 1], F[k], out=F[k])
-        E *= c.reshape(n, 1)
-        E[1:] *= F[:-1]
-        return E, F[-1].copy() if n else np.ones(Q, dtype=complex)
+            np.multiply(prefixes[k - 1], prefixes[k], out=prefixes[k])
+        E *= c[..., None]
+        E[..., 1:, :] *= F[..., :-1, :]
+        return E, prefixes[-1].copy() if n else np.ones(E.shape[:-2] + (Q,), dtype=complex)
 
     @property
     def basis_samples(self) -> np.ndarray:
@@ -326,7 +332,7 @@ class ModelSpace:
     @cached_property
     def _gram_defect(self) -> np.ndarray:
         """The sampled Gram matrix minus I."""
-        G = self.basis_samples @ self._conj_basis.T / self.quad_points
+        G = self.basis_samples @ self._conj_basis.swapaxes(-1, -2) / self.quad_points
         return G - np.eye(self.dim)
 
     @cached_property
@@ -341,11 +347,66 @@ class ModelSpace:
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of boundary samples onto the basis."""
-        return self._conj_basis @ np.asarray(samples, dtype=complex).T / self.quad_points
+        samples = np.asarray(samples, dtype=complex)
+        if samples.ndim > 1:
+            samples = samples.swapaxes(-1, -2)
+        return self._conj_basis @ samples / self.quad_points
 
     def compress(self, multiplier_samples: np.ndarray) -> np.ndarray:
         """Matrix of f -> P(m f) on the basis, for boundary samples of m."""
-        return (self._conj_basis * multiplier_samples) @ self.basis_samples.T / self.quad_points
+        m = np.asarray(multiplier_samples)[..., None, :]
+        return (self._conj_basis * m) @ self.basis_samples.swapaxes(-1, -2) / self.quad_points
+
+
+class _ModelSpaces(ModelSpace):
+    """The model spaces of the products ``us``, all of one degree, on one grid, as a stack.
+
+    ``u`` is the tuple of products.  Every sampled array, the Gram defect,
+    ``project`` and ``compress`` gain a leading axis of len(us), and each
+    slice equals its own ModelSpace's bit for bit: the sampling is
+    elementwise, and each matmul, FFT and SVD runs over the leading axis
+    matrix by matrix.  ``require_resolved`` and ``tto`` are a single
+    space's; a stack reads its Gram residuals from ``_gram_norms``.
+    """
+
+    # its own initializer: ModelSpace.__init__ takes one product, and the
+    # benchmark's tracer annotates each of its calls with u.degree
+    def __init__(self, us, quad_points: int = DEFAULT_QUAD):
+        self.u = tuple(us)
+        self.quad_points = _check_quad_points(quad_points)
+
+    @property
+    def dim(self) -> int:
+        return self.u[0].degree
+
+    @cached_property
+    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.array(arrays) for arrays in zip(*(u._zero_arrays for u in self.u)))
+
+    def _gram_norms(self) -> list[float]:
+        """_gram_norm of each space's Gram defect, as its require_resolved decides it."""
+        return [_gram_norm(D) for D in self._gram_defect]
+
+
+def _finite_tto(T: np.ndarray) -> np.ndarray:
+    """T, or an InputError when the symbol overflowed it."""
+    if not np.all(np.isfinite(T)):
+        raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
+    return T
+
+
+def _polynomial_ttos(us, phis) -> np.ndarray:
+    """tto_matrix(u_j, phi_j) for products us of one degree and polynomial symbols phis, stacked.
+
+    One Horner pass runs over the stack, each row of coefficients padded
+    with high zeros, so each matrix equals its own call's bit for bit (see
+    ``_horner``).  A stack with an overflowing matrix is an InputError.
+    """
+    rows = np.zeros((len(phis), max(phi.poly.size for phi in phis)), dtype=complex)
+    for row, phi in zip(rows, phis):
+        row[: phi.poly.size] = phi.poly
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_tto(_horner(rows, np.array([compressed_shift(u) for u in us])))
 
 
 def _require_gram_residual(residual: float) -> None:
@@ -365,14 +426,21 @@ def _gram_norm(M: np.ndarray) -> float:
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] A^k, adding each coefficient to the diagonal in place.
 
-    The final + 0.0 turns the negative zeros that P @ A leaves off the
-    diagonal into +0, so an entry that is exactly zero prints as 0.0.
+    A (k, n, n) stack takes (k, m) coefficient rows, one per matrix, and one
+    matmul per coefficient column.  The final + 0.0 turns the negative zeros
+    that P @ A leaves off the diagonal into +0, so an entry that is exactly
+    zero prints as 0.0.  So a row padded with high zero coefficients gives
+    its unpadded row's matrix bit for bit: until the first nonzero
+    coefficient P holds only signed zeros, which add nothing to a nonzero
+    sum, and the + 0.0 makes their signs agree.
     """
-    n = A.shape[0]
-    P = np.zeros((n, n), dtype=complex)
-    for c in coeffs[::-1]:
+    n = A.shape[-1]
+    P = np.zeros(A.shape, dtype=complex)
+    flat = (-1,) if A.ndim == 2 else (len(A), n * n)  # the diagonal is every (n+1)-th entry
+    columns = coeffs[::-1] if coeffs.ndim == 1 else coeffs.T[::-1, :, None]
+    for c in columns:
         P = P @ A
-        P.reshape(-1)[:: n + 1] += c
+        P.reshape(flat)[..., :: n + 1] += c
     P += 0.0
     return P
 
@@ -432,7 +500,28 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     if not phi.is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
     ms = ModelSpace(u, quad_points).require_resolved()
-    return operator_norm(ms.tto(phi) - ms.compress(phi.eval(ms.nodes)))
+    return _fn_calculus_residual(ms, phi, ms.tto(phi))
+
+
+def _symbol_samples(phi, nodes: np.ndarray) -> np.ndarray:
+    """phi on the nodes, or for a sequence of symbols a (k, Q) stack of their samples."""
+    if isinstance(phi, Symbol):
+        return phi.eval(nodes)
+    return np.array([p.eval(nodes) for p in phi])
+
+
+def _norms(M: np.ndarray):
+    """operator_norm of an n x n M, or operator_norms of a (k, n, n) stack."""
+    return operator_norms(M) if M.ndim == 3 else operator_norm(M)
+
+
+def _fn_calculus_residual(ms: ModelSpace, phi, direct: np.ndarray):
+    """fn_calculus_check's residual of direct = phi(A_u) on the resolved space ms.
+
+    ms may be a ``_ModelSpaces`` stack, with phi its sequence of symbols and
+    direct their stacked matrices; each residual is its own call's bit for bit.
+    """
+    return _norms(direct - ms.compress(_symbol_samples(phi, ms.nodes)))
 
 
 def _aliasing(power: np.ndarray) -> np.ndarray:
@@ -536,7 +625,7 @@ def _fine_space(ms: ModelSpace, M: int) -> ModelSpace:
     """The space of ms.u on a grid fine enough for M Fourier modes (ms itself
     when its grid already is)."""
     Q = max(4 * M, ms.quad_points, DEFAULT_QUAD)
-    return ms if Q == ms.quad_points else ModelSpace(ms.u, Q)
+    return ms if Q == ms.quad_points else type(ms)(ms.u, Q)
 
 
 def verify_hankel_factorization(
@@ -556,18 +645,34 @@ def verify_hankel_factorization(
     if not isinstance(M, (int, np.integer)) or M < 64:
         raise InputError(f"Hankel truncation M must be an integer >= 64, got {M!r}")
     ms = ModelSpace(u, quad_points).require_resolved()
-    direct = ms.tto(phi)
-    residual = _hankel_route_residual(ms, phi, M, direct)
-    if residual > HANKEL_RESIDUAL_CAP:
-        again = _hankel_route_residual(ms, phi, 2 * M, direct)
-        if again >= residual:
-            raise AccuracyError(
-                f"Hankel residual {residual:.3e} did not decrease at doubled truncation"
-            )
+    (residual,) = _hankel_checks(ms, phi, M, ms.tto(phi))
+    if isinstance(residual, AccuracyError):
+        raise residual
     return residual
 
 
-def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct) -> float:
+def _hankel_checks(ms: ModelSpace, phi, M: int, direct) -> list:
+    """verify_hankel_factorization's outcome on the resolved space ms, as a list.
+
+    ms may be a ``_ModelSpaces`` stack, with phi its sequence of symbols and
+    direct their stacked matrices.  Each outcome is the residual its own call
+    returns, or the AccuracyError it raises; the doubled truncation runs
+    once, over the whole stack, only if some residual exceeds the cap.
+    """
+    residuals = np.atleast_1d(_hankel_route_residual(ms, phi, M, direct)).tolist()
+    again = None
+    for j, residual in enumerate(residuals):
+        if residual > HANKEL_RESIDUAL_CAP:
+            if again is None:
+                again = np.atleast_1d(_hankel_route_residual(ms, phi, 2 * M, direct))
+            if again[j] >= residual:
+                residuals[j] = AccuracyError(
+                    f"Hankel residual {residual:.3e} did not decrease at doubled truncation"
+                )
+    return residuals
+
+
+def _hankel_route_residual(ms: ModelSpace, phi, M: int, direct):
     """Residual of the Hankel route on the space ms against direct, at truncation M.
 
     The M x M section of the Hankel operator with symbol psi = conj(u) phi
@@ -584,20 +689,27 @@ def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct) -> float
     Q = ms.quad_points nodes z_q the image is then
     u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
     conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
-    evaluated by one FFT of length Q.
+    evaluated by one FFT of length Q, which zero-pads M <= Q modes itself.
+    A degree-0 space has no basis, and its residual is 0.
+
+    ms may be a ``_ModelSpaces`` stack, with phi its sequence of symbols and
+    direct their stacked matrices: every FFT then runs over the leading
+    axis, and each residual equals its own space's bit for bit.
     """
     Q = ms.quad_points
     fine = _fine_space(ms, M)
-    reversed_taylor = _fourier_coefficients(fine.basis_samples)[:, M - 1 :: -1]
-    psi = _fourier_coefficients(np.conj(fine.u_samples) * phi.eval(fine.nodes))
-    v = psi[-1 : -2 * M : -1]
-    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)
-    negative = np.fft.ifft(spectrum)[:, M - 1 : 2 * M - 1]
-    padded = np.zeros((len(negative), -(-M // Q) * Q), dtype=complex)
-    padded[:, :M] = negative
-    folded = padded.reshape(len(negative), -1, Q).sum(axis=1)
-    images = ms.u_samples * np.conj(ms.nodes) * np.fft.fft(folded)
-    return operator_norm(ms.project(images) - direct)
+    reversed_taylor = _fourier_coefficients(fine.basis_samples)[..., M - 1 :: -1]
+    psi = _fourier_coefficients(np.conj(fine.u_samples) * _symbol_samples(phi, fine.nodes))
+    v = psi[..., -1 : -2 * M : -1]
+    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)[..., None, :]
+    negative = np.fft.ifft(spectrum)[..., M - 1 : 2 * M - 1]
+    rows, folds = negative.shape[:-1], -(-M // Q)
+    if folds > 1:
+        padded = np.zeros((*rows, folds * Q), dtype=complex)
+        padded[..., :M] = negative
+        negative = padded.reshape(*rows, folds, Q).sum(axis=-2)
+    images = ms.u_samples[..., None, :] * np.conj(ms.nodes) * np.fft.fft(negative, Q)
+    return _norms(ms.project(images) - direct)
 
 
 def modelspace_decompose(

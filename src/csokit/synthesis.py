@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .certify import nilpotent2_splitting
-from .linalg import as_matrix, check_seed, column_phases, operator_norm
+from .certify import _nilpotent2_forms, _per_rank, nilpotent2_splitting
+from .linalg import DEFAULT_TOL, as_matrix, check_seed, column_phases, operator_norms
 from .modelspace import BlaschkeProduct, Symbol
 
 # realize_modulus: Newton steps per fit, step halvings per Newton step (and
@@ -79,9 +79,13 @@ def canonical_nilpotent_parts(N):
     B is the positive diagonal of singular values, size rank(N).
     """
     form = nilpotent2_splitting(N)
-    r, W = form.rank, form.W
-    W0 = np.vstack([W[:r], W[2 * r :], W[r : 2 * r]])
-    return np.diag(form.singular_values), form.extra_kernel_dim, W0
+    return np.diag(form.singular_values), form.extra_kernel_dim, _canonical_rows(form.W, form.rank)
+
+
+def _canonical_rows(W: np.ndarray, r: int) -> np.ndarray:
+    """W0 from the W of a rank-r order-two form, or from a stack of them: its rows
+    [right, left, rest] reordered as [right, rest, left]."""
+    return np.concatenate([W[..., :r, :], W[..., 2 * r :, :], W[..., r : 2 * r, :]], axis=-2)
 
 
 # few sizes recur (the fit's r and the operator's 2r + m), and each entry
@@ -95,8 +99,9 @@ def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    k, mask = _toeplitz_index(c.size)
-    return np.where(mask, c[k], 0)
+    """The lower-triangular Toeplitz matrix of c, or of each row of a (k, n) c as a stack."""
+    k, mask = _toeplitz_index(c.shape[-1])
+    return np.where(mask, c[..., k], 0)
 
 
 def realize_modulus(targets) -> ModulusRealization:
@@ -257,56 +262,70 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
 
     No step is random: seed is range-checked and not used.  It stays while
     the benchmark passes it, and goes with the benchmark refresh (ROADMAP
-    item 1).
+    item 1).  The k = 1 call of ``_syntheses``.
     """
     check_seed(seed)
-    A = as_matrix(N, square=True)
-    dim = A.shape[0]
-    B, extra, W0 = canonical_nilpotent_parts(A)
-    r = B.shape[0]
+    return _syntheses(as_matrix(N, square=True)[None])[0]
 
-    if r == 0:
-        u_total = BlaschkeProduct([0.0] * dim)
-        zero = Symbol.zero()
-        T = np.zeros((dim, dim), dtype=complex)
-        W = np.eye(dim, dtype=complex)
-        return SynthesisResult(
-            u_total=u_total,
-            symbol_total=zero,
-            W=W,
-            equivalence_residual=operator_norm(T - A),
-            converged=True,
-            tto=T,
-            modulus=None,
-        )
 
-    realization = realize_modulus(np.diag(B).real)
-    phi = realization.phi.poly
+def _syntheses(A: np.ndarray) -> list[SynthesisResult]:
+    """``synthesize_tto_for_nilpotent2`` of each matrix of a (k, n, n) stack.
+
+    Each result equals its own k = 1 call's bit for bit, and a stack raises
+    the error of its first refused matrix.  The splittings come from one
+    ``_nilpotent2_forms`` pass, and W0, with W0 N W0* = [[0,0,0],[0,0,0],
+    [B,0,0]], reorders the rows of each form's W (``_canonical_rows``).
+    ``realize_modulus`` fits each matrix's singular values in turn.  The
+    operators, the frame SVDs of the matrices of each rank (one
+    ``_per_rank`` call), W and the equivalence norms are stacked.  A matrix
+    of rank 0 takes the zero operator on the model space of z^n and W = I.
+    """
+    if not len(A):
+        return []
+    n = A.shape[-1]
+    forms = _nilpotent2_forms(A, DEFAULT_TOL)
+    ranks = [form.rank for form in forms]
+    realizations = [realize_modulus(form.singular_values) if form.rank else None for form in forms]
 
     # Symbol u v phi = z^(r+m) phi on the model space of z^(2r+m): T is the
     # lower-triangular Toeplitz matrix of its coefficients, and its block
     # from K_u into u v K_u is L = phi(A_u), the realized r x r operator.
-    coeffs = np.zeros(2 * r + extra, dtype=complex)
-    coeffs[r + extra : r + extra + phi.size] = phi
+    coeffs = np.zeros((len(forms), n), dtype=complex)
+    for row, r, realization in zip(coeffs, ranks, realizations):
+        if r:
+            phi = realization.phi.poly
+            row[n - r : n - r + phi.size] = phi
     T = _lower_toeplitz(coeffs)
+    W = np.array([form.W for form in forms])
 
-    # With L = U S V*, Omega = D V* takes L*L to S^2 (descending, each row's
-    # phase fixed by D) and Omega times the polar factor U V* of L is D U*.
-    U, _, Vh = np.linalg.svd(T[r + extra :, :r])
-    D = column_phases(Vh.conj().T).conj()[:, None]
-    blocks = np.zeros((dim, dim), dtype=complex)
-    blocks[:r, :r] = D * Vh
-    blocks[r : r + extra, r : r + extra] = np.eye(extra)
-    blocks[r + extra :, r + extra :] = D * U.conj().T
-    W = W0.conj().T @ blocks
-    residual = operator_norm(W @ T @ W.conj().T - A)
-    return SynthesisResult(
-        u_total=BlaschkeProduct([0.0] * (2 * r + extra)),
-        symbol_total=Symbol(poly=coeffs),
-        W=W,
-        equivalence_residual=float(residual),
-        # B[0, 0] is ||N|| (the splitting's Nilpotent2Form.norm), positive as r >= 1
-        converged=bool(realization.converged and residual <= 1e-6 * B[0, 0]),
-        tto=T,
-        modulus=realization,
-    )
+    def frame(r, members):  # W0* times the block unitary that takes T onto W0 N W0*
+        if r == 0:
+            return np.zeros_like(T[members]) + np.eye(n)
+        # With L = U S V*, Omega = D V* takes L*L to S^2 (descending, each row's
+        # phase fixed by D) and Omega times the polar factor U V* of L is D U*.
+        U, _, Vh = np.linalg.svd(T[members, n - r :, :r])
+        D = column_phases(Vh.conj().swapaxes(-1, -2)).conj()[..., None]
+        blocks = np.zeros((len(U), n, n), dtype=complex)
+        blocks[:, :r, :r] = D * Vh
+        blocks[:, r : n - r, r : n - r] = np.eye(n - 2 * r)
+        blocks[:, n - r :, n - r :] = D * U.conj().swapaxes(-1, -2)
+        return _canonical_rows(W[members], r).conj().swapaxes(-1, -2) @ blocks
+
+    W = _per_rank(ranks, frame)
+    residuals = operator_norms(W @ T @ W.conj().swapaxes(-1, -2) - A).tolist()
+    return [
+        SynthesisResult(
+            u_total=BlaschkeProduct([0.0] * n),
+            symbol_total=Symbol(poly=row) if r else Symbol.zero(),
+            W=w,
+            equivalence_residual=residual,
+            # s_0 is ||N|| (the splitting's Nilpotent2Form.norm), positive as r >= 1
+            converged=not r
+            or bool(realization.converged and residual <= 1e-6 * form.singular_values[0]),
+            tto=t,
+            modulus=realization,
+        )
+        for form, r, realization, row, w, t, residual in zip(
+            forms, ranks, realizations, coeffs, W, T, residuals
+        )
+    ]

@@ -22,7 +22,6 @@ from .certify import (
     _nilpotent2_conjugations,
     _nilpotent2_forms,
     _order_two_ruled_out,
-    is_c_symmetric,
     word_norm_gaps,
 )
 from .ensembles import (
@@ -53,12 +52,14 @@ from .linalg import (
 )
 from .modelspace import (
     _check_quad_points,
-    fn_calculus_check,
+    _fn_calculus_residual,
+    _hankel_checks,
+    _ModelSpaces,
+    _polynomial_ttos,
+    _require_gram_residual,
     model_conjugation,
-    tto_matrix,
-    verify_hankel_factorization,
 )
-from .synthesis import synthesize_tto_for_nilpotent2
+from .synthesis import _syntheses, synthesize_tto_for_nilpotent2
 from .words import words_of_length
 
 
@@ -267,22 +268,73 @@ def entry_shift_coshift_blocks(cfg: RunConfig) -> dict:
     )
 
 
+def _model_space_checks(us, phis, quad: int) -> list[tuple]:
+    """Each case's outcomes in entry_tto_suite, for products us of one degree and symbols phis.
+
+    Per case: (the model conjugation, or the error its call raises, the
+    c-symmetry residual, the Gram residual of the quad grid, the
+    fn-calculus residual, and the Hankel outcomes at M = 256 and 512), each
+    as the case's own public calls give or raise it.  The cores run over
+    the stack: one Horner pass, one norm batch, and each grid sampled once,
+    the quad grid serving the Gram check, the fn-calculus and M = 256.  The
+    model conjugation runs case by case: its squaring chain stops at a
+    different power for each product, and a stacked chain measured slower
+    as a single call.
+    """
+    if not us:
+        return []
+    T = _polynomial_ttos(us, phis)
+    conjugations = []
+    G = np.zeros_like(T)  # a refused case keeps G = 0: it raises before its c-symmetry is read
+    for u, g in zip(us, G):
+        try:
+            conjugations.append(model_conjugation(u, quad))
+            g[:] = conjugations[-1].matrix
+        except AccuracyError as exc:
+            conjugations.append(exc)
+    nrms, c_norms = operator_norms([T, _c_differences(T, G)]).tolist()
+    spaces = _ModelSpaces(us, quad)
+    return list(
+        zip(
+            conjugations,
+            [c / nrm if nrm > 0 else 0.0 for nrm, c in zip(nrms, c_norms)],
+            spaces._gram_norms(),
+            _fn_calculus_residual(spaces, phis, T).tolist(),
+            _hankel_checks(spaces, phis, 256, T),
+            _hankel_checks(spaces, phis, 512, T),
+        )
+    )
+
+
+def _raised(outcome):
+    """The outcome, or the error it holds raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def entry_tto_suite(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 106)
-    worst_sym = worst_calc = worst_h256 = worst_h512 = 0.0
-    hankel_error = ""
+    us, phis = [], []
     for _ in range(30):
         deg = int(rng.integers(1, 9))
-        u = random_blaschke(rng, deg, max_modulus=0.8)
-        phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
-        A = tto_matrix(u, phi)
-        C = model_conjugation(u, cfg.quad)
-        _, sym = is_c_symmetric(A, C, tol=1e-8)
+        us.append(random_blaschke(rng, deg, max_modulus=0.8))
+        phis.append(random_poly_symbol(rng, int(rng.integers(0, 5))))
+    outcomes = {}
+    for group in _by_dimension(range(30), lambda i: us[i].degree):  # one stack per degree
+        checks = _model_space_checks([us[i] for i in group], [phis[i] for i in group], cfg.quad)
+        outcomes.update(zip(group, checks))
+    worst_sym = worst_calc = worst_h256 = worst_h512 = 0.0
+    hankel_error = ""
+    for i in range(30):  # in draw order, each case raising as its own calls would
+        conjugation, sym, gram, calc, h256, h512 = outcomes[i]
+        _raised(conjugation)
         worst_sym = max(worst_sym, sym)
-        worst_calc = max(worst_calc, fn_calculus_check(u, phi, cfg.quad))
+        _require_gram_residual(gram)
+        worst_calc = max(worst_calc, calc)
         try:
-            worst_h256 = max(worst_h256, verify_hankel_factorization(u, phi, 256, cfg.quad))
-            worst_h512 = max(worst_h512, verify_hankel_factorization(u, phi, 512, cfg.quad))
+            worst_h256 = max(worst_h256, _raised(h256))
+            worst_h512 = max(worst_h512, _raised(h512))
         except AccuracyError as exc:
             hankel_error = str(exc)
     ok = (
@@ -319,15 +371,16 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
         dim = int(rng.integers(2, 9))
         rank = int(rng.integers(1, min(3, dim // 2) + 1))
         draws.append(_nilpotent2_draw(rng, dim, rank))
-    for N, _ in _rotated(draws):
-        res = synthesize_tto_for_nilpotent2(N)
-        nrm = operator_norm(N)
-        good = res.equivalence_residual <= 1e-6 * nrm
-        if good:
-            successes += 1
-            worst_success = max(worst_success, res.equivalence_residual / nrm)
-        if res.converged and not good:
-            false_success = True
+    cases = [N for N, _ in _rotated(draws)]
+    for group in _by_dimension(cases, len):  # one synthesis pass and one norm batch per dimension
+        N = np.array(group)
+        for res, nrm in zip(_syntheses(N), operator_norms(N).tolist()):
+            good = res.equivalence_residual <= 1e-6 * nrm
+            if good:
+                successes += 1
+                worst_success = max(worst_success, res.equivalence_residual / nrm)
+            if res.converged and not good:
+                false_success = True
 
     s = 0.5 + 2.5 * rng.random()
     exact = synthesize_tto_for_nilpotent2(np.array([[0, 0], [s, 0]]))

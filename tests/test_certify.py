@@ -29,6 +29,7 @@ from csokit.certify import (
     polynomial_norm_gap,
     polynomial_obstruction_search,
     word_norm_gap,
+    word_norm_gaps,
     word_obstruction_search,
 )
 from csokit.ensembles import random_complex, random_cso, random_nilpotent2, random_unitary, stream
@@ -40,6 +41,7 @@ from csokit.linalg import (
     conjugate_by,
     direct_sum,
     operator_norm,
+    operator_norms,
     power_of_two_scaled,
     unitary_in_subspace,
 )
@@ -50,6 +52,7 @@ from csokit.words import (
     eval_word,
     iter_words,
     random_polynomial,
+    swap_letters,
 )
 
 
@@ -1115,7 +1118,19 @@ def test_polynomial_search_refuses_a_norm_out_of_range(scale):
 
 
 def per_word_gap(T, word):
-    """The norm gap of one word, multiplied out and normed on its own."""
+    """The norm gap | ||w|| - ||rev w|| | of one word at (T, T*), each norm taken at
+    the canonical member min(v, swap(rev v)) of its adjoint class, multiplied out
+    and normed on its own."""
+    H = T.conj().T
+
+    def norm(v):
+        return operator_norm(eval_word(min(v, swap_letters(v[::-1])), T, H))
+
+    return abs(norm(word) - norm(word[::-1]))
+
+
+def swapped_word_gap(T, word):
+    """The norm gap | ||w(T,T*)|| - ||w(T*,T)|| | as the definition states it."""
     H = T.conj().T
     return abs(operator_norm(eval_word(word, T, H)) - operator_norm(eval_word(word, H, T)))
 
@@ -1144,6 +1159,61 @@ def test_word_norm_gap_is_the_per_word_gap_bit_for_bit():
     T = search_matrix("generic", 1, 4)
     for w in iter_words(5):
         assert word_norm_gap(T, w) == per_word_gap(T, w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["generic", "cso", "witness"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+)
+def test_word_norm_gaps_stay_within_rounding_of_the_swapped_word_gaps(kind, seed, n):
+    # one norm per adjoint class moves a gap only by the rounding of the two products
+    T = search_matrix(kind, seed, n)
+    words = list(iter_words(5))
+    nrm = operator_norm(T)
+    for w, gap in zip(words, word_norm_gaps(T, words).tolist()):
+        assert abs(gap - swapped_word_gap(T, w)) <= 8 * np.finfo(float).eps * nrm ** len(w)
+
+
+def record_norm_batches(monkeypatch):
+    """The shapes of the stacks that certify's operator_norms is given, as a growing list."""
+    shapes = []
+
+    def recording(M):
+        shapes.append(np.shape(M))
+        return operator_norms(M)
+
+    monkeypatch.setattr(certify, "operator_norms", recording)
+    return shapes
+
+
+def test_palindromes_have_gap_exactly_zero_and_take_no_norm(monkeypatch):
+    T = search_matrix("generic", 2, 5)
+    palindromes = [w for w in iter_words(5) if w == w[::-1]]
+    norms = record_norm_batches(monkeypatch)
+    assert word_norm_gaps(T, palindromes).tolist() == [0.0] * 20
+    assert word_norm_gaps(T[None].repeat(3, axis=0), palindromes).tolist() == [[0.0] * 3] * 20
+    assert norms == [(0, 5, 5), (0, 3, 5, 5)]
+
+
+def test_the_62_words_take_one_batch_of_24_norms(monkeypatch):
+    T = search_matrix("cso", 3, 4)
+    norms = record_norm_batches(monkeypatch)
+    word_norm_gaps(T, list(iter_words(5)))
+    assert norms == [(24, 4, 4)]
+
+
+def test_stacked_word_gaps_equal_their_one_matrix_gaps_byte_for_byte():
+    words = list(iter_words(5))
+    for kind in ("generic", "cso", "witness"):
+        S = np.array([search_matrix(kind, seed, 5) for seed in range(4)])
+        gaps = word_norm_gaps(S, words)
+        for j, T in enumerate(S):
+            assert gaps[:, j].tobytes() == word_norm_gaps(T, words).tobytes()
+        # a word's gap does not depend on the other words in its call
+        for i, w in enumerate(words):
+            assert gaps[i].tobytes() == word_norm_gaps(S, [w])[0].tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

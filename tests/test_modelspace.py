@@ -817,3 +817,13 @@ def test_hankel_check_builds_each_grid_once(monkeypatch):
     built.clear()
     verify_hankel_factorization(u, phi, 512)
     assert built == [1024, 2048]
+
+
+def test_a_degree_zero_product_has_zero_cross_check_residuals():
+    # the Hankel fold reshaped its (0, M) modes with an inferred axis and leaked a raw ValueError
+    u, phi = BlaschkeProduct([]), Symbol(poly=[1, 2])
+    assert tto_matrix(u, phi).shape == (0, 0)
+    assert fn_calculus_check(u, phi) == 0.0
+    for M in (64, 256, 4096):
+        assert verify_hankel_factorization(u, phi, M) == 0.0
+        assert verify_hankel_factorization(u, phi, M, 64) == 0.0

@@ -1,8 +1,12 @@
 """The verification suite's entries: how they batch their work."""
 
-import numpy as np
+import subprocess
+import sys
 
-from csokit import indestructible, verify
+import numpy as np
+import pytest
+
+from csokit import indestructible, modelspace, serialize, verify
 from csokit.certify import (
     _nilpotent2_forms,
     canonical_block_decomposition,
@@ -11,7 +15,15 @@ from csokit.certify import (
     nilpotent2_splitting,
     word_norm_gaps,
 )
-from csokit.ensembles import random_complex, random_cso, random_nilpotent2, stream
+from csokit.ensembles import (
+    random_blaschke,
+    random_complex,
+    random_cso,
+    random_nilpotent2,
+    random_poly_symbol,
+    stream,
+)
+from csokit.errors import AccuracyError
 from csokit.indestructible import (
     _destructor_witnesses,
     _shift_coshift_products,
@@ -21,6 +33,14 @@ from csokit.indestructible import (
     swap_conjugation,
 )
 from csokit.linalg import Conjugation, direct_sum, operator_norm, tensor
+from csokit.modelspace import (
+    _polynomial_ttos,
+    fn_calculus_check,
+    model_conjugation,
+    tto_matrix,
+    verify_hankel_factorization,
+)
+from csokit.synthesis import _syntheses, synthesize_tto_for_nilpotent2
 from csokit.words import iter_words
 
 
@@ -162,3 +182,133 @@ def test_destructor_and_reflected_adjoint_entries_take_one_pass_per_dimension(mo
         worst = max(worst, is_c_symmetric(T, swap_conjugation(J, n))[1])
     one_pass_per_dimension(stacks, dims)
     assert residuals["symmetry"] == worst
+
+
+def per_case_tto_suite(cfg):
+    """entry_tto_suite's residuals, each case through the public k = 1 calls in draw order."""
+    rng = stream(cfg.seed, 106)
+    worst_sym = worst_calc = worst_h256 = worst_h512 = 0.0
+    hankel_error = ""
+    for _ in range(30):
+        u = random_blaschke(rng, int(rng.integers(1, 9)), max_modulus=0.8)
+        phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
+        A = tto_matrix(u, phi)
+        worst_sym = max(worst_sym, is_c_symmetric(A, model_conjugation(u, cfg.quad), tol=1e-8)[1])
+        worst_calc = max(worst_calc, fn_calculus_check(u, phi, cfg.quad))
+        try:
+            worst_h256 = max(worst_h256, verify_hankel_factorization(u, phi, 256, cfg.quad))
+            worst_h512 = max(worst_h512, verify_hankel_factorization(u, phi, 512, cfg.quad))
+        except AccuracyError as exc:
+            hankel_error = str(exc)
+    return {
+        "c_symmetry": worst_sym,
+        "fn_calculus": worst_calc,
+        "hankel_M256": worst_h256,
+        "hankel_M512": worst_h512,
+        "hankel_error": hankel_error,
+        "cases": 30,
+    }
+
+
+def test_model_space_checks_equal_their_per_case_calls_byte_for_byte():
+    # a mixed-degree stream, degree 0 included, stacked by degree as the entry stacks it
+    rng = stream(31, 4)
+    cases = []
+    for _ in range(40):
+        u = random_blaschke(rng, int(rng.integers(0, 9)), max_modulus=0.9)
+        cases.append((u, random_poly_symbol(rng, int(rng.integers(0, 5)))))
+    for quad in (256, 1024):
+        for group in verify._by_dimension(cases, lambda case: case[0].degree):
+            us, phis = [u for u, _ in group], [phi for _, phi in group]
+            T = _polynomial_ttos(us, phis)
+            checks = verify._model_space_checks(us, phis, quad)
+            for (u, phi), t, check in zip(group, T, checks):
+                assert t.tobytes() == tto_matrix(u, phi).tobytes()
+                C = model_conjugation(u, quad)
+                assert check[0].matrix.tobytes() == C.matrix.tobytes()
+                assert check[1] == is_c_symmetric(t, C, tol=1e-8)[1]
+                assert check[2] <= modelspace.GRAM_TOL
+                assert check[3] == fn_calculus_check(u, phi, quad)
+                assert check[4:] == (
+                    verify_hankel_factorization(u, phi, 256, quad),
+                    verify_hankel_factorization(u, phi, 512, quad),
+                )
+    assert verify._model_space_checks([], [], 1024) == []
+
+
+def test_tto_suite_equals_the_per_case_loop():
+    for cfg in (verify.RunConfig(seed=7), verify.RunConfig(seed=2026, quad=256)):
+        assert verify.entry_tto_suite(cfg)["residuals"] == per_case_tto_suite(cfg)
+    # an unresolved grid raises the first failing case's own error
+    cfg = verify.RunConfig(seed=2026, quad=64)
+    with pytest.raises(AccuracyError) as stacked:
+        verify.entry_tto_suite(cfg)
+    with pytest.raises(AccuracyError) as per_case:
+        per_case_tto_suite(cfg)
+    assert str(stacked.value) == str(per_case.value)
+
+
+def test_a_hankel_accuracy_error_leaves_the_entry_as_the_per_case_loop_does(monkeypatch):
+    # with no cap every residual retries at doubled truncation, and each case
+    # whose doubled residual does not fall raises
+    monkeypatch.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 0.0)
+    cfg = verify.RunConfig(seed=7)
+    residuals = verify.entry_tto_suite(cfg)["residuals"]
+    assert "did not decrease" in residuals["hankel_error"]
+    assert residuals == per_case_tto_suite(cfg)
+
+
+def test_synthesis_entry_equals_its_per_case_calls_byte_for_byte(monkeypatch):
+    # a mixed-dimension, mixed-rank stream, rank 0 included
+    rng = stream(37, 2)
+    cases = []
+    for _ in range(30):
+        dim = int(rng.integers(1, 9))
+        cases.append(random_nilpotent2(rng, dim, int(rng.integers(0, dim // 2 + 1))))
+    for group in verify._by_dimension(cases, len):
+        for got, N in zip(_syntheses(np.array(group)), group):
+            want = synthesize_tto_for_nilpotent2(N)
+            for name in ("W", "tto"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.equivalence_residual == want.equivalence_residual
+            assert got.converged == want.converged
+            assert got.u_total == want.u_total
+            assert got.symbol_total.num.tobytes() == want.symbol_total.num.tobytes()
+            assert (got.modulus is None) == (want.modulus is None)
+    assert _syntheses(np.zeros((0, 3, 3))) == []
+
+    stacks = []
+
+    def recording(A):
+        stacks.append(np.shape(A))
+        return _syntheses(A)
+
+    monkeypatch.setattr(verify, "_syntheses", recording)
+    cfg = verify.RunConfig(seed=7)
+    residuals = verify.entry_synthesis_roundtrip(cfg)["residuals"]
+    rng = stream(cfg.seed, 107)
+    dims, successes, worst = [], 0, 0.0
+    for _ in range(50):
+        dim = int(rng.integers(2, 9))
+        N = random_nilpotent2(rng, dim, int(rng.integers(1, min(3, dim // 2) + 1)))
+        res, nrm = synthesize_tto_for_nilpotent2(N), operator_norm(N)
+        dims.append(dim)
+        if res.equivalence_residual <= 1e-6 * nrm:
+            successes += 1
+            worst = max(worst, res.equivalence_residual / nrm)
+    one_pass_per_dimension(stacks, dims)
+    assert (residuals["successes"], residuals["worst_relative_residual"]) == (successes, worst)
+
+
+def test_two_suite_runs_in_one_process_equal_a_fresh_process():
+    cfg = verify.RunConfig(seed=7)
+    first, second = (serialize.dumps(verify.run_suite(cfg)) for _ in range(2))
+    probe = (
+        "from csokit import serialize, verify\n"
+        "print(serialize.dumps(verify.run_suite(verify.RunConfig(seed=7))), end='')"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert first == second == fresh.stdout
