@@ -43,7 +43,8 @@ check their sampled Gram matrix, so they stay independent of A_u.
 
 Sizes are capped before anything is allocated: a degree above
 TENSOR_DIM_CAP (the n x n shift) and a sampling pass of more than
-SAMPLE_CAP basis samples (degree times nodes) are CapacityErrors.
+SAMPLE_CAP basis samples (spaces times degree times nodes) are
+CapacityErrors.  A stack's callers size it by _stack_size.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -67,7 +68,7 @@ from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm, operator_norms
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
 QUAD_CAP = 1 << 20  # and at most this (16 MB per sampled row)
-SAMPLE_CAP = 1 << 24  # degree x nodes of one sampling pass (256 MB per n x Q array)
+SAMPLE_CAP = 1 << 24  # spaces x degree x nodes of one sampling pass (256 MB per k x n x Q array)
 ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
@@ -243,7 +244,86 @@ def _roots_of_unity(Q: int) -> np.ndarray:
     return nodes
 
 
-class ModelSpace:
+class _Quadrature:
+    """Boundary samples of model-space bases on one grid, and the trapezoid sums over them.
+
+    A subclass gives ``dim``, ``quad_points`` and ``_zero_arrays``, the
+    zero arrays of one product (n,) or of a stack of products of one degree
+    (k, n).  Every array here carries their leading axes, and each step is
+    elementwise or runs matrix by matrix over those axes, so each space of
+    a stack gets what it gets alone, bit for bit.  The trapezoid sums
+    broadcast: k rows of multiplier or symbol samples against one space
+    give the k results a stack of k copies of it would.
+    """
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return _roots_of_unity(self.quad_points)
+
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(basis, u) on the nodes, from one pass of the basis recursion.
+
+        The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all
+        zeros come from one broadcast each (a zero at 0 has reciprocal 1 and
+        factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
+        product per zero, in the factors' rows; the basis is prefix times
+        reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
+        More than SAMPLE_CAP basis samples (all the zeros times the nodes)
+        are a CapacityError, raised before any is taken.
+        """
+        a, c, eps = self._zero_arrays
+        n, Q = self.dim, self.quad_points
+        if a.size * Q > SAMPLE_CAP:
+            raise CapacityError(
+                f"{a.size} basis functions on {Q} nodes exceed the sampling cap of {SAMPLE_CAP} basis samples"
+            )
+        a = a[..., None]
+        z = self.nodes
+        E = np.multiply(a.conj(), z)
+        np.subtract(1.0, E, out=E)
+        np.reciprocal(E, out=E)
+        F = np.subtract(a, z)
+        F *= E
+        F[eps > 0] = z
+        prefixes = F.swapaxes(0, -2)  # prefixes[j] holds factor j of every space
+        for j in range(1, n):
+            np.multiply(prefixes[j - 1], prefixes[j], out=prefixes[j])
+        E *= c[..., None]
+        E[..., 1:, :] *= F[..., :-1, :]
+        return E, prefixes[-1].copy() if n else np.ones(E.shape[:-2] + (Q,), dtype=complex)
+
+    @property
+    def basis_samples(self) -> np.ndarray:
+        return self._samples[0]
+
+    @property
+    def u_samples(self) -> np.ndarray:
+        return self._samples[1]
+
+    @cached_property
+    def _conj_basis(self) -> np.ndarray:
+        """conj(basis_samples), shared by the Gram check, projections and compressions."""
+        return self.basis_samples.conj()
+
+    @cached_property
+    def _gram_defect(self) -> np.ndarray:
+        """The sampled Gram matrix minus I."""
+        G = self.basis_samples @ self._conj_basis.swapaxes(-1, -2) / self.quad_points
+        return G - np.eye(self.dim)
+
+    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """(..., n, m): the projection coefficients of (..., m, Q) rows of samples."""
+        return self._conj_basis @ rows.swapaxes(-1, -2) / self.quad_points
+
+    def compress(self, multiplier_samples: np.ndarray) -> np.ndarray:
+        """Matrix of f -> P(m f) on the basis, for boundary samples of m;
+        (k, Q) rows of samples give the (k, n, n) stack."""
+        m = np.asarray(multiplier_samples)[..., None, :]
+        return (self._conj_basis * m) @ self.basis_samples.swapaxes(-1, -2) / self.quad_points
+
+
+class ModelSpace(_Quadrature):
     """Orthonormal rational basis of H^2 minus u H^2.
 
     Exact operators come from the compressed shift.  The boundary samples
@@ -259,6 +339,14 @@ class ModelSpace:
     def dim(self) -> int:
         return self.u.degree
 
+    @property
+    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.u._zero_arrays
+
+    def on_grid(self, quad_points: int) -> "ModelSpace":
+        """The space of u on quad_points nodes (self when its grid has them)."""
+        return self if quad_points == self.quad_points else ModelSpace(self.u, quad_points)
+
     def tto(self, phi: Symbol) -> np.ndarray:
         """phi(A_u) = num(A_u) den(A_u)^{-1}, exactly.
 
@@ -272,68 +360,9 @@ class ModelSpace:
                 T = _horner(phi.poly, A)
             else:
                 T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
-        return _finite_tto(T)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return _roots_of_unity(self.quad_points)
-
-    @property
-    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.u._zero_arrays
-
-    @cached_property
-    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, u) on the nodes, from one pass of the basis recursion.
-
-        The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all
-        zeros come from one broadcast each (a zero at 0 has reciprocal 1 and
-        factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
-        product per zero, in the factors' rows; the basis is prefix times
-        reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
-        The zero arrays may carry a leading stack axis (``_ModelSpaces``):
-        every step is elementwise, so each space's samples are its own bit
-        for bit.
-        """
-        n, Q = self.dim, self.quad_points
-        if n * Q > SAMPLE_CAP:
-            raise CapacityError(
-                f"degree {n} on {Q} nodes exceeds the sampling cap of {SAMPLE_CAP} basis samples"
-            )
-        a, c, eps = self._zero_arrays
-        a = a[..., None]
-        z = self.nodes
-        E = np.multiply(a.conj(), z)
-        np.subtract(1.0, E, out=E)
-        np.reciprocal(E, out=E)
-        F = np.subtract(a, z)
-        F *= E
-        F[eps > 0] = z
-        prefixes = F.swapaxes(0, -2)  # F itself for one space
-        for k in range(1, n):
-            np.multiply(prefixes[k - 1], prefixes[k], out=prefixes[k])
-        E *= c[..., None]
-        E[..., 1:, :] *= F[..., :-1, :]
-        return E, prefixes[-1].copy() if n else np.ones(E.shape[:-2] + (Q,), dtype=complex)
-
-    @property
-    def basis_samples(self) -> np.ndarray:
-        return self._samples[0]
-
-    @property
-    def u_samples(self) -> np.ndarray:
-        return self._samples[1]
-
-    @cached_property
-    def _conj_basis(self) -> np.ndarray:
-        """conj(basis_samples), shared by the Gram check, projections and G."""
-        return self.basis_samples.conj()
-
-    @cached_property
-    def _gram_defect(self) -> np.ndarray:
-        """The sampled Gram matrix minus I."""
-        G = self.basis_samples @ self._conj_basis.swapaxes(-1, -2) / self.quad_points
-        return G - np.eye(self.dim)
+        if not np.all(np.isfinite(T)):
+            raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
+        return T
 
     @cached_property
     def gram_residual(self) -> float:
@@ -347,66 +376,38 @@ class ModelSpace:
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of boundary samples onto the basis."""
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim > 1:
-            samples = samples.swapaxes(-1, -2)
-        return self._conj_basis @ samples / self.quad_points
-
-    def compress(self, multiplier_samples: np.ndarray) -> np.ndarray:
-        """Matrix of f -> P(m f) on the basis, for boundary samples of m."""
-        m = np.asarray(multiplier_samples)[..., None, :]
-        return (self._conj_basis * m) @ self.basis_samples.swapaxes(-1, -2) / self.quad_points
+        return self._conj_basis @ np.asarray(samples, dtype=complex).T / self.quad_points
 
 
-class _ModelSpaces(ModelSpace):
+class _ModelSpaces(_Quadrature):
     """The model spaces of the products ``us``, all of one degree, on one grid, as a stack.
 
-    ``u`` is the tuple of products.  Every sampled array, the Gram defect,
-    ``project`` and ``compress`` gain a leading axis of len(us), and each
-    slice equals its own ModelSpace's bit for bit: the sampling is
-    elementwise, and each matmul, FFT and SVD runs over the leading axis
-    matrix by matrix.  ``require_resolved`` and ``tto`` are a single
-    space's; a stack reads its Gram residuals from ``_gram_norms``.
+    Only the sampled quadrature: the exact operators and the public checks
+    are a ModelSpace's.  Its initializer is its own, so the benchmark's
+    tracer, which wraps ModelSpace.__init__, does not see it.
     """
 
-    # its own initializer: ModelSpace.__init__ takes one product, and the
-    # benchmark's tracer annotates each of its calls with u.degree
-    def __init__(self, us, quad_points: int = DEFAULT_QUAD):
-        self.u = tuple(us)
+    def __init__(self, us, quad_points: int):
+        self.us = tuple(us)
+        self.dim = self.us[0].degree
         self.quad_points = _check_quad_points(quad_points)
-
-    @property
-    def dim(self) -> int:
-        return self.u[0].degree
 
     @cached_property
     def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.array(arrays) for arrays in zip(*(u._zero_arrays for u in self.u)))
+        return tuple(np.array(x) for x in zip(*(u._zero_arrays for u in self.us)))
+
+    def on_grid(self, quad_points: int) -> "_ModelSpaces":
+        """The stack of the same products on quad_points nodes (self when its grid has them)."""
+        return self if quad_points == self.quad_points else _ModelSpaces(self.us, quad_points)
 
     def _gram_norms(self) -> list[float]:
         """_gram_norm of each space's Gram defect, as its require_resolved decides it."""
         return [_gram_norm(D) for D in self._gram_defect]
 
 
-def _finite_tto(T: np.ndarray) -> np.ndarray:
-    """T, or an InputError when the symbol overflowed it."""
-    if not np.all(np.isfinite(T)):
-        raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
-    return T
-
-
-def _polynomial_ttos(us, phis) -> np.ndarray:
-    """tto_matrix(u_j, phi_j) for products us of one degree and polynomial symbols phis, stacked.
-
-    One Horner pass runs over the stack, each row of coefficients padded
-    with high zeros, so each matrix equals its own call's bit for bit (see
-    ``_horner``).  A stack with an overflowing matrix is an InputError.
-    """
-    rows = np.zeros((len(phis), max(phi.poly.size for phi in phis)), dtype=complex)
-    for row, phi in zip(rows, phis):
-        row[: phi.poly.size] = phi.poly
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_tto(_horner(rows, np.array([compressed_shift(u) for u in us])))
+def _symbol_rows(phis, nodes: np.ndarray) -> np.ndarray:
+    """(k, Q): the symbols phis on the nodes."""
+    return np.array([phi.eval(nodes) for phi in phis])
 
 
 def _require_gram_residual(residual: float) -> None:
@@ -426,21 +427,14 @@ def _gram_norm(M: np.ndarray) -> float:
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] A^k, adding each coefficient to the diagonal in place.
 
-    A (k, n, n) stack takes (k, m) coefficient rows, one per matrix, and one
-    matmul per coefficient column.  The final + 0.0 turns the negative zeros
-    that P @ A leaves off the diagonal into +0, so an entry that is exactly
-    zero prints as 0.0.  So a row padded with high zero coefficients gives
-    its unpadded row's matrix bit for bit: until the first nonzero
-    coefficient P holds only signed zeros, which add nothing to a nonzero
-    sum, and the + 0.0 makes their signs agree.
+    The final + 0.0 turns the negative zeros that P @ A leaves off the
+    diagonal into +0, so an entry that is exactly zero prints as 0.0.
     """
-    n = A.shape[-1]
-    P = np.zeros(A.shape, dtype=complex)
-    flat = (-1,) if A.ndim == 2 else (len(A), n * n)  # the diagonal is every (n+1)-th entry
-    columns = coeffs[::-1] if coeffs.ndim == 1 else coeffs.T[::-1, :, None]
-    for c in columns:
+    n = A.shape[0]
+    P = np.zeros((n, n), dtype=complex)
+    for c in coeffs[::-1]:
         P = P @ A
-        P.reshape(flat)[..., :: n + 1] += c
+        P.reshape(-1)[:: n + 1] += c
     P += 0.0
     return P
 
@@ -500,28 +494,14 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     if not phi.is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
     ms = ModelSpace(u, quad_points).require_resolved()
-    return _fn_calculus_residual(ms, phi, ms.tto(phi))
+    return _fn_calculus_residuals(ms, [phi], ms.tto(phi)[None])[0]
 
 
-def _symbol_samples(phi, nodes: np.ndarray) -> np.ndarray:
-    """phi on the nodes, or for a sequence of symbols a (k, Q) stack of their samples."""
-    if isinstance(phi, Symbol):
-        return phi.eval(nodes)
-    return np.array([p.eval(nodes) for p in phi])
-
-
-def _norms(M: np.ndarray):
-    """operator_norm of an n x n M, or operator_norms of a (k, n, n) stack."""
-    return operator_norms(M) if M.ndim == 3 else operator_norm(M)
-
-
-def _fn_calculus_residual(ms: ModelSpace, phi, direct: np.ndarray):
-    """fn_calculus_check's residual of direct = phi(A_u) on the resolved space ms.
-
-    ms may be a ``_ModelSpaces`` stack, with phi its sequence of symbols and
-    direct their stacked matrices; each residual is its own call's bit for bit.
-    """
-    return _norms(direct - ms.compress(_symbol_samples(phi, ms.nodes)))
+def _fn_calculus_residuals(spaces: _Quadrature, phis, direct: np.ndarray) -> list[float]:
+    """fn_calculus_check's residual for each polynomial symbol of phis and
+    direct, the (k, n, n) stack of their matrices phi(A_u), on the resolved
+    spaces: a stack of k, or one space, which fn_calculus_check passes."""
+    return operator_norms(direct - spaces.compress(_symbol_rows(phis, spaces.nodes))).tolist()
 
 
 def _aliasing(power: np.ndarray) -> np.ndarray:
@@ -621,11 +601,17 @@ def _fourier_coefficients(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / samples.shape[-1]
 
 
-def _fine_space(ms: ModelSpace, M: int) -> ModelSpace:
-    """The space of ms.u on a grid fine enough for M Fourier modes (ms itself
-    when its grid already is)."""
-    Q = max(4 * M, ms.quad_points, DEFAULT_QUAD)
-    return ms if Q == ms.quad_points else type(ms)(ms.u, Q)
+def _fine_grid(quad_points: int, M: int) -> int:
+    """The node count of the Hankel route at truncation M on a quad_points grid:
+    fine enough for M Fourier modes, and never coarser than the grid itself."""
+    return max(4 * M, quad_points, DEFAULT_QUAD)
+
+
+def _stack_size(degree: int, quad_points: int, M: int) -> int:
+    """The most spaces of this degree, at least one, that a stack on
+    quad_points nodes may hold for Hankel truncations up to M: sampled on
+    its finest grid, _fine_grid(quad_points, M), they stay within SAMPLE_CAP."""
+    return max(1, SAMPLE_CAP // max(1, degree * _fine_grid(quad_points, M)))
 
 
 def verify_hankel_factorization(
@@ -636,7 +622,7 @@ def verify_hankel_factorization(
     Each basis function is expanded in its first M Taylor coefficients (one
     FFT of its samples on the fine grid), pushed through the finite Hankel
     section of conj(u) phi into negative modes, evaluated on the
-    quad_points nodes by one FFT (see _hankel_route_residual), multiplied
+    quad_points nodes by one FFT (see _hankel_route_residuals), multiplied
     back by u, and compressed to the model space by the trapezoid rule; the
     result is compared against tto_matrix.  M is an integer >= 64.  If the
     residual exceeds HANKEL_RESIDUAL_CAP and does not decrease when M
@@ -645,26 +631,27 @@ def verify_hankel_factorization(
     if not isinstance(M, (int, np.integer)) or M < 64:
         raise InputError(f"Hankel truncation M must be an integer >= 64, got {M!r}")
     ms = ModelSpace(u, quad_points).require_resolved()
-    (residual,) = _hankel_checks(ms, phi, M, ms.tto(phi))
+    (residual,) = _hankel_checks(ms, [phi], M, ms.tto(phi)[None])
     if isinstance(residual, AccuracyError):
         raise residual
     return residual
 
 
-def _hankel_checks(ms: ModelSpace, phi, M: int, direct) -> list:
-    """verify_hankel_factorization's outcome on the resolved space ms, as a list.
+def _hankel_checks(spaces: _Quadrature, phis, M: int, direct: np.ndarray) -> list:
+    """verify_hankel_factorization's outcome for each symbol of phis on the resolved spaces.
 
-    ms may be a ``_ModelSpaces`` stack, with phi its sequence of symbols and
-    direct their stacked matrices.  Each outcome is the residual its own call
-    returns, or the AccuracyError it raises; the doubled truncation runs
-    once, over the whole stack, only if some residual exceeds the cap.
+    spaces is a stack of k, or one space, which verify_hankel_factorization
+    passes; direct is the (k, n, n) stack of the symbols' matrices.  Each outcome is the
+    residual its own call returns, or the AccuracyError it raises; the
+    doubled truncation runs once, over the whole stack, only if some
+    residual exceeds the cap.
     """
-    residuals = np.atleast_1d(_hankel_route_residual(ms, phi, M, direct)).tolist()
+    residuals = _hankel_route_residuals(spaces, phis, M, direct).tolist()
     again = None
     for j, residual in enumerate(residuals):
         if residual > HANKEL_RESIDUAL_CAP:
             if again is None:
-                again = np.atleast_1d(_hankel_route_residual(ms, phi, 2 * M, direct))
+                again = _hankel_route_residuals(spaces, phis, 2 * M, direct)
             if again[j] >= residual:
                 residuals[j] = AccuracyError(
                     f"Hankel residual {residual:.3e} did not decrease at doubled truncation"
@@ -672,8 +659,10 @@ def _hankel_checks(ms: ModelSpace, phi, M: int, direct) -> list:
     return residuals
 
 
-def _hankel_route_residual(ms: ModelSpace, phi, M: int, direct):
-    """Residual of the Hankel route on the space ms against direct, at truncation M.
+def _hankel_route_residuals(spaces: _Quadrature, phis, M: int, direct: np.ndarray) -> np.ndarray:
+    """Residual of the Hankel route at truncation M for each symbol of phis on
+    the spaces (a stack of k, or one space) against its matrix in the
+    (k, n, n) stack direct.
 
     The M x M section of the Hankel operator with symbol psi = conj(u) phi
     takes the Taylor coefficients t_c, c = 0..M-1, of e_j to its modes
@@ -682,34 +671,32 @@ def _hankel_route_residual(ms: ModelSpace, phi, M: int, direct):
         negative[j, r] = sum_c t_c psi_hat(-(r+c+1)) = sum_c t_c v[r+c],
 
     where t and the coefficients v[k] = psi_hat(-(k+1)), k = 0..2M-2, come
-    from FFTs on the grid of _fine_space(ms, M), fine enough that aliasing
-    sits far below the truncation error.  That is a correlation, taken by one FFT of length 2M
-    of v and of the reversed Taylor rows: entry M-1+r of their circular
-    convolution is negative[j, r], and no wrap-around reaches it.  On the
-    Q = ms.quad_points nodes z_q the image is then
+    from FFTs on the _fine_grid nodes, fine enough that aliasing sits far
+    below the truncation error.  That is a correlation, taken by one FFT of
+    length 2M of v and of the reversed Taylor rows: entry M-1+r of their
+    circular convolution is negative[j, r], and no wrap-around reaches it.
+    On the Q = spaces.quad_points nodes z_q the image is then
     u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
     conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
     evaluated by one FFT of length Q, which zero-pads M <= Q modes itself.
-    A degree-0 space has no basis, and its residual is 0.
-
-    ms may be a ``_ModelSpaces`` stack, with phi its sequence of symbols and
-    direct their stacked matrices: every FFT then runs over the leading
-    axis, and each residual equals its own space's bit for bit.
+    A degree-0 space has no basis, and its residual is 0.  Every FFT runs
+    over the leading axis, so each residual is its space's alone bit for bit.
     """
-    Q = ms.quad_points
-    fine = _fine_space(ms, M)
+    Q = spaces.quad_points
+    fine = spaces.on_grid(_fine_grid(Q, M))
     reversed_taylor = _fourier_coefficients(fine.basis_samples)[..., M - 1 :: -1]
-    psi = _fourier_coefficients(np.conj(fine.u_samples) * _symbol_samples(phi, fine.nodes))
-    v = psi[..., -1 : -2 * M : -1]
-    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)[..., None, :]
+    psi = _fourier_coefficients(np.conj(fine.u_samples) * _symbol_rows(phis, fine.nodes))
+    v = psi[:, -1 : -2 * M : -1]
+    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)[:, None, :]
     negative = np.fft.ifft(spectrum)[..., M - 1 : 2 * M - 1]
-    rows, folds = negative.shape[:-1], -(-M // Q)
+    k, n = negative.shape[:2]
+    folds = -(-M // Q)
     if folds > 1:
-        padded = np.zeros((*rows, folds * Q), dtype=complex)
+        padded = np.zeros((k, n, folds * Q), dtype=complex)
         padded[..., :M] = negative
-        negative = padded.reshape(*rows, folds, Q).sum(axis=-2)
-    images = ms.u_samples[..., None, :] * np.conj(ms.nodes) * np.fft.fft(negative, Q)
-    return _norms(ms.project(images) - direct)
+        negative = padded.reshape(k, n, folds, Q).sum(axis=2)
+    images = spaces.u_samples[..., None, :] * np.conj(spaces.nodes) * np.fft.fft(negative, Q)
+    return operator_norms(spaces._coefficients(images) - direct)
 
 
 def modelspace_decompose(

@@ -52,12 +52,13 @@ from .linalg import (
 )
 from .modelspace import (
     _check_quad_points,
-    _fn_calculus_residual,
+    _fn_calculus_residuals,
     _hankel_checks,
     _ModelSpaces,
-    _polynomial_ttos,
     _require_gram_residual,
+    _stack_size,
     model_conjugation,
+    tto_matrix,
 )
 from .synthesis import _syntheses, synthesize_tto_for_nilpotent2
 from .words import words_of_length
@@ -275,15 +276,23 @@ def _model_space_checks(us, phis, quad: int) -> list[tuple]:
     c-symmetry residual, the Gram residual of the quad grid, the
     fn-calculus residual, and the Hankel outcomes at M = 256 and 512), each
     as the case's own public calls give or raise it.  The cores run over
-    the stack: one Horner pass, one norm batch, and each grid sampled once,
-    the quad grid serving the Gram check, the fn-calculus and M = 256.  The
-    model conjugation runs case by case: its squaring chain stops at a
-    different power for each product, and a stacked chain measured slower
-    as a single call.
+    the stack: one norm batch, and each grid sampled once, the quad grid
+    serving the Gram check, the fn-calculus and M = 256.  The matrices and
+    the model conjugation run case by case: a stacked Horner pass saved
+    about 0.3 ms of a suite pass but cost a single tto_matrix call a fifth
+    of its time, and the conjugation's squaring chain stops at a different
+    power for each product, where a stacked chain measured slower as a
+    single call.  A group too large to sample in one pass is split:
+    each stack's finest grid, that of the M = 512 check's retry at 1024
+    modes, stays within the sampling cap.
     """
     if not us:
         return []
-    T = _polynomial_ttos(us, phis)
+    size = _stack_size(us[0].degree, quad, 1024)
+    if len(us) > size:
+        head = _model_space_checks(us[:size], phis[:size], quad)
+        return head + _model_space_checks(us[size:], phis[size:], quad)
+    T = np.array([tto_matrix(u, phi) for u, phi in zip(us, phis)])
     conjugations = []
     G = np.zeros_like(T)  # a refused case keeps G = 0: it raises before its c-symmetry is read
     for u, g in zip(us, G):
@@ -293,15 +302,15 @@ def _model_space_checks(us, phis, quad: int) -> list[tuple]:
         except AccuracyError as exc:
             conjugations.append(exc)
     nrms, c_norms = operator_norms([T, _c_differences(T, G)]).tolist()
-    spaces = _ModelSpaces(us, quad)
+    stack = _ModelSpaces(us, quad)
     return list(
         zip(
             conjugations,
             [c / nrm if nrm > 0 else 0.0 for nrm, c in zip(nrms, c_norms)],
-            spaces._gram_norms(),
-            _fn_calculus_residual(spaces, phis, T).tolist(),
-            _hankel_checks(spaces, phis, 256, T),
-            _hankel_checks(spaces, phis, 512, T),
+            stack._gram_norms(),
+            _fn_calculus_residuals(stack, phis, T),
+            _hankel_checks(stack, phis, 256, T),
+            _hankel_checks(stack, phis, 512, T),
         )
     )
 

@@ -36,8 +36,8 @@ from csokit.modelspace import (
     tto_matrix,
     verify_hankel_factorization,
     _aliasing,
-    _fine_space,
-    _hankel_route_residual,
+    _fine_grid,
+    _hankel_route_residuals,
 )
 from csokit.verify import RunConfig
 
@@ -671,7 +671,7 @@ def hankel_section(fine, phi, M):
 
 
 def test_hankel_truncation_monomial_oracle():
-    H = hankel_section(_fine_space(ModelSpace(BlaschkeProduct((0.0, 0.0))), 64), Symbol.shift(), 64)
+    H = hankel_section(ModelSpace(BlaschkeProduct((0.0, 0.0)), _fine_grid(1024, 64)), Symbol.shift(), 64)
     want = np.zeros((64, 64))
     want[0, 0] = 1.0
     assert np.allclose(H, want, atol=1e-12)
@@ -685,7 +685,7 @@ def test_hankel_section_equals_scipy_hankel(M):
     rng = stream(17, 9)
     u = random_blaschke(rng, 5, max_modulus=0.9)
     phi = random_poly_symbol(rng, 3)
-    fine = _fine_space(ModelSpace(u, 256), M)
+    fine = ModelSpace(u, _fine_grid(256, M))
     coeffs = np.fft.fft(np.conj(fine.u_samples) * phi.eval(fine.nodes)) / fine.quad_points
     r, c = np.indices((M, M))
     assert np.array_equal(hankel_section(fine, phi, M), coeffs[-(r + c + 1)])
@@ -698,6 +698,12 @@ def test_hankel_route_reproduces_tto():
     assert verify_hankel_factorization(u, phi, 256) <= 1e-6
 
 
+def route_residual(ms, phi, M, direct):
+    """The Hankel route's residual at truncation M on the space ms alone."""
+    (residual,) = _hankel_route_residuals(ms, [phi], M, direct[None])
+    return residual
+
+
 def test_hankel_residual_collapses_when_truncation_doubles():
     # moduli 0.9 keep the M = 64 tail above the noise floor, so the decay
     # of the truncation error is observable between M = 64 and M = 128
@@ -705,8 +711,8 @@ def test_hankel_residual_collapses_when_truncation_doubles():
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
     ms = ModelSpace(u, 1024)
-    r64 = _hankel_route_residual(ms, phi, 64, direct)
-    r128 = _hankel_route_residual(ms, phi, 128, direct)
+    r64 = route_residual(ms, phi, 64, direct)
+    r128 = route_residual(ms, phi, 128, direct)
     assert r64 > 1e-8
     assert r128 <= 1e-3 * r64
 
@@ -740,20 +746,20 @@ def test_hankel_fft_route_matches_the_polyval_oracle(seed, degree, case):
     phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
     oracle = polyval_hankel_route(u, phi, M, Q)
     # the residual against the oracle is the distance between the two routes
-    assert _hankel_route_residual(ModelSpace(u, Q), phi, M, oracle) <= 1e-13 * operator_norm(oracle)
+    assert route_residual(ModelSpace(u, Q), phi, M, oracle) <= 1e-13 * operator_norm(oracle)
 
 
 def test_hankel_check_retries_at_doubled_truncation():
     u = BlaschkeProduct((0.9, -0.9, 0.9j))
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
-    r64 = _hankel_route_residual(ModelSpace(u, 1024), phi, 64, direct)
+    r64 = route_residual(ModelSpace(u, 1024), phi, 64, direct)
     with pytest.MonkeyPatch.context() as mp:
         # above the cap at M = 64, lower at M = 128: the M = 64 residual stands
         mp.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 1e-9)
         assert verify_hankel_factorization(u, phi, 64) == r64
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelspace, "_hankel_route_residual", lambda ms, phi, M, direct: 1e-3)
+        mp.setattr(modelspace, "_hankel_route_residuals", lambda ms, phis, M, direct: np.full(1, 1e-3))
         with pytest.raises(AccuracyError):
             verify_hankel_factorization(u, phi, 64)
 

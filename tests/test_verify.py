@@ -23,7 +23,7 @@ from csokit.ensembles import (
     random_poly_symbol,
     stream,
 )
-from csokit.errors import AccuracyError
+from csokit.errors import AccuracyError, CapacityError
 from csokit.indestructible import (
     _destructor_witnesses,
     _shift_coshift_products,
@@ -34,7 +34,7 @@ from csokit.indestructible import (
 )
 from csokit.linalg import Conjugation, direct_sum, operator_norm, tensor
 from csokit.modelspace import (
-    _polynomial_ttos,
+    BlaschkeProduct,
     fn_calculus_check,
     model_conjugation,
     tto_matrix,
@@ -220,10 +220,9 @@ def test_model_space_checks_equal_their_per_case_calls_byte_for_byte():
     for quad in (256, 1024):
         for group in verify._by_dimension(cases, lambda case: case[0].degree):
             us, phis = [u for u, _ in group], [phi for _, phi in group]
-            T = _polynomial_ttos(us, phis)
             checks = verify._model_space_checks(us, phis, quad)
-            for (u, phi), t, check in zip(group, T, checks):
-                assert t.tobytes() == tto_matrix(u, phi).tobytes()
+            for (u, phi), check in zip(group, checks):
+                t = tto_matrix(u, phi)
                 C = model_conjugation(u, quad)
                 assert check[0].matrix.tobytes() == C.matrix.tobytes()
                 assert check[1] == is_c_symmetric(t, C, tol=1e-8)[1]
@@ -256,6 +255,30 @@ def test_a_hankel_accuracy_error_leaves_the_entry_as_the_per_case_loop_does(monk
     residuals = verify.entry_tto_suite(cfg)["residuals"]
     assert "did not decrease" in residuals["hankel_error"]
     assert residuals == per_case_tto_suite(cfg)
+
+
+def test_degree_groups_past_the_sampling_cap_are_split_into_stacks_within_it(monkeypatch):
+    # at quad 1024 the finest grid, the M = 512 retry's, has 4096 nodes: this
+    # cap takes one degree-8 case per stack and eight degree-1 cases
+    cap = 8 * 4096
+    monkeypatch.setattr(modelspace, "SAMPLE_CAP", cap)
+    stacks = []
+
+    class Recording(modelspace._ModelSpaces):
+        def __init__(self, us, quad_points):
+            super().__init__(us, quad_points)
+            stacks.append((len(self.us), self.dim))
+
+    monkeypatch.setattr(verify, "_ModelSpaces", Recording)
+    cfg = verify.RunConfig(seed=7)
+    assert verify.entry_tto_suite(cfg)["residuals"] == per_case_tto_suite(cfg)
+    assert sum(k for k, _ in stacks) == 30
+    assert max(k * dim * 4096 for k, dim in stacks) <= cap
+    assert max(k for k, _ in stacks) > 1
+    # a stack past the cap is refused before it is sampled
+    u = BlaschkeProduct((0.5,) * 8)
+    with pytest.raises(CapacityError, match="16 basis functions on 4096 nodes"):
+        modelspace._ModelSpaces([u, u], 4096).basis_samples
 
 
 def test_synthesis_entry_equals_its_per_case_calls_byte_for_byte(monkeypatch):
