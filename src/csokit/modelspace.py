@@ -90,15 +90,25 @@ def _trim(coeffs) -> np.ndarray:
 def _pole_moduli(d: np.ndarray):
     """The moduli of the zeros of the denominator sum_k d[k] z^k, degree >= 1.
 
-    A linear d0 + d1 z has the one pole -d0/d1, taken in closed form when the
-    quotient is finite: Python's complex division and math.hypot overflow to
-    inf without a warning.  Otherwise np.roots finds them; a companion matrix
-    that overflows to inf or NaN is an InputError.
+    A linear d0 + d1 z has the one pole -d0/d1, and a quadratic the two roots
+    q and c/q of its monic form z^2 + b z + c, with q = -(b +- sqrt(b^2 - 4c))/2
+    signed so that the sum does not cancel; either is taken in closed form
+    when every value is finite: Python's complex arithmetic and math.hypot
+    overflow to inf without a warning.  Otherwise np.roots finds them; a
+    companion matrix that overflows to inf or NaN is an InputError.
     """
     if d.size == 2:
         pole = complex(d[0]) / complex(d[1])
         if cmath.isfinite(pole):
             return [math.hypot(pole.real, pole.imag)]
+    elif d.size == 3:
+        c, b, lead = d.tolist()
+        b, c = b / lead, c / lead
+        root = cmath.sqrt(b * b - 4.0 * c)
+        q = -0.5 * (b + root if (b.conjugate() * root).real >= 0.0 else b - root)
+        poles = (q, c / q) if q else (0j, 0j)  # q = 0 only for z^2
+        if all(map(cmath.isfinite, poles)):
+            return [math.hypot(p.real, p.imag) for p in poles]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             poles = np.roots(d[::-1])
@@ -120,7 +130,9 @@ class BlaschkeProduct:
 
     def __init__(self, zeros=()):
         try:
-            zs = tuple(complex(a) for a in zeros)
+            if isinstance(zeros, np.ndarray) and zeros.ndim == 1:
+                zeros = zeros.tolist()  # Python numbers convert faster than numpy scalars
+            zs = tuple(map(complex, zeros))
         except (TypeError, ValueError) as exc:
             raise InputError(f"Blaschke zeros must be complex numbers: {exc}") from None
         bad = [a for a in zs if not abs(a) <= 1.0 - ZERO_MARGIN]  # NaN and inf fail too
@@ -356,8 +368,9 @@ class ModelSpace(_Quadrature):
         """
         A = compressed_shift(self.u)
         with np.errstate(over="ignore", invalid="ignore"):
+            # num / 1 would move only the signs of zeros, which _horner clears
             if phi.is_polynomial:
-                T = _horner(phi.poly, A)
+                T = _horner(phi.num if phi.den[0] == 1 else phi.poly, A)
             else:
                 T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
         if not np.all(np.isfinite(T)):
@@ -425,14 +438,19 @@ def _gram_norm(M: np.ndarray) -> float:
 
 
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] A^k, adding each coefficient to the diagonal in place.
+    """sum_k coeffs[k] A^k: the leading coefficient times I, then P @ A plus
+    each lower coefficient on the diagonal, in place.
 
     The final + 0.0 turns the negative zeros that P @ A leaves off the
-    diagonal into +0, so an entry that is exactly zero prints as 0.0.
+    diagonal into +0, so an entry that is exactly zero prints as 0.0.  Only
+    the signs of such zeros depend on where the chain starts (a signed zero
+    changes no nonzero sum or product), so starting from 0 @ A would give
+    the same bytes.
     """
     n = A.shape[0]
     P = np.zeros((n, n), dtype=complex)
-    for c in coeffs[::-1]:
+    P.reshape(-1)[:: n + 1] = coeffs[-1]
+    for c in coeffs[-2::-1]:
         P = P @ A
         P.reshape(-1)[:: n + 1] += c
     P += 0.0
@@ -494,14 +512,17 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     if not phi.is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
     ms = ModelSpace(u, quad_points).require_resolved()
-    return _fn_calculus_residuals(ms, [phi], ms.tto(phi)[None])[0]
+    return _fn_calculus_residuals(ms, _symbol_rows([phi], ms.nodes), ms.tto(phi)[None])[0]
 
 
-def _fn_calculus_residuals(spaces: _Quadrature, phis, direct: np.ndarray) -> list[float]:
-    """fn_calculus_check's residual for each polynomial symbol of phis and
-    direct, the (k, n, n) stack of their matrices phi(A_u), on the resolved
-    spaces: a stack of k, or one space, which fn_calculus_check passes."""
-    return operator_norms(direct - spaces.compress(_symbol_rows(phis, spaces.nodes))).tolist()
+def _fn_calculus_residuals(
+    spaces: _Quadrature, rows: np.ndarray, direct: np.ndarray
+) -> list[float]:
+    """fn_calculus_check's residual for each polynomial symbol, given by its
+    row of rows, the (k, Q) samples on spaces.nodes, and by its matrix
+    phi(A_u) in direct, the (k, n, n) stack, on the resolved spaces: a stack
+    of k, or one space, which fn_calculus_check passes."""
+    return operator_norms(direct - spaces.compress(rows)).tolist()
 
 
 def _aliasing(power: np.ndarray) -> np.ndarray:
@@ -556,26 +577,41 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     the Q-node Gram residual, exceeds GRAM_TOL.  The sum is taken only
     after the chain, so a refused space spends nothing on it.  Each residual
     is the Frobenius norm first, which bounds the operator norm, and an SVD
-    only when that exceeds GRAM_TOL.
+    only when that exceeds GRAM_TOL.  A level whose norm cannot stop the
+    chain takes none: A's eigenvalues are the zeros, so ||A^K||_F^2 >=
+    rho^{2K} with rho = max |a_j|, and while rho^{2K} > 2 STEIN_TAIL both
+    tests fail (the factor 2 absorbs the rounding of the power and of
+    rho^{2K}), so the chain stops where the norm of every level would stop
+    it.  w and d come from one cumprod, and the unitarity defect is
+    G G^H with 1 taken off its diagonal in place.
     """
     Q = _check_quad_points(quad_points)
     A = compressed_shift(u)
+    floor = max(map(abs, u.zeros), default=0.0) ** 2  # rho^{2K} <= ||A^K||_F^2, here at K = 1
     powers, DQ = [A], None  # powers[i] = A^K with K = 2^i
     while True:
         P, K = powers[-1], 1 << (len(powers) - 1)
         if DQ is None and 2 * K > Q:  # A^Q from the chain, as matrix_power(A, Q) multiplies it
             DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
             _require_gram_residual(_gram_norm(DQ))
-        tail = np.vdot(P, P).real  # ||P||_F^2
-        if tail <= STEIN_TAIL**2 or (tail <= STEIN_TAIL and 4 * K <= Q):
-            break
+        if floor <= 2 * STEIN_TAIL:  # above it, ||P||_F^2 > STEIN_TAIL and neither test passes
+            tail = np.vdot(P, P).real  # ||P||_F^2
+            if tail <= STEIN_TAIL**2 or (tail <= STEIN_TAIL and 4 * K <= Q):
+                break
         powers.append(P @ P)
+        floor *= floor
     a, c, eps = u._zero_arrays
     n = u.degree
     X = np.empty((n, max(2 * n, 1)), dtype=complex)
     Y = np.empty_like(X)
-    X[:, 0] = eps * c * np.cumprod(np.append(1.0, a[::-1]))[-2::-1]  # w
-    Y[:, 0] = c * np.cumprod(np.append(1.0, a.conj()))[:-1]  # d
+    # row 0: 1, a_{n-1}, ..., a_0 and row 1: 1, conj(a_0), ..., conj(a_{n-1}),
+    # whose running products give w (reversed) and d
+    prods = np.ones((2, n + 1), dtype=complex)
+    prods[0, 1:] = a[::-1]
+    np.conj(a, out=prods[1, 1:])
+    prods.cumprod(axis=1, out=prods)
+    X[:, 0] = eps * c * prods[0, -2::-1]  # w
+    Y[:, 0] = c * prods[1, :-1]  # d
     k = 1
     for P in powers:
         if k >= n:
@@ -586,12 +622,13 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     G = X[:, :k] @ Y[:, :k].T
     for P in powers[k.bit_length() - 1 :]:  # the powers past A^{k/2}
         G += P.conj().T @ G @ P.T
-    eye = np.eye(n)
     if DQ is not None:
-        G = (eye + DQ) @ G
+        G = (np.eye(n) + DQ) @ G
     G = 0.5 * (G + G.T)  # G is symmetric; this makes it so bit for bit
     C = Conjugation(G)
-    if _gram_norm(G @ G.conj().T - eye) > GRAM_TOL:
+    defect = G @ G.conj().T
+    defect.reshape(-1)[:: n + 1] -= 1.0
+    if _gram_norm(defect) > GRAM_TOL:
         raise AccuracyError("conjugation matrix failed its unitarity check; raise quad_points")
     return C
 
@@ -637,21 +674,22 @@ def verify_hankel_factorization(
     return residual
 
 
-def _hankel_checks(spaces: _Quadrature, phis, M: int, direct: np.ndarray) -> list:
+def _hankel_checks(spaces: _Quadrature, phis, M: int, direct: np.ndarray, rows=None) -> list:
     """verify_hankel_factorization's outcome for each symbol of phis on the resolved spaces.
 
     spaces is a stack of k, or one space, which verify_hankel_factorization
-    passes; direct is the (k, n, n) stack of the symbols' matrices.  Each outcome is the
-    residual its own call returns, or the AccuracyError it raises; the
-    doubled truncation runs once, over the whole stack, only if some
-    residual exceeds the cap.
+    passes; direct is the (k, n, n) stack of the symbols' matrices, and rows,
+    if given, their samples on spaces.nodes (see _hankel_route_residuals).
+    Each outcome is the residual its own call returns, or the AccuracyError
+    it raises; the doubled truncation runs once, over the whole stack, only
+    if some residual exceeds the cap.
     """
-    residuals = _hankel_route_residuals(spaces, phis, M, direct).tolist()
+    residuals = _hankel_route_residuals(spaces, phis, M, direct, rows).tolist()
     again = None
     for j, residual in enumerate(residuals):
         if residual > HANKEL_RESIDUAL_CAP:
             if again is None:
-                again = _hankel_route_residuals(spaces, phis, 2 * M, direct)
+                again = _hankel_route_residuals(spaces, phis, 2 * M, direct, rows)
             if again[j] >= residual:
                 residuals[j] = AccuracyError(
                     f"Hankel residual {residual:.3e} did not decrease at doubled truncation"
@@ -659,10 +697,14 @@ def _hankel_checks(spaces: _Quadrature, phis, M: int, direct: np.ndarray) -> lis
     return residuals
 
 
-def _hankel_route_residuals(spaces: _Quadrature, phis, M: int, direct: np.ndarray) -> np.ndarray:
+def _hankel_route_residuals(
+    spaces: _Quadrature, phis, M: int, direct: np.ndarray, rows=None
+) -> np.ndarray:
     """Residual of the Hankel route at truncation M for each symbol of phis on
     the spaces (a stack of k, or one space) against its matrix in the
-    (k, n, n) stack direct.
+    (k, n, n) stack direct.  rows, the symbols' (k, Q) samples on
+    spaces.nodes, serve when the fine grid is that grid; otherwise, or when
+    rows is None, the symbols are sampled on the fine grid.
 
     The M x M section of the Hankel operator with symbol psi = conj(u) phi
     takes the Taylor coefficients t_c, c = 0..M-1, of e_j to its modes
@@ -684,8 +726,10 @@ def _hankel_route_residuals(spaces: _Quadrature, phis, M: int, direct: np.ndarra
     """
     Q = spaces.quad_points
     fine = spaces.on_grid(_fine_grid(Q, M))
+    if rows is None or fine is not spaces:
+        rows = _symbol_rows(phis, fine.nodes)
     reversed_taylor = _fourier_coefficients(fine.basis_samples)[..., M - 1 :: -1]
-    psi = _fourier_coefficients(np.conj(fine.u_samples) * _symbol_rows(phis, fine.nodes))
+    psi = _fourier_coefficients(np.conj(fine.u_samples) * rows)
     v = psi[:, -1 : -2 * M : -1]
     spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)[:, None, :]
     negative = np.fft.ifft(spectrum)[..., M - 1 : 2 * M - 1]

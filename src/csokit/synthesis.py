@@ -29,10 +29,12 @@ from .linalg import DEFAULT_TOL, as_matrix, check_seed, column_phases, operator_
 from .modelspace import BlaschkeProduct, Symbol
 
 # realize_modulus: Newton steps per fit, step halvings per Newton step (and
-# per continuation step), and the relative residual that counts as converged.
+# per continuation step), the relative residual that counts as converged, and
+# the steps over which a continuation corrector's residual must halve.
 _NEWTON_STEPS = 100
 _NEWTON_HALVINGS = 40
 _CONVERGED_REL = 1e-6
+_STALL_STEPS = 4
 
 
 def __getattr__(name):
@@ -124,9 +126,12 @@ def realize_modulus(targets) -> ModulusRealization:
     log t(lam) = (1 - lam) log s0 + lam log t, lam from 0 to 1, with the
     Newton fit as its corrector from the last accepted point.  Its first
     step is lam = 1 with the goal exactly t, a direct fit from c0, and s0 is
-    computed only if that fails.  A corrector that matches its goal to 1e-12
-    of the goal's largest value accepts its step and doubles the next one,
-    capped at 1 - lam; any other corrector halves the step, and
+    computed only if that fails.  A corrector gives up once its residual
+    has not halved over _STALL_STEPS Newton steps; the direct fit does not,
+    so a reply that it fits is the plain Newton fit's.  A corrector that
+    matches its goal to 1e-12 of the goal's largest value accepts its step
+    and doubles the next one, capped at 1 - lam; any other corrector halves
+    the step, and
     _NEWTON_HALVINGS halvings in a row end the continuation at the point of
     lowest residual against t.  Two distinct targets keep the path strictly
     decreasing, so its singular values stay simple.  The result is flagged
@@ -185,7 +190,7 @@ def realize_modulus(targets) -> ModulusRealization:
     while halvings < _NEWTON_HALVINGS:
         goal_lam = min(lam + step, 1.0)
         goal = ts if goal_lam == 1.0 else np.exp((1 - goal_lam) * log_s0 + goal_lam * log_ts)
-        c_new, s, res = _newton_fit(c, goal)
+        c_new, s, res = _newton_fit(c, goal, stall=True)
         res_t = float(np.linalg.norm(s - ts))
         if res_t < best[0]:
             best = (res_t, c_new, s)
@@ -220,15 +225,20 @@ def _jacobian_from_svd(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
     return (U[:, None, :] * shifted).sum(axis=0).T
 
 
-def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _newton_fit(
+    c: np.ndarray, t: np.ndarray, stall: bool = False
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Damped Newton for the singular values of lower-Toeplitz(c) = t, c real.
 
     Each step solves the square system D dc = t - s with the real r x r
     Jacobian D, and is halved until the residual ||s - t|| decreases.  Once
     the residual is at or below 1e-12 of the largest target, one more full
     step is kept if it lowers the residual, and the fit stops.  A step that
-    fails every halving, or an exactly singular D, ends the fit.  Returns the
-    best coefficients, their singular values and their residual.
+    fails every halving, or an exactly singular D, ends the fit, and with
+    stall so does a residual that has not halved over the last _STALL_STEPS
+    steps: no longer falling geometrically, the fit is far from Newton's
+    quadratic phase.  Returns the best coefficients, their singular values
+    and their residual.
 
     Every trial point costs one real SVD, which gives its singular values;
     the Jacobian is formed from that SVD's factors only where the next step
@@ -236,6 +246,7 @@ def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
     """
     s, J = _modulus_jacobian(c)
     res = float(np.linalg.norm(s - t))
+    history = [res]
     for _ in range(_NEWTON_STEPS):
         try:
             step = np.linalg.solve(J, t - s)
@@ -252,6 +263,9 @@ def _newton_fit(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
         else:
             break
         if polish:
+            break
+        history.append(res)
+        if stall and len(history) > _STALL_STEPS and res > 0.5 * history[-1 - _STALL_STEPS]:
             break
         J = _jacobian_from_svd(U, Vh)
     return c, s, res

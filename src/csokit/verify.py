@@ -57,6 +57,7 @@ from .modelspace import (
     _ModelSpaces,
     _require_gram_residual,
     _stack_size,
+    _symbol_rows,
     model_conjugation,
     tto_matrix,
 )
@@ -277,7 +278,8 @@ def _model_space_checks(us, phis, quad: int) -> list[tuple]:
     fn-calculus residual, and the Hankel outcomes at M = 256 and 512), each
     as the case's own public calls give or raise it.  The cores run over
     the stack: one norm batch, and each grid sampled once, the quad grid
-    serving the Gram check, the fn-calculus and M = 256.  The matrices and
+    and the symbols on it serving the Gram check, the fn-calculus and
+    M = 256.  The matrices and
     the model conjugation run case by case: a stacked Horner pass saved
     about 0.3 ms of a suite pass but cost a single tto_matrix call a fifth
     of its time, and the conjugation's squaring chain stops at a different
@@ -303,14 +305,15 @@ def _model_space_checks(us, phis, quad: int) -> list[tuple]:
             conjugations.append(exc)
     nrms, c_norms = operator_norms([T, _c_differences(T, G)]).tolist()
     stack = _ModelSpaces(us, quad)
+    rows = _symbol_rows(phis, stack.nodes)  # the fn-calculus and the M = 256 check share them
     return list(
         zip(
             conjugations,
             [c / nrm if nrm > 0 else 0.0 for nrm, c in zip(nrms, c_norms)],
             stack._gram_norms(),
-            _fn_calculus_residuals(stack, phis, T),
-            _hankel_checks(stack, phis, 256, T),
-            _hankel_checks(stack, phis, 512, T),
+            _fn_calculus_residuals(stack, rows, T),
+            _hankel_checks(stack, phis, 256, T, rows),
+            _hankel_checks(stack, phis, 512, T, rows),
         )
     )
 

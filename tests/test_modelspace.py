@@ -67,6 +67,13 @@ def test_blaschke_zero_bound_and_pole_guard():
         ((0.5, 1.0, float("nan")), r"zero \(1\+0j\) too close"),
         ((complex(0.0, float("inf")),), "must be finite"),
         ((0.3, -(1.0 - 1e-9)), r"zero \(-0\.999999999\+0j\) too close"),
+        ((0.5, 0.2j, float("inf")), "must be finite"),
+        ((0.5, complex(0.0, -1.0)), r"zero -1j too close"),
+        # a 1-d array is converted by one tolist and checked alike
+        (np.array([0.5, float("nan"), 1.0]), "must be finite"),
+        (np.array([0.5, 0.2j, float("inf")]), "must be finite"),
+        (np.array([0.5, 1.0, float("nan")]), r"zero \(1\+0j\) too close"),
+        (np.array([0.5, complex(0.0, -1.0)]), r"zero -1j too close"),
     ],
 )
 def test_blaschke_zero_checks_name_the_first_bad_zero(zeros, message):
@@ -759,7 +766,7 @@ def test_hankel_check_retries_at_doubled_truncation():
         mp.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 1e-9)
         assert verify_hankel_factorization(u, phi, 64) == r64
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelspace, "_hankel_route_residuals", lambda ms, phis, M, direct: np.full(1, 1e-3))
+        mp.setattr(modelspace, "_hankel_route_residuals", lambda *args: np.full(1, 1e-3))
         with pytest.raises(AccuracyError):
             verify_hankel_factorization(u, phi, 64)
 
@@ -833,3 +840,209 @@ def test_a_degree_zero_product_has_zero_cross_check_residuals():
     for M in (64, 256, 4096):
         assert verify_hankel_factorization(u, phi, M) == 0.0
         assert verify_hankel_factorization(u, phi, M, 64) == 0.0
+
+
+def every_level_conjugation(u, quad):
+    """model_conjugation as it read before its chain skipped levels: the norm
+    of every power of the chain, w and d from one append and cumprod each,
+    and the unitarity defect against np.eye.  Returns the matrix, or the
+    AccuracyError's message."""
+    Q = modelspace._check_quad_points(quad)
+    A = compressed_shift(u)
+    powers, DQ = [A], None
+    try:
+        while True:
+            P, K = powers[-1], 1 << (len(powers) - 1)
+            if DQ is None and 2 * K > Q:
+                DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
+                modelspace._require_gram_residual(modelspace._gram_norm(DQ))
+            tail = np.vdot(P, P).real
+            if tail <= STEIN_TAIL**2 or (tail <= STEIN_TAIL and 4 * K <= Q):
+                break
+            powers.append(P @ P)
+    except AccuracyError as exc:
+        return str(exc)
+    a, c, eps = u._zero_arrays
+    n = u.degree
+    X = np.empty((n, max(2 * n, 1)), dtype=complex)
+    Y = np.empty_like(X)
+    X[:, 0] = eps * c * np.cumprod(np.append(1.0, a[::-1]))[-2::-1]
+    Y[:, 0] = c * np.cumprod(np.append(1.0, a.conj()))[:-1]
+    k = 1
+    for P in powers:
+        if k >= n:
+            break
+        np.matmul(P.conj().T, X[:, :k], out=X[:, k : 2 * k])
+        np.matmul(P, Y[:, :k], out=Y[:, k : 2 * k])
+        k *= 2
+    G = X[:, :k] @ Y[:, :k].T
+    for P in powers[k.bit_length() - 1 :]:
+        G += P.conj().T @ G @ P.T
+    eye = np.eye(n)
+    if DQ is not None:
+        G = (eye + DQ) @ G
+    G = 0.5 * (G + G.T)
+    if modelspace._gram_norm(G @ G.conj().T - eye) > GRAM_TOL:
+        return "conjugation matrix failed its unitarity check; raise quad_points"
+    return G
+
+
+def assert_same_bytes_as_every_level(u, quad):
+    reference = every_level_conjugation(u, quad)
+    try:
+        G = model_conjugation(u, quad).matrix
+    except AccuracyError as exc:
+        assert str(exc) == reference
+        return
+    assert not isinstance(reference, str), reference
+    assert G.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "zeros, quad",
+    [
+        ((), 64),
+        ((), 1024),
+        ((0.5,), 1024),
+        ((0.999j,), 64),
+        ((0.0,) * 7, 1024),
+        ((0.0,) * 40, 64),
+        ((0.6, 0.6, 0.6, -0.3j, -0.3j), 1024),
+        ((0.999, 0.999), 64),
+        ((0.999, 0.999), 1024),
+        ((0.999, -0.5, 0.999j, 0.0), 1024),
+        ((0.999,) * 3, 1024),
+    ],
+)
+def test_model_conjugation_is_the_every_level_chain_bit_for_bit(zeros, quad):
+    # degree 0 and 1, all zeros at 0, repeated zeros, and zeros of modulus
+    # 0.999, which some grids refuse: the levels whose norm is skipped
+    # (rho^{2K} > 2 STEIN_TAIL) could not have stopped the chain
+    assert_same_bytes_as_every_level(BlaschkeProduct(zeros), quad)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=SEEDS,
+    degree=st.integers(0, 32),
+    radius=st.one_of(st.sampled_from([0.5, 0.9, 0.99, 0.999]), st.floats(0.0, 0.999)),
+    repeats=st.integers(1, 4),
+    quad=st.one_of(st.sampled_from([64, 1024, 4096]), st.integers(64, 65536)),
+)
+def test_model_conjugation_matches_the_every_level_chain_on_seeded_products(
+    seed, degree, radius, repeats, quad
+):
+    zeros = np.repeat(seeded_zeros(seed, -(-degree // repeats), radius, 0.3), repeats)[:degree]
+    assert_same_bytes_as_every_level(BlaschkeProduct(zeros), quad)
+
+
+def horner_from_zero(coeffs, A):
+    """_horner as it read before it started from the leading coefficient:
+    P = 0, then P @ A plus each coefficient, highest first."""
+    n = A.shape[0]
+    P = np.zeros((n, n), dtype=complex)
+    for c in coeffs[::-1]:
+        P = P @ A
+        P.reshape(-1)[:: n + 1] += c
+    P += 0.0
+    return P
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [2.0 - 1.0j],
+        [0.0],
+        [-0.0 - 0.0j],
+        [0.0, 0.0, 1.0],
+        [1.5, 0.0, -0.0, 0.0, -2.0j],
+        [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0), -3.0],
+    ],
+)
+@pytest.mark.parametrize("zeros", [(), (0.0,), (0.0,) * 6, (0.5, -0.3j, 0.0, 0.8), (0.9,) * 4])
+def test_horner_from_the_leading_coefficient_keeps_every_byte(coeffs, zeros):
+    # zero coefficients and signed zeros, a degree-0 symbol and a degree-0
+    # product, and a nilpotent shift whose powers are exactly zero
+    c = np.array(coeffs, dtype=complex)
+    A = compressed_shift(BlaschkeProduct(zeros))
+    assert modelspace._horner(c, A).tobytes() == horner_from_zero(c, A).tobytes()
+
+
+@pytest.mark.parametrize("num", [[1.0, -0.0, 2.0], [complex(-0.0, 1.0), 0.0, complex(2.0, -0.0)], [0.0]])
+def test_a_polynomial_tto_skips_the_division_by_one_and_keeps_every_byte(num):
+    # num / 1 flips the sign of some zeros; the Horner sum's final + 0.0
+    # leaves only +0 where an entry is exactly zero
+    u = BlaschkeProduct((0.5, 0.0, -0.2j, 0.0))
+    for den in (None, [1.0], [2.0]):
+        phi = Symbol(num=num, den=den)
+        T = tto_matrix(u, phi)
+        assert T.tobytes() == horner_from_zero(phi.poly, compressed_shift(u)).tobytes()
+
+
+def test_array_zeros_are_converted_like_a_list():
+    zeros = np.array([0.5, -0.25j, 0.0])
+    u = BlaschkeProduct(zeros)
+    assert u.zeros == BlaschkeProduct(list(zeros)).zeros
+    assert all(type(a) is complex for a in u.zeros)
+    assert BlaschkeProduct(zeros.real).zeros == (0.5 + 0j, 0j, 0j)
+    with pytest.raises(InputError, match="must be complex numbers"):
+        BlaschkeProduct(np.zeros((2, 2)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    scale=st.floats(-300, 300),
+    log_moduli=st.tuples(*[st.one_of(st.floats(-3, 3), st.floats(-1e-5, 1e-5))] * 2),
+    angles=st.tuples(*[st.floats(0, 2 * np.pi)] * 3),
+)
+def test_a_quadratic_denominator_is_decided_without_np_roots(scale, log_moduli, angles):
+    # d2 (z - p)(z - q); away from the margin, where np.roots' own rounding
+    # decides, the closed form refuses the same symbols
+    d2 = 10.0**scale * np.exp(1j * angles[0])
+    p, q = (np.exp(m + 1j * t) for m, t in zip(log_moduli, angles[1:]))
+    den = np.array([d2 * p * q, -d2 * (p + q), d2])
+    if not np.all(np.isfinite(den)) or den[0] == 0:
+        return
+    with np.errstate(all="ignore"):
+        moduli = np.abs(np.roots(den[::-1]))
+    if np.any(np.abs(moduli / (1.0 + modelspace.POLE_MARGIN) - 1.0) <= 1e-6):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "roots", None)
+        try:
+            Symbol(num=[1.0], den=den)
+        except InputError:
+            assert not np.all(moduli >= 1.0 + modelspace.POLE_MARGIN)
+        else:
+            assert np.all(moduli >= 1.0 + modelspace.POLE_MARGIN)
+
+
+def test_quadratic_pole_moduli_match_np_roots():
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 10.0 ** rng.uniform(-50, 50, 3)
+        got = np.sort(modelspace._pole_moduli(d))
+        want = np.sort(np.abs(np.roots(d[::-1])))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert modelspace._pole_moduli(np.array([0.0, 0.0, 1.0 + 0j])) == [0.0, 0.0]  # z^2
+    assert modelspace._pole_moduli(np.array([1.0, 0.0, 1.0 + 0j])) == [1.0, 1.0]
+    # b^2 overflows: np.roots decides, and a companion that overflows is refused
+    with pytest.raises(InputError, match="too badly scaled"):
+        Symbol(num=[1.0], den=[1e300, 1e300, 1e-300])
+    assert not Symbol(num=[1.0], den=[1e250, 1e200, 1.0]).is_polynomial  # poles near -1e200 and -1e50
+
+
+def test_hankel_route_reads_the_quad_grid_rows_only_on_that_grid():
+    # the M = 256 route's fine grid is the 1024-node quad grid, so rows
+    # sampled there serve it; M = 512 samples its own 2048-node grid
+    rng = stream(17, 3)
+    u = random_blaschke(rng, 5, max_modulus=0.8)
+    phis = [random_poly_symbol(rng, 3)]
+    ms = ModelSpace(u, 1024)
+    direct = tto_matrix(u, phis[0])[None]
+    rows = modelspace._symbol_rows(phis, ms.nodes)
+    for M in (256, 512):
+        plain = _hankel_route_residuals(ms, phis, M, direct)
+        assert _hankel_route_residuals(ms, phis, M, direct, rows).tobytes() == plain.tobytes()
+    assert _hankel_route_residuals(ms, phis, 256, direct, 0 * rows)[0] > 0.5  # the rows are read
+    assert _hankel_route_residuals(ms, phis, 512, direct, 0 * rows).tobytes() == plain.tobytes()

@@ -180,7 +180,7 @@ def test_stalling_targets_converge_by_continuation(monkeypatch, t):
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     fits = []
     fit = synthesis._newton_fit
-    monkeypatch.setattr(synthesis, "_newton_fit", lambda c, ts: fits.append(1) or fit(c, ts))
+    monkeypatch.setattr(synthesis, "_newton_fit", lambda c, ts, **kw: fits.append(1) or fit(c, ts, **kw))
     m = realize_modulus(t)
     assert len(fits) >= 2
     assert m.converged
@@ -203,6 +203,29 @@ def test_a_direct_fit_is_the_reply_bit_for_bit(t):
     m = realize_modulus(t)
     assert m.phi.poly.tobytes() == np.ldexp(c, e).astype(complex).tobytes()
     assert m.achieved_singular_values.tobytes() == np.ldexp(s, e).tobytes()
+
+
+def test_a_stalled_corrector_gives_up_and_the_direct_fit_does_not(monkeypatch):
+    # the rank-7 target at index 128 of the wide-spread probe (rank 3-16,
+    # spread 10^U(6, 9)): its continuation ran 150 correctors and 27392
+    # SVDs when each failed corrector ran on until a step failed every
+    # halving; giving up once the residual stops halving over
+    # _STALL_STEPS steps leaves about 5200
+    rng = np.random.default_rng(20261020)
+    for _ in range(129):
+        r = int(rng.integers(3, 17))
+        spread = 10 ** rng.uniform(6, 9)
+        t = spread ** rng.random(r)
+        t[:2] = 1.0, spread
+    assert t.size == 7
+    fits, svds = [], []
+    fit, svd = synthesis._newton_fit, np.linalg.svd
+    monkeypatch.setattr(synthesis, "_newton_fit", lambda c, ts, **kw: fits.append(kw) or fit(c, ts, **kw))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+    m = realize_modulus(t)
+    assert m.converged and m.residual <= 1e-12 * max(t)
+    assert fits[0] == {} and all(kw == {"stall": True} for kw in fits[1:])  # only correctors stall
+    assert len(fits) > 100 and len(svds) < 10000
 
 
 def test_realize_modulus_wide_rank_three_target():
