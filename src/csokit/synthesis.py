@@ -3,10 +3,11 @@
 Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
 the r singular values of B as the modulus of the operator with a polynomial
 symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix
-L with real coefficients; closed forms at r <= 2, otherwise a damped Newton
-fit whose every step is one square solve with the real r x r Jacobian of the
-singular values, continued from one fixed start when the direct fit stalls,
-so no step is random), pad the leftover kernel with an inner factor v = z^m,
+L with real coefficients; closed forms at r <= 4, otherwise, or where the
+closed form misses the fit's own 1e-12 acceptance, a damped Newton fit whose
+every step is one square solve with the real r x r Jacobian of the singular
+values, continued from one fixed start when the direct fit stalls, so no
+step is random), pad the leftover kernel with an inner factor v = z^m,
 and assemble the operator with symbol u v phi on the model space of u^2 v,
 whose three-way frame K_u + u K_v + u v K_u makes the matrix reproduce the
 canonical shape exactly.  Every inner function is a power of z, so that
@@ -19,6 +20,7 @@ a recomputable equivalence residual.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,13 +113,17 @@ def realize_modulus(targets) -> ModulusRealization:
 
     On that space the operator with symbol phi is the lower-triangular
     Toeplitz matrix of phi's coefficients, and real coefficients suffice.
-    Equal targets t give phi = t exactly and two targets have a closed form;
-    otherwise the coefficients are fit by damped Newton steps on the singular
-    values, each the solution of the square real r x r system whose matrix is
-    their Jacobian, read in closed form off the factors of the SVD that gives
-    them (_jacobian_from_svd).  The one start c0 is tmax (1, 1/2, ..., 1/2):
-    its singular values s0 are distinct, hence differentiable, whereas at a
-    multiple of the identity they all coincide and give no usable gradient.
+    Equal targets t give phi = t exactly and two targets have a closed form.
+    Three or four targets have one too (_alternating_hankel), taken when its
+    singular values match the targets to 1e-12 of the largest, the direct
+    fit's acceptance, with its one singular-value pass as the reply's
+    achieved values.  Otherwise the coefficients are fit by damped Newton
+    steps on the singular values, each the solution of the square real
+    r x r system whose matrix is their Jacobian, read in closed form off the
+    factors of the SVD that gives them (_jacobian_from_svd).  The one start
+    c0 is tmax (1, 1/2, ..., 1/2): its singular values s0 are distinct, hence
+    differentiable, whereas at a multiple of the identity they all coincide
+    and give no usable gradient.
     At a real c the Jacobian in Im c is 0, so over complex c the
     minimum-norm Newton step is real; the fit therefore has r real unknowns,
     and phi is complex only in the returned Symbol.
@@ -138,10 +144,10 @@ def realize_modulus(targets) -> ModulusRealization:
     converged when the achieved singular values match to 1e-6 of the largest
     target; an unconverged fit is returned flagged, never raised.
 
-    The fit runs on the targets scaled by the power of two 2^-e that puts
-    tmax in [1/2, 1), so that no square over- or underflows; the
-    coefficients, achieved values and residual are scaled back by 2^e, which
-    is exact.
+    The closed forms and the fit run on the targets scaled by the power of
+    two 2^-e that puts tmax in [1/2, 1), so that no square over- or
+    underflows; the coefficients, achieved values and residual are scaled
+    back by 2^e, which is exact.
     """
     t = np.asarray(targets, dtype=float)
     if t.ndim != 1:
@@ -176,6 +182,11 @@ def realize_modulus(targets) -> ModulusRealization:
         # closed form: [[c0,0],[c1,c0]] has |A|^2 with trace 2c0^2 + c1^2 and
         # determinant c0^4, so c0 = sqrt(t0 t1), c1 = t0 - t1 hits (t0, t1)
         return finish(np.array([np.sqrt(ts[0] * ts[1]), ts[0] - ts[1]]))
+    c = _alternating_hankel(ts.tolist()) if r <= 4 else None
+    if c is not None:
+        s = np.linalg.svd(_lower_toeplitz(c), compute_uv=False)
+        if np.linalg.norm(s - ts) <= 1e-12 * ts[0]:  # the direct fit's acceptance
+            return finish(c, s)
 
     c0 = np.full(r, 0.5 * ts[0])
     c0[0] = ts[0]
@@ -201,6 +212,59 @@ def realize_modulus(targets) -> ModulusRealization:
         else:
             step, halvings = step / 2, halvings + 1
     return finish(best[1], best[2])
+
+
+def _alternating_hankel(t: list[float]) -> np.ndarray | None:
+    """Real c at r = 3 or 4 whose lower-Toeplitz L has the descending targets t
+    as singular values, in closed form; None where no admissible root exists.
+
+    With J the flip, J L is the real symmetric Hankel matrix whose entry
+    (i, j) is c[r - 1 - i - j] (0 below the anti-diagonal), so the singular
+    values of L are the absolute values of its eigenvalues.  Take those
+    eigenvalues alternating, lam = (t0, -t1, t2, -t3)[:r].  By Newton's
+    identities the power sums tr (J L)^k, k < r, and det (J L) fix the
+    characteristic polynomial of J L, so matching them to lam's makes lam its
+    eigenvalues.  det (J L) = det J c0^r, and det J = -1 at r = 3, +1 at
+    r = 4, the sign of prod lam; so c0 = prod t_k^(1/r), each root taken
+    separately so that the product can neither under- nor overflow.  (r = 2
+    is the same construction: c1 = tr (J L) = t0 - t1.)
+
+    r = 3: tr = c0 + c2 and ||J L||_F^2 = 3c0^2 + 2c1^2 + c2^2, so
+    c2 = t0 - t1 + t2 - c0 and c1 = sqrt((sum t^2 - 3c0^2 - c2^2) / 2), with
+    no solution where the radicand is negative.
+
+    r = 4: tr = c1 + c3, ||J L||_F^2 = 4c0^2 + 3c1^2 + 2c2^2 + c3^2 and
+    tr (J L)^3 = 3c0^2 (c1 + c3) + 6c0c1c2 + c1^3 + 3c1^2c3 + 3c1c2^2
+    + 3c2^2c3 + c3^3.  With e1 = t0 - t1 + t2 - t3 and
+    p3 = t0^3 - t1^3 + t2^3 - t3^3 the first two give c3 = e1 - c1 and
+    c2^2 = q0 + e1c1 - 2c1^2, q0 = (sum t^2 - 4c0^2 - e1^2) / 2; the third
+    then gives 6c0c1c2 = a0 + 3c1^3, a0 = p3 - 3c0^2e1 - e1^3 - 3e1q0.
+    Squaring it leaves the sextic
+    9c1^6 + 72c0^2c1^4 + (6a0 - 36c0^2e1)c1^3 - 36c0^2q0c1^2 + a0^2 = 0,
+    whose largest real root c1 > 0 with c2^2 >= 0 is taken; then
+    c2 = (a0 + 3c1^3) / (6c0c1) and c3 = e1 - c1.
+
+    The formulas are exact, but their rounding is not bounded, so the caller
+    checks the singular values they give.
+    """
+    r = len(t)
+    c0 = math.prod(x ** (1 / r) for x in t)
+    sum_sq = sum(x * x for x in t)
+    if r == 3:
+        c2 = t[0] - t[1] + t[2] - c0
+        radicand = (sum_sq - 3 * c0 * c0 - c2 * c2) / 2
+        return None if radicand < 0 else np.array([c0, math.sqrt(radicand), c2])
+    e1 = t[0] - t[1] + t[2] - t[3]
+    p3 = t[0] ** 3 - t[1] ** 3 + t[2] ** 3 - t[3] ** 3
+    c0_sq = c0 * c0
+    q0 = (sum_sq - 4 * c0_sq - e1 * e1) / 2
+    a0 = p3 - 3 * c0_sq * e1 - e1**3 - 3 * e1 * q0
+    roots = np.roots([9, 0, 72 * c0_sq, 6 * a0 - 36 * c0_sq * e1, -36 * c0_sq * q0, 0, a0 * a0])
+    real = roots[roots.imag == 0].real.tolist()
+    c1 = max((x for x in real if x > 0 and q0 + e1 * x - 2 * x * x >= 0), default=None)
+    if c1 is None:
+        return None
+    return np.array([c0, c1, (a0 + 3 * c1**3) / (6 * c0 * c1), e1 - c1])
 
 
 def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

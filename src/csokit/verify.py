@@ -401,7 +401,11 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
         and exact.u_total.zeros == (0j, 0j)
         and np.allclose(exact.symbol_total.poly, [0.0, s], atol=1e-12)
     )
-    ok = successes == 50 and not false_success and exact_ok
+    # a fixed rank-4 round trip, whose modulus has a closed form
+    N4 = np.zeros((8, 8))
+    N4[4:, :4] = np.diag([4.0, 3.0, 2.0, 1.0])
+    rank4 = synthesize_tto_for_nilpotent2(N4).equivalence_residual
+    ok = successes == 50 and not false_success and exact_ok and rank4 <= 1e-10
     return _entry(
         "synthesis_roundtrip",
         "a nilpotent of order two is unitarily equivalent to an analytic "
@@ -413,6 +417,7 @@ def entry_synthesis_roundtrip(cfg: RunConfig) -> dict:
             "false_success": false_success,
             "worst_relative_residual": worst_success,
             "rank1_exact_residual": exact.equivalence_residual,
+            "rank4_exact_residual": rank4,
         },
     )
 

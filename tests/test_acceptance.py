@@ -143,6 +143,7 @@ def test_criterion_7_synthesis_roundtrip_within_5min():
         and r["successes"] == 50
         and not r["false_success"]
         and r["rank1_exact_residual"] <= 1e-10
+        and r["rank4_exact_residual"] <= 1e-10
         and dt <= 300.0
     )
     report(
@@ -150,6 +151,7 @@ def test_criterion_7_synthesis_roundtrip_within_5min():
         ok,
         f"synthesis round trip: {r['successes']}/50 converged (all 50), no false "
         f"successes, exact rank-one residual {r['rank1_exact_residual']:.3e} <= 1e-10, "
+        f"rank-four residual {r['rank4_exact_residual']:.3e} <= 1e-10, "
         f"runtime {dt:.1f}s <= 300s",
     )
 

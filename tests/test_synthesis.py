@@ -1,5 +1,6 @@
 """Modulus realization and the synthesis round trip."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -69,8 +70,9 @@ def test_realize_modulus_rank_three_search():
 
 
 def test_realize_modulus_wide_spread_reaches_machine_precision():
-    # ranks 3-6 with largest/smallest target up to ~3000: the Newton fit
-    # must reach the 1e-12 relative stopping threshold, not just converge
+    # ranks 3-6 with largest/smallest target up to ~3000: the closed form or
+    # the Newton fit must reach the 1e-12 relative stopping threshold, not
+    # just converge
     rng = stream(19, 3)
     for case in range(24):
         rank = 3 + case % 4
@@ -135,8 +137,9 @@ def test_modulus_jacobian_matches_the_r_term_loop_bit_for_bit(r, seed):
 
 def test_newton_fit_forms_a_jacobian_only_where_a_step_reads_it(monkeypatch):
     # tmax in [1/2, 1), so the fit runs on t itself; the direct fit
-    # converges, so the continuation takes no step
-    t = np.array([0.9, 0.6, 0.35, 0.1])
+    # converges, so the continuation takes no step (rank 5: ranks 3 and 4
+    # take the closed form)
+    t = np.array([0.9, 0.6, 0.35, 0.1, 0.05])
     residuals, toeplitz, jacobians = [], [], []
     svd, lower_toeplitz, jacobian = np.linalg.svd, synthesis._lower_toeplitz, synthesis._jacobian_from_svd
 
@@ -168,7 +171,7 @@ def no_generator(*args, **kwargs):
 @pytest.mark.parametrize(
     "t",
     [
-        [1.0, 0.995, 0.992, 0.935],
+        [1.0, 0.995, 0.992, 0.935, 0.93],
         [729945.2367, 519634.2726, 49835.1642, 47.8184, 29.6265, 27.5378, 12.8885, 7.9328, 1.0],
     ],
     ids=["close", "rank-9-wide"],
@@ -188,11 +191,18 @@ def test_stalling_targets_converge_by_continuation(monkeypatch, t):
 
 
 @pytest.mark.parametrize(
-    "t", [[0.9, 0.6, 0.35, 0.1], [2.5, 1.3, 0.4], [3000.0, 1.098, 1.0], [7.0, 5.0, 2.0, 1.5, 0.25]]
+    "t",
+    [
+        [0.9, 0.6, 0.35, 0.1, 0.05],
+        [2.5, 1.3, 0.4, 0.2, 0.1],
+        [3000.0, 1.098, 1.0, 0.9, 0.8],
+        [7.0, 5.0, 2.0, 1.5, 0.25],
+    ],
 )
 def test_a_direct_fit_is_the_reply_bit_for_bit(t):
-    # a target whose first fit reaches 1e-12 gets the phi of one Newton fit
-    # from tmax (1, 1/2, ..., 1/2), on the targets scaled by 2^-e
+    # a target of rank 5 or more whose first fit reaches 1e-12 gets the phi
+    # of one Newton fit from tmax (1, 1/2, ..., 1/2), on the targets scaled
+    # by 2^-e
     t = np.array(t)
     e = int(np.frexp(t[0])[1])
     ts = np.ldexp(t, -e)
@@ -203,6 +213,79 @@ def test_a_direct_fit_is_the_reply_bit_for_bit(t):
     m = realize_modulus(t)
     assert m.phi.poly.tobytes() == np.ldexp(c, e).astype(complex).tobytes()
     assert m.achieved_singular_values.tobytes() == np.ldexp(s, e).tobytes()
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("realize_modulus ran the Newton fit")
+
+
+def scaled(t):
+    t = np.sort(np.asarray(t, dtype=float))[::-1]
+    e = int(np.frexp(t[0])[1])
+    return e, np.ldexp(t, -e)
+
+
+@pytest.mark.parametrize("t", [[0.9, 0.6, 0.35, 0.1], [2.5, 1.3, 0.4], [3000.0, 1.098, 1.0]])
+def test_ranks_three_and_four_reply_with_the_closed_form_bit_for_bit(monkeypatch, t):
+    # the closed form passes the direct fit's 1e-12 acceptance, its singular
+    # values are the reply's, and no Newton fit runs; of the real solutions
+    # it takes the one the direct fit from tmax (1, 1/2, ..., 1/2) reaches
+    e, ts = scaled(t)
+    c = synthesis._alternating_hankel(ts.tolist())
+    s = np.linalg.svd(_lower_toeplitz(c), compute_uv=False)
+    assert np.linalg.norm(s - ts) <= 1e-12 * ts[0]
+    start = np.full(ts.size, 0.5 * ts[0])
+    start[0] = ts[0]
+    fit, _, res = synthesis._newton_fit(start, ts)
+    assert res <= 1e-12 * ts[0] and np.max(np.abs(c - fit)) <= 1e-8 * ts[0]
+    monkeypatch.setattr(synthesis, "_newton_fit", no_fit)
+    m = realize_modulus(t)
+    assert m.phi.poly.tobytes() == np.ldexp(c, e).astype(complex).tobytes()
+    assert m.achieved_singular_values.tobytes() == np.ldexp(s, e).tobytes()
+
+
+@pytest.mark.parametrize("t", [[1.0, 1.0, 1.0, 0.5], [1.0, 1 - 1e-12, 1 - 2e-12, 1 - 3e-12]])
+def test_a_closed_form_that_misses_the_gate_leaves_the_fit_reply(monkeypatch, t):
+    e, ts = scaled(t)
+    c = synthesis._alternating_hankel(ts.tolist())
+    assert c is None or np.linalg.norm(
+        np.linalg.svd(_lower_toeplitz(c), compute_uv=False) - ts
+    ) > 1e-12 * ts[0]
+    got = realize_modulus(t)
+    monkeypatch.setattr(synthesis, "_alternating_hankel", lambda t: None)
+    want = realize_modulus(t)
+    assert got.converged and got.residual <= 1e-12 * max(t)
+    assert got.phi.poly.tobytes() == want.phi.poly.tobytes()
+    assert got.achieved_singular_values.tobytes() == want.achieved_singular_values.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rank=st.integers(3, 4), log_spread=st.floats(0.0, 9.0), seed=st.integers(0, 2**32 - 1))
+def test_ranks_three_and_four_converge_on_wide_spreads(rank, log_spread, seed):
+    # whichever answers, the closed form or the fit after a gate miss
+    spread = 10.0**log_spread
+    t = spread ** stream(seed, 67).random(rank)
+    t[:2] = 1.0, spread
+    m = realize_modulus(t)
+    assert m.converged
+    assert m.residual <= 1e-12 * spread, (rank, spread)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_the_closed_form_matches_an_extended_precision_svd(rank):
+    # the singular values of the closed form's L, taken in 50 digits, lie
+    # within 1e-13 t0 of the targets (Gaussian singular values)
+    rng = stream(71, rank)
+    for _ in range(20):
+        B = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        t = singular_values(B)
+        e, ts = scaled(t)
+        c = synthesis._alternating_hankel(ts.tolist())
+        assert c is not None
+        with mpmath.workdps(50):
+            got = mpmath.svd_r(mpmath.matrix(_lower_toeplitz(c).tolist()), compute_uv=False)
+            err = max(abs(x - y) for x, y in zip(sorted(got, reverse=True), ts.tolist()))
+        assert err <= 1e-13 * ts[0], t
 
 
 def test_a_stalled_corrector_gives_up_and_the_direct_fit_does_not(monkeypatch):
@@ -291,7 +374,7 @@ def test_a_singular_jacobian_ends_the_fit_and_the_continuation_recovers(monkeypa
     # an exactly singular Jacobian makes np.linalg.solve raise; that fit ends
     # at its best point, as a step that fails every halving does, and the
     # continuation still fits the targets
-    t = [0.9, 0.6, 0.35, 0.1]
+    t = [0.9, 0.6, 0.35, 0.1, 0.05]
     calls = []
     solve = np.linalg.solve
 
