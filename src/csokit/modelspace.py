@@ -389,7 +389,7 @@ class ModelSpace(_Quadrature):
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of boundary samples onto the basis."""
-        return self._conj_basis @ np.asarray(samples, dtype=complex).T / self.quad_points
+        return self._coefficients(np.asarray(samples, dtype=complex))
 
 
 class _ModelSpaces(_Quadrature):

@@ -2,20 +2,20 @@
 
 Pipeline: split N into its canonical [[0,0,0],[0,0,0],[B,0,0]] shape, realize
 the r singular values of B as the modulus of the operator with a polynomial
-symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix
-L with real coefficients; closed forms at r <= 4, otherwise, or where the
-closed form misses the fit's own 1e-12 acceptance, a damped Newton fit whose
-every step is one square solve with the real r x r Jacobian of the singular
-values, continued from one fixed start when the direct fit stalls, so no
-step is random), pad the leftover kernel with an inner factor v = z^m,
-and assemble the operator with symbol u v phi on the model space of u^2 v,
-whose three-way frame K_u + u K_v + u v K_u makes the matrix reproduce the
-canonical shape exactly.  Every inner function is a power of z, so that
-frame is the monomial basis of the big space in order, and the operator is
-the lower-triangular Toeplitz matrix of u v phi's coefficients, built by
-index with L as its corner block.  One SVD of L gives both frame blocks of
-the unitary W conjugating the built operator onto N, which is returned with
-a recomputable equivalence residual.
+symbol phi on the model space of u = z^r (a lower-triangular Toeplitz matrix L
+with real coefficients; closed forms at r <= 4, otherwise, or where the closed
+form misses the fit's own 1e-12 acceptance, a damped Newton fit of the
+eigenvalues of the symmetric Hankel matrix J L, J the flip, to the targets
+with alternating signs, a homotopy continuation from the closed form or one
+fixed start, so no step is random), pad the leftover kernel with an inner
+factor v = z^m, and assemble the operator with symbol u v phi on the model
+space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the matrix
+reproduce the canonical shape exactly.  Every inner function is a power of z,
+so that frame is the monomial basis of the big space in order, and the
+operator is the lower-triangular Toeplitz matrix of u v phi's coefficients,
+built by index with L as its corner block.  One SVD of L gives both frame
+blocks of the unitary W conjugating the built operator onto N, which is
+returned with a recomputable equivalence residual.
 """
 from __future__ import annotations
 
@@ -30,13 +30,11 @@ from .certify import _nilpotent2_forms, _per_rank, nilpotent2_splitting
 from .linalg import DEFAULT_TOL, as_matrix, check_seed, column_phases, operator_norms
 from .modelspace import BlaschkeProduct, Symbol
 
-# realize_modulus: Newton steps per fit, step halvings per Newton step (and
-# per continuation step), the relative residual that counts as converged, and
-# the steps over which a continuation corrector's residual must halve.
+# realize_modulus: Newton steps per fit, step halvings per fit (and in a row
+# per continuation), and the relative residual that counts as converged.
 _NEWTON_STEPS = 100
 _NEWTON_HALVINGS = 40
 _CONVERGED_REL = 1e-6
-_STALL_STEPS = 4
 
 
 def __getattr__(name):
@@ -112,37 +110,50 @@ def realize_modulus(targets) -> ModulusRealization:
     """Analytic operator on the model space of u = z^r with the r given singular values.
 
     On that space the operator with symbol phi is the lower-triangular
-    Toeplitz matrix of phi's coefficients, and real coefficients suffice.
+    Toeplitz matrix L of phi's coefficients, and real coefficients suffice.
     Equal targets t give phi = t exactly and two targets have a closed form.
     Three or four targets have one too (_alternating_hankel), taken when its
-    singular values match the targets to 1e-12 of the largest, the direct
-    fit's acceptance, with its one singular-value pass as the reply's
-    achieved values.  Otherwise the coefficients are fit by damped Newton
-    steps on the singular values, each the solution of the square real
-    r x r system whose matrix is their Jacobian, read in closed form off the
-    factors of the SVD that gives them (_jacobian_from_svd).  The one start
-    c0 is tmax (1, 1/2, ..., 1/2): its singular values s0 are distinct, hence
-    differentiable, whereas at a multiple of the identity they all coincide
-    and give no usable gradient.
-    At a real c the Jacobian in Im c is 0, so over complex c the
-    minimum-norm Newton step is real; the fit therefore has r real unknowns,
-    and phi is complex only in the returned Symbol.
+    singular values match the targets to 1e-12 of the largest, the fit's
+    acceptance, with its one singular-value pass as the reply's achieved
+    values.
 
-    The fit is a homotopy continuation from c0 along the targets
-    log t(lam) = (1 - lam) log s0 + lam log t, lam from 0 to 1, with the
-    Newton fit as its corrector from the last accepted point.  Its first
-    step is lam = 1 with the goal exactly t, a direct fit from c0, and s0 is
-    computed only if that fails.  A corrector gives up once its residual
-    has not halved over _STALL_STEPS Newton steps; the direct fit does not,
-    so a reply that it fits is the plain Newton fit's.  A corrector that
-    matches its goal to 1e-12 of the goal's largest value accepts its step
-    and doubles the next one, capped at 1 - lam; any other corrector halves
-    the step, and
-    _NEWTON_HALVINGS halvings in a row end the continuation at the point of
-    lowest residual against t.  Two distinct targets keep the path strictly
-    decreasing, so its singular values stay simple.  The result is flagged
-    converged when the achieved singular values match to 1e-6 of the largest
-    target; an unconverged fit is returned flagged, never raised.
+    Otherwise c is fit to a spectrum.  With J the flip and S the down shift,
+    J L = sum_j c_j J S^j is real symmetric and linear in c, and its
+    eigenvalues are the singular values of L up to sign.  Damped Newton
+    steps (_spectral_newton) take them, ascending, to the goal
+    sort(t0, -t1, t2, ...) that the closed forms realize.  A simple
+    eigenvalue lam_k = q_k^T J L q_k moves by q_k^T J dL q_k (q_k^T dq_k = 0
+    for a unit q_k), so the Jacobian D[k, j] = q_k^T J S^j q_k comes from
+    the eigenvectors of the eigh that gives lam, and each step is one
+    square real r x r solve.  Two equal targets become the simple
+    eigenvalues t_k and -t_k, where as a double singular value they have
+    no derivative.  At a real c the Jacobian in Im c is 0, so the
+    minimum-norm complex step is real: the fit has r real unknowns, and phi
+    is complex only in the returned Symbol.
+
+    The start is the closed form where that missed its check, and otherwise
+    c0 = tmax (1, 1/2, ..., 1/2), whose J L has the goal's inertia, ceil(r/2)
+    positive and floor(r/2) negative eigenvalues, all of modulus at least
+    3/4 tmax (checked for r <= 64).  The fit is a homotopy continuation from
+    the start's spectrum lam0 along |goal(s)| = |lam0|^(1 - s) |goal|^s,
+    s from 0 to 1, with the goal's signs held fixed, so the path keeps their
+    order and takes no log of a target that underflows to 0; the Newton fit
+    is its corrector from the last accepted point, and its first step is
+    s = 1, a direct fit from the start.  A corrector that matches its goal
+    to 1e-12 of the goal's largest magnitude accepts its step and doubles
+    the next one, capped at 1 - s; any other corrector, or a step too small
+    to move s, halves the step, and _NEWTON_HALVINGS halvings in a row end
+    the continuation at the point of lowest residual against the goal.  One
+    SVD of the reply's L gives its achieved singular values, flagged
+    converged when they match to 1e-6 of the largest target; an unconverged
+    fit is returned flagged, never raised.
+
+    No polish step is needed: ||sort |lam| - t|| <= ||lam - goal||, so the
+    acceptance bounds the reply's residual, up to its SVD's rounding, 10^6
+    times below the converged flag's.  Nor is a stall rule: a fit's halvings
+    are counted over all its steps, so one that creeps towards a singular
+    Jacobian on ever shorter steps ends after _NEWTON_HALVINGS failed
+    trials, and the direct fit and the correctors keep the one rule.
 
     The closed forms and the fit run on the targets scaled by the power of
     two 2^-e that puts tmax in [1/2, 1), so that no square over- or
@@ -185,33 +196,32 @@ def realize_modulus(targets) -> ModulusRealization:
     c = _alternating_hankel(ts.tolist()) if r <= 4 else None
     if c is not None:
         s = np.linalg.svd(_lower_toeplitz(c), compute_uv=False)
-        if np.linalg.norm(s - ts) <= 1e-12 * ts[0]:  # the direct fit's acceptance
+        if np.linalg.norm(s - ts) <= 1e-12 * ts[0]:  # the fit's acceptance
             return finish(c, s)
+    if c is None:
+        c = np.full(r, 0.5 * ts[0])
+        c[0] = ts[0]
 
-    c0 = np.full(r, 0.5 * ts[0])
-    c0[0] = ts[0]
-    c, s, res = _newton_fit(c0, ts)
-    if res <= 1e-12 * ts[0]:
-        return finish(c, s)
-    # continuation from (c0, s0) along log t(lam) = (1 - lam) log s0 + lam log ts;
-    # the fit above was its first step, lam = 1, and it failed
-    best = (res, c, s)
-    log_s0, log_ts = np.log(np.linalg.svd(_lower_toeplitz(c0), compute_uv=False)), np.log(ts)
-    c, lam, step, halvings = c0, 0.0, 0.5, 1
+    # goals |goal(s)| = |lam0|^(1 - s) |target|^s with the target's signs
+    point = _spectrum(c)
+    target = np.sort(ts * (-1.0) ** np.arange(r))
+    base = np.abs(point[1])
+    best = (np.inf, c)
+    at, step, halvings = 0.0, 1.0, 0
     while halvings < _NEWTON_HALVINGS:
-        goal_lam = min(lam + step, 1.0)
-        goal = ts if goal_lam == 1.0 else np.exp((1 - goal_lam) * log_s0 + goal_lam * log_ts)
-        c_new, s, res = _newton_fit(c, goal, stall=True)
-        res_t = float(np.linalg.norm(s - ts))
+        to = min(at + step, 1.0)
+        goal = np.copysign(base ** (1 - to) * np.abs(target) ** to, target)
+        new, met = _spectral_newton(point, goal)
+        res_t = float(np.linalg.norm(new[1] - target))
         if res_t < best[0]:
-            best = (res_t, c_new, s)
-        if res <= 1e-12 * goal[0]:
-            if goal is ts:
-                return finish(c_new, s)
-            c, lam, step, halvings = c_new, goal_lam, min(2 * step, 1 - goal_lam), 0
+            best = (res_t, new[0])
+        if met and to > at:  # a step below at's rounding leaves the goal as it was
+            if to == 1.0:
+                return finish(new[0])
+            point, at, step, halvings = new, to, min(2 * step, 1 - to), 0
         else:
             step, halvings = step / 2, halvings + 1
-    return finish(best[1], best[2])
+    return finish(best[1])
 
 
 def _alternating_hankel(t: list[float]) -> np.ndarray | None:
@@ -267,72 +277,53 @@ def _alternating_hankel(t: list[float]) -> np.ndarray | None:
     return np.array([c0, c1, (a0 + 3 * c1**3) / (6 * c0 * c1), e1 - c1])
 
 
-def _modulus_jacobian(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of lower-Toeplitz(c) for real c, descending, and their
-    real r x r Jacobian in c."""
-    U, s, Vh = np.linalg.svd(_lower_toeplitz(c))
-    return s, _jacobian_from_svd(U, Vh)
+def _spectrum(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c with the ascending eigenvalues and eigenvectors of J L, J the flip."""
+    lam, Q = np.linalg.eigh(_lower_toeplitz(c)[::-1])
+    return c, lam, Q
 
 
-def _jacobian_from_svd(U: np.ndarray, Vh: np.ndarray) -> np.ndarray:
-    """The real r x r Jacobian D of the singular values of the real
-    L = U diag(s) V^T = sum_j c_j S^j (S the down shift) in c.
+def _spectral_jacobian(Q: np.ndarray) -> np.ndarray:
+    """The Jacobian D[k, j] = q_k^T J S^j q_k = sum_{l >= j} Q[r - 1 - l, k] Q[l - j, k]
+    in c of the eigenvalues of J L (realize_modulus), from its eigenvectors Q.
+    All r shifts S^j Q are gathered at once by L's own Toeplitz index."""
+    index, mask = _toeplitz_index(len(Q))
+    shifted = np.where(mask[:, :, None], Q[index], 0)  # entry (l, j) is row l of S^j Q
+    return (Q[::-1, None, :] * shifted).sum(axis=0).T
 
-    A simple singular value moves by d s_k = u_k^T dL v_k, so
-    D[k, j] = u_k^T S^j v_k = sum_{l >= j} U[l, k] V[l - j, k].  All r
-    shifts S^j V are gathered at once by L's own Toeplitz index, and the
-    products are summed over l in order, so each entry is bit for bit the
-    sum over its r - j terms alone (the leading zero terms change nothing).
+
+def _spectral_newton(point: tuple, goal: np.ndarray) -> tuple[tuple, bool]:
+    """Damped Newton for the ascending eigenvalues of J lower-Toeplitz(c) = goal.
+
+    point is (c, lam, Q), real c with the eigenvalues and eigenvectors of its
+    J L, and so is the returned point, the last accepted one, with whether
+    its residual ||lam - goal|| is at most 1e-12 of the goal's largest
+    magnitude, where the fit stops.  Each step solves the square system
+    D dc = goal - lam with the Jacobian D (_spectral_jacobian) and is halved
+    until the residual decreases.  The fit ends at _NEWTON_HALVINGS halvings
+    over all its steps, or at an exactly singular D.  Every trial point costs
+    one eigh, and the start's comes with it.
     """
-    index, mask = _toeplitz_index(U.shape[0])
-    shifted = np.where(mask[:, :, None], Vh.T[index], 0)  # entry (l, j) is row l of S^j V
-    return (U[:, None, :] * shifted).sum(axis=0).T
-
-
-def _newton_fit(
-    c: np.ndarray, t: np.ndarray, stall: bool = False
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Damped Newton for the singular values of lower-Toeplitz(c) = t, c real.
-
-    Each step solves the square system D dc = t - s with the real r x r
-    Jacobian D, and is halved until the residual ||s - t|| decreases.  Once
-    the residual is at or below 1e-12 of the largest target, one more full
-    step is kept if it lowers the residual, and the fit stops.  A step that
-    fails every halving, or an exactly singular D, ends the fit, and with
-    stall so does a residual that has not halved over the last _STALL_STEPS
-    steps: no longer falling geometrically, the fit is far from Newton's
-    quadratic phase.  Returns the best coefficients, their singular values
-    and their residual.
-
-    Every trial point costs one real SVD, which gives its singular values;
-    the Jacobian is formed from that SVD's factors only where the next step
-    reads it: at the start and after each accepted step but the polish step.
-    """
-    s, J = _modulus_jacobian(c)
-    res = float(np.linalg.norm(s - t))
-    history = [res]
+    c, lam, Q = point
+    tol = 1e-12 * np.max(np.abs(goal))
+    res, halvings = float(np.linalg.norm(lam - goal)), 0
     for _ in range(_NEWTON_STEPS):
+        if res <= tol:
+            break
         try:
-            step = np.linalg.solve(J, t - s)
+            step = np.linalg.solve(_spectral_jacobian(Q), goal - lam)
         except np.linalg.LinAlgError:  # exactly singular: no Newton step exists
             break
-        polish = res <= 1e-12 * t[0]
-        for _ in range(1 if polish else _NEWTON_HALVINGS):
-            U, s_new, Vh = np.linalg.svd(_lower_toeplitz(c + step))
-            res_new = float(np.linalg.norm(s_new - t))
+        while halvings < _NEWTON_HALVINGS:
+            trial = _spectrum(c + step)
+            res_new = float(np.linalg.norm(trial[1] - goal))
             if res_new < res:
-                c, s, res = c + step, s_new, res_new
+                (c, lam, Q), res = trial, res_new
                 break
-            step = step / 2
+            step, halvings = step / 2, halvings + 1
         else:
             break
-        if polish:
-            break
-        history.append(res)
-        if stall and len(history) > _STALL_STEPS and res > 0.5 * history[-1 - _STALL_STEPS]:
-            break
-        J = _jacobian_from_svd(U, Vh)
-    return c, s, res
+    return (c, lam, Q), res <= tol
 
 
 def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
