@@ -42,9 +42,10 @@ form from A_u^Q.  The cross-checks still sample on their own grids and
 check their sampled Gram matrix, so they stay independent of A_u.
 
 Sizes are capped before anything is allocated: a degree above
-TENSOR_DIM_CAP (the n x n shift) and a sampling pass of more than
-SAMPLE_CAP basis samples (spaces times degree times nodes) are
-CapacityErrors.  A stack's callers size it by _stack_size.
+TENSOR_DIM_CAP (the n x n shift) and a space of more than SAMPLE_CAP basis
+samples (degree times nodes) are CapacityErrors.  Each space is sampled
+once, on first use, and serves its Gram check and every cross-check on
+its grid.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -63,12 +64,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm, operator_norms
+from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm
 
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
 QUAD_CAP = 1 << 20  # and at most this (16 MB per sampled row)
-SAMPLE_CAP = 1 << 24  # spaces x degree x nodes of one sampling pass (256 MB per k x n x Q array)
+SAMPLE_CAP = 1 << 24  # degree x nodes of one space's samples (256 MB per n x Q array)
 ZERO_MARGIN = 1e-8  # Blaschke zeros stay this far inside the disk
 POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
@@ -256,91 +257,13 @@ def _roots_of_unity(Q: int) -> np.ndarray:
     return nodes
 
 
-class _Quadrature:
-    """Boundary samples of model-space bases on one grid, and the trapezoid sums over them.
-
-    A subclass gives ``dim``, ``quad_points`` and ``_zero_arrays``, the
-    zero arrays of one product (n,) or of a stack of products of one degree
-    (k, n).  Every array here carries their leading axes, and each step is
-    elementwise or runs matrix by matrix over those axes, so each space of
-    a stack gets what it gets alone, bit for bit.  The trapezoid sums
-    broadcast: k rows of multiplier or symbol samples against one space
-    give the k results a stack of k copies of it would.
-    """
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return _roots_of_unity(self.quad_points)
-
-    @cached_property
-    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, u) on the nodes, from one pass of the basis recursion.
-
-        The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all
-        zeros come from one broadcast each (a zero at 0 has reciprocal 1 and
-        factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
-        product per zero, in the factors' rows; the basis is prefix times
-        reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
-        More than SAMPLE_CAP basis samples (all the zeros times the nodes)
-        are a CapacityError, raised before any is taken.
-        """
-        a, c, eps = self._zero_arrays
-        n, Q = self.dim, self.quad_points
-        if a.size * Q > SAMPLE_CAP:
-            raise CapacityError(
-                f"{a.size} basis functions on {Q} nodes exceed the sampling cap of {SAMPLE_CAP} basis samples"
-            )
-        a = a[..., None]
-        z = self.nodes
-        E = np.multiply(a.conj(), z)
-        np.subtract(1.0, E, out=E)
-        np.reciprocal(E, out=E)
-        F = np.subtract(a, z)
-        F *= E
-        F[eps > 0] = z
-        prefixes = F.swapaxes(0, -2)  # prefixes[j] holds factor j of every space
-        for j in range(1, n):
-            np.multiply(prefixes[j - 1], prefixes[j], out=prefixes[j])
-        E *= c[..., None]
-        E[..., 1:, :] *= F[..., :-1, :]
-        return E, prefixes[-1].copy() if n else np.ones(E.shape[:-2] + (Q,), dtype=complex)
-
-    @property
-    def basis_samples(self) -> np.ndarray:
-        return self._samples[0]
-
-    @property
-    def u_samples(self) -> np.ndarray:
-        return self._samples[1]
-
-    @cached_property
-    def _conj_basis(self) -> np.ndarray:
-        """conj(basis_samples), shared by the Gram check, projections and compressions."""
-        return self.basis_samples.conj()
-
-    @cached_property
-    def _gram_defect(self) -> np.ndarray:
-        """The sampled Gram matrix minus I."""
-        G = self.basis_samples @ self._conj_basis.swapaxes(-1, -2) / self.quad_points
-        return G - np.eye(self.dim)
-
-    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """(..., n, m): the projection coefficients of (..., m, Q) rows of samples."""
-        return self._conj_basis @ rows.swapaxes(-1, -2) / self.quad_points
-
-    def compress(self, multiplier_samples: np.ndarray) -> np.ndarray:
-        """Matrix of f -> P(m f) on the basis, for boundary samples of m;
-        (k, Q) rows of samples give the (k, n, n) stack."""
-        m = np.asarray(multiplier_samples)[..., None, :]
-        return (self._conj_basis * m) @ self.basis_samples.swapaxes(-1, -2) / self.quad_points
-
-
-class ModelSpace(_Quadrature):
+class ModelSpace:
     """Orthonormal rational basis of H^2 minus u H^2.
 
     Exact operators come from the compressed shift.  The boundary samples
     of the basis and of u, used only by the quadrature routes, come from one
-    pass on first use, on circle nodes shared by every space of that size.
+    pass on first use, on circle nodes shared by every space of that size:
+    the basis as an (n, Q) array, one row per basis function.
     """
 
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
@@ -352,8 +275,8 @@ class ModelSpace(_Quadrature):
         return self.u.degree
 
     @property
-    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.u._zero_arrays
+    def nodes(self) -> np.ndarray:
+        return _roots_of_unity(self.quad_points)
 
     def on_grid(self, quad_points: int) -> "ModelSpace":
         """The space of u on quad_points nodes (self when its grid has them)."""
@@ -378,6 +301,57 @@ class ModelSpace(_Quadrature):
         return T
 
     @cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(basis, u) on the nodes, from one pass of the basis recursion.
+
+        The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all
+        zeros come from one broadcast each (a zero at 0 has reciprocal 1 and
+        factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
+        product per zero, in the factors' rows; the basis is prefix times
+        reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
+        More than SAMPLE_CAP basis samples (degree times nodes) are a
+        CapacityError, raised before any is taken.
+        """
+        n, Q = self.dim, self.quad_points
+        if n * Q > SAMPLE_CAP:
+            raise CapacityError(
+                f"{n} basis functions on {Q} nodes exceed the sampling cap of {SAMPLE_CAP} basis samples"
+            )
+        a, c, eps = self.u._zero_arrays
+        a = a[:, None]
+        z = self.nodes
+        E = np.multiply(a.conj(), z)
+        np.subtract(1.0, E, out=E)
+        np.reciprocal(E, out=E)
+        F = np.subtract(a, z)
+        F *= E
+        F[eps > 0] = z
+        for j in range(1, n):
+            np.multiply(F[j - 1], F[j], out=F[j])
+        E *= c[:, None]
+        E[1:] *= F[:-1]
+        return E, F[-1].copy() if n else np.ones(Q, dtype=complex)
+
+    @property
+    def basis_samples(self) -> np.ndarray:
+        return self._samples[0]
+
+    @property
+    def u_samples(self) -> np.ndarray:
+        return self._samples[1]
+
+    @cached_property
+    def _conj_basis(self) -> np.ndarray:
+        """conj(basis_samples), shared by the Gram check, projections and compressions."""
+        return self.basis_samples.conj()
+
+    @cached_property
+    def _gram_defect(self) -> np.ndarray:
+        """The sampled Gram matrix minus I."""
+        G = self.basis_samples @ self._conj_basis.T / self.quad_points
+        return G - np.eye(self.dim)
+
+    @cached_property
     def gram_residual(self) -> float:
         return operator_norm(self._gram_defect)
 
@@ -387,40 +361,24 @@ class ModelSpace(_Quadrature):
         _require_gram_residual(_gram_norm(self._gram_defect))
         return self
 
-    def project(self, samples: np.ndarray) -> np.ndarray:
-        """Coefficients of the projection of boundary samples onto the basis."""
-        return self._coefficients(np.asarray(samples, dtype=complex))
+    def _on_nodes(self, samples, ndims: tuple) -> np.ndarray:
+        """samples as an array of ndim in ndims whose last axis has quad_points
+        entries; any other shape is an InputError."""
+        s = np.asarray(samples)
+        if s.ndim not in ndims or s.shape[-1] != self.quad_points:
+            raise InputError(f"expected samples on the {self.quad_points} nodes, got shape {s.shape}")
+        return s
 
+    def project(self, samples) -> np.ndarray:
+        """Coefficients of the projection of boundary samples onto the basis:
+        (n,) for one row of Q samples, (n, m) for (m, Q) rows."""
+        rows = self._on_nodes(samples, (1, 2)).astype(complex, copy=False)
+        return self._conj_basis @ rows.T / self.quad_points
 
-class _ModelSpaces(_Quadrature):
-    """The model spaces of the products ``us``, all of one degree, on one grid, as a stack.
-
-    Only the sampled quadrature: the exact operators and the public checks
-    are a ModelSpace's.  Its initializer is its own, so the benchmark's
-    tracer, which wraps ModelSpace.__init__, does not see it.
-    """
-
-    def __init__(self, us, quad_points: int):
-        self.us = tuple(us)
-        self.dim = self.us[0].degree
-        self.quad_points = _check_quad_points(quad_points)
-
-    @cached_property
-    def _zero_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.array(x) for x in zip(*(u._zero_arrays for u in self.us)))
-
-    def on_grid(self, quad_points: int) -> "_ModelSpaces":
-        """The stack of the same products on quad_points nodes (self when its grid has them)."""
-        return self if quad_points == self.quad_points else _ModelSpaces(self.us, quad_points)
-
-    def _gram_norms(self) -> list[float]:
-        """_gram_norm of each space's Gram defect, as its require_resolved decides it."""
-        return [_gram_norm(D) for D in self._gram_defect]
-
-
-def _symbol_rows(phis, nodes: np.ndarray) -> np.ndarray:
-    """(k, Q): the symbols phis on the nodes."""
-    return np.array([phi.eval(nodes) for phi in phis])
+    def compress(self, multiplier_samples) -> np.ndarray:
+        """Matrix of f -> P(m f) on the basis, for the Q boundary samples of m."""
+        m = self._on_nodes(multiplier_samples, (1,))
+        return (self._conj_basis * m) @ self.basis_samples.T / self.quad_points
 
 
 def _require_gram_residual(residual: float) -> None:
@@ -512,17 +470,13 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     if not phi.is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
     ms = ModelSpace(u, quad_points).require_resolved()
-    return _fn_calculus_residuals(ms, _symbol_rows([phi], ms.nodes), ms.tto(phi)[None])[0]
+    return _fn_calculus_residual(ms, phi, ms.tto(phi))
 
 
-def _fn_calculus_residuals(
-    spaces: _Quadrature, rows: np.ndarray, direct: np.ndarray
-) -> list[float]:
-    """fn_calculus_check's residual for each polynomial symbol, given by its
-    row of rows, the (k, Q) samples on spaces.nodes, and by its matrix
-    phi(A_u) in direct, the (k, n, n) stack, on the resolved spaces: a stack
-    of k, or one space, which fn_calculus_check passes."""
-    return operator_norms(direct - spaces.compress(rows)).tolist()
+def _fn_calculus_residual(ms: ModelSpace, phi: Symbol, direct: np.ndarray) -> float:
+    """fn_calculus_check's residual for the polynomial symbol phi, whose matrix
+    phi(A_u) is direct, on the resolved space ms."""
+    return operator_norm(direct - ms.compress(phi.eval(ms.nodes)))
 
 
 def _aliasing(power: np.ndarray) -> np.ndarray:
@@ -633,22 +587,10 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     return C
 
 
-def _fourier_coefficients(samples: np.ndarray) -> np.ndarray:
-    """f_hat(k) for k = 0..Q-1 along the last axis, negative modes aliased to Q + k."""
-    return np.fft.fft(samples) / samples.shape[-1]
-
-
 def _fine_grid(quad_points: int, M: int) -> int:
     """The node count of the Hankel route at truncation M on a quad_points grid:
     fine enough for M Fourier modes, and never coarser than the grid itself."""
     return max(4 * M, quad_points, DEFAULT_QUAD)
-
-
-def _stack_size(degree: int, quad_points: int, M: int) -> int:
-    """The most spaces of this degree, at least one, that a stack on
-    quad_points nodes may hold for Hankel truncations up to M: sampled on
-    its finest grid, _fine_grid(quad_points, M), they stay within SAMPLE_CAP."""
-    return max(1, SAMPLE_CAP // max(1, degree * _fine_grid(quad_points, M)))
 
 
 def verify_hankel_factorization(
@@ -659,7 +601,7 @@ def verify_hankel_factorization(
     Each basis function is expanded in its first M Taylor coefficients (one
     FFT of its samples on the fine grid), pushed through the finite Hankel
     section of conj(u) phi into negative modes, evaluated on the
-    quad_points nodes by one FFT (see _hankel_route_residuals), multiplied
+    quad_points nodes by one FFT (see _hankel_route_residual), multiplied
     back by u, and compressed to the model space by the trapezoid rule; the
     result is compared against tto_matrix.  M is an integer >= 64.  If the
     residual exceeds HANKEL_RESIDUAL_CAP and does not decrease when M
@@ -668,43 +610,21 @@ def verify_hankel_factorization(
     if not isinstance(M, (int, np.integer)) or M < 64:
         raise InputError(f"Hankel truncation M must be an integer >= 64, got {M!r}")
     ms = ModelSpace(u, quad_points).require_resolved()
-    (residual,) = _hankel_checks(ms, [phi], M, ms.tto(phi)[None])
-    if isinstance(residual, AccuracyError):
-        raise residual
+    return _hankel_check(ms, phi, M, ms.tto(phi))
+
+
+def _hankel_check(ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarray) -> float:
+    """verify_hankel_factorization's residual for phi, whose matrix is direct,
+    on the resolved space ms; the doubled truncation runs only when the
+    residual exceeds the cap, and an AccuracyError when it does not fall."""
+    residual = _hankel_route_residual(ms, phi, M, direct)
+    if residual > HANKEL_RESIDUAL_CAP and _hankel_route_residual(ms, phi, 2 * M, direct) >= residual:
+        raise AccuracyError(f"Hankel residual {residual:.3e} did not decrease at doubled truncation")
     return residual
 
 
-def _hankel_checks(spaces: _Quadrature, phis, M: int, direct: np.ndarray, rows=None) -> list:
-    """verify_hankel_factorization's outcome for each symbol of phis on the resolved spaces.
-
-    spaces is a stack of k, or one space, which verify_hankel_factorization
-    passes; direct is the (k, n, n) stack of the symbols' matrices, and rows,
-    if given, their samples on spaces.nodes (see _hankel_route_residuals).
-    Each outcome is the residual its own call returns, or the AccuracyError
-    it raises; the doubled truncation runs once, over the whole stack, only
-    if some residual exceeds the cap.
-    """
-    residuals = _hankel_route_residuals(spaces, phis, M, direct, rows).tolist()
-    again = None
-    for j, residual in enumerate(residuals):
-        if residual > HANKEL_RESIDUAL_CAP:
-            if again is None:
-                again = _hankel_route_residuals(spaces, phis, 2 * M, direct, rows)
-            if again[j] >= residual:
-                residuals[j] = AccuracyError(
-                    f"Hankel residual {residual:.3e} did not decrease at doubled truncation"
-                )
-    return residuals
-
-
-def _hankel_route_residuals(
-    spaces: _Quadrature, phis, M: int, direct: np.ndarray, rows=None
-) -> np.ndarray:
-    """Residual of the Hankel route at truncation M for each symbol of phis on
-    the spaces (a stack of k, or one space) against its matrix in the
-    (k, n, n) stack direct.  rows, the symbols' (k, Q) samples on
-    spaces.nodes, serve when the fine grid is that grid; otherwise, or when
-    rows is None, the symbols are sampled on the fine grid.
+def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarray) -> float:
+    """Residual of the Hankel route on the space ms against direct, at truncation M.
 
     The M x M section of the Hankel operator with symbol psi = conj(u) phi
     takes the Taylor coefficients t_c, c = 0..M-1, of e_j to its modes
@@ -714,33 +634,32 @@ def _hankel_route_residuals(
 
     where t and the coefficients v[k] = psi_hat(-(k+1)), k = 0..2M-2, come
     from FFTs on the _fine_grid nodes, fine enough that aliasing sits far
-    below the truncation error.  That is a correlation, taken by one FFT of
-    length 2M of v and of the reversed Taylor rows: entry M-1+r of their
-    circular convolution is negative[j, r], and no wrap-around reaches it.
-    On the Q = spaces.quad_points nodes z_q the image is then
+    below the truncation error; that grid is ms's own when ms has enough
+    nodes.  That is a correlation, taken by one FFT of length 2M of v and
+    of the reversed Taylor rows: entry M-1+r of their circular convolution
+    is negative[j, r], and no wrap-around reaches it.
+    On the Q = ms.quad_points nodes z_q the image is then
     u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
     conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
     evaluated by one FFT of length Q, which zero-pads M <= Q modes itself.
-    A degree-0 space has no basis, and its residual is 0.  Every FFT runs
-    over the leading axis, so each residual is its space's alone bit for bit.
+    A degree-0 space has no basis, and its residual is 0.
     """
-    Q = spaces.quad_points
-    fine = spaces.on_grid(_fine_grid(Q, M))
-    if rows is None or fine is not spaces:
-        rows = _symbol_rows(phis, fine.nodes)
-    reversed_taylor = _fourier_coefficients(fine.basis_samples)[..., M - 1 :: -1]
-    psi = _fourier_coefficients(np.conj(fine.u_samples) * rows)
-    v = psi[:, -1 : -2 * M : -1]
-    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)[:, None, :]
-    negative = np.fft.ifft(spectrum)[..., M - 1 : 2 * M - 1]
-    k, n = negative.shape[:2]
-    folds = -(-M // Q)
+    Q = ms.quad_points
+    fine = ms.on_grid(_fine_grid(Q, M))
+    # f_hat(k) = fft(f)[k] / Qf, the negative modes aliased to Qf + k; only
+    # the coefficients read are divided
+    Qf = fine.quad_points
+    reversed_taylor = np.fft.fft(fine.basis_samples)[:, M - 1 :: -1] / Qf
+    v = np.fft.fft(np.conj(fine.u_samples) * phi.eval(fine.nodes))[-1 : -2 * M : -1] / Qf
+    spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)
+    negative = np.fft.ifft(spectrum)[:, M - 1 : 2 * M - 1]
+    n, folds = len(negative), -(-M // Q)
     if folds > 1:
-        padded = np.zeros((k, n, folds * Q), dtype=complex)
-        padded[..., :M] = negative
-        negative = padded.reshape(k, n, folds, Q).sum(axis=2)
-    images = spaces.u_samples[..., None, :] * np.conj(spaces.nodes) * np.fft.fft(negative, Q)
-    return operator_norms(spaces._coefficients(images) - direct)
+        padded = np.zeros((n, folds * Q), dtype=complex)
+        padded[:, :M] = negative
+        negative = padded.reshape(n, folds, Q).sum(axis=1)
+    images = ms.u_samples * np.conj(ms.nodes) * np.fft.fft(negative, Q)
+    return operator_norm(ms.project(images) - direct)
 
 
 def modelspace_decompose(

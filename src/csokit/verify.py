@@ -22,6 +22,7 @@ from .certify import (
     _nilpotent2_conjugations,
     _nilpotent2_forms,
     _order_two_ruled_out,
+    is_c_symmetric,
     word_norm_gaps,
 )
 from .ensembles import (
@@ -51,13 +52,10 @@ from .linalg import (
     singular_values,
 )
 from .modelspace import (
+    ModelSpace,
     _check_quad_points,
-    _fn_calculus_residuals,
-    _hankel_checks,
-    _ModelSpaces,
-    _require_gram_residual,
-    _stack_size,
-    _symbol_rows,
+    _fn_calculus_residual,
+    _hankel_check,
     model_conjugation,
     tto_matrix,
 )
@@ -270,83 +268,23 @@ def entry_shift_coshift_blocks(cfg: RunConfig) -> dict:
     )
 
 
-def _model_space_checks(us, phis, quad: int) -> list[tuple]:
-    """Each case's outcomes in entry_tto_suite, for products us of one degree and symbols phis.
-
-    Per case: (the model conjugation, or the error its call raises, the
-    c-symmetry residual, the Gram residual of the quad grid, the
-    fn-calculus residual, and the Hankel outcomes at M = 256 and 512), each
-    as the case's own public calls give or raise it.  The cores run over
-    the stack: one norm batch, and each grid sampled once, the quad grid
-    and the symbols on it serving the Gram check, the fn-calculus and
-    M = 256.  The matrices and
-    the model conjugation run case by case: a stacked Horner pass saved
-    about 0.3 ms of a suite pass but cost a single tto_matrix call a fifth
-    of its time, and the conjugation's squaring chain stops at a different
-    power for each product, where a stacked chain measured slower as a
-    single call.  A group too large to sample in one pass is split:
-    each stack's finest grid, that of the M = 512 check's retry at 1024
-    modes, stays within the sampling cap.
-    """
-    if not us:
-        return []
-    size = _stack_size(us[0].degree, quad, 1024)
-    if len(us) > size:
-        head = _model_space_checks(us[:size], phis[:size], quad)
-        return head + _model_space_checks(us[size:], phis[size:], quad)
-    T = np.array([tto_matrix(u, phi) for u, phi in zip(us, phis)])
-    conjugations = []
-    G = np.zeros_like(T)  # a refused case keeps G = 0: it raises before its c-symmetry is read
-    for u, g in zip(us, G):
-        try:
-            conjugations.append(model_conjugation(u, quad))
-            g[:] = conjugations[-1].matrix
-        except AccuracyError as exc:
-            conjugations.append(exc)
-    nrms, c_norms = operator_norms([T, _c_differences(T, G)]).tolist()
-    stack = _ModelSpaces(us, quad)
-    rows = _symbol_rows(phis, stack.nodes)  # the fn-calculus and the M = 256 check share them
-    return list(
-        zip(
-            conjugations,
-            [c / nrm if nrm > 0 else 0.0 for nrm, c in zip(nrms, c_norms)],
-            stack._gram_norms(),
-            _fn_calculus_residuals(stack, rows, T),
-            _hankel_checks(stack, phis, 256, T, rows),
-            _hankel_checks(stack, phis, 512, T, rows),
-        )
-    )
-
-
-def _raised(outcome):
-    """The outcome, or the error it holds raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def entry_tto_suite(cfg: RunConfig) -> dict:
     rng = stream(cfg.seed, 106)
-    us, phis = [], []
-    for _ in range(30):
-        deg = int(rng.integers(1, 9))
-        us.append(random_blaschke(rng, deg, max_modulus=0.8))
-        phis.append(random_poly_symbol(rng, int(rng.integers(0, 5))))
-    outcomes = {}
-    for group in _by_dimension(range(30), lambda i: us[i].degree):  # one stack per degree
-        checks = _model_space_checks([us[i] for i in group], [phis[i] for i in group], cfg.quad)
-        outcomes.update(zip(group, checks))
     worst_sym = worst_calc = worst_h256 = worst_h512 = 0.0
     hankel_error = ""
-    for i in range(30):  # in draw order, each case raising as its own calls would
-        conjugation, sym, gram, calc, h256, h512 = outcomes[i]
-        _raised(conjugation)
-        worst_sym = max(worst_sym, sym)
-        _require_gram_residual(gram)
-        worst_calc = max(worst_calc, calc)
+    # case by case in draw order, each raising as its own public calls would:
+    # the space on the quad grid is sampled once, for its Gram check, the
+    # fn-calculus and the M = 256 check, whose fine grid it is at quad >= 1024
+    for _ in range(30):
+        u = random_blaschke(rng, int(rng.integers(1, 9)), max_modulus=0.8)
+        phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
+        T = tto_matrix(u, phi)
+        worst_sym = max(worst_sym, is_c_symmetric(T, model_conjugation(u, cfg.quad), tol=1e-8)[1])
+        ms = ModelSpace(u, cfg.quad).require_resolved()
+        worst_calc = max(worst_calc, _fn_calculus_residual(ms, phi, T))
         try:
-            worst_h256 = max(worst_h256, _raised(h256))
-            worst_h512 = max(worst_h512, _raised(h512))
+            worst_h256 = max(worst_h256, _hankel_check(ms, phi, 256, T))
+            worst_h512 = max(worst_h512, _hankel_check(ms, phi, 512, T))
         except AccuracyError as exc:
             hankel_error = str(exc)
     ok = (

@@ -37,7 +37,7 @@ from csokit.modelspace import (
     verify_hankel_factorization,
     _aliasing,
     _fine_grid,
-    _hankel_route_residuals,
+    _hankel_route_residual,
 )
 from csokit.verify import RunConfig
 
@@ -705,12 +705,6 @@ def test_hankel_route_reproduces_tto():
     assert verify_hankel_factorization(u, phi, 256) <= 1e-6
 
 
-def route_residual(ms, phi, M, direct):
-    """The Hankel route's residual at truncation M on the space ms alone."""
-    (residual,) = _hankel_route_residuals(ms, [phi], M, direct[None])
-    return residual
-
-
 def test_hankel_residual_collapses_when_truncation_doubles():
     # moduli 0.9 keep the M = 64 tail above the noise floor, so the decay
     # of the truncation error is observable between M = 64 and M = 128
@@ -718,8 +712,8 @@ def test_hankel_residual_collapses_when_truncation_doubles():
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
     ms = ModelSpace(u, 1024)
-    r64 = route_residual(ms, phi, 64, direct)
-    r128 = route_residual(ms, phi, 128, direct)
+    r64 = _hankel_route_residual(ms, phi, 64, direct)
+    r128 = _hankel_route_residual(ms, phi, 128, direct)
     assert r64 > 1e-8
     assert r128 <= 1e-3 * r64
 
@@ -753,20 +747,20 @@ def test_hankel_fft_route_matches_the_polyval_oracle(seed, degree, case):
     phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
     oracle = polyval_hankel_route(u, phi, M, Q)
     # the residual against the oracle is the distance between the two routes
-    assert route_residual(ModelSpace(u, Q), phi, M, oracle) <= 1e-13 * operator_norm(oracle)
+    assert _hankel_route_residual(ModelSpace(u, Q), phi, M, oracle) <= 1e-13 * operator_norm(oracle)
 
 
 def test_hankel_check_retries_at_doubled_truncation():
     u = BlaschkeProduct((0.9, -0.9, 0.9j))
     phi = Symbol(poly=[1.0, 0.5])
     direct = tto_matrix(u, phi)
-    r64 = route_residual(ModelSpace(u, 1024), phi, 64, direct)
+    r64 = _hankel_route_residual(ModelSpace(u, 1024), phi, 64, direct)
     with pytest.MonkeyPatch.context() as mp:
         # above the cap at M = 64, lower at M = 128: the M = 64 residual stands
         mp.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 1e-9)
         assert verify_hankel_factorization(u, phi, 64) == r64
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelspace, "_hankel_route_residuals", lambda *args: np.full(1, 1e-3))
+        mp.setattr(modelspace, "_hankel_route_residual", lambda *args: 1e-3)
         with pytest.raises(AccuracyError):
             verify_hankel_factorization(u, phi, 64)
 
@@ -809,6 +803,40 @@ def test_frame_of_a_product_is_its_basis_by_quadrature(seed, degrees):
     )
     Q, _ = modelspace_decompose(u, v, w)
     assert operator_norm(big.project(frame) - Q) <= 1e-12
+
+
+def test_a_row_of_samples_projects_as_it_does_among_rows():
+    # project swapped the last two axes of its samples, so one 1-D row leaked a raw AxisError
+    assert ModelSpace(BlaschkeProduct((0.5,)), 64).project(np.ones(64)) == pytest.approx([0.75**0.5])
+    rng = stream(23, 1)
+    for _ in range(20):
+        ms = ModelSpace(random_blaschke(rng, int(rng.integers(0, 9)), max_modulus=0.8), 256)
+        rows = rng.standard_normal((3, 256)) + 1j * rng.standard_normal((3, 256))
+        coefficients = ms.project(rows)
+        assert coefficients.shape == (ms.dim, 3)
+        for k, row in enumerate(rows):
+            one = ms.project(row)
+            assert one.shape == (ms.dim,)
+            # one row and three take different BLAS kernels, equal up to rounding
+            assert max_entry(one - coefficients[:, k]) <= 1e-14 * max(1.0, max_entry(coefficients))
+
+
+@pytest.mark.parametrize(
+    "call, samples",
+    [
+        ("compress", np.ones(65)),
+        ("project", np.ones(65)),
+        ("project", np.ones((2, 65))),
+        ("project", np.ones((1, 2, 64))),
+        ("compress", np.ones((2, 64))),
+        ("compress", 1.0),
+    ],
+)
+def test_samples_off_the_grid_are_an_input_error(call, samples):
+    # a last axis other than the grid's leaked numpy's broadcast ValueError
+    ms = ModelSpace(BlaschkeProduct((0.5, 0.1j)), 64)
+    with pytest.raises(InputError, match="samples on the 64 nodes"):
+        getattr(ms, call)(samples)
 
 
 def test_hankel_check_builds_each_grid_once(monkeypatch):
@@ -1030,19 +1058,3 @@ def test_quadratic_pole_moduli_match_np_roots():
     with pytest.raises(InputError, match="too badly scaled"):
         Symbol(num=[1.0], den=[1e300, 1e300, 1e-300])
     assert not Symbol(num=[1.0], den=[1e250, 1e200, 1.0]).is_polynomial  # poles near -1e200 and -1e50
-
-
-def test_hankel_route_reads_the_quad_grid_rows_only_on_that_grid():
-    # the M = 256 route's fine grid is the 1024-node quad grid, so rows
-    # sampled there serve it; M = 512 samples its own 2048-node grid
-    rng = stream(17, 3)
-    u = random_blaschke(rng, 5, max_modulus=0.8)
-    phis = [random_poly_symbol(rng, 3)]
-    ms = ModelSpace(u, 1024)
-    direct = tto_matrix(u, phis[0])[None]
-    rows = modelspace._symbol_rows(phis, ms.nodes)
-    for M in (256, 512):
-        plain = _hankel_route_residuals(ms, phis, M, direct)
-        assert _hankel_route_residuals(ms, phis, M, direct, rows).tobytes() == plain.tobytes()
-    assert _hankel_route_residuals(ms, phis, 256, direct, 0 * rows)[0] > 0.5  # the rows are read
-    assert _hankel_route_residuals(ms, phis, 512, direct, 0 * rows).tobytes() == plain.tobytes()

@@ -1,7 +1,9 @@
 """The verification suite's entries: how they batch their work."""
 
+import functools
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from csokit.ensembles import (
     random_poly_symbol,
     stream,
 )
-from csokit.errors import AccuracyError, CapacityError
+from csokit.errors import AccuracyError
 from csokit.indestructible import (
     _destructor_witnesses,
     _shift_coshift_products,
@@ -34,7 +36,6 @@ from csokit.indestructible import (
 )
 from csokit.linalg import Conjugation, direct_sum, operator_norm, tensor
 from csokit.modelspace import (
-    BlaschkeProduct,
     fn_calculus_check,
     model_conjugation,
     tto_matrix,
@@ -185,7 +186,7 @@ def test_destructor_and_reflected_adjoint_entries_take_one_pass_per_dimension(mo
 
 
 def per_case_tto_suite(cfg):
-    """entry_tto_suite's residuals, each case through the public k = 1 calls in draw order."""
+    """entry_tto_suite's residuals, each case through the public calls in draw order."""
     rng = stream(cfg.seed, 106)
     worst_sym = worst_calc = worst_h256 = worst_h512 = 0.0
     hankel_error = ""
@@ -210,31 +211,6 @@ def per_case_tto_suite(cfg):
     }
 
 
-def test_model_space_checks_equal_their_per_case_calls_byte_for_byte():
-    # a mixed-degree stream, degree 0 included, stacked by degree as the entry stacks it
-    rng = stream(31, 4)
-    cases = []
-    for _ in range(40):
-        u = random_blaschke(rng, int(rng.integers(0, 9)), max_modulus=0.9)
-        cases.append((u, random_poly_symbol(rng, int(rng.integers(0, 5)))))
-    for quad in (256, 1024):
-        for group in verify._by_dimension(cases, lambda case: case[0].degree):
-            us, phis = [u for u, _ in group], [phi for _, phi in group]
-            checks = verify._model_space_checks(us, phis, quad)
-            for (u, phi), check in zip(group, checks):
-                t = tto_matrix(u, phi)
-                C = model_conjugation(u, quad)
-                assert check[0].matrix.tobytes() == C.matrix.tobytes()
-                assert check[1] == is_c_symmetric(t, C, tol=1e-8)[1]
-                assert check[2] <= modelspace.GRAM_TOL
-                assert check[3] == fn_calculus_check(u, phi, quad)
-                assert check[4:] == (
-                    verify_hankel_factorization(u, phi, 256, quad),
-                    verify_hankel_factorization(u, phi, 512, quad),
-                )
-    assert verify._model_space_checks([], [], 1024) == []
-
-
 def test_tto_suite_equals_the_per_case_loop():
     for cfg in (verify.RunConfig(seed=7), verify.RunConfig(seed=2026, quad=256)):
         assert verify.entry_tto_suite(cfg)["residuals"] == per_case_tto_suite(cfg)
@@ -257,28 +233,24 @@ def test_a_hankel_accuracy_error_leaves_the_entry_as_the_per_case_loop_does(monk
     assert residuals == per_case_tto_suite(cfg)
 
 
-def test_degree_groups_past_the_sampling_cap_are_split_into_stacks_within_it(monkeypatch):
-    # at quad 1024 the finest grid, the M = 512 retry's, has 4096 nodes: this
-    # cap takes one degree-8 case per stack and eight degree-1 cases
-    cap = 8 * 4096
-    monkeypatch.setattr(modelspace, "SAMPLE_CAP", cap)
-    stacks = []
+def test_the_tto_suite_samples_each_case_on_its_quad_grid_and_the_fine_grid_only(monkeypatch):
+    # one space on the quad grid serves the Gram check, the fn-calculus and
+    # M = 256; M = 512 samples 2048 nodes.  The public calls sample the quad
+    # grid once per call, three times per case.
+    sampled = []
+    take = modelspace.ModelSpace._samples.func
 
-    class Recording(modelspace._ModelSpaces):
-        def __init__(self, us, quad_points):
-            super().__init__(us, quad_points)
-            stacks.append((len(self.us), self.dim))
+    def recording(ms):
+        sampled.append((ms.u.zeros, ms.quad_points))
+        return take(ms)
 
-    monkeypatch.setattr(verify, "_ModelSpaces", Recording)
-    cfg = verify.RunConfig(seed=7)
-    assert verify.entry_tto_suite(cfg)["residuals"] == per_case_tto_suite(cfg)
-    assert sum(k for k, _ in stacks) == 30
-    assert max(k * dim * 4096 for k, dim in stacks) <= cap
-    assert max(k for k, _ in stacks) > 1
-    # a stack past the cap is refused before it is sampled
-    u = BlaschkeProduct((0.5,) * 8)
-    with pytest.raises(CapacityError, match="16 basis functions on 4096 nodes"):
-        modelspace._ModelSpaces([u, u], 4096).basis_samples
+    samples = functools.cached_property(recording)
+    samples.__set_name__(modelspace.ModelSpace, "_samples")
+    monkeypatch.setattr(modelspace.ModelSpace, "_samples", samples)
+    assert verify.entry_tto_suite(verify.RunConfig(seed=7))["status"] == "pass"
+    assert len(set(sampled)) == len(sampled) == 60
+    assert sorted(Counter(zeros for zeros, _ in sampled).values()) == [2] * 30
+    assert sorted(Q for _, Q in sampled) == [1024] * 30 + [2048] * 30
 
 
 def test_synthesis_entry_equals_its_per_case_calls_byte_for_byte(monkeypatch):
