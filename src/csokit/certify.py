@@ -11,11 +11,14 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    the routes below.  A T whose Frobenius bound on ||T^2|| / ||T||^2
    already exceeds twice tol (and the rounding floor) skips that SVD,
    which could only refuse it.
-2. Transpose-symmetric matrices: G = I.
+2. Transpose-symmetric matrices: G = I.  ||T||, ||T - T^t|| and the two
+   norms of the xxy screen (3) share one batched SVD.
 3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above 16 tol
    ||T||^3 rules out every G that could verify at tol, so the certificate
    the word search (5) would return is returned before J(T) is built.
-   This decides a generic matrix at O(n^3).
+   This decides a generic matrix at O(n^3).  Its two words are multiplied
+   out as the word search multiplies them, so the gap is the search's bit
+   for bit.
 4. The polar factor of a symmetric intertwiner.  The joint intertwiner
    space J(T) = {X : T X = X T^t, T* X = X conj(T)} holds every symmetric
    unitary G with T G = G T^t.  For X in J(T), X* X commutes with T^t and
@@ -28,8 +31,10 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    ``intertwiner_basis`` spans J(T) by one reduced solve over the
    eigenvalue clusters of a Hermitian part of T, a 2 n^2 x sum m_i^2
    system for clusters of sizes m_i: O(n^4) time and 2 n^3 entries on a
-   simple spectrum.  A system past the tensor cap is a CapacityError, held
-   until the fallback below has been tried.
+   simple spectrum.  Re T alone is formed unless its spectrum has a
+   cluster; only then are the parts at eight angles built.  A system past
+   the tensor cap is a CapacityError, held until the fallback below has
+   been tried.
 5. If no candidate is verified, the word-norm obstruction search over all
    62 words of length at most 5.  A gap counts only above
    max(tol, GAP_FLOOR L n) ||T||^L, so rounding is never an obstruction.
@@ -357,6 +362,16 @@ def _block_decomposition(form: Nilpotent2Form) -> tuple[list[np.ndarray], np.nda
 _PHASES = np.array([np.exp(1j * np.pi * k / 8) for k in range(8)])
 
 
+def _hermitian_parts(A: np.ndarray, phases: np.ndarray = _PHASES):
+    """(Zs, Hs): Z = e^{i theta} A and its Hermitian part H = (Z + Z*) / 2 for each phase.
+
+    Both are (len(phases), n, n) stacks, formed elementwise, so the part at
+    one phase has the same bits whichever phases are stacked with it.
+    """
+    Zs = phases[:, None, None] * A
+    return Zs, 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
+
+
 def intertwiner_basis(T) -> np.ndarray:
     """Orthonormal basis of J(T) = {X : T X = X T^t, T* X = X conj(T)}, a (k, n, n) stack.
 
@@ -370,6 +385,9 @@ def intertwiner_basis(T) -> np.ndarray:
     system (m_i the cluster sizes), whose null space comes from one QR and
     one SVD of its R factor; X = U Y U^t.  theta = 0 unless its w has a
     cluster, else the first of theta = k pi / 8 with the fewest unknowns.
+    Only H at theta = 0 and its ``eigh`` are formed first: the eight parts
+    and their stacked ``eigvalsh`` are built only for a w with a cluster,
+    and on a simple spectrum the unknowns are the diagonal of Y.
 
     The null cut is DEFAULT_TOL ||T||_F, relative to T (unshifted), where
     the rounding lives, not to the system's largest singular value.
@@ -386,19 +404,20 @@ def intertwiner_basis(T) -> np.ndarray:
         return np.zeros((0, 0, 0), dtype=complex)
     null_cut = DEFAULT_TOL * np.linalg.norm(A)
     A = A - np.trace(A) / n * np.eye(n)
-    Zs = _PHASES[:, None, None] * A
-    Hs = 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
     gap_cut = 1e-6 * np.linalg.norm(A)
 
     def same_cluster(w):  # which pairs of the ascending eigenvalues w share a cluster
         labels = np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > gap_cut, axis=-1)
         return labels[..., :, None] == labels[..., None, :]
 
-    w, U = np.linalg.eigh(Hs[0])
+    w, U = np.linalg.eigh(_hermitian_parts(A, _PHASES[:1])[1][0])
     if np.any(np.diff(w) <= gap_cut):
+        Hs = _hermitian_parts(A)[1]
         k = int(np.argmin(same_cluster(np.linalg.eigvalsh(Hs)).sum(axis=(1, 2))))
         w, U = np.linalg.eigh(Hs[k])
-    rows, cols = np.nonzero(same_cluster(w))
+        rows, cols = np.nonzero(same_cluster(w))
+    else:  # a simple spectrum: every cluster is one eigenvalue, and Y is diagonal
+        rows = cols = np.arange(n)
     m = len(rows)
     if 2 * n * n * m > TENSOR_DIM_CAP**2:
         raise CapacityError(
@@ -443,8 +462,8 @@ def hermitian_phase_conjugation(T) -> Conjugation:
     """
     A, _ = power_of_two_scaled(as_matrix(T, square=True))
     n = A.shape[0]
-    Zs = _PHASES[:, None, None] * A
-    w, Us = np.linalg.eigh(0.5 * (Zs + Zs.conj().transpose(0, 2, 1)))
+    Zs, Hs = _hermitian_parts(A)
+    w, Us = np.linalg.eigh(Hs)
     k = int(np.argmax(np.diff(w, axis=1).min(axis=1, initial=np.inf)))
     Z, U = Zs[k], Us[k]
     U = U * column_phases(U)
@@ -488,15 +507,32 @@ def _order_two_ruled_out(B: np.ndarray, tol: float) -> bool:
     return bound > 2 * max(tol, GAP_FLOOR * n * n)
 
 
+def _screen_norms(A: np.ndarray, B: np.ndarray) -> tuple[float, float, float]:
+    """(||T||, ||T - T^t||, the xxy gap of B) for T = A and B = T / 2^e, from one batched SVD.
+
+    The gap is | ||xxy|| - ||yxx|| | at (B, B*), the canonical members of
+    the two adjoint classes that ``word_norm_gaps`` norms for xxy, each
+    multiplied out from the identity letter by letter as ``word_products``
+    multiplies it.  The batched SVD takes each matrix as its own SVD takes
+    it, so every value equals that of ``operator_norm`` and the gap equals
+    ``word_norm_gaps(B, ["xxy"])[0]`` bit for bit.
+    """
+    X, Y = B, B.conj().T
+    I = np.eye(len(B), dtype=complex)
+    nrm, skew, xxy, yxx = operator_norms([A, A - A.T, I @ X @ X @ Y, I @ Y @ X @ X]).tolist()
+    return nrm, skew, abs(xxy - yxx)
+
+
 def _xxy_obstruction(
-    B: np.ndarray, e: int, unit_nrm: float, tol: float
+    gap: float, e: int, unit_nrm: float, tol: float, n: int
 ) -> tuple[str, float] | None:
     """The word search's certificate ("xxy", gap), if the xxy gap alone rules out every G.
 
-    B = T / 2^e with ``unit_nrm`` = ||B||, as ``word_obstruction_search``
-    takes them, and the gap is taken as it takes it, | ||xxy|| - ||yxx|| |
-    from the canonical members of the two adjoint classes (see
-    ``word_norm_gaps``), so a hit here is its certificate bit for bit: no
+    ``gap`` is the xxy gap of the n x n matrix B = T / 2^e, and ``unit_nrm``
+    = ||B||, as ``word_obstruction_search`` takes them: ``_screen_norms``
+    takes the gap | ||xxy|| - ||yxx|| | from the canonical members of the
+    two adjoint classes (see ``word_norm_gaps``), in the batch of ||T|| and
+    ||T - T^t||, so a hit here is its certificate bit for bit: no
     word of length 1 or 2 has a gap beyond rounding (x, y, xx and yy are
     palindromes, whose gaps are exactly 0, and ||T T*|| = ||T* T||), and
     xxy comes first of length 3.  The hit needs a gap above
@@ -510,8 +546,7 @@ def _xxy_obstruction(
     """
     if tol > 1 / 32:
         return None
-    gap = float(_word_norm_gaps(B, ["xxy"])[0])
-    if gap > 16 * _gap_cut(tol, 3, B.shape[0]) * unit_nrm**3:
+    if gap > 16 * _gap_cut(tol, 3, n) * unit_nrm**3:
         return "xxy", _gap_in_units("xxy", gap, unit_nrm, e)
     return None
 
@@ -528,7 +563,9 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     takes the general routes: G = I if T is transpose-symmetric; else
     "obstructed" by xxy if its gap rules out every G at tol
     (``_xxy_obstruction``, the word search's own certificate, taken before
-    J(T) is built); else the polar factors that ``unitary_in_subspace``
+    J(T) is built); ||T||, ||T - T^t|| and the xxy pair of T / 2^e come
+    from one batched SVD (``_screen_norms``), and ||T / 2^e|| from its
+    own; else the polar factors that ``unitary_in_subspace``
     takes of the symmetric half of the joint intertwiner space J(T)
     (``intertwiner_basis``), each re-verified before it is reported.  If
     none verifies, the word-norm obstruction search runs over every word
@@ -563,12 +600,12 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
             raise InputError(_NORM_OVERFLOWS)
 
         # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
-        nrm, skew = operator_norms([A, A - A.T]).tolist()
+        nrm, skew, gap = _screen_norms(A, B)
         if nrm > 0 and skew <= tol * nrm:
             C = Conjugation.identity(len(A))
             return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
-        found = _xxy_obstruction(B, e, unit_nrm, tol)
+        found = _xxy_obstruction(gap, e, unit_nrm, tol, len(A))
         if found is None:
             try:
                 candidates = unitary_in_subspace(intertwiner_basis(A))

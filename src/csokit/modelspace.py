@@ -470,13 +470,14 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     if not phi.is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
     ms = ModelSpace(u, quad_points).require_resolved()
-    return _fn_calculus_residual(ms, phi, ms.tto(phi))
+    return _fn_calculus_residual(ms, phi.eval(ms.nodes), ms.tto(phi))
 
 
-def _fn_calculus_residual(ms: ModelSpace, phi: Symbol, direct: np.ndarray) -> float:
-    """fn_calculus_check's residual for the polynomial symbol phi, whose matrix
-    phi(A_u) is direct, on the resolved space ms."""
-    return operator_norm(direct - ms.compress(phi.eval(ms.nodes)))
+def _fn_calculus_residual(ms: ModelSpace, on_nodes: np.ndarray, direct: np.ndarray) -> float:
+    """fn_calculus_check's residual for a polynomial symbol phi, whose samples
+    on ms's nodes are on_nodes and whose matrix phi(A_u) is direct, on the
+    resolved space ms."""
+    return operator_norm(direct - ms.compress(on_nodes))
 
 
 def _aliasing(power: np.ndarray) -> np.ndarray:
@@ -613,17 +614,25 @@ def verify_hankel_factorization(
     return _hankel_check(ms, phi, M, ms.tto(phi))
 
 
-def _hankel_check(ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarray) -> float:
+def _hankel_check(
+    ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarray, on_nodes: np.ndarray | None = None
+) -> float:
     """verify_hankel_factorization's residual for phi, whose matrix is direct,
     on the resolved space ms; the doubled truncation runs only when the
-    residual exceeds the cap, and an AccuracyError when it does not fall."""
-    residual = _hankel_route_residual(ms, phi, M, direct)
-    if residual > HANKEL_RESIDUAL_CAP and _hankel_route_residual(ms, phi, 2 * M, direct) >= residual:
+    residual exceeds the cap, and an AccuracyError when it does not fall.
+    on_nodes, if given, is phi on ms's nodes (see _hankel_route_residual)."""
+    residual = _hankel_route_residual(ms, phi, M, direct, on_nodes)
+    if (
+        residual > HANKEL_RESIDUAL_CAP
+        and _hankel_route_residual(ms, phi, 2 * M, direct, on_nodes) >= residual
+    ):
         raise AccuracyError(f"Hankel residual {residual:.3e} did not decrease at doubled truncation")
     return residual
 
 
-def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarray) -> float:
+def _hankel_route_residual(
+    ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarray, on_nodes: np.ndarray | None = None
+) -> float:
     """Residual of the Hankel route on the space ms against direct, at truncation M.
 
     The M x M section of the Hankel operator with symbol psi = conj(u) phi
@@ -635,9 +644,10 @@ def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarr
     where t and the coefficients v[k] = psi_hat(-(k+1)), k = 0..2M-2, come
     from FFTs on the _fine_grid nodes, fine enough that aliasing sits far
     below the truncation error; that grid is ms's own when ms has enough
-    nodes.  That is a correlation, taken by one FFT of length 2M of v and
-    of the reversed Taylor rows: entry M-1+r of their circular convolution
-    is negative[j, r], and no wrap-around reaches it.
+    nodes, and phi is then sampled there only if on_nodes, phi on ms's
+    nodes, is not given.  That is a correlation, taken by one FFT of
+    length 2M of v and of the reversed Taylor rows: entry M-1+r of their
+    circular convolution is negative[j, r], and no wrap-around reaches it.
     On the Q = ms.quad_points nodes z_q the image is then
     u(z_q) conj(z_q) sum_r negative[j, r] conj(z_q)^r.  That sum is a DFT:
     conj(z_q)^r depends only on r mod Q, so the modes are folded modulo Q and
@@ -650,7 +660,8 @@ def _hankel_route_residual(ms: ModelSpace, phi: Symbol, M: int, direct: np.ndarr
     # the coefficients read are divided
     Qf = fine.quad_points
     reversed_taylor = np.fft.fft(fine.basis_samples)[:, M - 1 :: -1] / Qf
-    v = np.fft.fft(np.conj(fine.u_samples) * phi.eval(fine.nodes))[-1 : -2 * M : -1] / Qf
+    psi = on_nodes if fine is ms and on_nodes is not None else phi.eval(fine.nodes)
+    v = np.fft.fft(np.conj(fine.u_samples) * psi)[-1 : -2 * M : -1] / Qf
     spectrum = np.fft.fft(reversed_taylor, 2 * M) * np.fft.fft(v, 2 * M)
     negative = np.fft.ifft(spectrum)[:, M - 1 : 2 * M - 1]
     n, folds = len(negative), -(-M // Q)

@@ -274,17 +274,20 @@ def entry_tto_suite(cfg: RunConfig) -> dict:
     hankel_error = ""
     # case by case in draw order, each raising as its own public calls would:
     # the space on the quad grid is sampled once, for its Gram check, the
-    # fn-calculus and the M = 256 check, whose fine grid it is at quad >= 1024
+    # fn-calculus and the M = 256 check, whose fine grid it is at quad >= 1024,
+    # and phi once on its nodes, for the fn-calculus and every Hankel check
+    # that runs on that grid
     for _ in range(30):
         u = random_blaschke(rng, int(rng.integers(1, 9)), max_modulus=0.8)
         phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
         T = tto_matrix(u, phi)
         worst_sym = max(worst_sym, is_c_symmetric(T, model_conjugation(u, cfg.quad), tol=1e-8)[1])
         ms = ModelSpace(u, cfg.quad).require_resolved()
-        worst_calc = max(worst_calc, _fn_calculus_residual(ms, phi, T))
+        on_nodes = phi.eval(ms.nodes)
+        worst_calc = max(worst_calc, _fn_calculus_residual(ms, on_nodes, T))
         try:
-            worst_h256 = max(worst_h256, _hankel_check(ms, phi, 256, T))
-            worst_h512 = max(worst_h512, _hankel_check(ms, phi, 512, T))
+            worst_h256 = max(worst_h256, _hankel_check(ms, phi, 256, T, on_nodes))
+            worst_h512 = max(worst_h512, _hankel_check(ms, phi, 512, T, on_nodes))
         except AccuracyError as exc:
             hankel_error = str(exc)
     ok = (

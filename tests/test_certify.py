@@ -125,12 +125,13 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
 
 def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     # the Frobenius bound rules order two out, so the splitting takes no SVD;
-    # ||T|| and ||T - T^t|| share one SVD, ||T / 2^e|| takes one and the xxy
-    # pair one of a stack of two; the intertwiner space takes one eigh of
-    # Re(T), whose spectrum is simple here, and one SVD of its R factor; the
-    # polar factor of the symmetric intertwiner verifies at once, by one SVD
-    # of a stack of one (unitarity and symmetry pass on their Frobenius
-    # norms), so the phase test's stacked eigh never runs
+    # ||T / 2^e|| takes one SVD, and ||T||, ||T - T^t|| and the xxy pair share
+    # one of a stack of four; the intertwiner space takes one eigh of Re(T),
+    # whose spectrum is simple here, so no angle stack and no eigvalsh, and
+    # one SVD of its R factor; the symmetric half of J(T) takes one SVD and
+    # its polar factor one, and that factor verifies at once, by one SVD of a
+    # stack of one (unitarity and symmetry pass on their Frobenius norms), so
+    # the phase test's stacked eigh never runs
     T, _ = random_cso(stream(2, 1), 6)
     shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
     verifications = []
@@ -144,10 +145,8 @@ def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(6, 6)]
-    assert shapes["svd"].count((6, 6)) == 3
-    assert shapes["svd"].count((2, 6, 6)) == 2
-    assert shapes["svd"].count((1, 6, 6)) == len(verifications) == 1
-    assert {shape for shape in shapes["svd"] if len(shape) == 3} == {(2, 6, 6), (1, 6, 6)}
+    assert shapes["svd"] == [(6, 6), (4, 6, 6), (6, 6), (1, 36), (6, 6), (1, 6, 6)]
+    assert len(verifications) == 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -633,6 +632,40 @@ def test_intertwiner_basis_merges_a_gap_in_doubt():
     assert len(basis) == kronecker_joint_space(T).shape[1] == 3
 
 
+def test_only_a_clustered_spectrum_takes_the_angle_stack(monkeypatch):
+    # the eight Hermitian parts and their eigvalsh are built only when Re(T)
+    # has a cluster: CI's rotated S (+) S, and a rotated J2 (+) J2 (+) J2 (+)
+    # J2, whose Re(e^{i theta} T) has two fourfold eigenvalues at every
+    # theta; a random CSO matrix has a simple Re(T), forms that part alone
+    # and calls no eigvalsh
+    shapes = recording_shapes(monkeypatch, "eigvalsh")
+    stacked = []
+    parts = certify._hermitian_parts
+
+    def recording_parts(A, phases=certify._PHASES):
+        stacked.append(len(phases))
+        return parts(A, phases)
+
+    monkeypatch.setattr(certify, "_hermitian_parts", recording_parts)
+    rng = np.random.default_rng(2026)
+    Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    s_plus_s = Q @ np.kron(np.eye(2), Z + Z.T) @ Q.conj().T
+    assert len(intertwiner_basis(s_plus_s)) == 4
+    assert shapes["eigvalsh"] == [(8, 8, 8)]
+    assert find_conjugation(s_plus_s).verdict == "c_symmetric"
+    shapes["eigvalsh"].clear()
+    J2 = jordan(2)
+    assert len(intertwiner_basis(rotated(stream(11, 8), direct_sum(J2, J2, J2, J2)))) == 16
+    assert shapes["eigvalsh"] == [(8, 8, 8)]
+    shapes["eigvalsh"].clear()
+    stacked.clear()
+    T, _ = random_cso(stream(11, 14), 8)
+    assert len(intertwiner_basis(T)) == 1
+    assert find_conjugation(T).verdict == "c_symmetric"
+    assert shapes["eigvalsh"] == [] and stacked == [1, 1]
+
+
 def test_intertwiner_basis_refuses_a_system_past_the_cap_before_building_it():
     # 2 I_60 (+) J5 rotated: a 60-fold eigenvalue at every theta, so the system
     # would be 8450 x 3605, 30.5M entries (490 MB)
@@ -971,7 +1004,35 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
     tol = max(residual, C.unitarity_residual(), C.symmetry_residual())
     assert certify._verified_residual(T, C, tol, operator_norm(T))[0]
     B, e = power_of_two_scaled(T)
-    assert certify._xxy_obstruction(B, e, operator_norm(B), tol) is None
+    gap = certify._screen_norms(T, B)[2]
+    assert certify._xxy_obstruction(gap, e, operator_norm(B), tol, dim) is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["cso", "generic", "near_nilpotent"]),
+    n=st.integers(2, 16),
+    log_scale=st.sampled_from([-150, 0, 150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_screen_batch_gives_the_word_search_xxy_gap_bit_for_bit(kind, n, log_scale, seed):
+    # ||T||, ||T - T^t|| and the xxy pair share one SVD batch; each value must
+    # be the one its own call gives, so that an xxy certificate from the
+    # screen is the word search's bit for bit
+    rng = stream(seed, n)
+    if kind == "cso":
+        T = random_cso(rng, n)[0]
+    elif kind == "generic":
+        T = random_complex(rng, n, n)
+    else:
+        N = random_nilpotent2(rng, n)
+        E = random_complex(rng, n, n)
+        T = N + 1e-10 * operator_norm(N) / operator_norm(E) * E
+    T = 10.0**log_scale * T
+    B, _ = power_of_two_scaled(T)
+    nrm, skew, gap = certify._screen_norms(T, B)
+    assert nrm == operator_norm(T) and skew == operator_norm(T - T.T)
+    assert gap == word_norm_gaps(B, ["xxy"])[0]
 
 
 def rotated_cso_2026():

@@ -253,6 +253,27 @@ def test_the_tto_suite_samples_each_case_on_its_quad_grid_and_the_fine_grid_only
     assert sorted(Q for _, Q in sampled) == [1024] * 30 + [2048] * 30
 
 
+def test_the_tto_suite_evaluates_each_symbol_once_on_its_quad_grid(monkeypatch):
+    # the fn-calculus and every Hankel check whose fine grid is the quad grid
+    # share one evaluation of phi there: M = 256 at quad 1024, and every
+    # truncation at quad 65536; M = 512 at quad 1024 evaluates phi on 2048
+    # nodes, as verify_hankel_factorization does
+    evaluated = []
+    evaluate = modelspace.Symbol.eval
+
+    def recording(phi, z):
+        evaluated.append((phi, np.size(z)))  # phi held, so no id is reused
+        return evaluate(phi, z)
+
+    monkeypatch.setattr(modelspace.Symbol, "eval", recording)
+    for quad, fine in ((1024, [2048]), (65536, [])):
+        evaluated.clear()
+        assert verify.entry_tto_suite(verify.RunConfig(seed=7, quad=quad))["status"] == "pass"
+        counts = Counter(evaluated)
+        assert len(counts) == 30 * (1 + len(fine)) and set(counts.values()) == {1}
+        assert sorted(Counter(size for _, size in evaluated)) == sorted([quad, *fine])
+
+
 def test_synthesis_entry_equals_its_per_case_calls_byte_for_byte(monkeypatch):
     # a mixed-dimension, mixed-rank stream, rank 0 included
     rng = stream(37, 2)
