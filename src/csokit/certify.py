@@ -138,8 +138,9 @@ class CsoCertificate:
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict.
 
-    Both norms come from one batched SVD.
+    Both norms come from one batched SVD; tol is checked by ``check_tol``.
     """
+    tol = check_tol(tol)
     A = as_matrix(T, square=True)
     nrm, c_norm = operator_norms([A, A - conjugate_by(C, A.conj().T)]).tolist()
     residual = c_norm / nrm if nrm > 0 else 0.0

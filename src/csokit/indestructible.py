@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, InputError, PreconditionError
+from .errors import AccuracyError, CapacityError, InputError, PreconditionError
 from .certify import (
     _nilpotent2_conjugations,
     _nilpotent2_forms,
@@ -25,11 +25,12 @@ from .certify import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    TENSOR_DIM_CAP,
     Conjugation,
     _tensors,
     as_matrix,
+    check_count,
     conjugate_by,
-    operator_norm,
     operator_norms,
     power_of_two_scaled,
     tensor,
@@ -228,24 +229,28 @@ def nilpotent2_tensor_conjugation(A, B) -> Conjugation:
     return Conjugation(_nilpotent2_tensor_conjugations([A], [B])[1][0])
 
 
+def _swap_order(n: int) -> np.ndarray:
+    """Row order exchanging the factors of C^n (x) C^n: row j n + i takes row i n + j."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
+
+
 def factor_swap(n: int) -> np.ndarray:
-    """Permutation on C^n (x) C^n exchanging the tensor factors."""
-    S = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            S[j * n + i, i * n + j] = 1.0
-    return S
+    """Permutation on C^n (x) C^n exchanging the tensor factors; n^2 is capped as in ``tensor``."""
+    n = check_count(n, "dimension n", least=0)
+    if n * n > TENSOR_DIM_CAP:
+        raise CapacityError(f"C^{n} (x) C^{n} exceeds the dimension cap {TENSOR_DIM_CAP}")
+    return np.eye(n * n)[_swap_order(n)]
 
 
-def swap_conjugation(J: Conjugation, n: int) -> Conjugation:
-    """Conjugation x (x) y -> J y (x) J x on C^n (x) C^n.
+def swap_conjugation(J: Conjugation) -> Conjugation:
+    """Conjugation x (x) y -> J y (x) J x on C^n (x) C^n, n = J.dim.
 
-    G = Swap (G_J (x) G_J); symmetric because the swap commutes with
-    G (x) G.  For any A the operator A (x) (J A* J) is symmetric under it.
+    G = Swap (G_J (x) G_J), the rows of ``tensor(G_J, G_J)`` permuted, so the
+    cap refuses n >= 65 before any n^4 array exists; symmetric because the
+    swap commutes with G_J (x) G_J.  For any A the operator A (x) (J A* J) is
+    symmetric under it.
     """
-    if J.dim != n:
-        raise InputError(f"conjugation acts on dimension {J.dim}, expected {n}")
-    G = factor_swap(n) @ tensor(J.matrix, J.matrix)
+    G = tensor(J.matrix, J.matrix)[_swap_order(J.dim)]
     return Conjugation(0.5 * (G + G.T))
 
 
@@ -262,20 +267,19 @@ def shift_coshift_product(J: Conjugation, A) -> np.ndarray:
     return _shift_coshift_products(J, as_matrix(A, square=True)[None])[0]
 
 
-def _bidegree_monomials(N: int) -> list[tuple[int, int]]:
-    return [(k, d - k) for d in range(N) for k in range(d + 1)]
-
-
 def shift_coshift_truncation(N: int) -> np.ndarray:
-    """Matrix of T(z^k w^m) = z^{k+1} w^{m-1} (0 when m = 0) on total degree < N."""
-    if N < 1:
-        raise InputError("degree cutoff must be >= 1")
-    monomials = _bidegree_monomials(N)
-    index = {km: i for i, km in enumerate(monomials)}
-    T = np.zeros((len(monomials), len(monomials)), dtype=complex)
-    for (k, m), i in index.items():
-        if m >= 1:
-            T[index[(k + 1, m - 1)], i] = 1.0
+    """Matrix of T(z^k w^m) = z^{k+1} w^{m-1} (0 when m = 0) on total degree < N.
+
+    z^k w^(d-k) sits at d(d+1)/2 + k, so T shifts each index to the next one
+    within its degree.  More than TENSOR_DIM_CAP monomials are refused.
+    """
+    N = check_count(N, "degree cutoff N")
+    dim = N * (N + 1) // 2
+    if dim > TENSOR_DIM_CAP:
+        raise CapacityError(f"{dim} monomials of degree < {N} exceed the dimension cap {TENSOR_DIM_CAP}")
+    T = np.eye(dim, k=-1, dtype=complex)
+    firsts = np.cumsum(np.arange(1, N))  # d(d+1)/2, where degree d >= 1 starts
+    T[firsts, firsts - 1] = 0.0
     return T
 
 
@@ -285,19 +289,14 @@ def shift_tensor_coshift_blocks(N: int) -> list[tuple[int, np.ndarray]]:
     Each homogeneous degree-d slice (dimension d+1) is invariant under T and
     T*, and the restriction is a single nilpotent Jordan chain of full
     length.  Returns [(d+1, restriction)] for d = 0..N-1, verifying
-    invariance on the way: a slice that is not invariant is an AccuracyError.
+    invariance on the way: the Frobenius norm of T minus the direct sum of
+    its slices, which bounds each slice's leak under T and T*, above 1e-12
+    is an AccuracyError naming the first degree that leaks.
     """
     T = shift_coshift_truncation(N)
-    monomials = _bidegree_monomials(N)
-    index = {km: i for i, km in enumerate(monomials)}
-    dim = len(monomials)
-
-    blocks: list[tuple[int, np.ndarray]] = []
-    for d in range(N):
-        idx = [index[(k, d - k)] for k in range(d + 1)]
-        comp = [i for i in range(dim) if i not in idx]
-        for op in (T, T.conj().T):
-            if comp and operator_norm(op[np.ix_(comp, idx)]) > 1e-12:
-                raise AccuracyError(f"homogeneous slice of degree {d} is not invariant")
-        blocks.append((d + 1, T[np.ix_(idx, idx)]))
-    return blocks
+    degree = np.repeat(np.arange(N), np.arange(1, N + 1))
+    leak = np.where(degree[:, None] == degree, 0.0, T)
+    if np.linalg.norm(leak) > 1e-12:
+        d = degree[np.concatenate(np.nonzero(leak))].min()
+        raise AccuracyError(f"homogeneous slice of degree {d} is not invariant")
+    return [(d + 1, T[s : s + d + 1, s : s + d + 1]) for d, s in enumerate(np.cumsum(np.arange(N)))]

@@ -66,7 +66,10 @@ def check_tol(tol) -> float:
     A tolerance of zero or below turns every exact identity into a violation
     and a NaN one accepts nothing, so neither can give a meaningful verdict.
     """
-    tol = float(tol)
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError):
+        raise InputError(f"tol must be a real number, got {tol!r}") from None
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
     return tol
@@ -87,10 +90,10 @@ def check_seed(seed) -> int:
     return seed
 
 
-def check_count(value, name: str) -> int:
-    """A length or sample count as an int; one below 1 is an InputError."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name: str, least: int = 1) -> int:
+    """A length, sample count or dimension as an int; one below ``least`` is an InputError."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -222,7 +225,7 @@ class Conjugation:
 
     @classmethod
     def identity(cls, n: int) -> "Conjugation":
-        return cls(np.eye(n, dtype=complex))
+        return cls(np.eye(check_count(n, "dimension n", least=0), dtype=complex))
 
     @property
     def dim(self) -> int:

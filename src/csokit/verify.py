@@ -73,22 +73,12 @@ class RunConfig:
         self.quad = _check_quad_points(self.quad)
 
 
-def _native(v):
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
-
-
 def _entry(name: str, claim: str, ok: bool, residuals: dict) -> dict:
     return {
         "name": name,
         "claim": claim,
-        "status": "pass" if bool(ok) else "fail",
-        "residuals": {k: _native(v) for k, v in residuals.items()},
+        "status": "pass" if ok else "fail",
+        "residuals": residuals,
     }
 
 
@@ -221,11 +211,10 @@ def entry_tensor_reflected_adjoint(cfg: RunConfig) -> dict:
         cases.append(random_complex(rng, n, n))
     worst = 0.0
     for group in _by_dimension(cases, len):  # one product pass and one norm batch per dimension
-        n = len(group[0])
-        J = Conjugation.identity(n)
+        J = Conjugation.identity(len(group[0]))
         T = _shift_coshift_products(J, np.array(group))
         # is_c_symmetric's two norms of each case
-        differences = _c_differences(T, swap_conjugation(J, n).matrix)
+        differences = _c_differences(T, swap_conjugation(J).matrix)
         for nrm, c_norm in operator_norms([T, differences]).T.tolist():
             worst = max(worst, c_norm / nrm if nrm > 0 else 0.0)
     ok = worst <= 1e-9
@@ -247,7 +236,7 @@ def entry_shift_coshift_blocks(cfg: RunConfig) -> dict:
         chains_ok = chains_ok and (
             operator_norm(np.linalg.matrix_power(b, d)) < 1e-12
             and (d == 1 or operator_norm(powers) > 1e-12)
-            and np.linalg.matrix_rank(b) == d - 1
+            and bool(np.linalg.matrix_rank(b) == d - 1)
         )
     full = shift_coshift_truncation(N)
     sv_gap = float(

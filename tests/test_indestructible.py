@@ -7,6 +7,7 @@ swapping the roles gives B B* B* with single entry alpha beta^2 = 4.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import indestructible
 from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gap
-from csokit.ensembles import random_complex, random_nilpotent2, stream
-from csokit.errors import AccuracyError, InputError, PreconditionError
+from csokit.ensembles import random_complex, random_nilpotent2, random_unitary, stream
+from csokit.errors import AccuracyError, CapacityError, InputError, PreconditionError
 from csokit.indestructible import (
     DESTRUCTOR_WORD,
     destructor_witness,
@@ -179,12 +180,10 @@ def test_swap_conjugation_certifies_product_with_reflected_adjoint():
     J = Conjugation.identity(4)
     A = random_complex(rng, 4, 4)
     T = shift_coshift_product(J, A)
-    C = swap_conjugation(J, 4)
+    C = swap_conjugation(J)
     C.validate()
     ok, res = is_c_symmetric(T, C)
     assert ok and res <= 1e-9
-    with pytest.raises(InputError):
-        swap_conjugation(J, 3)
 
 
 def test_reflected_adjoint_under_entrywise_conjugation_is_transpose():
@@ -219,6 +218,54 @@ def test_shift_coshift_blocks_are_single_chains():
         if d > 1:
             assert operator_norm(P) > 1e-10
         assert operator_norm(P @ M) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), N=st.integers(1, 12))
+def test_index_arithmetic_matches_the_factor_swap_and_the_monomial_action(seed, n, N):
+    # the swap's row order against the permutation matrix times G_J (x) G_J
+    U = random_unitary(stream(seed, 14), n)
+    J = Conjugation(U @ U.T)
+    G = factor_swap(n) @ np.kron(J.matrix, J.matrix)
+    assert np.array_equal(swap_conjugation(J).matrix, 0.5 * (G + G.T))
+    # the truncation against z^k w^m -> z^(k+1) w^(m-1) on monomials listed by degree, then k
+    monomials = [(k, d - k) for d in range(N) for k in range(d + 1)]
+    index = {km: i for i, km in enumerate(monomials)}
+    T = np.zeros((len(monomials), len(monomials)), dtype=complex)
+    for (k, m), i in index.items():
+        if m >= 1:
+            T[index[(k + 1, m - 1)], i] = 1.0
+    assert np.array_equal(shift_coshift_truncation(N), T)
+    for d, M in shift_tensor_coshift_blocks(N):
+        slice_ = [index[(k, d - 1 - k)] for k in range(d)]
+        assert np.array_equal(M, T[np.ix_(slice_, slice_)])
+
+
+@pytest.mark.parametrize(
+    "build, arg, error",
+    [
+        (shift_coshift_truncation, 2.5, InputError),
+        (shift_coshift_truncation, 0, InputError),
+        (shift_coshift_truncation, 91, CapacityError),  # 4186 monomials
+        (factor_swap, 2.5, InputError),
+        (factor_swap, -1, InputError),
+        (factor_swap, 65, CapacityError),
+        (swap_conjugation, 65, CapacityError),  # the identity conjugation on C^65
+        (swap_conjugation, 1000, CapacityError),
+    ],
+)
+def test_remark_one_builders_refuse_a_size_before_allocating(build, arg, error):
+    # n = 65 used to allocate a 143 MB factor swap first, and n = 1000 ran numpy out of memory
+    if build is swap_conjugation:
+        arg = Conjugation.identity(arg)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_shift_tensor_coshift_blocks_report_a_slice_that_is_not_invariant(monkeypatch):

@@ -5,12 +5,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from csokit.certify import is_c_symmetric
 from csokit.ensembles import random_complex, random_unitary, stream
 from csokit.errors import CapacityError, InputError
 from csokit.linalg import (
     Conjugation,
     as_matrix,
     check_seed,
+    check_tol,
     column_phases,
     conjugate_by,
     direct_sum,
@@ -20,6 +22,23 @@ from csokit.linalg import (
     tensor,
     unitary_in_subspace,
 )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_tol("x"),  # a raw ValueError from float
+        lambda: check_tol(None),  # a raw TypeError from float
+        lambda: check_tol([1e-9]),
+        lambda: is_c_symmetric(np.eye(2), Conjugation.identity(2), float("nan")),  # was (False, 0.0)
+        lambda: is_c_symmetric(np.eye(2), Conjugation.identity(2), "x"),
+        lambda: Conjugation.identity(2.5),
+        lambda: Conjugation.identity(-1),
+    ],
+)
+def test_argument_checks_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_check_seed_accepts_non_negative_integers_only():
@@ -41,6 +60,7 @@ def test_singular_values_descending():
     s = singular_values(random_complex(stream(1, 1), 5, 3))
     assert s.shape == (3,)
     assert np.all(np.diff(s) <= 0)
+    assert singular_values(np.zeros((0, 3))).shape == (0,)
 
 
 def test_as_matrix_validation():
@@ -147,6 +167,7 @@ def test_identity_conjugation_is_entrywise_conjugation():
     v = np.array([1 + 2j, 0.0, -1j])
     assert np.array_equal(C.apply(v), v.conj())
     assert C.unitarity_residual() == 0.0
+    assert Conjugation.identity(0).dim == 0
     assert C.symmetry_residual() == 0.0
     C.validate()
 

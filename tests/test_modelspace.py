@@ -94,8 +94,12 @@ def test_symbol_polynomial_and_rational():
     psi = Symbol(num=[1.0], den=[1.0, -0.5])
     assert not psi.is_polynomial
     assert psi.eval(0.0) == pytest.approx(1.0)
+    with pytest.raises(InputError, match="rational, not polynomial"):
+        psi.poly
     with pytest.raises(InputError):
         Symbol(num=[1.0], den=[1.0, -1.0])  # pole on the boundary
+    with pytest.raises(InputError, match="identically zero"):
+        Symbol(num=[1.0], den=[0.0])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

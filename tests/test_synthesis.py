@@ -47,9 +47,18 @@ def test_realize_modulus_monomial_shortcut():
 
 
 def test_realize_modulus_refuses_targets_that_are_not_1d():
-    # np.frexp of a row used to leak a TypeError; np.sort of a scalar an AxisError
-    for targets in ([[1.0, 2.0], [3.0, 4.0]], 2.0):
-        with pytest.raises(InputError, match="1-d"):
+    # np.frexp of a row used to leak a TypeError; np.sort of a scalar an AxisError;
+    # an empty list and non-positive or non-finite values are refused as well
+    for targets, match in (
+        ([[1.0, 2.0], [3.0, 4.0]], "1-d"),
+        (2.0, "1-d"),
+        ([], "at least one"),
+        ([1.0, 0.0], "positive finite"),
+        ([2.0, -1.0], "positive finite"),
+        ([np.inf, 1.0], "positive finite"),
+        ([1.0, np.nan], "positive finite"),
+    ):
+        with pytest.raises(InputError, match=match):
             realize_modulus(targets)
 
 

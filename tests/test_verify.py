@@ -180,7 +180,7 @@ def test_destructor_and_reflected_adjoint_entries_take_one_pass_per_dimension(mo
         J = Conjugation.identity(n)
         T = shift_coshift_product(J, random_complex(rng, n, n))
         dims.append(n)
-        worst = max(worst, is_c_symmetric(T, swap_conjugation(J, n))[1])
+        worst = max(worst, is_c_symmetric(T, swap_conjugation(J))[1])
     one_pass_per_dimension(stacks, dims)
     assert residuals["symmetry"] == worst
 
