@@ -11,8 +11,8 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    the routes below.  A T whose Frobenius bound on ||T^2|| / ||T||^2
    already exceeds twice tol (and the rounding floor) skips that SVD,
    which could only refuse it.
-2. Transpose-symmetric matrices: G = I.  ||T||, ||T - T^t|| and the two
-   norms of the xxy screen (3) share one batched SVD.
+2. Transpose-symmetric matrices: G = I.  ||B - B^t|| and the two norms of
+   the xxy screen (3), all at B = T / 2^e, share one batched SVD.
 3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above 16 tol
    ||T||^3 rules out every G that could verify at tol, so the certificate
    the word search (5) would return is returned before J(T) is built.
@@ -160,21 +160,17 @@ def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms):
     """(checks, c_norms): ``_verified_residual`` of each matrix of a (k, n, n) stack A, for G
     and ||A|| the same way, and the norms ||A_j - C_j A_j* C_j|| that the residuals divide.
 
-    Every norm of the stack comes from one batched SVD.
+    Every norm of the stack comes from one batched SVD.  Callers pass A
+    scaled by a power of two, so that no difference overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         defects = (G @ G.conj().swapaxes(-1, -2) - np.eye(A.shape[-1]), G - G.swapaxes(-1, -2))
         differences = _c_differences(A, G)
     # ||M|| <= ||M||_F: a defect within tol passes with no SVD
     over = [(j, M) for D in defects for j, M in enumerate(D) if not np.linalg.norm(M) <= tol]
-    try:
-        norms = operator_norms(
-            np.concatenate([differences, [M for _, M in over]]) if over else differences
-        ).tolist()
-    except InputError:
-        j = int(np.argmin(np.isfinite(differences).all(axis=(1, 2))))
-        msg = f"||T|| = {nrms[j]:.3e} is out of range: T - C T* C overflows; rescale T"
-        raise InputError(msg) from None
+    norms = operator_norms(
+        np.concatenate([differences, [M for _, M in over]]) if over else differences
+    ).tolist()
     worst = [c_norm / nrm if nrm > 0 else 0.0 for c_norm, nrm in zip(norms, nrms)]
     residuals = worst.copy()
     for (j, _), defect in zip(over, norms[len(A) :]):
@@ -190,9 +186,8 @@ def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) ->
     with no SVD), all in one batch, so each norm equals the one that
     ``is_c_symmetric``, ``Conjugation.unitarity_residual`` and
     ``symmetry_residual`` take bit for bit.  The residual is
-    ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  A difference
-    that overflows (||A|| near the largest double) is an InputError.  The
-    k = 1 call of ``_verified_residuals``.
+    ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  The k = 1
+    call of ``_verified_residuals``.
     """
     return _verified_residuals(A[None], C.matrix[None], tol, [nrm])[0][0]
 
@@ -508,20 +503,20 @@ def _order_two_ruled_out(B: np.ndarray, tol: float) -> bool:
     return bound > 2 * max(tol, GAP_FLOOR * n * n)
 
 
-def _screen_norms(A: np.ndarray, B: np.ndarray) -> tuple[float, float, float]:
-    """(||T||, ||T - T^t||, the xxy gap of B) for T = A and B = T / 2^e, from one batched SVD.
+def _screen_norms(B: np.ndarray) -> tuple[float, float]:
+    """(||B - B^t||, the xxy gap of B) for B = T / 2^e, from one batched SVD.
 
     The gap is | ||xxy|| - ||yxx|| | at (B, B*), the canonical members of
     the two adjoint classes that ``word_norm_gaps`` norms for xxy, each
     multiplied out from the identity letter by letter as ``word_products``
     multiplies it.  The batched SVD takes each matrix as its own SVD takes
-    it, so every value equals that of ``operator_norm`` and the gap equals
-    ``word_norm_gaps(B, ["xxy"])[0]`` bit for bit.
+    it, so the first value equals that of ``operator_norm`` and the gap
+    equals ``word_norm_gaps(B, ["xxy"])[0]`` bit for bit.
     """
     X, Y = B, B.conj().T
     I = np.eye(len(B), dtype=complex)
-    nrm, skew, xxy, yxx = operator_norms([A, A - A.T, I @ X @ X @ Y, I @ Y @ X @ X]).tolist()
-    return nrm, skew, abs(xxy - yxx)
+    skew, xxy, yxx = operator_norms([B - B.T, I @ X @ X @ Y, I @ Y @ X @ X]).tolist()
+    return skew, abs(xxy - yxx)
 
 
 def _xxy_obstruction(
@@ -532,8 +527,8 @@ def _xxy_obstruction(
     ``gap`` is the xxy gap of the n x n matrix B = T / 2^e, and ``unit_nrm``
     = ||B||, as ``word_obstruction_search`` takes them: ``_screen_norms``
     takes the gap | ||xxy|| - ||yxx|| | from the canonical members of the
-    two adjoint classes (see ``word_norm_gaps``), in the batch of ||T|| and
-    ||T - T^t||, so a hit here is its certificate bit for bit: no
+    two adjoint classes (see ``word_norm_gaps``), in the batch of
+    ||B - B^t||, so a hit here is its certificate bit for bit: no
     word of length 1 or 2 has a gap beyond rounding (x, y, xx and yy are
     palindromes, whose gaps are exactly 0, and ||T T*|| = ||T* T||), and
     xxy comes first of length 3.  The hit needs a gap above
@@ -564,9 +559,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     takes the general routes: G = I if T is transpose-symmetric; else
     "obstructed" by xxy if its gap rules out every G at tol
     (``_xxy_obstruction``, the word search's own certificate, taken before
-    J(T) is built); ||T||, ||T - T^t|| and the xxy pair of T / 2^e come
-    from one batched SVD (``_screen_norms``), and ||T / 2^e|| from its
-    own; else the polar factors that ``unitary_in_subspace``
+    J(T) is built); else the polar factors that ``unitary_in_subspace``
     takes of the symmetric half of the joint intertwiner space J(T)
     (``intertwiner_basis``), each re-verified before it is reported.  If
     none verifies, the word-norm obstruction search runs over every word
@@ -575,46 +568,50 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     is verified at tol.  Without it, a system for J(T) past the tensor cap
     is a CapacityError, and otherwise the result is "inconclusive", a
     valid outcome, with the constructive residual on the order-two route
-    and NaN on the general ones.  A T whose norm overflows is an
-    InputError.
+    and NaN on the general ones.  Every step but the word search, which
+    scales T itself and reports its gap in T's units, takes B = T / 2^e
+    and ||B|| (the splitting's, else one SVD): the splitting, the screens
+    (``_screen_norms``), J(B) = J(T), the phase candidate and every
+    residual, a ratio of norms of B.  So nothing overflows for a finite T,
+    and 2^k T gets T's verdict, residual and G while no entry turns
+    subnormal.  A T whose norm overflows is an InputError.
     """
     tol = check_tol(tol)
     A = as_matrix(T, square=True)
     B, e = power_of_two_scaled(A)
 
     try:
-        form = None if _order_two_ruled_out(B, tol) else nilpotent2_splitting(A, tol)
+        form = None if _order_two_ruled_out(B, tol) else nilpotent2_splitting(B, tol)
     except PreconditionError:
         form = None  # not of order two: the general routes below decide
+    nrm = operator_norm(B) if form is None else form.norm
+    if times_power_of_two(nrm, e) == np.inf:
+        raise InputError(_NORM_OVERFLOWS)
     held, residual = None, float("nan")
     if form is not None:
         C = conjugation_for_nilpotent2(form)
-        ok, residual = _verified_residual(A, C, tol, form.norm)
+        ok, residual = _verified_residual(B, C, tol, nrm)
         if ok:
             return CsoCertificate("c_symmetric", residual, conjugation=C)
         # the norm without singular vectors, as on the general routes: the SVD
         # with them can differ from it in the last bit
-        nrm = operator_norm(A)
+        nrm = operator_norm(B)
     else:
-        unit_nrm = operator_norm(B)
-        if times_power_of_two(unit_nrm, e) == np.inf:
-            raise InputError(_NORM_OVERFLOWS)
-
-        # ||T - I T* I|| = ||T - T^t||: the transpose test gives G = I's residual
-        nrm, skew, gap = _screen_norms(A, B)
+        # ||B - I B* I|| = ||B - B^t||: the transpose test gives G = I's residual
+        skew, gap = _screen_norms(B)
         if nrm > 0 and skew <= tol * nrm:
-            C = Conjugation.identity(len(A))
+            C = Conjugation.identity(len(B))
             return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
-        found = _xxy_obstruction(gap, e, unit_nrm, tol, len(A))
+        found = _xxy_obstruction(gap, e, nrm, tol, len(B))
         if found is None:
             try:
-                candidates = unitary_in_subspace(intertwiner_basis(A))
+                candidates = unitary_in_subspace(intertwiner_basis(B))
             except CapacityError as exc:
                 held, candidates = exc, ()
             for W in candidates:
                 C = Conjugation(W)
-                ok, polar_residual = _verified_residual(A, C, tol, nrm)
+                ok, polar_residual = _verified_residual(B, C, tol, nrm)
                 if ok:
                     return CsoCertificate("c_symmetric", polar_residual, conjugation=C)
             found = word_obstruction_search(A, tol=tol)
@@ -625,8 +622,8 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
             )
 
     # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
-    phase = hermitian_phase_conjugation(A)
-    phase_ok, phase_residual = _verified_residual(A, phase, tol, nrm)
+    phase = hermitian_phase_conjugation(B)
+    phase_ok, phase_residual = _verified_residual(B, phase, tol, nrm)
     if phase_ok:
         return CsoCertificate("c_symmetric", phase_residual, conjugation=phase)
     if held is not None:

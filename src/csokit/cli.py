@@ -24,8 +24,8 @@ from . import serialize
 from .certify import find_conjugation, polynomial_obstruction_search, word_obstruction_search
 from .errors import InputError, ToolkitError
 from .indestructible import destructor_witness
-from .linalg import direct_sum
-from .modelspace import tto_matrix
+from .linalg import DEFAULT_TOL, direct_sum
+from .modelspace import DEFAULT_QUAD, tto_matrix
 from .synthesis import synthesize_tto_for_nilpotent2
 from .verify import RunConfig, run_suite_with_determinism
 
@@ -61,7 +61,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 # Shared numeric flags: type and default.  Each subcommand takes the ones it reads.
-_FLAGS = {"seed": (int, 2026), "tol": (float, 1e-9), "quad": (int, 1024)}
+_FLAGS = {"seed": (int, RunConfig.seed), "tol": (float, DEFAULT_TOL), "quad": (int, DEFAULT_QUAD)}
 
 
 def _common(parser: argparse.ArgumentParser, *flags: str) -> None:

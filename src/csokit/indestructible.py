@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import AccuracyError, CapacityError, InputError, PreconditionError
 from .certify import (
+    _gap_cut,
     _nilpotent2_conjugations,
     _nilpotent2_forms,
     _order_two_decisions,
@@ -56,16 +57,24 @@ class DestructorCertificate:
     conclusion: str  # "destroyed" | "indestructible_sampled"
 
 
+def _witness_parameter(name: str, value) -> float:
+    """value as a float, finite and positive; otherwise an InputError naming it."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"witness parameter {name} = {value!r} is not a real number") from None
+    if not 0 < value < np.inf:
+        raise InputError(f"witness parameter {name} = {value!r} is not finite and positive")
+    return value
+
+
 def witness_matrix(alpha: float, beta: float) -> np.ndarray:
     """The 3x3 destructor B with superdiagonal (alpha, beta).
 
     alpha and beta must be finite and positive, and the yx^2 norms of B,
     alpha^2 beta and alpha beta^2, finite.
     """
-    alpha, beta = float(alpha), float(beta)
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0 < value < np.inf:
-            raise InputError(f"witness parameter {name} = {value!r} is not finite and positive")
+    alpha, beta = _witness_parameter("alpha", alpha), _witness_parameter("beta", beta)
     for name, value in (("alpha^2 beta", alpha * alpha * beta), ("alpha beta^2", alpha * beta * beta)):
         if value == np.inf:
             raise InputError(
@@ -94,25 +103,26 @@ def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCerti
     The A_j are square matrices of one size.  Each is scaled by its own power
     of two; the yxx and swapped words of the whole scaled stack come from one
     ``word_products`` pass (each product equals ``eval_word``'s bit for bit)
-    and are normed with the scaled A_j in one batch, and B's two norms are
-    taken once.  Then each A_j is decided in turn, as its own k = 1 call
-    decides it, so each certificate equals that call's and a stack raises
-    the error of its first refused matrix.
+    and are normed with the scaled A_j in one batch; B's two norms are the
+    products alpha alpha beta and alpha beta beta.  Then each A_j is decided
+    in turn, as its own k = 1 call decides it, so each certificate equals
+    that call's and a stack raises the error of its first refused matrix.
     """
     B = witness_matrix(alpha, beta)
+    alpha, beta = float(alpha), float(beta)
+    norm_wB, norm_wB_rev = alpha * alpha * beta, alpha * beta * beta  # B's, checked finite there
     Ms = [as_matrix(A, square=True) for A in As]
     scaled = [power_of_two_scaled(M) for M in Ms]
     U = np.array([u for u, _ in scaled])
     words = [DESTRUCTOR_WORD, swap_letters(DESTRUCTOR_WORD)]  # w(X*, X) is swap(w)(X, X*)
     products = word_products(words, U, U.conj().swapaxes(-1, -2))
     unit = operator_norms(np.concatenate([U[None], products]))
-    norm_wB, norm_wB_rev = operator_norms(word_products(words, B, B.conj().T)).tolist()
     certs = []
     for M, (u, e), (unit_nrm, *unit_norms) in zip(Ms, scaled, unit.T.tolist()):
         cert = DestructorCertificate(
             witness_B=B,
-            alpha=float(alpha),
-            beta=float(beta),
+            alpha=alpha,
+            beta=beta,
             word=DESTRUCTOR_WORD,
             norm_wA=times_power_of_two(unit_norms[0], 3 * e),
             norm_wA_rev=times_power_of_two(unit_norms[1], 3 * e),
@@ -127,8 +137,11 @@ def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCerti
                 f"{scale} is too large for the {DESTRUCTOR_WORD} word norms of A: "
                 f"||A*A^2|| and ||A^2 A*|| overflow; rescale A"
             )
-        # as in find_conjugation, a Frobenius bound that rules order two out spares the SVD
-        if not _order_two_ruled_out(u, DEFAULT_TOL) and _order_two_refusal(M) is None:
+        # as in find_conjugation, a Frobenius bound that rules order two out
+        # spares the SVD, until a message names the refusal
+        ruled_out = _order_two_ruled_out(u, DEFAULT_TOL)
+        refusal = None if ruled_out else _order_two_refusal(M)
+        if not ruled_out and refusal is None:
             continue
         # A^2 != 0 makes both norms positive, so a zero is an underflow
         if min(cert.norm_wA, cert.norm_wA_rev) == 0:
@@ -140,8 +153,9 @@ def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCerti
         # decided in units of 2^(3e), where nothing over- or underflows
         norms = (unit_norms[0] * norm_wB, unit_norms[1] * norm_wB_rev)
         gap = abs(norms[0] - norms[1])
-        try:
-            threshold = DEFAULT_TOL * float(unit_nrm * max(alpha, beta)) ** 3
+        cut = _gap_cut(DEFAULT_TOL, 3, 3 * len(M))  # the word search's, for A (x) B of size 3n
+        try:  # ||A (x) B|| = ||A|| max(alpha, beta)
+            threshold = cut * float(unit_nrm * max(alpha, beta)) ** 3
         except OverflowError:
             raise InputError(
                 f"witness parameter max(alpha, beta) = {max(alpha, beta)!r} is too large: the "
@@ -150,9 +164,9 @@ def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCerti
         shown = [times_power_of_two(x, 3 * e) for x in (*norms, gap, threshold)]
         if max(norms) <= threshold:
             raise PreconditionError(
-                f"A is {_order_two_refusal(M)}, but the {DESTRUCTOR_WORD} norms of A (x) B, "
-                f"{shown[0]:.3e} and {shown[1]:.3e}, are not above {shown[3]:.3e}, so no "
-                f"ratio beta/alpha gives a gap"
+                f"A is {refusal or _order_two_refusal(M)}, but the {DESTRUCTOR_WORD} norms of "
+                f"A (x) B, {shown[0]:.3e} and {shown[1]:.3e}, are not above {shown[3]:.3e}, so "
+                f"no ratio beta/alpha gives a gap"
             )
         if gap <= threshold:
             raise PreconditionError(
@@ -168,16 +182,19 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     """Norm-identity violation certificate for A (x) B(alpha, beta).
 
     With w = yx^2: ||w(B,B*)|| = alpha^2 beta and ||w(B*,B)|| = alpha beta^2,
-    and word norms factor over tensor products, so the gap of A (x) B is
-    alpha beta |alpha ||A*A^2|| - beta ||A^2 A*|||.  A of order two
-    (the decision of ``nilpotent2_splitting``, taken without its frame) gives
-    indestructible_sampled, since the constructive route applies; an A whose
-    Frobenius bound rules order two out (``_order_two_ruled_out``) skips the
-    decision's SVD, as in ``find_conjugation``.  Otherwise the conclusion is
-    destroyed when the gap exceeds DEFAULT_TOL * ||A (x) B||^3, the threshold
-    of ``word_obstruction_search``.  The norms of A are taken on A scaled by a
-    power of two to norm in [1/2, sqrt(2) n), which is exact, and the gap is
-    decided in those units.  A word norm of A that overflows in A's units
+    taken as those products with no SVD, and word norms factor over tensor
+    products, so the gap of A (x) B is alpha beta |alpha ||A*A^2|| - beta
+    ||A^2 A*|||.  A of order two (the decision of ``nilpotent2_splitting``,
+    taken without its frame, once per A) gives indestructible_sampled,
+    since the constructive route applies; an A whose Frobenius bound rules
+    order two out (``_order_two_ruled_out``) skips the decision's SVD, as in
+    ``find_conjugation``, unless a message quotes its refusal.  Otherwise
+    the conclusion is destroyed when the gap exceeds
+    ``_gap_cut(DEFAULT_TOL, 3, 3n)`` ||A (x) B||^3, the cut of
+    ``word_obstruction_search`` for a word of length 3 on A (x) B, which is
+    DEFAULT_TOL ||A (x) B||^3 for n below about 31000.  The norms of A are
+    taken on A scaled by a power of two to norm in [1/2, sqrt(2) n), which
+    is exact, and the gap is decided in those units.  A word norm of A that overflows in A's units
     raises PreconditionError (||A|| above about 5e102), and so does a gap too
     small to decide, naming the cause: word norms of A that underflow
     (||A|| below about 1e-108), both yxx norms of A (x) B at or below the
@@ -192,19 +209,20 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
 
 
 def _nilpotent2_tensor_conjugations(As, Bs) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """(T, G, c_norms): the stack of T_j = A_j (x) B_j, the matrices G_j of their verified
-    conjugations, and the norms ||T_j - C_j T_j* C_j|| that verified them.
+    """(T, G, c_norms): the stack of T_j = A_j (x) B_j of factors scaled by powers of two,
+    the G_j of their verified conjugations, and the ||T_j - C_j T_j* C_j|| that verified them.
 
     ``nilpotent2_tensor_conjugation`` of each pair, whose products must share
     one size: one order-two decision per dimension of the A_j, then one
     splitting, one set of polar factors and one verification of the whole
-    stack, so each G_j equals its own call's bit for bit.
+    stack, so each G_j equals its own call's bit for bit.  The scaling
+    leaves G as it is, and no finite pair overflows.
     """
-    Bs = [as_matrix(B, square=True) for B in Bs]
+    Bs = [power_of_two_scaled(as_matrix(B, square=True))[0] for B in Bs]
     As = [as_matrix(A, square=True) for A in As]
     for n in dict.fromkeys(len(A) for A in As):
         _order_two_decisions(np.array([A for A in As if len(A) == n]), DEFAULT_TOL)
-    T = np.array([as_matrix(tensor(A, B)) for A, B in zip(As, Bs)])  # a product may overflow
+    T = np.array([tensor(power_of_two_scaled(A)[0], B) for A, B in zip(As, Bs)])
     forms = _nilpotent2_forms(T, DEFAULT_TOL)
     W = np.array([form.W for form in forms])
     G = _nilpotent2_conjugations(W, [form.rank for form in forms])
@@ -222,9 +240,9 @@ def nilpotent2_tensor_conjugation(A, B) -> Conjugation:
     """Verified conjugation for A (x) B when A^2 = 0 at DEFAULT_TOL.
 
     (A (x) B)^2 = A^2 (x) B^2 = 0, so the order-two construction applies to
-    the product directly.  B must be square.  A G that misses the tol (A
-    nilpotent only at tol) raises AccuracyError.  The k = 1 call of
-    ``_nilpotent2_tensor_conjugations``.
+    the product of A and B, each scaled by a power of two.  B must be
+    square.  A G that misses the tol (A nilpotent only at tol) raises
+    AccuracyError.  The k = 1 call of ``_nilpotent2_tensor_conjugations``.
     """
     return Conjugation(_nilpotent2_tensor_conjugations([A], [B])[1][0])
 

@@ -77,6 +77,13 @@ HANKEL_RESIDUAL_CAP = 1e-6  # a Hankel residual above this must fall when M doub
 STEIN_TAIL = 1e-8  # the model conjugation's chain stops at ||A^K||_F or its square this small
 
 
+def _check_instance(value, kind: type, name: str):
+    """value, if it is an instance of kind; otherwise an InputError naming both."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _trim(coeffs) -> np.ndarray:
     try:
         c = np.asarray(coeffs, dtype=complex).ravel()
@@ -263,11 +270,12 @@ class ModelSpace:
     Exact operators come from the compressed shift.  The boundary samples
     of the basis and of u, used only by the quadrature routes, come from one
     pass on first use, on circle nodes shared by every space of that size:
-    the basis as an (n, Q) array, one row per basis function.
+    the basis as an (n, Q) array, one row per basis function.  A u that is
+    not a BlaschkeProduct is an InputError.
     """
 
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
-        self.u = u
+        self.u = _check_instance(u, BlaschkeProduct, "u")
         self.quad_points = _check_quad_points(quad_points)
 
     @property
@@ -288,7 +296,9 @@ class ModelSpace:
         den(A_u) is invertible: its eigenvalues are den at the zeros of u,
         and the poles of phi lie outside the closed disk.  A polynomial
         symbol needs no solve: phi(A_u) is Horner's rule on num / den[0].
+        A phi that is not a Symbol is an InputError.
         """
+        _check_instance(phi, Symbol, "phi")
         A = compressed_shift(self.u)
         with np.errstate(over="ignore", invalid="ignore"):
             # num / 1 would move only the signs of zeros, which _horner clears
@@ -427,9 +437,10 @@ def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
     where c = sqrt(1 - |a|^2) and eps_k = +1 when a_k = 0 (factor z), else -1
     (factor (a - z) / (1 - conj(a) z)).  The product builds it once, so
     every route on one u shares the same read-only array.  A degree above
-    TENSOR_DIM_CAP is a CapacityError, raised before any allocation.
+    TENSOR_DIM_CAP is a CapacityError, raised before any allocation, and a
+    u that is not a BlaschkeProduct an InputError.
     """
-    return u._compressed_shift
+    return _check_instance(u, BlaschkeProduct, "u")._compressed_shift
 
 
 def _shift_matrix(a: np.ndarray, c: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -467,7 +478,7 @@ def fn_calculus_check(u: BlaschkeProduct, phi: Symbol, quad_points: int = DEFAUL
     Compares the exact functional calculus of tto_matrix against the
     independent circle-quadrature route at quad_points nodes.
     """
-    if not phi.is_polynomial:
+    if not _check_instance(phi, Symbol, "phi").is_polynomial:
         raise InputError("functional calculus check requires a polynomial symbol")
     ms = ModelSpace(u, quad_points).require_resolved()
     return _fn_calculus_residual(ms, phi.eval(ms.nodes), ms.tto(phi))
@@ -692,8 +703,8 @@ def modelspace_decompose(
     """
     _check_quad_points(quad_points)
     for name, b in (("u", u), ("v", v), ("w", w)):
-        if not (isinstance(b, BlaschkeProduct) or (name == "w" and b is None)):
-            raise InputError(f"{name} must be a BlaschkeProduct, got {type(b).__name__}")
+        if not (name == "w" and b is None):
+            _check_instance(b, BlaschkeProduct, name)
     blocks = [("K_u", u.degree), ("u*K_v", v.degree)]
     if w is not None:
         blocks.append(("u*v*K_w", w.degree))

@@ -160,7 +160,10 @@ def realize_modulus(targets) -> ModulusRealization:
     underflows; the coefficients, achieved values and residual are scaled
     back by 2^e, which is exact.
     """
-    t = np.asarray(targets, dtype=float)
+    try:
+        t = np.asarray(targets, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"targets must be real numbers, got {targets!r}") from None
     if t.ndim != 1:
         raise InputError(f"targets must be a 1-d list of singular values, got ndim {t.ndim}")
     t = np.sort(t)[::-1]

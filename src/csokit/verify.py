@@ -52,12 +52,12 @@ from .linalg import (
     singular_values,
 )
 from .modelspace import (
+    DEFAULT_QUAD,
     ModelSpace,
     _check_quad_points,
     _fn_calculus_residual,
     _hankel_check,
     model_conjugation,
-    tto_matrix,
 )
 from .synthesis import _syntheses, synthesize_tto_for_nilpotent2
 from .words import words_of_length
@@ -66,7 +66,7 @@ from .words import words_of_length
 @dataclass
 class RunConfig:
     seed: int = 2026
-    quad: int = 1024
+    quad: int = DEFAULT_QUAD
 
     def __post_init__(self):
         self.seed = check_seed(self.seed)
@@ -262,16 +262,18 @@ def entry_tto_suite(cfg: RunConfig) -> dict:
     worst_sym = worst_calc = worst_h256 = worst_h512 = 0.0
     hankel_error = ""
     # case by case in draw order, each raising as its own public calls would:
-    # the space on the quad grid is sampled once, for its Gram check, the
+    # T is phi(A_u) on the case's one space (tto_matrix would build another),
+    # which on the quad grid is sampled once, for its Gram check, the
     # fn-calculus and the M = 256 check, whose fine grid it is at quad >= 1024,
     # and phi once on its nodes, for the fn-calculus and every Hankel check
     # that runs on that grid
     for _ in range(30):
         u = random_blaschke(rng, int(rng.integers(1, 9)), max_modulus=0.8)
         phi = random_poly_symbol(rng, int(rng.integers(0, 5)))
-        T = tto_matrix(u, phi)
+        ms = ModelSpace(u, cfg.quad)
+        T = ms.tto(phi)
         worst_sym = max(worst_sym, is_c_symmetric(T, model_conjugation(u, cfg.quad), tol=1e-8)[1])
-        ms = ModelSpace(u, cfg.quad).require_resolved()
+        ms.require_resolved()
         on_nodes = phi.eval(ms.nodes)
         worst_calc = max(worst_calc, _fn_calculus_residual(ms, on_nodes, T))
         try:

@@ -125,8 +125,8 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
 
 def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     # the Frobenius bound rules order two out, so the splitting takes no SVD;
-    # ||T / 2^e|| takes one SVD, and ||T||, ||T - T^t|| and the xxy pair share
-    # one of a stack of four; the intertwiner space takes one eigh of Re(T),
+    # ||B|| = ||T / 2^e|| takes one SVD, and ||B - B^t|| and the xxy pair of B
+    # share one of a stack of three; the intertwiner space takes one eigh of Re(B),
     # whose spectrum is simple here, so no angle stack and no eigvalsh, and
     # one SVD of its R factor; the symmetric half of J(T) takes one SVD and
     # its polar factor one, and that factor verifies at once, by one SVD of a
@@ -145,7 +145,7 @@ def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(6, 6)]
-    assert shapes["svd"] == [(6, 6), (4, 6, 6), (6, 6), (1, 36), (6, 6), (1, 6, 6)]
+    assert shapes["svd"] == [(6, 6), (3, 6, 6), (6, 6), (1, 36), (6, 6), (1, 6, 6)]
     assert len(verifications) == 1
 
 
@@ -241,10 +241,11 @@ def test_verification_kernel_matches_the_separate_checks_bit_for_bit(kind, n, lo
 
 
 def test_an_overflowing_residual_is_an_input_error():
-    # ||A|| = 1.5e308 is a double, but A - C A* C = 2A under the flip is not
+    # ||A|| = 1.5e308 is a double, but A - C A* C = 2A under the flip is not;
+    # find_conjugation passes T / 2^e, where no difference overflows
     A = np.diag([1.5e308, -1.5e308]).astype(complex)
     flip = Conjugation(np.eye(2, dtype=complex)[::-1])
-    with pytest.raises(InputError, match=r"\|\|T\|\| = 1\.500e\+308 is out of range"):
+    with pytest.raises(InputError):
         certify._verified_residual(A, flip, DEFAULT_TOL, operator_norm(A))
     # a T whose norm overflows has no decidable order: refused, not read as
     # order two of rank 0
@@ -254,6 +255,90 @@ def test_an_overflowing_residual_is_an_input_error():
         find_conjugation(T)
     with pytest.raises(InputError, match=r"\|\|T\|\| overflows"):
         nilpotent2_splitting(T)
+    # the same on the order-two route and on the transpose and polar routes
+    N = np.array([[1e308, 1e308], [-1e308, -1e308]])  # N^2 = 0, ||N|| = 2e308
+    S, _ = random_cso(stream(3, 1), 4)
+    for M in (N, S * (1.7e308 / np.abs(S).max()), 1.7e308 * np.ones((3, 3))):
+        with pytest.raises(InputError, match=r"\|\|T\|\| overflows"):
+            find_conjugation(M)
+    with pytest.raises(InputError, match=r"\|\|T\|\| overflows"):
+        nilpotent2_splitting(N)
+
+
+def test_matrices_near_the_top_of_the_double_range_are_certified():
+    # the skew matrix is normal, so complex symmetric; (1.5e308 E_21) (x) (10 I)
+    # has norm 1.5e309, yet its factors scaled by powers of two give its G
+    T = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
+    assert is_c_symmetric(np.ldexp(T, -1024), cert.conjugation)[0]
+    assert cert.conjugation.unitarity_residual() <= DEFAULT_TOL
+    A = np.zeros((2, 2))
+    A[1, 0] = 1.5e308
+    C = nilpotent2_tensor_conjugation(A, 10.0 * np.eye(2))
+    assert is_c_symmetric(np.kron(np.ldexp(A, -1024), np.eye(2)), C)[0]
+    assert max(C.unitarity_residual(), C.symmetry_residual()) <= DEFAULT_TOL
+
+
+def scale_range(T):
+    """(lo, hi): the k for which every part of 2^k T is 0 or a normal double."""
+    parts = np.abs(np.concatenate([T.real.ravel(), T.imag.ravel()]))
+    parts = parts[parts > 0]
+    return -1021 - int(np.frexp(parts.min())[1]), 1024 - int(np.frexp(parts.max())[1])
+
+
+def outcome(T):
+    """find_conjugation(T) as (verdict, residual bytes, G bytes, word, gap), or the error type."""
+    try:
+        cert = find_conjugation(T)
+    except (InputError, PreconditionError) as exc:
+        return type(exc)
+    G = None if cert.conjugation is None else cert.conjugation.matrix.tobytes()
+    gap = cert.obstruction_gap
+    residual = None if gap is not None else np.float64(cert.residual).tobytes()
+    return cert.verdict, residual, G, cert.obstruction_word, gap
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["cso", "generic", "nilpotent", "near_nilpotent"]),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.floats(0.0, 1.0),
+)
+def test_a_power_of_two_scale_changes_no_certificate(kind, n, seed, where):
+    # every step but the word search runs on T / 2^e, so 2^k T gets T's
+    # verdict, residual and G bit for bit, at both ends of the range of k
+    # whose parts stay normal and at one k between; an obstruction's gap is
+    # T's times 2^(k L), refused where that leaves the doubles, and a T whose
+    # norm overflows is refused
+    rng = stream(seed, n)
+    if kind == "cso":
+        T = random_cso(rng, n)[0]
+    elif kind == "generic":
+        T = random_complex(rng, n, n)
+    else:
+        T = random_nilpotent2(rng, n)
+        if kind == "near_nilpotent":
+            E = random_complex(rng, n, n)
+            T = T + 1e-10 * operator_norm(T) / operator_norm(E) * E
+    base = outcome(T)
+    assert isinstance(base, tuple)
+    verdict, residual, G, word, gap = base
+    B, e = power_of_two_scaled(T)
+    lo, hi = scale_range(T)
+    for k in sorted({lo, hi, int(lo + where * (hi - lo))}):
+        got = outcome(np.ldexp(T.real, k) + 1j * np.ldexp(T.imag, k))
+        if certify.times_power_of_two(operator_norm(B), e + k) == np.inf:
+            assert got is InputError
+        elif word is not None:
+            scaled_gap = certify.times_power_of_two(gap, k * len(word))
+            if 0 < scaled_gap < np.inf:
+                assert got == (verdict, residual, G, word, scaled_gap)
+            else:
+                assert got is PreconditionError
+        else:
+            assert got == base
 
 
 def test_is_c_symmetric_under_identity():
@@ -1004,7 +1089,7 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
     tol = max(residual, C.unitarity_residual(), C.symmetry_residual())
     assert certify._verified_residual(T, C, tol, operator_norm(T))[0]
     B, e = power_of_two_scaled(T)
-    gap = certify._screen_norms(T, B)[2]
+    gap = certify._screen_norms(B)[1]
     assert certify._xxy_obstruction(gap, e, operator_norm(B), tol, dim) is None
 
 
@@ -1016,9 +1101,9 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_screen_batch_gives_the_word_search_xxy_gap_bit_for_bit(kind, n, log_scale, seed):
-    # ||T||, ||T - T^t|| and the xxy pair share one SVD batch; each value must
-    # be the one its own call gives, so that an xxy certificate from the
-    # screen is the word search's bit for bit
+    # ||B - B^t|| and the xxy pair of B = T / 2^e share one SVD batch; each
+    # value must be the one its own call gives, so that an xxy certificate
+    # from the screen is the word search's bit for bit
     rng = stream(seed, n)
     if kind == "cso":
         T = random_cso(rng, n)[0]
@@ -1030,8 +1115,8 @@ def test_the_screen_batch_gives_the_word_search_xxy_gap_bit_for_bit(kind, n, log
         T = N + 1e-10 * operator_norm(N) / operator_norm(E) * E
     T = 10.0**log_scale * T
     B, _ = power_of_two_scaled(T)
-    nrm, skew, gap = certify._screen_norms(T, B)
-    assert nrm == operator_norm(T) and skew == operator_norm(T - T.T)
+    skew, gap = certify._screen_norms(B)
+    assert skew == operator_norm(B - B.T)
     assert gap == word_norm_gaps(B, ["xxy"])[0]
 
 

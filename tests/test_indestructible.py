@@ -28,7 +28,14 @@ from csokit.indestructible import (
     swap_conjugation,
     witness_matrix,
 )
-from csokit.linalg import Conjugation, conjugate_by, operator_norm, singular_values, tensor
+from csokit.linalg import (
+    Conjugation,
+    conjugate_by,
+    operator_norm,
+    power_of_two_scaled,
+    singular_values,
+    tensor,
+)
 from csokit.words import eval_word
 
 
@@ -65,6 +72,9 @@ def test_witness_matrix_layout_and_validation():
         (-float("inf"), 1.0, "alpha"),
         (1e200, 2.0, "alpha^2 beta"),
         (1.0, 1e160, "alpha beta^2"),
+        ("x", 2.0, "alpha"),  # these three used to leak a raw ValueError or TypeError
+        (1.0, None, "beta"),
+        ([1.0], 2.0, "alpha"),
     ],
 )
 def test_witness_parameters_out_of_range_are_named(alpha, beta, named):
@@ -91,6 +101,14 @@ def test_destructor_word_norms_exact():
     assert DESTRUCTOR_WORD == "yxx"
     assert operator_norm(eval_word("yxx", B, B.conj().T)) == pytest.approx(2.0, abs=1e-12)
     assert operator_norm(eval_word("yxx", B.conj().T, B)) == pytest.approx(4.0, abs=1e-12)
+    # the certificate takes B's norms as the products alpha^2 beta and alpha beta^2,
+    # which the SVD of the word gives to a few ulps
+    for alpha, beta in ((1.0, 2.0), (0.3, 1.7), (2.5, 0.75), (1e-3, 7e5)):
+        cert = destructor_witness(jordan(3), alpha, beta)
+        assert (cert.norm_wB, cert.norm_wB_rev) == (alpha * alpha * beta, alpha * beta * beta)
+        B = witness_matrix(alpha, beta)
+        for word, norm in (("yxx", cert.norm_wB), ("xyy", cert.norm_wB_rev)):
+            assert operator_norm(eval_word(word, B, B.conj().T)) == pytest.approx(norm, rel=1e-15)
 
 
 def test_destructor_destroys_higher_order_nilpotent():
@@ -340,10 +358,12 @@ def test_destructor_takes_no_splitting_on_a_generic_matrix(monkeypatch):
     A[1, 0], A[2, 2] = 1.0, 1e-6
     with pytest.raises(PreconditionError) as refusal:
         nilpotent2_splitting(A)
+    calls.clear()
     with pytest.raises(PreconditionError) as exc:
         destructor_witness(A)
     assert "numerical rank 2" in str(refusal.value)
     assert str(exc.value).startswith(f"A is {refusal.value}, but the yxx norms")
+    assert len(calls) == 1  # the refusal the message quotes is the one decision taken
 
 
 def test_stacked_tensor_conjugations_equal_their_one_pair_calls_byte_for_byte():
@@ -354,7 +374,9 @@ def test_stacked_tensor_conjugations_equal_their_one_pair_calls_byte_for_byte():
         T, G, c_norms = indestructible._nilpotent2_tensor_conjugations(*zip(*pairs))
         for (A, B), t, g, c_norm in zip(pairs, T, G, c_norms):
             C = nilpotent2_tensor_conjugation(A, B)
-            assert t.tobytes() == tensor(A, B).tobytes()
+            # the product of the factors scaled by powers of two
+            scaled = tensor(power_of_two_scaled(A)[0], power_of_two_scaled(B)[0])
+            assert t.tobytes() == scaled.tobytes()
             assert g.tobytes() == C.matrix.tobytes()
             # the norm is_c_symmetric divides by ||T|| for its residual
             assert c_norm == operator_norm(t - conjugate_by(C, t.conj().T))

@@ -39,6 +39,7 @@ from csokit.modelspace import (
     _fine_grid,
     _hankel_route_residual,
 )
+from csokit.synthesis import realize_modulus
 from csokit.verify import RunConfig
 
 
@@ -788,6 +789,33 @@ def test_modelspace_decompose_refuses_a_factor_that_is_not_a_blaschke_product():
     for args in ((u, None), (None, u), (u, u, [0.5]), ((0.3,), u)):
         with pytest.raises(InputError, match="BlaschkeProduct"):
             modelspace_decompose(*args)
+
+
+_U = BlaschkeProduct((0.3,))
+_PHI = Symbol(poly=[0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: realize_modulus(["a"]), id="realize_modulus-str"),
+        pytest.param(lambda: realize_modulus([1.0, 2j]), id="realize_modulus-complex"),
+        pytest.param(lambda: tto_matrix((0.3,), _PHI), id="tto_matrix-u"),
+        pytest.param(lambda: tto_matrix(_U, [0.0, 1.0]), id="tto_matrix-phi"),
+        pytest.param(lambda: ModelSpace(None), id="ModelSpace-u"),
+        pytest.param(lambda: ModelSpace(_U).tto("z"), id="ModelSpace.tto-phi"),
+        pytest.param(lambda: model_conjugation([0.3]), id="model_conjugation-u"),
+        pytest.param(lambda: compressed_shift(0.3), id="compressed_shift-u"),
+        pytest.param(lambda: fn_calculus_check((0.3,), _PHI), id="fn_calculus_check-u"),
+        pytest.param(lambda: fn_calculus_check(_U, [0.0, 1.0]), id="fn_calculus_check-phi"),
+        pytest.param(lambda: verify_hankel_factorization((0.3,), _PHI, 64), id="hankel-u"),
+        pytest.param(lambda: verify_hankel_factorization(_U, None, 64), id="hankel-phi"),
+    ],
+)
+def test_targets_blaschke_products_and_symbols_of_the_wrong_type_are_input_errors(call):
+    # each of these used to leak a raw ValueError, TypeError or AttributeError
+    with pytest.raises(InputError):
+        call()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
