@@ -56,13 +56,14 @@ import numpy as np
 from .errors import CapacityError, InputError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
+    SEARCH_SAMPLES_CAP,
     TENSOR_DIM_CAP,
+    WORD_LEN_CAP,
     Conjugation,
     _as_square_matrices,
     as_matrix,
     check_count,
-    check_seed,
-    check_tol,
+    check_positive,
     column_phases,
     conjugate_by,
     direct_sum,
@@ -77,6 +78,7 @@ from .words import (
     normalize_poly,
     random_polynomial,
     swap_letters,
+    validate_word,
     word_products,
     words_of_length,
 )
@@ -138,9 +140,9 @@ class CsoCertificate:
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict.
 
-    Both norms come from one batched SVD; tol is checked by ``check_tol``.
+    Both norms come from one batched SVD; tol is checked by ``check_positive``.
     """
-    tol = check_tol(tol)
+    tol = check_positive(tol, "tol")
     A = as_matrix(T, square=True)
     nrm, c_norm = operator_norms([A, A - conjugate_by(C, A.conj().T)]).tolist()
     residual = c_norm / nrm if nrm > 0 else 0.0
@@ -293,7 +295,7 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
     left_i) and rest (ker T outside ran T, from one more SVD when n > 2r).
     The k = 1 call of ``_nilpotent2_forms``.
     """
-    tol = check_tol(tol)
+    tol = check_positive(tol, "tol")
     return _nilpotent2_forms(as_matrix(T, square=True)[None], tol)[0]
 
 
@@ -576,7 +578,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     and 2^k T gets T's verdict, residual and G while no entry turns
     subnormal.  A T whose norm overflows is an InputError.
     """
-    tol = check_tol(tol)
+    tol = check_positive(tol, "tol")
     A = as_matrix(T, square=True)
     B, e = power_of_two_scaled(A)
 
@@ -658,12 +660,37 @@ def word_norm_gaps(T, words) -> np.ndarray:
     canonical, a word's gap has the same bits in every call, and a stack
     gives a (len(words), k) array whose column j equals the gaps of T_j bit
     for bit.  A bare string or a non-iterable ``words`` is an InputError.
+
+    As in the word search, the gaps are taken at B = T / 2^e, each matrix
+    of a stack scaled by its own power of two (``power_of_two_scaled``), so
+    no product overflows, and are taken back to T's units exactly.  A gap
+    that overflows there raises PreconditionError naming ||T||.
     """
-    return _word_norm_gaps(_as_square_matrices(T), _validated_words(words))
+    return _gaps_in_units(_as_square_matrices(T), _validated_words(words))
+
+
+def word_norm_gap(T, word: str) -> float:
+    """| ||w(T,T*)|| - ||w(T*,T)|| | for a single word, as ``word_norm_gaps`` takes it."""
+    return float(_gaps_in_units(as_matrix(T, square=True), [validate_word(word)])[0])
+
+
+def _gaps_in_units(A: np.ndarray, words: list[str]) -> np.ndarray:
+    """``word_norm_gaps`` of a validated matrix or stack A and validated words."""
+    stack = A if A.ndim == 3 else A[None]
+    B = np.empty_like(stack)
+    e = np.zeros(len(stack), dtype=int)
+    for j, M in enumerate(stack):
+        B[j], e[j] = power_of_two_scaled(M)
+    unit_gaps = _word_norm_gaps(B if A.ndim == 3 else B[0], words).reshape(len(words), len(B))
+    with np.errstate(over="ignore"):
+        gaps = np.ldexp(unit_gaps, np.array([len(w) for w in words], dtype=int)[:, None] * e)
+    for i, j in zip(*np.nonzero(gaps == np.inf)):  # raises at the first
+        _gap_in_units(words[i], unit_gaps[i, j], operator_norm(B[j]), int(e[j]))
+    return gaps if A.ndim == 3 else gaps[:, 0]
 
 
 def _word_norm_gaps(A: np.ndarray, words: list[str]) -> np.ndarray:
-    """``word_norm_gaps`` of a validated matrix or stack A and validated words."""
+    """The gaps of ``word_norm_gaps`` of a matrix or stack A, as they are: A is not scaled."""
     pairs = []  # the canonical members of the classes of w and rev w, or None for a palindrome
     for w in words:
         r, s = w[::-1], swap_letters(w)
@@ -672,11 +699,6 @@ def _word_norm_gaps(A: np.ndarray, words: list[str]) -> np.ndarray:
     norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().swapaxes(-1, -2)))))
     zero = np.zeros(len(A)) if A.ndim == 3 else 0.0
     return np.array([abs(norms[pair[0]] - norms[pair[1]]) if pair else zero for pair in pairs])
-
-
-def word_norm_gap(T, word: str) -> float:
-    """| ||w(T,T*)|| - ||w(T*,T)|| | for a single word."""
-    return float(word_norm_gaps(T, [word])[0])
 
 
 def _polynomial_norm_gaps(A: np.ndarray, polys) -> np.ndarray:
@@ -721,10 +743,11 @@ def word_obstruction_search(
     The search runs on T scaled by a power of two to norm in
     [1/2, sqrt(2) n), so its word products neither overflow nor underflow,
     and the gap it returns is taken back to T's units exactly.  A gap that overflows or underflows
-    there raises PreconditionError naming ||T||.
+    there raises PreconditionError naming ||T||.  A max_len above
+    WORD_LEN_CAP is a CapacityError, raised before any word is multiplied out.
     """
-    tol = check_tol(tol)
-    max_len = check_count(max_len, "max_len")
+    tol = check_positive(tol, "tol")
+    max_len = check_count(max_len, "max_len", most=WORD_LEN_CAP)
     A, e = power_of_two_scaled(as_matrix(T, square=True))
     nrm = operator_norm(A)
     n = A.shape[0]
@@ -764,12 +787,13 @@ def polynomial_obstruction_search(
     A polynomial mixes word lengths, so T cannot be rescaled as in the word
     search.  A T with ||T||^max_len outside the normal doubles, whose word
     products would overflow or lose their digits, raises PreconditionError
-    naming ||T||.
+    naming ||T||.  More than SEARCH_SAMPLES_CAP samples, or a max_len above
+    WORD_LEN_CAP, is a CapacityError, raised before any draw.
     """
-    seed = check_seed(seed)
-    tol = check_tol(tol)
-    samples = check_count(samples, "samples")
-    max_len = check_count(max_len, "max_len")
+    seed = check_count(seed, "seed", least=0)
+    tol = check_positive(tol, "tol")
+    samples = check_count(samples, "samples", most=SEARCH_SAMPLES_CAP)
+    max_len = check_count(max_len, "max_len", most=WORD_LEN_CAP)
     A = as_matrix(T, square=True)
     nrm = operator_norm(A)
     limits = np.finfo(float)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: certify, destructor, tto, synthesize, verify-paper,
-question1-search, question2-compare.  Matrix, Blaschke, and symbol arguments
+Subcommands: certify, destructor, tto, synthesize, verify-paper and
+question1-search.  Matrix, Blaschke, and symbol arguments
 accept either inline JSON or a path to a JSON file.  All output is canonical
 JSON (sorted keys, compact separators), so identical inputs and seeds give
 byte-identical bytes.
@@ -18,13 +18,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialize
 from .certify import find_conjugation, polynomial_obstruction_search, word_obstruction_search
 from .errors import InputError, ToolkitError
 from .indestructible import destructor_witness
-from .linalg import DEFAULT_TOL, direct_sum
+from .linalg import DEFAULT_TOL
 from .modelspace import DEFAULT_QUAD, tto_matrix
 from .synthesis import synthesize_tto_for_nilpotent2
 from .verify import RunConfig, run_suite_with_determinism
@@ -119,13 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=5)
     _common(p, "seed", "tol")
 
-    p = sub.add_parser(
-        "question2-compare",
-        help="synthesize for N and N (+) 0 and compare residuals (experimental)",
-    )
-    p.add_argument("--matrix", required=True)
-    _common(p)
-
     return parser
 
 
@@ -193,19 +184,6 @@ def cmd_question1(args) -> int:
     return 0
 
 
-def cmd_question2(args) -> int:
-    N = serialize.matrix_from_json(_load_json(args.matrix))
-    base = synthesize_tto_for_nilpotent2(N)
-    padded = synthesize_tto_for_nilpotent2(direct_sum(N, np.zeros((1, 1))))
-    out = {
-        "base": serialize.synthesis_to_json(base),
-        "padded": serialize.synthesis_to_json(padded),
-        "note": "experimental residual comparison only; no claims",
-    }
-    _emit(out, args.out)
-    return 0
-
-
 COMMANDS = {
     "certify": cmd_certify,
     "destructor": cmd_destructor,
@@ -213,7 +191,6 @@ COMMANDS = {
     "synthesize": cmd_synthesize,
     "verify-paper": cmd_verify_paper,
     "question1-search": cmd_question1,
-    "question2-compare": cmd_question2,
 }
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     _tensors,
     as_matrix,
     check_count,
+    check_positive,
     conjugate_by,
     operator_norms,
     power_of_two_scaled,
@@ -57,24 +58,14 @@ class DestructorCertificate:
     conclusion: str  # "destroyed" | "indestructible_sampled"
 
 
-def _witness_parameter(name: str, value) -> float:
-    """value as a float, finite and positive; otherwise an InputError naming it."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"witness parameter {name} = {value!r} is not a real number") from None
-    if not 0 < value < np.inf:
-        raise InputError(f"witness parameter {name} = {value!r} is not finite and positive")
-    return value
-
-
 def witness_matrix(alpha: float, beta: float) -> np.ndarray:
     """The 3x3 destructor B with superdiagonal (alpha, beta).
 
     alpha and beta must be finite and positive, and the yx^2 norms of B,
     alpha^2 beta and alpha beta^2, finite.
     """
-    alpha, beta = _witness_parameter("alpha", alpha), _witness_parameter("beta", beta)
+    alpha = check_positive(alpha, "witness parameter alpha")
+    beta = check_positive(beta, "witness parameter beta")
     for name, value in (("alpha^2 beta", alpha * alpha * beta), ("alpha beta^2", alpha * beta * beta)):
         if value == np.inf:
             raise InputError(

@@ -1,7 +1,11 @@
 """Dense complex linear algebra substrate.
 
-Matrices are plain ``numpy`` arrays of ``complex128``; every public helper
-validates shape and finiteness on entry.  Conjugations (conjugate-linear
+Matrices are plain ``numpy`` arrays of ``complex128``.  Every argument is
+checked by one of three rules, each refusal a ToolkitError and never a raw
+numpy exception: a matrix by ``as_matrix`` or its stack form, which share
+one converter of its type, dimension and finiteness; a count by
+``check_count``, a CapacityError above its cap; a tolerance or another
+positive real by ``check_positive``.  Conjugations (conjugate-linear
 isometric involutions) are stored through their symmetric unitary matrix G,
 acting as ``x -> G @ conj(x)``.
 
@@ -14,7 +18,6 @@ an explicit override; everything else uses DEFAULT_TOL.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +30,41 @@ DEFAULT_TOL = 1e-9
 #: holds its system to the entries of the largest such product.
 TENSOR_DIM_CAP = 4096
 
+#: Caps on the obstruction searches' counts, checked before either search
+#: loops.  The word search multiplies out all 2^(L+1) - 2 words of length at
+#: most L = max_len, so its time doubles with each letter (131070 words at
+#: the cap); the polynomial search draws ``samples`` polynomials of words of
+#: length at most max_len.
+WORD_LEN_CAP = 16
+SEARCH_SAMPLES_CAP = 1 << 16
+
 #: The golden-ratio conjugate, whose multiples mod 1 never repeat: the phases
 #: of ``unitary_in_subspace``'s fixed combinations.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def as_matrix(M, square: bool = False) -> np.ndarray:
-    """Validate and convert to a 2-d complex128 array."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise InputError(f"expected a matrix, got array of ndim {A.ndim}")
+def _as_array(M, what: str, least: int, most: float = math.inf) -> np.ndarray:
+    """M as a complex128 array of least to most dimensions with finite entries.
+
+    The one conversion of a caller's matrix.  Whatever numpy cannot read as
+    an array of numbers (a string, a ragged list, a dict), an array of the
+    wrong dimension and a non-finite entry are each an InputError.
+    """
+    try:
+        A = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = type(M).__name__
+        raise InputError(f"expected {what}; the {kind} given is not an array of numbers: {exc}") from None
+    if not least <= A.ndim <= most:
+        raise InputError(f"expected {what}, got array of ndim {A.ndim}")
     if not np.isfinite(A).all():
         raise InputError("matrix has non-finite entries")
+    return A
+
+
+def as_matrix(M, square: bool = False) -> np.ndarray:
+    """Validate and convert to a 2-d complex128 array."""
+    A = _as_array(M, "a matrix", 2, 2)
     if square and A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     return A
@@ -47,54 +73,41 @@ def as_matrix(M, square: bool = False) -> np.ndarray:
 def _as_square_matrices(M) -> np.ndarray:
     """A square matrix, or a (k, n, n) stack of them, validated as complex128.
 
-    A 2-d M is checked by ``as_matrix``.  A stack keeps its memory layout, so
-    a transposed view multiplies as the same view of one matrix does.
+    A stack keeps its memory layout, so a transposed view multiplies as the
+    same view of one matrix does.
     """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 3:
-        return as_matrix(A, square=True)
-    if not np.isfinite(A).all():
-        raise InputError("matrix has non-finite entries")
-    if A.shape[1] != A.shape[2]:
-        raise InputError(f"expected a stack of square matrices, got shape {A.shape}")
+    A = _as_array(M, "a matrix or a stack of matrices", 2, 3)
+    if A.shape[-1] != A.shape[-2]:
+        raise InputError(f"expected square matrices, got shape {A.shape}")
     return A
 
 
-def check_tol(tol) -> float:
-    """The tolerance as a float; a non-positive or non-finite one is an InputError.
+def check_count(value, name: str, least: int = 1, most: float = math.inf) -> int:
+    """A length, sample count, seed or dimension as an int.
+
+    A non-integer or one below ``least`` is an InputError, and one above
+    ``most`` a CapacityError.
+    """
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > most:
+        raise CapacityError(f"{name} = {value} would exceed the cap {most}")
+    return int(value)
+
+
+def check_positive(value, name: str) -> float:
+    """A tolerance or parameter as a float; one that is not finite and positive is an InputError.
 
     A tolerance of zero or below turns every exact identity into a violation
     and a NaN one accepts nothing, so neither can give a meaningful verdict.
     """
     try:
-        tol = float(tol)
-    except (TypeError, ValueError):
-        raise InputError(f"tol must be a real number, got {tol!r}") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tol must be positive and finite, got {tol!r}")
-    return tol
-
-
-def check_seed(seed) -> int:
-    """The seed as an int; a negative or non-integer one is an InputError.
-
-    numpy's SeedSequence takes only non-negative integers, and would raise a
-    bare ValueError or TypeError deep inside a search instead.
-    """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InputError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def check_count(value, name: str, least: int = 1) -> int:
-    """A length, sample count or dimension as an int; one below ``least`` is an InputError."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} = {value!r} is not a real number") from None
+    if not 0 < value < math.inf:
+        raise InputError(f"{name} = {value!r} is not finite and positive")
+    return value
 
 
 def operator_norm(M) -> float:
@@ -112,11 +125,7 @@ def operator_norms(Ms) -> np.ndarray:
     value equals operator_norm of that matrix bit for bit.  The result has
     the stack's leading shape, such as (k,) for a (k, m, n) stack.
     """
-    A = np.asarray(Ms, dtype=complex)
-    if A.ndim < 3:
-        raise InputError(f"expected a stack of matrices, got array of ndim {A.ndim}")
-    if not np.isfinite(A).all():
-        raise InputError("matrix has non-finite entries")
+    A = _as_array(Ms, "a stack of matrices", 3)
     if A.size == 0:
         return np.zeros(A.shape[:-2])
     return np.linalg.svd(A, compute_uv=False)[..., 0]
@@ -232,7 +241,7 @@ class Conjugation:
         return self.matrix.shape[0]
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.conj(np.asarray(x, dtype=complex))
+        return self.matrix @ np.conj(_as_array(x, "a vector or a matrix", 1, 2))
 
     def unitarity_residual(self) -> float:
         G = self.matrix

@@ -64,7 +64,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import TENSOR_DIM_CAP, Conjugation, operator_norm
+from .linalg import TENSOR_DIM_CAP, Conjugation, check_count, operator_norm
 
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
@@ -246,14 +246,8 @@ class Symbol:
 
 
 def _check_quad_points(quad_points) -> int:
-    """The node count as an int; a non-integer or one below 64 is an InputError."""
-    if not isinstance(quad_points, (int, np.integer)):
-        raise InputError(f"quad_points must be an integer, got {quad_points!r}")
-    if quad_points < QUAD_FLOOR:
-        raise InputError(f"need at least {QUAD_FLOOR} quadrature nodes, got {quad_points}")
-    if quad_points > QUAD_CAP:
-        raise CapacityError(f"{quad_points} quadrature nodes exceed the cap {QUAD_CAP}")
-    return int(quad_points)
+    """The node count as an int: below QUAD_FLOOR an InputError, above QUAD_CAP a CapacityError."""
+    return check_count(quad_points, "quad_points", least=QUAD_FLOOR, most=QUAD_CAP)
 
 
 @lru_cache(maxsize=4)
@@ -619,8 +613,7 @@ def verify_hankel_factorization(
     residual exceeds HANKEL_RESIDUAL_CAP and does not decrease when M
     doubles, the truncation is not converging and an accuracy error is raised.
     """
-    if not isinstance(M, (int, np.integer)) or M < 64:
-        raise InputError(f"Hankel truncation M must be an integer >= 64, got {M!r}")
+    M = check_count(M, "Hankel truncation M", least=64)
     ms = ModelSpace(u, quad_points).require_resolved()
     return _hankel_check(ms, phi, M, ms.tto(phi))
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError
 from .certify import CsoCertificate
 from .indestructible import DestructorCertificate
+from .linalg import as_matrix
 from .modelspace import BlaschkeProduct, Symbol
 from .synthesis import ModulusRealization, SynthesisResult
 
@@ -36,9 +37,7 @@ def _complexes(pairs) -> np.ndarray:
 
 
 def matrix_to_json(M) -> dict:
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise InputError("matrix serialization needs a 2-d array")
+    A = as_matrix(M)
     return {"rows": A.shape[0], "cols": A.shape[1], "data": _pairs(A)}
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError
 from .certify import _nilpotent2_forms, _per_rank, nilpotent2_splitting
-from .linalg import DEFAULT_TOL, as_matrix, check_seed, column_phases, operator_norms
+from .linalg import DEFAULT_TOL, as_matrix, check_count, column_phases, operator_norms
 from .modelspace import BlaschkeProduct, Symbol
 
 # realize_modulus: Newton steps per fit, step halvings per fit (and in a row
@@ -336,7 +336,7 @@ def synthesize_tto_for_nilpotent2(N, seed: int = 0) -> SynthesisResult:
     the benchmark passes it, and goes with the benchmark refresh (ROADMAP
     item 1).  The k = 1 call of ``_syntheses``.
     """
-    check_seed(seed)
+    check_count(seed, "seed", least=0)
     return _syntheses(as_matrix(N, square=True)[None])[0]
 
 

@@ -45,7 +45,7 @@ from .indestructible import (
 from .linalg import (
     DEFAULT_TOL,
     Conjugation,
-    check_seed,
+    check_count,
     direct_sum,
     operator_norm,
     operator_norms,
@@ -69,7 +69,7 @@ class RunConfig:
     quad: int = DEFAULT_QUAD
 
     def __post_init__(self):
-        self.seed = check_seed(self.seed)
+        self.seed = check_count(self.seed, "seed", least=0)
         self.quad = _check_quad_points(self.quad)
 
 

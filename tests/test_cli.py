@@ -253,7 +253,6 @@ def test_certify_exit_code_contract(kind, seed, n, log_scale, sign, log_tol):
         ["destructor"],
         ["synthesize"],
         ["question1-search", "--samples", "16"],
-        ["question2-compare"],
     ],
     ids=lambda command: command[0],
 )
@@ -429,32 +428,20 @@ def test_question1_search_reports_both_routes():
     assert "resolves nothing" in out["note"]
 
 
-def test_question2_compare_runs_both_syntheses():
-    p = run_cli("question2-compare", "--matrix", matrix_arg([[0.0, 0.0], [1.0, 0.0]]))
-    assert p.returncode == 0
-    out = json.loads(p.stdout)
-    assert out["base"]["converged"] is True
-    assert out["padded"]["converged"] is True
-    assert len(out["padded"]["W"]["data"]) == 9  # padded problem is 3x3
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["synthesize", "--matrix", "N.json", "--tol", "1e-6"],
         ["synthesize", "--matrix", "N.json", "--budget", "10"],
-        ["question2-compare", "--matrix", "N.json", "--budget", "10"],
         ["verify-paper", "--budget", "10"],
         ["verify-paper", "--tol", "1e-6"],
         ["tto", "--u", "u.json", "--phi", "phi.json", "--seed", "1"],
         ["tto", "--u", "u.json", "--phi", "phi.json", "--quad", "256"],
         ["synthesize", "--matrix", "N.json", "--quad", "256"],
-        ["question2-compare", "--matrix", "N.json", "--quad", "256"],
         ["destructor", "--matrix", "A.json", "--budget", "10"],
         ["certify", "--matrix", "T.json", "--seed", "1"],
         ["certify", "--matrix", "T.json", "--budget", "10"],
         ["synthesize", "--matrix", "N.json", "--seed", "7"],
-        ["question2-compare", "--matrix", "N.json", "--seed", "7"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):

@@ -11,8 +11,8 @@ from csokit.errors import CapacityError, InputError
 from csokit.linalg import (
     Conjugation,
     as_matrix,
-    check_seed,
-    check_tol,
+    check_count,
+    check_positive,
     column_phases,
     conjugate_by,
     direct_sum,
@@ -27,9 +27,12 @@ from csokit.linalg import (
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: check_tol("x"),  # a raw ValueError from float
-        lambda: check_tol(None),  # a raw TypeError from float
-        lambda: check_tol([1e-9]),
+        lambda: check_positive("x", "tol"),  # a raw ValueError from float
+        lambda: check_positive(None, "tol"),  # a raw TypeError from float
+        lambda: check_positive([1e-9], "tol"),
+        lambda: check_positive(10**400, "tol"),  # a raw OverflowError from float
+        lambda: check_positive(0.0, "tol"),
+        lambda: check_positive(float("inf"), "tol"),
         lambda: is_c_symmetric(np.eye(2), Conjugation.identity(2), float("nan")),  # was (False, 0.0)
         lambda: is_c_symmetric(np.eye(2), Conjugation.identity(2), "x"),
         lambda: Conjugation.identity(2.5),
@@ -42,10 +45,11 @@ def test_argument_checks_raise_input_error(call):
 
 
 def test_check_seed_accepts_non_negative_integers_only():
-    assert check_seed(np.int64(7)) == 7 and check_seed(0) == 0
+    # a seed is a count from 0: check_count(seed, "seed", least=0)
+    assert check_count(np.int64(7), "seed", least=0) == 7 and check_count(0, "seed", least=0) == 0
     for bad in (-1, 1.5, "3", None):
         with pytest.raises(InputError):
-            check_seed(bad)
+            check_count(bad, "seed", least=0)
 
 
 def test_operator_norm_matches_spectral_norm():
