@@ -140,7 +140,8 @@ class CsoCertificate:
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict.
 
-    Both norms come from one batched SVD; tol is checked by ``check_positive``.
+    Both norms come from one batched SVD; tol is checked by ``check_positive``,
+    and C by ``conjugate_by``.
     """
     tol = check_positive(tol, "tol")
     A = as_matrix(T, square=True)
@@ -676,11 +677,7 @@ def word_norm_gap(T, word: str) -> float:
 
 def _gaps_in_units(A: np.ndarray, words: list[str]) -> np.ndarray:
     """``word_norm_gaps`` of a validated matrix or stack A and validated words."""
-    stack = A if A.ndim == 3 else A[None]
-    B = np.empty_like(stack)
-    e = np.zeros(len(stack), dtype=int)
-    for j, M in enumerate(stack):
-        B[j], e[j] = power_of_two_scaled(M)
+    B, e = power_of_two_scaled(A if A.ndim == 3 else A[None])
     unit_gaps = _word_norm_gaps(B if A.ndim == 3 else B[0], words).reshape(len(words), len(B))
     with np.errstate(over="ignore"):
         gaps = np.ldexp(unit_gaps, np.array([len(w) for w in words], dtype=int)[:, None] * e)

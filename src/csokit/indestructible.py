@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_TOL,
     TENSOR_DIM_CAP,
     Conjugation,
+    _check_instance,
     _tensors,
     as_matrix,
     check_count,
@@ -103,13 +104,12 @@ def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCerti
     alpha, beta = float(alpha), float(beta)
     norm_wB, norm_wB_rev = alpha * alpha * beta, alpha * beta * beta  # B's, checked finite there
     Ms = [as_matrix(A, square=True) for A in As]
-    scaled = [power_of_two_scaled(M) for M in Ms]
-    U = np.array([u for u, _ in scaled])
+    U, E = power_of_two_scaled(np.array(Ms))
     words = [DESTRUCTOR_WORD, swap_letters(DESTRUCTOR_WORD)]  # w(X*, X) is swap(w)(X, X*)
     products = word_products(words, U, U.conj().swapaxes(-1, -2))
     unit = operator_norms(np.concatenate([U[None], products]))
     certs = []
-    for M, (u, e), (unit_nrm, *unit_norms) in zip(Ms, scaled, unit.T.tolist()):
+    for M, u, e, (unit_nrm, *unit_norms) in zip(Ms, U, E.tolist(), unit.T.tolist()):
         cert = DestructorCertificate(
             witness_B=B,
             alpha=alpha,
@@ -257,8 +257,9 @@ def swap_conjugation(J: Conjugation) -> Conjugation:
     G = Swap (G_J (x) G_J), the rows of ``tensor(G_J, G_J)`` permuted, so the
     cap refuses n >= 65 before any n^4 array exists; symmetric because the
     swap commutes with G_J (x) G_J.  For any A the operator A (x) (J A* J) is
-    symmetric under it.
+    symmetric under it.  A J that is not a Conjugation is an InputError.
     """
+    _check_instance(J, Conjugation, "J")
     G = tensor(J.matrix, J.matrix)[_swap_order(J.dim)]
     return Conjugation(0.5 * (G + G.T))
 

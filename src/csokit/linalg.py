@@ -1,11 +1,13 @@
 """Dense complex linear algebra substrate.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  Every argument is
-checked by one of three rules, each refusal a ToolkitError and never a raw
+checked by one of four rules, each refusal a ToolkitError and never a raw
 numpy exception: a matrix by ``as_matrix`` or its stack form, which share
 one converter of its type, dimension and finiteness; a count by
 ``check_count``, a CapacityError above its cap; a tolerance or another
-positive real by ``check_positive``.  Conjugations (conjugate-linear
+positive real by ``check_positive``; an argument of a given type (a
+Conjugation, a Blaschke product, a symbol, a polynomial's dict) by
+``_check_instance``.  Conjugations (conjugate-linear
 isometric involutions) are stored through their symmetric unitary matrix G,
 acting as ``x -> G @ conj(x)``.
 
@@ -110,6 +112,13 @@ def check_positive(value, name: str) -> float:
     return value
 
 
+def _check_instance(value, kind: type, name: str):
+    """value, if it is an instance of kind; otherwise an InputError naming both types."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def operator_norm(M) -> float:
     """Largest singular value (computed by full SVD; sizes here are small)."""
     A = as_matrix(M)
@@ -131,9 +140,9 @@ def operator_norms(Ms) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
-def power_of_two_scaled(M) -> tuple[np.ndarray, int]:
+def power_of_two_scaled(M) -> tuple[np.ndarray, int | np.ndarray]:
     """(2^-e M, e) with 2^(e-1) <= max |Re M_ij|, |Im M_ij| < 2^e, and e = 0
-    for M = 0 or empty.
+    for M = 0 or empty; for a (k, m, n) stack, each matrix by its own e.
 
     The exponent comes from the largest part of an entry, with no SVD.  The
     scaled m x n matrix has every part in (-1, 1) and one of magnitude at
@@ -141,12 +150,18 @@ def power_of_two_scaled(M) -> tuple[np.ndarray, int]:
     power of two is exact (barring subnormal entries), so a product of k
     factors of 2^-e M, and its norm, are 2^(-k e) times those of M bit for
     bit, yet neither overflows nor underflows however large or small M is.
-    ``times_power_of_two`` takes such a norm back to M's units.
+    ``times_power_of_two`` takes such a norm back to M's units.  A stack
+    gives the (k,) array of exponents, and each scaled matrix and exponent
+    equal its own call's bit for bit.
     """
-    A = as_matrix(M)
-    top = max(np.abs(A.real).max(initial=0.0), np.abs(A.imag).max(initial=0.0))
-    e = math.frexp(top)[1]
-    return np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e), e
+    A = _as_array(M, "a matrix or a stack of matrices", 2, 3)
+    stack = A if A.ndim == 3 else A[None]
+    k, m, n = stack.shape
+    parts = np.ascontiguousarray(stack).reshape(k, m * n).view(float)  # Re and Im of each entry
+    e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
+    down = -e[:, None, None]
+    B = np.ldexp(stack.real, down) + 1j * np.ldexp(stack.imag, down)
+    return (B, e) if A.ndim == 3 else (B[0], int(e[0]))
 
 
 def times_power_of_two(x: float, e: int) -> float:
@@ -263,8 +278,8 @@ class Conjugation:
 
 def conjugate_by(C: Conjugation, M) -> np.ndarray:
     """The linear map C o M o C, i.e. ``G @ conj(M) @ conj(G)``, of M or each M of a stack."""
+    G = _check_instance(C, Conjugation, "C").matrix
     A = _as_square_matrices(M)
-    G = C.matrix
     if A.shape[-1] != G.shape[0]:
         raise InputError(f"size mismatch: conjugation dim {G.shape[0]}, matrix dim {A.shape[-1]}")
     return G @ A.conj() @ G.conj()

@@ -45,7 +45,9 @@ Sizes are capped before anything is allocated: a degree above
 TENSOR_DIM_CAP (the n x n shift) and a space of more than SAMPLE_CAP basis
 samples (degree times nodes) are CapacityErrors.  Each space is sampled
 once, on first use, and serves its Gram check and every cross-check on
-its grid.
+its grid.  A space keeps the space of each other grid that on_grid gives
+it, and a space on twice the nodes of a sampled one samples only the odd
+nodes: the even ones are the coarser grid's, bit for bit.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -64,7 +66,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import TENSOR_DIM_CAP, Conjugation, check_count, operator_norm
+from .linalg import TENSOR_DIM_CAP, Conjugation, _check_instance, check_count, operator_norm
 
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
@@ -75,13 +77,6 @@ POLE_MARGIN = 1e-6  # rational symbol poles stay this far outside
 GRAM_TOL = 1e-8
 HANKEL_RESIDUAL_CAP = 1e-6  # a Hankel residual above this must fall when M doubles
 STEIN_TAIL = 1e-8  # the model conjugation's chain stops at ||A^K||_F or its square this small
-
-
-def _check_instance(value, kind: type, name: str):
-    """value, if it is an instance of kind; otherwise an InputError naming both."""
-    if not isinstance(value, kind):
-        raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -271,6 +266,8 @@ class ModelSpace:
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
         self.u = _check_instance(u, BlaschkeProduct, "u")
         self.quad_points = _check_quad_points(quad_points)
+        self._grids: dict[int, ModelSpace] = {}  # on_grid's spaces, by node count
+        self._even = None  # the samples on every other node, from the space on half the nodes
 
     @property
     def dim(self) -> int:
@@ -281,8 +278,25 @@ class ModelSpace:
         return _roots_of_unity(self.quad_points)
 
     def on_grid(self, quad_points: int) -> "ModelSpace":
-        """The space of u on quad_points nodes (self when its grid has them)."""
-        return self if quad_points == self.quad_points else ModelSpace(self.u, quad_points)
+        """The space of u on quad_points nodes: self when its grid has them.
+
+        Any other grid's space is built on the first call and kept here, so
+        a later call for that grid (a Hankel retry at doubled truncation)
+        returns it with its samples.  A space on 2P nodes, built when self
+        or a kept space on P nodes has sampled, samples only its P odd
+        nodes: its even nodes are the P nodes bit for bit, and so are its
+        samples there (see _boundary_samples).
+        """
+        if quad_points == self.quad_points:
+            return self
+        fine = self._grids.get(quad_points)
+        if fine is None:
+            fine = self._grids[quad_points] = ModelSpace(self.u, quad_points)
+            spaces = {self.quad_points: self, **self._grids}
+            half = spaces.get(quad_points // 2) if quad_points % 2 == 0 else None
+            if half is not None and "_samples" in vars(half):
+                fine._even = half._samples
+        return fine
 
     def tto(self, phi: Symbol) -> np.ndarray:
         """phi(A_u) = num(A_u) den(A_u)^{-1}, exactly.
@@ -306,35 +320,24 @@ class ModelSpace:
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, u) on the nodes, from one pass of the basis recursion.
+        """(basis, u) on the nodes, from one pass of _boundary_samples.
 
-        The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all
-        zeros come from one broadcast each (a zero at 0 has reciprocal 1 and
-        factor z).  Only the running prefix prod_{j<k} b_{a_j} loops, one
-        product per zero, in the factors' rows; the basis is prefix times
-        reciprocal times sqrt(1 - |a|^2), in place, and the last prefix is u.
-        More than SAMPLE_CAP basis samples (degree times nodes) are a
-        CapacityError, raised before any is taken.
+        A space that on_grid gave the samples on its even nodes takes only
+        its odd nodes.  More than SAMPLE_CAP basis samples (degree times
+        nodes) are a CapacityError, raised before any is taken.
         """
         n, Q = self.dim, self.quad_points
         if n * Q > SAMPLE_CAP:
             raise CapacityError(
                 f"{n} basis functions on {Q} nodes exceed the sampling cap of {SAMPLE_CAP} basis samples"
             )
-        a, c, eps = self.u._zero_arrays
-        a = a[:, None]
-        z = self.nodes
-        E = np.multiply(a.conj(), z)
-        np.subtract(1.0, E, out=E)
-        np.reciprocal(E, out=E)
-        F = np.subtract(a, z)
-        F *= E
-        F[eps > 0] = z
-        for j in range(1, n):
-            np.multiply(F[j - 1], F[j], out=F[j])
-        E *= c[:, None]
-        E[1:] *= F[:-1]
-        return E, F[-1].copy() if n else np.ones(Q, dtype=complex)
+        if self._even is None:
+            return _boundary_samples(self.u, self.nodes)
+        even, self._even = self._even, None
+        basis, u = np.empty((n, Q), dtype=complex), np.empty(Q, dtype=complex)
+        basis[:, ::2], u[::2] = even
+        basis[:, 1::2], u[1::2] = _boundary_samples(self.u, self.nodes[1::2])
+        return basis, u
 
     @property
     def basis_samples(self) -> np.ndarray:
@@ -383,6 +386,33 @@ class ModelSpace:
         """Matrix of f -> P(m f) on the basis, for the Q boundary samples of m."""
         m = self._on_nodes(multiplier_samples, (1,))
         return (self._conj_basis * m) @ self.basis_samples.T / self.quad_points
+
+
+def _boundary_samples(u: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, u) at the nodes z, from one pass of the basis recursion.
+
+    The reciprocals 1 / (1 - conj(a) z) and the factors b_a(z) of all zeros
+    come from one broadcast each (a zero at 0 has reciprocal 1 and factor
+    z).  Only the running prefix prod_{j<k} b_{a_j} loops, one product per
+    zero, in the factors' rows; the basis is prefix times reciprocal times
+    sqrt(1 - |a|^2), in place, and the last prefix is u.  Every sample
+    depends on its own node alone, so a node's samples have the same bits
+    whatever nodes are sampled with it.
+    """
+    a, c, eps = u._zero_arrays
+    n = len(a)
+    a = a[:, None]
+    E = np.multiply(a.conj(), z)
+    np.subtract(1.0, E, out=E)
+    np.reciprocal(E, out=E)
+    F = np.subtract(a, z)
+    F *= E
+    F[eps > 0] = z
+    for j in range(1, n):
+        np.multiply(F[j - 1], F[j], out=F[j])
+    E *= c[:, None]
+    E[1:] *= F[:-1]
+    return E, F[-1].copy() if n else np.ones(len(z), dtype=complex)
 
 
 def _require_gram_residual(residual: float) -> None:

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
-from .linalg import _as_square_matrices, as_matrix
+from .linalg import _as_square_matrices, _check_instance, as_matrix
 
 ALPHABET = "xy"
 _SWAP = str.maketrans("xy", "yx")
@@ -105,11 +105,18 @@ def word_products(words, X, Y) -> np.ndarray:
 
 
 def normalize_poly(p: dict[str, complex]) -> dict[str, complex]:
-    """Validated copy with zero coefficients dropped."""
+    """Validated copy with zero coefficients dropped.
+
+    A p that is not a dict, a key that is not a word and a coefficient that
+    is not a complex number are each an InputError.
+    """
     out = {}
-    for word, coeff in p.items():
+    for word, coeff in _check_instance(p, dict, "polynomial").items():
         validate_word(word)
-        c = complex(coeff)
+        try:
+            c = complex(coeff)
+        except (TypeError, ValueError):
+            raise InputError(f"coefficient {coeff!r} of word {word!r} is not a complex number") from None
         if c != 0:
             out[word] = c
     return out

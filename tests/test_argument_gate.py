@@ -4,7 +4,8 @@ Every matrix argument goes through the one converter that ``linalg.as_matrix``
 and its stack form share, so a string, a ragged list, a dict, an array of the
 wrong dimension and a non-finite entry fail there, never as a raw numpy
 TypeError or ValueError.  Counts go through ``check_count``, whose caps refuse
-a search before it loops.
+a search before it loops, and a polynomial or a conjugation through
+``_check_instance``.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from csokit.certify import (
     intertwiner_basis,
     is_c_symmetric,
     nilpotent2_splitting,
+    polynomial_norm_gap,
     polynomial_obstruction_search,
     word_norm_gap,
     word_norm_gaps,
@@ -27,18 +29,23 @@ from csokit.certify import (
 )
 from csokit.cli import main
 from csokit.errors import CapacityError, InputError, PreconditionError
-from csokit.indestructible import destructor_witness, nilpotent2_tensor_conjugation
+from csokit.indestructible import (
+    destructor_witness,
+    nilpotent2_tensor_conjugation,
+    swap_conjugation,
+)
 from csokit.linalg import (
     SEARCH_SAMPLES_CAP,
     WORD_LEN_CAP,
     Conjugation,
     check_count,
+    conjugate_by,
     operator_norm,
     operator_norms,
 )
 from csokit.serialize import matrix_to_json
 from csokit.synthesis import synthesize_tto_for_nilpotent2
-from csokit.words import eval_word, word_products
+from csokit.words import eval_poly, eval_word, word_products
 
 J2 = [[0.0, 0.0], [1.0, 0.0]]
 
@@ -78,6 +85,18 @@ ENTRIES = {
 STACK_FORMS = {"word_norm_gaps", "operator_norms", "word_products"}
 
 
+# each entry point with a malformed polynomial or conjugation, which used to
+# leak a raw AttributeError or ValueError
+MALFORMED_ARGUMENTS = {
+    "polynomial_norm_gap(string)": lambda: polynomial_norm_gap("abc", np.eye(2)),
+    "eval_poly(list)": lambda: eval_poly(["x"], np.eye(2), np.eye(2)),
+    "polynomial_norm_gap(string coefficient)": lambda: polynomial_norm_gap({"x": "a"}, np.eye(2)),
+    "is_c_symmetric(C)": lambda: is_c_symmetric(np.eye(2), "abc"),
+    "conjugate_by": lambda: conjugate_by("abc", np.eye(2)),
+    "swap_conjugation": lambda: swap_conjugation("abc"),
+}
+
+
 @contextlib.contextmanager
 def deadline(seconds: float):
     """Raise TimeoutError in the block once ``seconds`` of wall time pass, so a hang fails."""
@@ -107,6 +126,12 @@ def deadline(seconds: float):
 def test_a_malformed_matrix_is_an_input_error(entry, kind):
     with pytest.raises(InputError):
         ENTRIES[entry](MALFORMED[kind])
+
+
+@pytest.mark.parametrize("call", MALFORMED_ARGUMENTS)
+def test_a_malformed_polynomial_or_conjugation_is_an_input_error(call):
+    with pytest.raises(InputError):
+        MALFORMED_ARGUMENTS[call]()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -166,6 +166,26 @@ def test_power_of_two_scaled_keeps_zero_and_empty_at_exponent_zero():
         assert e == 0 and A.shape == M.shape and not A.any()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 5), st.integers(0, 5)),
+    scales=st.lists(st.sampled_from([0.0, 2.0**-1074, 1e-310, 1e-300, 1.0, 1e300]), min_size=6, max_size=6),
+)
+def test_power_of_two_scaled_takes_each_matrix_of_a_stack_as_its_own_call(seed, shape, scales):
+    # each matrix by its own exponent; zero matrices, subnormal entries and a
+    # matrix whose largest part is subnormal included
+    rng = stream(seed, 1)
+    M = random_complex(rng, *shape) * np.array(scales[: shape[0]])[:, None, None]
+    if M.size:
+        M[0, 0, 0] = 1e-320 + 5e-324j  # a subnormal entry among normal ones
+    A, e = power_of_two_scaled(M)
+    assert A.shape == M.shape and e.shape == (shape[0],)
+    for j in range(shape[0]):
+        own, own_e = power_of_two_scaled(M[j])
+        assert A[j].tobytes() == own.tobytes() and e[j] == own_e
+
+
 def test_identity_conjugation_is_entrywise_conjugation():
     C = Conjugation.identity(3)
     v = np.array([1 + 2j, 0.0, -1j])

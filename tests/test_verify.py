@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csokit import indestructible, modelspace, serialize, verify
 from csokit.certify import (
@@ -34,7 +35,7 @@ from csokit.indestructible import (
     shift_coshift_product,
     swap_conjugation,
 )
-from csokit.linalg import Conjugation, direct_sum, operator_norm, tensor
+from csokit.linalg import Conjugation, direct_sum, operator_norm, operator_norms, tensor
 from csokit.modelspace import (
     fn_calculus_check,
     model_conjugation,
@@ -74,6 +75,108 @@ def test_word_identities_take_one_word_pass_per_dimension(monkeypatch):
     assert [shape[1:] for shape in stacks] == [(n, n) for n in dict.fromkeys(dims)]
     assert sorted(shape[0] for shape in stacks) == sorted(dims.count(n) for n in set(dims))
     assert entry["residuals"]["worst_scaled_gap"] == worst
+
+
+def drawn_matrix(rng, kind, shape, exponent):
+    """A matrix of the given kind and shape, scaled by 2^exponent: a Gaussian
+    one, a rank-one one (||M|| = ||M||_F), an isometry (||M|| = ||M||_F /
+    sqrt(min(m, n))) or zero."""
+    m, n = shape
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex)
+    if kind == "rank_one":
+        M = random_complex(rng, m, 1) @ random_complex(rng, 1, n)
+    elif kind == "isometry":
+        Q = np.linalg.qr(random_complex(rng, max(m, n), min(m, n)))[0]
+        M = (0.5 + rng.random()) * (Q if m >= n else Q.conj().T)
+    else:
+        M = random_complex(rng, m, n)
+    return np.ldexp(M.real, exponent) + 1j * np.ldexp(M.imag, exponent)
+
+
+KINDS = st.sampled_from(["general", "rank_one", "isometry", "zero"])
+EXPONENTS = st.sampled_from([-540, -500, 0, 500, 520])
+# a stack's shape, its form, and each case's kinds, its exponents about the
+# stacks' and whether it repeats the case before it
+STACKS = st.tuples(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.sampled_from(["ratio", "given numerators", "norm"]),
+    st.lists(
+        st.tuples(KINDS, st.integers(-1, 1), KINDS, st.integers(-1, 1), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stacks=st.lists(STACKS, min_size=1, max_size=3),
+    exponents=st.tuples(EXPONENTS, EXPONENTS),
+)
+def test_the_largest_norm_is_the_maximum_of_the_full_batch_bit_for_bit(seed, stacks, exponents):
+    # rank-one numerators and isometric denominators meet the Frobenius
+    # bounds; zero matrices, ties, and norms whose Frobenius sums overflow
+    # (2^520) or underflow (2^-540) are included
+    rng = stream(seed, 5)
+    terms, want = [], 0.0
+    for shape, form, cases in stacks:
+        N, D = [], []
+        for num_kind, num_shift, den_kind, den_shift, tie in cases:
+            if tie and N:
+                N.append(N[-1])
+                D.append(D[-1])
+            else:
+                N.append(drawn_matrix(rng, num_kind, shape, exponents[0] + num_shift))
+                D.append(drawn_matrix(rng, den_kind, shape, exponents[1] + den_shift))
+        N, D = np.array(N), np.array(D)
+        numerators = operator_norms(N).tolist()
+        if form == "norm":
+            want = max([want, *numerators])
+            terms.append((N, None))
+        else:
+            for c_norm, nrm in zip(numerators, operator_norms(D).tolist()):
+                want = max(want, c_norm / nrm if nrm > 0 else 0.0)
+            terms.append((numerators if form == "given numerators" else N, D))
+    got = verify._largest_norm(terms)
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_the_largest_norm_norms_each_case_that_its_bound_cannot_rule_out():
+    # a rank-one N_0 whose SVD norm exceeds its Frobenius norm by rounding,
+    # behind a case whose norm is that Frobenius norm exactly: only the
+    # margin keeps N_0
+    rng = stream(18, 9)
+    N0 = random_complex(rng, 3, 1) @ random_complex(rng, 1, 3)
+    fro = float(np.linalg.norm(N0))
+    assert operator_norm(N0) > fro
+    N1 = np.diag([fro, 1e-3, 0.0]).astype(complex)
+    assert verify._largest_norm([(np.array([N0, N1]), None)]) == operator_norm(N0)
+    # a rank-one N over an isometry has ratio ||N||_F sqrt(4) / ||D||_F = 1,
+    # which only the sqrt(rank) factor bounds; it sits behind a case bounded
+    # by 2 - 2^-29 whose ratio is 1 - 2^-30
+    e = np.zeros((4, 4), dtype=complex)
+    e[0, 0] = 1.0
+    N = np.array([e, (1 - 2.0**-30) * e])
+    D = np.array([np.eye(4), e])
+    assert verify._largest_norm([(N, D)]) == 1.0
+    assert verify._largest_norm([(N[1:], D[1:]), (N[:1], D[:1])]) == 1.0
+    assert verify._largest_norm([]) == 0.0
+
+
+def test_the_order_two_entry_norms_only_the_cases_that_can_set_its_maxima(monkeypatch):
+    # its 200 cases have 1000 norms: T, the c-symmetry difference, unitarity,
+    # symmetry and the canonical form
+    normed = []
+
+    def recording(Ms):
+        normed.append(int(np.prod(np.shape(Ms)[:-2])))
+        return operator_norms(Ms)
+
+    monkeypatch.setattr(verify, "operator_norms", recording)
+    verify.entry_order2_conjugations(verify.RunConfig(seed=2026))
+    assert sum(normed) < 200
 
 
 def test_order_two_entries_take_one_splitting_pass_per_dimension(monkeypatch):
@@ -233,24 +336,52 @@ def test_a_hankel_accuracy_error_leaves_the_entry_as_the_per_case_loop_does(monk
     assert residuals == per_case_tto_suite(cfg)
 
 
-def test_the_tto_suite_samples_each_case_on_its_quad_grid_and_the_fine_grid_only(monkeypatch):
-    # one space on the quad grid serves the Gram check, the fn-calculus and
-    # M = 256; M = 512 samples 2048 nodes.  The public calls sample the quad
-    # grid once per call, three times per case.
-    sampled = []
-    take = modelspace.ModelSpace._samples.func
+def recorded_samplings(monkeypatch):
+    """The (zeros, node count) of each space that samples, and of each
+    _boundary_samples pass, recorded as they happen."""
+    spaces, passes = [], []
+    take, sample = modelspace.ModelSpace._samples.func, modelspace._boundary_samples
 
     def recording(ms):
-        sampled.append((ms.u.zeros, ms.quad_points))
+        spaces.append((ms.u.zeros, ms.quad_points))
         return take(ms)
+
+    def sampling(u, z):
+        passes.append((u.zeros, len(z)))
+        return sample(u, z)
 
     samples = functools.cached_property(recording)
     samples.__set_name__(modelspace.ModelSpace, "_samples")
     monkeypatch.setattr(modelspace.ModelSpace, "_samples", samples)
+    monkeypatch.setattr(modelspace, "_boundary_samples", sampling)
+    return spaces, passes
+
+
+def test_the_tto_suite_samples_each_case_on_its_quad_grid_and_the_fine_grid_only(monkeypatch):
+    # one space on the quad grid serves the Gram check, the fn-calculus and
+    # M = 256; M = 512 runs on a 2048-node space, which takes its even nodes'
+    # samples from the quad grid's and samples only its 1024 odd nodes.  The
+    # public calls sample the quad grid once per call, three times per case.
+    spaces, passes = recorded_samplings(monkeypatch)
     assert verify.entry_tto_suite(verify.RunConfig(seed=7))["status"] == "pass"
-    assert len(set(sampled)) == len(sampled) == 60
-    assert sorted(Counter(zeros for zeros, _ in sampled).values()) == [2] * 30
-    assert sorted(Q for _, Q in sampled) == [1024] * 30 + [2048] * 30
+    assert len(set(spaces)) == len(spaces) == 60
+    assert sorted(Counter(zeros for zeros, _ in spaces).values()) == [2] * 30
+    assert sorted(Q for _, Q in spaces) == [1024] * 30 + [2048] * 30
+    assert sorted(Counter(zeros for zeros, _ in passes).values()) == [2] * 30
+    assert [size for _, size in passes] == [1024] * 60
+
+
+def test_a_hankel_retry_samples_no_grid_twice(monkeypatch):
+    # with no cap every Hankel check retries at doubled truncation, whose fine
+    # grid M = 512 reaches again: its space is the one the retry built.  Each
+    # (product, grid) pair samples once, 79 of them, where 98 samplings were
+    # taken when on_grid built a new space on every call.
+    monkeypatch.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 0.0)
+    spaces, passes = recorded_samplings(monkeypatch)
+    verify.entry_tto_suite(verify.RunConfig(seed=7))
+    assert len(spaces) == len(set(spaces)) == 79
+    # a doubled grid samples only its odd nodes, so no pass is past 2048 nodes
+    assert {size for _, size in passes} == {1024, 2048}
 
 
 def test_the_tto_suite_evaluates_each_symbol_once_on_its_quad_grid(monkeypatch):
