@@ -61,11 +61,12 @@ from .linalg import (
     WORD_LEN_CAP,
     Conjugation,
     _as_square_matrices,
+    _conjugation_matrix,
+    _screened_norms,
     as_matrix,
     check_count,
     check_positive,
     column_phases,
-    conjugate_by,
     direct_sum,
     operator_norm,
     operator_norms,
@@ -138,16 +139,17 @@ class CsoCertificate:
 
 
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and its tol verdict.
+    """Relative residual ||T - C T* C|| / ||T|| (0 for T = 0) and the certificate's verdict.
 
-    Both norms come from one batched SVD; tol is checked by ``check_positive``,
-    and C by ``conjugate_by``.
+    The certificate's check ``_verified_residual`` on B = T / 2^e and ||B||:
+    it also asks C to be symmetric and unitary at tol, nothing overflows, and
+    the residual is the one ``find_conjugation`` reports on its general
+    routes, bit for bit.  tol is checked by ``check_positive``, and C here.
     """
     tol = check_positive(tol, "tol")
-    A = as_matrix(T, square=True)
-    nrm, c_norm = operator_norms([A, A - conjugate_by(C, A.conj().T)]).tolist()
-    residual = c_norm / nrm if nrm > 0 else 0.0
-    return residual <= tol, residual
+    B, _ = power_of_two_scaled(as_matrix(T, square=True))
+    _conjugation_matrix(C, len(B))
+    return _verified_residual(B, C, tol, operator_norm(B))
 
 
 def _c_differences(A: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -163,34 +165,28 @@ def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms):
     """(checks, c_norms): ``_verified_residual`` of each matrix of a (k, n, n) stack A, for G
     and ||A|| the same way, and the norms ||A_j - C_j A_j* C_j|| that the residuals divide.
 
-    Every norm of the stack comes from one batched SVD.  Callers pass A
-    scaled by a power of two, so that no difference overflows.
+    One batched SVD norms the differences, and ``_screened_norms`` GG* - I
+    and G - G^t.  Callers pass A scaled by a power of two, so that no
+    difference overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = (G @ G.conj().swapaxes(-1, -2) - np.eye(A.shape[-1]), G - G.swapaxes(-1, -2))
+        unitarity = G @ G.conj().swapaxes(-1, -2) - np.eye(A.shape[-1])
+        defects = np.concatenate([unitarity, G - G.swapaxes(-1, -2)])
         differences = _c_differences(A, G)
-    # ||M|| <= ||M||_F: a defect within tol passes with no SVD
-    over = [(j, M) for D in defects for j, M in enumerate(D) if not np.linalg.norm(M) <= tol]
-    norms = operator_norms(
-        np.concatenate([differences, [M for _, M in over]]) if over else differences
-    ).tolist()
-    worst = [c_norm / nrm if nrm > 0 else 0.0 for c_norm, nrm in zip(norms, nrms)]
-    residuals = worst.copy()
-    for (j, _), defect in zip(over, norms[len(A) :]):
-        worst[j] = max(worst[j], defect)
-    return [(w <= tol, r) for w, r in zip(worst, residuals)], norms[: len(A)]
+    c_norms = operator_norms(differences).tolist()
+    defect = _screened_norms(defects, tol).reshape(2, len(A)).max(axis=0).tolist()
+    residuals = [c_norm / nrm if nrm > 0 else 0.0 for c_norm, nrm in zip(c_norms, nrms)]
+    return [(max(r, d) <= tol, r) for r, d in zip(residuals, defect)], c_norms
 
 
 def _verified_residual(A: np.ndarray, C: Conjugation, tol: float, nrm: float) -> tuple[bool, float]:
     """Whether C is a symmetric unitary with A = C A* C at tol, and that residual.
 
-    A - C A* C is normed by SVD, and so are GG* - I and G - G^t where their
-    Frobenius norm exceeds tol (||M|| <= ||M||_F, so one within tol passes
-    with no SVD), all in one batch, so each norm equals the one that
-    ``is_c_symmetric``, ``Conjugation.unitarity_residual`` and
-    ``symmetry_residual`` take bit for bit.  The residual is
-    ||A - C A* C|| / nrm for nrm = ||A||, and 0 for nrm = 0.  The k = 1
-    call of ``_verified_residuals``.
+    A - C A* C is normed by SVD, with the bits of ``operator_norm``, and
+    GG* - I and G - G^t by ``_screened_norms``, so a defect above tol has
+    the bits of ``Conjugation.unitarity_residual`` or ``symmetry_residual``.
+    The residual is ||A - C A* C|| / nrm for nrm = ||A||, and 0 for
+    nrm = 0.  The k = 1 call of ``_verified_residuals``.
     """
     return _verified_residuals(A[None], C.matrix[None], tol, [nrm])[0][0]
 
@@ -199,9 +195,9 @@ def _order_two_decisions(A: np.ndarray, tol: float):
     """The order-two decision for each matrix of a (k, n, n) stack: (U, s, Vh, norms, ranks).
 
     ``nilpotent2_splitting`` states the decision.  U, s and Vh are the
-    stack's one batched SVD, and the squares T^2 / s_0^2 are formed for the
-    whole stack; then each matrix is decided in turn, as its own k = 1 call
-    decides it, so a stack raises the error of its first refused matrix.
+    stack's one batched SVD, and the squares T^2 / s_0^2 are formed and
+    screened for the whole stack; then each matrix is decided in turn, as its
+    own k = 1 call decides it, so a stack raises its first refused matrix's error.
     """
     k, n, _ = A.shape
     U, s, Vh = np.linalg.svd(A)
@@ -211,16 +207,14 @@ def _order_two_decisions(A: np.ndarray, tol: float):
     unit = A.real / scale + 1j * (A.imag / scale)
     squares = unit @ unit
     ranks = []
-    for square, row, nrm in zip(squares, s, norms):
+    for square_norm, row, nrm in zip(_screened_norms(squares, tol).tolist(), s, norms):
         if nrm == np.inf:
             raise InputError(_NORM_OVERFLOWS)
-        if nrm > 0 and np.linalg.norm(square) > tol:  # ||.|| <= ||.||_F: else no SVD is needed
-            square_norm = operator_norm(square)
-            if square_norm > tol:
-                raise PreconditionError(
-                    f"not nilpotent of order two at tol {tol:.1e}: "
-                    f"||T^2|| / ||T||^2 = {square_norm:.3e}"
-                )
+        if square_norm > tol:
+            raise PreconditionError(
+                f"not nilpotent of order two at tol {tol:.1e}: "
+                f"||T^2|| / ||T||^2 = {square_norm:.3e}"
+            )
         r = int(np.count_nonzero(row > tol * nrm))
         if 2 * r > n:
             raise PreconditionError(
@@ -284,16 +278,16 @@ def nilpotent2_splitting(T, tol: float = DEFAULT_TOL) -> Nilpotent2Form:
 
     From one full SVD T = U diag(s) V*, with ||T|| = s_0, T has order at
     most two when ||(T / s_0)^2|| <= tol (T / s_0 formed by parts: complex
-    division by a subnormal norm overflows; that norm takes an SVD only when
-    its bound, the Frobenius norm, exceeds tol) and its rank
-    r = #{s_i > tol s_0} has 2r <= n.  A T that fails either margin raises
-    one PreconditionError naming it; certify, the destructor and synthesis
-    decide "order two" here and nowhere else (certify skips the call only
-    for a T that ``_order_two_ruled_out`` shows it would refuse).  A T
-    whose norm overflows is an InputError.  W* has
-    the columns right (V's first r columns, each with its largest entry made
-    real positive), left (U's, with the same phases, so T right_i = s_i
-    left_i) and rest (ker T outside ran T, from one more SVD when n > 2r).
+    division by a subnormal norm overflows; that norm is taken by
+    ``_screened_norms`` at tol) and its rank r = #{s_i > tol s_0} has
+    2r <= n.  A T that fails either margin raises one PreconditionError
+    naming it; certify, the destructor and synthesis decide "order two"
+    here and nowhere else (certify skips the call only for a T that
+    ``_order_two_ruled_out`` shows it would refuse).  A T whose norm
+    overflows is an InputError.  W* has the columns right (V's first r
+    columns, each with its largest entry made real positive), left (U's,
+    with the same phases, so T right_i = s_i left_i) and rest (ker T
+    outside ran T, from one more SVD when n > 2r).
     The k = 1 call of ``_nilpotent2_forms``.
     """
     tol = check_positive(tol, "tol")

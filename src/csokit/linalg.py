@@ -7,9 +7,11 @@ one converter of its type, dimension and finiteness; a count by
 ``check_count``, a CapacityError above its cap; a tolerance or another
 positive real by ``check_positive``; an argument of a given type (a
 Conjugation, a Blaschke product, a symbol, a polynomial's dict) by
-``_check_instance``.  Conjugations (conjugate-linear
-isometric involutions) are stored through their symmetric unitary matrix G,
-acting as ``x -> G @ conj(x)``.
+``_check_instance``.  A norm that only decides ||M|| <= cut is taken by
+``_screened_norms``: the Frobenius norm, floored where its sum of squares
+could underflow, and an SVD only where that cannot decide.  Conjugations
+(conjugate-linear isometric involutions) are stored through their
+symmetric unitary matrix G, acting as ``x -> G @ conj(x)``.
 
 Tolerances are relative to the norm of the input with factor DEFAULT_TOL =
 1e-9.  The decisions that the CLI's --tol reaches (``find_conjugation``, the
@@ -140,6 +142,27 @@ def operator_norms(Ms) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
+#: A Frobenius norm at least this large has lost nothing to underflow: its
+#: sum of squares is a normal double with digits to spare.
+FROBENIUS_FLOOR = 2.0**-480
+
+
+def _screened_norms(Ms: np.ndarray, cut: float) -> np.ndarray:
+    """For each M of a (k, m, n) stack, a value that decides ||M|| <= cut.
+
+    ||M|| <= ||M||_F, so where max(||M||_F, FROBENIUS_FLOOR) is at most cut
+    it is the value and M takes no SVD; the floor covers a sum of squares
+    that underflowed.  Every other M gets ||M|| from one batched SVD, with
+    the bits of ``operator_norms``, and a non-finite one its InputError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf: normed below
+        values = np.maximum(np.linalg.norm(Ms, axis=(-2, -1)), FROBENIUS_FLOOR)
+    over = ~(values <= cut)
+    if over.any():
+        values[over] = operator_norms(Ms[over])
+    return values
+
+
 def power_of_two_scaled(M) -> tuple[np.ndarray, int | np.ndarray]:
     """(2^-e M, e) with 2^(e-1) <= max |Re M_ij|, |Im M_ij| < 2^e, and e = 0
     for M = 0 or empty; for a (k, m, n) stack, each matrix by its own e.
@@ -185,7 +208,7 @@ def _tensors(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Each entry is the one product of an entry of A and an entry of B that
     np.kron forms, so each matrix equals its own pair's ``tensor`` bit for
-    bit.
+    bit.  A product with an entry past the largest double is an InputError.
     """
     (k, m, n), (_, p, q) = A.shape, B.shape
     if max(m * p, n * q) > TENSOR_DIM_CAP:
@@ -193,7 +216,11 @@ def _tensors(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"tensor product of shapes {A.shape[1:]} x {B.shape[1:]} exceeds the "
             f"dimension cap {TENSOR_DIM_CAP}"
         )
-    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(k, m * p, n * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(k, m * p, n * q)
+    if not np.isfinite(products).all():
+        raise InputError("tensor product overflows: an entry is past the largest double")
+    return products
 
 
 def tensor(A, B) -> np.ndarray:
@@ -276,12 +303,18 @@ class Conjugation:
             )
 
 
+def _conjugation_matrix(C: Conjugation, n: int) -> np.ndarray:
+    """The matrix G of C, a Conjugation on C^n; else an InputError."""
+    G = _check_instance(C, Conjugation, "C").matrix
+    if len(G) != n:
+        raise InputError(f"size mismatch: conjugation dim {len(G)}, matrix dim {n}")
+    return G
+
+
 def conjugate_by(C: Conjugation, M) -> np.ndarray:
     """The linear map C o M o C, i.e. ``G @ conj(M) @ conj(G)``, of M or each M of a stack."""
-    G = _check_instance(C, Conjugation, "C").matrix
     A = _as_square_matrices(M)
-    if A.shape[-1] != G.shape[0]:
-        raise InputError(f"size mismatch: conjugation dim {G.shape[0]}, matrix dim {A.shape[-1]}")
+    G = _conjugation_matrix(C, A.shape[-1])
     return G @ A.conj() @ G.conj()
 
 

@@ -66,7 +66,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import AccuracyError, CapacityError, EvaluationError, InputError
-from .linalg import TENSOR_DIM_CAP, Conjugation, _check_instance, check_count, operator_norm
+from .linalg import (
+    TENSOR_DIM_CAP,
+    Conjugation,
+    _check_instance,
+    _screened_norms,
+    check_count,
+    operator_norm,
+)
 
 DEFAULT_QUAD = 1024
 QUAD_FLOOR = 64  # quadrature nodes: at least this many,
@@ -364,8 +371,8 @@ class ModelSpace:
 
     def require_resolved(self) -> "ModelSpace":
         """self, or an AccuracyError when gram_residual exceeds GRAM_TOL,
-        decided by _gram_norm: an SVD only when the Frobenius norm exceeds it."""
-        _require_gram_residual(_gram_norm(self._gram_defect))
+        screened by ``_screened_norms``: an SVD only where the Frobenius norm cannot decide."""
+        _require_gram_residual(_screened_norms(self._gram_defect[None], GRAM_TOL)[0])
         return self
 
     def _on_nodes(self, samples, ndims: tuple) -> np.ndarray:
@@ -420,13 +427,6 @@ def _require_gram_residual(residual: float) -> None:
         raise AccuracyError(
             f"basis Gram residual {residual:.3e} above {GRAM_TOL:.1e}; raise quad_points"
         )
-
-
-def _gram_norm(M: np.ndarray) -> float:
-    """||M||, or ||M||_F when that is at most GRAM_TOL: ||M|| <= ||M||_F, so a
-    check against GRAM_TOL decides the same without an SVD."""
-    frobenius = float(np.linalg.norm(M))
-    return frobenius if frobenius <= GRAM_TOL else operator_norm(M)
 
 
 def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -566,9 +566,8 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     reaches Q/2 < K <= Q; the space is refused as unresolved when ||D_Q||,
     the Q-node Gram residual, exceeds GRAM_TOL.  The sum is taken only
     after the chain, so a refused space spends nothing on it.  Each residual
-    is the Frobenius norm first, which bounds the operator norm, and an SVD
-    only when that exceeds GRAM_TOL.  A level whose norm cannot stop the
-    chain takes none: A's eigenvalues are the zeros, so ||A^K||_F^2 >=
+    is screened at GRAM_TOL (``_screened_norms``).  A level whose norm
+    cannot stop the chain takes none: A's eigenvalues are the zeros, so ||A^K||_F^2 >=
     rho^{2K} with rho = max |a_j|, and while rho^{2K} > 2 STEIN_TAIL both
     tests fail (the factor 2 absorbs the rounding of the power and of
     rho^{2K}), so the chain stops where the norm of every level would stop
@@ -583,7 +582,7 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
         P, K = powers[-1], 1 << (len(powers) - 1)
         if DQ is None and 2 * K > Q:  # A^Q from the chain, as matrix_power(A, Q) multiplies it
             DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
-            _require_gram_residual(_gram_norm(DQ))
+            _require_gram_residual(_screened_norms(DQ[None], GRAM_TOL)[0])
         if floor <= 2 * STEIN_TAIL:  # above it, ||P||_F^2 > STEIN_TAIL and neither test passes
             tail = np.vdot(P, P).real  # ||P||_F^2
             if tail <= STEIN_TAIL**2 or (tail <= STEIN_TAIL and 4 * K <= Q):
@@ -618,7 +617,7 @@ def model_conjugation(u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD) -> Co
     C = Conjugation(G)
     defect = G @ G.conj().T
     defect.reshape(-1)[:: n + 1] -= 1.0
-    if _gram_norm(defect) > GRAM_TOL:
+    if _screened_norms(defect[None], GRAM_TOL)[0] > GRAM_TOL:
         raise AccuracyError("conjugation matrix failed its unitarity check; raise quad_points")
     return C
 

@@ -55,6 +55,7 @@ from .indestructible import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    FROBENIUS_FLOOR,
     Conjugation,
     check_count,
     direct_sum,
@@ -93,9 +94,6 @@ def _entry(name: str, claim: str, ok: bool, residuals: dict) -> dict:
     }
 
 
-#: A Frobenius norm at least this large has lost nothing to underflow: its
-#: sum of squares is a normal double with digits to spare.
-_FROBENIUS_FLOOR = 2.0**-480
 #: The relative margin on _largest_norm's bounds, far above the rounding of a
 #: Frobenius norm, of LAPACK's largest singular value and of the bound's own
 #: arithmetic, a few n eps each at these sizes.
@@ -105,11 +103,11 @@ _BOUND_MARGIN = 1e-6
 def _bounds(N: np.ndarray, D) -> np.ndarray:
     """Upper bounds of the ratios ||N_j|| / ||D_j||, or of ||N_j|| for D None (see _largest_norm)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf bounds every case
-        bound = N if N.ndim == 1 else np.maximum(np.linalg.norm(N, axis=(-2, -1)), _FROBENIUS_FLOOR)
+        bound = N if N.ndim == 1 else np.maximum(np.linalg.norm(N, axis=(-2, -1)), FROBENIUS_FLOOR)
         if D is not None:
             fro = np.linalg.norm(D, axis=(-2, -1))
             bound = bound * math.sqrt(min(D.shape[-2:])) / fro
-            bound[~((fro >= 2 * _FROBENIUS_FLOOR) & (fro < math.inf))] = math.inf
+            bound[~((fro >= 2 * FROBENIUS_FLOOR) & (fro < math.inf))] = math.inf
         return bound * (1 + _BOUND_MARGIN)
 
 
@@ -133,7 +131,7 @@ def _largest_norm(terms) -> float:
     and D a stack of k matrices of N's shape.  Since ||M|| <= ||M||_F <=
     sqrt(min(m, n)) ||M||, case j is bounded above by ||N_j||_F
     sqrt(min(m, n)) / ||D_j||_F, times 1 + _BOUND_MARGIN.  In a numerator a
-    Frobenius norm below _FROBENIUS_FLOOR counts as that floor; below twice
+    Frobenius norm below FROBENIUS_FLOOR counts as that floor; below twice
     it in a denominator, or past the largest double, the case is unbounded.
     The case with the largest bound over all the stacks is normed first;
     then each stack, in one batch, norms its cases whose bound exceeds the

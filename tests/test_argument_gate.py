@@ -32,6 +32,7 @@ from csokit.errors import CapacityError, InputError, PreconditionError
 from csokit.indestructible import (
     destructor_witness,
     nilpotent2_tensor_conjugation,
+    shift_coshift_product,
     swap_conjugation,
 )
 from csokit.linalg import (
@@ -42,6 +43,7 @@ from csokit.linalg import (
     conjugate_by,
     operator_norm,
     operator_norms,
+    tensor,
 )
 from csokit.serialize import matrix_to_json
 from csokit.synthesis import synthesize_tto_for_nilpotent2
@@ -97,6 +99,16 @@ MALFORMED_ARGUMENTS = {
 }
 
 
+# each entry point with a finite matrix whose tensor product overflows, which
+# leaked a raw RuntimeWarning, "overflow encountered in multiply", and without
+# the warning filter returned inf entries
+BIG = [[0.0, 1.2e308], [-1.2e308, 0.0]]
+OVERFLOWING_PRODUCTS = {
+    "tensor": lambda: tensor(BIG, BIG),
+    "shift_coshift_product": lambda: shift_coshift_product(Conjugation.identity(2), BIG),
+}
+
+
 @contextlib.contextmanager
 def deadline(seconds: float):
     """Raise TimeoutError in the block once ``seconds`` of wall time pass, so a hang fails."""
@@ -132,6 +144,15 @@ def test_a_malformed_matrix_is_an_input_error(entry, kind):
 def test_a_malformed_polynomial_or_conjugation_is_an_input_error(call):
     with pytest.raises(InputError):
         MALFORMED_ARGUMENTS[call]()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", OVERFLOWING_PRODUCTS)
+def test_an_overflowing_tensor_product_is_an_input_error(call):
+    with pytest.raises(InputError, match="tensor product overflows"):
+        OVERFLOWING_PRODUCTS[call]()
+    with np.errstate(all="ignore"), pytest.raises(InputError, match="tensor product overflows"):
+        OVERFLOWING_PRODUCTS[call]()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from csokit import certify
 from csokit.certify import (
@@ -227,15 +227,17 @@ def kernel_input(kind, n, rng):
 def test_verification_kernel_matches_the_separate_checks_bit_for_bit(kind, n, log_scale, seed):
     # 0x0 and 1x1 included; the stacked SVD runs the same LAPACK routine on
     # each matrix, so its residual and verdict are those of the three checks
-    # made apart, at every tol
+    # made apart, at every tol.  The kernel takes B = A / 2^e, as its callers
+    # pass it: LAPACK rescales an unscaled A of entries near 1e+-150 inside
     A, candidates = kernel_input(kind, n, stream(seed, n))
     A = A * 10.0**log_scale
-    nrm = operator_norm(A)
+    B, _ = power_of_two_scaled(A)
+    nrm = operator_norm(B)
     for C in candidates:
         _, residual = is_c_symmetric(A, C)
         worst = max(C.unitarity_residual(), C.symmetry_residual(), residual)
         for tol, verdict in ((worst, True), (float(np.nextafter(worst, -1.0)), False)):
-            ok, got = certify._verified_residual(A, C, tol, nrm)
+            ok, got = certify._verified_residual(B, C, tol, nrm)
             assert type(got) is float and got == residual
             assert ok is verdict
 
@@ -347,6 +349,57 @@ def test_is_c_symmetric_under_identity():
     assert ok and res <= 1e-15
     ok, res = is_c_symmetric(jordan(3), Conjugation.identity(3))
     assert not ok and res > 0.1
+
+
+def test_is_c_symmetric_checks_the_conjugation_itself():
+    # T = C T* C holds exactly for this G, but ||GG* - I|| = 24: the
+    # certificate's check refuses it, and so must is_c_symmetric
+    T, C = jordan(2), Conjugation([[0.0, 5.0], [1.0, 0.0]])
+    assert is_c_symmetric(T, C) == (False, 0.0)
+    assert certify._verified_residual(T, C, DEFAULT_TOL, operator_norm(T)) == (False, 0.0)
+
+
+def test_is_c_symmetric_scales_t_before_it_subtracts():
+    # T - T^t = 2T overflows: it raised a raw RuntimeWarning, and without the
+    # warning filter an InputError for the inf entries it left
+    T = np.array([[0.0, 1.2e308], [-1.2e308, 0.0]])
+    assert is_c_symmetric(T, Conjugation.identity(2)) == (False, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert is_c_symmetric(T, Conjugation.identity(2)) == (False, 2.0)
+
+
+def test_is_c_symmetric_repeats_the_certificate_of_the_largest_skew_matrix():
+    # the CLI's +-1.5e308 check: the residual was 5.280777248392151e-16 in
+    # the certificate and 5.280777248392149e-16 from is_c_symmetric
+    T = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+    cert = find_conjugation(T)
+    assert cert.verdict == "c_symmetric"
+    assert is_c_symmetric(T, cert.conjugation) == (True, cert.residual)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 10),
+    k=st.sampled_from([-540, -500, 0, 500, 520]),
+)
+def test_is_c_symmetric_repeats_the_certificate_bit_for_bit(seed, n, k):
+    # beyond about 2^+-459 LAPACK rescales an unscaled matrix inside its
+    # SVD, so only a check on T / 2^e can give the certificate's bits
+    T, _ = random_cso(stream(seed, n), n)
+    T = np.ldexp(T.real, k) + 1j * np.ldexp(T.imag, k)
+    cert = find_conjugation(T)
+    assume(cert.verdict == "c_symmetric")
+    assert is_c_symmetric(T, cert.conjugation) == (True, cert.residual)
+
+
+def test_an_underflowing_square_is_not_read_as_order_two():
+    # (T / ||T||)^2 has the one entry 2e-170, whose square underflows in the
+    # Frobenius sum; the floor sends it to the SVD, which refuses it
+    T = [[1e-170, 0.0], [1.0, 1e-170]]
+    with pytest.raises(PreconditionError, match=r"\|\|T\^2\|\| / \|\|T\|\|\^2 = 2\.000e-170"):
+        nilpotent2_splitting(T, tol=1e-200)
 
 
 def test_splitting_couples_left_and_right_vectors():

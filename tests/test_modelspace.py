@@ -21,7 +21,7 @@ from csokit import modelspace
 from csokit.certify import is_c_symmetric
 from csokit.ensembles import random_blaschke, random_poly_symbol, stream
 from csokit.errors import AccuracyError, CapacityError, EvaluationError, InputError
-from csokit.linalg import operator_norm
+from csokit.linalg import _screened_norms, operator_norm
 from csokit.modelspace import (
     BlaschkeProduct,
     GRAM_TOL,
@@ -599,7 +599,7 @@ def doubling_conjugation(u, Q):
         P, K = powers[-1], 1 << (len(powers) - 1)
         if DQ is None and 2 * K > Q:
             DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
-            if modelspace._gram_norm(DQ) > GRAM_TOL:
+            if _screened_norms(DQ[None], GRAM_TOL)[0] > GRAM_TOL:
                 return None
         if np.vdot(P, P).real <= STEIN_TAIL**2:
             break
@@ -615,7 +615,7 @@ def doubling_conjugation(u, Q):
     if DQ is not None:
         G = (eye + DQ) @ G
     G = 0.5 * (G + G.T)
-    return None if modelspace._gram_norm(G @ G.conj().T - eye) > GRAM_TOL else G
+    return None if _screened_norms((G @ G.conj().T - eye)[None], GRAM_TOL)[0] > GRAM_TOL else G
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -963,7 +963,7 @@ def every_level_conjugation(u, quad):
             P, K = powers[-1], 1 << (len(powers) - 1)
             if DQ is None and 2 * K > Q:
                 DQ = _aliasing(reduce(np.matmul, [X for i, X in enumerate(powers) if Q >> i & 1]))
-                modelspace._require_gram_residual(modelspace._gram_norm(DQ))
+                modelspace._require_gram_residual(_screened_norms(DQ[None], GRAM_TOL)[0])
             tail = np.vdot(P, P).real
             if tail <= STEIN_TAIL**2 or (tail <= STEIN_TAIL and 4 * K <= Q):
                 break
@@ -990,7 +990,7 @@ def every_level_conjugation(u, quad):
     if DQ is not None:
         G = (eye + DQ) @ G
     G = 0.5 * (G + G.T)
-    if modelspace._gram_norm(G @ G.conj().T - eye) > GRAM_TOL:
+    if _screened_norms((G @ G.conj().T - eye)[None], GRAM_TOL)[0] > GRAM_TOL:
         return "conjugation matrix failed its unitarity check; raise quad_points"
     return G
 

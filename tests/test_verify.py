@@ -35,7 +35,14 @@ from csokit.indestructible import (
     shift_coshift_product,
     swap_conjugation,
 )
-from csokit.linalg import Conjugation, direct_sum, operator_norm, operator_norms, tensor
+from csokit.linalg import (
+    Conjugation,
+    _screened_norms,
+    direct_sum,
+    operator_norm,
+    operator_norms,
+    tensor,
+)
 from csokit.modelspace import (
     fn_calculus_check,
     model_conjugation,
@@ -141,6 +148,25 @@ def test_the_largest_norm_is_the_maximum_of_the_full_batch_bit_for_bit(seed, sta
             terms.append((numerators if form == "given numerators" else N, D))
     got = verify._largest_norm(terms)
     assert type(got) is float and got.hex() == want.hex()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    cases=st.lists(st.tuples(KINDS, EXPONENTS, st.integers(-1, 1)), min_size=1, max_size=12),
+    cut=st.one_of(st.sampled_from([1e-300, 1e-150, 2.0**-480, 1e-9, 1e-8]), st.floats(1e-300, 1.0)),
+)
+def test_the_norm_screen_decides_each_norm_against_its_cut(seed, shape, cases, cut):
+    # linalg's screen, on the stacks of _largest_norm's test: rank-one
+    # matrices have ||M|| = ||M||_F, and at 2^-540 the Frobenius sum of
+    # squares underflows, where only the floor keeps the value an upper bound
+    rng = stream(seed, 6)
+    M = np.array([drawn_matrix(rng, kind, shape, e + shift) for kind, e, shift in cases])
+    got, want = _screened_norms(M, cut), operator_norms(M)
+    above = got > cut
+    assert got[above].tolist() == want[above].tolist()
+    assert np.all(got[~above] >= want[~above] * (1 - 1e-13))
 
 
 def test_the_largest_norm_norms_each_case_that_its_bound_cannot_rule_out():
