@@ -62,6 +62,7 @@ from .linalg import (
     Conjugation,
     _as_square_matrices,
     _conjugation_matrix,
+    _norms_or_inf,
     _screened_norms,
     as_matrix,
     check_count,
@@ -166,14 +167,15 @@ def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms):
     and ||A|| the same way, and the norms ||A_j - C_j A_j* C_j|| that the residuals divide.
 
     One batched SVD norms the differences, and ``_screened_norms`` GG* - I
-    and G - G^t.  Callers pass A scaled by a power of two, so that no
-    difference overflows.
+    and G - G^t.  Callers pass A scaled by a power of two, so that a
+    difference overflows only where G is far from unitary; an overflowed
+    difference or defect exceeds every tol, and its norm is +inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         unitarity = G @ G.conj().swapaxes(-1, -2) - np.eye(A.shape[-1])
         defects = np.concatenate([unitarity, G - G.swapaxes(-1, -2)])
         differences = _c_differences(A, G)
-    c_norms = operator_norms(differences).tolist()
+    c_norms = _norms_or_inf(differences).tolist()
     defect = _screened_norms(defects, tol).reshape(2, len(A)).max(axis=0).tolist()
     residuals = [c_norm / nrm if nrm > 0 else 0.0 for c_norm, nrm in zip(c_norms, nrms)]
     return [(max(r, d) <= tol, r) for r, d in zip(residuals, defect)], c_norms

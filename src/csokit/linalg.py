@@ -8,8 +8,9 @@ one converter of its type, dimension and finiteness; a count by
 positive real by ``check_positive``; an argument of a given type (a
 Conjugation, a Blaschke product, a symbol, a polynomial's dict) by
 ``_check_instance``.  A norm that only decides ||M|| <= cut is taken by
-``_screened_norms``: the Frobenius norm, floored where its sum of squares
-could underflow, and an SVD only where that cannot decide.  Conjugations
+``_screened_norms``: one Frobenius norm of the whole stack, then each
+matrix's where that cannot decide, floored where a sum of squares could
+underflow, and an SVD only where neither decides.  Conjugations
 (conjugate-linear isometric involutions) are stored through their
 symmetric unitary matrix G, acting as ``x -> G @ conj(x)``.
 
@@ -150,17 +151,42 @@ FROBENIUS_FLOOR = 2.0**-480
 def _screened_norms(Ms: np.ndarray, cut: float) -> np.ndarray:
     """For each M of a (k, m, n) stack, a value that decides ||M|| <= cut.
 
-    ||M|| <= ||M||_F, so where max(||M||_F, FROBENIUS_FLOOR) is at most cut
-    it is the value and M takes no SVD; the floor covers a sum of squares
-    that underflowed.  Every other M gets ||M|| from one batched SVD, with
-    the bits of ``operator_norms``, and a non-finite one its InputError.
+    ||M|| <= ||M||_F, and the Frobenius norm of the whole stack bounds each
+    matrix's, so where that one norm, floored at FROBENIUS_FLOOR against a
+    sum of squares that underflowed, is at most cut it is every value and
+    nothing else is taken.  Otherwise each M gets max(||M||_F, floor) (for
+    a single matrix, that one norm) where that is at most cut, and ||M||
+    from one batched SVD where it is not, with the bits of
+    ``operator_norms``.  A matrix with an entry past the largest double
+    exceeds every cut: its value is +inf, and it takes no SVD.  Neither
+    sum of squares warns when it overflows; its inf (or NaN) goes to the
+    SVD.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf: normed below
-        values = np.maximum(np.linalg.norm(Ms, axis=(-2, -1)), FROBENIUS_FLOOR)
+    bound = max(math.sqrt(np.vdot(Ms, Ms).real), FROBENIUS_FLOOR)  # NaN stays NaN
+    values = np.full(len(Ms), bound)
+    if bound <= cut:
+        return values
+    if len(Ms) > 1:
+        k, m, n = Ms.shape
+        parts = np.ascontiguousarray(Ms).reshape(k, m * n).view(float)
+        values = np.maximum(np.sqrt(np.einsum("ij,ij->i", parts, parts)), FROBENIUS_FLOOR)
     over = ~(values <= cut)
     if over.any():
-        values[over] = operator_norms(Ms[over])
+        values[over] = _norms_or_inf(Ms[over])
     return values
+
+
+def _norms_or_inf(Ms: np.ndarray) -> np.ndarray:
+    """``operator_norms`` of a (k, m, n) stack, and +inf for each matrix with a
+    non-finite entry, an overflowed product whose norm exceeds every cut.
+    A finite stack pays nothing for the test."""
+    try:
+        return operator_norms(Ms)
+    except InputError:  # a non-finite entry
+        finite = np.isfinite(Ms).all(axis=(-2, -1))
+        values = np.full(len(Ms), np.inf)
+        values[finite] = operator_norms(Ms[finite])
+        return values
 
 
 def power_of_two_scaled(M) -> tuple[np.ndarray, int | np.ndarray]:

@@ -10,7 +10,10 @@ compression A_u of multiplication by z has a closed form, and every analytic
 truncated Toeplitz operator (the compression f -> P(phi f)) is phi(A_u), so
 tto_matrix involves no quadrature.  Each BlaschkeProduct builds its A_u once,
 read-only, so tto_matrix, the model conjugation and the cross-checks of one
-u share it.
+u share it.  On u = z^n, whose basis is the monomials, A_u is the nilpotent
+shift and a polynomial phi(A_u) is the lower-triangular Toeplitz matrix of
+phi's first n Taylor coefficients: tto builds it by index, with no A_u, and
+synthesis builds its operators by the same _lower_toeplitz.
 
 The basis of a product uv is the frame K_u + u K_v itself: element
 deg(u) + k of uv's basis is u times element k of v's, identically, so
@@ -311,9 +314,13 @@ class ModelSpace:
         den(A_u) is invertible: its eigenvalues are den at the zeros of u,
         and the poles of phi lie outside the closed disk.  A polynomial
         symbol needs no solve: phi(A_u) is Horner's rule on num / den[0].
-        A phi that is not a Symbol is an InputError.
+        On u = z^n (every zero exactly 0) A_u is the nilpotent shift, and a
+        polynomial phi(A_u) is built without it (see _nilpotent_tto).  A phi
+        that is not a Symbol is an InputError.
         """
         _check_instance(phi, Symbol, "phi")
+        if phi.is_polynomial and not any(self.u.zeros):
+            return _nilpotent_tto(self.dim, phi)
         A = compressed_shift(self.u)
         with np.errstate(over="ignore", invalid="ignore"):
             # num / 1 would move only the signs of zeros, which _horner clears
@@ -321,8 +328,8 @@ class ModelSpace:
                 T = _horner(phi.num if phi.den[0] == 1 else phi.poly, A)
             else:
                 T = np.linalg.solve(_horner(phi.den, A), _horner(phi.num, A))
-        if not np.all(np.isfinite(T)):
-            raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
+        if not np.isfinite(T).all():
+            raise InputError(_TTO_OVERFLOWS)
         return T
 
     @cached_property
@@ -449,6 +456,76 @@ def _horner(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
     return P
 
 
+_TTO_OVERFLOWS = "symbol too badly scaled: its truncated Toeplitz matrix overflows"
+
+
+def _nilpotent_tto(n: int, phi: Symbol) -> np.ndarray:
+    """phi(A_u) for a polynomial phi on u = z^n: the lower-triangular Toeplitz
+    matrix of phi's first n coefficients.
+
+    A_u is then the shift with ones below the diagonal and zeros elsewhere,
+    and each product P @ A_u in Horner's rule only moves coefficients down a
+    diagonal, so this is Horner's matrix byte for byte once + 0.0 clears the
+    signed zeros, and neither A_u nor a product is formed.  It keeps
+    Horner's checks: a degree above TENSOR_DIM_CAP is a CapacityError
+    before any allocation, and where n >= 1 a coefficient num / den[0] that
+    overflowed (which Horner's products carry onto the matrix) is an
+    InputError.  num itself is finite, as Symbol checked.
+    """
+    _check_degree(n)
+    if phi.den[0] == 1:
+        coeffs = phi.num
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = phi.poly
+        if n and not np.isfinite(coeffs).all():
+            raise InputError(_TTO_OVERFLOWS)
+    return _lower_toeplitz(coeffs + 0.0, n)
+
+
+#: _toeplitz_index serves every size up to this from views of one table.
+TOEPLITZ_TABLE = 64
+
+
+def _index_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, strict) for n x n, read-only: index[i, j] = i - j on and
+    below the diagonal and -1 above it, and strict the mask i > j."""
+    index = np.subtract.outer(np.arange(n), np.arange(n))
+    strict = index > 0
+    index[index < 0] = -1
+    index.flags.writeable = strict.flags.writeable = False
+    return index, strict
+
+
+_TABLE = _index_table(TOEPLITZ_TABLE)
+
+
+def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_index_table(n): for n <= TOEPLITZ_TABLE the top-left corners of one
+    table built at import, which hold the same entries, and a table of its
+    own for a larger n, so the memory kept does not grow with n."""
+    if n > TOEPLITZ_TABLE:
+        return _index_table(n)
+    index, strict = _TABLE
+    return index[:n, :n], strict[:n, :n]
+
+
+def _lower_toeplitz(c: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The n x n lower-triangular Toeplitz matrix of c's first n coefficients
+    (those past c's end taken as 0), n = len(c) by default; for a (k, m) c,
+    that of each row, as a stack.
+
+    One gather by _toeplitz_index from c padded with a zero, which the
+    entries above the diagonal (index -1) read: every entry is a copy of a
+    coefficient or +0.
+    """
+    n = c.shape[-1] if n is None else n
+    m = min(n, c.shape[-1])
+    padded = np.zeros(c.shape[:-1] + (n + 1,), dtype=c.dtype)
+    padded[..., :m] = c[..., :m]
+    return padded[..., _toeplitz_index(n)[0]]
+
+
 def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
     """The compression A_u of multiplication by z, in closed form.
 
@@ -467,17 +544,21 @@ def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
     return _check_instance(u, BlaschkeProduct, "u")._compressed_shift
 
 
+def _check_degree(n: int) -> int:
+    """n, or a CapacityError for a degree above TENSOR_DIM_CAP, the size of the n x n shift."""
+    if n > TENSOR_DIM_CAP:
+        raise CapacityError(f"Blaschke degree {n} exceeds the dimension cap {TENSOR_DIM_CAP}")
+    return n
+
+
 def _shift_matrix(a: np.ndarray, c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """A_u for the zero arrays of BlaschkeProduct._zero_arrays, from one
     cumprod down the columns of an array of steps."""
-    n = a.size
-    if n > TENSOR_DIM_CAP:
-        raise CapacityError(f"Blaschke degree {n} exceeds the dimension cap {TENSOR_DIM_CAP}")
+    n = _check_degree(a.size)
     # column j of S is 1 above row j, c_j eps_j at row j and step_i at each
     # row i > j, so the cumprod R has R[i-1, j] = A_ij / c_i for i > j,
     # multiplied in the closed form's order
-    i = np.arange(n)
-    lower = i[:, None] > i
+    lower = _toeplitz_index(n)[1]
     S = np.where(lower, (-np.conj(a) * eps)[:, None], 1.0 + 0j)
     S.reshape(-1)[:: n + 1] = c * eps
     R = S.cumprod(axis=0)

@@ -19,7 +19,6 @@ returned with a recomputable equivalence residual.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import InputError
 from .certify import _nilpotent2_forms, _per_rank, nilpotent2_splitting
 from .linalg import DEFAULT_TOL, as_matrix, check_count, column_phases, operator_norms
-from .modelspace import BlaschkeProduct, Symbol
+from .modelspace import BlaschkeProduct, Symbol, _lower_toeplitz, _toeplitz_index
 
 # realize_modulus: Newton steps per fit, step halvings per fit (and in a row
 # per continuation), and the relative residual that counts as converged.
@@ -90,22 +89,6 @@ def _canonical_rows(W: np.ndarray, r: int) -> np.ndarray:
     return np.concatenate([W[..., :r, :], W[..., 2 * r :, :], W[..., r : 2 * r, :]], axis=-2)
 
 
-# few sizes recur (the fit's r and the operator's 2r + m), and each entry
-# holds 9 n^2 bytes, so only the 16 most recently used sizes are kept
-@functools.lru_cache(maxsize=16)
-def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    k = np.subtract.outer(np.arange(n), np.arange(n))  # entry (i, j) is c[i - j]
-    mask = k >= 0
-    k.flags.writeable = mask.flags.writeable = False
-    return k, mask
-
-
-def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix of c, or of each row of a (k, n) c as a stack."""
-    k, mask = _toeplitz_index(c.shape[-1])
-    return np.where(mask, c[..., k], 0)
-
-
 def realize_modulus(targets) -> ModulusRealization:
     """Analytic operator on the model space of u = z^r with the r given singular values.
 
@@ -158,7 +141,8 @@ def realize_modulus(targets) -> ModulusRealization:
     The closed forms and the fit run on the targets scaled by the power of
     two 2^-e that puts tmax in [1/2, 1), so that no square over- or
     underflows; the coefficients, achieved values and residual are scaled
-    back by 2^e, which is exact.
+    back by 2^e, which is exact.  The targets are checked here once, and
+    _fit_modulus does the rest.
     """
     try:
         t = np.asarray(targets, dtype=float)
@@ -171,14 +155,23 @@ def realize_modulus(targets) -> ModulusRealization:
         raise InputError("need at least one target singular value")
     if np.any(t <= 0) or not np.all(np.isfinite(t)):
         raise InputError("targets must be positive finite reals")
+    return _fit_modulus(t)
+
+
+def _fit_modulus(t: np.ndarray) -> ModulusRealization:
+    """realize_modulus of targets t that are already descending, positive
+    and finite, as the singular values of an order-two splitting are."""
     r = t.size
     e = int(np.frexp(t[0])[1])
     ts = np.ldexp(t, -e)
 
-    def finish(c: np.ndarray, achieved: np.ndarray | None = None) -> ModulusRealization:
+    def finish(
+        c: np.ndarray, achieved: np.ndarray | None = None, residual: float | None = None
+    ) -> ModulusRealization:
         if achieved is None:
             achieved = np.linalg.svd(_lower_toeplitz(c), compute_uv=False)
-        residual = float(np.linalg.norm(achieved - ts))
+        if residual is None:
+            residual = float(np.linalg.norm(achieved - ts))
         return ModulusRealization(
             u=BlaschkeProduct([0.0] * r),
             phi=Symbol(poly=np.ldexp(c, e)),
@@ -199,8 +192,9 @@ def realize_modulus(targets) -> ModulusRealization:
     c = _alternating_hankel(ts.tolist()) if r <= 4 else None
     if c is not None:
         s = np.linalg.svd(_lower_toeplitz(c), compute_uv=False)
-        if np.linalg.norm(s - ts) <= 1e-12 * ts[0]:  # the fit's acceptance
-            return finish(c, s)
+        residual = float(np.linalg.norm(s - ts))
+        if residual <= 1e-12 * ts[0]:  # the fit's acceptance
+            return finish(c, s, residual)
     if c is None:
         c = np.full(r, 0.5 * ts[0])
         c[0] = ts[0]
@@ -289,9 +283,11 @@ def _spectrum(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _spectral_jacobian(Q: np.ndarray) -> np.ndarray:
     """The Jacobian D[k, j] = q_k^T J S^j q_k = sum_{l >= j} Q[r - 1 - l, k] Q[l - j, k]
     in c of the eigenvalues of J L (realize_modulus), from its eigenvectors Q.
-    All r shifts S^j Q are gathered at once by L's own Toeplitz index."""
-    index, mask = _toeplitz_index(len(Q))
-    shifted = np.where(mask[:, :, None], Q[index], 0)  # entry (l, j) is row l of S^j Q
+    All r shifts S^j Q are gathered at once by L's own Toeplitz index, from
+    Q with a zero row below it."""
+    padded = np.zeros((len(Q) + 1, len(Q)))
+    padded[:-1] = Q
+    shifted = padded[_toeplitz_index(len(Q))[0]]  # entry (l, j) is row l of S^j Q
     return (Q[::-1, None, :] * shifted).sum(axis=0).T
 
 
@@ -347,17 +343,19 @@ def _syntheses(A: np.ndarray) -> list[SynthesisResult]:
     the error of its first refused matrix.  The splittings come from one
     ``_nilpotent2_forms`` pass, and W0, with W0 N W0* = [[0,0,0],[0,0,0],
     [B,0,0]], reorders the rows of each form's W (``_canonical_rows``).
-    ``realize_modulus`` fits each matrix's singular values in turn.  The
-    operators, the frame SVDs of the matrices of each rank (one
-    ``_per_rank`` call), W and the equivalence norms are stacked.  A matrix
-    of rank 0 takes the zero operator on the model space of z^n and W = I.
+    ``_fit_modulus`` fits each matrix's singular values in turn; they are
+    descending, positive and finite, so ``realize_modulus``'s checks are not
+    repeated.  The operators, the frame SVDs of the matrices of each rank
+    (one ``_per_rank`` call), W and the equivalence norms are stacked.  A
+    matrix of rank 0 takes the zero operator on the model space of z^n and
+    W = I.
     """
     if not len(A):
         return []
     n = A.shape[-1]
     forms = _nilpotent2_forms(A, DEFAULT_TOL)
     ranks = [form.rank for form in forms]
-    realizations = [realize_modulus(form.singular_values) if form.rank else None for form in forms]
+    realizations = [_fit_modulus(form.singular_values) if form.rank else None for form in forms]
 
     # Symbol u v phi = z^(r+m) phi on the model space of z^(2r+m): T is the
     # lower-triangular Toeplitz matrix of its coefficients, and its block

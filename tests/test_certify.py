@@ -8,6 +8,7 @@ Hand oracles used below:
     with gap |norm(B*BB) - norm(BB*B*)| = |4 - 2| = 2.
 """
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -243,12 +244,6 @@ def test_verification_kernel_matches_the_separate_checks_bit_for_bit(kind, n, lo
 
 
 def test_an_overflowing_residual_is_an_input_error():
-    # ||A|| = 1.5e308 is a double, but A - C A* C = 2A under the flip is not;
-    # find_conjugation passes T / 2^e, where no difference overflows
-    A = np.diag([1.5e308, -1.5e308]).astype(complex)
-    flip = Conjugation(np.eye(2, dtype=complex)[::-1])
-    with pytest.raises(InputError):
-        certify._verified_residual(A, flip, DEFAULT_TOL, operator_norm(A))
     # a T whose norm overflows has no decidable order: refused, not read as
     # order two of rank 0
     T = random_complex(stream(3, 0), 4, 4)
@@ -357,6 +352,25 @@ def test_is_c_symmetric_checks_the_conjugation_itself():
     T, C = jordan(2), Conjugation([[0.0, 5.0], [1.0, 0.0]])
     assert is_c_symmetric(T, C) == (False, 0.0)
     assert certify._verified_residual(T, C, DEFAULT_TOL, operator_norm(T)) == (False, 0.0)
+
+
+def test_an_overflowing_difference_or_defect_is_refused_with_an_infinite_residual():
+    # T and G are finite, but GG* - I and C T* C overflow: each exceeds every
+    # tol, so the verdict is False with residual +inf, where both were an
+    # InputError for the inf entries, and no RuntimeWarning is raised
+    G = Conjugation(1e200 * np.eye(2))
+    assert is_c_symmetric(np.eye(2), G) == (False, math.inf)
+    assert is_c_symmetric(np.zeros((2, 2)), G) == (False, 0.0)
+    # ||A|| = 1.5e308 is a double, but A - C A* C = 2A under the flip is not;
+    # find_conjugation passes T / 2^e, where no difference overflows
+    A = np.diag([1.5e308, -1.5e308]).astype(complex)
+    flip = Conjugation(np.eye(2, dtype=complex)[::-1])
+    assert certify._verified_residual(A, flip, DEFAULT_TOL, operator_norm(A)) == (False, math.inf)
+    # in a stack only the overflowed matrix's norm is +inf
+    checks, c_norms = certify._verified_residuals(
+        np.array([A, np.eye(2)]), np.array([flip.matrix, np.eye(2)]), DEFAULT_TOL, [1.0, 1.0]
+    )
+    assert checks == [(False, math.inf), (True, 0.0)] and c_norms == [math.inf, 0.0]
 
 
 def test_is_c_symmetric_scales_t_before_it_subtracts():

@@ -1087,6 +1087,89 @@ def test_a_polynomial_tto_skips_the_division_by_one_and_keeps_every_byte(num):
         assert T.tobytes() == horner_from_zero(phi.poly, compressed_shift(u)).tobytes()
 
 
+SIGNED_ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0))
+NILPOTENT_SYMBOL_COEFFS = [
+    [2.0 - 1.0j],
+    [0.0],
+    [-0.0 - 0.0j],
+    [0.0, 0.0, 1.0],
+    [1.5, 0.0, -0.0, 0.0, -2.0j],
+    [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0), -3.0],
+    [1e308, -1e308j, complex(-1e308, 1e308), -0.0],
+    [5e-324, complex(-0.0, -5e-324), 1.0],
+    list(np.linspace(-3.0, 3.0, 45) * (1 - 0.5j)),  # longer than every n below
+]
+
+
+def horner_tto(coeffs, A):
+    """tto's Horner path on A: the matrix, or an InputError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = modelspace._horner(coeffs, A)
+        assert T.tobytes() == horner_from_zero(coeffs, A).tobytes()
+    if not np.isfinite(T).all():
+        raise InputError("symbol too badly scaled: its truncated Toeplitz matrix overflows")
+    return T
+
+
+def outcome(f, *args):
+    try:
+        T = f(*args)
+    except InputError as exc:
+        return str(exc)
+    return T.dtype, T.shape, T.tobytes()
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_the_nilpotent_tto_is_horner_s_matrix_byte_for_byte(n):
+    # degrees 0-40 with zeros 0, -0 and their complex signed forms, symbols
+    # longer than n, signed-zero, subnormal and +-1e308 coefficients, divided
+    # by 1, 2 and -0.5j (1e308 / -0.5j overflows): the closed form gives
+    # Horner's bytes on the product's own A_u, or Horner's InputError
+    u = BlaschkeProduct([SIGNED_ZEROS[k % 4] for k in range(n)])
+    A = compressed_shift(BlaschkeProduct([SIGNED_ZEROS[(k + 1) % 4] for k in range(n)]))
+    for coeffs in NILPOTENT_SYMBOL_COEFFS:
+        for den in (None, [1.0], [2.0], [-0.5j]):
+            phi = Symbol(num=coeffs, den=den)
+            with np.errstate(over="ignore", invalid="ignore"):
+                poly = phi.poly
+            assert outcome(tto_matrix, u, phi) == outcome(horner_tto, poly, A), (coeffs, den)
+            assert outcome(tto_matrix, u, phi) == outcome(horner_tto, poly, compressed_shift(u))
+
+
+def test_a_nilpotent_tto_builds_no_shift_and_runs_no_horner(monkeypatch):
+    calls = {"shift": 0, "horner": 0}
+    monkeypatch.setattr(modelspace, "_shift_matrix", counting(calls, "shift", modelspace._shift_matrix))
+    monkeypatch.setattr(modelspace, "_horner", counting(calls, "horner", modelspace._horner))
+    for n in (0, 1, 8, 32, 100):
+        u = BlaschkeProduct([0.0] * n)
+        T = tto_matrix(u, Symbol(poly=[1.0, 2.0, 0.5j]))
+        assert T.shape == (n, n) and "_compressed_shift" not in vars(u)
+    assert calls == {"shift": 0, "horner": 0}
+    # a rational symbol on z^n still solves in A_u
+    tto_matrix(BlaschkeProduct([0.0] * 4), Symbol(num=[1.0], den=[1.0, -0.5]))
+    assert calls == {"shift": 1, "horner": 2}
+
+
+def test_an_overflowing_nilpotent_symbol_is_an_input_error():
+    # 1e308 / 0.5 overflows: the InputError of Horner's path, not a raw
+    # RuntimeWarning, also where the overflowed coefficient is past n; a
+    # degree-0 product has an empty matrix, as Horner's
+    for n, num in ((2, [1e308]), (1, [1.0, 1e308]), (3, [1.0, 0.0, 0.0, 0.0, 1e308])):
+        with pytest.raises(InputError, match="symbol too badly scaled"):
+            tto_matrix(BlaschkeProduct([0.0] * n), Symbol(num=num, den=[0.5]))
+    assert tto_matrix(BlaschkeProduct(()), Symbol(num=[1e308], den=[0.5])).shape == (0, 0)
+
+
+def test_the_toeplitz_index_is_one_table_up_to_its_size_and_its_own_above():
+    for n in (0, 1, 5, modelspace.TOEPLITZ_TABLE, modelspace.TOEPLITZ_TABLE + 3):
+        index, strict = modelspace._toeplitz_index(n)
+        i = np.arange(n)
+        assert np.array_equal(index, np.where(i[:, None] >= i, i[:, None] - i, -1))
+        assert np.array_equal(strict, i[:, None] > i)
+        assert not index.flags.writeable and not strict.flags.writeable
+        assert (index.base is modelspace._TABLE[0]) == (n <= modelspace.TOEPLITZ_TABLE)
+
+
 def test_array_zeros_are_converted_like_a_list():
     zeros = np.array([0.5, -0.25j, 0.0])
     u = BlaschkeProduct(zeros)

@@ -161,12 +161,18 @@ def test_the_norm_screen_decides_each_norm_against_its_cut(seed, shape, cases, c
     # linalg's screen, on the stacks of _largest_norm's test: rank-one
     # matrices have ||M|| = ||M||_F, and at 2^-540 the Frobenius sum of
     # squares underflows, where only the floor keeps the value an upper bound
+    # it is screened as drawn, one matrix at a time (k = 1), and as a stack
+    # of 60 cases that ends in a finite matrix of entries 1e160, whose sum of
+    # squares overflows but which keeps its SVD value
     rng = stream(seed, 6)
     M = np.array([drawn_matrix(rng, kind, shape, e + shift) for kind, e, shift in cases])
-    got, want = _screened_norms(M, cut), operator_norms(M)
-    above = got > cut
-    assert got[above].tolist() == want[above].tolist()
-    assert np.all(got[~above] >= want[~above] * (1 - 1e-13))
+    big = np.full((1, *shape), 1e160, dtype=complex)
+    for stack in (M, *M[:, None], np.concatenate([np.resize(M, (59, *shape)), big])):
+        got, want = _screened_norms(stack, cut), operator_norms(stack)
+        above = got > cut
+        assert got[above].tolist() == want[above].tolist()
+        assert np.all(got[~above] >= want[~above] * (1 - 1e-13))
+    assert got[-1] == want[-1] == operator_norms(big)[0]
 
 
 def test_the_largest_norm_norms_each_case_that_its_bound_cannot_rule_out():
