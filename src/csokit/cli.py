@@ -8,8 +8,9 @@ byte-identical bytes.
 
 Exit codes: certify maps its verdict to 0 (symmetric), 2 (obstructed), or
 3 (inconclusive); malformed input, usage errors included, is 64 everywhere;
-other toolkit errors (precondition, capacity, accuracy) are 65; verify-paper
-exits 1 when any entry fails.
+other toolkit errors (precondition, capacity, accuracy) are 65, among them a
+synthesis whose fit did not converge; verify-paper exits 1 when any entry
+fails.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from . import serialize
 from .certify import find_conjugation, polynomial_obstruction_search, word_obstruction_search
-from .errors import InputError, ToolkitError
+from .errors import AccuracyError, InputError, ToolkitError
 from .indestructible import destructor_witness
 from .linalg import DEFAULT_TOL
 from .modelspace import DEFAULT_QUAD, tto_matrix
@@ -144,6 +145,11 @@ def cmd_tto(args) -> int:
 def cmd_synthesize(args) -> int:
     N = serialize.matrix_from_json(_load_json(args.matrix))
     res = synthesize_tto_for_nilpotent2(N)
+    if not res.converged:  # a rank-0 N always converges, so res.modulus is set
+        raise AccuracyError(
+            f"the TTO fit did not converge: equivalence residual {res.equivalence_residual:.3e} "
+            f"at ||N|| = {res.modulus.target_singular_values[0]:.3e}"
+        )
     _emit(serialize.synthesis_to_json(res), args.out)
     return 0
 

@@ -12,8 +12,8 @@ tto_matrix involves no quadrature.  Each BlaschkeProduct builds its A_u once,
 read-only, so tto_matrix, the model conjugation and the cross-checks of one
 u share it.  On u = z^n, whose basis is the monomials, A_u is the nilpotent
 shift and a polynomial phi(A_u) is the lower-triangular Toeplitz matrix of
-phi's first n Taylor coefficients: tto builds it by index, with no A_u, and
-synthesis builds its operators by the same _lower_toeplitz.
+phi's first n Taylor coefficients: tto copies it from one strided view, with
+no A_u, and synthesis builds its operators by the same _lower_toeplitz.
 
 The basis of a product uv is the frame K_u + u K_v itself: element
 deg(u) + k of uv's basis is u times element k of v's, identically, so
@@ -483,47 +483,22 @@ def _nilpotent_tto(n: int, phi: Symbol) -> np.ndarray:
     return _lower_toeplitz(coeffs + 0.0, n)
 
 
-#: _toeplitz_index serves every size up to this from views of one table.
-TOEPLITZ_TABLE = 64
-
-
-def _index_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, strict) for n x n, read-only: index[i, j] = i - j on and
-    below the diagonal and -1 above it, and strict the mask i > j."""
-    index = np.subtract.outer(np.arange(n), np.arange(n))
-    strict = index > 0
-    index[index < 0] = -1
-    index.flags.writeable = strict.flags.writeable = False
-    return index, strict
-
-
-_TABLE = _index_table(TOEPLITZ_TABLE)
-
-
-def _toeplitz_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_index_table(n): for n <= TOEPLITZ_TABLE the top-left corners of one
-    table built at import, which hold the same entries, and a table of its
-    own for a larger n, so the memory kept does not grow with n."""
-    if n > TOEPLITZ_TABLE:
-        return _index_table(n)
-    index, strict = _TABLE
-    return index[:n, :n], strict[:n, :n]
-
-
 def _lower_toeplitz(c: np.ndarray, n: int | None = None) -> np.ndarray:
     """The n x n lower-triangular Toeplitz matrix of c's first n coefficients
     (those past c's end taken as 0), n = len(c) by default; for a (k, m) c,
     that of each row, as a stack.
 
-    One gather by _toeplitz_index from c padded with a zero, which the
-    entries above the diagonal (index -1) read: every entry is a copy of a
-    coefficient or +0.
+    A copy of a view with strides (s, -s) into c padded to 2n with n zeros
+    in front: entry (i, j) reads padded[n + i - j], a coefficient on and
+    below the diagonal and one of the leading +0 above it.  Every entry is a
+    copy of a coefficient or +0, and no index table is built.
     """
     n = c.shape[-1] if n is None else n
     m = min(n, c.shape[-1])
-    padded = np.zeros(c.shape[:-1] + (n + 1,), dtype=c.dtype)
-    padded[..., :m] = c[..., :m]
-    return padded[..., _toeplitz_index(n)[0]]
+    padded = np.zeros(c.shape[:-1] + (2 * n,), dtype=c.dtype)
+    padded[..., n : n + m] = c[..., :m]
+    *lead, s = padded.strides
+    return np.ndarray((*c.shape[:-1], n, n), padded.dtype, padded, n * s, (*lead, s, -s)).copy()
 
 
 def compressed_shift(u: BlaschkeProduct) -> np.ndarray:
@@ -558,7 +533,8 @@ def _shift_matrix(a: np.ndarray, c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     # column j of S is 1 above row j, c_j eps_j at row j and step_i at each
     # row i > j, so the cumprod R has R[i-1, j] = A_ij / c_i for i > j,
     # multiplied in the closed form's order
-    lower = _toeplitz_index(n)[1]
+    i = np.arange(n)
+    lower = i[:, None] > i
     S = np.where(lower, (-np.conj(a) * eps)[:, None], 1.0 + 0j)
     S.reshape(-1)[:: n + 1] = c * eps
     R = S.cumprod(axis=0)

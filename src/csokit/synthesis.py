@@ -13,9 +13,9 @@ space of u^2 v, whose three-way frame K_u + u K_v + u v K_u makes the matrix
 reproduce the canonical shape exactly.  Every inner function is a power of z,
 so that frame is the monomial basis of the big space in order, and the
 operator is the lower-triangular Toeplitz matrix of u v phi's coefficients,
-built by index with L as its corner block.  One SVD of L gives both frame
-blocks of the unitary W conjugating the built operator onto N, which is
-returned with a recomputable equivalence residual.
+copied from one strided view with L as its corner block.  One SVD of L
+gives both frame blocks of the unitary W conjugating the built operator
+onto N, which is returned with a recomputable equivalence residual.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InputError
 from .certify import _nilpotent2_forms, _per_rank, nilpotent2_splitting
 from .linalg import DEFAULT_TOL, as_matrix, check_count, column_phases, operator_norms
-from .modelspace import BlaschkeProduct, Symbol, _lower_toeplitz, _toeplitz_index
+from .modelspace import BlaschkeProduct, Symbol, _lower_toeplitz
 
 # realize_modulus: Newton steps per fit, step halvings per fit (and in a row
 # per continuation), and the relative residual that counts as converged.
@@ -283,12 +283,10 @@ def _spectrum(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _spectral_jacobian(Q: np.ndarray) -> np.ndarray:
     """The Jacobian D[k, j] = q_k^T J S^j q_k = sum_{l >= j} Q[r - 1 - l, k] Q[l - j, k]
     in c of the eigenvalues of J L (realize_modulus), from its eigenvectors Q.
-    All r shifts S^j Q are gathered at once by L's own Toeplitz index, from
-    Q with a zero row below it."""
-    padded = np.zeros((len(Q) + 1, len(Q)))
-    padded[:-1] = Q
-    shifted = padded[_toeplitz_index(len(Q))[0]]  # entry (l, j) is row l of S^j Q
-    return (Q[::-1, None, :] * shifted).sum(axis=0).T
+    All r shifts S^j q_k are built at once as the lower-triangular Toeplitz
+    matrices of Q's columns, as L is built from c."""
+    shifted = _lower_toeplitz(Q.T)  # entry (k, l, j) is row l of S^j q_k
+    return (Q[::-1].T[:, :, None] * shifted).sum(axis=1)
 
 
 def _spectral_newton(point: tuple, goal: np.ndarray) -> tuple[tuple, bool]:

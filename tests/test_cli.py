@@ -408,6 +408,26 @@ def test_synthesize_subcommand():
     assert out["u_total"]["zeros"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
+# rank-20 targets on which realize_modulus's fit ends unconverged, found by a
+# seeded fuzz (default_rng(2026), spread 30) and written exactly with repr
+UNCONVERGED_TARGETS = [
+    1.0, 0.749947766458616, 0.6995640869587524, 0.632196994600787, 0.6212431945426097,
+    0.5962200354377863, 0.36118744578797957, 0.2831436192309078, 0.2814214918452351,
+    0.275386195717499, 0.2724010412208436, 0.25323709822272666, 0.16863599390879022,
+    0.12580828985007006, 0.11017708942546128, 0.09130333706890728, 0.07929447727771548,
+    0.07722696099504389, 0.06714271074902677, 0.03496395225758699,
+]
+
+
+def test_synthesize_exits_65_on_an_unconverged_fit():
+    # it used to exit 0 and print a reply with "converged": false
+    N = np.zeros((40, 40))
+    N[20:, :20] = np.diag(UNCONVERGED_TARGETS)
+    code, out, err = run_main_output("synthesize", "--matrix", matrix_arg(N))
+    assert (code, out) == (65, "")
+    assert "did not converge: equivalence residual " in err and "||N|| = 1.000e+00" in err
+
+
 def test_synthesize_output_is_byte_deterministic():
     args = ("synthesize", "--matrix", matrix_arg([[0.0, 0.0], [1.5, 0.0]]))
     assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -1160,14 +1160,20 @@ def test_an_overflowing_nilpotent_symbol_is_an_input_error():
     assert tto_matrix(BlaschkeProduct(()), Symbol(num=[1e308], den=[0.5])).shape == (0, 0)
 
 
-def test_the_toeplitz_index_is_one_table_up_to_its_size_and_its_own_above():
-    for n in (0, 1, 5, modelspace.TOEPLITZ_TABLE, modelspace.TOEPLITZ_TABLE + 3):
-        index, strict = modelspace._toeplitz_index(n)
-        i = np.arange(n)
-        assert np.array_equal(index, np.where(i[:, None] >= i, i[:, None] - i, -1))
-        assert np.array_equal(strict, i[:, None] > i)
-        assert not index.flags.writeable and not strict.flags.writeable
-        assert (index.base is modelspace._TABLE[0]) == (n <= modelspace.TOEPLITZ_TABLE)
+def test_a_monomial_tto_holds_little_more_than_its_matrix():
+    # the index table and mask that every size above 64 built took the peak
+    # of z^1024 to 24 MiB, against the 16 MiB of the matrix itself
+    u = BlaschkeProduct([0.0] * 1024)
+    phi = Symbol(num=[1.0, 2.0 - 1j, 0.5j])
+    tracemalloc.start()
+    try:
+        T = tto_matrix(u, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert T.nbytes == 16 << 20 and peak < T.nbytes + (1 << 20)
+    want = scipy.linalg.toeplitz(np.r_[phi.num, np.zeros(1021)], np.zeros(1024))
+    assert np.array_equal(T, want)
 
 
 def test_array_zeros_are_converted_like_a_list():

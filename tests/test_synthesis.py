@@ -105,6 +105,42 @@ def test_lower_toeplitz_equals_scipy_toeplitz():
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def gathered_toeplitz(c, n):
+    """The lower-triangular Toeplitz matrix of c as a gather by the index
+    table i - j (-1 above the diagonal) from c padded to n with a +0 after it."""
+    padded = np.zeros(c.shape[:-1] + (n + 1,), dtype=c.dtype)
+    m = min(n, c.shape[-1])
+    padded[..., :m] = c[..., :m]
+    i = np.arange(n)
+    return padded[..., np.where(i[:, None] >= i, i[:, None] - i, -1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 65, 128])
+def test_lower_toeplitz_is_the_index_gather_byte_for_byte(n):
+    # the strided view must copy each coefficient, its sign of zero included,
+    # and +0 above the diagonal, on both sides of the old table size of 64
+    rng = stream(23, 10, n)
+    c = rng.standard_normal(n)
+    c[::3] = -0.0
+    z = c + 1j * rng.standard_normal(n)
+    for coeffs, size in ((c, n), (z, n), (c[: n // 2 + 1], n), (z, n // 2 + 1), (np.array([c, -c]), n)):
+        got, want = _lower_toeplitz(coeffs, size), gathered_toeplitz(coeffs, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8, 20, 64])
+def test_spectral_jacobian_is_the_gathered_shift_sum_bit_for_bit(r):
+    # the shifts S^j q_k used to be gathered from Q with a zero row below it
+    c = stream(23, 11, r).standard_normal(r)
+    _, _, Q = synthesis._spectrum(c)
+    padded = np.vstack([Q, np.zeros((1, r))])
+    i = np.arange(r)
+    shifted = padded[np.where(i[:, None] >= i, i[:, None] - i, -1)]
+    want = (Q[::-1, None, :] * shifted).sum(axis=0).T
+    assert np.array_equal(synthesis._spectral_jacobian(Q), want)
+
+
 def scaled(t):
     t = np.sort(np.asarray(t, dtype=float))[::-1]
     e = int(np.frexp(t[0])[1])
@@ -192,8 +228,9 @@ def test_newton_fit_forms_a_jacobian_only_where_a_step_reads_it(monkeypatch):
     m = realize_modulus(t)
     assert m.converged and m.residual <= 1e-12
     # one eigh per point, the first the start c0 and every later one a trial,
-    # and one SVD for the reply's singular values
-    assert len(svds) == 1 and len(toeplitz) == len(residuals) + 1
+    # and one SVD for the reply's singular values; each Jacobian builds its
+    # shifts as one more Toeplitz stack
+    assert len(svds) == 1 and len(toeplitz) == len(residuals) + 1 + len(jacobians)
     # a Jacobian before each step: at the start and after each accepted trial
     # but the one that meets the goal
     current, accepted = residuals[0], 0
