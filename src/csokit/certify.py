@@ -12,7 +12,8 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    already exceeds twice tol (and the rounding floor) skips that SVD,
    which could only refuse it.
 2. Transpose-symmetric matrices: G = I.  ||B - B^t|| and the two norms of
-   the xxy screen (3), all at B = T / 2^e, share one batched SVD.
+   the xxy screen (3), all at B = T / 2^e, share one batched SVD; ||B - B^t||
+   joins it only when its Frobenius norm leaves the test open.
 3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above 16 tol
    ||T||^3 rules out every G that could verify at tol, so the certificate
    the word search (5) would return is returned before J(T) is built.
@@ -26,15 +27,20 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    symmetric one a symmetric factor: T is complex symmetric exactly when
    the symmetric half S(T) of J(T) holds an invertible element, and then a
    generic element of S(T) is (Garcia-Putinar 2006, Garcia-Tener 2012).
-   ``unitary_in_subspace`` yields the polar factor of a fixed combination
-   of an orthonormal basis of S(T), then of a second one.
-   ``intertwiner_basis`` spans J(T) by one reduced solve over the
-   eigenvalue clusters of a Hermitian part of T, a 2 n^2 x sum m_i^2
-   system for clusters of sizes m_i: O(n^4) time and 2 n^3 entries on a
-   simple spectrum.  Re T alone is formed unless its spectrum has a
-   cluster; only then are the parts at eight angles built.  A system past
-   the tensor cap is a CapacityError, held until the fallback below has
-   been tried.
+   ``intertwiner_basis`` spans J(T) as U Y_j U^t, U the eigenbasis of a
+   Hermitian part of T, by one reduced solve over its eigenvalue clusters:
+   a 2 n^2 x sum m_i^2 system for clusters of sizes m_i.  Re T alone is
+   formed unless its spectrum has a cluster; only then are the parts at
+   eight angles built.  On a simple spectrum Y is diagonal, and the system
+   keeps its n(n - 1) rows i < j: O(n^4) time and n^3 entries.
+   ``unitary_in_subspace`` then yields the polar factor of a fixed
+   combination of an orthonormal basis of S(T), then of a second one.
+   Where J(T) = span{U diag(y) U^t}, the usual case, that polar factor
+   is U diag(y / |y|) U^t exactly, and is formed with no SVD; a J(T) of
+   dimension k >= 2, or one from a clustered spectrum, has no eigenbasis
+   known in advance for the combination and takes the SVDs.  A system
+   past the tensor cap is a CapacityError, held until the fallback below
+   has been tried.
 5. If no candidate is verified, the word-norm obstruction search over all
    62 words of length at most 5.  A gap counts only above
    max(tol, GAP_FLOOR L n) ||T||^L, so rounding is never an obstruction.
@@ -156,10 +162,11 @@ def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, f
 def _c_differences(A: np.ndarray, G: np.ndarray) -> np.ndarray:
     """A - C A* C for each matrix of a (k, n, n) stack A and G of the conjugations' matrices.
 
-    C A* C = G conj(A*) conj(G), multiplied out as ``conjugate_by`` does,
-    so each difference equals ``A - conjugate_by(C, A.conj().T)`` bit for bit.
+    C A* C = G conj(A*) conj(G) = G A^t conj(G), multiplied out as
+    ``conjugate_by`` does; conj(A*) is A^t bit for bit, so each difference
+    equals ``A - conjugate_by(C, A.conj().T)`` bit for bit.
     """
-    return A - G @ A.conj().swapaxes(-1, -2).conj() @ G.conj()
+    return A - G @ A.swapaxes(-1, -2) @ G.conj()
 
 
 def _verified_residuals(A: np.ndarray, G: np.ndarray, tol: float, nrms):
@@ -367,22 +374,30 @@ def _hermitian_parts(A: np.ndarray, phases: np.ndarray = _PHASES):
     return Zs, 0.5 * (Zs + Zs.conj().transpose(0, 2, 1))
 
 
-def intertwiner_basis(T) -> np.ndarray:
-    """Orthonormal basis of J(T) = {X : T X = X T^t, T* X = X conj(T)}, a (k, n, n) stack.
+def intertwiner_basis(T) -> tuple[np.ndarray, np.ndarray]:
+    """(U, Y): an orthonormal basis U Y_j U^t of J(T) = {X : T X = X T^t, T* X = X conj(T)}.
 
-    J(T) holds every symmetric unitary G with T G = G T^t (for a unitary G
-    that gives T* G = G conj(T)), and is 1-dimensional for an irreducible
-    complex symmetric T.  One reduced solve, on T scaled by a power of two
-    and shifted by (tr T / n) I (neither changes J(T)): each X in J(T) has
+    U is n x n unitary and Y the (k, n, n) stack of orthonormal coordinates,
+    so the members U Y_j U^t are orthonormal too.  J(T) holds every
+    symmetric unitary G with T G = G T^t (for a unitary G that gives
+    T* G = G conj(T)), and is 1-dimensional for an irreducible complex
+    symmetric T.  One reduced solve, on T scaled by a power of two and
+    shifted by (tr T / n) I (neither changes J(T)): each X in J(T) has
     H X = X conj(H) for H = Re(e^{i theta} T) = U diag(w) U*, so
     Y = U* X conj(U) is block diagonal over the clusters of w, and solves
     T'Y = Y T'^t, T'* Y = Y conj(T') with T' = U* T U: a 2 n^2 x sum m_i^2
     system (m_i the cluster sizes), whose null space comes from one QR and
-    one SVD of its R factor; X = U Y U^t.  theta = 0 unless its w has a
-    cluster, else the first of theta = k pi / 8 with the fewest unknowns.
-    Only H at theta = 0 and its ``eigh`` are formed first: the eight parts
-    and their stacked ``eigvalsh`` are built only for a w with a cluster,
-    and on a simple spectrum the unknowns are the diagonal of Y.
+    one SVD of its R factor.  theta = 0 unless its w has a cluster, else
+    the first of theta = k pi / 8 with the fewest unknowns.  Only H at
+    theta = 0 and its ``eigh`` are formed first: the eight parts and their
+    stacked ``eigvalsh`` are built only for a w with a cluster.
+
+    On a simple spectrum Y = diag(y) and the unknowns are y.  There row
+    (i, j) of P Y - Y P^t (P = T' or T'*) is P_ij y_j - P_ji y_i, row (j, i)
+    is its negative and row (i, i) is 0, so the system keeps the n(n - 1)
+    rows i < j: its Gram matrix is half the full one's, its singular values
+    the full ones over sqrt(2), and its null space the same at the cut over
+    sqrt(2).  For n <= 1, J(T) is all of C^{n x n}.
 
     The null cut is DEFAULT_TOL ||T||_F, relative to T (unshifted), where
     the rounding lives, not to the system's largest singular value.
@@ -395,8 +410,8 @@ def intertwiner_basis(T) -> np.ndarray:
     """
     A, _ = power_of_two_scaled(as_matrix(T, square=True))
     n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0, 0), dtype=complex)
+    if n <= 1:  # J(T) is all of C^{n x n}
+        return np.eye(n, dtype=complex), np.ones((n, n, n), dtype=complex)
     null_cut = DEFAULT_TOL * np.linalg.norm(A)
     A = A - np.trace(A) / n * np.eye(n)
     gap_cut = 1e-6 * np.linalg.norm(A)
@@ -406,31 +421,43 @@ def intertwiner_basis(T) -> np.ndarray:
         return labels[..., :, None] == labels[..., None, :]
 
     w, U = np.linalg.eigh(_hermitian_parts(A, _PHASES[:1])[1][0])
-    if np.any(np.diff(w) <= gap_cut):
+    simple = not np.any(np.diff(w) <= gap_cut)
+    if simple:  # every cluster is one eigenvalue, and Y is diagonal
+        rows = cols = np.arange(n)
+    else:
         Hs = _hermitian_parts(A)[1]
         k = int(np.argmin(same_cluster(np.linalg.eigvalsh(Hs)).sum(axis=(1, 2))))
         w, U = np.linalg.eigh(Hs[k])
         rows, cols = np.nonzero(same_cluster(w))
-    else:  # a simple spectrum: every cluster is one eigenvalue, and Y is diagonal
-        rows = cols = np.arange(n)
     m = len(rows)
-    if 2 * n * n * m > TENSOR_DIM_CAP**2:
+    height = n * (n - 1) if simple else 2 * n * n
+    if height * m > TENSOR_DIM_CAP**2:
         raise CapacityError(
-            f"the {2 * n * n} x {m} system for the intertwiner space exceeds the dimension "
+            f"the {height} x {m} system for the intertwiner space exceeds the dimension "
             f"cap: more than {TENSOR_DIM_CAP}^2 entries"
         )
     Tp = U.conj().T @ A @ U
-    # column j is P E_j - E_j P^t for the unit E_j at (rows[j], cols[j]), P = T' and T'*
-    system = np.zeros((m, 2, n, n), dtype=complex)
-    j = np.arange(m)
-    for p, P in enumerate((Tp, Tp.conj().T)):
-        system[j, p, :, cols] += P[:, rows].T
-        system[j, p, rows, :] -= P[:, cols].T
-    _, s, vh = np.linalg.svd(np.linalg.qr(system.reshape(m, -1).T, mode="r"))
+    if simple:  # row (i, j), i < j: P_ij y_j - P_ji y_i, which for P = T'* is conj(T'_ji) y_j - ...
+        i, j = np.nonzero(np.less.outer(rows, rows))
+        upper, lower = Tp[i, j], Tp[j, i]
+        half = np.zeros((2, len(i), n), dtype=complex)
+        r = np.arange(len(i))
+        half[0, r, j], half[0, r, i] = upper, -lower
+        half[1, r, j], half[1, r, i] = lower.conj(), -upper.conj()
+        system = half.reshape(height, m)
+        null_cut /= math.sqrt(2)
+    else:  # column j is P E_j - E_j P^t for the unit E_j at (rows[j], cols[j]), P = T' and T'*
+        full = np.zeros((m, 2, n, n), dtype=complex)
+        j = np.arange(m)
+        for p, P in enumerate((Tp, Tp.conj().T)):
+            full[j, p, :, cols] += P[:, rows].T
+            full[j, p, rows, :] -= P[:, cols].T
+        system = full.reshape(m, height).T
+    _, s, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
     null = vh[s <= null_cut].conj()
     Y = np.zeros((len(null), n, n), dtype=complex)
     Y[:, rows, cols] = null
-    return U @ Y @ U.T
+    return U, Y
 
 
 def hermitian_phase_conjugation(T) -> Conjugation:
@@ -502,20 +529,29 @@ def _order_two_ruled_out(B: np.ndarray, tol: float) -> bool:
     return bound > 2 * max(tol, GAP_FLOOR * n * n)
 
 
-def _screen_norms(B: np.ndarray) -> tuple[float, float]:
-    """(||B - B^t||, the xxy gap of B) for B = T / 2^e, from one batched SVD.
+def _screen_norms(B: np.ndarray, tol: float, nrm: float) -> tuple[float, float]:
+    """(||B - B^t||, the xxy gap of B) for B = T / 2^e and nrm = ||B||, from one batched SVD.
 
-    The gap is | ||xxy|| - ||yxx|| | at (B, B*), the canonical members of
-    the two adjoint classes that ``word_norm_gaps`` norms for xxy, each
-    multiplied out from the identity letter by letter as ``word_products``
-    multiplies it.  The batched SVD takes each matrix as its own SVD takes
-    it, so the first value equals that of ``operator_norm`` and the gap
-    equals ``word_norm_gaps(B, ["xxy"])[0]`` bit for bit.
+    ||B - B^t|| is normed only where it could pass the transpose test
+    ||B - B^t|| <= tol nrm: ||M|| >= ||M||_F / sqrt(n), so a Frobenius norm
+    above 2 sqrt(n) tol nrm puts ||B - B^t|| above twice the cut, past the
+    rounding of both norms, and its value is then +inf, which fails the
+    test as its norm would.  The gap is | ||xxy|| - ||yxx|| | at (B, B*),
+    the canonical members of the two adjoint classes that
+    ``word_norm_gaps`` norms for xxy, each multiplied out from the identity
+    letter by letter as ``word_products`` multiplies it.  The batched SVD
+    takes each matrix as its own SVD takes it, so a normed ||B - B^t||
+    equals that of ``operator_norm`` and the gap equals
+    ``word_norm_gaps(B, ["xxy"])[0]`` bit for bit.
     """
     X, Y = B, B.conj().T
     I = np.eye(len(B), dtype=complex)
-    skew, xxy, yxx = operator_norms([B - B.T, I @ X @ X @ Y, I @ Y @ X @ X]).tolist()
-    return skew, abs(xxy - yxx)
+    stack = [I @ X @ X @ Y, I @ Y @ X @ X]
+    skew = B - B.T
+    if np.linalg.norm(skew) <= 2 * math.sqrt(len(B)) * tol * nrm:
+        stack.append(skew)
+    xxy, yxx, *skews = operator_norms(stack).tolist()
+    return (skews[0] if skews else math.inf), abs(xxy - yxx)
 
 
 def _xxy_obstruction(
@@ -559,8 +595,9 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     "obstructed" by xxy if its gap rules out every G at tol
     (``_xxy_obstruction``, the word search's own certificate, taken before
     J(T) is built); else the polar factors that ``unitary_in_subspace``
-    takes of the symmetric half of the joint intertwiner space J(T)
-    (``intertwiner_basis``), each re-verified before it is reported.  If
+    takes of the symmetric half of the joint intertwiner space J(T), from
+    the eigenbasis and coordinates that ``intertwiner_basis`` gives, each
+    re-verified before it is reported.  If
     none verifies, the word-norm obstruction search runs over every word
     of length at most 5 and a violating word gives "obstructed".  Last, on
     either route, the Hermitian-part phase conjugation is reported if it
@@ -597,7 +634,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
         nrm = operator_norm(B)
     else:
         # ||B - I B* I|| = ||B - B^t||: the transpose test gives G = I's residual
-        skew, gap = _screen_norms(B)
+        skew, gap = _screen_norms(B, tol, nrm)
         if nrm > 0 and skew <= tol * nrm:
             C = Conjugation.identity(len(B))
             return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
@@ -605,7 +642,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
         found = _xxy_obstruction(gap, e, nrm, tol, len(B))
         if found is None:
             try:
-                candidates = unitary_in_subspace(intertwiner_basis(B))
+                candidates = unitary_in_subspace(*intertwiner_basis(B))
             except CapacityError as exc:
                 held, candidates = exc, ()
             for W in candidates:

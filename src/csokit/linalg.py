@@ -199,18 +199,21 @@ def power_of_two_scaled(M) -> tuple[np.ndarray, int | np.ndarray]:
     power of two is exact (barring subnormal entries), so a product of k
     factors of 2^-e M, and its norm, are 2^(-k e) times those of M bit for
     bit, yet neither overflows nor underflows however large or small M is.
-    ``times_power_of_two`` takes such a norm back to M's units.  A stack
-    gives the (k,) array of exponents, and each scaled matrix and exponent
-    equal its own call's bit for bit.
+    ``times_power_of_two`` takes such a norm back to M's units.  Each part
+    is scaled on its own, so signed zeros keep their sign, and where every
+    exponent is 0 the input comes back unchanged (as a C-contiguous array)
+    with no scaling pass: a matrix scaled once costs little to scale
+    again.  A stack gives the (k,) array of exponents, and each scaled
+    matrix and exponent equal its own call's bit for bit.
     """
     A = _as_array(M, "a matrix or a stack of matrices", 2, 3)
-    stack = A if A.ndim == 3 else A[None]
+    stack = np.ascontiguousarray(A if A.ndim == 3 else A[None])
     k, m, n = stack.shape
-    parts = np.ascontiguousarray(stack).reshape(k, m * n).view(float)  # Re and Im of each entry
+    parts = stack.reshape(k, m * n).view(float)  # Re and Im of each entry
     e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
-    down = -e[:, None, None]
-    B = np.ldexp(stack.real, down) + 1j * np.ldexp(stack.imag, down)
-    return (B, e) if A.ndim == 3 else (B[0], int(e[0]))
+    if e.any():
+        stack = np.ldexp(parts, -e[:, None]).view(complex).reshape(k, m, n)
+    return (stack, e) if A.ndim == 3 else (stack[0], int(e[0]))
 
 
 def times_power_of_two(x: float, e: int) -> float:
@@ -258,8 +261,12 @@ def tensor(A, B) -> np.ndarray:
 
 
 def direct_sum(*blocks) -> np.ndarray:
-    """Block-diagonal direct sum; accepts 1x1 blocks as scalars."""
-    mats = [as_matrix(np.atleast_2d(b)) for b in blocks]
+    """Block-diagonal direct sum; accepts 1x1 blocks as scalars and a 1-d block as a row.
+
+    Each block goes through the matrix converter before it is shaped, so a
+    ragged or non-numeric block is an InputError.
+    """
+    mats = [np.atleast_2d(_as_array(b, "a block of at most 2 dimensions", 0, 2)) for b in blocks]
     out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex)
     r = c = 0
     for m in mats:
@@ -344,30 +351,50 @@ def conjugate_by(C: Conjugation, M) -> np.ndarray:
     return G @ A.conj() @ G.conj()
 
 
-def unitary_in_subspace(members: np.ndarray):
-    """Symmetric unitaries from the symmetric half of a linear matrix subspace.
+def unitary_in_subspace(U: np.ndarray, Y: np.ndarray):
+    """Symmetric unitaries from the symmetric half of the subspace spanned by U Y_j U^t.
 
-    ``members`` is a (k, n, n) stack of an orthonormal basis of the
-    subspace.  One SVD of their symmetric halves gives an orthonormal basis
-    S_1, ..., S_m of the halves' span, cut at singular value 1e-8 (each half
-    has norm at most 1); for a subspace closed under transpose, such as
-    J(T), that span is its symmetric part.  If it holds an invertible
-    element, a generic element is invertible, so the polar factor of the
-    fixed combination sum_j e^{2 pi i j phi} / j S_j (phi the golden-ratio
-    conjugate) is yielded, symmetrized, from one more SVD.  For m >= 2 a
-    caller that asks for another gets that of sum_j e^{4 pi i j phi} / j S_j;
-    for m = 0 nothing is yielded.  On a T just past order two at tol the
-    first can miss tol where the second verifies.
+    ``Y`` is a (k, n, n) stack of orthonormal coordinates and ``U`` an n x n
+    unitary, as ``intertwiner_basis`` returns them; the members U Y_j U^t
+    are then orthonormal too.  When k = 1 and Y_1 = diag(y) has no zero
+    entry, the polar factor of U diag(y) U^t is known in closed form: its
+    square X* X is conj(U) diag(|y|^2) U^t, so X = W P with
+    P = conj(U) diag(|y|) U^t and W = U diag(y / |y|) U^t.  That W is
+    yielded, symmetrized, and is the only candidate, with no SVD.  It is
+    the case of a simple spectrum, where J(T) is diagonal in the eigenbasis.
+
+    Any other subspace (k >= 2, or a Y_1 with entries off the diagonal, as a
+    clustered spectrum gives) is formed as the members U Y_j U^t.  One SVD
+    of their symmetric halves gives an orthonormal basis S_1, ..., S_m of the
+    halves' span, cut at singular value 1e-8 (each half has norm at most 1);
+    for a subspace closed under transpose, such as J(T), that span is its
+    symmetric part.  If it holds an invertible element, a generic element
+    is invertible, so the polar factor of the fixed combination
+    sum_j e^{2 pi i j phi} / j S_j (phi the golden-ratio conjugate) is
+    yielded, symmetrized, from one more SVD.  For m >= 2 a caller that asks
+    for another gets that of sum_j e^{4 pi i j phi} / j S_j; for m = 0
+    nothing is yielded.  On a T just past order two at tol the first can
+    miss tol where the second verifies.  Neither case has the closed form:
+    for k >= 2 the combination is known only after the halves' SVD, and
+    the blocks of a clustered Y are not diagonal, so their polar factors
+    take an SVD anyway.
 
     A candidate need not lie in the subspace; callers must verify each one.
     """
-    k, n, _ = members.shape
+    k, n, _ = Y.shape
+    if k == 1:
+        y = np.diagonal(Y[0])
+        if np.count_nonzero(Y[0]) == np.count_nonzero(y) == n:  # diag(y), no zero entry
+            W = (U * (y / np.abs(y))) @ U.T
+            yield 0.5 * (W + W.T)
+            return
+    members = U @ Y @ U.T
     halves = 0.5 * (members + members.transpose(0, 2, 1))
     _, s, vh = np.linalg.svd(halves.reshape(k, n * n), full_matrices=False)
     S = vh[s > 1e-8]
     j = np.arange(1, len(S) + 1)
     for turn in range(1, min(len(S), 2) + 1):
         X = (np.exp(2j * np.pi * turn * _GOLDEN * j) / j) @ S
-        U, _, Vh = np.linalg.svd(X.reshape(n, n))
-        W = U @ Vh
+        left, _, right = np.linalg.svd(X.reshape(n, n))
+        W = left @ right
         yield 0.5 * (W + W.T)

@@ -41,6 +41,7 @@ from csokit.linalg import (
     Conjugation,
     check_count,
     conjugate_by,
+    direct_sum,
     operator_norm,
     operator_norms,
     tensor,
@@ -83,6 +84,8 @@ ENTRIES = {
     "word_products": lambda M: word_products(["xy"], M, M),
     "eval_word": lambda M: eval_word("xy", M, M),
     "matrix_to_json": matrix_to_json,
+    "direct_sum(first block)": lambda M: direct_sum(M, np.eye(2)),
+    "direct_sum(second block)": lambda M: direct_sum(np.eye(2), M),
 }
 STACK_FORMS = {"word_norm_gaps", "operator_norms", "word_products"}
 

@@ -124,15 +124,16 @@ def test_nilpotent_route_takes_each_svd_once(monkeypatch):
     assert shapes["svd"][-1] == (1, 8, 8)
 
 
-def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
+def test_cso_route_takes_a_closed_form_polar_factor_and_one_verification(monkeypatch):
     # the Frobenius bound rules order two out, so the splitting takes no SVD;
-    # ||B|| = ||T / 2^e|| takes one SVD, and ||B - B^t|| and the xxy pair of B
-    # share one of a stack of three; the intertwiner space takes one eigh of Re(B),
-    # whose spectrum is simple here, so no angle stack and no eigvalsh, and
-    # one SVD of its R factor; the symmetric half of J(T) takes one SVD and
-    # its polar factor one, and that factor verifies at once, by one SVD of a
-    # stack of one (unitarity and symmetry pass on their Frobenius norms), so
-    # the phase test's stacked eigh never runs
+    # ||B|| = ||T / 2^e|| takes one SVD, and the xxy pair of B one of a stack
+    # of two, as the Frobenius norm of B - B^t already fails the transpose
+    # test; the intertwiner space takes one eigh of Re(B), whose spectrum is
+    # simple here, so no angle stack and no eigvalsh, and one SVD of its R
+    # factor; J(T) = span{U diag(y) U^t}, whose polar factor
+    # U diag(y / |y|) U^t takes no SVD, and that factor verifies at once, by
+    # one SVD of a stack of one (unitarity and symmetry pass on their
+    # Frobenius norms), so the phase test's stacked eigh never runs
     T, _ = random_cso(stream(2, 1), 6)
     shapes = recording_shapes(monkeypatch, "svd", "eigvalsh", "eigh")
     verifications = []
@@ -146,7 +147,7 @@ def test_cso_route_takes_one_polar_factor_and_one_verification(monkeypatch):
     cert = find_conjugation(T)
     assert cert.verdict == "c_symmetric"
     assert shapes["eigvalsh"] == [] and shapes["eigh"] == [(6, 6)]
-    assert shapes["svd"] == [(6, 6), (3, 6, 6), (6, 6), (1, 36), (6, 6), (1, 6, 6)]
+    assert shapes["svd"] == [(6, 6), (2, 6, 6), (6, 6), (1, 6, 6)]
     assert len(verifications) == 1
 
 
@@ -631,11 +632,19 @@ def test_canonical_blocks_reach_the_operator():
             assert operator_norm(W @ T @ W.conj().T - Y) <= 1e-12 * operator_norm(T)
 
 
+def intertwiners(T):
+    """The (k, n, n) stack of the members U Y_j U^t of ``intertwiner_basis(T)``."""
+    U, Y = intertwiner_basis(T)
+    return U @ Y @ U.T
+
+
 def test_intertwiner_basis_members_intertwine():
     # jordan(3) and a random CSO matrix: each member of the basis solves both
-    # equations of J(T)
+    # equations of J(T), and U is unitary
     for T in (jordan(3), random_cso(stream(11, 13), 3)[0]):
-        basis = intertwiner_basis(T)
+        U, _ = intertwiner_basis(T)
+        assert operator_norm(U @ U.conj().T - np.eye(3)) <= 1e-14
+        basis = intertwiners(T)
         assert basis.size
         gram = np.einsum("iab,jab->ij", basis.conj(), basis)
         assert operator_norm(gram - np.eye(len(basis))) <= 1e-12
@@ -708,14 +717,14 @@ def test_intertwiner_basis_matches_the_kronecker_null_space():
         cases = [random_cso(rng, dim)[0], random_complex(rng, dim, dim)]
         cases += [reducible(kind, dim, rng) for kind in REDUCIBLE if dim >= 4]
         for T in cases:
-            basis, ref = as_vectors(intertwiner_basis(T)), kronecker_joint_space(T)
+            basis, ref = as_vectors(intertwiners(T)), kronecker_joint_space(T)
             assert basis.shape == ref.shape
             P, R = basis @ basis.conj().T, ref @ ref.conj().T
             assert P.size == 0 or np.abs(P - R).max() <= 1e-8
 
 
 def reduced_system_shapes(T):
-    """(basis, shapes of the systems whose QR the reduced solve takes) for T."""
+    """(members, shapes of the systems whose QR the reduced solve takes) for T."""
     shapes = []
     qr = np.linalg.qr
 
@@ -725,28 +734,97 @@ def reduced_system_shapes(T):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "qr", spy)
-        basis = intertwiner_basis(T)
+        basis = intertwiners(T)
     return basis, shapes
 
 
 def test_intertwiner_basis_takes_the_null_space_off_simple_spectra():
     # one 2 n^2 x sum m_i^2 system over the clusters of Re(e^{i theta} T):
-    # jordan(3) has a simple one, rotated J3 (+) J3 three pairs, 2 I_3 (+) J2
-    # a triple, diag(1, 1, 2) a pair at every theta
+    # rotated J3 (+) J3 has three pairs, 2 I_3 (+) J2 a triple, diag(1, 1, 2)
+    # a pair at every theta; jordan(3) has a simple one, whose n(n - 1) x n
+    # system keeps the rows i < j; n <= 1 takes no system at all
     Q = random_unitary(stream(11, 7), 6)
     cases = [
-        (jordan(3), 3),
-        (Q @ direct_sum(jordan(3), jordan(3)) @ Q.conj().T, 12),
-        (direct_sum(2 * np.eye(3), jordan(2)), 11),
-        (np.diag([1.0, 1.0, 2.0]), 5),
+        (jordan(3), (6, 3)),
+        (Q @ direct_sum(jordan(3), jordan(3)) @ Q.conj().T, (72, 12)),
+        (direct_sum(2 * np.eye(3), jordan(2)), (50, 11)),
+        (np.diag([1.0, 1.0, 2.0]), (18, 5)),
     ]
-    for T, unknowns in cases:
+    for T, shape in cases:
         basis, shapes = reduced_system_shapes(T)
-        n = T.shape[0]
-        assert shapes == [(2 * n * n, unknowns)]
+        assert shapes == [shape]
         assert len(basis) == kronecker_joint_space(T).shape[1]
-    basis, shapes = reduced_system_shapes(np.zeros((0, 0)))
-    assert basis.shape == (0, 0, 0) and shapes == []
+    for n in (0, 1):
+        basis, shapes = reduced_system_shapes(np.full((n, n), 3.0))
+        assert basis.shape == (n, n, n) and np.array_equal(basis, np.ones((n, n, n))) and shapes == []
+
+
+def full_system_null_dimension(T):
+    """dim J(T) from the full 2 n^2 x n system on Y = diag(y), at the cut DEFAULT_TOL ||T||_F.
+
+    It takes U from ``intertwiner_basis`` and every row (a, b) of
+    P diag(y) - diag(y) P^t for P = U* T' U and its adjoint, T' scaled and
+    shifted by its trace as the solve takes it; the half system drops the
+    rows a >= b.
+    """
+    A, _ = power_of_two_scaled(T)
+    n = len(A)
+    null_cut = DEFAULT_TOL * np.linalg.norm(A)
+    U, _ = intertwiner_basis(T)
+    Tp = U.conj().T @ (A - np.trace(A) / n * np.eye(n)) @ U
+    a, b = np.divmod(np.arange(n * n), n)
+    rows = []
+    for P in (Tp, Tp.conj().T):
+        block = np.zeros((n * n, n), dtype=complex)
+        block[np.arange(n * n), b] += P[a, b]
+        block[np.arange(n * n), a] -= P[b, a]
+        rows.append(block)
+    return int(np.count_nonzero(np.linalg.svd(np.vstack(rows), compute_uv=False) <= null_cut))
+
+
+def test_the_half_system_keeps_the_null_space_of_the_full_one():
+    # on simple spectra, at and near the null cut: random CSO and generic
+    # matrices, jordan(3), the trace-shifted CSO of the shift test, and the
+    # CSO of the near-CSO test plus 1e-10 of noise (J(T) kept) and 1e-8
+    # (J(T) empty, as that test has it)
+    rng = stream(11, 15)
+    T6, _ = random_cso(stream(11, 10), 6)
+    rng8 = stream(11, 12)
+    C8, _ = random_cso(rng8, 8)
+    E8 = random_complex(rng8, 8, 8)
+    cases = [
+        (random_cso(rng, 5)[0], 1),
+        (random_complex(rng, 5, 5), 0),
+        (jordan(3), 1),
+        (1e8 * operator_norm(T6) * np.eye(6) + T6, 1),
+        (C8 + 1e-10 * operator_norm(C8) / operator_norm(E8) * E8, 1),
+        (C8 + 1e-8 * operator_norm(C8) / operator_norm(E8) * E8, 0),
+    ]
+    for T, dim in cases:
+        _, shapes = reduced_system_shapes(T)
+        n = len(T)
+        assert shapes == [(n * (n - 1), n)]  # a simple spectrum: the half system
+        assert len(intertwiner_basis(T)[1]) == full_system_null_dimension(T) == dim
+        assert kronecker_joint_space(T).shape[1] == dim
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_the_closed_form_polar_factor_is_the_svd_one(n, seed):
+    # a rotated CSO matrix has a simple spectrum and J(T) = span{U diag(y) U^t}:
+    # its candidate U diag(y / |y|) U^t verifies at DEFAULT_TOL and is the
+    # polar factor the SVDs of the symmetric half and of the combination give
+    # (asked of the same member in the standard basis), up to one unimodular factor
+    T, _ = random_cso(stream(seed, 16), n)
+    U, Y = intertwiner_basis(T)
+    assert len(Y) == 1 and np.count_nonzero(Y[0]) == np.count_nonzero(np.diagonal(Y[0])) == n
+    (W,) = unitary_in_subspace(U, Y)
+    ok, residual = is_c_symmetric(T, Conjugation(W))
+    assert ok and residual <= DEFAULT_TOL
+    (P,) = unitary_in_subspace(np.eye(n), U @ Y @ U.T)
+    c = np.vdot(P, W) / n
+    assert abs(abs(c) - 1) <= 1e-12
+    assert np.abs(W - c / abs(c) * P).max() <= 1e-12
 
 
 def test_intertwiner_basis_cuts_the_null_space_relative_to_t():
@@ -756,13 +834,13 @@ def test_intertwiner_basis_cuts_the_null_space_relative_to_t():
     Q = random_unitary(stream(11, 9), 3)
     for s in (1.0, 1e3, 1e8):
         T = Q @ (s * np.eye(3)) @ Q.conj().T
-        basis = intertwiner_basis(T)
+        basis = intertwiners(T)
         assert len(basis) >= 1
         G = basis[0]
         assert operator_norm(T @ G - G @ T.T) <= 1e-12 * s * operator_norm(G)
         # diag(s, s, s + 1) rotated: J is M_2 (+) C in the eigenbasis, dimension 5
         T = Q @ np.diag([s, s, s + 1.0]) @ Q.conj().T
-        assert len(intertwiner_basis(T)) == kronecker_joint_space(T).shape[1] == 5
+        assert len(intertwiner_basis(T)[1]) == kronecker_joint_space(T).shape[1] == 5
 
 
 def test_intertwiner_basis_shifts_out_the_trace():
@@ -770,7 +848,7 @@ def test_intertwiner_basis_shifts_out_the_trace():
     # every eigenvalue of Re(T) within 1e-6 ||T|| of the next, one n^2 cluster
     T, _ = random_cso(stream(11, 10), 6)
     basis, shapes = reduced_system_shapes(1e8 * operator_norm(T) * np.eye(6) + T)
-    assert shapes == [(72, 6)]
+    assert shapes == [(30, 6)]
     assert len(basis) == 1
 
 
@@ -803,17 +881,17 @@ def test_only_a_clustered_spectrum_takes_the_angle_stack(monkeypatch):
     Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     s_plus_s = Q @ np.kron(np.eye(2), Z + Z.T) @ Q.conj().T
-    assert len(intertwiner_basis(s_plus_s)) == 4
+    assert len(intertwiner_basis(s_plus_s)[1]) == 4
     assert shapes["eigvalsh"] == [(8, 8, 8)]
     assert find_conjugation(s_plus_s).verdict == "c_symmetric"
     shapes["eigvalsh"].clear()
     J2 = jordan(2)
-    assert len(intertwiner_basis(rotated(stream(11, 8), direct_sum(J2, J2, J2, J2)))) == 16
+    assert len(intertwiner_basis(rotated(stream(11, 8), direct_sum(J2, J2, J2, J2)))[1]) == 16
     assert shapes["eigvalsh"] == [(8, 8, 8)]
     shapes["eigvalsh"].clear()
     stacked.clear()
     T, _ = random_cso(stream(11, 14), 8)
-    assert len(intertwiner_basis(T)) == 1
+    assert len(intertwiner_basis(T)[1]) == 1
     assert find_conjugation(T).verdict == "c_symmetric"
     assert shapes["eigvalsh"] == [] and stacked == [1, 1]
 
@@ -873,7 +951,7 @@ def test_near_cso_matrices_keep_their_verified_phase_conjugation():
     T, _ = random_cso(rng, 8)
     E = random_complex(rng, 8, 8)
     T = T + 1e-8 * operator_norm(T) / operator_norm(E) * E
-    assert intertwiner_basis(T).shape == (0, 8, 8)
+    assert intertwiner_basis(T)[1].shape == (0, 8, 8)
     cert = find_conjugation(T, tol=1e-6)
     assert cert.verdict == "c_symmetric" and cert.residual <= 1e-6
     assert np.array_equal(cert.conjugation.matrix, hermitian_phase_conjugation(T).matrix)
@@ -888,7 +966,7 @@ def test_a_nilpotent_just_past_order_two_is_certified_by_the_second_polar_candid
     N = random_nilpotent2(rng, 9)
     E = random_complex(rng, 9, 9)
     T = N + 2e-9 * operator_norm(N) / operator_norm(E) * E
-    first, second = unitary_in_subspace(intertwiner_basis(T))
+    first, second = unitary_in_subspace(*intertwiner_basis(T))
     assert not is_c_symmetric(T, Conjugation(first))[0]
     assert not is_c_symmetric(T, hermitian_phase_conjugation(T))[0]
     cert = find_conjugation(T)
@@ -957,7 +1035,7 @@ def test_huge_entries_raise_no_warning():
         warnings.simplefilter("error")
         cert = find_conjugation(T)
         G = hermitian_phase_conjugation(T)
-        basis = intertwiner_basis(T)
+        basis = intertwiners(T)
     assert cert.verdict == "c_symmetric" and cert.residual <= DEFAULT_TOL
     assert np.array_equal(G.matrix, hermitian_phase_conjugation(np.ldexp(T, -1000)).matrix)
     assert basis.shape == (1, 2, 2)
@@ -1156,7 +1234,7 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
     tol = max(residual, C.unitarity_residual(), C.symmetry_residual())
     assert certify._verified_residual(T, C, tol, operator_norm(T))[0]
     B, e = power_of_two_scaled(T)
-    gap = certify._screen_norms(B)[1]
+    gap = certify._screen_norms(B, tol, operator_norm(B))[1]
     assert certify._xxy_obstruction(gap, e, operator_norm(B), tol, dim) is None
 
 
@@ -1170,7 +1248,9 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
 def test_the_screen_batch_gives_the_word_search_xxy_gap_bit_for_bit(kind, n, log_scale, seed):
     # ||B - B^t|| and the xxy pair of B = T / 2^e share one SVD batch; each
     # value must be the one its own call gives, so that an xxy certificate
-    # from the screen is the word search's bit for bit
+    # from the screen is the word search's bit for bit; at a tol whose cut
+    # the Frobenius norm of B - B^t leaves open it is normed, and it is
+    # +inf only where its norm is past the cut
     rng = stream(seed, n)
     if kind == "cso":
         T = random_cso(rng, n)[0]
@@ -1182,9 +1262,49 @@ def test_the_screen_batch_gives_the_word_search_xxy_gap_bit_for_bit(kind, n, log
         T = N + 1e-10 * operator_norm(N) / operator_norm(E) * E
     T = 10.0**log_scale * T
     B, _ = power_of_two_scaled(T)
-    skew, gap = certify._screen_norms(B)
+    nrm = operator_norm(B)
+    skew, gap = certify._screen_norms(B, 1.0, nrm)
     assert skew == operator_norm(B - B.T)
     assert gap == word_norm_gaps(B, ["xxy"])[0]
+    skew, gap = certify._screen_norms(B, DEFAULT_TOL, nrm)
+    if skew == math.inf:
+        assert operator_norm(B - B.T) > DEFAULT_TOL * nrm
+    else:
+        assert skew == operator_norm(B - B.T)
+    assert gap == word_norm_gaps(B, ["xxy"])[0]
+
+
+def test_the_screen_norms_skew_only_where_the_transpose_test_is_open():
+    # B = S + d K with S symmetric and K skew, d across the cut: the screen
+    # takes ||B - B^t|| by SVD only where its Frobenius norm leaves
+    # ||B - B^t|| <= tol ||B|| open, and its +inf elsewhere gives the SVD's
+    # decision; G = I is the certificate exactly where that decision passes
+    rng = stream(11, 16)
+    for n in (2, 3, 8, 16):
+        S, K = random_complex(rng, n, n), random_complex(rng, n, n)
+        S, K = S + S.T, (K - K.T) / operator_norm(K - K.T)
+        for log_d in np.arange(-11.0, -7.0, 0.25):
+            B, _ = power_of_two_scaled(S + 10.0**log_d * operator_norm(S) * K)
+            nrm = operator_norm(B)
+            skew = certify._screen_norms(B, DEFAULT_TOL, nrm)[0]
+            passes = operator_norm(B - B.T) <= DEFAULT_TOL * nrm
+            assert (skew <= DEFAULT_TOL * nrm) == passes
+            assert skew == operator_norm(B - B.T) or skew == math.inf
+            C = find_conjugation(B).conjugation
+            assert (C is not None and np.array_equal(C.matrix, np.eye(n))) == passes
+
+
+def test_the_c_differences_are_the_conjugate_by_differences_bit_for_bit():
+    # conj(A*) is A^t bit for bit, so G A^t conj(G) is what conjugate_by
+    # multiplies out of A*, on a stack and on each matrix alone
+    rng = stream(11, 17)
+    A = random_complex(rng, 5, 7, 7)
+    G = np.array([random_cso(rng, 7)[1].matrix for _ in range(5)])
+    stacked = certify._c_differences(A, G)
+    for j in range(5):
+        want = A[j] - conjugate_by(Conjugation(G[j]), A[j].conj().T)
+        assert stacked[j].tobytes() == want.tobytes()
+        assert certify._c_differences(A[j][None], G[j][None])[0].tobytes() == want.tobytes()
 
 
 def rotated_cso_2026():

@@ -92,6 +92,15 @@ def test_direct_sum_places_blocks():
     assert direct_sum().shape == (0, 0)
 
 
+def test_direct_sum_refuses_a_ragged_block_as_an_input_error():
+    # np.atleast_2d ran before the converter, so a ragged block leaked
+    # numpy's bare ValueError
+    with pytest.raises(InputError, match="a block of at most 2 dimensions"):
+        direct_sum(np.eye(2), [[1, 2], [3]])
+    with pytest.raises(InputError, match="ndim 3"):
+        direct_sum(np.zeros((2, 2, 2)))
+
+
 def test_direct_sum_equals_scipy_block_diag():
     rng = stream(1, 9)
     cases = [
@@ -158,6 +167,18 @@ def test_power_of_two_scaled_takes_its_exponent_from_the_largest_part(scale):
     assert 2.0 ** (e - 1) <= top < 2.0**e
     assert np.array_equal(np.ldexp(A.real, e), M.real) and np.array_equal(np.ldexp(A.imag, e), M.imag)
     assert 0.5 <= operator_norm(A) < np.sqrt(2) * 6
+
+
+def test_power_of_two_scaled_keeps_the_bits_of_an_input_in_range():
+    # every part in (-1, 1) and one of magnitude at least 1/2: e = 0, and the
+    # input comes back with its bits, signed zeros included, which the sum
+    # Re + 1j Im that scaled it once turned into +0; in a stack, the matrix
+    # 4 M is scaled back to M's bits
+    M = np.array([[-0.0, 0.75, 0.5, -0.0], [-0.0, -0.0, -0.25, 1e-310]]).view(complex)
+    A, e = power_of_two_scaled(M)
+    assert e == 0 and A.tobytes() == M.tobytes()
+    A, e = power_of_two_scaled(np.array([M, (4 * M.view(float)).view(complex)]))
+    assert e.tolist() == [0, 2] and A.tobytes() == np.array([M, M]).tobytes()
 
 
 def test_power_of_two_scaled_keeps_zero_and_empty_at_exponent_zero():
@@ -243,7 +264,7 @@ def test_unitary_in_subspace_yields_a_symmetric_unitary_in_the_span():
     for n in (2, 3, 4):
         I = np.eye(n, dtype=complex)
         members = orthonormal_stack(I, I[::-1])
-        W = next(unitary_in_subspace(members))
+        W = next(unitary_in_subspace(np.eye(n), members))
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12
         assert operator_norm(W - W.T) <= 1e-12
         assert in_span(members, W) <= 1e-12
@@ -254,8 +275,8 @@ def test_unitary_in_subspace_yields_nothing_from_a_skew_subspace():
     n = 3
     skew = np.zeros((n, n), dtype=complex)
     skew[0, 1], skew[1, 0] = 1j, -1j
-    assert list(unitary_in_subspace(skew[None] / np.sqrt(2))) == []
-    assert list(unitary_in_subspace(np.zeros((0, n, n), dtype=complex))) == []
+    assert list(unitary_in_subspace(np.eye(n), skew[None] / np.sqrt(2))) == []
+    assert list(unitary_in_subspace(np.eye(n), np.zeros((0, n, n), dtype=complex))) == []
 
 
 def test_unitary_in_subspace_yields_a_second_candidate_only_when_asked(monkeypatch):
@@ -270,7 +291,7 @@ def test_unitary_in_subspace_yields_a_second_candidate_only_when_asked(monkeypat
     svd = np.linalg.svd
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    search = unitary_in_subspace(members)
+    search = unitary_in_subspace(np.eye(n), members)
     first = next(search)
     assert len(calls) == 2
     second = next(search)
@@ -278,4 +299,25 @@ def test_unitary_in_subspace_yields_a_second_candidate_only_when_asked(monkeypat
     assert next(search, None) is None
     for W in (first, second):
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-12 and in_span(members, W) <= 1e-12
-    assert len(list(unitary_in_subspace(I[None] / np.sqrt(n)))) == 1
+    assert len(list(unitary_in_subspace(I, I[None, ::-1] / np.sqrt(n)))) == 1
+
+
+def test_unitary_in_subspace_takes_a_diagonal_member_in_closed_form(monkeypatch):
+    # J(T) = span{U diag(y) U^t}: the polar factor U diag(y / |y|) U^t comes
+    # with no SVD; a zero entry of y, a Y_1 off the diagonal and k = 2 take
+    # the SVDs of the halves and of the combination
+    n = 4
+    U = random_unitary(stream(1, 14), n)
+    y = np.array([1.0, -2j, 0.5 + 0.5j, 3.0])
+    Y = np.diag(y / np.linalg.norm(y))[None]
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    (W,) = unitary_in_subspace(U, Y)
+    assert calls == []
+    assert np.allclose(W, U @ np.diag(y / np.abs(y)) @ U.T, rtol=0, atol=1e-14)
+    assert np.array_equal(W, W.T)
+    flip = np.eye(n)[::-1] / np.sqrt(n)
+    for Z in (np.diag([1.0, 0.0, 1.0, 1.0])[None] / np.sqrt(3), flip[None], orthonormal_stack(Y[0], flip)):
+        calls.clear()
+        assert len(list(unitary_in_subspace(U, Z))) >= 1 and calls
