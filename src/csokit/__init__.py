@@ -22,7 +22,7 @@ from .certify import (
     canonical_block_decomposition,
     find_conjugation,
     nilpotent2_splitting,
-    polynomial_obstruction_search,
+    trace_obstruction_search,
     word_obstruction_search,
 )
 from .indestructible import DestructorCertificate, destructor_witness, nilpotent2_tensor_conjugation
@@ -67,9 +67,9 @@ __all__ = [
     "modelspace_decompose",
     "nilpotent2_splitting",
     "nilpotent2_tensor_conjugation",
-    "polynomial_obstruction_search",
     "run_suite_with_determinism",
     "synthesize_tto_for_nilpotent2",
+    "trace_obstruction_search",
     "tto_matrix",
     "verify_hankel_factorization",
     "word_obstruction_search",

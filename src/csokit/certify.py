@@ -62,8 +62,8 @@ import numpy as np
 from .errors import CapacityError, InputError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
-    SEARCH_SAMPLES_CAP,
     TENSOR_DIM_CAP,
+    TRACE_DIM_CAP,
     WORD_LEN_CAP,
     Conjugation,
     _as_square_matrices,
@@ -83,8 +83,6 @@ from .linalg import (
 )
 from .words import (
     _validated_words,
-    normalize_poly,
-    random_polynomial,
     swap_letters,
     validate_word,
     word_products,
@@ -667,9 +665,9 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     return CsoCertificate("inconclusive", residual=residual)
 
 
-#: Matrix entries per batch (4 MB of complex128): the searches take words
-#: and polynomials in batches whose n x n products hold at most this many
-#: entries, so a long max_len or many samples cost time, not memory.
+#: Matrix entries per batch (4 MB of complex128): the word search takes
+#: words in batches whose n x n products hold at most this many entries, so
+#: a long max_len costs time, not memory.
 BATCH_ENTRIES = 1 << 18
 
 
@@ -731,30 +729,6 @@ def _word_norm_gaps(A: np.ndarray, words: list[str]) -> np.ndarray:
     return np.array([abs(norms[pair[0]] - norms[pair[1]]) if pair else zero for pair in pairs])
 
 
-def _polynomial_norm_gaps(A: np.ndarray, polys) -> np.ndarray:
-    """polynomial_norm_gap of each polynomial, from one word table and one batched SVD.
-
-    The sums run term by term in eval_poly's order, so each gap equals the
-    one from eval_poly and operator_norm bit for bit.
-    """
-    polys = [normalize_poly(p) for p in polys]
-    words = [w for p in polys for w in p]
-    table = list(dict.fromkeys([*words, *map(swap_letters, words)]))
-    products = dict(zip(table, word_products(table, A, A.conj().T)))
-    sums = np.zeros((len(polys), 2, *A.shape), dtype=complex)
-    for pair, p in zip(sums, polys):
-        for word, coeff in p.items():
-            pair[0] = pair[0] + coeff * products[word]
-            pair[1] = pair[1] + coeff.conjugate() * products[swap_letters(word)]
-    norms = operator_norms(sums.reshape(2 * len(polys), *A.shape)).reshape(-1, 2)
-    return np.abs(norms[:, 0] - norms[:, 1])
-
-
-def polynomial_norm_gap(p: dict[str, complex], T) -> float:
-    """| ||p(T,T*)|| - ||ptilde(T*,T)|| | with ptilde the coefficientwise conjugate."""
-    return float(_polynomial_norm_gaps(as_matrix(T, square=True), [p])[0])
-
-
 def word_obstruction_search(
     T, max_len: int = 5, tol: float = DEFAULT_TOL
 ) -> tuple[str, float] | None:
@@ -803,52 +777,120 @@ def _gap_in_units(word: str, unit_gap: float, unit_nrm: float, e: int) -> float:
     return gap
 
 
-def polynomial_obstruction_search(
-    T, samples: int = 256, max_len: int = 5, seed: int = 0, tol: float = DEFAULT_TOL
-) -> dict:
-    """Sampled search for a polynomial norm-identity violation on T.
+#: The trace search's words: of each class of lengths 6-8 under rotation and
+#: reversal whose reversal is not a rotation of it, the first word in
+#: ``words_of_length`` order.  tr w(T, T*) is the same for every rotation of
+#: w, so every other word of length at most 8, and every word of length at
+#: most 5, has tr w = tr rev w for every T.  Written out: deriving them takes
+#: 3.7 ms, which every import would pay.
+TRACE_WORDS = (
+    "xxyxyy",
+    "xxxyxyy",
+    "xxyxyyy",
+    "xxxxyxyy",
+    "xxxyxxyy",
+    "xxxyxyyy",
+    "xxyxyxyy",
+    "xxyxyyyy",
+    "xxyyxyyy",
+)
 
-    Returns search statistics and the best candidate found.  A gap above
-    max(tol, GAP_FLOOR L n) sum |c_w| ||T||^len(w), L the longest word of the
-    polynomial, certifies that T is not complex symmetric; finding none says
-    nothing either way, and the result never claims more.  The samples'
-    gaps are computed a batch at a time from one word table per batch.
 
-    A polynomial mixes word lengths, so T cannot be rescaled as in the word
-    search.  A T with ||T||^max_len outside the normal doubles, whose word
-    products would overflow or lose their digits, raises PreconditionError
-    naming ||T||.  More than SEARCH_SAMPLES_CAP samples, or a max_len above
-    WORD_LEN_CAP, is a CapacityError, raised before any draw.
+def _float_trace_gaps(B: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
+    """|tr w(B, B*) - tr rev w(B, B*)| for each word, in floating point."""
+    products = word_products([*words, *(w[::-1] for w in words)], B, B.conj().T)
+    traces = np.trace(products, axis1=1, axis2=2)
+    return np.abs(traces[: len(words)] - traces[len(words) :])
+
+
+def _gaussian_integers(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, I): object arrays of Python ints with A = (R + i I) / D for a power of two D.
+
+    Each part of a double is m / 2^k exactly (``float.as_integer_ratio``)
+    and D is the largest such 2^k, so no entry is rounded, flushed or
+    overflowed, however widely the entries of A are spread.
     """
-    seed = check_count(seed, "seed", least=0)
+    ratios = [x.as_integer_ratio() for x in A.real.ravel().tolist() + A.imag.ravel().tolist()]
+    D = max(den for _, den in ratios)
+    ints = np.empty(len(ratios), dtype=object)
+    ints[:] = [num * (D // den) for num, den in ratios]
+    R, I = ints.reshape(2, *A.shape)
+    return R, I
+
+
+def _exact_trace(word: str, letters: dict) -> tuple[int, int]:
+    """tr w exactly, as (Re, Im) ints, with ``letters`` mapping x and y to (Re, Im) int arrays.
+
+    All but the last letter are multiplied out, each product from three real
+    object-array matmuls (Gauss); the last letter enters only the trace,
+    tr(P Z) = sum P * Z^t.
+    """
+    Pr, Pi = letters[word[0]]
+    for letter in word[1:-1]:
+        Zr, Zi = letters[letter]
+        rr, ii = Pr @ Zr, Pi @ Zi
+        Pr, Pi = rr - ii, (Pr + Pi) @ (Zr + Zi) - rr - ii
+    Zr, Zi = letters[word[-1]]
+    return (Pr * Zr.T - Pi * Zi.T).sum(), (Pr * Zi.T + Pi * Zr.T).sum()
+
+
+def trace_obstruction_search(
+    T, tol: float = DEFAULT_TOL
+) -> tuple[str, float, float] | None:
+    """(w, |D_w| / ||T||_F^L, n L (4t + t^2)) for a trace word w whose gap rules out every G.
+
+    For a word w of length L, D_w(T) = tr w(T, T*) - tr rev w(T, T*).
+    Transposing a product reverses it, so tr rev w(T, T*) = tr w(T^t, conj T).
+    A G that ``_verified_residual`` accepts at tol <= 1/32 puts T within
+    d = (4t + t^2) ||T|| of S = U T^t U*, U its polar factor (see
+    ``_xxy_obstruction``), and S* = U conj(T) U*, so by unitary invariance
+    D_w(T) = tr w(T, T*) - tr w(S, S*).  Telescoping over the L letters,
+    each of norm ||T|| = ||S||, and |tr M| <= n ||M|| give
+
+        |D_w(T)| <= n L (4t + t^2) ||T||^L <= n L (4t + t^2) ||T||_F^L,
+
+    with t = max(tol, GAP_FLOOR L n), the word search's cut.  So a gap above
+    that bound proves that no G verifies at tol, the claim "obstructed"
+    makes; D_w is exactly 0 on every T unitarily equivalent to its
+    transpose, complex symmetric or not.  A larger tol is never tried.
+
+    The decision is exact.  T = (R + i I) / D with R, I integer matrices
+    (``_gaussian_integers``), and both sides are homogeneous of degree 2L,
+    so with t = num / den and F = ||R + i I||_F^2 the test is
+
+        |D_w(R + i I)|^2 den^4 > (n L (4 num den + num^2))^2 F^L
+
+    in Python ints, which anyone can recheck from T's doubles.  One float
+    pass over TRACE_WORDS at B = T / 2^e picks the word whose gap is the
+    largest share of its bound, and the exact step runs only where that
+    share is above 1/2: skipping it can lose a certificate, never make one.
+    The exact step takes 2(L - 2) products of n x n Gaussian-integer
+    matrices; an n above TRACE_DIM_CAP is a CapacityError, raised before
+    anything is multiplied.  The two floats returned are scale-free, and
+    the gap exceeds the bound.
+    """
     tol = check_positive(tol, "tol")
-    samples = check_count(samples, "samples", most=SEARCH_SAMPLES_CAP)
-    max_len = check_count(max_len, "max_len", most=WORD_LEN_CAP)
     A = as_matrix(T, square=True)
-    nrm = operator_norm(A)
-    limits = np.finfo(float)
-    if nrm > 0 and not limits.minexp <= max_len * math.log2(nrm) < limits.maxexp:
-        raise PreconditionError(
-            f"||T|| = {nrm:.3e} is out of range for the polynomial search: "
-            f"||T||^{max_len} is not a normal double; rescale T"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    draws = (random_polynomial(rng, max_len) for _ in range(samples))
-    best_gap = 0.0
-    best_poly: dict[str, complex] | None = None
-    hits = 0
     n = A.shape[0]
-    for batch in _batches(draws, n):
-        for p, gap in zip(batch, _polynomial_norm_gaps(A, batch).tolist()):
-            scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
-            if gap > _gap_cut(tol, max(map(len, p)), n) * scale:
-                hits += 1
-            if gap > best_gap:
-                best_gap, best_poly = gap, p
-    return {
-        "samples": samples,
-        "violations": hits,
-        "best_gap": best_gap,
-        "best_polynomial": best_poly,
-        "conclusion": "norm_identity_violated" if hits else "no_violation_found_within_budget",
-    }
+    if n > TRACE_DIM_CAP:
+        raise CapacityError(f"the trace search takes n <= {TRACE_DIM_CAP}; T is {n} x {n}")
+    B, _ = power_of_two_scaled(A)
+    frob = float(np.linalg.norm(B))
+    if tol > 1 / 32 or frob == 0:
+        return None
+    lengths = np.array([len(w) for w in TRACE_WORDS])
+    cuts = np.array([_gap_cut(tol, L, n) for L in lengths])
+    bounds = n * lengths * (4 * cuts + cuts**2)
+    shares = _float_trace_gaps(B, TRACE_WORDS) / (frob**lengths * bounds)
+    best = int(np.argmax(shares))
+    if not shares[best] > 0.5:
+        return None
+    word, L = TRACE_WORDS[best], int(lengths[best])
+    num, den = float(cuts[best]).as_integer_ratio()
+    R, I = _gaussian_integers(A)
+    letters = {"x": (R, I), "y": (R.T, -I.T)}
+    (a, b), (c, d) = (_exact_trace(v, letters) for v in (word, word[::-1]))
+    gap2, F = (a - c) ** 2 + (b - d) ** 2, int((R * R + I * I).sum())
+    if gap2 * den**4 <= (n * L * (4 * num * den + num * num)) ** 2 * F**L:
+        return None
+    return word, math.sqrt(gap2 / F**L), float(bounds[best])

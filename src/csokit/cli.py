@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: certify, destructor, tto, synthesize, verify-paper and
-question1-search.  Matrix, Blaschke, and symbol arguments
-accept either inline JSON or a path to a JSON file.  All output is canonical
-JSON (sorted keys, compact separators), so identical inputs and seeds give
-byte-identical bytes.
+question1-search, which reports a word-norm gap and an exact trace-word gap
+of T, either of which proves T is not complex symmetric.  Matrix, Blaschke,
+and symbol arguments accept either inline JSON or a path to a JSON file.
+All output is canonical JSON (sorted keys, compact separators), so
+identical inputs and seeds give byte-identical bytes.
 
 Exit codes: certify maps its verdict to 0 (symmetric), 2 (obstructed), or
 3 (inconclusive); malformed input, usage errors included, is 64 everywhere;
@@ -20,7 +21,7 @@ import json
 import sys
 
 from . import serialize
-from .certify import find_conjugation, polynomial_obstruction_search, word_obstruction_search
+from .certify import find_conjugation, trace_obstruction_search, word_obstruction_search
 from .errors import AccuracyError, InputError, ToolkitError
 from .indestructible import destructor_witness
 from .linalg import DEFAULT_TOL
@@ -111,12 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "question1-search",
-        help="search for polynomial norm-identity violations (no claims either way)",
+        help="look for a word-norm or trace-word gap that proves T is not complex symmetric",
     )
     p.add_argument("--matrix", required=True)
-    p.add_argument("--samples", type=int, default=256)
     p.add_argument("--max-len", type=int, default=5)
-    _common(p, "seed", "tol")
+    _common(p, "tol")
 
     return parser
 
@@ -167,24 +167,15 @@ def cmd_verify_paper(args) -> int:
 def cmd_question1(args) -> int:
     T = serialize.matrix_from_json(_load_json(args.matrix))
     word_hit = word_obstruction_search(T, max_len=args.max_len, tol=args.tol)
-    poly_report = polynomial_obstruction_search(
-        T, samples=args.samples, max_len=args.max_len, seed=args.seed, tol=args.tol
-    )
-    best = poly_report["best_polynomial"]
+    trace_hit = trace_obstruction_search(T, tol=args.tol)
     out = {
-        "word_search": None
-        if word_hit is None
-        else {"word": word_hit[0], "gap": word_hit[1]},
-        "polynomial_search": {
-            "samples": poly_report["samples"],
-            "violations": poly_report["violations"],
-            "best_gap": poly_report["best_gap"],
-            "best_polynomial": None
-            if best is None
-            else {w: [c.real, c.imag] for w, c in sorted(best.items())},
-            "conclusion": poly_report["conclusion"],
-        },
-        "note": "search harness only; finding nothing resolves nothing",
+        "word_search": None if word_hit is None else {"word": word_hit[0], "gap": word_hit[1]},
+        "trace_search": None
+        if trace_hit is None
+        else dict(zip(("word", "relative_gap", "relative_bound"), trace_hit)),
+        "note": "a word or trace gap proves T is not complex symmetric at tol; finding "
+        "neither resolves nothing: a matrix unitarily equivalent to its transpose "
+        "satisfies every trace and norm identity",
     }
     _emit(out, args.out)
     return 0

@@ -6,13 +6,13 @@ numpy exception: a matrix by ``as_matrix`` or its stack form, which share
 one converter of its type, dimension and finiteness; a count by
 ``check_count``, a CapacityError above its cap; a tolerance or another
 positive real by ``check_positive``; an argument of a given type (a
-Conjugation, a Blaschke product, a symbol, a polynomial's dict) by
-``_check_instance``.  A norm that only decides ||M|| <= cut is taken by
-``_screened_norms``: one Frobenius norm of the whole stack, then each
-matrix's where that cannot decide, floored where a sum of squares could
-underflow, and an SVD only where neither decides.  Conjugations
-(conjugate-linear isometric involutions) are stored through their
-symmetric unitary matrix G, acting as ``x -> G @ conj(x)``.
+Conjugation, a Blaschke product, a symbol) by ``_check_instance``.  A
+norm that only decides ||M|| <= cut is taken by ``_screened_norms``: one
+Frobenius norm of the whole stack, then each matrix's where that cannot
+decide, floored where a sum of squares could underflow, and an SVD only
+where neither decides.  Conjugations (conjugate-linear isometric
+involutions) are stored through their symmetric unitary matrix G, acting
+as ``x -> G @ conj(x)``.
 
 Tolerances are relative to the norm of the input with factor DEFAULT_TOL =
 1e-9.  The decisions that the CLI's --tol reaches (``find_conjugation``, the
@@ -35,13 +35,14 @@ DEFAULT_TOL = 1e-9
 #: holds its system to the entries of the largest such product.
 TENSOR_DIM_CAP = 4096
 
-#: Caps on the obstruction searches' counts, checked before either search
-#: loops.  The word search multiplies out all 2^(L+1) - 2 words of length at
-#: most L = max_len, so its time doubles with each letter (131070 words at
-#: the cap); the polynomial search draws ``samples`` polynomials of words of
-#: length at most max_len.
+#: Caps on the obstruction searches, checked before either search loops.
+#: The word search multiplies out all 2^(L+1) - 2 words of length at most
+#: L = max_len, so its time doubles with each letter (131070 words at the
+#: cap).  The trace search multiplies a word and its reversal out in exact
+#: integers, O(n^3) big-integer operations per letter: about 0.8 s for a
+#: word of length 6 at n = 64, the cap, and 6 s at n = 128.
 WORD_LEN_CAP = 16
-SEARCH_SAMPLES_CAP = 1 << 16
+TRACE_DIM_CAP = 64
 
 #: The golden-ratio conjugate, whose multiples mod 1 never repeat: the phases
 #: of ``unitary_in_subspace``'s fixed combinations.
@@ -88,7 +89,7 @@ def _as_square_matrices(M) -> np.ndarray:
 
 
 def check_count(value, name: str, least: int = 1, most: float = math.inf) -> int:
-    """A length, sample count, seed or dimension as an int.
+    """A length, count, seed or dimension as an int.
 
     A non-integer or one below ``least`` is an InputError, and one above
     ``most`` a CapacityError.

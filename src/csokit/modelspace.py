@@ -48,9 +48,7 @@ Sizes are capped before anything is allocated: a degree above
 TENSOR_DIM_CAP (the n x n shift) and a space of more than SAMPLE_CAP basis
 samples (degree times nodes) are CapacityErrors.  Each space is sampled
 once, on first use, and serves its Gram check and every cross-check on
-its grid.  A space keeps the space of each other grid that on_grid gives
-it, and a space on twice the nodes of a sampled one samples only the odd
-nodes: the even ones are the coarser grid's, bit for bit.
+its grid.
 
 With the conjugation (C f)(z) = u(z) conj(z f(z)) every analytic truncated
 Toeplitz operator is complex symmetric, and the Hankel identity (compress
@@ -276,8 +274,6 @@ class ModelSpace:
     def __init__(self, u: BlaschkeProduct, quad_points: int = DEFAULT_QUAD):
         self.u = _check_instance(u, BlaschkeProduct, "u")
         self.quad_points = _check_quad_points(quad_points)
-        self._grids: dict[int, ModelSpace] = {}  # on_grid's spaces, by node count
-        self._even = None  # the samples on every other node, from the space on half the nodes
 
     @property
     def dim(self) -> int:
@@ -286,27 +282,6 @@ class ModelSpace:
     @property
     def nodes(self) -> np.ndarray:
         return _roots_of_unity(self.quad_points)
-
-    def on_grid(self, quad_points: int) -> "ModelSpace":
-        """The space of u on quad_points nodes: self when its grid has them.
-
-        Any other grid's space is built on the first call and kept here, so
-        a later call for that grid (a Hankel retry at doubled truncation)
-        returns it with its samples.  A space on 2P nodes, built when self
-        or a kept space on P nodes has sampled, samples only its P odd
-        nodes: its even nodes are the P nodes bit for bit, and so are its
-        samples there (see _boundary_samples).
-        """
-        if quad_points == self.quad_points:
-            return self
-        fine = self._grids.get(quad_points)
-        if fine is None:
-            fine = self._grids[quad_points] = ModelSpace(self.u, quad_points)
-            spaces = {self.quad_points: self, **self._grids}
-            half = spaces.get(quad_points // 2) if quad_points % 2 == 0 else None
-            if half is not None and "_samples" in vars(half):
-                fine._even = half._samples
-        return fine
 
     def tto(self, phi: Symbol) -> np.ndarray:
         """phi(A_u) = num(A_u) den(A_u)^{-1}, exactly.
@@ -336,22 +311,15 @@ class ModelSpace:
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(basis, u) on the nodes, from one pass of _boundary_samples.
 
-        A space that on_grid gave the samples on its even nodes takes only
-        its odd nodes.  More than SAMPLE_CAP basis samples (degree times
-        nodes) are a CapacityError, raised before any is taken.
+        More than SAMPLE_CAP basis samples (degree times nodes) are a
+        CapacityError, raised before any is taken.
         """
         n, Q = self.dim, self.quad_points
         if n * Q > SAMPLE_CAP:
             raise CapacityError(
                 f"{n} basis functions on {Q} nodes exceed the sampling cap of {SAMPLE_CAP} basis samples"
             )
-        if self._even is None:
-            return _boundary_samples(self.u, self.nodes)
-        even, self._even = self._even, None
-        basis, u = np.empty((n, Q), dtype=complex), np.empty(Q, dtype=complex)
-        basis[:, ::2], u[::2] = even
-        basis[:, 1::2], u[1::2] = _boundary_samples(self.u, self.nodes[1::2])
-        return basis, u
+        return _boundary_samples(self.u, self.nodes)
 
     @property
     def basis_samples(self) -> np.ndarray:
@@ -744,11 +712,10 @@ def _hankel_route_residual(
     evaluated by one FFT of length Q, which zero-pads M <= Q modes itself.
     A degree-0 space has no basis, and its residual is 0.
     """
-    Q = ms.quad_points
-    fine = ms.on_grid(_fine_grid(Q, M))
+    Q, Qf = ms.quad_points, _fine_grid(ms.quad_points, M)
+    fine = ms if Qf == Q else ModelSpace(ms.u, Qf)
     # f_hat(k) = fft(f)[k] / Qf, the negative modes aliased to Qf + k; only
     # the coefficients read are divided
-    Qf = fine.quad_points
     reversed_taylor = np.fft.fft(fine.basis_samples)[:, M - 1 :: -1] / Qf
     psi = on_nodes if fine is ms and on_nodes is not None else phi.eval(fine.nodes)
     v = np.fft.fft(np.conj(fine.u_samples) * psi)[-1 : -2 * M : -1] / Qf

@@ -42,10 +42,18 @@ def matrix_to_json(M) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of a {"rows", "cols", "data"} object; rows and cols must be JSON integers.
+
+    A float, bool or string dimension is an InputError, not truncated or
+    read as 0 or 1.
+    """
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matrix object: {exc}") from None
+    for name, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int:
+            raise InputError(f"matrix {name} must be an integer, got {value!r}")
     if rows < 0 or cols < 0:
         raise InputError(f"matrix dimensions must be non-negative, got {rows} x {cols}")
     flat = _complexes(data)

@@ -1,8 +1,7 @@
-"""Words and polynomials in two noncommuting variables x, y.
+"""Words in two noncommuting variables x, y.
 
-A word is a plain string over the alphabet ``{"x", "y"}`` (the empty string
-denotes the identity); a polynomial is a dict mapping words to complex
-coefficients with no zero coefficients stored.
+A word is a plain string over the alphabet ``{"x", "y"}``; the empty string
+denotes the identity.
 
 ``eval_word`` multiplies one word out letter by letter.  ``word_products``
 evaluates many words at once: each word's product is its prefix's product
@@ -21,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
-from .linalg import _as_square_matrices, _check_instance, as_matrix
+from .linalg import _as_square_matrices, as_matrix
 
 ALPHABET = "xy"
 _SWAP = str.maketrans("xy", "yx")
@@ -104,37 +103,6 @@ def word_products(words, X, Y) -> np.ndarray:
     return out
 
 
-def normalize_poly(p: dict[str, complex]) -> dict[str, complex]:
-    """Validated copy with zero coefficients dropped.
-
-    A p that is not a dict, a key that is not a word and a coefficient that
-    is not a complex number are each an InputError.
-    """
-    out = {}
-    for word, coeff in _check_instance(p, dict, "polynomial").items():
-        validate_word(word)
-        try:
-            c = complex(coeff)
-        except (TypeError, ValueError):
-            raise InputError(f"coefficient {coeff!r} of word {word!r} is not a complex number") from None
-        if c != 0:
-            out[word] = c
-    return out
-
-
-def eval_poly(p: dict[str, complex], X, Y) -> np.ndarray:
-    X, Y = _letter_matrices(X, Y)
-    M = np.zeros_like(X)
-    for word, coeff in normalize_poly(p).items():
-        M = M + coeff * eval_word(word, X, Y)
-    return M
-
-
-def conjugate_coefficients(p: dict[str, complex]) -> dict[str, complex]:
-    """Coefficientwise complex conjugate of a polynomial."""
-    return {word: np.conj(coeff) for word, coeff in normalize_poly(p).items()}
-
-
 def words_of_length(length: int):
     """All words of the given length in lexicographic order with x < y."""
     for letters in product(ALPHABET, repeat=length):
@@ -145,21 +113,3 @@ def iter_words(max_len: int):
     """Length-lexicographic enumeration (x < y), lengths 1..max_len."""
     for length in range(1, max_len + 1):
         yield from words_of_length(length)
-
-
-def random_word(rng: np.random.Generator, max_len: int) -> str:
-    length = int(rng.integers(1, max_len + 1))
-    return "".join(ALPHABET[i] for i in rng.integers(0, 2, size=length))
-
-
-def random_polynomial(rng: np.random.Generator, max_len: int) -> dict[str, complex]:
-    """Random polynomial of one to four distinct random words with Gaussian coefficients.
-
-    The count is capped at the 2^(max_len + 1) - 2 words there are.
-    """
-    n_terms = min(int(rng.integers(1, 5)), 2 ** (max_len + 1) - 2)
-    p: dict[str, complex] = {}
-    while len(p) < n_terms:
-        w = random_word(rng, max_len)
-        p[w] = complex(rng.standard_normal(), rng.standard_normal())
-    return p

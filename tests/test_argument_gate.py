@@ -4,8 +4,7 @@ Every matrix argument goes through the one converter that ``linalg.as_matrix``
 and its stack form share, so a string, a ragged list, a dict, an array of the
 wrong dimension and a non-finite entry fail there, never as a raw numpy
 TypeError or ValueError.  Counts go through ``check_count``, whose caps refuse
-a search before it loops, and a polynomial or a conjugation through
-``_check_instance``.
+a search before it loops, and a conjugation through ``_check_instance``.
 """
 
 import contextlib
@@ -21,8 +20,7 @@ from csokit.certify import (
     intertwiner_basis,
     is_c_symmetric,
     nilpotent2_splitting,
-    polynomial_norm_gap,
-    polynomial_obstruction_search,
+    trace_obstruction_search,
     word_norm_gap,
     word_norm_gaps,
     word_obstruction_search,
@@ -35,8 +33,9 @@ from csokit.indestructible import (
     shift_coshift_product,
     swap_conjugation,
 )
+from csokit import certify
 from csokit.linalg import (
-    SEARCH_SAMPLES_CAP,
+    TRACE_DIM_CAP,
     WORD_LEN_CAP,
     Conjugation,
     check_count,
@@ -48,7 +47,7 @@ from csokit.linalg import (
 )
 from csokit.serialize import matrix_to_json
 from csokit.synthesis import synthesize_tto_for_nilpotent2
-from csokit.words import eval_poly, eval_word, word_products
+from csokit.words import eval_word, word_products
 
 J2 = [[0.0, 0.0], [1.0, 0.0]]
 
@@ -69,7 +68,7 @@ ENTRIES = {
     "destructor_witness": destructor_witness,
     "synthesize_tto_for_nilpotent2": synthesize_tto_for_nilpotent2,
     "word_obstruction_search": word_obstruction_search,
-    "polynomial_obstruction_search": lambda M: polynomial_obstruction_search(M, samples=4),
+    "trace_obstruction_search": trace_obstruction_search,
     "nilpotent2_tensor_conjugation(A)": lambda M: nilpotent2_tensor_conjugation(M, np.eye(2)),
     "nilpotent2_tensor_conjugation(B)": lambda M: nilpotent2_tensor_conjugation(J2, M),
     "canonical_block_decomposition": canonical_block_decomposition,
@@ -90,12 +89,9 @@ ENTRIES = {
 STACK_FORMS = {"word_norm_gaps", "operator_norms", "word_products"}
 
 
-# each entry point with a malformed polynomial or conjugation, which used to
-# leak a raw AttributeError or ValueError
+# each entry point with a malformed conjugation, which used to leak a raw
+# AttributeError or ValueError
 MALFORMED_ARGUMENTS = {
-    "polynomial_norm_gap(string)": lambda: polynomial_norm_gap("abc", np.eye(2)),
-    "eval_poly(list)": lambda: eval_poly(["x"], np.eye(2), np.eye(2)),
-    "polynomial_norm_gap(string coefficient)": lambda: polynomial_norm_gap({"x": "a"}, np.eye(2)),
     "is_c_symmetric(C)": lambda: is_c_symmetric(np.eye(2), "abc"),
     "conjugate_by": lambda: conjugate_by("abc", np.eye(2)),
     "swap_conjugation": lambda: swap_conjugation("abc"),
@@ -144,7 +140,7 @@ def test_a_malformed_matrix_is_an_input_error(entry, kind):
 
 
 @pytest.mark.parametrize("call", MALFORMED_ARGUMENTS)
-def test_a_malformed_polynomial_or_conjugation_is_an_input_error(call):
+def test_a_malformed_conjugation_is_an_input_error(call):
     with pytest.raises(InputError):
         MALFORMED_ARGUMENTS[call]()
 
@@ -173,30 +169,37 @@ def test_a_word_gap_that_overflows_in_the_units_of_t_is_a_precondition_error():
         word_norm_gap([[1e308, 1e308], [-1e308, 1e308]], "xxy")
 
 
-@pytest.mark.parametrize(
-    "kwargs, named",
-    [
-        ({"max_len": WORD_LEN_CAP + 1}, "max_len"),
-        ({"samples": SEARCH_SAMPLES_CAP + 1}, "samples"),
-        ({"samples": 10**9}, "samples"),
-    ],
-)
-def test_a_polynomial_search_past_its_caps_is_refused_before_it_loops(kwargs, named):
-    with deadline(1.0), pytest.raises(CapacityError, match=named):
-        polynomial_obstruction_search(np.eye(2), **kwargs)
+def test_a_trace_search_past_its_dimension_cap_is_refused_before_any_exact_product(monkeypatch):
+    # each exact product costs O(n^3) big-integer operations: about 8 s at n = 128
+    def refuse(*args):
+        raise AssertionError("multiplied out past the cap")
+
+    monkeypatch.setattr(certify, "_exact_trace", refuse)
+    monkeypatch.setattr(certify, "_float_trace_gaps", refuse)
+    T = np.random.default_rng(5).standard_normal((TRACE_DIM_CAP + 1,) * 2)
+    with deadline(1.0), pytest.raises(CapacityError, match=f"n <= {TRACE_DIM_CAP}"):
+        trace_obstruction_search(T)
 
 
 def test_a_count_at_its_cap_is_admitted_and_one_past_it_refused():
-    assert WORD_LEN_CAP >= 5 and SEARCH_SAMPLES_CAP >= 256  # the CLI defaults
-    for cap in (WORD_LEN_CAP, SEARCH_SAMPLES_CAP):
-        assert check_count(cap, "count", most=cap) == cap
-        with pytest.raises(CapacityError, match="exceed the cap"):
-            check_count(cap + 1, "count", most=cap)
+    assert WORD_LEN_CAP >= 5  # the CLI default
+    assert check_count(WORD_LEN_CAP, "count", most=WORD_LEN_CAP) == WORD_LEN_CAP
+    with pytest.raises(CapacityError, match="exceed the cap"):
+        check_count(WORD_LEN_CAP + 1, "count", most=WORD_LEN_CAP)
+    # a symmetric matrix at the trace cap takes the float pass, which decides it
+    S = np.random.default_rng(6).standard_normal((TRACE_DIM_CAP,) * 2)
+    assert trace_obstruction_search(S + S.T) is None
 
 
-@pytest.mark.parametrize("flag", ["--max-len", "--samples"])
-def test_question1_search_past_a_cap_exits_65(flag, capsys):
+@pytest.mark.parametrize(
+    "matrix, flags, named",
+    [
+        (np.eye(2), ["--max-len", str(10**9)], "exceed the cap"),
+        (np.eye(TRACE_DIM_CAP + 1), [], f"n <= {TRACE_DIM_CAP}"),
+    ],
+    ids=["max-len", "dimension"],
+)
+def test_question1_search_past_a_cap_exits_65(matrix, flags, named, capsys):
     with deadline(5.0):
-        matrix = json.dumps({"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [1, 0], [0, 0]]})
-        code = main(["question1-search", "--matrix", matrix, flag, str(10**9)])
-    assert code == 65 and "exceed the cap" in capsys.readouterr().err
+        code = main(["question1-search", "--matrix", json.dumps(matrix_to_json(matrix)), *flags])
+    assert code == 65 and named in capsys.readouterr().err

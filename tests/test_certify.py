@@ -9,6 +9,7 @@ Hand oracles used below:
 """
 
 import math
+from fractions import Fraction
 import re
 import tracemalloc
 import warnings
@@ -27,8 +28,7 @@ from csokit.certify import (
     intertwiner_basis,
     is_c_symmetric,
     nilpotent2_splitting,
-    polynomial_norm_gap,
-    polynomial_obstruction_search,
+    trace_obstruction_search,
     word_norm_gap,
     word_norm_gaps,
     word_obstruction_search,
@@ -47,14 +47,7 @@ from csokit.linalg import (
     unitary_in_subspace,
 )
 from csokit.synthesis import synthesize_tto_for_nilpotent2
-from csokit.words import (
-    conjugate_coefficients,
-    eval_poly,
-    eval_word,
-    iter_words,
-    random_polynomial,
-    swap_letters,
-)
+from csokit.words import eval_word, iter_words, swap_letters, word_products, words_of_length
 
 
 def jordan(n):
@@ -1322,8 +1315,7 @@ def test_a_rounding_gap_is_no_obstruction_at_any_tol():
     for tol in (1e-16, 1e-20, 1e-300):
         assert word_obstruction_search(T, tol=tol) is None
         assert find_conjugation(T, tol).verdict != "obstructed"
-        report = polynomial_obstruction_search(T, samples=64, tol=tol)
-        assert report["violations"] == 0
+        assert trace_obstruction_search(T, tol=tol) is None
     for seed in range(20):
         S, _ = random_cso(stream(seed, 31), 2 + seed)
         assert word_obstruction_search(S, tol=1e-20) is None
@@ -1363,7 +1355,7 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
     with pytest.raises(InputError):
         word_obstruction_search(S, tol=tol)
     with pytest.raises(InputError):
-        polynomial_obstruction_search(S, samples=4, tol=tol)
+        trace_obstruction_search(S, tol=tol)
     with pytest.raises(InputError):
         nilpotent2_splitting(S, tol=tol)
 
@@ -1375,8 +1367,6 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
         (word_obstruction_search, {"max_len": -2}),
         (word_obstruction_search, {"max_len": 2.5}),
         (word_obstruction_search, {"max_len": None}),
-        (polynomial_obstruction_search, {"max_len": 0}),
-        (polynomial_obstruction_search, {"samples": -1}),
     ],
 )
 def test_out_of_range_counts_and_modes_are_input_errors(search, kwargs):
@@ -1402,52 +1392,6 @@ def test_word_obstruction_search_finds_witness_violation():
 def test_word_obstruction_search_clean_on_cso():
     T, _ = random_cso(stream(11, 5), 3)
     assert word_obstruction_search(T, max_len=4) is None
-
-
-def test_polynomial_gap_and_search_on_cso():
-    T, _ = random_cso(stream(11, 6), 3)
-    p = {"xy": 1.0 + 1j, "yxx": -0.5}
-    assert polynomial_norm_gap(p, T) <= 1e-9
-    report = polynomial_obstruction_search(T, samples=40, max_len=4, seed=5)
-    assert report["violations"] == 0
-    assert report["conclusion"] == "no_violation_found_within_budget"
-    assert report["samples"] == 40
-
-
-def test_polynomial_search_reports_witness_violation():
-    report = polynomial_obstruction_search(
-        witness_matrix(1.0, 2.0), samples=60, max_len=4, seed=5
-    )
-    assert report["violations"] > 0
-    assert report["best_gap"] > 0.1
-    assert report["best_polynomial"] is not None
-
-
-def test_polynomial_search_agrees_with_the_word_search_on_a_tiny_witness():
-    # the threshold is relative to ||T|| with no floor; a floor at machine eps
-    # hid every violation of 1e-20 * B while the word search found xxy
-    T = 1e-20 * witness_matrix(1.0, 2.0)
-    assert word_obstruction_search(T)[0] == "xxy"
-    report = polynomial_obstruction_search(T)
-    assert report["violations"] > 0
-    assert report["conclusion"] == "norm_identity_violated"
-    assert polynomial_obstruction_search(np.zeros((3, 3)))["violations"] == 0
-
-
-@pytest.mark.parametrize("scale", [1e120, 1e-120])
-def test_polynomial_search_refuses_a_norm_out_of_range(scale):
-    # ||T||^5 overflows at 1e120 and is subnormal at 1e-120.  The search used
-    # to overflow into a non-finite matrix on the CSO matrix, and to count 4
-    # violations in 64 samples on the witness, against 40 at scale 1.
-    T, _ = random_cso(stream(11, 8), 4)
-    for M in (T, witness_matrix(1.0, 2.0)):
-        assert polynomial_obstruction_search(M, samples=64)["samples"] == 64
-        name = f"{scale * operator_norm(M):.3e}"
-        with pytest.raises(PreconditionError, match=re.escape(name) + " .*rescale T"):
-            polynomial_obstruction_search(scale * M, samples=64)
-    assert polynomial_obstruction_search(witness_matrix(1.0, 2.0), samples=64)["violations"] == 40
-    # the limit is on ||T||^max_len, so shorter polynomials still run
-    assert polynomial_obstruction_search(scale * T, samples=8, max_len=1)["violations"] == 0
 
 
 def per_word_gap(T, word):
@@ -1567,36 +1511,121 @@ def test_word_search_equals_the_per_word_loop(kind, seed, n, batch_words):
         assert got is not None
 
 
-def per_polynomial_search(T, samples, max_len, seed, tol=DEFAULT_TOL):
-    """polynomial_obstruction_search with each polynomial evaluated on its own."""
-    nrm = max(operator_norm(T), np.finfo(float).eps)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    best_gap, best_poly, hits = 0.0, None, 0
-    for _ in range(samples):
-        p = random_polynomial(rng, max_len)
-        scale = sum(abs(c) * nrm ** len(w) for w, c in p.items())
-        a = operator_norm(eval_poly(p, T, T.conj().T))
-        gap = abs(a - operator_norm(eval_poly(conjugate_coefficients(p), T.conj().T, T)))
-        hits += gap > tol * scale
-        if gap > best_gap:
-            best_gap, best_poly = gap, p
-    return hits, best_gap, best_poly
+def aat_b3():
+    """A (+) A^t (+) B(1, 2) with A the 3 x 3 complex Gaussian of default_rng(1): the
+    complex symmetric A (+) A^t hides the witness's word gaps up to length 5."""
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return direct_sum(A, A.T, witness_matrix(1.0, 2.0))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=20)
-@given(
-    kind=st.sampled_from(["generic", "cso", "witness"]),
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 5),
-    batch_polys=st.sampled_from([1, 7, 1000]),
-)
-def test_polynomial_search_report_is_unchanged(kind, seed, n, batch_polys):
-    T = search_matrix(kind, seed, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "BATCH_ENTRIES", batch_polys * len(T) ** 2)
-        report = polynomial_obstruction_search(T, samples=30, max_len=4, seed=seed)
-    hits, best_gap, best_poly = per_polynomial_search(T, 30, 4, seed)
-    assert (report["violations"], report["best_gap"], report["best_polynomial"]) == (hits, best_gap, best_poly)
-    p = {"xy": 1.0 + 1j, "yxx": -0.5}
-    a = operator_norm(eval_poly(p, T, T.conj().T))
-    assert polynomial_norm_gap(p, T) == abs(a - operator_norm(eval_poly(conjugate_coefficients(p), T.conj().T, T)))
+def exact_trace_gaps(T):
+    """D_w(T) = tr w - tr rev w of each trace word, exactly, as complex (exact for small ints)."""
+    R, I = certify._gaussian_integers(T)
+    letters = {"x": (R, I), "y": (R.T, -I.T)}
+    gaps = []
+    for w in certify.TRACE_WORDS:
+        (a, b), (c, d) = certify._exact_trace(w, letters), certify._exact_trace(w[::-1], letters)
+        gaps.append((a - c, b - d))
+    return gaps
+
+
+def test_the_trace_words_are_one_per_chiral_class_of_lengths_6_to_8():
+    def rotations(w):
+        return {w[i:] + w[:i] for i in range(len(w))}
+
+    # every word up to length 5 is a rotation of its reversal, so its trace gap is 0
+    assert all(w[::-1] in rotations(w) for w in iter_words(5))
+    firsts = [
+        w
+        for length in (6, 7, 8)
+        for w in words_of_length(length)
+        if w[::-1] not in rotations(w) and w == min(rotations(w) | rotations(w[::-1]))
+    ]
+    assert certify.TRACE_WORDS == tuple(firsts)
+    assert [len(w) for w in firsts] == [6, 7, 7] + [8] * 6 and firsts[0] == "xxyxyy"
+
+
+def five_times_unitary(n, shift):
+    """V with V V* = 25 I: [[3, 4i], [4i, 3]] on the pairs (shift + 2k, shift + 2k + 1), 5 elsewhere."""
+    V = 5.0 * np.eye(n, dtype=complex)
+    for i in range(shift, n - 1, 2):
+        V[i : i + 2, i : i + 2] = [[3, 4j], [4j, 3]]
+    return V
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_trace_gaps_are_exactly_zero_on_a_unitary_conjugate_of_a_symmetric_integer_matrix(n, seed):
+    rng = stream(seed, 83)
+    M = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+    V = five_times_unitary(n, 0) @ five_times_unitary(n, 1)  # 25 times a unitary
+    for S, symmetric in ((M + M.T, True), (M, False)):
+        T = V @ S @ V.conj().T  # Gaussian integers, exact in doubles
+        exact = exact_trace_gaps(T)
+        floats = certify._float_trace_gaps(T, certify.TRACE_WORDS)
+        frob = np.linalg.norm(T)
+        for (re, im), got, w in zip(exact, floats, certify.TRACE_WORDS):
+            if symmetric:
+                assert re == im == 0
+            # the float gap is the exact one to rounding: each product errs by n eps |T|^L entrywise
+            assert abs(got - abs(complex(re, im))) <= 8 * len(w) * n * np.finfo(float).eps * frob ** len(w)
+        if symmetric:
+            assert trace_obstruction_search(T) is None
+
+
+def test_an_unrotated_skew_uet_matrix_has_exactly_zero_trace_gaps():
+    # T = [[A, B], [D, A^t]] with B, D skew: T = U T^t U* for U = [[0, I], [-I, 0]],
+    # so every trace identity holds, though T is not complex symmetric
+    rng = stream(3, 84)
+    A, B, D = (random_complex(rng, 4, 4) for _ in range(3))
+    T = np.block([[A, B - B.T], [D - D.T, A.T]])
+    assert exact_trace_gaps(T) == [(0, 0)] * 9
+    assert trace_obstruction_search(T) is None
+
+
+def test_a_float_gap_alone_makes_no_trace_certificate(monkeypatch):
+    # the float pass only picks the word: forced to claim a huge gap on a
+    # matrix whose exact gaps are 0, the exact step still refuses
+    V = five_times_unitary(4, 0) @ five_times_unitary(4, 1)
+    T = V @ np.diag([1.0, 2.0, 3.0j, -1.0 + 1j]) @ V.conj().T
+    monkeypatch.setattr(certify, "_float_trace_gaps", lambda B, words: np.full(len(words), 1e6))
+    assert trace_obstruction_search(T) is None
+
+
+def test_the_trace_search_proves_what_no_word_separates():
+    T = aat_b3()
+    assert word_obstruction_search(T) is None
+    assert find_conjugation(T).verdict == "inconclusive"
+    word, gap, bound = trace_obstruction_search(T)
+    assert word == "xxyxyy" and gap > 1e4 * bound
+    assert bound == 9 * 6 * (4e-9 + 1e-18)
+
+
+def test_the_trace_search_decides_at_any_scale_with_no_overflow():
+    # the exact step reads each double as an integer over a power of two, so
+    # 2^600 T, 2^-600 T and entries spread over 1e-300..1e300 with
+    # subnormals decide as T does, in the same scale-free numbers
+    T = aat_b3()
+    hit = trace_obstruction_search(T)
+    for scale in (2.0**600, 2.0**-600):
+        assert trace_obstruction_search(scale * T) == hit
+    wide = 1e300 * T
+    wide[0, 8], wide[8, 0], wide[5, 6] = 1e-300, 5e-324, -4e-320j
+    assert trace_obstruction_search(wide)[0] == "xxyxyy"
+    D = np.diag([1e300, 1.0, 1e-300, 5e-324])
+    R, I = certify._gaussian_integers(D)
+    assert [R[k, k] for k in (0, 2, 3)] == [R[1, 1] * Fraction(d) for d in (1e300, 1e-300, 5e-324)]
+    assert not I.any() and exact_trace_gaps(D) == [(0, 0)] * 9
+
+
+def test_the_trace_search_tries_no_tol_above_one_in_32(monkeypatch):
+    calls = []
+    gaps = certify._float_trace_gaps
+    monkeypatch.setattr(certify, "_float_trace_gaps", lambda B, words: calls.append(B) or gaps(B, words))
+    T = aat_b3()
+    for tol in (0.04, 1.0, 1e300):
+        assert trace_obstruction_search(T, tol=tol) is None
+    assert trace_obstruction_search(np.zeros((3, 3))) is None
+    assert calls == []
+    assert trace_obstruction_search(T, tol=1 / 32) is None and len(calls) == 1

@@ -116,6 +116,22 @@ def test_negative_matrix_dimensions_exit_64(command, rows, cols):
         serialize.matrix_from_json({"rows": rows, "cols": cols, "data": data})
 
 
+@pytest.mark.parametrize(
+    "rows, cols, entries",
+    [(2.9, 2, 4), (2, 2.0, 4), (True, True, 1), ("2", 2, 4), (None, 2, 0), ([2], 2, 4)],
+)
+@pytest.mark.parametrize("command", ["certify", "destructor", "synthesize", "question1-search"])
+def test_non_integer_matrix_dimensions_exit_64(command, rows, cols, entries):
+    # "rows": 2.9 was truncated to 2 and "rows": true read as 1, so both
+    # certified with exit 0
+    data = [[0.0, 0.0]] * entries
+    M = json.dumps({"rows": rows, "cols": cols, "data": data})
+    code, out, err = run_main_output(command, "--matrix", M)
+    assert (code, out) == (64, "") and "must be an integer" in err
+    with pytest.raises(InputError, match="must be an integer"):
+        serialize.matrix_from_json({"rows": rows, "cols": cols, "data": data})
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
 def test_unwritable_out_exit_64(tmp_path, target):
     # a missing directory or a directory as --out used to leak a raw
@@ -137,19 +153,10 @@ def test_non_positive_or_non_finite_tol_exit_64(command, tol):
     assert run_main(command, "--matrix", S, "--tol", tol) == 64
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["question1-search", "--matrix", "J2", "--samples", "4"],
-        ["verify-paper"],
-    ],
-    ids=lambda command: command[0],
-)
-def test_negative_seed_exit_64(command):
+def test_negative_seed_exit_64():
     # numpy's SeedSequence used to raise a bare ValueError here (exit 1, the
     # code of a failed verify-paper entry)
-    argv = [json.dumps(J2) if arg == "J2" else arg for arg in command]
-    assert run_main(*argv, "--seed", "-1") == 64
+    assert run_main("verify-paper", "--seed", "-1") == 64
 
 
 @pytest.mark.parametrize(
@@ -157,13 +164,10 @@ def test_negative_seed_exit_64(command):
     [
         ["question1-search", "--matrix", "J2", "--max-len", "0"],
         ["question1-search", "--matrix", "J2", "--max-len", "-2"],
-        ["question1-search", "--matrix", "J2", "--samples", "-1"],
-        ["question1-search", "--matrix", "J2", "--samples", "0"],
     ],
 )
 def test_out_of_range_counts_exit_64(argv):
-    # --max-len 0 used to exit 1 with a raw ValueError, and --samples -1 was
-    # echoed back as "samples": -1
+    # --max-len 0 used to exit 1 with a raw ValueError
     assert run_main(*[json.dumps(J2) if arg == "J2" else arg for arg in argv]) == 64
 
 
@@ -252,7 +256,7 @@ def test_certify_exit_code_contract(kind, seed, n, log_scale, sign, log_tol):
     [
         ["destructor"],
         ["synthesize"],
-        ["question1-search", "--samples", "16"],
+        ["question1-search"],
     ],
     ids=lambda command: command[0],
 )
@@ -385,14 +389,15 @@ def test_witness_at_extreme_scales_is_obstructed_or_refused(scale, tmp_path):
             assert f"{2 * scale:.3e}" in err.getvalue()
 
 
-@pytest.mark.parametrize("scale", [1e120, 1e-120])
-def test_question1_search_refuses_a_norm_out_of_range(scale):
-    # the word search finds nothing on a symmetric matrix, so the polynomial
-    # search decides; at 1e120 it used to exit 64 ("non-finite entries")
+@pytest.mark.parametrize("scale", [1e120, 1.0, 1e-120])
+def test_question1_search_answers_at_any_scale(scale):
+    # the sampled polynomial search it replaced exited 65 ("rescale T") at
+    # 1e120 and 1e-120; both searches scale T exactly and find nothing here
     S = scale * np.array([[1.0, 2j, 0.5], [2j, 3.0, 1.0], [0.5, 1.0, -1.0]])
     code, out, err = run_main_output("question1-search", "--matrix", matrix_arg(S))
-    assert (code, out) == (65, "")
-    assert "out of range for the polynomial search" in err and "rescale T" in err
+    assert (code, err) == (0, "")
+    reply = json.loads(out)
+    assert reply["word_search"] is None and reply["trace_search"] is None
 
 
 def J2_mat():
@@ -434,18 +439,22 @@ def test_synthesize_output_is_byte_deterministic():
 
 
 def test_question1_search_reports_both_routes():
-    p = run_cli(
-        "question1-search",
-        "--matrix",
-        matrix_arg(witness_matrix(1.0, 2.0)),
-        "--samples",
-        "32",
-    )
+    p = run_cli("question1-search", "--matrix", matrix_arg(witness_matrix(1.0, 2.0)))
     assert p.returncode == 0
     out = json.loads(p.stdout)
-    assert out["word_search"]["word"] == "xxy"
-    assert out["polynomial_search"]["violations"] > 0
+    assert out["word_search"] == {"word": "xxy", "gap": 2.0}
+    assert out["trace_search"]["word"] == "xxyxyy"
+    assert out["trace_search"]["relative_gap"] > out["trace_search"]["relative_bound"]
     assert "resolves nothing" in out["note"]
+
+
+def test_question1_search_makes_no_trace_claim_on_a_rotated_cso_matrix_at_a_tiny_tol():
+    rng = np.random.default_rng(2026)
+    Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    code, out, _ = run_main_output("question1-search", "--matrix", matrix_arg(Q @ (Z + Z.T) @ Q.conj().T), "--tol=1e-20")
+    assert code == 0
+    assert json.loads(out)["trace_search"] is None and json.loads(out)["word_search"] is None
 
 
 @pytest.mark.parametrize(
@@ -462,6 +471,8 @@ def test_question1_search_reports_both_routes():
         ["certify", "--matrix", "T.json", "--seed", "1"],
         ["certify", "--matrix", "T.json", "--budget", "10"],
         ["synthesize", "--matrix", "N.json", "--seed", "7"],
+        ["question1-search", "--matrix", "T.json", "--seed", "0"],
+        ["question1-search", "--matrix", "T.json", "--samples", "256"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
@@ -476,7 +487,7 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
         ["certify"],
         ["certify", "--matrix", "J2", "--bogus", "1"],
         ["certify", "--matrix", "J2", "--tol", "-1e-9"],
-        ["question1-search", "--matrix", "J2", "--samples", "two"],
+        ["question1-search", "--matrix", "J2", "--max-len", "two"],
         [],
     ],
     ids=["missing-matrix", "unknown-flag", "dash-led-value", "non-integer", "no-subcommand"],

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from csokit import modelspace
@@ -298,54 +298,6 @@ def test_one_pass_samples_match_the_plain_recursion(seed, degree, radius, quad):
     assert max_entry(ms.basis_samples - E) <= 1e-13 * max(1.0, max_entry(E))
     assert max_entry(ms.u_samples - us) <= 1e-13
     assert_same_reply_as_the_plain_sums(u, quad, 1e-13)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(
-    seed=SEEDS,
-    degree=st.integers(0, 12),
-    radius=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
-    at_origin=st.sampled_from([0.0, 0.3, 1.0]),
-    quad=st.sampled_from([64, 96, 100, 128, 1000, 1024, 2048, 4096]),
-)
-@example(seed=0, degree=0, radius=0.5, at_origin=0.0, quad=64)
-@example(seed=1, degree=12, radius=0.999, at_origin=0.0, quad=4096)
-@example(seed=2, degree=8, radius=0.9, at_origin=1.0, quad=1024)
-def test_the_doubled_grid_takes_its_even_nodes_from_the_sampled_space(
-    seed, degree, radius, at_origin, quad
-):
-    # on_grid(2Q) of a space that has sampled its Q nodes samples only the Q
-    # odd nodes, and assembles the samples of a space built on 2Q nodes
-    u = BlaschkeProduct(seeded_zeros(seed, degree, radius, at_origin))
-    ms = ModelSpace(u, quad)
-    ms.basis_samples
-    sampled = []
-    take = modelspace._boundary_samples
-
-    def recording(u, z):
-        sampled.append(len(z))
-        return take(u, z)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modelspace, "_boundary_samples", recording)
-        fine = ms.on_grid(2 * quad)
-        own = ModelSpace(u, 2 * quad)
-        assert fine.basis_samples.tobytes() == own.basis_samples.tobytes()
-    assert fine.u_samples.tobytes() == own.u_samples.tobytes()
-    assert sampled == [quad, 2 * quad]
-    assert ms.on_grid(2 * quad) is fine and fine._even is None
-
-
-def test_on_grid_keeps_each_grid_s_space_and_doubles_from_any_sampled_one():
-    u = BlaschkeProduct((0.5, 0.0, -0.3j))
-    ms = ModelSpace(u, 64)
-    coarse = ms.on_grid(128)  # nothing sampled yet: its samples are its own
-    assert ms.on_grid(128) is coarse and ms.on_grid(64) is ms and coarse._even is None
-    coarse.basis_samples
-    fine = ms.on_grid(256)  # doubles the kept 128-node space, which has sampled
-    assert fine._even is not None
-    assert fine.basis_samples.tobytes() == ModelSpace(u, 256).basis_samples.tobytes()
-    assert ms.on_grid(96)._even is None  # no kept space on 48 nodes
 
 
 def assert_same_reply_as_the_plain_sums(u, quad, tol):

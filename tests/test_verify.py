@@ -391,29 +391,14 @@ def recorded_samplings(monkeypatch):
 
 def test_the_tto_suite_samples_each_case_on_its_quad_grid_and_the_fine_grid_only(monkeypatch):
     # one space on the quad grid serves the Gram check, the fn-calculus and
-    # M = 256; M = 512 runs on a 2048-node space, which takes its even nodes'
-    # samples from the quad grid's and samples only its 1024 odd nodes.  The
-    # public calls sample the quad grid once per call, three times per case.
+    # M = 256; M = 512 runs on a 2048-node space, which samples all its nodes
     spaces, passes = recorded_samplings(monkeypatch)
     assert verify.entry_tto_suite(verify.RunConfig(seed=7))["status"] == "pass"
     assert len(set(spaces)) == len(spaces) == 60
     assert sorted(Counter(zeros for zeros, _ in spaces).values()) == [2] * 30
     assert sorted(Q for _, Q in spaces) == [1024] * 30 + [2048] * 30
     assert sorted(Counter(zeros for zeros, _ in passes).values()) == [2] * 30
-    assert [size for _, size in passes] == [1024] * 60
-
-
-def test_a_hankel_retry_samples_no_grid_twice(monkeypatch):
-    # with no cap every Hankel check retries at doubled truncation, whose fine
-    # grid M = 512 reaches again: its space is the one the retry built.  Each
-    # (product, grid) pair samples once, 79 of them, where 98 samplings were
-    # taken when on_grid built a new space on every call.
-    monkeypatch.setattr(modelspace, "HANKEL_RESIDUAL_CAP", 0.0)
-    spaces, passes = recorded_samplings(monkeypatch)
-    verify.entry_tto_suite(verify.RunConfig(seed=7))
-    assert len(spaces) == len(set(spaces)) == 79
-    # a doubled grid samples only its odd nodes, so no pass is past 2048 nodes
-    assert {size for _, size in passes} == {1024, 2048}
+    assert sorted(size for _, size in passes) == [1024] * 30 + [2048] * 30
 
 
 def test_the_tto_suite_evaluates_each_symbol_once_on_its_quad_grid(monkeypatch):

@@ -1,4 +1,4 @@
-"""Word and polynomial evaluation in two noncommuting letters."""
+"""Word evaluation in two noncommuting letters."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,8 @@ from csokit.certify import word_norm_gap, word_norm_gaps
 from csokit.errors import InputError
 from csokit.linalg import operator_norm, operator_norms
 from csokit.words import (
-    conjugate_coefficients,
-    eval_poly,
     eval_word,
     iter_words,
-    normalize_poly,
-    random_polynomial,
-    random_word,
     swap_letters,
     validate_word,
     word_products,
@@ -40,22 +35,6 @@ def test_eval_word_rejects_bad_letters():
     assert np.array_equal(eval_word("", X, Y), np.eye(2))
 
 
-def test_eval_poly_matches_hand_sum():
-    p = {"x": 1.0, "yx": 2.0 - 1j}
-    want = X + (2.0 - 1j) * (Y @ X)
-    assert np.allclose(eval_poly(p, X, Y), want)
-
-
-def test_normalize_poly_drops_zero_terms():
-    p = normalize_poly({"x": 0.0, "y": 1.0})
-    assert "x" not in p and p["y"] == 1.0
-
-
-def test_conjugate_coefficients():
-    p = conjugate_coefficients({"xy": 1.0 + 2j})
-    assert p["xy"] == 1.0 - 2j
-
-
 def test_word_counts_match_binary_strings():
     assert [len(list(words_of_length(k))) for k in range(1, 6)] == [2, 4, 8, 16, 32]
     assert len(list(iter_words(5))) == 62
@@ -63,19 +42,6 @@ def test_word_counts_match_binary_strings():
 
 def test_iter_words_is_length_lex_with_x_first():
     assert list(iter_words(2)) == ["x", "y", "xx", "xy", "yx", "yy"]
-
-
-def test_random_word_and_polynomial_are_seed_deterministic():
-    w1 = random_word(np.random.default_rng(3), 5)
-    w2 = random_word(np.random.default_rng(3), 5)
-    assert w1 == w2 and 1 <= len(w1) <= 5
-    p1 = random_polynomial(np.random.default_rng(4), 4)
-    p2 = random_polynomial(np.random.default_rng(4), 4)
-    assert p1 == p2
-    assert all(set(w) <= {"x", "y"} for w in p1)
-    # up to four terms from the two words of length 1: this used to loop forever
-    rng = np.random.default_rng(5)
-    assert all(set(random_polynomial(rng, 1)) <= {"x", "y"} for _ in range(20))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
