@@ -3,7 +3,8 @@
 An operator T is complex symmetric when T = C T* C for some conjugation C;
 equivalently T G = G T^t for a symmetric unitary G.  ``find_conjugation``
 decides it in this order, and every verdict it returns rests on a check
-anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
+anyone can repeat: a verified G, an xxy norm gap above the bound that any
+verifying G allows, or an exact trace-word gap above its bound.
 
 1. Nilpotents of order two, as ``nilpotent2_splitting`` decides from one
    SVD (||T^2|| <= tol ||T||^2 and a rank r with 2r <= n at the same tol):
@@ -14,12 +15,12 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
 2. Transpose-symmetric matrices: G = I.  ||B - B^t|| and the two norms of
    the xxy screen (3), all at B = T / 2^e, share one batched SVD; ||B - B^t||
    joins it only when its Frobenius norm leaves the test open.
-3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above 16 tol
-   ||T||^3 rules out every G that could verify at tol, so the certificate
-   the word search (5) would return is returned before J(T) is built.
-   This decides a generic matrix at O(n^3).  Its two words are multiplied
-   out as the word search multiplies them, so the gap is the search's bit
-   for bit.
+3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above
+   3 (4t + t^2) ||T||^3, t = max(tol, GAP_FLOOR 3 n), rules out every G
+   that could verify at tol (``_gap_bound``), so "obstructed" by xxy is
+   returned before J(T) is built.  This decides a generic matrix at
+   O(n^3).  Its two words are multiplied out as the word search multiplies
+   them, so the gap is ``word_norm_gaps``' bit for bit.
 4. The polar factor of a symmetric intertwiner.  The joint intertwiner
    space J(T) = {X : T X = X T^t, T* X = X conj(T)} holds every symmetric
    unitary G with T G = G T^t.  For X in J(T), X* X commutes with T^t and
@@ -41,14 +42,22 @@ anyone can repeat: a verified G, or a word whose norm gap exceeds tol.
    known in advance for the combination and takes the SVDs.  A system
    past the tensor cap is a CapacityError, held until the fallback below
    has been tried.
-5. If no candidate is verified, the word-norm obstruction search over all
-   62 words of length at most 5.  A gap counts only above
-   max(tol, GAP_FLOOR L n) ||T||^L, so rounding is never an obstruction.
+5. If no candidate is verified, the exact trace test
+   (``trace_obstruction_search``) for n <= TRACE_DIM_CAP: a trace word
+   whose gap, decided in integers, clears n L (4t + t^2) ||T||_F^L.
+   Traces are unitary invariants that add over direct sums, so it decides
+   what a complex symmetric block hides from every word norm.  A larger T
+   skips it.
 6. The fallback, the Hermitian-part phase test
    (``hermitian_phase_conjugation``): an O(n^3) candidate G, built from the
    eigenvectors of Re(e^{i theta} T), for a T complex symmetric only at a
    tol looser than the cut of J(T), or of order two with a G (1) that misses
    tol.  Unverified, it leaves a held CapacityError or "inconclusive".
+
+``word_obstruction_search`` (the 62 words of length at most 5, each gap cut
+at max(tol, GAP_FLOOR L n) ||T||^L) is not on this route: a gap above that
+cut but within L (4t + t^2) ||T||^L can be left by a G that verifies.  It
+serves ``question1-search``.
 """
 
 from __future__ import annotations
@@ -107,6 +116,32 @@ def _gap_cut(tol: float, length: int, n: int) -> float:
     return max(tol, GAP_FLOOR * length * max(n, 1))
 
 
+def _gap_bound(tol: float, length: int, n: int, copies: int = 1) -> float:
+    """copies L (4t + t^2), t = ``_gap_cut(tol, L, n)``: what a verifying G leaves of a gap.
+
+    A G that ``_verified_residual`` accepts at tol <= 1/32 has
+    ||GG* - I||, ||G - G^t|| and ||T - G T^t conj(G)|| / ||T|| all at most
+    t.  Its polar factor U has ||G - U|| <= t (each singular value s of G
+    has |s^2 - 1| <= t, so |s - 1| <= t), and so ||conj(G) - U*|| =
+    ||G - U^t|| <= 2t.  Then S = U T^t U*, of norm ||T||, has
+
+        ||T - S|| <= t ||T|| + ||G - U|| ||T|| ||G|| + ||T|| ||conj(G) - U*||
+                   <= (4t + t^2) ||T||.
+
+    S* = U conj(T) U*, so a word w of length L has w(S, S*) = U (rev
+    w)(T, T*)^t U*, and telescoping over its L letters, each of norm ||T||,
+    gives ||w(T, T*) - w(S, S*)|| <= L (4t + t^2) ||T||^L.  Both the norm
+    gap | ||w|| - ||rev w|| | (``_xxy_obstruction``, copies = 1) and, as
+    |tr M| <= n ||M||, the trace gap |tr w - tr rev w| (the trace test,
+    copies = n) are bounded by that in units of ||T||^L.  A float norm gap
+    errs by its rounding, well under GAP_FLOOR L n ||T||^L, and t is at
+    least that floor, so at a tiny tol a rounding gap stays below the bound;
+    the trace test is exact.  copies L is multiplied first, in integers.
+    """
+    t = _gap_cut(tol, length, n)
+    return copies * length * (4 * t + t * t)
+
+
 @dataclass
 class Nilpotent2Form:
     """T with T^2 = 0 at tol in canonical coordinates: W T W* = [[0,0],[A,0]] (+) 0.
@@ -141,6 +176,9 @@ class CsoCertificate:
     conjugation: Conjugation | None = None
     obstruction_word: str | None = None
     obstruction_gap: float | None = None
+    #: (word, relative_gap, relative_bound) of a trace obstruction, as
+    #: ``trace_obstruction_search`` returns it
+    trace: tuple[str, float, float] | None = None
 
 
 def is_c_symmetric(T, C: Conjugation, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -555,64 +593,57 @@ def _screen_norms(B: np.ndarray, tol: float, nrm: float) -> tuple[float, float]:
 def _xxy_obstruction(
     gap: float, e: int, unit_nrm: float, tol: float, n: int
 ) -> tuple[str, float] | None:
-    """The word search's certificate ("xxy", gap), if the xxy gap alone rules out every G.
+    """("xxy", gap in T's units) if the xxy gap alone rules out every G that verifies at tol.
 
     ``gap`` is the xxy gap of the n x n matrix B = T / 2^e, and ``unit_nrm``
-    = ||B||, as ``word_obstruction_search`` takes them: ``_screen_norms``
-    takes the gap | ||xxy|| - ||yxx|| | from the canonical members of the
-    two adjoint classes (see ``word_norm_gaps``), in the batch of
-    ||B - B^t||, so a hit here is its certificate bit for bit: no
-    word of length 1 or 2 has a gap beyond rounding (x, y, xx and yy are
-    palindromes, whose gaps are exactly 0, and ||T T*|| = ||T* T||), and
-    xxy comes first of length 3.  The hit needs a gap above
-    16 max(tol, GAP_FLOOR 3 n) ||B||^3, and no G that ``_verified_residual``
-    accepts at tol <= 1/32 leaves one: its polar factor U is within about
-    tol of G, so ||T - S|| <= d = (4 tol + tol^2) ||T|| for S = U T^t U*,
-    and ||xxy(S)|| = ||T* T T|| = ||yyx(T)||, so the gap is at most
-    ((1 + d / ||T||)^3 - 1) ||T||^3 <= 13.7 tol ||T||^3, plus rounding
-    below the floor.  So where this returns a word, the polar factors of
-    J(T) could not have verified.  A larger tol is never screened.
+    = ||B||: ``_screen_norms`` takes the gap | ||xxy|| - ||yxx|| | from
+    the canonical members of the two adjoint classes (see
+    ``word_norm_gaps``), so it is ``word_norm_gaps(B, ["xxy"])[0]`` bit for
+    bit.  The hit needs a gap above ``_gap_bound(tol, 3, n)`` ||B||^3 =
+    3 (4t + t^2) ||B||^3, t = max(tol, GAP_FLOOR 3 n), which no G that
+    verifies at tol <= 1/32 leaves: so where this returns a word, the polar
+    factors of J(T) could not have verified.  A larger tol is never
+    screened.
     """
     if tol > 1 / 32:
         return None
-    if gap > 16 * _gap_cut(tol, 3, n) * unit_nrm**3:
+    if gap > _gap_bound(tol, 3, n) * unit_nrm**3:
         return "xxy", _gap_in_units("xxy", gap, unit_nrm, e)
     return None
 
 
 def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
-    """Complex-symmetry decision: a verified conjugation, a word, or neither.
+    """Complex-symmetry decision: a verified conjugation, an obstruction, or neither.
 
     A T of order two (``nilpotent2_splitting``) takes the constructive
     route, whose conjugation is reported only when it is verified at tol;
     otherwise it goes straight to the last step.  Such a T never reaches
-    the word search, so it is never "obstructed" (the destructor calls it
-    indestructible).  A T whose Frobenius bound rules order two out
+    an obstruction test, so it is never "obstructed" (the destructor calls
+    it indestructible).  A T whose Frobenius bound rules order two out
     (``_order_two_ruled_out``) skips the splitting's SVD.  Any other T
     takes the general routes: G = I if T is transpose-symmetric; else
-    "obstructed" by xxy if its gap rules out every G at tol
-    (``_xxy_obstruction``, the word search's own certificate, taken before
-    J(T) is built); else the polar factors that ``unitary_in_subspace``
-    takes of the symmetric half of the joint intertwiner space J(T), from
-    the eigenbasis and coordinates that ``intertwiner_basis`` gives, each
-    re-verified before it is reported.  If
-    none verifies, the word-norm obstruction search runs over every word
-    of length at most 5 and a violating word gives "obstructed".  Last, on
-    either route, the Hermitian-part phase conjugation is reported if it
-    is verified at tol.  Without it, a system for J(T) past the tensor cap
-    is a CapacityError, and otherwise the result is "inconclusive", a
-    valid outcome, with the constructive residual on the order-two route
-    and NaN on the general ones.  Every step but the word search, which
-    scales T itself and reports its gap in T's units, takes B = T / 2^e
-    and ||B|| (the splitting's, else one SVD): the splitting, the screens
-    (``_screen_norms``), J(B) = J(T), the phase candidate and every
-    residual, a ratio of norms of B.  So nothing overflows for a finite T,
-    and 2^k T gets T's verdict, residual and G while no entry turns
-    subnormal.  A T whose norm overflows is an InputError.
+    "obstructed" by xxy if its gap exceeds the bound that every G verifying
+    at tol leaves (``_xxy_obstruction``, taken before J(T) is built); else
+    the polar factors that ``unitary_in_subspace`` takes of the symmetric
+    half of the joint intertwiner space J(T), from the eigenbasis and
+    coordinates that ``intertwiner_basis`` gives, each re-verified before
+    it is reported.  If none verifies and n <= TRACE_DIM_CAP, the exact
+    trace test (``trace_obstruction_search``): a trace word that clears its
+    bound gives "obstructed" with ``trace`` set and ``residual`` its
+    relative gap.  Last, on either route, the Hermitian-part phase
+    conjugation is reported if it is verified at tol.  Without it, a
+    system for J(T) past the tensor cap is a CapacityError, and otherwise
+    the result is "inconclusive", a valid outcome, with the constructive
+    residual on the order-two route and NaN on the general ones.  Every
+    step takes B = T / 2^e and ||B|| (the splitting's, else one SVD): the
+    splitting, the screens (``_screen_norms``), J(B) = J(T), the trace
+    test, the phase candidate and every residual, a ratio of norms of B;
+    the xxy gap is reported in T's units.  So nothing overflows for a
+    finite T, and 2^k T gets T's verdict, residual and G while no entry
+    turns subnormal.  A T whose norm overflows is an InputError.
     """
     tol = check_positive(tol, "tol")
-    A = as_matrix(T, square=True)
-    B, e = power_of_two_scaled(A)
+    B, e = power_of_two_scaled(as_matrix(T, square=True))
 
     try:
         form = None if _order_two_ruled_out(B, tol) else nilpotent2_splitting(B, tol)
@@ -638,22 +669,23 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
             return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
         found = _xxy_obstruction(gap, e, nrm, tol, len(B))
-        if found is None:
-            try:
-                candidates = unitary_in_subspace(*intertwiner_basis(B))
-            except CapacityError as exc:
-                held, candidates = exc, ()
-            for W in candidates:
-                C = Conjugation(W)
-                ok, polar_residual = _verified_residual(B, C, tol, nrm)
-                if ok:
-                    return CsoCertificate("c_symmetric", polar_residual, conjugation=C)
-            found = word_obstruction_search(A, tol=tol)
         if found is not None:
             word, gap = found
             return CsoCertificate(
                 "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
             )
+        try:
+            candidates = unitary_in_subspace(*intertwiner_basis(B))
+        except CapacityError as exc:
+            held, candidates = exc, ()
+        for W in candidates:
+            C = Conjugation(W)
+            ok, polar_residual = _verified_residual(B, C, tol, nrm)
+            if ok:
+                return CsoCertificate("c_symmetric", polar_residual, conjugation=C)
+        trace = trace_obstruction_search(B, tol) if len(B) <= TRACE_DIM_CAP else None
+        if trace is not None:
+            return CsoCertificate("obstructed", residual=trace[1], trace=trace)
 
     # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
     phase = hermitian_phase_conjugation(B)
@@ -735,9 +767,11 @@ def word_obstruction_search(
     """First word w with | ||w(T,T*)|| - ||w(T*,T)|| | > max(tol, GAP_FLOOR L n) ||T||^L.
 
     Words are enumerated length-lexicographically with x < y, L = len(w).
-    Such a word certifies that T admits no conjugation; absence of one
-    proves nothing.  The floor keeps a rounding gap from counting at a tol
-    below it.  The gaps come from ``word_norm_gaps`` one length at a time,
+    Such a word proves that no G verifies at tol only where its gap also
+    exceeds the L (4t + t^2) ||T||^L that a verifying G leaves
+    (``_gap_bound``), so ``find_conjugation`` does not call it; absence of
+    one proves nothing.  The floor keeps a rounding gap from counting at a
+    tol below it.  The gaps come from ``word_norm_gaps`` one length at a time,
     so an early hit such as xxy costs only the words up to its length.
     w(T*,T) is adjoint to rev(w)(T,T*), so each gap is | ||w|| - ||rev w|| |,
     both norms taken at the canonical member of the word's adjoint class
@@ -840,19 +874,15 @@ def trace_obstruction_search(
     """(w, |D_w| / ||T||_F^L, n L (4t + t^2)) for a trace word w whose gap rules out every G.
 
     For a word w of length L, D_w(T) = tr w(T, T*) - tr rev w(T, T*).
-    Transposing a product reverses it, so tr rev w(T, T*) = tr w(T^t, conj T).
-    A G that ``_verified_residual`` accepts at tol <= 1/32 puts T within
-    d = (4t + t^2) ||T|| of S = U T^t U*, U its polar factor (see
-    ``_xxy_obstruction``), and S* = U conj(T) U*, so by unitary invariance
-    D_w(T) = tr w(T, T*) - tr w(S, S*).  Telescoping over the L letters,
-    each of norm ||T|| = ||S||, and |tr M| <= n ||M|| give
+    A G that verifies at tol <= 1/32 leaves (``_gap_bound``)
 
         |D_w(T)| <= n L (4t + t^2) ||T||^L <= n L (4t + t^2) ||T||_F^L,
 
-    with t = max(tol, GAP_FLOOR L n), the word search's cut.  So a gap above
-    that bound proves that no G verifies at tol, the claim "obstructed"
-    makes; D_w is exactly 0 on every T unitarily equivalent to its
-    transpose, complex symmetric or not.  A larger tol is never tried.
+    with t = max(tol, GAP_FLOOR L n).  So a gap above that bound proves
+    that no G verifies at tol, the claim "obstructed" makes; D_w is exactly
+    0 on every T unitarily equivalent to its transpose, complex symmetric
+    or not (transposing a product reverses it).  A larger tol is never
+    tried.
 
     The decision is exact.  T = (R + i I) / D with R, I integer matrices
     (``_gaussian_integers``), and both sides are homogeneous of degree 2L,
@@ -866,8 +896,8 @@ def trace_obstruction_search(
     share is above 1/2: skipping it can lose a certificate, never make one.
     The exact step takes 2(L - 2) products of n x n Gaussian-integer
     matrices; an n above TRACE_DIM_CAP is a CapacityError, raised before
-    anything is multiplied.  The two floats returned are scale-free, and
-    the gap exceeds the bound.
+    anything is multiplied (``find_conjugation`` skips such a T).  The two
+    floats returned are scale-free, and the gap exceeds the bound.
     """
     tol = check_positive(tol, "tol")
     A = as_matrix(T, square=True)
@@ -879,14 +909,13 @@ def trace_obstruction_search(
     if tol > 1 / 32 or frob == 0:
         return None
     lengths = np.array([len(w) for w in TRACE_WORDS])
-    cuts = np.array([_gap_cut(tol, L, n) for L in lengths])
-    bounds = n * lengths * (4 * cuts + cuts**2)
+    bounds = np.array([_gap_bound(tol, len(w), n, copies=n) for w in TRACE_WORDS])
     shares = _float_trace_gaps(B, TRACE_WORDS) / (frob**lengths * bounds)
     best = int(np.argmax(shares))
     if not shares[best] > 0.5:
         return None
     word, L = TRACE_WORDS[best], int(lengths[best])
-    num, den = float(cuts[best]).as_integer_ratio()
+    num, den = _gap_cut(tol, L, n).as_integer_ratio()
     R, I = _gaussian_integers(A)
     letters = {"x": (R, I), "y": (R.T, -I.T)}
     (a, b), (c, d) = (_exact_trace(v, letters) for v in (word, word[::-1]))

@@ -2,7 +2,8 @@
 
 Subcommands: certify, destructor, tto, synthesize, verify-paper and
 question1-search, which reports a word-norm gap and an exact trace-word gap
-of T, either of which proves T is not complex symmetric.  Matrix, Blaschke,
+of T: the trace gap proves T is not complex symmetric, and the word gap only
+where it exceeds the bound that a verifying G leaves.  Matrix, Blaschke,
 and symbol arguments accept either inline JSON or a path to a JSON file.
 All output is canonical JSON (sorted keys, compact separators), so
 identical inputs and seeds give byte-identical bytes.
@@ -170,10 +171,9 @@ def cmd_question1(args) -> int:
     trace_hit = trace_obstruction_search(T, tol=args.tol)
     out = {
         "word_search": None if word_hit is None else {"word": word_hit[0], "gap": word_hit[1]},
-        "trace_search": None
-        if trace_hit is None
-        else dict(zip(("word", "relative_gap", "relative_bound"), trace_hit)),
-        "note": "a word or trace gap proves T is not complex symmetric at tol; finding "
+        "trace_search": serialize.trace_hit_to_json(trace_hit),
+        "note": "a trace gap proves T is not complex symmetric at tol, and a word gap of "
+        "length L does only above L(4t + t^2)||T||^L, t = max(tol, 16 L n eps); finding "
         "neither resolves nothing: a matrix unitarily equivalent to its transpose "
         "satisfies every trace and norm identity",
     }

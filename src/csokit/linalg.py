@@ -15,9 +15,12 @@ involutions) are stored through their symmetric unitary matrix G, acting
 as ``x -> G @ conj(x)``.
 
 Tolerances are relative to the norm of the input with factor DEFAULT_TOL =
-1e-9.  The decisions that the CLI's --tol reaches (``find_conjugation``, the
-obstruction searches, ``nilpotent2_splitting``, ``is_c_symmetric``) accept
-an explicit override; everything else uses DEFAULT_TOL.
+1e-9.  The decisions that the CLI's --tol reaches accept an explicit
+override: ``find_conjugation`` (whose obstruction tests are the xxy screen
+and ``trace_obstruction_search``), the two searches of ``question1-search``
+(``word_obstruction_search`` and ``trace_obstruction_search``),
+``nilpotent2_splitting`` and ``is_c_symmetric``.  Everything else uses
+DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ TENSOR_DIM_CAP = 4096
 #: L = max_len, so its time doubles with each letter (131070 words at the
 #: cap).  The trace search multiplies a word and its reversal out in exact
 #: integers, O(n^3) big-integer operations per letter: about 0.8 s for a
-#: word of length 6 at n = 64, the cap, and 6 s at n = 128.
+#: word of length 6 at n = 64, the cap, and 6 s at n = 128.  ``find_conjugation``
+#: skips its trace test above the cap instead of raising.
 WORD_LEN_CAP = 16
 TRACE_DIM_CAP = 64
 

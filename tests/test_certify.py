@@ -1083,17 +1083,91 @@ def test_tiny_witness_is_not_called_c_symmetric():
     assert is_c_symmetric(np.zeros((3, 3)), Conjugation.identity(3)) == (True, 0.0)
 
 
-def test_find_conjugation_inconclusive_when_masked():
+def test_find_conjugation_obstructs_by_a_trace_word_when_masked():
     # balanced heavy chain hides the unbalanced one from every word norm of
-    # length <= 5, and no conjugation exists, so neither route concludes
+    # length <= 5, but traces add over the direct sum: x^2yxy^2 clears its
+    # bound, and the word search is not on the route
     big = np.zeros((3, 3), dtype=complex)
     big[0, 1] = 10.0
     big[1, 2] = 10.0
     T = direct_sum(big, witness_matrix(1.0, 2.0))
-    cert = find_conjugation(T)
-    assert cert.verdict == "inconclusive"
-    assert np.isnan(cert.residual)
-    assert cert.obstruction_word is None
+    assert word_obstruction_search(T) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "word_obstruction_search", must_not_run("the word search"))
+        cert = find_conjugation(T)
+    assert cert.verdict == "obstructed" and cert.obstruction_word is None
+    assert cert.trace == trace_obstruction_search(T)
+    word, gap, bound = cert.trace
+    assert word == "xxyxyy" and cert.residual == gap and gap > 9 * bound
+    assert bound == 6 * 6 * (4e-9 + 1e-18)
+
+
+def noisy_cso_whose_xxyx_gap_a_verified_g_allows():
+    """The 236th draw of a seeded noisy-CSO stream (6 x 6, noise 7.4e-7 ||T||) and its C."""
+    rng = np.random.default_rng(5)
+    for _ in range(236):
+        n = int(rng.integers(3, 9))
+        T, C = random_cso(rng, n)
+        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eps = 10 ** rng.uniform(-8, -6)
+    return T + eps * np.linalg.norm(T, 2) * E / np.linalg.norm(E, 2), C
+
+
+def test_a_word_gap_that_a_verified_g_allows_is_no_obstruction():
+    # the word search's cut, 1e-6 ||T||^4 for xxyx, lies below the
+    # 4 (4t + t^2) ||T||^4 that a G verifying at 1e-6 leaves: the search
+    # finds xxyx, yet C and the phase G both verify, and certify says so
+    T, C = noisy_cso_whose_xxyx_gap_a_verified_g_allows()
+    assert T.shape == (6, 6)
+    word, gap = word_obstruction_search(T, tol=1e-6)
+    assert word == "xxyx" and 1e-6 < gap / operator_norm(T) ** 4 < 4 * 4e-6
+    assert is_c_symmetric(T, C, 1e-6)[0]
+    cert = find_conjugation(T, 1e-6)
+    assert cert.verdict == "c_symmetric" and cert.residual <= 1e-6
+    assert is_c_symmetric(T, cert.conjugation, 1e-6) == (True, cert.residual)
+
+
+def test_an_xxy_gap_between_12t_and_16t_is_obstructed_at_the_screen():
+    # a rotated order-two nilpotent plus noise 5.5e-8 of its norm, past
+    # order two at the default tol: its xxy gap, 14.3 t ||T||^3, exceeds the
+    # 3 (4t + t^2) ||T||^3 that a verifying G leaves, so the screen claims it
+    # before J(T), with the word search's own certificate, which the reply
+    # was when the screen cut at 16 t and the search ran after J(T)
+    rng = stream(74, 7)
+    n = int(rng.integers(3, 13))
+    T = random_nilpotent2(rng, n)
+    E = random_complex(rng, n, n)
+    T = T + 10.0 ** rng.uniform(-9, -7) * operator_norm(T) / operator_norm(E) * E
+    assert not order_two(T)
+    B, _ = power_of_two_scaled(T)
+    ratio = word_norm_gap(B, "xxy") / operator_norm(B) ** 3 / DEFAULT_TOL
+    assert 12 < ratio <= 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "intertwiner_basis", must_not_run("intertwiner_basis"))
+        cert = find_conjugation(T)
+    word, gap = word_obstruction_search(T)
+    assert (cert.verdict, cert.obstruction_word, cert.obstruction_gap, cert.residual) == (
+        "obstructed",
+        word,
+        gap,
+        gap,
+    )
+    assert word == "xxy" and cert.conjugation is None and cert.trace is None
+
+
+def test_a_rotated_skew_uet_matrix_past_the_trace_cap_is_inconclusive():
+    # n = 66 > TRACE_DIM_CAP: the trace step is skipped, with no
+    # CapacityError, the word search is not on the route, and no conjugation
+    # verifies
+    rng = stream(4, 84)
+    A, B, D = (random_complex(rng, 33, 33) for _ in range(3))
+    Q = random_unitary(rng, 66)
+    T = Q @ np.block([[A, B - B.T], [D - D.T, A.T]]) @ Q.conj().T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "trace_obstruction_search", must_not_run("the trace search"))
+        mp.setattr(certify, "word_obstruction_search", must_not_run("the word search"))
+        cert = find_conjugation(T)
+    assert cert.verdict == "inconclusive" and np.isnan(cert.residual)
 
 
 def phase_accepted(T):
@@ -1596,10 +1670,11 @@ def test_a_float_gap_alone_makes_no_trace_certificate(monkeypatch):
 def test_the_trace_search_proves_what_no_word_separates():
     T = aat_b3()
     assert word_obstruction_search(T) is None
-    assert find_conjugation(T).verdict == "inconclusive"
     word, gap, bound = trace_obstruction_search(T)
     assert word == "xxyxyy" and gap > 1e4 * bound
     assert bound == 9 * 6 * (4e-9 + 1e-18)
+    cert = find_conjugation(T)
+    assert cert.verdict == "obstructed" and cert.trace == (word, gap, bound)
 
 
 def test_the_trace_search_decides_at_any_scale_with_no_overflow():

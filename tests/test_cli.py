@@ -81,16 +81,46 @@ def test_certify_obstructed_exit_2():
     assert out["gap"] == pytest.approx(2.0)
 
 
+def five_times_unitary(n, shift):
+    """V with V V* = 25 I: [[3, 4i], [4i, 3]] on the pairs (shift + 2k, shift + 2k + 1), 5 elsewhere."""
+    V = 5.0 * np.eye(n, dtype=complex)
+    for i in range(shift, n - 1, 2):
+        V[i : i + 2, i : i + 2] = [[3, 4j], [4j, 3]]
+    return V
+
+
 def test_certify_inconclusive_exit_3_with_null_residual():
-    big = np.zeros((3, 3), dtype=complex)
-    big[0, 1] = 10.0
-    big[1, 2] = 10.0
-    T = direct_sum(big, witness_matrix(1.0, 2.0))
+    # a rotated skew-UET_8, [[A, B - B^t], [D - D^t, A^t]] conjugated by 25
+    # times a unitary, in small Gaussian integers: T = U T^t U* for a
+    # unitary U, so every norm and trace gap is exactly 0, though no
+    # conjugation exists
+    rng = np.random.default_rng(0)
+    A, B, D = (rng.integers(-3, 4, (4, 4)) + 1j * rng.integers(-3, 4, (4, 4)) for _ in range(3))
+    V = five_times_unitary(8, 0) @ five_times_unitary(8, 1)
+    T = V @ np.block([[A, B - B.T], [D - D.T, A.T]]) @ V.conj().T
     p = run_cli("certify", "--matrix", matrix_arg(T))
     assert p.returncode == 3
     out = json.loads(p.stdout)
     assert out["verdict"] == "inconclusive"
     assert out["residual"] is None
+
+
+def test_certify_trace_obstruction_exit_2():
+    # a balanced heavy chain masks the witness from every word norm; the
+    # trace word x^2yxy^2 obstructs
+    big = np.zeros((3, 3), dtype=complex)
+    big[0, 1] = 10.0
+    big[1, 2] = 10.0
+    T = direct_sum(big, witness_matrix(1.0, 2.0))
+    p = run_cli("certify", "--matrix", matrix_arg(T))
+    assert p.returncode == 2
+    out = json.loads(p.stdout)
+    assert sorted(out) == ["residual", "trace", "verdict"]
+    assert out["verdict"] == "obstructed"
+    trace = out["trace"]
+    assert sorted(trace) == ["relative_bound", "relative_gap", "word"]
+    assert trace["word"] == "xxyxyy" and trace["relative_gap"] > trace["relative_bound"] > 0
+    assert out["residual"] == trace["relative_gap"]
 
 
 def test_malformed_input_exit_64():
