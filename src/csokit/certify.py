@@ -15,12 +15,14 @@ verifying G allows, or an exact trace-word gap above its bound.
 2. Transpose-symmetric matrices: G = I.  ||B - B^t|| and the two norms of
    the xxy screen (3), all at B = T / 2^e, share one batched SVD; ||B - B^t||
    joins it only when its Frobenius norm leaves the test open.
-3. The xxy screen: a word gap | ||T T T*|| - ||T* T* T|| | above
+3. The xxy screen: ``_word_obstruction``, the one cut of every norm word,
+   on the gap | ||T T T*|| - ||T* T* T|| |.  A gap above
    3 (4t + t^2) ||T||^3, t = max(tol, GAP_FLOOR 3 n), rules out every G
    that could verify at tol (``_gap_bound``), so "obstructed" by xxy is
    returned before J(T) is built.  This decides a generic matrix at
    O(n^3).  Its two words are multiplied out as the word search multiplies
-   them, so the gap is ``word_norm_gaps``' bit for bit.
+   them, so the gap is ``word_norm_gaps``' bit for bit, and the reply is
+   the word search's hit: xxy is the first word that can have a gap.
 4. The polar factor of a symmetric intertwiner.  The joint intertwiner
    space J(T) = {X : T X = X T^t, T* X = X conj(T)} holds every symmetric
    unitary G with T G = G T^t.  For X in J(T), X* X commutes with T^t and
@@ -44,7 +46,8 @@ verifying G allows, or an exact trace-word gap above its bound.
    has been tried.
 5. If no candidate is verified, the exact trace test
    (``trace_obstruction_search``) for n <= TRACE_DIM_CAP: a trace word
-   whose gap, decided in integers, clears n L (4t + t^2) ||T||_F^L.
+   whose gap, decided in integers, clears n L (4t + t^2) ||T||_F^L proves,
+   as a norm word's gap above its bound does, that no G verifies at tol.
    Traces are unitary invariants that add over direct sums, so it decides
    what a complex symmetric block hides from every word norm.  A larger T
    skips it.
@@ -54,17 +57,16 @@ verifying G allows, or an exact trace-word gap above its bound.
    tol looser than the cut of J(T), or of order two with a G (1) that misses
    tol.  Unverified, it leaves a held CapacityError or "inconclusive".
 
-``word_obstruction_search`` (the 62 words of length at most 5, each gap cut
-at max(tol, GAP_FLOOR L n) ||T||^L) is not on this route: a gap above that
-cut but within L (4t + t^2) ||T||^L can be left by a G that verifies.  It
-serves ``question1-search``.
+``word_obstruction_search`` cuts the 62 words of length at most 5 by the
+same rule, each at L (4t + t^2) ||T||^L, so a word it returns proves that
+no G verifies at tol; finding none proves nothing.  It serves
+``question1-search`` and is not on this route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -73,14 +75,12 @@ from .linalg import (
     DEFAULT_TOL,
     TENSOR_DIM_CAP,
     TRACE_DIM_CAP,
-    WORD_LEN_CAP,
     Conjugation,
     _as_square_matrices,
     _conjugation_matrix,
     _norms_or_inf,
     _screened_norms,
     as_matrix,
-    check_count,
     check_positive,
     column_phases,
     direct_sum,
@@ -90,21 +90,15 @@ from .linalg import (
     times_power_of_two,
     unitary_in_subspace,
 )
-from .words import (
-    _validated_words,
-    swap_letters,
-    validate_word,
-    word_products,
-    words_of_length,
-)
+from .words import NORM_WORDS, _validated_words, swap_letters, word_products
 
 #: Rounding floor of a word-norm gap, per letter and per dimension.  A word of
 #: length L multiplied out at n x n and normed by an SVD errs by well under
 #: L n eps ||T||^L: over 600 rotated CSO matrices of n = 2-32, half with
 #: singular values spread to 1e6, the largest gap of the 62 words of length
-#: at most 5 was 6.3 eps ||T||^L, and 0.67 L n eps ||T||^L.  So a gap counts
-#: only above max(tol, GAP_FLOOR L n) ||T||^L.  At the default tol the floor
-#: stays below tol up to n = 4096.
+#: at most 5 was 6.3 eps ||T||^L, and 0.67 L n eps ||T||^L.  So every cut of
+#: a gap is built from t = max(tol, GAP_FLOOR L n).  At the default tol the
+#: floor stays below tol up to n = 4096.
 GAP_FLOOR = 16 * np.finfo(float).eps
 
 _NORM_OVERFLOWS = "||T|| overflows: it is past the largest double; rescale T"
@@ -112,7 +106,7 @@ _LEAST_DOUBLE = np.nextafter(0.0, 1.0)
 
 
 def _gap_cut(tol: float, length: int, n: int) -> float:
-    """The relative cut a gap of a length-L word must pass: max(tol, GAP_FLOOR L n)."""
+    """t = max(tol, GAP_FLOOR L n), from which ``_gap_bound`` builds a length-L word's cut."""
     return max(tol, GAP_FLOOR * length * max(n, 1))
 
 
@@ -131,7 +125,7 @@ def _gap_bound(tol: float, length: int, n: int, copies: int = 1) -> float:
     S* = U conj(T) U*, so a word w of length L has w(S, S*) = U (rev
     w)(T, T*)^t U*, and telescoping over its L letters, each of norm ||T||,
     gives ||w(T, T*) - w(S, S*)|| <= L (4t + t^2) ||T||^L.  Both the norm
-    gap | ||w|| - ||rev w|| | (``_xxy_obstruction``, copies = 1) and, as
+    gap | ||w|| - ||rev w|| | (``_word_obstruction``, copies = 1) and, as
     |tr M| <= n ||M||, the trace gap |tr w - tr rev w| (the trace test,
     copies = n) are bounded by that in units of ||T||^L.  A float norm gap
     errs by its rounding, well under GAP_FLOOR L n ||T||^L, and t is at
@@ -590,25 +584,24 @@ def _screen_norms(B: np.ndarray, tol: float, nrm: float) -> tuple[float, float]:
     return (skews[0] if skews else math.inf), abs(xxy - yxx)
 
 
-def _xxy_obstruction(
-    gap: float, e: int, unit_nrm: float, tol: float, n: int
+def _word_obstruction(
+    words, unit_gaps, e: int, unit_nrm: float, tol: float, n: int
 ) -> tuple[str, float] | None:
-    """("xxy", gap in T's units) if the xxy gap alone rules out every G that verifies at tol.
+    """(w, gap in T's units) for the first word w whose gap alone rules out every G that
+    verifies at tol, or None: the one cut of every norm-word obstruction.
 
-    ``gap`` is the xxy gap of the n x n matrix B = T / 2^e, and ``unit_nrm``
-    = ||B||: ``_screen_norms`` takes the gap | ||xxy|| - ||yxx|| | from
-    the canonical members of the two adjoint classes (see
-    ``word_norm_gaps``), so it is ``word_norm_gaps(B, ["xxy"])[0]`` bit for
-    bit.  The hit needs a gap above ``_gap_bound(tol, 3, n)`` ||B||^3 =
-    3 (4t + t^2) ||B||^3, t = max(tol, GAP_FLOOR 3 n), which no G that
-    verifies at tol <= 1/32 leaves: so where this returns a word, the polar
-    factors of J(T) could not have verified.  A larger tol is never
-    screened.
+    ``unit_gaps`` are the gaps of ``words`` at the n x n matrix B = T / 2^e,
+    as ``_word_norm_gaps`` takes them, and ``unit_nrm`` = ||B||.  A word of
+    length L hits where its gap exceeds ``_gap_bound(tol, L, n)`` ||B||^L =
+    L (4t + t^2) ||B||^L, t = max(tol, GAP_FLOOR L n), which no G that
+    verifies at tol <= 1/32 leaves; its gap is taken back to T's units by
+    ``_gap_in_units``.  A larger tol is never tried.
     """
     if tol > 1 / 32:
         return None
-    if gap > _gap_bound(tol, 3, n) * unit_nrm**3:
-        return "xxy", _gap_in_units("xxy", gap, unit_nrm, e)
+    for word, gap in zip(words, unit_gaps):
+        if gap > _gap_bound(tol, len(word), n) * unit_nrm ** len(word):
+            return word, _gap_in_units(word, float(gap), unit_nrm, e)
     return None
 
 
@@ -623,7 +616,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     (``_order_two_ruled_out``) skips the splitting's SVD.  Any other T
     takes the general routes: G = I if T is transpose-symmetric; else
     "obstructed" by xxy if its gap exceeds the bound that every G verifying
-    at tol leaves (``_xxy_obstruction``, taken before J(T) is built); else
+    at tol leaves (``_word_obstruction``, taken before J(T) is built); else
     the polar factors that ``unitary_in_subspace`` takes of the symmetric
     half of the joint intertwiner space J(T), from the eigenbasis and
     coordinates that ``intertwiner_basis`` gives, each re-verified before
@@ -668,7 +661,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
             C = Conjugation.identity(len(B))
             return CsoCertificate("c_symmetric", skew / nrm, conjugation=C)
 
-        found = _xxy_obstruction(gap, e, nrm, tol, len(B))
+        found = _word_obstruction(("xxy",), (gap,), e, nrm, tol, len(B))
         if found is not None:
             word, gap = found
             return CsoCertificate(
@@ -697,20 +690,6 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     return CsoCertificate("inconclusive", residual=residual)
 
 
-#: Matrix entries per batch (4 MB of complex128): the word search takes
-#: words in batches whose n x n products hold at most this many entries, so
-#: a long max_len costs time, not memory.
-BATCH_ENTRIES = 1 << 18
-
-
-def _batches(items, n: int):
-    """Consecutive lists of items, each with at most BATCH_ENTRIES entries of n x n products."""
-    size = max(1, BATCH_ENTRIES // max(n * n, 1))
-    it = iter(items)
-    while batch := list(islice(it, size)):
-        yield batch
-
-
 def word_norm_gaps(T, words) -> np.ndarray:
     """| ||w(T,T*)|| - ||w(T*,T)|| | for each word, at T or at each T of a (k, n, n) stack.
 
@@ -731,11 +710,6 @@ def word_norm_gaps(T, words) -> np.ndarray:
     that overflows there raises PreconditionError naming ||T||.
     """
     return _gaps_in_units(_as_square_matrices(T), _validated_words(words))
-
-
-def word_norm_gap(T, word: str) -> float:
-    """| ||w(T,T*)|| - ||w(T*,T)|| | for a single word, as ``word_norm_gaps`` takes it."""
-    return float(_gaps_in_units(as_matrix(T, square=True), [validate_word(word)])[0])
 
 
 def _gaps_in_units(A: np.ndarray, words: list[str]) -> np.ndarray:
@@ -761,42 +735,29 @@ def _word_norm_gaps(A: np.ndarray, words: list[str]) -> np.ndarray:
     return np.array([abs(norms[pair[0]] - norms[pair[1]]) if pair else zero for pair in pairs])
 
 
-def word_obstruction_search(
-    T, max_len: int = 5, tol: float = DEFAULT_TOL
-) -> tuple[str, float] | None:
-    """First word w with | ||w(T,T*)|| - ||w(T*,T)|| | > max(tol, GAP_FLOOR L n) ||T||^L.
+def word_obstruction_search(T, tol: float = DEFAULT_TOL) -> tuple[str, float] | None:
+    """First word w of NORM_WORDS whose gap | ||w(T,T*)|| - ||w(T*,T)|| | proves that T
+    is not complex symmetric at tol, with that gap; None proves nothing.
 
-    Words are enumerated length-lexicographically with x < y, L = len(w).
-    Such a word proves that no G verifies at tol only where its gap also
-    exceeds the L (4t + t^2) ||T||^L that a verifying G leaves
-    (``_gap_bound``), so ``find_conjugation`` does not call it; absence of
-    one proves nothing.  The floor keeps a rounding gap from counting at a
-    tol below it.  The gaps come from ``word_norm_gaps`` one length at a time,
-    so an early hit such as xxy costs only the words up to its length.
-    w(T*,T) is adjoint to rev(w)(T,T*), so each gap is | ||w|| - ||rev w|| |,
-    both norms taken at the canonical member of the word's adjoint class
-    {v, swap(rev v)}: a palindrome never hits, and a gap does not depend on
-    the batch that holds its word.
+    The gaps of the 62 words of length at most 5 come from one batch of 24
+    norms (``word_norm_gaps``), and ``_word_obstruction`` cuts them as the
+    xxy screen of ``find_conjugation`` cuts its gap: a word of length L hits
+    above the L (4t + t^2) ||T||^L that a G verifying at tol <= 1/32 leaves
+    (``_gap_bound``), and a larger tol finds nothing.  Words are taken
+    length-lexicographically with x < y.  w(T*,T) is adjoint to
+    rev(w)(T,T*), so each gap is | ||w|| - ||rev w|| |, both norms taken at
+    the canonical member of the word's adjoint class {v, swap(rev v)}: a
+    palindrome never hits.
 
     The search runs on T scaled by a power of two to norm in
     [1/2, sqrt(2) n), so its word products neither overflow nor underflow,
-    and the gap it returns is taken back to T's units exactly.  A gap that overflows or underflows
-    there raises PreconditionError naming ||T||.  A max_len above
-    WORD_LEN_CAP is a CapacityError, raised before any word is multiplied out.
+    and the gap it returns is taken back to T's units exactly.  A gap that
+    overflows or underflows there raises PreconditionError naming ||T||.
     """
     tol = check_positive(tol, "tol")
-    max_len = check_count(max_len, "max_len", most=WORD_LEN_CAP)
-    A, e = power_of_two_scaled(as_matrix(T, square=True))
-    nrm = operator_norm(A)
-    n = A.shape[0]
-    for length in range(1, max_len + 1):
-        for batch in _batches(words_of_length(length), n):
-            gaps = _word_norm_gaps(A, batch)
-            hits = np.flatnonzero(gaps > _gap_cut(tol, length, n) * nrm**length)
-            if hits.size:
-                word = batch[hits[0]]
-                return word, _gap_in_units(word, float(gaps[hits[0]]), nrm, e)
-    return None
+    B, e = power_of_two_scaled(as_matrix(T, square=True))
+    gaps = _word_norm_gaps(B, NORM_WORDS)
+    return _word_obstruction(NORM_WORDS, gaps, e, operator_norm(B), tol, len(B))
 
 
 def _gap_in_units(word: str, unit_gap: float, unit_nrm: float, e: int) -> float:

@@ -2,9 +2,10 @@
 
 Subcommands: certify, destructor, tto, synthesize, verify-paper and
 question1-search, which reports a word-norm gap and an exact trace-word gap
-of T: the trace gap proves T is not complex symmetric, and the word gap only
-where it exceeds the bound that a verifying G leaves.  Matrix, Blaschke,
-and symbol arguments accept either inline JSON or a path to a JSON file.
+of T, each cut at the bound that a G verifying at tol leaves: either gap
+proves T is not complex symmetric at tol, and finding neither proves
+nothing.  Matrix, Blaschke, and symbol arguments accept either inline JSON
+or a path to a JSON file.
 All output is canonical JSON (sorted keys, compact separators), so
 identical inputs and seeds give byte-identical bytes.
 
@@ -116,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="look for a word-norm or trace-word gap that proves T is not complex symmetric",
     )
     p.add_argument("--matrix", required=True)
-    p.add_argument("--max-len", type=int, default=5)
     _common(p, "tol")
 
     return parser
@@ -167,15 +167,15 @@ def cmd_verify_paper(args) -> int:
 
 def cmd_question1(args) -> int:
     T = serialize.matrix_from_json(_load_json(args.matrix))
-    word_hit = word_obstruction_search(T, max_len=args.max_len, tol=args.tol)
+    word_hit = word_obstruction_search(T, tol=args.tol)
     trace_hit = trace_obstruction_search(T, tol=args.tol)
     out = {
         "word_search": None if word_hit is None else {"word": word_hit[0], "gap": word_hit[1]},
         "trace_search": serialize.trace_hit_to_json(trace_hit),
-        "note": "a trace gap proves T is not complex symmetric at tol, and a word gap of "
-        "length L does only above L(4t + t^2)||T||^L, t = max(tol, 16 L n eps); finding "
-        "neither resolves nothing: a matrix unitarily equivalent to its transpose "
-        "satisfies every trace and norm identity",
+        "note": "a word gap or a trace gap proves T is not complex symmetric at tol, each "
+        "cut at the bound that a conjugation verifying at tol leaves; finding neither "
+        "resolves nothing: a matrix unitarily equivalent to its transpose satisfies every "
+        "trace and norm identity",
     }
     _emit(out, args.out)
     return 0

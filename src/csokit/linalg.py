@@ -38,14 +38,11 @@ DEFAULT_TOL = 1e-9
 #: holds its system to the entries of the largest such product.
 TENSOR_DIM_CAP = 4096
 
-#: Caps on the obstruction searches, checked before either search loops.
-#: The word search multiplies out all 2^(L+1) - 2 words of length at most
-#: L = max_len, so its time doubles with each letter (131070 words at the
-#: cap).  The trace search multiplies a word and its reversal out in exact
-#: integers, O(n^3) big-integer operations per letter: about 0.8 s for a
-#: word of length 6 at n = 64, the cap, and 6 s at n = 128.  ``find_conjugation``
+#: Cap on the trace search's dimension, checked before it multiplies
+#: anything.  It multiplies a word and its reversal out in exact integers,
+#: O(n^3) big-integer operations per letter: about 0.8 s for a word of
+#: length 6 at n = 64, the cap, and 6 s at n = 128.  ``find_conjugation``
 #: skips its trace test above the cap instead of raising.
-WORD_LEN_CAP = 16
 TRACE_DIM_CAP = 64
 
 #: The golden-ratio conjugate, whose multiples mod 1 never repeat: the phases

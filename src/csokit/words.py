@@ -113,3 +113,9 @@ def iter_words(max_len: int):
     """Length-lexicographic enumeration (x < y), lengths 1..max_len."""
     for length in range(1, max_len + 1):
         yield from words_of_length(length)
+
+
+#: The 62 words of length at most 5, length-lexicographic: the words that
+#: the word search and the word-identity entry of verify-paper norm, one
+#: batch of 24 norms (one per adjoint class, palindromes taking none).
+NORM_WORDS = tuple(iter_words(5))

@@ -21,7 +21,6 @@ from csokit.certify import (
     is_c_symmetric,
     nilpotent2_splitting,
     trace_obstruction_search,
-    word_norm_gap,
     word_norm_gaps,
     word_obstruction_search,
 )
@@ -36,7 +35,6 @@ from csokit.indestructible import (
 from csokit import certify
 from csokit.linalg import (
     TRACE_DIM_CAP,
-    WORD_LEN_CAP,
     Conjugation,
     check_count,
     conjugate_by,
@@ -45,6 +43,7 @@ from csokit.linalg import (
     operator_norms,
     tensor,
 )
+from csokit.modelspace import DEFAULT_QUAD, QUAD_CAP
 from csokit.serialize import matrix_to_json
 from csokit.synthesis import synthesize_tto_for_nilpotent2
 from csokit.words import eval_word, word_products
@@ -73,7 +72,6 @@ ENTRIES = {
     "nilpotent2_tensor_conjugation(B)": lambda M: nilpotent2_tensor_conjugation(J2, M),
     "canonical_block_decomposition": canonical_block_decomposition,
     "intertwiner_basis": intertwiner_basis,
-    "word_norm_gap": lambda M: word_norm_gap(M, "xxy"),
     "word_norm_gaps": lambda M: word_norm_gaps(M, ["xxy"]),
     "operator_norm": operator_norm,
     "operator_norms": lambda M: operator_norms([M]),
@@ -155,18 +153,11 @@ def test_an_overflowing_tensor_product_is_an_input_error(call):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_word_search_past_its_length_cap_is_refused_before_it_loops():
-    # it used to enumerate 2^L words for each L up to 10^9, with no end
-    with deadline(1.0), pytest.raises(CapacityError, match="max_len"):
-        word_obstruction_search(np.eye(2), max_len=10**9)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_word_gap_that_overflows_in_the_units_of_t_is_a_precondition_error():
     # it used to raise a raw RuntimeWarning, "overflow encountered in matmul";
     # at T / 2^e the xxy gap is a rounding-level 5.6e-17, inf in T's units
     with pytest.raises(PreconditionError, match=r"\|\|T\|\| = "):
-        word_norm_gap([[1e308, 1e308], [-1e308, 1e308]], "xxy")
+        word_norm_gaps([[1e308, 1e308], [-1e308, 1e308]], ["xxy"])
 
 
 def test_a_trace_search_past_its_dimension_cap_is_refused_before_any_exact_product(monkeypatch):
@@ -182,24 +173,17 @@ def test_a_trace_search_past_its_dimension_cap_is_refused_before_any_exact_produ
 
 
 def test_a_count_at_its_cap_is_admitted_and_one_past_it_refused():
-    assert WORD_LEN_CAP >= 5  # the CLI default
-    assert check_count(WORD_LEN_CAP, "count", most=WORD_LEN_CAP) == WORD_LEN_CAP
+    assert QUAD_CAP >= DEFAULT_QUAD  # the CLI default
+    assert check_count(QUAD_CAP, "count", most=QUAD_CAP) == QUAD_CAP
     with pytest.raises(CapacityError, match="exceed the cap"):
-        check_count(WORD_LEN_CAP + 1, "count", most=WORD_LEN_CAP)
+        check_count(QUAD_CAP + 1, "count", most=QUAD_CAP)
     # a symmetric matrix at the trace cap takes the float pass, which decides it
     S = np.random.default_rng(6).standard_normal((TRACE_DIM_CAP,) * 2)
     assert trace_obstruction_search(S + S.T) is None
 
 
-@pytest.mark.parametrize(
-    "matrix, flags, named",
-    [
-        (np.eye(2), ["--max-len", str(10**9)], "exceed the cap"),
-        (np.eye(TRACE_DIM_CAP + 1), [], f"n <= {TRACE_DIM_CAP}"),
-    ],
-    ids=["max-len", "dimension"],
-)
-def test_question1_search_past_a_cap_exits_65(matrix, flags, named, capsys):
+def test_question1_search_past_a_cap_exits_65(capsys):
+    matrix = json.dumps(matrix_to_json(np.eye(TRACE_DIM_CAP + 1)))
     with deadline(5.0):
-        code = main(["question1-search", "--matrix", json.dumps(matrix_to_json(matrix)), *flags])
-    assert code == 65 and named in capsys.readouterr().err
+        code = main(["question1-search", "--matrix", matrix])
+    assert code == 65 and f"n <= {TRACE_DIM_CAP}" in capsys.readouterr().err

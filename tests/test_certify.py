@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from csokit import certify
 from csokit.certify import (
@@ -29,7 +29,6 @@ from csokit.certify import (
     is_c_symmetric,
     nilpotent2_splitting,
     trace_obstruction_search,
-    word_norm_gap,
     word_norm_gaps,
     word_obstruction_search,
 )
@@ -47,7 +46,7 @@ from csokit.linalg import (
     unitary_in_subspace,
 )
 from csokit.synthesis import synthesize_tto_for_nilpotent2
-from csokit.words import eval_word, iter_words, swap_letters, word_products, words_of_length
+from csokit.words import NORM_WORDS, eval_word, swap_letters, word_products, words_of_length
 
 
 def jordan(n):
@@ -1114,13 +1113,15 @@ def noisy_cso_whose_xxyx_gap_a_verified_g_allows():
 
 
 def test_a_word_gap_that_a_verified_g_allows_is_no_obstruction():
-    # the word search's cut, 1e-6 ||T||^4 for xxyx, lies below the
-    # 4 (4t + t^2) ||T||^4 that a G verifying at 1e-6 leaves: the search
-    # finds xxyx, yet C and the phase G both verify, and certify says so
+    # the xxyx gap, above 1e-6 ||T||^4, lies below the 4 (4t + t^2) ||T||^4
+    # that a G verifying at 1e-6 leaves: C and the phase G both verify, so
+    # the word search, cut at that bound, finds nothing, and certify
+    # returns a G
     T, C = noisy_cso_whose_xxyx_gap_a_verified_g_allows()
     assert T.shape == (6, 6)
-    word, gap = word_obstruction_search(T, tol=1e-6)
-    assert word == "xxyx" and 1e-6 < gap / operator_norm(T) ** 4 < 4 * 4e-6
+    gap = word_norm_gaps(T, ["xxyx"])[0]
+    assert 1e-6 < gap / operator_norm(T) ** 4 < 4 * 4e-6
+    assert word_obstruction_search(T, tol=1e-6) is None
     assert is_c_symmetric(T, C, 1e-6)[0]
     cert = find_conjugation(T, 1e-6)
     assert cert.verdict == "c_symmetric" and cert.residual <= 1e-6
@@ -1140,7 +1141,7 @@ def test_an_xxy_gap_between_12t_and_16t_is_obstructed_at_the_screen():
     T = T + 10.0 ** rng.uniform(-9, -7) * operator_norm(T) / operator_norm(E) * E
     assert not order_two(T)
     B, _ = power_of_two_scaled(T)
-    ratio = word_norm_gap(B, "xxy") / operator_norm(B) ** 3 / DEFAULT_TOL
+    ratio = word_norm_gaps(B, ["xxy"])[0] / operator_norm(B) ** 3 / DEFAULT_TOL
     assert 12 < ratio <= 16
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "intertwiner_basis", must_not_run("intertwiner_basis"))
@@ -1278,6 +1279,8 @@ def test_the_order_two_screen_passes_order_two_inputs_to_the_split():
     assert certify._order_two_ruled_out(power_of_two_scaled(jordan(3))[0], DEFAULT_TOL)
 
 
+# seed 104, n = 3: the xxyx gap lies above tol ||T||^4 but within its bound
+@example(seed=104, dim=3, log_noise=-8.0, perturb_g=False)
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1290,7 +1293,8 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
 ):
     # a CSO matrix plus noise, and its G (made slightly non-unitary and
     # non-symmetric at will), at the tol at which that G just verifies: the
-    # screen must leave the decision to J(T)
+    # screen must leave the decision to J(T), and the word search, cut by
+    # the same rule, must find no word
     rng = stream(seed, dim)
     T, C = random_cso(rng, dim)
     E = random_complex(rng, dim, dim)
@@ -1302,7 +1306,8 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
     assert certify._verified_residual(T, C, tol, operator_norm(T))[0]
     B, e = power_of_two_scaled(T)
     gap = certify._screen_norms(B, tol, operator_norm(B))[1]
-    assert certify._xxy_obstruction(gap, e, operator_norm(B), tol, dim) is None
+    assert certify._word_obstruction(("xxy",), (gap,), e, operator_norm(B), tol, dim) is None
+    assert word_obstruction_search(T, tol=tol) is None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -1434,29 +1439,28 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
         nilpotent2_splitting(S, tol=tol)
 
 
-@pytest.mark.parametrize(
-    "search, kwargs",
-    [
-        (word_obstruction_search, {"max_len": 0}),
-        (word_obstruction_search, {"max_len": -2}),
-        (word_obstruction_search, {"max_len": 2.5}),
-        (word_obstruction_search, {"max_len": None}),
-    ],
-)
-def test_out_of_range_counts_and_modes_are_input_errors(search, kwargs):
-    with pytest.raises(InputError):
-        search(np.array([[1.0, 2j], [2j, 3.0]]), **kwargs)
+def test_the_word_rule_tries_no_tol_above_one_in_32():
+    # a unit xxy gap at ||B|| = 1 clears 3 (4t + t^2) at t = 1/32, and no
+    # larger tol is tried; the gap comes back in T's units, 2^(3e) times it
+    rule = certify._word_obstruction
+    assert rule(("xxy",), (1.0,), 2, 1.0, 1 / 32, 3) == ("xxy", 64.0)
+    for tol in (0.04, 1.0, 1e300):
+        assert rule(("xxy",), (1.0,), 2, 1.0, tol, 3) is None
+    # the first word past its own bound, in the order given: 0.45 clears
+    # the 0.378 of a length-3 word but not the 0.504 of a length-4 one
+    gaps = (0.0, 0.45, 1.0)
+    assert rule(("xy", "xxyx", "xxy"), gaps, 0, 1.0, 1 / 32, 3) == ("xxy", 1.0)
 
 
 def test_word_norm_gap_vanishes_on_cso():
     T, _ = random_cso(stream(11, 4), 4)
     nrm = operator_norm(T)
     for w in ("x", "yxx", "xyxyx"):
-        assert word_norm_gap(T, w) <= 1e-10 * nrm ** len(w)
+        assert word_norm_gaps(T, [w])[0] <= 1e-10 * nrm ** len(w)
 
 
 def test_word_obstruction_search_finds_witness_violation():
-    hit = word_obstruction_search(witness_matrix(1.0, 2.0), max_len=5)
+    hit = word_obstruction_search(witness_matrix(1.0, 2.0))
     assert hit is not None
     word, gap = hit
     assert word == "xxy"
@@ -1465,7 +1469,7 @@ def test_word_obstruction_search_finds_witness_violation():
 
 def test_word_obstruction_search_clean_on_cso():
     T, _ = random_cso(stream(11, 5), 3)
-    assert word_obstruction_search(T, max_len=4) is None
+    assert word_obstruction_search(T) is None
 
 
 def per_word_gap(T, word):
@@ -1490,7 +1494,7 @@ def per_word_search(T, words, tol=DEFAULT_TOL):
     nrm = operator_norm(T)
     for w in words:
         gap = per_word_gap(T, w)
-        if gap > tol * nrm ** len(w):
+        if gap > certify._gap_bound(tol, len(w), len(T)) * nrm ** len(w):
             return w, gap
     return None
 
@@ -1508,8 +1512,8 @@ def search_matrix(kind, seed, n):
 
 def test_word_norm_gap_is_the_per_word_gap_bit_for_bit():
     T = search_matrix("generic", 1, 4)
-    for w in iter_words(5):
-        assert word_norm_gap(T, w) == per_word_gap(T, w)
+    for w in NORM_WORDS:
+        assert word_norm_gaps(T, [w])[0] == per_word_gap(T, w)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -1521,9 +1525,8 @@ def test_word_norm_gap_is_the_per_word_gap_bit_for_bit():
 def test_word_norm_gaps_stay_within_rounding_of_the_swapped_word_gaps(kind, seed, n):
     # one norm per adjoint class moves a gap only by the rounding of the two products
     T = search_matrix(kind, seed, n)
-    words = list(iter_words(5))
     nrm = operator_norm(T)
-    for w, gap in zip(words, word_norm_gaps(T, words).tolist()):
+    for w, gap in zip(NORM_WORDS, word_norm_gaps(T, NORM_WORDS).tolist()):
         assert abs(gap - swapped_word_gap(T, w)) <= 8 * np.finfo(float).eps * nrm ** len(w)
 
 
@@ -1541,7 +1544,7 @@ def record_norm_batches(monkeypatch):
 
 def test_palindromes_have_gap_exactly_zero_and_take_no_norm(monkeypatch):
     T = search_matrix("generic", 2, 5)
-    palindromes = [w for w in iter_words(5) if w == w[::-1]]
+    palindromes = [w for w in NORM_WORDS if w == w[::-1]]
     norms = record_norm_batches(monkeypatch)
     assert word_norm_gaps(T, palindromes).tolist() == [0.0] * 20
     assert word_norm_gaps(T[None].repeat(3, axis=0), palindromes).tolist() == [[0.0] * 3] * 20
@@ -1551,12 +1554,15 @@ def test_palindromes_have_gap_exactly_zero_and_take_no_norm(monkeypatch):
 def test_the_62_words_take_one_batch_of_24_norms(monkeypatch):
     T = search_matrix("cso", 3, 4)
     norms = record_norm_batches(monkeypatch)
-    word_norm_gaps(T, list(iter_words(5)))
+    word_norm_gaps(T, NORM_WORDS)
     assert norms == [(24, 4, 4)]
+    # the word search takes them in that one batch too
+    assert word_obstruction_search(T) is None
+    assert norms == [(24, 4, 4)] * 2
 
 
 def test_stacked_word_gaps_equal_their_one_matrix_gaps_byte_for_byte():
-    words = list(iter_words(5))
+    words = NORM_WORDS
     for kind in ("generic", "cso", "witness"):
         S = np.array([search_matrix(kind, seed, 5) for seed in range(4)])
         gaps = word_norm_gaps(S, words)
@@ -1572,15 +1578,11 @@ def test_stacked_word_gaps_equal_their_one_matrix_gaps_byte_for_byte():
     kind=st.sampled_from(["generic", "cso", "witness"]),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
-    batch_words=st.sampled_from([1, 3, 1000]),
 )
-def test_word_search_equals_the_per_word_loop(kind, seed, n, batch_words):
+def test_word_search_equals_the_per_word_loop(kind, seed, n):
     T = search_matrix(kind, seed, n)
-    with pytest.MonkeyPatch.context() as mp:
-        # small batches split the levels across several tables
-        mp.setattr(certify, "BATCH_ENTRIES", batch_words * len(T) ** 2)
-        got = word_obstruction_search(T, max_len=5)
-    assert got == per_word_search(T, iter_words(5))
+    got = word_obstruction_search(T)
+    assert got == per_word_search(T, NORM_WORDS)
     if kind == "witness":
         assert got is not None
 
@@ -1609,7 +1611,7 @@ def test_the_trace_words_are_one_per_chiral_class_of_lengths_6_to_8():
         return {w[i:] + w[:i] for i in range(len(w))}
 
     # every word up to length 5 is a rotation of its reversal, so its trace gap is 0
-    assert all(w[::-1] in rotations(w) for w in iter_words(5))
+    assert all(w[::-1] in rotations(w) for w in NORM_WORDS)
     firsts = [
         w
         for length in (6, 7, 8)

@@ -189,16 +189,12 @@ def test_negative_seed_exit_64():
     assert run_main("verify-paper", "--seed", "-1") == 64
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["question1-search", "--matrix", "J2", "--max-len", "0"],
-        ["question1-search", "--matrix", "J2", "--max-len", "-2"],
-    ],
-)
-def test_out_of_range_counts_exit_64(argv):
-    # --max-len 0 used to exit 1 with a raw ValueError
-    assert run_main(*[json.dumps(J2) if arg == "J2" else arg for arg in argv]) == 64
+def test_max_len_is_a_usage_error_exit_64():
+    # question1-search searches the 62 words of length at most 5 and takes no length
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["question1-search", "--matrix", json.dumps(J2), "--max-len", "5"])
+    assert exc.value.code == 64 and "unrecognized arguments: --max-len 5" in err.getvalue()
 
 
 def run_main_output(*args):
@@ -503,6 +499,7 @@ def test_question1_search_makes_no_trace_claim_on_a_rotated_cso_matrix_at_a_tiny
         ["synthesize", "--matrix", "N.json", "--seed", "7"],
         ["question1-search", "--matrix", "T.json", "--seed", "0"],
         ["question1-search", "--matrix", "T.json", "--samples", "256"],
+        ["question1-search", "--matrix", "T.json", "--max-len", "5"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
@@ -517,7 +514,7 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
         ["certify"],
         ["certify", "--matrix", "J2", "--bogus", "1"],
         ["certify", "--matrix", "J2", "--tol", "-1e-9"],
-        ["question1-search", "--matrix", "J2", "--max-len", "two"],
+        ["verify-paper", "--seed", "two"],
         [],
     ],
     ids=["missing-matrix", "unknown-flag", "dash-led-value", "non-integer", "no-subcommand"],

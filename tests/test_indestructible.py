@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csokit import indestructible
-from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gap
+from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gaps
 from csokit.ensembles import random_complex, random_nilpotent2, random_unitary, stream
 from csokit.errors import AccuracyError, CapacityError, InputError, PreconditionError
 from csokit.indestructible import (
@@ -127,12 +127,12 @@ def test_destructor_refuses_a_ratio_whose_tensor_gap_cancels():
     A = witness_matrix(2.0, 1.0)
     with pytest.raises(PreconditionError, match="cancels"):
         destructor_witness(A, 1.0, 2.0)
-    assert word_norm_gap(np.kron(A, witness_matrix(1.0, 2.0)), "yxx") == 0.0
+    assert word_norm_gaps(np.kron(A, witness_matrix(1.0, 2.0)), ["yxx"])[0] == 0.0
     assert find_conjugation(np.kron(A, witness_matrix(1.0, 2.0))).verdict == "c_symmetric"
     cert = destructor_witness(A, 1.0, 3.0)
     assert cert.conclusion == "destroyed"
     assert (cert.norm_wA, cert.norm_wA_rev) == pytest.approx((4.0, 2.0), abs=1e-12)
-    kron_gap = word_norm_gap(np.kron(A, witness_matrix(1.0, 3.0)), "yxx")
+    kron_gap = word_norm_gaps(np.kron(A, witness_matrix(1.0, 3.0)), ["yxx"])[0]
     gap = abs(cert.norm_wA * cert.norm_wB - cert.norm_wA_rev * cert.norm_wB_rev)
     assert gap == pytest.approx(kron_gap, rel=1e-12) and kron_gap == pytest.approx(6.0)
 

@@ -50,7 +50,7 @@ from csokit.modelspace import (
     verify_hankel_factorization,
 )
 from csokit.synthesis import _syntheses, synthesize_tto_for_nilpotent2
-from csokit.words import iter_words
+from csokit.words import NORM_WORDS
 
 
 def one_pass_per_dimension(shapes, dims):
@@ -71,7 +71,7 @@ def test_word_identities_take_one_word_pass_per_dimension(monkeypatch):
 
     # the same draws, one matrix at a time, as the entry made them before it stacked them
     rng = stream(cfg.seed, 108)
-    words = list(iter_words(5))
+    words = NORM_WORDS
     dims, worst = [], 0.0
     for _ in range(100):
         n = int(rng.integers(2, 7))

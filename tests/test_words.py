@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csokit.certify import word_norm_gap, word_norm_gaps
+from csokit.certify import word_norm_gaps
 from csokit.errors import InputError
 from csokit.linalg import operator_norm, operator_norms
 from csokit.words import (
+    NORM_WORDS,
     eval_word,
     iter_words,
     swap_letters,
@@ -37,7 +38,7 @@ def test_eval_word_rejects_bad_letters():
 
 def test_word_counts_match_binary_strings():
     assert [len(list(words_of_length(k))) for k in range(1, 6)] == [2, 4, 8, 16, 32]
-    assert len(list(iter_words(5))) == 62
+    assert NORM_WORDS == tuple(iter_words(5)) and len(NORM_WORDS) == 62
 
 
 def test_iter_words_is_length_lex_with_x_first():
@@ -49,7 +50,7 @@ def test_iter_words_is_length_lex_with_x_first():
 def test_word_products_and_norms_equal_eval_word_bit_for_bit(seed, n, log_scale):
     rng = np.random.default_rng(seed)
     T = 10.0**log_scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    words = ["", *iter_words(5)]
+    words = ["", *NORM_WORDS]
     # a real T + 0j has an adjoint with -0 imaginary parts: bytes see the sign of zero
     for S in (T, T.real + 0j):
         for X, Y in ((S, S.conj().T), (S.conj().T, S)):
@@ -106,8 +107,6 @@ def test_word_norm_gaps_validate_their_words():
     for bad in ([1], [None], ["x", b"y"], ["xz"]):
         with pytest.raises(InputError):
             word_norm_gaps(X, bad)
-    with pytest.raises(InputError):
-        word_norm_gap(X, None)
 
 
 def test_word_norm_gaps_refuse_a_bare_string_or_a_non_iterable():
