@@ -73,6 +73,7 @@ ENTRIES = {
     "canonical_block_decomposition": canonical_block_decomposition,
     "intertwiner_basis": intertwiner_basis,
     "word_norm_gaps": lambda M: word_norm_gaps(M, ["xxy"]),
+    "shift_coshift_product": lambda M: shift_coshift_product(Conjugation.identity(2), M),
     "operator_norm": operator_norm,
     "operator_norms": lambda M: operator_norms([M]),
     "is_c_symmetric": lambda M: is_c_symmetric(M, Conjugation.identity(2)),

@@ -1439,6 +1439,14 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
         nilpotent2_splitting(S, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [None, "tight", 1j, [1e-9]])
+def test_a_tol_that_is_not_a_real_number_is_an_input_error(tol):
+    S = np.array([[1.0, 2j], [2j, 3.0]])
+    for entry in (find_conjugation, word_obstruction_search, trace_obstruction_search, nilpotent2_splitting):
+        with pytest.raises(InputError, match="not a real number"):
+            entry(S, tol=tol)
+
+
 def test_the_word_rule_tries_no_tol_above_one_in_32():
     # a unit xxy gap at ||B|| = 1 clears 3 (4t + t^2) at t = 1/32, and no
     # larger tol is tried; the gap comes back in T's units, 2^(3e) times it
@@ -1585,6 +1593,21 @@ def test_word_search_equals_the_per_word_loop(kind, seed, n):
     assert got == per_word_search(T, NORM_WORDS)
     if kind == "witness":
         assert got is not None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), tol=st.sampled_from([1e-9, 1e-6]))
+def test_an_xxy_hit_of_the_word_search_is_certifys_xxy_obstruction(seed, n, tol):
+    # both cut at the one rule, so on a matrix not of order two the search's
+    # xxy hit and certify's screen agree, word and gap
+    T = search_matrix("generic", seed, n)
+    hit = word_obstruction_search(T, tol=tol)
+    cert = find_conjugation(T, tol)
+    if hit is not None and hit[0] == "xxy":
+        assert cert.verdict == "obstructed"
+        assert (cert.obstruction_word, cert.obstruction_gap) == hit
+    if cert.obstruction_word == "xxy":
+        assert hit == ("xxy", cert.obstruction_gap)
 
 
 def aat_b3():

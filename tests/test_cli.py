@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import serialize, verify
 from csokit.cli import build_parser, main
-from csokit.ensembles import random_unitary, stream
+from csokit.ensembles import random_cso, random_unitary, stream
 from csokit.errors import AccuracyError, InputError
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
@@ -187,6 +187,19 @@ def test_negative_seed_exit_64():
     # numpy's SeedSequence used to raise a bare ValueError here (exit 1, the
     # code of a failed verify-paper entry)
     assert run_main("verify-paper", "--seed", "-1") == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--quad", "0"],
+        ["verify-paper", "--quad", "63"],
+    ],
+)
+def test_out_of_range_counts_exit_64(argv):
+    # fewer quadrature nodes than the floor of 64 is malformed input, not a
+    # failed verify-paper entry (exit 1) nor a capacity refusal (exit 65)
+    assert run_main(*argv) == 64
 
 
 def test_max_len_is_a_usage_error_exit_64():
@@ -481,6 +494,22 @@ def test_question1_search_makes_no_trace_claim_on_a_rotated_cso_matrix_at_a_tiny
     code, out, _ = run_main_output("question1-search", "--matrix", matrix_arg(Q @ (Z + Z.T) @ Q.conj().T), "--tol=1e-20")
     assert code == 0
     assert json.loads(out)["trace_search"] is None and json.loads(out)["word_search"] is None
+
+
+def test_question1_search_finds_no_word_where_certify_verifies_a_g():
+    # the 236th draw of default_rng(5), as in test_certify: its xxyx gap
+    # exceeds 1e-6 ||T||^4 but not the bound that a G verifying at 1e-6
+    # leaves, so the word search, cut at that bound, must not contradict certify
+    rng = np.random.default_rng(5)
+    for _ in range(236):
+        n = int(rng.integers(3, 9))
+        T, _ = random_cso(rng, n)
+        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eps = 10 ** rng.uniform(-8, -6)
+    T = T + eps * np.linalg.norm(T, 2) * E / np.linalg.norm(E, 2)
+    code, out, _ = run_main_output("question1-search", "--matrix", matrix_arg(T), "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["word_search"] is None
+    assert run_main("certify", "--matrix", matrix_arg(T), "--tol", "1e-6") == 0
 
 
 @pytest.mark.parametrize(
