@@ -23,7 +23,6 @@ from .certify import (
     find_conjugation,
     nilpotent2_splitting,
     trace_obstruction_search,
-    word_obstruction_search,
 )
 from .indestructible import DestructorCertificate, destructor_witness, nilpotent2_tensor_conjugation
 from .modelspace import (
@@ -72,5 +71,4 @@ __all__ = [
     "trace_obstruction_search",
     "tto_matrix",
     "verify_hankel_factorization",
-    "word_obstruction_search",
 ]

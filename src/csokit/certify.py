@@ -20,9 +20,9 @@ verifying G allows, or an exact trace-word gap above its bound.
    3 (4t + t^2) ||T||^3, t = max(tol, GAP_FLOOR 3 n), rules out every G
    that could verify at tol (``_gap_bound``), so "obstructed" by xxy is
    returned before J(T) is built.  This decides a generic matrix at
-   O(n^3).  Its two words are multiplied out as the word search multiplies
-   them, so the gap is ``word_norm_gaps``' bit for bit, and the reply is
-   the word search's hit: xxy is the first word that can have a gap.
+   O(n^3).  Its two words are multiplied out as the word step (5)
+   multiplies them, so the gap is ``word_norm_gaps``' bit for bit, and the
+   reply is the word step's hit: xxy is the first word that can have a gap.
 4. The polar factor of a symmetric intertwiner.  The joint intertwiner
    space J(T) = {X : T X = X T^t, T* X = X conj(T)} holds every symmetric
    unitary G with T G = G T^t.  For X in J(T), X* X commutes with T^t and
@@ -44,23 +44,23 @@ verifying G allows, or an exact trace-word gap above its bound.
    known in advance for the combination and takes the SVDs.  A system
    past the tensor cap is a CapacityError, held until the fallback below
    has been tried.
-5. If no candidate is verified, the exact trace test
-   (``trace_obstruction_search``) for n <= TRACE_DIM_CAP: a trace word
-   whose gap, decided in integers, clears n L (4t + t^2) ||T||_F^L proves,
-   as a norm word's gap above its bound does, that no G verifies at tol.
-   Traces are unitary invariants that add over direct sums, so it decides
-   what a complex symmetric block hides from every word norm.  A larger T
-   skips it.
+5. If no candidate is verified, two obstruction tests.  First the exact
+   trace test (``trace_obstruction_search``) for n <= TRACE_DIM_CAP: a
+   trace word whose gap, decided in integers, clears n L (4t + t^2)
+   ||T||_F^L proves, as a norm word's gap above its bound does, that no G
+   verifies at tol.  Traces are unitary invariants that add over direct
+   sums, so it decides what a complex symmetric block hides from every word
+   norm.  A larger T skips it.  Then, for every n, the word step:
+   ``_word_obstruction`` cuts the 62 NORM_WORDS of length at most 5, one
+   batch of 24 norms (``_word_norm_gaps``), each at L (4t + t^2) ||T||^L as
+   the screen (3) cuts xxy.  It decides what the screen and the trace test
+   leave open: an xxxy gap, say, on a noisy nilpotent whose xxy gap is
+   within its bound.
 6. The fallback, the Hermitian-part phase test
    (``hermitian_phase_conjugation``): an O(n^3) candidate G, built from the
    eigenvectors of Re(e^{i theta} T), for a T complex symmetric only at a
    tol looser than the cut of J(T), or of order two with a G (1) that misses
    tol.  Unverified, it leaves a held CapacityError or "inconclusive".
-
-``word_obstruction_search`` cuts the 62 words of length at most 5 by the
-same rule, each at L (4t + t^2) ||T||^L, so a word it returns proves that
-no G verifies at tol; finding none proves nothing.  It serves
-``question1-search`` and is not on this route.
 """
 
 from __future__ import annotations
@@ -605,6 +605,11 @@ def _word_obstruction(
     return None
 
 
+def _word_certificate(word: str, gap: float) -> CsoCertificate:
+    """"obstructed" by a norm word, with its gap in T's units as the residual."""
+    return CsoCertificate("obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap)
+
+
 def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     """Complex-symmetry decision: a verified conjugation, an obstruction, or neither.
 
@@ -623,17 +628,19 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
     it is reported.  If none verifies and n <= TRACE_DIM_CAP, the exact
     trace test (``trace_obstruction_search``): a trace word that clears its
     bound gives "obstructed" with ``trace`` set and ``residual`` its
-    relative gap.  Last, on either route, the Hermitian-part phase
-    conjugation is reported if it is verified at tol.  Without it, a
+    relative gap.  Then, for every n, the word step: the first of the 62
+    NORM_WORDS whose gap clears its bound (``_word_obstruction``) gives
+    "obstructed" as the xxy screen does.  Last, on either route, the
+    Hermitian-part phase conjugation is reported if it is verified at tol.  Without it, a
     system for J(T) past the tensor cap is a CapacityError, and otherwise
     the result is "inconclusive", a valid outcome, with the constructive
     residual on the order-two route and NaN on the general ones.  Every
     step takes B = T / 2^e and ||B|| (the splitting's, else one SVD): the
     splitting, the screens (``_screen_norms``), J(B) = J(T), the trace
-    test, the phase candidate and every residual, a ratio of norms of B;
-    the xxy gap is reported in T's units.  So nothing overflows for a
-    finite T, and 2^k T gets T's verdict, residual and G while no entry
-    turns subnormal.  A T whose norm overflows is an InputError.
+    test, the word step, the phase candidate and every residual, a ratio of
+    norms of B; a word's gap is reported in T's units.  So nothing
+    overflows for a finite T, and 2^k T gets T's verdict, residual and G
+    while no entry turns subnormal.  A T whose norm overflows is an InputError.
     """
     tol = check_positive(tol, "tol")
     B, e = power_of_two_scaled(as_matrix(T, square=True))
@@ -663,10 +670,7 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
 
         found = _word_obstruction(("xxy",), (gap,), e, nrm, tol, len(B))
         if found is not None:
-            word, gap = found
-            return CsoCertificate(
-                "obstructed", residual=gap, obstruction_word=word, obstruction_gap=gap
-            )
+            return _word_certificate(*found)
         try:
             candidates = unitary_in_subspace(*intertwiner_basis(B))
         except CapacityError as exc:
@@ -679,6 +683,9 @@ def find_conjugation(T, tol: float = DEFAULT_TOL) -> CsoCertificate:
         trace = trace_obstruction_search(B, tol) if len(B) <= TRACE_DIM_CAP else None
         if trace is not None:
             return CsoCertificate("obstructed", residual=trace[1], trace=trace)
+        found = _word_obstruction(NORM_WORDS, _word_norm_gaps(B, NORM_WORDS), e, nrm, tol, len(B))
+        if found is not None:
+            return _word_certificate(*found)
 
     # J(T) is cut at DEFAULT_TOL ||T||_F: a T symmetric only to a looser tol can leave it empty
     phase = hermitian_phase_conjugation(B)
@@ -704,10 +711,11 @@ def word_norm_gaps(T, words) -> np.ndarray:
     gives a (len(words), k) array whose column j equals the gaps of T_j bit
     for bit.  A bare string or a non-iterable ``words`` is an InputError.
 
-    As in the word search, the gaps are taken at B = T / 2^e, each matrix
-    of a stack scaled by its own power of two (``power_of_two_scaled``), so
-    no product overflows, and are taken back to T's units exactly.  A gap
-    that overflows there raises PreconditionError naming ||T||.
+    As in ``find_conjugation``'s word step, the gaps are taken at
+    B = T / 2^e, each matrix of a stack scaled by its own power of two
+    (``power_of_two_scaled``), so no product overflows, and are taken back
+    to T's units exactly.  A gap that overflows there raises
+    PreconditionError naming ||T||.
     """
     return _gaps_in_units(_as_square_matrices(T), _validated_words(words))
 
@@ -733,31 +741,6 @@ def _word_norm_gaps(A: np.ndarray, words: list[str]) -> np.ndarray:
     norms = dict(zip(table, operator_norms(word_products(table, A, A.conj().swapaxes(-1, -2)))))
     zero = np.zeros(len(A)) if A.ndim == 3 else 0.0
     return np.array([abs(norms[pair[0]] - norms[pair[1]]) if pair else zero for pair in pairs])
-
-
-def word_obstruction_search(T, tol: float = DEFAULT_TOL) -> tuple[str, float] | None:
-    """First word w of NORM_WORDS whose gap | ||w(T,T*)|| - ||w(T*,T)|| | proves that T
-    is not complex symmetric at tol, with that gap; None proves nothing.
-
-    The gaps of the 62 words of length at most 5 come from one batch of 24
-    norms (``word_norm_gaps``), and ``_word_obstruction`` cuts them as the
-    xxy screen of ``find_conjugation`` cuts its gap: a word of length L hits
-    above the L (4t + t^2) ||T||^L that a G verifying at tol <= 1/32 leaves
-    (``_gap_bound``), and a larger tol finds nothing.  Words are taken
-    length-lexicographically with x < y.  w(T*,T) is adjoint to
-    rev(w)(T,T*), so each gap is | ||w|| - ||rev w|| |, both norms taken at
-    the canonical member of the word's adjoint class {v, swap(rev v)}: a
-    palindrome never hits.
-
-    The search runs on T scaled by a power of two to norm in
-    [1/2, sqrt(2) n), so its word products neither overflow nor underflow,
-    and the gap it returns is taken back to T's units exactly.  A gap that
-    overflows or underflows there raises PreconditionError naming ||T||.
-    """
-    tol = check_positive(tol, "tol")
-    B, e = power_of_two_scaled(as_matrix(T, square=True))
-    gaps = _word_norm_gaps(B, NORM_WORDS)
-    return _word_obstruction(NORM_WORDS, gaps, e, operator_norm(B), tol, len(B))
 
 
 def _gap_in_units(word: str, unit_gap: float, unit_nrm: float, e: int) -> float:

@@ -1,11 +1,8 @@
 """Command-line front end.
 
-Subcommands: certify, destructor, tto, synthesize, verify-paper and
-question1-search, which reports a word-norm gap and an exact trace-word gap
-of T, each cut at the bound that a G verifying at tol leaves: either gap
-proves T is not complex symmetric at tol, and finding neither proves
-nothing.  Matrix, Blaschke, and symbol arguments accept either inline JSON
-or a path to a JSON file.
+Subcommands: certify, destructor, tto, synthesize and verify-paper.
+Matrix, Blaschke, and symbol arguments accept either inline JSON or a path
+to a JSON file.
 All output is canonical JSON (sorted keys, compact separators), so
 identical inputs and seeds give byte-identical bytes.
 
@@ -23,7 +20,7 @@ import json
 import sys
 
 from . import serialize
-from .certify import find_conjugation, trace_obstruction_search, word_obstruction_search
+from .certify import find_conjugation
 from .errors import AccuracyError, InputError, ToolkitError
 from .indestructible import destructor_witness
 from .linalg import DEFAULT_TOL
@@ -112,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="replay the whole certified suite")
     _common(p, "seed", "quad")
 
-    p = sub.add_parser(
-        "question1-search",
-        help="look for a word-norm or trace-word gap that proves T is not complex symmetric",
-    )
-    p.add_argument("--matrix", required=True)
-    _common(p, "tol")
-
     return parser
 
 
@@ -165,29 +155,12 @@ def cmd_verify_paper(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def cmd_question1(args) -> int:
-    T = serialize.matrix_from_json(_load_json(args.matrix))
-    word_hit = word_obstruction_search(T, tol=args.tol)
-    trace_hit = trace_obstruction_search(T, tol=args.tol)
-    out = {
-        "word_search": None if word_hit is None else {"word": word_hit[0], "gap": word_hit[1]},
-        "trace_search": serialize.trace_hit_to_json(trace_hit),
-        "note": "a word gap or a trace gap proves T is not complex symmetric at tol, each "
-        "cut at the bound that a conjugation verifying at tol leaves; finding neither "
-        "resolves nothing: a matrix unitarily equivalent to its transpose satisfies every "
-        "trace and norm identity",
-    }
-    _emit(out, args.out)
-    return 0
-
-
 COMMANDS = {
     "certify": cmd_certify,
     "destructor": cmd_destructor,
     "tto": cmd_tto,
     "synthesize": cmd_synthesize,
     "verify-paper": cmd_verify_paper,
-    "question1-search": cmd_question1,
 }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AccuracyError, CapacityError, InputError, PreconditionError
 from .certify import (
-    _gap_cut,
+    _gap_bound,
     _nilpotent2_conjugations,
     _nilpotent2_forms,
     _order_two_decisions,
@@ -144,9 +144,9 @@ def _destructor_witnesses(As, alpha: float, beta: float) -> list[DestructorCerti
         # decided in units of 2^(3e), where nothing over- or underflows
         norms = (unit_norms[0] * norm_wB, unit_norms[1] * norm_wB_rev)
         gap = abs(norms[0] - norms[1])
-        # t = max(DEFAULT_TOL, GAP_FLOOR 3 3n) for A (x) B of size 3n: below the
-        # 3 (4t + t^2) of _gap_bound(DEFAULT_TOL, 3, 3n) that a verifying G leaves
-        cut = _gap_cut(DEFAULT_TOL, 3, 3 * len(M))
+        # the 3 (4t + t^2) ||A (x) B||^3 that a G verifying A (x) B of size 3n at
+        # DEFAULT_TOL leaves (_gap_bound): a gap above it is a proof
+        cut = _gap_bound(DEFAULT_TOL, 3, 3 * len(M))
         try:  # ||A (x) B|| = ||A|| max(alpha, beta)
             threshold = cut * float(unit_nrm * max(alpha, beta)) ** 3
         except OverflowError:
@@ -183,13 +183,13 @@ def destructor_witness(A, alpha: float = 1.0, beta: float = 2.0) -> DestructorCe
     order two out (``_order_two_ruled_out``) skips the decision's SVD, as in
     ``find_conjugation``, unless a message quotes its refusal.  Otherwise
     the conclusion is destroyed when the gap exceeds
-    ``_gap_cut(DEFAULT_TOL, 3, 3n)`` ||A (x) B||^3 = max(DEFAULT_TOL,
-    GAP_FLOOR 3 3n) ||A (x) B||^3, which is DEFAULT_TOL ||A (x) B||^3 for n
-    below about 31000.  That margin lies below ``_gap_bound(DEFAULT_TOL, 3,
-    3n)`` ||A (x) B||^3, the cut at which a word gap proves that no G
-    verifies (``word_obstruction_search``).  The norms of A are
-    taken on A scaled by a power of two to norm in [1/2, sqrt(2) n), which
-    is exact, and the gap is decided in those units.  A word norm of A that overflows in A's units
+    ``_gap_bound(DEFAULT_TOL, 3, 3n)`` ||A (x) B||^3 = 3 (4t + t^2)
+    ||A (x) B||^3, t = max(DEFAULT_TOL, GAP_FLOOR 3 3n): the cut at which
+    ``find_conjugation``'s xxy screen and word step call a word gap a
+    proof, so a destroyed gap proves that no G verifies A (x) B at
+    DEFAULT_TOL.  The norms of A are taken on A scaled by a power of two to
+    norm in [1/2, sqrt(2) n), which is exact, and the gap is decided in
+    those units.  A word norm of A that overflows in A's units
     raises PreconditionError (||A|| above about 5e102), and so does a gap too
     small to decide, naming the cause: word norms of A that underflow
     (||A|| below about 1e-108), both yxx norms of A (x) B at or below the

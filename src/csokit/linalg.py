@@ -16,9 +16,8 @@ as ``x -> G @ conj(x)``.
 
 Tolerances are relative to the norm of the input with factor DEFAULT_TOL =
 1e-9.  The decisions that the CLI's --tol reaches accept an explicit
-override: ``find_conjugation`` (whose obstruction tests are the xxy screen
-and ``trace_obstruction_search``), the two searches of ``question1-search``
-(``word_obstruction_search`` and ``trace_obstruction_search``),
+override: ``find_conjugation`` (whose obstruction tests are the xxy screen,
+``trace_obstruction_search`` and the word step over the 62 norm words),
 ``nilpotent2_splitting`` and ``is_c_symmetric``.  Everything else uses
 DEFAULT_TOL.
 """

@@ -111,15 +111,8 @@ def cso_certificate_to_json(cert: CsoCertificate) -> dict:
         out["word"] = cert.obstruction_word
         out["gap"] = _finite_or_none(cert.obstruction_gap)
     if cert.trace is not None:
-        out["trace"] = trace_hit_to_json(cert.trace)
+        out["trace"] = dict(zip(("word", "relative_gap", "relative_bound"), cert.trace))
     return out
-
-
-def trace_hit_to_json(hit) -> dict | None:
-    """A trace obstruction (word, relative gap, relative bound) as an object; None stays None."""
-    if hit is None:
-        return None
-    return dict(zip(("word", "relative_gap", "relative_bound"), hit))
 
 
 def destructor_to_json(cert: DestructorCertificate) -> dict:

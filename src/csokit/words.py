@@ -116,6 +116,6 @@ def iter_words(max_len: int):
 
 
 #: The 62 words of length at most 5, length-lexicographic: the words that
-#: the word search and the word-identity entry of verify-paper norm, one
+#: certify's word step and the word-identity entry of verify-paper norm, one
 #: batch of 24 norms (one per adjoint class, palindromes taking none).
 NORM_WORDS = tuple(iter_words(5))

@@ -8,7 +8,6 @@ a search before it loops, and a conjugation through ``_check_instance``.
 """
 
 import contextlib
-import json
 import signal
 
 import numpy as np
@@ -22,9 +21,7 @@ from csokit.certify import (
     nilpotent2_splitting,
     trace_obstruction_search,
     word_norm_gaps,
-    word_obstruction_search,
 )
-from csokit.cli import main
 from csokit.errors import CapacityError, InputError, PreconditionError
 from csokit.indestructible import (
     destructor_witness,
@@ -66,7 +63,6 @@ ENTRIES = {
     "nilpotent2_splitting": nilpotent2_splitting,
     "destructor_witness": destructor_witness,
     "synthesize_tto_for_nilpotent2": synthesize_tto_for_nilpotent2,
-    "word_obstruction_search": word_obstruction_search,
     "trace_obstruction_search": trace_obstruction_search,
     "nilpotent2_tensor_conjugation(A)": lambda M: nilpotent2_tensor_conjugation(M, np.eye(2)),
     "nilpotent2_tensor_conjugation(B)": lambda M: nilpotent2_tensor_conjugation(J2, M),
@@ -181,10 +177,3 @@ def test_a_count_at_its_cap_is_admitted_and_one_past_it_refused():
     # a symmetric matrix at the trace cap takes the float pass, which decides it
     S = np.random.default_rng(6).standard_normal((TRACE_DIM_CAP,) * 2)
     assert trace_obstruction_search(S + S.T) is None
-
-
-def test_question1_search_past_a_cap_exits_65(capsys):
-    matrix = json.dumps(matrix_to_json(np.eye(TRACE_DIM_CAP + 1)))
-    with deadline(5.0):
-        code = main(["question1-search", "--matrix", matrix])
-    assert code == 65 and f"n <= {TRACE_DIM_CAP}" in capsys.readouterr().err

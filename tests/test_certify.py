@@ -30,7 +30,6 @@ from csokit.certify import (
     nilpotent2_splitting,
     trace_obstruction_search,
     word_norm_gaps,
-    word_obstruction_search,
 )
 from csokit.ensembles import random_complex, random_cso, random_nilpotent2, random_unitary, stream
 from csokit.errors import AccuracyError, CapacityError, InputError, PreconditionError
@@ -297,7 +296,7 @@ def outcome(T):
     where=st.floats(0.0, 1.0),
 )
 def test_a_power_of_two_scale_changes_no_certificate(kind, n, seed, where):
-    # every step but the word search runs on T / 2^e, so 2^k T gets T's
+    # every step runs on T / 2^e, so 2^k T gets T's
     # verdict, residual and G bit for bit, at both ends of the range of k
     # whose parts stay normal and at one k between; an obstruction's gap is
     # T's times 2^(k L), refused where that leaves the doubles, and a T whose
@@ -1085,14 +1084,14 @@ def test_tiny_witness_is_not_called_c_symmetric():
 def test_find_conjugation_obstructs_by_a_trace_word_when_masked():
     # balanced heavy chain hides the unbalanced one from every word norm of
     # length <= 5, but traces add over the direct sum: x^2yxy^2 clears its
-    # bound, and the word search is not on the route
+    # bound, and the trace test decides before the word step is reached
     big = np.zeros((3, 3), dtype=complex)
     big[0, 1] = 10.0
     big[1, 2] = 10.0
     T = direct_sum(big, witness_matrix(1.0, 2.0))
-    assert word_obstruction_search(T) is None
+    assert norm_word_hit(T) is None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "word_obstruction_search", must_not_run("the word search"))
+        mp.setattr(certify, "_word_norm_gaps", must_not_run("the word step"))
         cert = find_conjugation(T)
     assert cert.verdict == "obstructed" and cert.obstruction_word is None
     assert cert.trace == trace_obstruction_search(T)
@@ -1115,13 +1114,13 @@ def noisy_cso_whose_xxyx_gap_a_verified_g_allows():
 def test_a_word_gap_that_a_verified_g_allows_is_no_obstruction():
     # the xxyx gap, above 1e-6 ||T||^4, lies below the 4 (4t + t^2) ||T||^4
     # that a G verifying at 1e-6 leaves: C and the phase G both verify, so
-    # the word search, cut at that bound, finds nothing, and certify
+    # the word step, cut at that bound, finds nothing, and certify
     # returns a G
     T, C = noisy_cso_whose_xxyx_gap_a_verified_g_allows()
     assert T.shape == (6, 6)
     gap = word_norm_gaps(T, ["xxyx"])[0]
     assert 1e-6 < gap / operator_norm(T) ** 4 < 4 * 4e-6
-    assert word_obstruction_search(T, tol=1e-6) is None
+    assert norm_word_hit(T, 1e-6) is None
     assert is_c_symmetric(T, C, 1e-6)[0]
     cert = find_conjugation(T, 1e-6)
     assert cert.verdict == "c_symmetric" and cert.residual <= 1e-6
@@ -1132,8 +1131,8 @@ def test_an_xxy_gap_between_12t_and_16t_is_obstructed_at_the_screen():
     # a rotated order-two nilpotent plus noise 5.5e-8 of its norm, past
     # order two at the default tol: its xxy gap, 14.3 t ||T||^3, exceeds the
     # 3 (4t + t^2) ||T||^3 that a verifying G leaves, so the screen claims it
-    # before J(T), with the word search's own certificate, which the reply
-    # was when the screen cut at 16 t and the search ran after J(T)
+    # before J(T), with the word step's own certificate, which the reply
+    # was when the screen cut at 16 t and a word search ran after J(T)
     rng = stream(74, 7)
     n = int(rng.integers(3, 13))
     T = random_nilpotent2(rng, n)
@@ -1146,7 +1145,7 @@ def test_an_xxy_gap_between_12t_and_16t_is_obstructed_at_the_screen():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "intertwiner_basis", must_not_run("intertwiner_basis"))
         cert = find_conjugation(T)
-    word, gap = word_obstruction_search(T)
+    word, gap = norm_word_hit(T)
     assert (cert.verdict, cert.obstruction_word, cert.obstruction_gap, cert.residual) == (
         "obstructed",
         word,
@@ -1158,17 +1157,55 @@ def test_an_xxy_gap_between_12t_and_16t_is_obstructed_at_the_screen():
 
 def test_a_rotated_skew_uet_matrix_past_the_trace_cap_is_inconclusive():
     # n = 66 > TRACE_DIM_CAP: the trace step is skipped, with no
-    # CapacityError, the word search is not on the route, and no conjugation
-    # verifies
+    # CapacityError; the word step still runs, and finds no gap, as T is
+    # unitarily equivalent to its transpose; and no conjugation verifies
     rng = stream(4, 84)
     A, B, D = (random_complex(rng, 33, 33) for _ in range(3))
     Q = random_unitary(rng, 66)
     T = Q @ np.block([[A, B - B.T], [D - D.T, A.T]]) @ Q.conj().T
+    calls, gaps_at = [], certify._word_norm_gaps
+
+    def recording(M, words):
+        calls.append((M.shape, tuple(words)))
+        return gaps_at(M, words)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "trace_obstruction_search", must_not_run("the trace search"))
-        mp.setattr(certify, "word_obstruction_search", must_not_run("the word search"))
+        mp.setattr(certify, "_word_norm_gaps", recording)
         cert = find_conjugation(T)
     assert cert.verdict == "inconclusive" and np.isnan(cert.residual)
+    assert calls == [((66, 66), NORM_WORDS)]
+
+
+def noisy_nilpotent_with_an_xxxy_gap():
+    """The 908th draw of stream 861: a rotated order-two nilpotent, n = 10, plus
+    complex Gaussian noise of 1.07e-6 of its norm."""
+    rng = stream(861, 908)
+    n = int(rng.integers(3, 17))
+    T = random_nilpotent2(rng, n)
+    E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rel = 10.0 ** rng.uniform(-10, -3)
+    return T + E * (rel * np.linalg.norm(T, 2) / np.linalg.norm(E, 2))
+
+
+def test_a_noisy_nilpotent_is_obstructed_by_the_word_step():
+    # past order two at the default tol, its xxy gap is within its bound, no
+    # G verifies and no trace word clears its bound; the xxxy gap is 1.62
+    # times the 4 (4t + t^2) ||T||^4 that a verifying G leaves, so the word
+    # step after the trace test proves it, where certify once ended
+    # inconclusive
+    T = noisy_nilpotent_with_an_xxxy_gap()
+    assert T.shape == (10, 10) and not order_two(T)
+    assert trace_obstruction_search(T) is None
+    cert = find_conjugation(T)
+    assert cert.verdict == "obstructed" and cert.trace is None and cert.conjugation is None
+    assert (cert.obstruction_word, cert.obstruction_gap) == norm_word_hit(T)
+    assert cert.obstruction_word == "xxxy" and cert.residual == cert.obstruction_gap
+    ratio = cert.obstruction_gap / (certify._gap_bound(DEFAULT_TOL, 4, 10) * operator_norm(T) ** 4)
+    assert 1.6 < ratio < 1.65 and cert.obstruction_gap == pytest.approx(6.91e-6, rel=1e-3)
+    B, _ = power_of_two_scaled(T)
+    gap = certify._screen_norms(B, DEFAULT_TOL, operator_norm(B))[1]
+    assert gap <= certify._gap_bound(DEFAULT_TOL, 3, 10) * operator_norm(B) ** 3
 
 
 def phase_accepted(T):
@@ -1229,7 +1266,7 @@ def must_not_run(what):
 )
 def test_generic_matrix_is_obstructed_without_the_projection_search(seed, dim, log_scale, tol):
     # the Frobenius bound rules order two out and the xxy screen returns the
-    # word search's certificate bit for bit, so neither the order-two SVD,
+    # word step's certificate bit for bit, so neither the order-two SVD,
     # nor J(T) and its candidates, nor the phase test is taken
     T = 10.0**log_scale * random_complex(stream(seed, 0), dim, dim)
     with pytest.MonkeyPatch.context() as mp:
@@ -1237,7 +1274,7 @@ def test_generic_matrix_is_obstructed_without_the_projection_search(seed, dim, l
         mp.setattr(certify, "nilpotent2_splitting", must_not_run("the order-two split"))
         mp.setattr(certify, "hermitian_phase_conjugation", must_not_run("the phase test"))
         cert = find_conjugation(T, tol)
-    word, gap = word_obstruction_search(T, tol=tol)
+    word, gap = norm_word_hit(T, tol)
     assert cert.verdict == "obstructed"
     assert (cert.obstruction_word, cert.obstruction_gap, cert.residual) == ("xxy", gap, gap)
     assert word == "xxy"
@@ -1293,7 +1330,7 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
 ):
     # a CSO matrix plus noise, and its G (made slightly non-unitary and
     # non-symmetric at will), at the tol at which that G just verifies: the
-    # screen must leave the decision to J(T), and the word search, cut by
+    # screen must leave the decision to J(T), and the word step, cut by
     # the same rule, must find no word
     rng = stream(seed, dim)
     T, C = random_cso(rng, dim)
@@ -1307,7 +1344,7 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
     B, e = power_of_two_scaled(T)
     gap = certify._screen_norms(B, tol, operator_norm(B))[1]
     assert certify._word_obstruction(("xxy",), (gap,), e, operator_norm(B), tol, dim) is None
-    assert word_obstruction_search(T, tol=tol) is None
+    assert norm_word_hit(T, tol) is None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -1320,7 +1357,7 @@ def test_near_cso_matrices_with_a_verified_g_never_take_the_xxy_screen(
 def test_the_screen_batch_gives_the_word_search_xxy_gap_bit_for_bit(kind, n, log_scale, seed):
     # ||B - B^t|| and the xxy pair of B = T / 2^e share one SVD batch; each
     # value must be the one its own call gives, so that an xxy certificate
-    # from the screen is the word search's bit for bit; at a tol whose cut
+    # from the screen is the word step's bit for bit; at a tol whose cut
     # the Frobenius norm of B - B^t leaves open it is normed, and it is
     # +inf only where its norm is past the cut
     rng = stream(seed, n)
@@ -1392,16 +1429,16 @@ def test_a_rounding_gap_is_no_obstruction_at_any_tol():
     # once reported is rounding, below the floor GAP_FLOOR L n ||T||^L
     T = rotated_cso_2026()
     for tol in (1e-16, 1e-20, 1e-300):
-        assert word_obstruction_search(T, tol=tol) is None
+        assert norm_word_hit(T, tol) is None
         assert find_conjugation(T, tol).verdict != "obstructed"
         assert trace_obstruction_search(T, tol=tol) is None
     for seed in range(20):
         S, _ = random_cso(stream(seed, 31), 2 + seed)
-        assert word_obstruction_search(S, tol=1e-20) is None
+        assert norm_word_hit(S, 1e-20) is None
         assert find_conjugation(S, 1e-16).verdict != "obstructed"
     # a gap above the floor still counts at a tol below it
     B = witness_matrix(1.0, 2.0)
-    assert word_obstruction_search(B, tol=1e-20) == ("xxy", 2.0)
+    assert norm_word_hit(B, 1e-20) == ("xxy", 2.0)
     assert find_conjugation(B, 1e-20).obstruction_word == "xxy"
 
 
@@ -1432,8 +1469,6 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
     with pytest.raises(InputError):
         find_conjugation(S, tol=tol)
     with pytest.raises(InputError):
-        word_obstruction_search(S, tol=tol)
-    with pytest.raises(InputError):
         trace_obstruction_search(S, tol=tol)
     with pytest.raises(InputError):
         nilpotent2_splitting(S, tol=tol)
@@ -1442,7 +1477,7 @@ def test_non_positive_or_non_finite_tol_is_rejected(tol):
 @pytest.mark.parametrize("tol", [None, "tight", 1j, [1e-9]])
 def test_a_tol_that_is_not_a_real_number_is_an_input_error(tol):
     S = np.array([[1.0, 2j], [2j, 3.0]])
-    for entry in (find_conjugation, word_obstruction_search, trace_obstruction_search, nilpotent2_splitting):
+    for entry in (find_conjugation, trace_obstruction_search, nilpotent2_splitting):
         with pytest.raises(InputError, match="not a real number"):
             entry(S, tol=tol)
 
@@ -1467,17 +1502,25 @@ def test_word_norm_gap_vanishes_on_cso():
         assert word_norm_gaps(T, [w])[0] <= 1e-10 * nrm ** len(w)
 
 
-def test_word_obstruction_search_finds_witness_violation():
-    hit = word_obstruction_search(witness_matrix(1.0, 2.0))
+def norm_word_hit(T, tol=DEFAULT_TOL):
+    """The word step of ``find_conjugation`` alone: (w, gap in T's units) for the first
+    of the 62 norm words whose gap at T / 2^e clears its bound, or None."""
+    B, e = power_of_two_scaled(T)
+    gaps = certify._word_norm_gaps(B, NORM_WORDS)
+    return certify._word_obstruction(NORM_WORDS, gaps, e, operator_norm(B), tol, len(B))
+
+
+def test_the_word_step_finds_the_witness_violation():
+    hit = norm_word_hit(witness_matrix(1.0, 2.0))
     assert hit is not None
     word, gap = hit
     assert word == "xxy"
     assert gap == pytest.approx(2.0, abs=1e-12)
 
 
-def test_word_obstruction_search_clean_on_cso():
+def test_the_word_step_is_clean_on_cso():
     T, _ = random_cso(stream(11, 5), 3)
-    assert word_obstruction_search(T) is None
+    assert norm_word_hit(T) is None
 
 
 def per_word_gap(T, word):
@@ -1564,9 +1607,9 @@ def test_the_62_words_take_one_batch_of_24_norms(monkeypatch):
     norms = record_norm_batches(monkeypatch)
     word_norm_gaps(T, NORM_WORDS)
     assert norms == [(24, 4, 4)]
-    # the word search takes them in that one batch too
-    assert word_obstruction_search(T) is None
-    assert norms == [(24, 4, 4)] * 2
+    # certify's word step takes them in that one batch too
+    assert find_conjugation(noisy_nilpotent_with_an_xxxy_gap()).obstruction_word == "xxxy"
+    assert norms.count((24, 10, 10)) == 1
 
 
 def test_stacked_word_gaps_equal_their_one_matrix_gaps_byte_for_byte():
@@ -1587,9 +1630,9 @@ def test_stacked_word_gaps_equal_their_one_matrix_gaps_byte_for_byte():
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
 )
-def test_word_search_equals_the_per_word_loop(kind, seed, n):
+def test_the_word_step_equals_the_per_word_loop(kind, seed, n):
     T = search_matrix(kind, seed, n)
-    got = word_obstruction_search(T)
+    got = norm_word_hit(T)
     assert got == per_word_search(T, NORM_WORDS)
     if kind == "witness":
         assert got is not None
@@ -1597,17 +1640,19 @@ def test_word_search_equals_the_per_word_loop(kind, seed, n):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), tol=st.sampled_from([1e-9, 1e-6]))
-def test_an_xxy_hit_of_the_word_search_is_certifys_xxy_obstruction(seed, n, tol):
-    # both cut at the one rule, so on a matrix not of order two the search's
-    # xxy hit and certify's screen agree, word and gap
+def test_a_hit_of_the_word_step_is_certifys_obstruction(seed, n, tol):
+    # the screen and the word step cut at the one rule, and a hit rules out
+    # every G, so on a matrix not of order two certify is obstructed: by
+    # the trace test, or else by the step's word and gap, which the screen
+    # gives bit for bit when the word is xxy
     T = search_matrix("generic", seed, n)
-    hit = word_obstruction_search(T, tol=tol)
+    hit = norm_word_hit(T, tol)
     cert = find_conjugation(T, tol)
-    if hit is not None and hit[0] == "xxy":
+    if hit is not None:
         assert cert.verdict == "obstructed"
-        assert (cert.obstruction_word, cert.obstruction_gap) == hit
-    if cert.obstruction_word == "xxy":
-        assert hit == ("xxy", cert.obstruction_gap)
+        assert cert.trace is not None or (cert.obstruction_word, cert.obstruction_gap) == hit
+    if cert.obstruction_word is not None:
+        assert hit == (cert.obstruction_word, cert.obstruction_gap)
 
 
 def aat_b3():
@@ -1694,7 +1739,7 @@ def test_a_float_gap_alone_makes_no_trace_certificate(monkeypatch):
 
 def test_the_trace_search_proves_what_no_word_separates():
     T = aat_b3()
-    assert word_obstruction_search(T) is None
+    assert norm_word_hit(T) is None
     word, gap, bound = trace_obstruction_search(T)
     assert word == "xxyxyy" and gap > 1e4 * bound
     assert bound == 9 * 6 * (4e-9 + 1e-18)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import serialize, verify
 from csokit.cli import build_parser, main
-from csokit.ensembles import random_cso, random_unitary, stream
+from csokit.ensembles import random_unitary, stream
 from csokit.errors import AccuracyError, InputError
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
@@ -150,7 +150,7 @@ def test_negative_matrix_dimensions_exit_64(command, rows, cols):
     "rows, cols, entries",
     [(2.9, 2, 4), (2, 2.0, 4), (True, True, 1), ("2", 2, 4), (None, 2, 0), ([2], 2, 4)],
 )
-@pytest.mark.parametrize("command", ["certify", "destructor", "synthesize", "question1-search"])
+@pytest.mark.parametrize("command", ["certify", "destructor", "synthesize"])
 def test_non_integer_matrix_dimensions_exit_64(command, rows, cols, entries):
     # "rows": 2.9 was truncated to 2 and "rows": true read as 1, so both
     # certified with exit 0
@@ -175,12 +175,11 @@ def test_unwritable_out_exit_64(tmp_path, target):
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-1e-9", "-inf"])
-@pytest.mark.parametrize("command", ["certify", "question1-search"])
-def test_non_positive_or_non_finite_tol_exit_64(command, tol):
+def test_non_positive_or_non_finite_tol_exit_64(tol):
     # a tol <= 0 used to turn the symmetric matrix's "x" into an obstruction;
     # "-1e-9" and "-inf" are separate arguments that argparse alone reads as options
     S = matrix_arg([[1.0, 2j], [2j, 3.0]])
-    assert run_main(command, "--matrix", S, "--tol", tol) == 64
+    assert run_main("certify", "--matrix", S, "--tol", tol) == 64
 
 
 def test_negative_seed_exit_64():
@@ -202,12 +201,12 @@ def test_out_of_range_counts_exit_64(argv):
     assert run_main(*argv) == 64
 
 
-def test_max_len_is_a_usage_error_exit_64():
-    # question1-search searches the 62 words of length at most 5 and takes no length
+def test_question1_search_is_no_subcommand_exit_64():
+    # certify runs its word and trace searches; the subcommand that ran them alone is gone
     err = io.StringIO()
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["question1-search", "--matrix", json.dumps(J2), "--max-len", "5"])
-    assert exc.value.code == 64 and "unrecognized arguments: --max-len 5" in err.getvalue()
+        main(["question1-search", "--matrix", json.dumps(J2)])
+    assert exc.value.code == 64 and "invalid choice: 'question1-search'" in err.getvalue()
 
 
 def run_main_output(*args):
@@ -295,7 +294,6 @@ def test_certify_exit_code_contract(kind, seed, n, log_scale, sign, log_tol):
     [
         ["destructor"],
         ["synthesize"],
-        ["question1-search"],
     ],
     ids=lambda command: command[0],
 )
@@ -428,17 +426,6 @@ def test_witness_at_extreme_scales_is_obstructed_or_refused(scale, tmp_path):
             assert f"{2 * scale:.3e}" in err.getvalue()
 
 
-@pytest.mark.parametrize("scale", [1e120, 1.0, 1e-120])
-def test_question1_search_answers_at_any_scale(scale):
-    # the sampled polynomial search it replaced exited 65 ("rescale T") at
-    # 1e120 and 1e-120; both searches scale T exactly and find nothing here
-    S = scale * np.array([[1.0, 2j, 0.5], [2j, 3.0, 1.0], [0.5, 1.0, -1.0]])
-    code, out, err = run_main_output("question1-search", "--matrix", matrix_arg(S))
-    assert (code, err) == (0, "")
-    reply = json.loads(out)
-    assert reply["word_search"] is None and reply["trace_search"] is None
-
-
 def J2_mat():
     return np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -477,41 +464,6 @@ def test_synthesize_output_is_byte_deterministic():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
-def test_question1_search_reports_both_routes():
-    p = run_cli("question1-search", "--matrix", matrix_arg(witness_matrix(1.0, 2.0)))
-    assert p.returncode == 0
-    out = json.loads(p.stdout)
-    assert out["word_search"] == {"word": "xxy", "gap": 2.0}
-    assert out["trace_search"]["word"] == "xxyxyy"
-    assert out["trace_search"]["relative_gap"] > out["trace_search"]["relative_bound"]
-    assert "resolves nothing" in out["note"]
-
-
-def test_question1_search_makes_no_trace_claim_on_a_rotated_cso_matrix_at_a_tiny_tol():
-    rng = np.random.default_rng(2026)
-    Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    code, out, _ = run_main_output("question1-search", "--matrix", matrix_arg(Q @ (Z + Z.T) @ Q.conj().T), "--tol=1e-20")
-    assert code == 0
-    assert json.loads(out)["trace_search"] is None and json.loads(out)["word_search"] is None
-
-
-def test_question1_search_finds_no_word_where_certify_verifies_a_g():
-    # the 236th draw of default_rng(5), as in test_certify: its xxyx gap
-    # exceeds 1e-6 ||T||^4 but not the bound that a G verifying at 1e-6
-    # leaves, so the word search, cut at that bound, must not contradict certify
-    rng = np.random.default_rng(5)
-    for _ in range(236):
-        n = int(rng.integers(3, 9))
-        T, _ = random_cso(rng, n)
-        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        eps = 10 ** rng.uniform(-8, -6)
-    T = T + eps * np.linalg.norm(T, 2) * E / np.linalg.norm(E, 2)
-    code, out, _ = run_main_output("question1-search", "--matrix", matrix_arg(T), "--tol", "1e-6")
-    assert code == 0 and json.loads(out)["word_search"] is None
-    assert run_main("certify", "--matrix", matrix_arg(T), "--tol", "1e-6") == 0
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -526,9 +478,6 @@ def test_question1_search_finds_no_word_where_certify_verifies_a_g():
         ["certify", "--matrix", "T.json", "--seed", "1"],
         ["certify", "--matrix", "T.json", "--budget", "10"],
         ["synthesize", "--matrix", "N.json", "--seed", "7"],
-        ["question1-search", "--matrix", "T.json", "--seed", "0"],
-        ["question1-search", "--matrix", "T.json", "--samples", "256"],
-        ["question1-search", "--matrix", "T.json", "--max-len", "5"],
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):

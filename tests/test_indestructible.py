@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csokit import indestructible
-from csokit.certify import find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gaps
+from csokit.certify import _gap_bound, find_conjugation, is_c_symmetric, nilpotent2_splitting, word_norm_gaps
 from csokit.ensembles import random_complex, random_nilpotent2, random_unitary, stream
 from csokit.errors import AccuracyError, CapacityError, InputError, PreconditionError
 from csokit.indestructible import (
@@ -103,12 +103,16 @@ def test_destructor_word_norms_exact():
     assert operator_norm(eval_word("yxx", B.conj().T, B)) == pytest.approx(4.0, abs=1e-12)
     # the certificate takes B's norms as the products alpha^2 beta and alpha beta^2,
     # which the SVD of the word gives to a few ulps
-    for alpha, beta in ((1.0, 2.0), (0.3, 1.7), (2.5, 0.75), (1e-3, 7e5)):
+    for alpha, beta in ((1.0, 2.0), (0.3, 1.7), (2.5, 0.75), (1e-3, 7e3)):
         cert = destructor_witness(jordan(3), alpha, beta)
         assert (cert.norm_wB, cert.norm_wB_rev) == (alpha * alpha * beta, alpha * beta * beta)
         B = witness_matrix(alpha, beta)
         for word, norm in (("yxx", cert.norm_wB), ("xyy", cert.norm_wB_rev)):
             assert operator_norm(eval_word(word, B, B.conj().T)) == pytest.approx(norm, rel=1e-15)
+    # the gap alpha beta |alpha a - beta b| is at most min/max (alpha, beta) ||A (x) B||^3,
+    # so past a ratio of 1 / (3 (4t + t^2)), about 8e7, no A is destroyed: 7e8 is refused
+    with pytest.raises(PreconditionError):
+        destructor_witness(jordan(3), 1e-3, 7e5)
 
 
 def test_destructor_destroys_higher_order_nilpotent():
@@ -155,6 +159,25 @@ def test_destructor_names_the_rank_margin_not_a_ratio():
         with pytest.raises(PreconditionError, match="rank 2 exceeds half the dimension 3") as info:
             destructor_witness(A, alpha, beta)
         assert "cancels" not in str(info.value)
+
+
+def test_a_gap_that_a_verifying_g_allows_is_not_destroyed():
+    # the 2nd draw of stream 99: a rotated order-two nilpotent, n = 7, plus
+    # noise of 2.0e-8 of its norm.  The yxx gap of A (x) B(1, 2), 3.4e-9
+    # ||A (x) B||^3, is above the 1e-9 ||A (x) B||^3 that once made it
+    # destroyed, but within the 3 (4t + t^2) ||A (x) B||^3 that a G
+    # verifying A (x) B at the default tol leaves, so it proves nothing and
+    # the destructor refuses it
+    rng = stream(99, 1)
+    n = int(rng.integers(2, 9))
+    A = random_nilpotent2(rng, n)
+    E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = A + E * (10.0 ** rng.uniform(-9, -6) * np.linalg.norm(A, 2) / np.linalg.norm(E, 2))
+    K = np.kron(A, witness_matrix(1.0, 2.0))
+    ratio = word_norm_gaps(K, ["yxx"])[0] / operator_norm(K) ** 3
+    assert n == 7 and 1e-9 < ratio < _gap_bound(1e-9, 3, 3 * n)
+    with pytest.raises(PreconditionError, match="not above 2.677e-06, so no ratio"):
+        destructor_witness(A, 1.0, 2.0)
 
 
 def test_destructor_spares_order_two_nilpotent():
