@@ -1177,15 +1177,20 @@ def test_a_rotated_skew_uet_matrix_past_the_trace_cap_is_inconclusive():
     assert calls == [((66, 66), NORM_WORDS)]
 
 
-def noisy_nilpotent_with_an_xxxy_gap():
-    """The 908th draw of stream 861: a rotated order-two nilpotent, n = 10, plus
-    complex Gaussian noise of 1.07e-6 of its norm."""
-    rng = stream(861, 908)
+def noisy_nilpotent(seed, i, log_noise_max):
+    """Draw i of stream seed: a rotated order-two nilpotent, n in [3, 16], plus
+    complex Gaussian noise of 10^U(-10, log_noise_max) of its norm."""
+    rng = stream(seed, i)
     n = int(rng.integers(3, 17))
     T = random_nilpotent2(rng, n)
     E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rel = 10.0 ** rng.uniform(-10, -3)
+    rel = 10.0 ** rng.uniform(-10, log_noise_max)
     return T + E * (rel * np.linalg.norm(T, 2) / np.linalg.norm(E, 2))
+
+
+def noisy_nilpotent_with_an_xxxy_gap():
+    """The 908th draw of stream 861: n = 10, noise 1.07e-6 of its norm."""
+    return noisy_nilpotent(861, 908, -3)
 
 
 def test_a_noisy_nilpotent_is_obstructed_by_the_word_step():
@@ -1206,6 +1211,66 @@ def test_a_noisy_nilpotent_is_obstructed_by_the_word_step():
     B, _ = power_of_two_scaled(T)
     gap = certify._screen_norms(B, DEFAULT_TOL, operator_norm(B))[1]
     assert gap <= certify._gap_bound(DEFAULT_TOL, 3, 10) * operator_norm(B) ** 3
+
+
+# every input of the two noisy-nilpotent streams (2000 draws of stream 862 with
+# noise up to 1e-5, 1000 of stream 861 with noise up to 1e-3) that certify
+# ended inconclusive on before the word step joined its route, and the word
+# that the step now proves it by
+WORD_STEP_OBSTRUCTIONS = [
+        (862, 256, "xxxy"),
+        (862, 281, "xxyx"),
+        (862, 384, "xxxy"),
+        (862, 473, "xxxy"),
+        (862, 488, "xxxy"),
+        (862, 513, "xxxyx"),
+        (862, 527, "xxxyx"),
+        (862, 533, "xxxy"),
+        (862, 607, "xxyx"),
+        (862, 802, "xxyx"),
+        (862, 919, "xxyx"),
+        (862, 938, "xxxy"),
+        (862, 991, "xxxy"),
+        (862, 1110, "xxyx"),
+        (862, 1128, "xxxy"),
+        (862, 1173, "xxxy"),
+        (862, 1283, "xxxy"),
+        (862, 1320, "xxxy"),
+        (862, 1393, "xxxy"),
+        (862, 1481, "xxxy"),
+        (862, 1508, "xxxy"),
+        (862, 1547, "xxyx"),
+        (862, 1576, "xxxy"),
+        (862, 1600, "xxxy"),
+        (862, 1632, "xxxy"),
+        (862, 1718, "xxxyx"),
+        (862, 1803, "xxyx"),
+        (862, 1814, "xxxy"),
+        (862, 1950, "xxxy"),
+        (862, 1987, "xxxy"),
+        (861, 355, "xxxy"),
+        (861, 549, "xyxxy"),
+        (861, 555, "xxxyx"),
+        (861, 872, "xxxy"),
+        (861, 908, "xxxy"),
+        (861, 970, "xxxy"),
+]
+
+
+@pytest.mark.parametrize("seed, i, word", WORD_STEP_OBSTRUCTIONS)
+def test_each_input_the_word_step_decides_is_obstructed_by_its_word(seed, i, word):
+    # with the word step's gaps zeroed, the route ends inconclusive: no G
+    # verifies, the xxy screen and the trace test find nothing; with them,
+    # the step's word and gap are certify's obstruction
+    T = noisy_nilpotent(seed, i, -3 if seed == 861 else -5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_word_norm_gaps", lambda M, words: np.zeros(len(words)))
+        assert find_conjugation(T).verdict == "inconclusive"
+    cert = find_conjugation(T)
+    assert cert.verdict == "obstructed" and cert.trace is None and cert.conjugation is None
+    assert (cert.obstruction_word, cert.obstruction_gap) == (word, norm_word_hit(T)[1])
+    bound = certify._gap_bound(DEFAULT_TOL, len(word), len(T)) * operator_norm(T) ** len(word)
+    assert cert.obstruction_gap > bound
 
 
 def phase_accepted(T):

@@ -8,6 +8,7 @@ and verify-paper signals any failed suite entry with exit 1.
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from csokit import serialize, verify
 from csokit.cli import build_parser, main
-from csokit.ensembles import random_unitary, stream
+from csokit.ensembles import random_cso, random_nilpotent2, random_unitary, stream
 from csokit.errors import AccuracyError, InputError
 from csokit.indestructible import witness_matrix
 from csokit.linalg import direct_sum
@@ -424,6 +425,62 @@ def test_witness_at_extreme_scales_is_obstructed_or_refused(scale, tmp_path):
         else:
             assert exit_code == 65
             assert f"{2 * scale:.3e}" in err.getvalue()
+
+
+def noisy_nilpotent_908():
+    """The 908th draw of stream 861: a rotated order-two nilpotent, n = 10, plus
+    complex Gaussian noise of 1.07e-6 of its norm, which certify's word step
+    obstructs by xxxy."""
+    rng = stream(861, 908)
+    n = int(rng.integers(3, 17))
+    T = random_nilpotent2(rng, n)
+    E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rel = 10.0 ** rng.uniform(-10, -3)
+    return T + E * (rel * np.linalg.norm(T, 2) / np.linalg.norm(E, 2))
+
+
+@pytest.mark.parametrize("scale", [1e120, 1e60, 1.0, 1e-60, 1e-120])
+def test_the_word_step_answers_at_any_scale_or_names_the_norm(scale):
+    # the word step runs on T / 2^e and takes the xxxy gap back to T's
+    # units, scaled by 2^(4e); where that gap is inf or 0 in T's units
+    # certify exits 65 naming ||T||, as the witness does
+    T = scale * noisy_nilpotent_908()
+    code, out, err = run_main_output("certify", "--matrix", matrix_arg(T))
+    if abs(math.log10(scale)) < 100:
+        assert (code, err) == (2, "")
+        reply = json.loads(out)
+        assert reply["word"] == "xxxy" and "trace" not in reply
+        assert reply["gap"] == pytest.approx(6.91e-6 * scale**4, rel=1e-3)
+    else:
+        assert (code, out) == (65, "")
+        assert f"||T|| = {np.linalg.norm(T, 2):.3e}" in err and "xxxy" in err
+
+
+def test_certify_makes_no_claim_on_a_rotated_cso_matrix_at_a_tiny_tol():
+    # at tol 1e-20 both the trace test and the word step run on this matrix,
+    # and neither may take a rounding gap for an obstruction
+    rng = np.random.default_rng(2026)
+    Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    code, out, _ = run_main_output("certify", "--matrix", matrix_arg(Q @ (Z + Z.T) @ Q.conj().T), "--tol=1e-20")
+    assert code != 2
+    assert "word" not in json.loads(out) and "trace" not in json.loads(out)
+
+
+def test_certify_verifies_a_g_where_the_xxyx_gap_is_within_its_bound():
+    # the 236th draw of default_rng(5), as in test_certify: its xxyx gap
+    # exceeds 1e-6 ||T||^4 but not the bound that a G verifying at 1e-6
+    # leaves, so the word step, cut at that bound, must not contradict the G
+    rng = np.random.default_rng(5)
+    for _ in range(236):
+        n = int(rng.integers(3, 9))
+        T, _ = random_cso(rng, n)
+        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eps = 10 ** rng.uniform(-8, -6)
+    T = T + eps * np.linalg.norm(T, 2) * E / np.linalg.norm(E, 2)
+    code, out, _ = run_main_output("certify", "--matrix", matrix_arg(T), "--tol", "1e-6")
+    reply = json.loads(out)
+    assert code == 0 and reply["verdict"] == "c_symmetric" and reply["residual"] <= 1e-6
 
 
 def J2_mat():
